@@ -2,17 +2,19 @@
 
     python3 perfbench/bench.py --workload NAME --seed N --seconds S --trace 0|1 --result PATH
 
-Imports finegrain from src/ of this checkout, sets up the workload several
-times, runs its measured phase through the public runner functions, checks
-every output and writes the metrics to PATH.  With --trace 1 it then repeats
-set-up and the measured phase under the tracer and reports per-layer
-metrics instead.  README.md explains the workloads and metrics.
+Imports finegrain from src/ of this checkout, runs the workload's training
+and eval phases through the public runner functions, scores the eval's pairs
+once more to check each score, checks every output and writes the metrics
+to PATH.  With --trace 1 it then repeats one training run and the eval phase
+under the tracer and reports per-layer metrics instead.  README.md explains
+the workloads and metrics.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import inspect
 import json
 import math
@@ -41,9 +43,14 @@ SEED_SLOTS = 10
 LOSS_RTOL = 1e-6  # per-step total loss, relative to max(1, |reference|)
 METRIC_ATOL = 1e-9  # accuracies are hits/count, so any flip moves them >= 1/count
 CORR_ATOL = 1e-6  # Pearson and Spearman over the trajectory
+SCORE_ATOL = 1e-6  # per checkpoint, the sum and the sum of squares of the pair scores
 
-IO_SAMPLES = 12  # checkpoint loads and saves per run
-TAIL_STEPS = 25  # train_loss_tail averages the last steps of the last training run
+# sha256 of src/finegrain/*.py (see sources_sha256) at commit 01452e4, the last
+# before any performance work; the reference holds that code's outputs
+SEED_SOURCES_SHA256 = "2f1e065a439bc59094ea9793390616b3f57a74f50592abadc4506fe0a63d9ff1"
+
+IO_SAMPLES = 18  # checkpoint loads and saves per run, at least
+TAIL_STEPS = 16  # train_loss_tail averages the last steps of the last training run
 
 # pairs one manifest item costs, by subtask protocol
 PAIRS_PER_ITEM = {"foil": 2, "pairwise": 2, "threshold": 2, "quad": 4}
@@ -61,13 +68,13 @@ def import_finegrain():
 
 
 import_finegrain()
-from finegrain import evalharness, runner, synthdata  # noqa: E402
+from finegrain import evalharness, runner  # noqa: E402
 from finegrain import model as fmodel  # noqa: E402
 from finegrain.config import RunConfig  # noqa: E402
 
 from observer import LoopObserver, lines_calling  # noqa: E402
 import tracer as tr  # noqa: E402
-from hostspeed import HostSpeed  # noqa: E402
+from hostspeed import REFERENCE_KERNEL_S, HostSpeed  # noqa: E402
 
 
 # -- workload specs --------------------------------------------------------------
@@ -84,8 +91,15 @@ class Spec:
     eval_per_subtask: int
     retrieval_count: int
     dense_retrieval: int  # 0: score the config's manifest; n: only an n x n table
-    repeats: int  # measured-phase repetitions of the eval call
-    setups: int
+    repeats: int  # eval calls per run
+    training_runs: int  # run_training calls per run, each in a fresh run dir
+
+    def work(self) -> dict:
+        """The fields that decide the program's outputs; the reference is keyed on them."""
+        return {"steps": self.steps, "cadence": self.cadence,
+                "eval_per_subtask": self.eval_per_subtask,
+                "retrieval_count": self.retrieval_count,
+                "dense_retrieval": self.dense_retrieval}
 
     def config(self) -> RunConfig:
         # model, data sizes, batches and optimizer stay at the defaults
@@ -105,6 +119,12 @@ class Spec:
 
     def pairs_per_checkpoint(self) -> int:
         return manifest_pairs(self.manifest())
+
+    def eval_steps(self) -> list[int]:
+        """The checkpoints one eval call scores."""
+        if self.dense_retrieval:
+            return [self.steps]
+        return list(range(self.cadence, self.steps + 1, self.cadence))
 
 
 def manifest_pairs(manifest: dict) -> int:
@@ -127,23 +147,27 @@ def manifest_pairs(manifest: dict) -> int:
 
 
 def make_spec(workload: str, seed: int, seconds: int) -> Spec:
-    """Work sized so the measured phase takes about `seconds` on a 2-core x86 host."""
+    """Work sized so the measured phase takes about `seconds` on a 2-core x86 host.
+
+    train_full measures its training runs; the eval workloads' training runs
+    are set-up that writes the checkpoints their eval calls read.
+    """
     slot = seed % SEED_SLOTS
     if workload == "train_full":
-        # ~8 steps/s; checkpoints every 25 steps, at least 3 for the correlations
-        n = max(3, round(seconds / 5))
-        return Spec(workload, slot, steps=25 * n, cadence=25, eval_per_subtask=4,
-                    retrieval_count=4, dense_retrieval=0, repeats=2, setups=21)
+        # ~8 steps/s; checkpoints every 16 steps, at least 3 for the correlations
+        n = max(3, round(seconds / 15))
+        return Spec(workload, slot, steps=16 * n, cadence=16, eval_per_subtask=4,
+                    retrieval_count=4, dense_retrieval=0, repeats=3, training_runs=3)
     if workload == "dynamics_sweep":
         # ~8 s per sweep of 4 checkpoints x 464 pairs, plus ~7 s of set-up
         return Spec(workload, slot, steps=12, cadence=3, eval_per_subtask=20,
                     retrieval_count=8, dense_retrieval=0,
-                    repeats=max(1, round(seconds / 15)), setups=3)
+                    repeats=max(1, round(seconds / 15)), training_runs=3)
     if workload == "retrieval_dense":
         # ~2.5 s per 24 x 24 table, plus ~6 s of set-up
         return Spec(workload, slot, steps=12, cadence=12, eval_per_subtask=20,
                     retrieval_count=8, dense_retrieval=24,
-                    repeats=max(1, round(seconds / 7)), setups=3)
+                    repeats=max(1, round(seconds / 7)), training_runs=3)
     raise SystemExit(f"unknown workload {workload!r}; expected one of {WORKLOADS}")
 
 
@@ -252,6 +276,50 @@ def check_report(check: Checker, run_dir: Path, step: int, pairs: int) -> None:
     check.op(ok, f"eval report {values} departs from the reference {ref}", pairs + 1)
 
 
+def recording(score, into: list):
+    """`score`, appending each value it returns to `into`."""
+    def recorded(scene, text):
+        value = score(scene, text)
+        into.append(value)
+        return value
+
+    return recorded
+
+
+def audit_scores(spec: Spec, run_dir: Path, check: Checker) -> dict:
+    """Score the eval calls' pairs again with the program's public scorer.
+
+    It runs outside every timed interval and outside the tracer.  Each score
+    is one operation and must be finite and in [0, 1].  Per checkpoint, the
+    count, sum and sum of squares of the scores must match the reference: one
+    more operation.  Returns those digests by checkpoint step.
+    """
+    config = spec.config()
+    manifest = spec.manifest()
+    reference = check.ref("scores") or {}
+    digests = {}
+    for step in spec.eval_steps():
+        model = fmodel.VLModel(config.model_config(), seed=config.seed)
+        fmodel.load_checkpoint(model, runner.checkpoint_path(run_dir, step),
+                               expect_hash=config.config_hash())
+        scores: list[float] = []
+        evalharness.run_benchmark(recording(evalharness.model_scorer(model), scores),
+                                  manifest, checkpoint_step=step)
+        for i, value in enumerate(scores):
+            check.op(math.isfinite(value) and 0.0 <= value <= 1.0,
+                     f"checkpoint {step}, pair {i}: score {value!r} is not in [0, 1]")
+        digest = [len(scores), math.fsum(scores), math.fsum(v * v for v in scores)]
+        ok = digest[0] == spec.pairs_per_checkpoint()
+        ref = reference.get(str(step))
+        if check.reference is not None:
+            ok = ok and ref is not None and digest[0] == ref[0] and all(
+                close(v, r, atol=SCORE_ATOL) for v, r in zip(digest[1:], ref[1:]))
+        check.op(ok, f"checkpoint {step}: scores (count, sum, sum of squares) {digest} "
+                     f"depart from the reference {ref}")
+        digests[str(step)] = digest
+    return digests
+
+
 # -- phases ----------------------------------------------------------------------
 
 
@@ -261,6 +329,7 @@ Interval = tuple[float, float]  # perf_counter start and end
 @dataclass
 class Training:
     wall: Interval
+    prologue: Interval  # call entry to the first sample of step 1: the program's set-up
     losses: list
     steps: dict  # batch kind -> step intervals, checkpoint writes excluded
 
@@ -269,10 +338,10 @@ def observed_training(spec: Spec, run_dir: Path, check: Checker) -> Training:
     """runner.run_training with each step timed by the loop observer."""
     code = inspect.unwrap(runner.run_training).__code__
     marks = lines_calling(code, "save_checkpoint")
-    start = time.perf_counter()
     with LoopObserver(code, "step", marks) as obs:
+        start = time.perf_counter()
         trained = runner.run_training(spec.config(), run_dir)
-    wall = (start, time.perf_counter())
+        wall = (start, time.perf_counter())
     losses = check_training(check, spec, run_dir, trained)
     kinds = {step: kind for step, kind, _ in losses}
     steps: dict[str, list[Interval]] = {"caption": [], "detection": []}
@@ -285,23 +354,10 @@ def observed_training(spec: Spec, run_dir: Path, check: Checker) -> Training:
     seen = {it.value for it in iterations}
     if len(seen) < 0.9 * len(losses):
         check.op(False, f"observer saw {len(seen)} of {len(losses)} steps")
-    return Training(wall, losses, steps)
-
-
-def setup_once(spec: Spec, run_dir: Path, check: Checker):
-    if spec.workload == "train_full":
-        # what run_training builds before its loop: the batch schedule and the model
-        config = spec.config()
-        batches = synthdata.sampler_for_sources(
-            seed=config.data_seed, sources=sorted(config.source_set()), steps=config.steps,
-            caption_count=config.caption_count,
-            detection_scene_count=config.detection_scene_count,
-            caption_batch=config.caption_batch, detection_batch=config.detection_batch,
-            grid_size=config.patch_grid)
-        fmodel.VLModel(config.model_config(), seed=config.seed)
-        return [b.kind for b in batches]
-    # eval workloads: a short training run writes the checkpoints they score
-    return observed_training(spec, run_dir, check)
+    if not iterations or iterations[0].value != 1:
+        check.op(False, "observer missed step 1, so the set-up time is unknown")
+    prologue = (start, iterations[0].start if iterations else wall[1])
+    return Training(wall, prologue, losses, steps)
 
 
 def eval_once(spec: Spec, run_dir: Path, check: Checker) -> Interval:
@@ -322,7 +378,6 @@ def eval_once(spec: Spec, run_dir: Path, check: Checker) -> Interval:
 
 @dataclass
 class Phases:
-    setups: list[Interval] = field(default_factory=list)
     training: list[Training] = field(default_factory=list)
     evals: list[Interval] = field(default_factory=list)
     loads: list[Interval] = field(default_factory=list)
@@ -330,30 +385,24 @@ class Phases:
     ckpt_bytes: int = 0
 
 
-def run_phases(spec: Spec, base: Path, check: Checker, setups: int) -> tuple[Phases, Path]:
-    """Set up `setups` times, then run the measured phase in the last run dir."""
+def run_phases(spec: Spec, base: Path, check: Checker,
+               training_runs: int) -> tuple[Phases, Path]:
+    """Train `training_runs` times in fresh run dirs, then run the eval calls in the last.
+
+    Checkpoint I/O samples follow every training run and eval call, so they
+    spread over the run.
+    """
     phases = Phases()
-    schedule = None
     run_dir = base
-    for i in range(setups):
-        run_dir = base / f"setup{i}"
-        gc.collect()  # each set-up starts from the same heap, not the last one's garbage
-        start = time.perf_counter()
-        result = setup_once(spec, run_dir, check)
-        phases.setups.append((start, time.perf_counter()))
-        if isinstance(result, Training):
-            phases.training.append(result)
-        else:
-            schedule = result
-    if spec.workload == "train_full":
-        training = observed_training(spec, run_dir, check)
-        phases.training.append(training)
-        kinds = [kind for _, kind, _ in training.losses]
-        check.op(kinds == schedule, "run_training's schedule differs from the set-up's")
+    io_times = -(-IO_SAMPLES // (training_runs + spec.repeats))
+    for i in range(training_runs):
+        run_dir = base / f"train{i}"
+        gc.collect()  # each run starts from the same heap, not the last one's garbage
+        phases.training.append(observed_training(spec, run_dir, check))
+        checkpoint_io(spec, run_dir, check, phases, io_times)
     for _ in range(spec.repeats):
         phases.evals.append(eval_once(spec, run_dir, check))
-        # spread the checkpoint I/O samples over the run
-        checkpoint_io(spec, run_dir, check, phases, times=-(-IO_SAMPLES // spec.repeats))
+        checkpoint_io(spec, run_dir, check, phases, io_times)
     return phases, run_dir
 
 
@@ -406,7 +455,11 @@ def end_to_end(spec: Spec, phases: Phases, host: HostSpeed, scaled: bool = True)
 
     steps = {kind: [sec(i) * 1e3 for t in phases.training for i in t.steps[kind]]
              for kind in ("caption", "detection")}
-    metrics = {"setup_s": (statistics.median(sec(i) for i in phases.setups), "s")}
+    # train_full's set-up is run_training's own, before its first step; the eval
+    # workloads' set-up is the training run that writes their checkpoints
+    setups = [t.prologue if spec.workload == "train_full" else t.wall
+              for t in phases.training]
+    metrics = {"setup_s": (statistics.median(sec(i) for i in setups), "s")}
     metrics["train_steps_per_s"] = (statistics.median(
         len(t.losses) / sec(t.wall) for t in phases.training), "1/s")
     for kind, values in steps.items():
@@ -428,12 +481,9 @@ def end_to_end(spec: Spec, phases: Phases, host: HostSpeed, scaled: bool = True)
 
 
 def measured_seconds(phases: Phases, host: HostSpeed) -> float:
-    """Reference seconds of one set-up plus the measured phase."""
-    setup = statistics.median(host.seconds(*i) for i in phases.setups)
-    measured = [host.seconds(*i) for i in phases.evals]
-    if phases.training and phases.training[-1].wall[0] > phases.setups[-1][1]:
-        measured.append(host.seconds(*phases.training[-1].wall))
-    return setup + sum(measured)
+    """Reference seconds of one training run plus the eval calls."""
+    training = statistics.median(host.seconds(*t.wall) for t in phases.training)
+    return training + sum(host.seconds(*i) for i in phases.evals)
 
 
 def per_layer(spans: list[tr.Span], overhead: float) -> dict:
@@ -500,22 +550,32 @@ def environment() -> dict:
     }
 
 
+def sources_sha256() -> str:
+    """sha256 over the names and bytes of src/finegrain/*.py, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((SRC / "finegrain").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def load_reference(spec: Spec) -> dict | None:
+    """The reference for the spec's workload and seed slot, if it covers the spec's work."""
     path = REFERENCE_DIR / f"{spec.workload}.json"
     if not path.exists():
         return None
     entry = json.loads(path.read_text(encoding="utf-8")).get(str(spec.slot))
-    if entry is None or entry.get("config_hash") != spec.config().config_hash():
+    if entry is None or entry.get("work") != spec.work():
         return None
     return entry
 
 
-def record_reference(spec: Spec, run_dir: Path, losses) -> None:
+def record_reference(spec: Spec, run_dir: Path, losses, scores: dict) -> None:
     """Store this run's outputs as the reference for its workload and seed slot."""
     path = REFERENCE_DIR / f"{spec.workload}.json"
     table = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
-    entry: dict = {"config_hash": spec.config().config_hash(),
-                   "losses": {str(s): [k, t] for s, k, t in losses}}
+    # config_hash is for information only; the entry applies to runs of the same work
+    entry: dict = {"work": spec.work(), "config_hash": spec.config().config_hash(),
+                   "losses": {str(s): [k, t] for s, k, t in losses}, "scores": scores}
     if spec.dense_retrieval:
         report = run_dir / "reports" / f"eval_step_{spec.steps:06d}.json"
         entry["report"] = json.loads(report.read_text(encoding="utf-8"))["metrics"]
@@ -549,19 +609,21 @@ def run(spec: Spec, trace: bool, base: Path, write_reference: bool = False) -> d
             f"spec: {json.dumps(asdict(spec), sort_keys=True)}"]
     reference = None if write_reference else load_reference(spec)
     if reference is None and not write_reference:
-        info.append("reference: none for this seed slot; outputs are range-checked only")
+        info.append("reference: none covers this run's work; outputs are range-checked only")
     check = Checker(reference)
     if tr.wrapped_bindings():
         raise RuntimeError(f"tracing wrappers present: {tr.wrapped_bindings()}")
     with HostSpeed() as host:
-        phases, run_dir = run_phases(spec, fresh_dir(base / "plain"), check, spec.setups)
+        phases, run_dir = run_phases(spec, fresh_dir(base / "plain"), check,
+                                     spec.training_runs)
         if trace:
             tracer = tr.Tracer()
             traced_base = fresh_dir(base / "traced")
             with tracer:
                 traced, _ = run_phases(spec, traced_base, check, 1)
+    scores = audit_scores(spec, run_dir, check)
     if write_reference:
-        record_reference(spec, run_dir, phases.training[-1].losses)
+        record_reference(spec, run_dir, phases.training[-1].losses, scores)
     if trace:
         untraced = measured_seconds(phases, host)
         traced_s = measured_seconds(traced, host)
@@ -580,7 +642,7 @@ def run(spec: Spec, trace: bool, base: Path, write_reference: bool = False) -> d
         ms = [(e - s) * 1e3 for s, e in zip(host.starts, host.ends)]
         info.append(f"host kernel: median {statistics.median(ms):.3f} ms, "
                     f"min {min(ms):.3f}, max {max(ms):.3f}, n={len(ms)} "
-                    f"(reference {host.reference_s * 1e3:.3f})")
+                    f"(reference {REFERENCE_KERNEL_S * 1e3:.3f})")
         metrics = {name: {"value": v, "unit": u} for name, (v, u) in scaled.items()}
     info += [f"failure: {note}" for note in check.notes]
     return {
@@ -602,6 +664,9 @@ def main(argv=None) -> int:
     parser.add_argument("--write-reference", action="store_true",
                         help="store this run's outputs as the reference for its seed slot")
     args = parser.parse_args(argv)
+    if args.write_reference and sources_sha256() != SEED_SOURCES_SHA256:
+        raise SystemExit("refusing to write a reference: src/finegrain differs from "
+                         "commit 01452e4; write references from a checkout of that commit")
     spec = make_spec(args.workload, args.seed, args.seconds)
     result = run(spec, bool(args.trace), RUNS / args.workload, args.write_reference)
     args.result.write_text(json.dumps(result, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,7 +2,7 @@
 
 On a shared 2-core host the same code runs up to twice as slow for seconds to
 minutes at a time, because of load the benchmark cannot see or control.
-While a run measures, a CPU-time timer (SIGVTALRM, every `period` seconds)
+While a run measures, a CPU-time timer (SIGVTALRM, every PERIOD_S seconds)
 runs a fixed kernel, independent of finegrain, on the main thread and
 records how long it took.  The kernel mixes what the program spends its
 time on: small numpy products and reductions over 2 MB of weights, and
@@ -10,9 +10,9 @@ Python object and call overhead.
 
 `seconds(t0, t1)` turns a wall interval into reference seconds: the interval
 minus the kernel runs inside it, times REFERENCE_KERNEL_S over the median
-kernel time near the interval.  Reference seconds read as "seconds on a host
-where the kernel takes REFERENCE_KERNEL_S"; run.py prints the unscaled
-figures too.
+kernel time within PAD_S seconds of the interval.  Reference seconds read as
+"seconds on a host where the kernel takes REFERENCE_KERNEL_S"; run.py prints
+the unscaled figures too.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import numpy as np
 
 # median kernel time on an idle 2-core x86 host (scipy-openblas, 1 thread)
 REFERENCE_KERNEL_S = 0.0023
+PERIOD_S = 0.1  # CPU seconds between kernel runs
+PAD_S = 0.5  # kernel runs this close to an interval set its scale
 
 
 class _Node:
@@ -43,10 +45,10 @@ _WEIGHTS = [_RNG.normal(size=(64, 64)) for _ in range(64)]
 _V = _RNG.normal(size=(64, 16))
 
 
-def kernel(iterations: int = 100) -> float:
+def kernel() -> float:
     nodes = []
     total = 0.0
-    for i in range(iterations):
+    for i in range(100):
         h = _X @ _WEIGHTS[(7 * i) % len(_WEIGHTS)]
         h = h - h.max(axis=1, keepdims=True)
         e = np.exp(h)
@@ -62,11 +64,7 @@ def kernel(iterations: int = 100) -> float:
 class HostSpeed:
     """Context manager: samples the kernel while open; must run on the main thread."""
 
-    def __init__(self, period: float = 0.1, pad: float = 0.5,
-                 reference_s: float = REFERENCE_KERNEL_S):
-        self.period = period
-        self.pad = pad
-        self.reference_s = reference_s
+    def __init__(self):
         self.starts: list[float] = []
         self.ends: list[float] = []
         self._previous = None
@@ -81,7 +79,7 @@ class HostSpeed:
         for _ in range(5):
             self.sample()
         self._previous = signal.signal(signal.SIGVTALRM, self.sample)
-        signal.setitimer(signal.ITIMER_VIRTUAL, self.period, self.period)
+        signal.setitimer(signal.ITIMER_VIRTUAL, PERIOD_S, PERIOD_S)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -98,8 +96,8 @@ class HostSpeed:
         return sum(self.ends[i] - self.starts[i] for i in self._between(t0, t1))
 
     def kernel_s(self, t0: float, t1: float) -> float:
-        """Median kernel time within `pad` seconds of [t0, t1] (else the nearest run)."""
-        near = self._between(t0 - self.pad, t1 + self.pad)
+        """Median kernel time within PAD_S seconds of [t0, t1] (else the nearest run)."""
+        near = self._between(t0 - PAD_S, t1 + PAD_S)
         if not near:
             i = min(bisect.bisect_left(self.starts, t0), len(self.starts) - 1)
             near = range(i, i + 1)
@@ -108,4 +106,4 @@ class HostSpeed:
     def seconds(self, t0: float, t1: float, scaled: bool = True) -> float:
         """Program time in [t0, t1], in reference seconds unless not `scaled`."""
         own = t1 - t0 - self.busy(t0, t1)
-        return own * self.reference_s / self.kernel_s(t0, t1) if scaled else own
+        return own * REFERENCE_KERNEL_S / self.kernel_s(t0, t1) if scaled else own

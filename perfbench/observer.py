@@ -1,6 +1,6 @@
 """Times the iterations of a loop without patching the function that runs it.
 
-An interval timer interrupts the calling thread every `interval` seconds; the
+An interval timer interrupts the calling thread every INTERVAL_S seconds; the
 signal handler reads the loop function's frame and records, per value of the
 loop variable, when that value was first seen and when the frame first stood
 on a marked line (the checkpoint save) in that iteration.  Reading a frame's
@@ -16,6 +16,8 @@ import signal
 import time
 from dataclasses import dataclass
 from types import CodeType
+
+INTERVAL_S = 0.0005
 
 
 @dataclass(frozen=True)
@@ -36,12 +38,10 @@ def lines_calling(code: CodeType, name: str) -> frozenset[int]:
 class LoopObserver:
     """Context manager: observe `var` in the frame running `code` on this thread."""
 
-    def __init__(self, code: CodeType, var: str, mark_lines=frozenset(),
-                 interval: float = 0.0005):
+    def __init__(self, code: CodeType, var: str, mark_lines=frozenset()):
         self.code = code
         self.var = var
         self.mark_lines = frozenset(mark_lines)
-        self.interval = interval
         self.samples: list[tuple[float, object, bool]] = []
         self.finished = 0.0
         self._frame = None
@@ -63,7 +63,7 @@ class LoopObserver:
 
     def __enter__(self) -> "LoopObserver":
         self._previous = signal.signal(signal.SIGALRM, self._sample)
-        signal.setitimer(signal.ITIMER_REAL, self.interval, self.interval)
+        signal.setitimer(signal.ITIMER_REAL, INTERVAL_S, INTERVAL_S)
         return self
 
     def __exit__(self, *exc) -> None:

@@ -1,6 +1,6 @@
 """Benchmark entry point: one run of one workload, as one JSON line.
 
-    python3 perfbench/run.py --workload train_full --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload train_full --seed 1 --seconds 15 --trace 0
 
 Run from the root of a checkout.  Starts bench.py in a fresh child process
 with a fixed BLAS thread count, relays its report lines and prints, as the

@@ -29,9 +29,9 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def one_run(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, float]:
+def one_run(workload: str, seed: int, seconds: int) -> tuple[dict, float]:
     command = [sys.executable, str(HERE / "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     start = time.perf_counter()
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=False)
     wall = time.perf_counter() - start
@@ -50,7 +50,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--seeds", default="1-10")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
     for workload in workloads:
         runs = []
         for seed in seed_list(args.seeds):
-            result, wall = one_run(workload, seed, spec["run_seconds"], args.trace)
+            result, wall = one_run(workload, seed, spec["run_seconds"])
             runs.append(result)
             print(f"{workload} seed {seed}: {wall:.1f} s, correct={result['correct']}, "
                   f"failed {result['failed']} of {result['attempted']}", flush=True)

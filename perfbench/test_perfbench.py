@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python -m pytest -q perfbench
 
-The last two tests run tiny workloads end to end (about a minute in all).
+The last three tests run tiny workloads end to end (about a minute and a
+half in all).
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def test_loop_observer_times_iterations_up_to_the_marked_line():
 def tiny(workload: str) -> bench.Spec:
     spec = bench.make_spec(workload, seed=3, seconds=1)
     return replace(spec, steps=6, cadence=2, eval_per_subtask=1, retrieval_count=2,
-                   dense_retrieval=3 if spec.dense_retrieval else 0, repeats=1, setups=1)
+                   dense_retrieval=3 if spec.dense_retrieval else 0, repeats=1,
+                   training_runs=1)
 
 
 def test_untraced_run_executes_unpatched_functions(tmp_path):
@@ -172,6 +174,30 @@ def test_untraced_run_executes_unpatched_functions(tmp_path):
                model.VLModel.encode_image, model.save_checkpoint):
         assert fn.__code__ in called
     assert check.failed == 0
+
+
+def test_each_score_outside_the_unit_interval_fails_its_pair(tmp_path, monkeypatch):
+    from finegrain import evalharness
+
+    spec = tiny("retrieval_dense")
+    pairs = spec.pairs_per_checkpoint()
+    _, run_dir = bench.run_phases(spec, tmp_path, bench.Checker(None), 1)
+    clean = bench.Checker(None)
+    digests = bench.audit_scores(spec, run_dir, clean)
+    assert (clean.attempted, clean.failed) == (pairs + 1, 0)
+
+    model_scorer = evalharness.model_scorer
+    monkeypatch.setattr(evalharness, "model_scorer", lambda model: lambda scene, text: 1.5)
+    check = bench.Checker(None)
+    bench.audit_scores(spec, run_dir, check)
+    assert check.failed == pairs
+
+    # in range, but not the reference's scores: the digest catches it
+    monkeypatch.setattr(evalharness, "model_scorer",
+                        lambda model: lambda scene, text: model_scorer(model)(scene, text) ** 2)
+    check = bench.Checker({"scores": digests})
+    bench.audit_scores(spec, run_dir, check)
+    assert (check.attempted, check.failed) == (pairs + 1, 1)
 
 
 EXACT = ("tensor.nodes_per_caption_step", "tensor.nodes_per_detection_step",

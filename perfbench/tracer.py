@@ -199,10 +199,10 @@ def is_wrapper(value) -> bool:
     return getattr(value, "__code__", None) is _WRAPPER_CODE
 
 
-def wrapped_bindings(package: str = "finegrain") -> list[str]:
-    """Names in the package's modules and classes that hold a tracing wrapper."""
+def wrapped_bindings() -> list[str]:
+    """Names in finegrain's modules and classes that hold a tracing wrapper."""
     found = []
-    for module in Tracer(package).modules():
+    for module in Tracer().modules():
         for name, value in vars(module).items():
             if is_wrapper(value):
                 found.append(f"{module.__name__}.{name}")
@@ -237,20 +237,20 @@ def self_times(spans: list[Span]) -> list[int]:
     return out
 
 
-def scope_of(spans: list[Span], index: int, scopes=SCOPES) -> int:
-    """Index of the nearest enclosing span named in `scopes`, or -1."""
+def scope_of(spans: list[Span], index: int) -> int:
+    """Index of the nearest enclosing span named in SCOPES, or -1."""
     parent = spans[index].parent
-    while parent >= 0 and spans[parent].name not in scopes:
+    while parent >= 0 and spans[parent].name not in SCOPES:
         parent = spans[parent].parent
     return parent
 
 
-def distinct_share(spans: list[Span], name: str, scopes=SCOPES) -> float:
+def distinct_share(spans: list[Span], name: str) -> float:
     """Distinct inputs per call of `name`, equal inputs counted once per scope."""
     seen = set()
     calls = 0
     for index, span in enumerate(spans):
         if span.name == name:
             calls += 1
-            seen.add((scope_of(spans, index, scopes), span.tag))
+            seen.add((scope_of(spans, index), span.tag))
     return len(seen) / calls if calls else 0.0
