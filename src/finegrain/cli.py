@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Commands: gen-data, train, eval, dynamics, ablate, report.
+Commands: train, eval, dynamics, ablate, report, init-config.
 Exit codes: 0 success, 2 validation error, 3 dependency error,
 4 numeric error.
 """
@@ -36,9 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="path to the key=value run config")
         return cmd
 
-    gen = add("gen-data", "write dataset files and the evaluation manifest")
-    gen.add_argument("--out", type=Path, required=True, help="run directory")
-
     train = add("train", "train a model, logging losses and saving checkpoints")
     train.add_argument("--out", type=Path, required=True, help="run directory")
 
@@ -52,7 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate = add("ablate", "train and evaluate one run per grid arm")
     ablate.add_argument("--grid", required=True,
-                        help='arms like "full:all; A:captions; A+VMA:captions+region_descriptions"')
+                        help='arms like "full:all; A:captions; A+VMA:captions+region_descriptions". '
+                             'The calibration grid "A:captions; full:all; '
+                             'full:captions+object_labels; full:captions+region_descriptions" '
+                             'checks the paper\'s two findings (full >= A on relation_statement, '
+                             'region descriptions >= object labels on foil_avg); run it over '
+                             'three seeds and compare medians.')
     ablate.add_argument("--out", type=Path, required=True, help="parent output directory")
 
     report = add("report", "print a summary of a finished run directory", needs_config=False)
@@ -95,11 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_report(args.out)
             return EXIT_OK
         config = load_config(args.config)
-        if args.command == "gen-data":
-            written = runner.run_gen_data(config, args.out)
-            for name, path in sorted(written.items()):
-                print(f"{name}: {path}")
-        elif args.command == "train":
+        if args.command == "train":
             result = runner.run_training(config, args.out)
             print(f"trained {config.steps} steps; checkpoints at {result.checkpoint_steps}")
             print(f"loss log: {result.loss_log}")

@@ -2,7 +2,8 @@
 
 The seed is mandatory (nothing falls back to wall-clock time) and the
 canonical rendering of a config is hashed into every artifact the run
-writes, so resuming against the wrong config is a hard error.
+writes, so reusing a run directory or checkpoint with another config is a
+hard error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .model import ModelConfig
-from .objectives import DATA_SOURCES, AblationConfig
-from .synthdata import GRID_CHANNELS
+from .objectives import AblationConfig
+from .synthdata import DATA_SOURCES, GRID_CHANNELS
 
 _SCHEMA: dict[str, list[tuple[str, type]]] = {
     "run": [("seed", int), ("steps", int), ("cadence", int)],
@@ -58,7 +59,7 @@ class RunConfig:
     use_vma: bool = True
     use_bbox: bool = True
     use_pevl_tokens: bool = False
-    sources: str = "captions,object_labels,attribute_labels,region_descriptions"
+    sources: str = ",".join(DATA_SOURCES)
     data_seed: int = 1
     caption_count: int = 64
     detection_scene_count: int = 48
@@ -76,17 +77,10 @@ class RunConfig:
         if self.steps % self.cadence != 0:
             raise ValidationError(
                 f"run.cadence {self.cadence} must divide run.steps {self.steps}")
-        self.source_set()  # validates source names
-        self.ablation_config()  # validates loss/source compatibility
+        self.ablation_config()  # validates source names and loss/source compatibility
 
     def source_set(self) -> frozenset:
-        parts = frozenset(p.strip() for p in self.sources.split(",") if p.strip())
-        unknown = parts - set(DATA_SOURCES)
-        if unknown:
-            raise ValidationError(f"ablation.sources has unknown entries {sorted(unknown)}")
-        if not parts:
-            raise ValidationError("ablation.sources must list at least one source")
-        return parts
+        return frozenset(p.strip() for p in self.sources.split(",") if p.strip())
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

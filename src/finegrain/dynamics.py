@@ -1,8 +1,6 @@
-"""Checkpoint-cadence trajectories, smoothing, and cross-task correlation.
+"""Checkpoint-cadence trajectories and cross-task correlation.
 
-Smoothing is for display only: correlation analysis always runs on the
-raw trajectories (there is deliberately no smoothing hook on that path).
-The EMA convention is s0 = x0, s_t = alpha * s_{t-1} + (1 - alpha) * x_t.
+Correlation analysis runs on the raw, unsmoothed trajectories.
 Zero-variance pairs are reported as explicit 'undefined' records rather
 than dropped.
 """
@@ -15,21 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, UndefinedCorrelationError, ValidationError
-
-EMA_FACTOR = 0.6
-
-
-def ema_smooth(series: Sequence[float], factor: float = EMA_FACTOR) -> list[float]:
-    values = [float(v) for v in series]
-    if not values:
-        raise EmptyInputError("cannot smooth an empty series")
-    if not 0.0 <= factor < 1.0:
-        raise ValidationError(f"smoothing factor {factor} outside [0, 1)")
-    out = [values[0]]
-    for x in values[1:]:
-        out.append(factor * out[-1] + (1.0 - factor) * x)
-    return out
+from .errors import UndefinedCorrelationError, ValidationError
 
 
 def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:

@@ -159,18 +159,6 @@ def default_manifest(eval_seed: int, per_subtask: int, grid_size: int = 4,
     return manifest
 
 
-def write_manifest(path: Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def read_manifest(path: Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"manifest not found: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _foil_source(tag: str) -> str:
     return QUAD_SUBTASK if tag == THRESHOLD_SUBTASK else tag
 

@@ -8,6 +8,8 @@ masked rows are zeroed on output so downstream code can never read them.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -380,48 +382,71 @@ def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
 
 
 def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
-    """Line-delimited text: header, then one 'name shape hex...' line per tensor."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
-        for name, _, _ in param_shapes(model.config):
-            arr = model.params[name].array
-            shape = ",".join(str(n) for n in arr.shape) or "scalar"
-            payload = " ".join(v.hex() for v in arr.reshape(-1))
-            fh.write(f"{name}\t{shape}\t{payload}\n")
+    """Line-delimited text: header, then one 'name shape hex...' line per tensor.
+
+    The text goes to a temporary file beside `path` that is then renamed over
+    it, so an interrupted save never leaves a partial checkpoint at `path`.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")  # outside the step_*.ckpt pattern
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
+            for name, _, _ in param_shapes(model.config):
+                arr = model.params[name].array
+                shape = ",".join(str(n) for n in arr.shape) or "scalar"
+                payload = " ".join(v.hex() for v in arr.reshape(-1))
+                fh.write(f"{name}\t{shape}\t{payload}\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(model: VLModel, path: Path, expect_hash: str | None = None) -> str:
+    """Load every parameter, or none: a truncated or malformed file is a DependencyError."""
     path = Path(path)
     if not path.exists():
         raise DependencyError(f"checkpoint not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
-            raise DependencyError(f"not a checkpoint file: {path}")
-        if header[1] != CHECKPOINT_VERSION:
-            raise DependencyError(f"unsupported checkpoint version {header[1]}")
-        found_hash = header[2]
-        if expect_hash is not None and found_hash != expect_hash:
-            raise DependencyError(
-                f"checkpoint belongs to config {found_hash}, expected {expect_hash}"
-            )
-        seen = set()
-        for line in fh:
-            name, shape_field, payload = line.rstrip("\n").split("\t")
-            if name not in model.params:
-                raise DependencyError(f"unexpected parameter {name!r} in checkpoint")
-            shape = () if shape_field == "scalar" else tuple(
-                int(n) for n in shape_field.split(","))
-            values = np.array([float.fromhex(tok) for tok in payload.split()],
-                              dtype=np.float64).reshape(shape)
-            if values.shape != model.params[name].array.shape:
+    arrays = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            line = fh.readline()
+            header = line.split()
+            if not line.endswith("\n") or len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
+                raise DependencyError(f"not a checkpoint file: {path}")
+            if header[1] != CHECKPOINT_VERSION:
+                raise DependencyError(f"unsupported checkpoint version {header[1]}")
+            found_hash = header[2]
+            if expect_hash is not None and found_hash != expect_hash:
                 raise DependencyError(
-                    f"parameter {name!r} has shape {values.shape}, "
-                    f"expected {model.params[name].array.shape}"
+                    f"checkpoint belongs to config {found_hash}, expected {expect_hash}"
                 )
-            model.params[name].array = np.ascontiguousarray(values)
-            seen.add(name)
-    missing = set(model.params) - seen
+            for line in fh:
+                # a cut inside the last token can leave a shorter, still valid hex float
+                if not line.endswith("\n"):
+                    raise DependencyError(f"checkpoint {path} is truncated")
+                name, shape_field, payload = line[:-1].split("\t")
+                if name not in model.params:
+                    raise DependencyError(f"unexpected parameter {name!r} in checkpoint")
+                shape = () if shape_field == "scalar" else tuple(
+                    int(n) for n in shape_field.split(","))
+                tokens = payload.split()
+                if len(tokens) != math.prod(shape):
+                    raise DependencyError(
+                        f"parameter {name!r} has {len(tokens)} values for shape {shape}")
+                values = np.array([float.fromhex(tok) for tok in tokens],
+                                  dtype=np.float64).reshape(shape)
+                if values.shape != model.params[name].array.shape:
+                    raise DependencyError(
+                        f"parameter {name!r} has shape {values.shape}, "
+                        f"expected {model.params[name].array.shape}"
+                    )
+                arrays[name] = values
+    except ValueError as exc:  # undecodable bytes, a missing field, a bad number
+        raise DependencyError(f"malformed checkpoint {path}: {exc}") from exc
+    missing = set(model.params) - set(arrays)
     if missing:
         raise DependencyError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
+    for name, values in arrays.items():
+        model.params[name].array = np.ascontiguousarray(values)
     return found_hash

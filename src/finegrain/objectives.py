@@ -18,20 +18,20 @@ from typing import Sequence
 import numpy as np
 
 from . import ops, tensor
-from .errors import BatchSizeError, NegativeMiningError, ValidationError
+from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
 from .model import EncodedPair, VLModel, position_token_insert
 from .synthdata import (
+    DATA_SOURCES,
     Batch,
     BBox,
     CaptionSample,
     DetectionSample,
+    active_sources,
     patches_touching,
 )
 from .tensor import Tensor
 
 LOSS_COMPONENTS = ("cl", "itm", "mlm", "vma_cl", "vma_itm", "vma_mlm", "bbox")
-DATA_SOURCES = ("captions", "object_labels", "attribute_labels", "region_descriptions")
-DETECTION_SOURCES = ("object_labels", "attribute_labels", "region_descriptions")
 
 MLM_MASK_RATE = 0.15
 
@@ -44,13 +44,7 @@ class AblationConfig:
     sources: frozenset = frozenset(DATA_SOURCES)
 
     def __post_init__(self):
-        sources = frozenset(self.sources)
-        object.__setattr__(self, "sources", sources)
-        unknown = sources - set(DATA_SOURCES)
-        if unknown:
-            raise ValidationError(f"unknown data sources {sorted(unknown)}")
-        if not sources:
-            raise ValidationError("at least one data source must be active")
+        object.__setattr__(self, "sources", active_sources(self.sources))
         if (self.use_vma or self.use_bbox) and not self.detection_active:
             raise ValidationError("vma/bbox losses need a detection data source")
         if self.use_pevl_tokens and (self.use_vma or self.use_bbox):
@@ -60,7 +54,7 @@ class AblationConfig:
 
     @property
     def detection_active(self) -> bool:
-        return any(s in self.sources for s in DETECTION_SOURCES)
+        return any(DATA_SOURCES[s].kind != "caption" for s in self.sources)
 
 
 @dataclass(frozen=True)
@@ -93,6 +87,8 @@ class SgdOptimizer:
     def step(self) -> None:
         grads = [p.grad_array for p in self.params if p.grad_array is not None]
         norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads))) if grads else 0.0
+        if not np.isfinite(norm):
+            raise NumericError(f"non-finite gradient norm {norm}; no parameter updated")
         factor = self.lr
         if self.clip_norm and norm > self.clip_norm:
             factor = self.lr * self.clip_norm / norm
@@ -243,16 +239,6 @@ def bbox_loss(predicted: BBox, target: BBox) -> float:
     return bbox_loss_terms(corners, target).item()
 
 
-def giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU of two boxes (value in (-1, 1])."""
-    inter_w = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    inter_h = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = inter_w * inter_h
-    union = a.area() + b.area() - inter
-    enclose = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
-    return inter / union - (enclose - union) / enclose
-
-
 # -- batch-level composition -----------------------------------------------------
 
 
@@ -268,15 +254,6 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
 
 def _detection_ids(model: VLModel, sample: DetectionSample, pevl: bool) -> list[int]:
     return _pevl_ids(model, sample) if pevl else _wrapped_ids(model, sample)
-
-
-def pevl_mlm_loss(model: VLModel, batch_samples: Sequence[DetectionSample],
-                  rng: np.random.Generator,
-                  mask_rate: float = MLM_MASK_RATE) -> tuple[Tensor, int]:
-    """Masked-LM over position-augmented detection text (words and bins mix)."""
-    ids = [_pevl_ids(model, s) for s in batch_samples]
-    grids = [s.scene.grid for s in batch_samples]
-    return mlm_loss(model, ids, grids, rng, mask_rate)
 
 
 def vma_losses(model: VLModel, batch_samples: Sequence[DetectionSample],

@@ -1,4 +1,4 @@
-"""Run orchestration: data generation, training, evaluation, dynamics, ablation.
+"""Run orchestration: training, evaluation, dynamics, ablation.
 
 Every command is deterministic given (config, seed): rerunning into a
 fresh directory reproduces the output tree byte for byte.  Run directory
@@ -7,8 +7,8 @@ layout is fixed: config.ini copy, checkpoints/, logs/, reports/.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,48 +55,15 @@ def checkpoint_path(out_dir: Path, step: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"step_{step:06d}.ckpt"
 
 
-# -- gen-data ----------------------------------------------------------------------
-
-
-def run_gen_data(config: RunConfig, out_dir: Path) -> dict[str, Path]:
-    out_dir = prepare_run_dir(config, out_dir)
-    data_dir = out_dir / "data"
-    data_dir.mkdir(exist_ok=True)
-    chash = config.config_hash()
-    sources = config.source_set()
-    written: dict[str, Path] = {}
-
-    if "captions" in sources:
-        captions = sd.caption_stream(config.data_seed, config.caption_count,
-                                     config.patch_grid)
-        path = data_dir / "captions.tsv"
-        sd.write_dataset(path, captions, config.data_seed, header=f"config_hash={chash}")
-        _assert_reproducible(path, captions, config.patch_grid)
-        written["captions"] = path
-    kinds = [k for k in sd.DETECTION_KINDS if f"{k}s" in sources]
-    if kinds:
-        detections = sd.detection_stream(config.data_seed, config.detection_scene_count,
-                                         kinds, config.patch_grid)
-        path = data_dir / "detections.tsv"
-        sd.write_dataset(path, detections, config.data_seed, header=f"config_hash={chash}")
-        _assert_reproducible(path, detections, config.patch_grid)
-        written["detections"] = path
-    manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
-                                   config.patch_grid, config.retrieval_count)
-    manifest["config_hash"] = chash
-    manifest_path = data_dir / "eval_manifest.json"
-    ev.write_manifest(manifest_path, manifest)
-    written["eval_manifest"] = manifest_path
-    return written
-
-
-def _assert_reproducible(path: Path, samples, grid_size: int) -> None:
-    records = sd.read_dataset(path, grid_size)
-    if len(records) != len(samples):
-        raise NumericError(f"dataset {path} does not reproduce: record count differs")
-    for rec, sample in zip(records, samples):
-        if rec.text != sample.text or not np.array_equal(rec.grid, sample.scene.grid):
-            raise NumericError(f"dataset {path} does not reproduce from (seed, index)")
+def checkpoint_step(ckpt: Path) -> int:
+    """The step in a step_NNNNNN.ckpt name; a checkpoint named otherwise is step 0."""
+    name = Path(ckpt).stem
+    if not name.startswith("step_"):
+        return 0
+    match = re.fullmatch(r"step_(\d+)", name)
+    if match is None:
+        raise DependencyError(f"checkpoint name {Path(ckpt).name!r} has no step number")
+    return int(match.group(1))
 
 
 # -- train -------------------------------------------------------------------------
@@ -153,9 +120,7 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
 def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
     model = VLModel(config.model_config(), seed=config.seed)
     load_checkpoint(model, ckpt, expect_hash=config.config_hash())
-    name = Path(ckpt).stem
-    step = int(name.split("_")[1]) if "_" in name else 0
-    return model, step
+    return model, checkpoint_step(ckpt)
 
 
 def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
@@ -193,7 +158,7 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
         model, _ = _load_model_at(config, checkpoint_path(run_dir, step))
         return ev.run_benchmark(model, manifest, checkpoint_step=step).metrics
 
-    steps = [int(p.stem.split("_")[1]) for p in checkpoints]
+    steps = [checkpoint_step(p) for p in checkpoints]
     expected = list(range(config.cadence, config.steps + 1, config.cadence))
     if steps != expected:
         raise DependencyError(
@@ -228,8 +193,7 @@ def parse_grid_spec(spec: str) -> list[tuple[str, frozenset]]:
             raise ValidationError(
                 f"unknown loss arm {loss_tag!r}, expected one of {sorted(LOSS_ARMS)}")
         if source_field == "all":
-            sources = frozenset(
-                ("captions", "object_labels", "attribute_labels", "region_descriptions"))
+            sources = frozenset(sd.DATA_SOURCES)
         else:
             sources = frozenset(s.strip() for s in source_field.split("+") if s.strip())
         arms.append((loss_tag, sources))
@@ -239,15 +203,11 @@ def parse_grid_spec(spec: str) -> list[tuple[str, frozenset]]:
 
 
 def arm_name(loss_tag: str, sources: frozenset) -> str:
-    short = {"captions": "cap", "object_labels": "obj",
-             "attribute_labels": "attr", "region_descriptions": "region"}
     tag = loss_tag.replace("+", "_").lower()
-    return f"{tag}__{'-'.join(short[s] for s in sorted(sources))}"
+    return f"{tag}__{'-'.join(sd.DATA_SOURCES[s].tag for s in sorted(sources))}"
 
 
 def arm_config(base: RunConfig, loss_tag: str, sources: frozenset) -> RunConfig:
-    from dataclasses import replace
-
     return replace(base, sources=",".join(sorted(sources)), **LOSS_ARMS[loss_tag])
 
 
@@ -286,7 +246,7 @@ def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
 
 
 def _write_summary(path: Path, rows: list[dict], config_hash: str) -> None:
-    source_cols = ("captions", "object_labels", "attribute_labels", "region_descriptions")
+    source_cols = tuple(sd.DATA_SOURCES)
     loss_cols = ("A", "VMA", "bbox", "pevl")
     header = ["arm", *source_cols, *(f"loss_{c}" for c in loss_cols), *SUMMARY_METRICS]
     lines = [f"# config_hash={config_hash}", "\t".join(header)]

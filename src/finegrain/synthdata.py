@@ -3,15 +3,16 @@
 A scene is a G x G grid of patch feature vectors (one-hot shape channels
 followed by one-hot color channels).  Objects occupy disjoint rectangular
 cell blocks; each object's bounding box is the block extent shrunk by a
-small jitter and rounded to four decimals, so dataset files serialize
-boxes losslessly.  Everything is a pure function of (seed, index).
+small jitter and rounded to four decimals, so a box reads back exactly
+from its four-decimal text; the training targets, position tokens and
+every stored run output depend on these rounded values.  Everything is a
+pure function of (seed, index).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +26,33 @@ NUMERALS = ("one", "two", "three", "four")
 
 GRID_CHANNELS = len(SHAPES) + len(COLORS)
 
-CAPTION_KIND = "caption"
-DETECTION_KINDS = ("object_label", "attribute_label", "region_description")
+
+class DataSource(NamedTuple):
+    kind: str  # sample kind: "caption" or a detection kind
+    tag: str  # short tag in ablation arm names
+
+
+# The training data sources, keyed by their config name, in canonical order
+# (the order of the default config, the summary columns and the detection kinds).
+DATA_SOURCES = {
+    "captions": DataSource("caption", "cap"),
+    "object_labels": DataSource("object_label", "obj"),
+    "attribute_labels": DataSource("attribute_label", "attr"),
+    "region_descriptions": DataSource("region_description", "region"),
+}
+DETECTION_KINDS = tuple(s.kind for s in DATA_SOURCES.values() if s.kind != "caption")
+
+
+def active_sources(names: Iterable[str]) -> frozenset:
+    """The named data sources as a set; unknown names or none at all are rejected."""
+    active = frozenset(names)
+    unknown = active - DATA_SOURCES.keys()
+    if unknown:
+        raise ValidationError(f"unknown data sources {sorted(unknown)}")
+    if not active:
+        raise ValidationError("at least one data source must be active")
+    return active
+
 
 FOIL_SUBTASKS = (
     "existence", "counting", "relation_swap", "object_swap", "attribute_swap",
@@ -431,9 +457,9 @@ def interleaved_sampler(
         detection_active = len(detections) > 0
     if detection_active and not detections:
         raise ValidationError("detection batches requested but the detection stream is empty")
-    if not captions and steps > 0:
-        raise ValidationError("caption stream is empty")
     kinds = schedule_kinds(steps, detection_active, ratio)
+    if "C" in kinds and not captions:
+        raise ValidationError("caption stream is empty")
     batches = []
     cursor = {"C": 0, "D": 0}
     for kind in kinds:
@@ -458,91 +484,18 @@ def sampler_for_sources(
     detection_batch: int,
     grid_size: int = 4,
 ) -> list[Batch]:
-    """Build streams for the active data sources and schedule the batches."""
-    sources = set(sources)
-    known = {"captions", "object_labels", "attribute_labels", "region_descriptions"}
-    if not sources:
-        raise ValidationError("no data source active")
-    if sources - known:
-        raise ValidationError(f"unknown data sources {sorted(sources - known)}")
-    kinds = [k for k in DETECTION_KINDS if f"{k}s" in sources]
-    captions = caption_stream(seed, caption_count, grid_size) if "captions" in sources else []
+    """Build streams for the active data sources and schedule the batches.
+
+    Without captions every step is a detection step (ratio 0:1).
+    """
+    active = active_sources(sources)
+    kinds = [s.kind for name, s in DATA_SOURCES.items()
+             if name in active and s.kind != "caption"]
+    captions = caption_stream(seed, caption_count, grid_size) if "captions" in active else []
     detections = (
         detection_stream(seed, detection_scene_count, kinds, grid_size) if kinds else []
     )
-    if kinds and not detections:
-        raise ValidationError("detection sources active but the detection stream is empty")
-    if not captions:
-        # detection-only run: schedule is pure D
-        if not detections:
-            raise ValidationError("no samples for the active sources")
-        batches = []
-        for step in range(steps):
-            start = step * detection_batch
-            samples = tuple(
-                detections[(start + j) % len(detections)] for j in range(detection_batch)
-            )
-            batches.append(Batch("detection", samples))
-        return batches
     return interleaved_sampler(
-        captions, detections, steps, caption_batch, detection_batch
+        captions, detections, steps, caption_batch, detection_batch,
+        ratio=(2, 1) if captions else (0, 1), detection_active=bool(kinds),
     )
-
-
-# -- dataset files --------------------------------------------------------------
-
-
-def _grid_hex(grid: np.ndarray) -> str:
-    return " ".join(v.hex() for v in grid.reshape(-1))
-
-
-def _grid_from_hex(payload: str, grid_size: int) -> np.ndarray:
-    values = np.array([float.fromhex(tok) for tok in payload.split()], dtype=np.float64)
-    return values.reshape(grid_size, grid_size, GRID_CHANNELS)
-
-
-def _format_bbox(bbox: BBox | None) -> str:
-    if bbox is None:
-        return "-"
-    return " ".join(f"{v:.4f}" for v in bbox.corners())
-
-
-def write_dataset(path: Path, samples: Iterable[CaptionSample | DetectionSample],
-                  seed: int, header: str | None = None) -> None:
-    """One sample per line: kind, seed, index, grid payload, text, bbox."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for index, sample in enumerate(samples):
-            kind = CAPTION_KIND if isinstance(sample, CaptionSample) else sample.kind
-            bbox = None if isinstance(sample, CaptionSample) else sample.bbox
-            fh.write("\t".join([
-                kind, str(seed), str(index),
-                _grid_hex(sample.scene.grid), sample.text, _format_bbox(bbox),
-            ]) + "\n")
-
-
-@dataclass(frozen=True)
-class DatasetRecord:
-    kind: str
-    seed: int
-    index: int
-    grid: np.ndarray
-    text: str
-    bbox: BBox | None
-
-
-def read_dataset(path: Path, grid_size: int = 4) -> list[DatasetRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            kind, seed, index, payload, text, bbox_field = line.rstrip("\n").split("\t")
-            bbox = None
-            if bbox_field != "-":
-                bbox = BBox(*(float(v) for v in bbox_field.split()))
-            records.append(DatasetRecord(
-                kind, int(seed), int(index), _grid_from_hex(payload, grid_size), text, bbox,
-            ))
-    return records

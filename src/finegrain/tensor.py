@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.array.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -186,10 +183,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _result(values, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.array, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -331,11 +324,6 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
         return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _result(values, tuple(parts), backward)
-
-
-def stack_rows(parts: Iterable[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a matrix, one per row."""
-    return concat_rows(parts)
 
 
 def add_scalars(parts: Iterable[Tensor]) -> Tensor:

@@ -1,0 +1,60 @@
+"""The names and code shapes the benchmark in perfbench/ relies on.
+
+perfbench traces finegrain from outside: it wraps the functions listed in
+`tracer.TARGETS` wherever they are bound, and times training steps by
+reading `run_training`'s `step` variable and its `save_checkpoint` call
+line.  A rename here breaks the benchmark without failing any other test,
+so this fast check reads the benchmark's own tables without running it.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from finegrain import runner
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACER = load_perfbench("tracer")
+
+# names perfbench's runner and tests read directly, besides the traced ones
+READ_DIRECTLY = (
+    ("runner", "checkpoint_path"),
+    ("runner", "training_step"),
+    ("runner", "save_checkpoint"),
+    ("runner", "load_checkpoint"),
+    ("evalharness", "generate_scene"),
+    ("evalharness", "default_manifest"),
+    ("model", "CHECKPOINT_MAGIC"),
+    ("model", "CHECKPOINT_VERSION"),
+    ("model", "param_shapes"),
+)
+
+
+@pytest.mark.parametrize(
+    "module,path", [(m, p) for m, p, _ in TRACER.TARGETS] + list(READ_DIRECTLY))
+def test_benchmark_name_resolves(module, path):
+    owner = importlib.import_module(f"finegrain.{module}")
+    for part in path.split("."):
+        assert hasattr(owner, part), f"finegrain.{module} has no {path}"
+        owner = getattr(owner, part)
+
+
+def test_run_training_keeps_the_observed_loop_shape():
+    observer = load_perfbench("observer")
+    code = inspect.unwrap(runner.run_training).__code__
+    assert "step" in code.co_varnames
+    assert observer.lines_calling(code, "save_checkpoint")

@@ -1,7 +1,6 @@
 """Config round-trip, run directory discipline, CLI commands, determinism."""
 
 import filecmp
-import json
 from pathlib import Path
 
 import pytest
@@ -57,18 +56,13 @@ class TestConfig:
     def test_hash_changes_with_any_field(self):
         assert tiny_config().config_hash() != tiny_config(seed=5).config_hash()
 
+    def test_default_config_hash_pinned(self):
+        # every run artifact embeds this hash; a change to the defaults or to
+        # the rendering orphans all existing run directories and checkpoints
+        assert RunConfig(seed=7).config_hash() == "b5083cab6b05"
+
 
 class TestRunner:
-    def test_gen_data_outputs_reproduce_and_embed_hash(self, tmp_path):
-        config = tiny_config()
-        written = runner.run_gen_data(config, tmp_path / "run")
-        chash = config.config_hash()
-        for path in written.values():
-            content = path.read_text()
-            assert chash in content
-        manifest = json.loads(written["eval_manifest"].read_text())
-        assert manifest["config_hash"] == chash
-
     def test_training_writes_log_and_checkpoints(self, tmp_path):
         config = tiny_config()
         result = runner.run_training(config, tmp_path / "run")
@@ -117,6 +111,23 @@ class TestRunner:
         assert t2.read_bytes() == first_t
         assert c2.read_bytes() == first_c
 
+    def test_checkpoint_step_from_name(self):
+        assert runner.checkpoint_step(Path("run/checkpoints/step_000300.ckpt")) == 300
+        assert runner.checkpoint_step(Path("my_model.ckpt")) == 0
+        assert runner.checkpoint_step(Path("model.ckpt")) == 0
+        for bad in ("step_final.ckpt", "step_12_b.ckpt", "step_.ckpt"):
+            with pytest.raises(DependencyError):
+                runner.checkpoint_step(Path(bad))
+
+    def test_eval_of_checkpoint_without_step_name_is_step_zero(self, tmp_path):
+        config = tiny_config()
+        runner.run_training(config, tmp_path / "run")
+        renamed = tmp_path / "my_model.ckpt"
+        renamed.write_bytes(runner.checkpoint_path(tmp_path / "run", 6).read_bytes())
+        report = runner.run_eval(config, renamed, tmp_path / "eval")
+        assert report.checkpoint_step == 0
+        assert (tmp_path / "eval" / "reports" / "eval_step_000000.tsv").exists()
+
     def test_grid_spec_parsing(self):
         arms = runner.parse_grid_spec("full:all; A:captions")
         assert arms[0][0] == "full" and len(arms[0][1]) == 4
@@ -139,6 +150,10 @@ class TestRunner:
         assert (tmp_path / "grid" / "a__cap").is_dir()
         assert (tmp_path / "grid" / "full__attr-cap-obj-region").is_dir()
 
+    def test_arm_name_of_full_all_pinned(self):
+        [(loss_tag, sources)] = runner.parse_grid_spec("full:all")
+        assert runner.arm_name(loss_tag, sources) == "full__attr-cap-obj-region"
+
 
 class TestCli:
     def write_config(self, tmp_path):
@@ -154,7 +169,6 @@ class TestCli:
     def test_full_pipeline_exit_codes(self, tmp_path, capsys):
         config_path = self.write_config(tmp_path)
         run_dir = tmp_path / "run"
-        assert main(["gen-data", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
         assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
         ckpt = run_dir / "checkpoints" / "step_000006.ckpt"
         assert main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
@@ -174,6 +188,17 @@ class TestCli:
         missing = tmp_path / "nope.ckpt"
         code = main(["eval", "--config", str(config_path), "--checkpoint", str(missing),
                      "--out", str(tmp_path / "run2")])
+        assert code == EXIT_DEPENDENCY
+
+    def test_truncated_checkpoint_exit_code(self, tmp_path):
+        config_path = self.write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
+        ckpt = run_dir / "checkpoints" / "step_000006.ckpt"
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(ckpt.read_bytes()[:-5])
+        code = main(["eval", "--config", str(config_path), "--checkpoint", str(cut),
+                     "--out", str(run_dir)])
         assert code == EXIT_DEPENDENCY
 
     def test_missing_config_file(self, tmp_path):

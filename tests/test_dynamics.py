@@ -1,32 +1,12 @@
-"""Smoothing, correlations with tie handling, trajectory assembly and files."""
+"""Correlations with tie handling, trajectory assembly and files."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from finegrain import dynamics as dyn
-from finegrain.errors import (
-    EmptyInputError,
-    UndefinedCorrelationError,
-    ValidationError,
-)
+from finegrain.errors import UndefinedCorrelationError, ValidationError
 from finegrain.seeding import rng_for
-
-
-class TestEmaSmooth:
-    def test_constant_series_fixed_point(self):
-        assert dyn.ema_smooth([0.7] * 5) == [0.7] * 5
-
-    def test_stated_convention(self):
-        assert dyn.ema_smooth([1.0, 0.0, 0.0], factor=0.6) == [1.0, 0.6, 0.36]
-
-    def test_zero_factor_is_identity(self):
-        series = [0.3, 0.9, 0.1, 0.5]
-        assert dyn.ema_smooth(series, factor=0.0) == series
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            dyn.ema_smooth([])
 
 
 class TestPearson:

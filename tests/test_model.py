@@ -272,3 +272,38 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DependencyError):
             fg_model.load_checkpoint(VLModel(micro_config(), seed=2), tmp_path / "none.ckpt")
+
+    def test_truncated_or_malformed_file_rejected_without_partial_load(self, tmp_path):
+        cfg = micro_config()
+        good = tmp_path / "good.ckpt"
+        fg_model.save_checkpoint(VLModel(cfg, seed=21), good, "cafe01")
+        data = good.read_bytes()
+        header_end = data.index(b"\n") + 1
+        lines = data.split(b"\n")
+        short_line = lines[1].rsplit(b" ", 1)[0]  # one value fewer than its shape
+        cases = {f"cut_{n}": data[:n]
+                 for n in (0, 10, header_end, len(data) // 2, len(data) - 5, len(data) - 1)}
+        cases["binary"] = bytes(range(256)) * 8
+        cases["short_line"] = b"\n".join([lines[0], short_line, *lines[2:]])
+        cases["bad_shape"] = data.replace(b"\t", b"\tx,", 1)
+        target = VLModel(cfg, seed=99)
+        before = {name: p.array.copy() for name, p in target.params.items()}
+        for label, payload in cases.items():
+            path = tmp_path / f"{label}.ckpt"
+            path.write_bytes(payload)
+            with pytest.raises(DependencyError):
+                fg_model.load_checkpoint(target, path)
+            for name, p in target.params.items():
+                assert np.array_equal(p.array, before[name]), (label, name)
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path):
+        model = VLModel(micro_config(), seed=21)
+        path = tmp_path / "step_000001.ckpt"
+        fg_model.save_checkpoint(model, path, "cafe01")
+        saved = path.read_bytes()
+        last = list(model.params)[-1]
+        model.params[last].array = np.zeros(model.params[last].array.shape, dtype=np.int64)
+        with pytest.raises(AttributeError):  # int64 has no .hex(), after most lines are out
+            fg_model.save_checkpoint(model, path, "beef02")
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -8,9 +8,10 @@ import pytest
 from finegrain import objectives as obj
 from finegrain import synthdata as sd
 from finegrain import tensor
-from finegrain.errors import BatchSizeError, NegativeMiningError, ValidationError
+from finegrain.errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
 from finegrain.gradcheck import check_gradients
 from finegrain.model import ModelConfig, VLModel
+from finegrain.runner import LOSS_ARMS
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
 
@@ -229,9 +230,12 @@ class TestBBoxLoss:
                 return sd.BBox(x1, y1, x1 + rng.uniform(0.05, 1 - x1 - 1e-9),
                                y1 + rng.uniform(0.05, 1 - y1 - 1e-9))
             a, b = rand_box(), rand_box()
-            assert obj.giou(a, b) == pytest.approx(obj.giou(b, a), abs=1e-12)
-            assert -1.0 < obj.giou(a, b) <= 1.0
-            assert obj.bbox_loss(a, b) >= 0.0
+            # bbox_loss = L1 + (1 - GIoU) and L1 is symmetric, so the GIoU
+            # term is symmetric iff the loss is; GIoU in (-1, 1] puts it in [0, 2)
+            l1 = sum(abs(p - q) for p, q in zip(a.corners(), b.corners()))
+            giou_term = obj.bbox_loss(a, b) - l1
+            assert obj.bbox_loss(a, b) == pytest.approx(obj.bbox_loss(b, a), abs=1e-12)
+            assert -1e-12 <= giou_term < 2.0
 
     def test_gradient_of_corner_tensor(self):
         target = sd.BBox(0.2, 0.3, 0.7, 0.8)
@@ -342,11 +346,19 @@ class TestTrainingStep:
             obj.training_step(model, detection_batch(model), config, optimizer,
                               rng_for(4, "step"))
 
-    def test_repeated_batch_decreases_total_quickly(self):
-        model = micro_model(seed=29)
-        config = obj.AblationConfig()
+    @pytest.mark.parametrize("arm", sorted(LOSS_ARMS))
+    def test_repeated_batch_decreases_total_quickly(self, arm):
+        flags = LOSS_ARMS[arm]
+        if flags["use_pevl_tokens"]:
+            model = micro_model(seed=29, use_pevl_tokens=True, max_len=32)
+        else:
+            model = micro_model(seed=29)
+        config = obj.AblationConfig(**flags)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2)
-        batch = detection_batch(model, n=2, seed=61)
+        if arm == "A":
+            batch = caption_batch(model)
+        else:
+            batch = detection_batch(model, n=2, seed=61)
         first = obj.training_step(model, batch, config, optimizer, rng_for(0, "overfit"))
         best = first.total
         for step in range(1, 21):
@@ -354,6 +366,21 @@ class TestTrainingStep:
                                        rng_for(step, "overfit"))
             best = min(best, bundle.total)
         assert best < first.total
+
+
+class TestSgdOptimizer:
+    def test_non_finite_gradient_rejected_before_any_update(self):
+        model = micro_model(seed=37)
+        params = model.parameters()
+        finite = tensor.tsum(tensor.scale(params[0], 2.0))
+        poisoned = tensor.tsum(tensor.scale(params[-1], float("nan")))
+        tensor.add(finite, poisoned).backward()
+        assert np.isnan(params[-1].grad_array).all()
+        before = [p.array.copy() for p in params]
+        with pytest.raises(NumericError):
+            obj.SgdOptimizer(params, lr=1e-2).step()
+        for p, old in zip(params, before):
+            assert np.array_equal(p.array, old)
 
 
 class TestLossGradients:

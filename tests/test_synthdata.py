@@ -1,4 +1,4 @@
-"""Scene generator, templates, foils, sampler schedule, dataset files."""
+"""Scene generator, templates, foils, sampler schedule."""
 
 from collections import Counter
 
@@ -212,6 +212,27 @@ class TestSampler:
         assert len(det) == 3
         assert all(s.kind == "object_label" for b in det for s in b.samples)
 
+    def test_detection_only_sources_schedule_every_step_as_detection(self):
+        kinds = ["object_label", "region_description"]
+        batches = sd.sampler_for_sources(
+            seed=7, sources=("region_descriptions", "object_labels"), steps=10,
+            caption_count=6, detection_scene_count=3, caption_batch=2, detection_batch=3,
+        )
+        detections = sd.detection_stream(7, 3, kinds)
+        assert [b.kind for b in batches] == ["detection"] * 10
+        for step, batch in enumerate(batches):
+            # the cursor advances by detection_batch and wraps around the stream
+            expected = [detections[(step * 3 + j) % len(detections)] for j in range(3)]
+            assert list(batch.samples) == expected
+
+    def test_sampler_rejects_unknown_or_no_sources(self):
+        for sources in ((), ("captions", "nonsense")):
+            with pytest.raises(ValidationError):
+                sd.sampler_for_sources(
+                    seed=3, sources=sources, steps=3, caption_count=4,
+                    detection_scene_count=4, caption_batch=2, detection_batch=2,
+                )
+
     def test_detection_batches_mix_scenes(self):
         batches = sd.sampler_for_sources(
             seed=5, sources=("captions", "object_labels", "region_descriptions"),
@@ -222,27 +243,3 @@ class TestSampler:
             if batch.kind == "detection":
                 idents = {s.scene.ident for s in batch.samples}
                 assert len(idents) >= 2
-
-
-class TestDatasetFiles:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        seed = 17
-        samples = sd.caption_stream(seed, 5) + sd.detection_stream(seed, 3, sd.DETECTION_KINDS)
-        path = tmp_path / "data.tsv"
-        sd.write_dataset(path, samples, seed)
-        records = sd.read_dataset(path)
-        assert len(records) == len(samples)
-        for rec, sample in zip(records, samples):
-            assert np.array_equal(rec.grid, sample.scene.grid)
-            assert rec.text == sample.text
-            if isinstance(sample, sd.DetectionSample):
-                assert rec.bbox.corners() == sample.bbox.corners()
-            else:
-                assert rec.bbox is None
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        samples = sd.caption_stream(23, 4)
-        p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        sd.write_dataset(p1, samples, 23)
-        sd.write_dataset(p2, sd.caption_stream(23, 4), 23)
-        assert p1.read_bytes() == p2.read_bytes()
