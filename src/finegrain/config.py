@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ValidationError
+from .fileio import atomic_open
 from .model import ModelConfig
 from .objectives import AblationConfig
 from .synthdata import DATA_SOURCES, GRID_CHANNELS
@@ -165,7 +166,8 @@ def load_config(path: Path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path: Path) -> None:
-    Path(path).write_text(config.render(), encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(config.render())
 
 
 def default_config_text(seed: int = 7) -> str:

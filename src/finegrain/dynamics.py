@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UndefinedCorrelationError, ValidationError
+from .fileio import atomic_open
 
 
 def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +133,8 @@ def write_trajectory(path: Path, table: TrajectoryTable, config_hash: str) -> No
     lines = [f"# config_hash={config_hash}", "\t".join(["step"] + names)]
     for i, step in enumerate(table.steps):
         lines.append("\t".join([str(step)] + [f"{table.columns[n][i]:.17g}" for n in names]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_trajectory(path: Path) -> TrajectoryTable:
@@ -156,4 +158,5 @@ def write_correlations(path: Path, report: CorrelationReport, config_hash: str) 
                          f"\t{e.spearman_rho:.17g}\t{e.count}\tok")
         else:
             lines.append(f"{e.metric_a}\t{e.metric_b}\tnan\tnan\t{e.count}\tundefined")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

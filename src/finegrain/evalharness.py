@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, ValidationError
+from .fileio import atomic_open
 from .model import VLModel
 from .synthdata import FoilPair, Scene, generate_scene, make_foils, supports_subtask
 
@@ -128,15 +129,10 @@ def retrieval_recall(table: np.ndarray, k: int) -> tuple[float, float]:
         raise ValidationError(f"k={k} outside [1, {n}]")
 
     def recall_rows(m: np.ndarray) -> float:
-        hits = 0
-        for i in range(n):
-            row = m[i]
-            better = sum(
-                1 for j in range(n)
-                if row[j] > row[i] or (row[j] == row[i] and j < i)
-            )
-            hits += better < k
-        return hits / n
+        diag = np.diag(m)[:, None]
+        # entry (i, j) ranks above the match (i, i): higher, or tied at a lower index
+        better = (m > diag) | ((m == diag) & np.tri(n, k=-1, dtype=bool))
+        return int((better.sum(axis=1) < k).sum()) / n
 
     return recall_rows(table), recall_rows(table.T)
 
@@ -278,14 +274,16 @@ def run_benchmark(model, manifest: dict, checkpoint_step: int = 0,
         report.metrics["retrieval_ir@1"] = ir1
         report.counts["retrieval_tr@1"] = report.counts["retrieval_ir@1"] = len(table)
     if dump_path is not None:
-        Path(dump_path).write_text("\n".join(dump) + "\n", encoding="utf-8")
+        with atomic_open(dump_path) as fh:
+            fh.write("\n".join(dump) + "\n")
     return report
 
 
 def write_report(path: Path, report: EvalReport, config_hash: str) -> None:
     lines = [f"# config_hash={config_hash}", "metric\tvalue\tcount"]
     lines += [f"{name}\t{value:.17g}\t{count}" for name, value, count in report.rows()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:
@@ -295,5 +293,5 @@ def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:
         "metrics": report.metrics,
         "counts": report.counts,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -14,7 +14,6 @@ from .errors import NumericError
 from .tensor import Tensor
 
 DEFAULT_STEP = 1e-4
-DEFAULT_RTOL = 1e-3
 DEFAULT_ATOL = 1e-6
 
 

@@ -9,7 +9,6 @@ masked rows are zeroed on output so downstream code can never read them.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .errors import (
     ValidationError,
     VocabError,
 )
+from .fileio import atomic_open
 from .seeding import rng_for
 from .synthdata import BBox, GRID_CHANNELS
 from .tensor import Tensor
@@ -75,11 +75,6 @@ class EncodedPair:
     cross_cls: Tensor  # (1, hidden_dim)
     vision_states: Tensor
     text_states: Tensor
-    cross_states: Tensor
-
-
-def _attention_param_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -219,8 +214,6 @@ class VLModel:
 
     @staticmethod
     def _zero_masked_rows(states: Tensor, keep: np.ndarray) -> Tensor:
-        if keep.all():
-            return tensor.mul(states, Tensor(np.ones((keep.size, 1))))
         return tensor.mul(states, Tensor(keep.astype(np.float64)[:, None]))
 
     # -- encoders ---------------------------------------------------------------
@@ -298,8 +291,7 @@ class VLModel:
             tensor.matmul(tensor.take_rows(text_states, [0]), self.params["proj.txt_w"]),
             self.params["proj.txt_b"]))
         cross_cls = tensor.take_rows(cross_states, [0])
-        return EncodedPair(image_feat, text_feat, cross_cls,
-                           vision_states, text_states, cross_states)
+        return EncodedPair(image_feat, text_feat, cross_cls, vision_states, text_states)
 
     # -- heads -------------------------------------------------------------------
 
@@ -382,24 +374,14 @@ def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
 
 
 def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
-    """Line-delimited text: header, then one 'name shape hex...' line per tensor.
-
-    The text goes to a temporary file beside `path` that is then renamed over
-    it, so an interrupted save never leaves a partial checkpoint at `path`.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")  # outside the step_*.ckpt pattern
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
-            for name, _, _ in param_shapes(model.config):
-                arr = model.params[name].array
-                shape = ",".join(str(n) for n in arr.shape) or "scalar"
-                payload = " ".join(v.hex() for v in arr.reshape(-1))
-                fh.write(f"{name}\t{shape}\t{payload}\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Header, then one 'name shape hex...' line per tensor; written atomically."""
+    with atomic_open(path) as fh:
+        fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
+        for name, _, _ in param_shapes(model.config):
+            arr = model.params[name].array
+            shape = ",".join(str(n) for n in arr.shape) or "scalar"
+            payload = " ".join(v.hex() for v in arr.reshape(-1))
+            fh.write(f"{name}\t{shape}\t{payload}\n")
 
 
 def load_checkpoint(model: VLModel, path: Path, expect_hash: str | None = None) -> str:

@@ -5,7 +5,8 @@ A caption batch contributes contrastive + matching + masked-LM losses on
 triple on (full image, region text), then per configuration the visually
 masked triple (vision and fusion attention restricted to patches touching
 the target box) and the box-regression term; one gradient accumulation,
-one update.  Matching negatives are the hardest in-batch negatives by
+one update.  Each pass encodes each sample once and its three losses read
+those encodings.  Matching negatives are the hardest in-batch negatives by
 contrastive similarity, one per positive, mined among samples whose
 underlying image differs.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import ops, tensor
 from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
-from .model import EncodedPair, VLModel, position_token_insert
+from .model import EncodedPair, VLModel
 from .synthdata import (
     DATA_SOURCES,
     Batch,
@@ -167,10 +168,10 @@ def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Genera
 
 
 def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
-             grids: Sequence[np.ndarray], rng: np.random.Generator,
+             vision_states: Sequence[Tensor], rng: np.random.Generator,
              mask_rate: float = MLM_MASK_RATE,
              visibility: Sequence | None = None) -> tuple[Tensor, int]:
-    """Visually-grounded masked-LM loss; every selected token becomes [MASK].
+    """Masked-LM loss fused against the pass's vision states; selected tokens become [MASK].
 
     Returns (loss, masked position count); when the batch draws zero
     positions the selection is resampled once, then skipped with count 0.
@@ -191,7 +192,7 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
         mask = None if visibility is None else visibility[item]
         states = model.encode_text(masked)
         text_mask = np.array([t != vocab.pad_id for t in masked])
-        fused = model.fuse(states, model.encode_image(grids[item], mask), mask, text_mask)
+        fused = model.fuse(states, vision_states[item], mask, text_mask)
         logit_rows.append(tensor.take_rows(model.mlm_logits(fused), positions))
         targets.extend(ids[pos] for pos in positions)
     return ops.softmax_cross_entropy(tensor.concat_rows(logit_rows), targets), len(targets)
@@ -252,8 +253,22 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
     return model.config.vocab.encode_wrapped(augmented)
 
 
-def _detection_ids(model: VLModel, sample: DetectionSample, pevl: bool) -> list[int]:
-    return _pevl_ids(model, sample) if pevl else _wrapped_ids(model, sample)
+def pass_losses(model: VLModel, grids: Sequence[np.ndarray], ids: Sequence[Sequence[int]],
+                rng: np.random.Generator, mask_rate: float = MLM_MASK_RATE,
+                visibility: Sequence | None = None
+                ) -> tuple[list[EncodedPair], Tensor, Tensor, tuple[Tensor, int]]:
+    """(encoded, cl, itm, (mlm, count)) of one pass, which encodes each sample once.
+
+    `visibility` holds one patch mask per sample; None is the unmasked pass.
+    """
+    masks = [None] * len(grids) if visibility is None else visibility
+    encoded = [model.encode_pair(g, i, v) for g, i, v in zip(grids, ids, masks)]
+    image_feats = tensor.concat_rows([e.image_feat for e in encoded])
+    text_feats = tensor.concat_rows([e.text_feat for e in encoded])
+    cl = contrastive_loss(image_feats, text_feats, model.temperature())
+    itm = itm_loss(model, encoded, grids, visibility)
+    mlm = mlm_loss(model, ids, [e.vision_states for e in encoded], rng, mask_rate, visibility)
+    return encoded, cl, itm, mlm
 
 
 def vma_losses(model: VLModel, batch_samples: Sequence[DetectionSample],
@@ -264,14 +279,7 @@ def vma_losses(model: VLModel, batch_samples: Sequence[DetectionSample],
     visibility = [visual_mask_from_bbox(s.bbox, grid_size) for s in batch_samples]
     grids = [s.scene.grid for s in batch_samples]
     ids = [_wrapped_ids(model, s) for s in batch_samples]
-    encoded = [
-        model.encode_pair(g, i, v) for g, i, v in zip(grids, ids, visibility)
-    ]
-    image_feats = tensor.concat_rows([e.image_feat for e in encoded])
-    text_feats = tensor.concat_rows([e.text_feat for e in encoded])
-    cl = contrastive_loss(image_feats, text_feats, model.temperature())
-    itm = itm_loss(model, encoded, grids, visibility)
-    mlm = mlm_loss(model, ids, grids, rng, mask_rate, visibility)
+    _, cl, itm, mlm = pass_losses(model, grids, ids, rng, mask_rate, visibility)
     return cl, itm, mlm
 
 
@@ -294,19 +302,11 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
         raise ValidationError(f"unknown batch kind {batch.kind!r}")
 
     grids = [s.scene.grid for s in batch.samples]
-    if is_detection:
-        ids = [_detection_ids(model, s, config.use_pevl_tokens) for s in batch.samples]
-    else:
-        ids = [_wrapped_ids(model, s) for s in batch.samples]
+    pevl = is_detection and config.use_pevl_tokens
+    ids = [_pevl_ids(model, s) if pevl else _wrapped_ids(model, s) for s in batch.samples]
 
-    encoded = [model.encode_pair(g, i) for g, i in zip(grids, ids)]
-    image_feats = tensor.concat_rows([e.image_feat for e in encoded])
-    text_feats = tensor.concat_rows([e.text_feat for e in encoded])
-
-    terms: dict[str, Tensor] = {}
-    terms["cl"] = contrastive_loss(image_feats, text_feats, model.temperature())
-    terms["itm"] = itm_loss(model, encoded, grids)
-    mlm_term, mlm_count = mlm_loss(model, ids, grids, rng)
+    encoded, cl, itm, (mlm_term, mlm_count) = pass_losses(model, grids, ids, rng)
+    terms: dict[str, Tensor] = {"cl": cl, "itm": itm}
     if mlm_count > 0:
         terms["mlm"] = mlm_term
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DegenerateMaskError, ShapeError
-from .tensor import Tensor, _result, as_tensor, matmul, transpose
+from .tensor import Tensor, _result, matmul, transpose
 
 LAYER_NORM_EPS = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -18,6 +18,7 @@ from . import evalharness as ev
 from . import synthdata as sd
 from .config import RunConfig, load_config, save_config
 from .errors import DependencyError, NumericError, ValidationError
+from .fileio import atomic_open
 from .model import VLModel, load_checkpoint, save_checkpoint
 from .objectives import LOSS_COMPONENTS, SgdOptimizer, training_step
 from .seeding import rng_for
@@ -263,4 +264,5 @@ def _write_summary(path: Path, rows: list[dict], config_hash: str) -> None:
         fields += loss_marks
         fields += [f"{row['metrics'][m]:.4f}" for m in SUMMARY_METRICS]
         lines.append("\t".join(fields))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -27,7 +27,6 @@ POS_OPEN, POS_CLOSE = "<", ">"
 class Vocabulary:
     def __init__(self, position_bins: int | None = None):
         tokens = list(SPECIAL_TOKENS) + list(WORD_TOKENS)
-        self.position_bins = position_bins
         if position_bins is not None:
             tokens += [POS_OPEN, POS_CLOSE] + [str(b) for b in range(position_bins)]
         self._tokens = tuple(tokens)
@@ -47,9 +46,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    def token(self, token_id: int) -> str:
-        return self._tokens[token_id]
-
     def id_of(self, token: str) -> int:
         try:
             return self._ids[token]
@@ -64,13 +60,5 @@ class Vocabulary:
         """Token ids with [CLS] ... [SEP] framing, as the text encoder expects."""
         return [self.cls_id] + self.encode(text) + [self.sep_id]
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self._tokens[i] for i in ids]
-
     def is_maskable(self, token_id: int) -> bool:
         return token_id in self._maskable
-
-    def position_token_ids(self) -> list[int]:
-        if self.position_bins is None:
-            return []
-        return [self._ids[str(b)] for b in range(self.position_bins)]

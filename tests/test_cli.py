@@ -1,11 +1,15 @@
 """Config round-trip, run directory discipline, CLI commands, determinism."""
 
+import builtins
+import errno
 import filecmp
 from pathlib import Path
 
 import pytest
 
-from finegrain import runner
+from finegrain import dynamics as dyn
+from finegrain import evalharness as ev
+from finegrain import fileio, runner
 from finegrain.cli import EXIT_DEPENDENCY, EXIT_OK, EXIT_VALIDATION, main
 from finegrain.config import RunConfig, load_config, parse_config_text, save_config
 from finegrain.errors import DependencyError, ValidationError
@@ -149,6 +153,48 @@ class TestRunner:
         assert full_row["loss_VMA"] == "x" and full_row["loss_bbox"] == "x"
         assert (tmp_path / "grid" / "a__cap").is_dir()
         assert (tmp_path / "grid" / "full__attr-cap-obj-region").is_dir()
+
+    @pytest.mark.parametrize("writer", [
+        "config", "report", "report_json", "scores", "trajectory", "correlations", "summary"])
+    def test_report_write_failing_midway_keeps_previous_file(self, writer, tmp_path,
+                                                             monkeypatch):
+        eval_report = ev.EvalReport(checkpoint_step=3, metrics={"foil_avg": 0.5},
+                                    counts={"foil_avg": 4})
+        trajectory = dyn.TrajectoryTable()
+        trajectory.append_row(3, {"foil_avg": 0.5})
+        write = {
+            "config": lambda p: save_config(tiny_config(), p),
+            "report": lambda p: ev.write_report(p, eval_report, "cafe01"),
+            "report_json": lambda p: ev.write_report_json(p, eval_report, "cafe01"),
+            "scores": lambda p: ev.run_benchmark(lambda scene, text: 0.5, {"subtasks": []},
+                                                 dump_path=p),
+            "trajectory": lambda p: dyn.write_trajectory(p, trajectory, "cafe01"),
+            "correlations": lambda p: dyn.write_correlations(p, dyn.CorrelationReport(),
+                                                             "cafe01"),
+            "summary": lambda p: runner._write_summary(p, [], "cafe01"),
+        }[writer]
+        path = tmp_path / "eval_step_000003.tsv"
+        path.write_text("previous\n", encoding="utf-8")
+
+        class DiskFull:
+            def __init__(self, *args, **kwargs):
+                self.fh = builtins.open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(fileio, "open", DiskFull, raising=False)
+        with pytest.raises(OSError):
+            write(path)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_arm_name_of_full_all_pinned(self):
         [(loss_tag, sources)] = runner.parse_grid_spec("full:all")

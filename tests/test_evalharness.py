@@ -102,8 +102,9 @@ class TestRetrievalRecall:
 
     def test_matches_brute_force_on_random_tables(self):
         rng = rng_for(5, "retrieval")
-        for _ in range(20):
-            table = rng.random((8, 8))
+        tables = [rng.random((8, 8)) for _ in range(20)]
+        tables.append(np.round(rng.random((8, 8)), 1))  # ties off the diagonal
+        for table in tables:
             for k in (1, 3, 8):
                 tr, ir = ev.retrieval_recall(table, k)
 
@@ -116,6 +117,7 @@ class TestRetrievalRecall:
 
                 assert tr == brute(table)
                 assert ir == brute(table.T)
+                assert type(tr) is type(ir) is float
 
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):

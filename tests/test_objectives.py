@@ -150,7 +150,8 @@ class TestMlmLoss:
         vocab = model.config.vocab
         scene = sd.generate_scene(41, 2, grid_size=2)
         ids = vocab.encode_wrapped(sd.caption_of(scene).text)
-        loss, count = obj.mlm_loss(model, [ids], [scene.grid], rng_for(5, "mlm"), 0.5)
+        vision = [model.encode_image(scene.grid)]
+        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"), 0.5)
         assert count > 0
         positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"), 0.5)
         masked = list(ids)
@@ -168,7 +169,8 @@ class TestMlmLoss:
         model = micro_model()
         ids = model.config.vocab.encode_wrapped("a red circle")
         scene = sd.generate_scene(43, 0, grid_size=2)
-        loss, count = obj.mlm_loss(model, [ids], [scene.grid], rng_for(1, "z"), 0.0)
+        vision = [model.encode_image(scene.grid)]
+        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(1, "z"), 0.0)
         assert count == 0
         assert loss.item() == 0.0
 
@@ -256,13 +258,7 @@ class TestVmaLosses:
         ids = [vocab.encode_wrapped(s.text) for s in full]
         grids = [s.scene.grid for s in full]
 
-        encoded = [model.encode_pair(g, i) for g, i in zip(grids, ids)]
-        cl = obj.contrastive_loss(
-            tensor.concat_rows([e.image_feat for e in encoded]),
-            tensor.concat_rows([e.text_feat for e in encoded]),
-            model.temperature())
-        itm = obj.itm_loss(model, encoded, grids)
-        mlm, _ = obj.mlm_loss(model, ids, grids, rng_for(7, "same"), 0.4)
+        _, cl, itm, (mlm, _) = obj.pass_losses(model, grids, ids, rng_for(7, "same"), 0.4)
 
         vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, full, rng_for(7, "same"), 0.4)
         assert vma_cl.item() == cl.item()
@@ -346,6 +342,23 @@ class TestTrainingStep:
             obj.training_step(model, detection_batch(model), config, optimizer,
                               rng_for(4, "step"))
 
+    @pytest.mark.parametrize("kind,expected", [("caption", 4), ("detection", 8)])
+    def test_each_pass_encodes_each_image_once(self, kind, expected, monkeypatch):
+        model = micro_model(seed=23)
+        batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
+        calls = []
+        encode_image = VLModel.encode_image
+
+        def counted(self, grid, visibility=None):
+            calls.append(visibility is None)
+            return encode_image(self, grid, visibility)
+
+        monkeypatch.setattr(VLModel, "encode_image", counted)
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3)
+        obj.training_step(model, batch, obj.AblationConfig(), optimizer, rng_for(5, "count"))
+        # one unmasked encode per sample, plus one box-masked encode per sample with VMA
+        assert calls == [True] * 4 + [False] * (expected - 4)
+
     @pytest.mark.parametrize("arm", sorted(LOSS_ARMS))
     def test_repeated_batch_decreases_total_quickly(self, arm):
         flags = LOSS_ARMS[arm]
@@ -406,7 +419,8 @@ class TestLossGradients:
             if component == "itm":
                 return obj.itm_loss(model, encoded, grids)
             if component == "mlm":
-                loss, count = obj.mlm_loss(model, ids, grids, rng_for(1, "gc"), 0.5)
+                vision = [e.vision_states for e in encoded]
+                loss, count = obj.mlm_loss(model, ids, vision, rng_for(1, "gc"), 0.5)
                 assert count > 0
                 return loss
             per_box = [
