@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptyInputError, ValidationError
 from .fileio import atomic_open
 from .model import VLModel
-from .synthdata import FoilPair, Scene, generate_scene, make_foils, supports_subtask
+from .synthdata import FoilPair, Scene, caption_of, generate_scene, make_foils, supports_subtask
 
 FOIL_GROUP_SUBTASKS = ("existence", "counting", "object_swap", "attribute_swap")
 PAIRWISE_SUBTASKS = ("svo_subject", "svo_verb", "svo_object")
@@ -176,53 +176,49 @@ def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> list[FoilP
     return items
 
 
+# Cells scored per item, as (dump role, scene field, text field, label).
+_CELLS = {
+    **dict.fromkeys(FOIL_GROUP_SUBTASKS, (
+        ("positive", "pos_scene", "pos_text", 1),
+        ("negative", "pos_scene", "neg_text", 0),
+    )),
+    **dict.fromkeys(PAIRWISE_SUBTASKS, (
+        ("positive", "pos_scene", "pos_text", 1),
+        ("negative", "neg_scene", "pos_text", 0),
+    )),
+    THRESHOLD_SUBTASK: (
+        ("true", "pos_scene", "pos_text", 1),
+        ("false", "pos_scene", "neg_text", 0),
+    ),
+    QUAD_SUBTASK: (
+        ("c0_i0", "pos_scene", "pos_text", 1),
+        ("c0_i1", "neg_scene", "pos_text", 0),
+        ("c1_i0", "pos_scene", "neg_text", 0),
+        ("c1_i1", "neg_scene", "neg_text", 1),
+    ),
+}
+
+
 def _score_subtask(tag: str, items: list[FoilPair], score: Scorer,
                    dump: list[str] | None) -> dict[str, float]:
-    def record(item_id, role, value, label):
+    cells = _CELLS[tag]
+    rows = []
+    for idx, pair in enumerate(items):
+        row = [score(getattr(pair, scene), getattr(pair, text)) for _, scene, text, _ in cells]
         if dump is not None:
-            dump.append(f"{item_id}\t{tag}\t{role}\t{value:.17g}\t{label}")
+            dump.extend(f"{idx}\t{tag}\t{role}\t{value:.17g}\t{label}"
+                        for (role, _, _, label), value in zip(cells, row))
+        rows.append(row)
 
     if tag in FOIL_GROUP_SUBTASKS:
-        groups = []
-        for idx, pair in enumerate(items):
-            pos = score(pair.pos_scene, pair.pos_text)
-            neg = score(pair.pos_scene, pair.neg_text)
-            record(idx, "positive", pos, 1)
-            record(idx, "negative", neg, 0)
-            groups.append((pos, [neg]))
-        return {tag: foil_accuracy(groups)}
-
+        return {tag: foil_accuracy([(pos, [neg]) for pos, neg in rows])}
     if tag in PAIRWISE_SUBTASKS:
-        pairs = []
-        for idx, pair in enumerate(items):
-            pos = score(pair.pos_scene, pair.pos_text)
-            neg = score(pair.neg_scene, pair.pos_text)
-            record(idx, "positive", pos, 1)
-            record(idx, "negative", neg, 0)
-            pairs.append((pos, neg))
-        return {tag: pairwise_ranking_accuracy(pairs)}
-
+        return {tag: pairwise_ranking_accuracy(rows)}
     if tag == THRESHOLD_SUBTASK:
-        scored = []
-        for idx, pair in enumerate(items):
-            true_score = score(pair.pos_scene, pair.pos_text)
-            false_score = score(pair.pos_scene, pair.neg_text)
-            record(idx, "true", true_score, 1)
-            record(idx, "false", false_score, 0)
-            scored.append((true_score, True))
-            scored.append((false_score, False))
-        return {tag: threshold_accuracy(scored)}
-
-    quads = []
-    for idx, pair in enumerate(items):
-        s00 = score(pair.pos_scene, pair.pos_text)
-        s01 = score(pair.neg_scene, pair.pos_text)
-        s10 = score(pair.pos_scene, pair.neg_text)
-        s11 = score(pair.neg_scene, pair.neg_text)
-        for role, value in (("c0_i0", s00), ("c0_i1", s01), ("c1_i0", s10), ("c1_i1", s11)):
-            record(idx, role, value, int(role in ("c0_i0", "c1_i1")))
-        quads.append(ScoreMatrix(((s00, s01), (s10, s11))))
-    text, image, group = winoground_scores(quads)
+        return {tag: threshold_accuracy(
+            [(value, bool(label)) for row in rows for (*_, label), value in zip(cells, row)])}
+    text, image, group = winoground_scores(
+        [ScoreMatrix(((s00, s01), (s10, s11))) for s00, s01, s10, s11 in rows])
     return {
         f"{tag}_text": text,
         f"{tag}_image": image,
@@ -232,8 +228,6 @@ def _score_subtask(tag: str, items: list[FoilPair], score: Scorer,
 
 def retrieval_table(score: Scorer, seed: int, count: int, grid_size: int) -> np.ndarray:
     """Square table of scene-vs-caption scores with matched pairs on the diagonal."""
-    from .synthdata import caption_of
-
     scenes, texts = [], []
     for i in range(count):
         scene = generate_scene(seed, i, grid_size)

@@ -178,22 +178,11 @@ class VLModel:
 
     def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, key_mask) -> Tensor:
         p = self.params
-        d, heads = self.config.hidden_dim, self.config.heads
-        dh = d // heads
         q = tensor.add(tensor.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
         k = tensor.add(tensor.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
         v = tensor.add(tensor.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
-        outs = [
-            ops.masked_attention(
-                tensor.slice_cols(q, h * dh, (h + 1) * dh),
-                tensor.slice_cols(k, h * dh, (h + 1) * dh),
-                tensor.slice_cols(v, h * dh, (h + 1) * dh),
-                key_mask,
-            )
-            for h in range(heads)
-        ]
-        return tensor.add(tensor.matmul(tensor.concat_cols(outs), p[f"{prefix}.wo"]),
-                          p[f"{prefix}.bo"])
+        attended = ops.masked_attention(q, k, v, key_mask, self.config.heads)
+        return tensor.add(tensor.matmul(attended, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params

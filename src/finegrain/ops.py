@@ -1,5 +1,8 @@
 """Neural-network operations on the autodiff tape.
 
+Each op records one tape node with a hand-written backward.  Multi-head
+attention is a single op: the heads are batched through numpy's stacked
+matmul, and the masked softmax inside it is plain numpy, not a tape op.
 Attention masking uses an additive -inf before the softmax, so masked
 positions carry exactly zero weight and the normalization runs over the
 visible keys only; the hard-zero property is exact, not approximate.
@@ -13,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DegenerateMaskError, ShapeError
-from .tensor import Tensor, _result, matmul, transpose
+from .tensor import Tensor, _result
 
 LAYER_NORM_EPS = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -78,58 +81,63 @@ def embed(indices: Sequence[int], table: Tensor) -> Tensor:
 
 def _as_mask(mask, rows: int, cols: int) -> np.ndarray:
     m = np.asarray(mask, dtype=bool)
-    if m.ndim == 1:
-        m = np.broadcast_to(m, (rows, cols))
-    if m.shape != (rows, cols):
+    if m.shape not in ((cols,), (rows, cols)):
         raise ShapeError(f"mask shape {m.shape} does not match logits shape {(rows, cols)}")
-    return m
+    return np.broadcast_to(m, (rows, cols))
 
 
-def masked_softmax(logits: Tensor, mask=None) -> Tensor:
-    """Row softmax restricted to visible positions (mask True = visible).
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis restricted to visible positions (mask True = visible).
 
     Masked entries get weight exactly 0.0 and each row renormalizes over
     its visible set; rows with no visible entry are rejected.
     """
-    if logits.array.ndim != 2:
-        raise ShapeError(f"masked_softmax needs a matrix, got shape {logits.shape}")
-    rows, cols = logits.shape
-    if mask is None:
-        m = np.ones((rows, cols), dtype=bool)
-    else:
-        m = _as_mask(mask, rows, cols)
-        if not m.any(axis=1).all():
-            raise DegenerateMaskError("softmax row with every position masked")
-    shifted = np.where(m, logits.array, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    if not np.all(np.any(mask, axis=-1)):
+        raise DegenerateMaskError("softmax row with every position masked")
+    shifted = np.where(mask, logits, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)  # exact 0.0 at masked positions
-    weights /= weights.sum(axis=1, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    `q` is (queries, width) and `k`, `v` are (keys, width); each is viewed
+    as `heads` column blocks of width // heads.  `mask` marks the visible
+    keys, per key or per (query, key), and is shared by every head.
+    """
+    if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
+        raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")
+    rows, width = q.shape
+    keys = k.shape[0]
+    if heads < 1 or width % heads:
+        raise ShapeError(f"width {width} does not split into {heads} heads")
+    dh = width // heads
+    root = np.sqrt(dh)
+    m = _as_mask(mask, rows, keys)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (n, width) -> (heads, n, dh)
+        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (heads, n, dh) -> (n, width)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], width)
+
+    qh, kh, vh = split(q.array), split(k.array), split(v.array)
+    weights = masked_softmax(qh @ kh.transpose(0, 2, 1) / root, m)
+    values = merge(weights @ vh)
 
     def backward(g):
-        gw = g * weights
-        return (gw - weights * gw.sum(axis=1, keepdims=True),)
+        gh = split(g)
+        gw = (gh @ vh.transpose(0, 2, 1)) * weights
+        gs = (gw - weights * gw.sum(axis=-1, keepdims=True)) / root
+        dq = gs @ kh
+        dk = gs.transpose(0, 2, 1) @ qh
+        dv = weights.transpose(0, 2, 1) @ gh
+        return merge(dq), merge(dk), merge(dv)
 
-    return _result(weights, (logits,), backward)
-
-
-def softmax(logits: Tensor) -> Tensor:
-    return masked_softmax(logits, None)
-
-
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask=None) -> Tensor:
-    """Scaled dot-product attention; `mask` marks visible keys per query row."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key widths differ: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value counts differ: {k.shape} vs {v.shape}")
-    logits = matmul(q, transpose(k))
-    scaled = _result(
-        logits.array / np.sqrt(q.shape[-1]),
-        (logits,),
-        lambda g: (g / np.sqrt(q.shape[-1]),),
-    )
-    weights = masked_softmax(scaled, mask)
-    return matmul(weights, v)
+    return _result(values, (q, k, v), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:

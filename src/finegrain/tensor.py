@@ -257,12 +257,6 @@ def transpose(a: Tensor) -> Tensor:
     return _result(a.array.T.copy(), (a,), lambda g: (g.T,))
 
 
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    values = a.array.reshape(shape)
-    return _result(values.copy(), (a,), lambda g: (g.reshape(a.shape),))
-
-
 def tsum(a: Tensor) -> Tensor:
     values = np.array(a.array.sum())
     return _result(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))

@@ -109,26 +109,25 @@ class TestMaskedAttention:
         v = Tensor(r.normal(size=(5, 4)))
         mask = np.zeros(5, dtype=bool)
         mask[2] = True
-        out = ops.masked_attention(q, k, v, mask)
+        out = ops.masked_attention(q, k, v, mask, heads=1)
         assert np.array_equal(out.array, np.tile(v.array[2], (3, 1)))
 
     def test_identical_keys_give_uniform_weights(self):
-        q = Tensor(rng(1).normal(size=(2, 4)))
-        k = Tensor(np.tile(rng(2).normal(size=(1, 4)), (6, 1)))
-        logits = tensor.matmul(q, tensor.transpose(k))
-        weights = ops.masked_softmax(logits)
-        assert np.allclose(weights.array, 1.0 / 6.0, atol=1e-15)
+        q = rng(1).normal(size=(2, 4))
+        k = np.tile(rng(2).normal(size=(1, 4)), (6, 1))
+        weights = ops.masked_softmax(q @ k.T, np.ones(6, dtype=bool))
+        assert np.allclose(weights, 1.0 / 6.0, atol=1e-15)
 
     def test_masked_weights_exactly_zero_and_visible_sum_to_one(self):
-        logits = Tensor(rng(5).normal(size=(3, 4)))
+        logits = rng(5).normal(size=(3, 4))
         mask = np.array([True, False, True, False])
         w = ops.masked_softmax(logits, mask)
-        assert np.all(w.array[:, [1, 3]] == 0.0)
-        assert np.allclose(w.array.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(w[:, [1, 3]] == 0.0)
+        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
     def test_all_masked_row_rejected(self):
         with pytest.raises(DegenerateMaskError):
-            ops.masked_softmax(Tensor(np.zeros((2, 3))), np.zeros(3, dtype=bool))
+            ops.masked_softmax(np.zeros((2, 3)), np.zeros(3, dtype=bool))
 
     def test_output_invariant_to_masked_value_rows(self):
         r = rng(9)
@@ -138,8 +137,8 @@ class TestMaskedAttention:
         v2[1] = 1e6
         v2[3] = -1e6
         mask = np.array([True, False, True, False])
-        out1 = ops.masked_attention(q, k, Tensor(v1), mask)
-        out2 = ops.masked_attention(q, k, Tensor(v2), mask)
+        out1 = ops.masked_attention(q, k, Tensor(v1), mask, heads=1)
+        out2 = ops.masked_attention(q, k, Tensor(v2), mask, heads=1)
         assert np.array_equal(out1.array, out2.array)
 
     def test_masked_key_rows_do_not_receive_gradient(self):
@@ -148,7 +147,7 @@ class TestMaskedAttention:
         k = Tensor(r.normal(size=(4, 4)), requires_grad=True)
         v = Tensor(r.normal(size=(4, 4)), requires_grad=True)
         mask = np.array([True, False, True, True])
-        tensor.tsum(ops.masked_attention(q, k, v, mask)).backward()
+        tensor.tsum(ops.masked_attention(q, k, v, mask, heads=1)).backward()
         assert np.all(v.grad_array[1] == 0.0)
         assert np.all(k.grad_array[1] == 0.0)
 
@@ -158,8 +157,57 @@ class TestMaskedAttention:
         k = Tensor(r.normal(size=(5, 4)), requires_grad=True)
         v = Tensor(r.normal(size=(5, 4)), requires_grad=True)
         mask = np.array([True, False, True, True, False])
-        err = check_gradients(lambda: tensor.tsum(ops.masked_attention(q, k, v, mask)), [q, k, v])
+        err = check_gradients(
+            lambda: tensor.tsum(ops.masked_attention(q, k, v, mask, heads=1)), [q, k, v])
         assert err < 1e-3
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_heads_match_a_loop_over_column_blocks(self, heads):
+        r = rng(19)
+        q, k, v = r.normal(size=(3, 8)), r.normal(size=(5, 8)), r.normal(size=(5, 8))
+        mask = r.random((3, 5)) < 0.6
+        mask[:, 0] = True
+        dh = 8 // heads
+        expected = []
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            logits = np.where(mask, q[:, cols] @ k[:, cols].T / np.sqrt(dh), -np.inf)
+            w = np.exp(logits - logits.max(axis=1, keepdims=True))
+            expected.append(w / w.sum(axis=1, keepdims=True) @ v[:, cols])
+        out = ops.masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
+        assert np.allclose(out.array, np.concatenate(expected, axis=1), rtol=0.0, atol=1e-12)
+
+    def test_multi_head_gradients(self):
+        r = rng(23)
+        q = Tensor(r.normal(size=(3, 8)), requires_grad=True)
+        k = Tensor(r.normal(size=(5, 8)), requires_grad=True)
+        v = Tensor(r.normal(size=(5, 8)), requires_grad=True)
+        mask = np.array([True, False, True, True, False])
+        # uneven output weights show a head whose gradient lands in the wrong block
+        weights = Tensor(r.normal(size=(3, 8)))
+        err = check_gradients(
+            lambda: tensor.tsum(tensor.mul(ops.masked_attention(q, k, v, mask, heads=2), weights)),
+            [q, k, v])
+        assert err < 1e-3
+
+    def test_width_must_split_into_heads(self):
+        x = Tensor(np.zeros((2, 6)))
+        with pytest.raises(ShapeError):
+            ops.masked_attention(x, x, x, np.ones(2, dtype=bool), heads=4)
+
+    def test_wrong_length_key_mask_is_a_shape_error(self):
+        q, kv = Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 4)))
+        with pytest.raises(ShapeError):
+            ops.masked_attention(q, kv, kv, np.ones(3, dtype=bool), heads=1)
+
+    def test_one_tape_node_per_call(self):
+        r = rng(29)
+        q = Tensor(r.normal(size=(3, 8)), requires_grad=True)
+        kv = Tensor(r.normal(size=(5, 8)), requires_grad=True)
+        before = next(tensor._SEQ)
+        out = ops.masked_attention(q, kv, kv, np.ones(5, dtype=bool), heads=4)
+        assert out._node.seq == before + 1
+        assert next(tensor._SEQ) == before + 2
 
 
 class TestElementwiseOps:
@@ -287,9 +335,9 @@ def test_property_matmul_chain_gradients(n, m, p, seed):
 )
 def test_property_softmax_rows_sum_to_one(rows, cols, seed):
     r = np.random.default_rng(seed)
-    logits = Tensor(r.normal(size=(rows, cols)) * 3)
+    logits = r.normal(size=(rows, cols)) * 3
     mask = r.random((rows, cols)) < 0.7
     mask[~mask.any(axis=1), 0] = True  # keep every row non-degenerate
     w = ops.masked_softmax(logits, mask)
-    assert np.allclose(w.array.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(w.array[~mask] == 0.0)
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(w[~mask] == 0.0)
