@@ -78,6 +78,12 @@ class RunConfig:
         if self.steps % self.cadence != 0:
             raise ValidationError(
                 f"run.cadence {self.cadence} must divide run.steps {self.steps}")
+        if self.caption_batch < 2 or self.detection_batch < 2:
+            raise ValidationError("data.caption_batch and data.detection_batch must be "
+                                  "at least 2: the losses need in-batch negatives")
+        if self.eval_per_subtask < 1:
+            raise ValidationError("data.eval_per_subtask must be at least 1")
+        self.model_config()  # validates the model sizes
         self.ablation_config()  # validates source names and loss/source compatibility
 
     def source_set(self) -> frozenset:

@@ -51,14 +51,18 @@ class ModelConfig:
     vocab: Vocabulary = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.mlp_dim is None:
+            object.__setattr__(self, "mlp_dim", 2 * self.hidden_dim)
+        for name in ("patch_grid", "hidden_dim", "heads", "proj_dim", "mlp_dim", "max_len",
+                     "vision_layers", "text_layers", "cross_layers"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.hidden_dim % self.heads != 0:
             raise ValidationError(
                 f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}"
             )
         if self.temperature_init <= 0:
             raise ValidationError("temperature must be positive")
-        if self.mlp_dim is None:
-            object.__setattr__(self, "mlp_dim", 2 * self.hidden_dim)
         if self.vocab is None:
             bins = self.pevl_bins if self.use_pevl_tokens else None
             object.__setattr__(self, "vocab", Vocabulary(bins))
@@ -299,20 +303,15 @@ class VLModel:
             tensor.matmul(cross_states, tensor.transpose(self.params["text.emb"])),
             self.params["head.mlm_b"])
 
-    def bbox_corners(self, cross_cls: Tensor) -> Tensor:
-        """Predicted box as a (1, 4) corner tensor; gradients stay alive."""
-        raw = tensor.add(tensor.matmul(cross_cls, self.params["head.bbox_w"]),
+    def bbox_corners(self, cls_rows: Tensor) -> Tensor:
+        """(n, 4) corner rows (x1, y1, x2, y2), one per [CLS] row; gradients stay alive."""
+        raw = tensor.add(tensor.matmul(cls_rows, self.params["head.bbox_w"]),
                          self.params["head.bbox_b"])
         squashed = tensor.sigmoid(raw)
-        cx = tensor.slice_cols(squashed, 0, 1)
-        cy = tensor.slice_cols(squashed, 1, 2)
-        floor = Tensor(np.full((1, 1), 1e-3))
-        half_w = tensor.scale(tensor.maximum(tensor.slice_cols(squashed, 2, 3), floor), 0.5)
-        half_h = tensor.scale(tensor.maximum(tensor.slice_cols(squashed, 3, 4), floor), 0.5)
-        return tensor.concat_cols([
-            tensor.sub(cx, half_w), tensor.sub(cy, half_h),
-            tensor.add(cx, half_w), tensor.add(cy, half_h),
-        ])
+        centre = tensor.slice_cols(squashed, 0, 2)
+        size = tensor.maximum(tensor.slice_cols(squashed, 2, 4), Tensor(1e-3))
+        half = tensor.scale(size, 0.5)
+        return tensor.concat_cols([tensor.sub(centre, half), tensor.add(centre, half)])
 
     def predict_bbox(self, cross_cls: Tensor) -> BBox:
         x1, y1, x2, y2 = self.bbox_corners(cross_cls).array[0]

@@ -6,7 +6,10 @@ triple on (full image, region text), then per configuration the visually
 masked triple (vision and fusion attention restricted to patches touching
 the target box) and the box-regression term; one gradient accumulation,
 one update.  Each pass encodes each sample once and its three losses read
-those encodings.  Matching negatives are the hardest in-batch negatives by
+those encodings.  The heads run once per call on stacked rows: one
+matching-head call for all positives and negatives, one masked-LM head
+call for the masked positions only, and one box head and one box loss
+for the whole detection batch.  Matching negatives are the hardest in-batch negatives by
 contrastive similarity, one per positive, mined among samples whose
 underlying image differs.
 """
@@ -121,25 +124,14 @@ def contrastive_loss(image_feats: Tensor, text_feats: Tensor, temperature) -> Te
     return tensor.scale(tensor.add(i2t, t2i), 0.5)
 
 
-def _distinct_image_matrix(grids: Sequence[np.ndarray]) -> np.ndarray:
-    n = len(grids)
-    distinct = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j and not np.array_equal(grids[i], grids[j]):
-                distinct[i, j] = True
-    return distinct
-
-
 def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> list[int]:
     """Hardest text index per image among samples with a different image."""
-    distinct = _distinct_image_matrix(grids)
     picks = []
     for i in range(sim_values.shape[0]):
-        candidates = np.where(distinct[i])[0]
-        if candidates.size == 0:
+        candidates = [j for j, grid in enumerate(grids) if not np.array_equal(grids[i], grid)]
+        if not candidates:
             raise NegativeMiningError("no in-batch negative: all images identical")
-        picks.append(int(candidates[np.argmax(sim_values[i, candidates])]))
+        picks.append(candidates[int(np.argmax(sim_values[i, candidates]))])
     return picks
 
 
@@ -152,12 +144,12 @@ def itm_loss(model: VLModel, encoded: Sequence[EncodedPair],
     image_feats = np.concatenate([e.image_feat.array for e in encoded])
     text_feats = np.concatenate([e.text_feat.array for e in encoded])
     picks = mine_hard_negatives(image_feats @ text_feats.T, grids)
-    rows = [model.itm_logits(e.cross_cls) for e in encoded]
+    rows = [e.cross_cls for e in encoded]
     for i, j in enumerate(picks):
         mask = None if visibility is None else visibility[i]
         negative_cross = model.fuse(encoded[j].text_states, encoded[i].vision_states, mask)
-        rows.append(model.itm_logits(tensor.take_rows(negative_cross, [0])))
-    logits = tensor.concat_rows(rows)
+        rows.append(tensor.take_rows(negative_cross, [0]))
+    logits = model.itm_logits(tensor.concat_rows(rows))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
@@ -182,7 +174,7 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
         selections = [select_mask_positions(ids, vocab, rng, mask_rate) for ids in token_batches]
     if not any(selections):
         return Tensor(np.array(0.0)), 0
-    logit_rows, targets = [], []
+    masked_rows, targets = [], []
     for item, (ids, positions) in enumerate(zip(token_batches, selections)):
         if not positions:
             continue
@@ -193,9 +185,10 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
         states = model.encode_text(masked)
         text_mask = np.array([t != vocab.pad_id for t in masked])
         fused = model.fuse(states, vision_states[item], mask, text_mask)
-        logit_rows.append(tensor.take_rows(model.mlm_logits(fused), positions))
+        masked_rows.append(tensor.take_rows(fused, positions))
         targets.extend(ids[pos] for pos in positions)
-    return ops.softmax_cross_entropy(tensor.concat_rows(logit_rows), targets), len(targets)
+    logits = model.mlm_logits(tensor.concat_rows(masked_rows))
+    return ops.softmax_cross_entropy(logits, targets), len(targets)
 
 
 def visual_mask_from_bbox(bbox: BBox, grid_size: int) -> np.ndarray:
@@ -206,38 +199,35 @@ def visual_mask_from_bbox(bbox: BBox, grid_size: int) -> np.ndarray:
     return mask
 
 
-def bbox_loss_terms(pred_corners: Tensor, target: BBox) -> Tensor:
-    """L1 over corner coordinates plus (1 - generalized IoU)."""
-    tx1, ty1, tx2, ty2 = target.corners()
-    t = Tensor(np.array([[tx1, ty1, tx2, ty2]]))
-    l1 = tensor.tsum(tensor.absolute(tensor.sub(pred_corners, t)))
+def _area(extent: Tensor) -> Tensor:
+    """(n, 1) areas of (n, 2) rectangle extents (width, height)."""
+    return tensor.mul(tensor.slice_cols(extent, 0, 1), tensor.slice_cols(extent, 1, 2))
 
-    def col(src, i):
-        return tensor.slice_cols(src, i, i + 1)
 
-    px1, py1, px2, py2 = (col(pred_corners, i) for i in range(4))
-    zero = Tensor(np.zeros((1, 1)))
-    inter_w = tensor.maximum(tensor.sub(tensor.minimum(px2, Tensor([[tx2]])),
-                                        tensor.maximum(px1, Tensor([[tx1]]))), zero)
-    inter_h = tensor.maximum(tensor.sub(tensor.minimum(py2, Tensor([[ty2]])),
-                                        tensor.maximum(py1, Tensor([[ty1]]))), zero)
-    inter = tensor.mul(inter_w, inter_h)
-    pred_area = tensor.mul(tensor.sub(px2, px1), tensor.sub(py2, py1))
-    union = tensor.sub(tensor.add(pred_area, Tensor([[target.area()]])), inter)
+def bbox_loss_terms(pred_corners: Tensor, targets: Sequence[BBox]) -> Tensor:
+    """Mean over rows of L1 over corner coordinates plus (1 - generalized IoU).
+
+    `pred_corners` has one (x1, y1, x2, y2) row per target.  Every max/min
+    takes the prediction first, so a tie routes the gradient to the prediction.
+    """
+    t = np.array([b.corners() for b in targets])
+    l1 = tensor.tsum(tensor.absolute(tensor.sub(pred_corners, Tensor(t))))
+    lo, hi = tensor.slice_cols(pred_corners, 0, 2), tensor.slice_cols(pred_corners, 2, 4)
+    t_lo, t_hi = Tensor(t[:, :2]), Tensor(t[:, 2:])
+    inter = _area(tensor.maximum(tensor.sub(tensor.minimum(hi, t_hi),
+                                            tensor.maximum(lo, t_lo)), Tensor(0.0)))
+    union = tensor.sub(tensor.add(_area(tensor.sub(hi, lo)), _area(tensor.sub(t_hi, t_lo))),
+                       inter)
     iou = tensor.div(inter, union)
-    enclose_w = tensor.sub(tensor.maximum(px2, Tensor([[tx2]])),
-                           tensor.minimum(px1, Tensor([[tx1]])))
-    enclose_h = tensor.sub(tensor.maximum(py2, Tensor([[ty2]])),
-                           tensor.minimum(py1, Tensor([[ty1]])))
-    enclose = tensor.mul(enclose_w, enclose_h)
+    enclose = _area(tensor.sub(tensor.maximum(hi, t_hi), tensor.minimum(lo, t_lo)))
     giou = tensor.sub(iou, tensor.div(tensor.sub(enclose, union), enclose))
-    penalty = tensor.sub(Tensor([[1.0]]), giou)
-    return tensor.add(l1, tensor.tsum(penalty))
+    penalty = tensor.sub(Tensor(1.0), giou)
+    return tensor.scale(tensor.add(l1, tensor.tsum(penalty)), 1.0 / len(targets))
 
 
 def bbox_loss(predicted: BBox, target: BBox) -> float:
     corners = Tensor(np.array([predicted.corners()]))
-    return bbox_loss_terms(corners, target).item()
+    return bbox_loss_terms(corners, [target]).item()
 
 
 # -- batch-level composition -----------------------------------------------------
@@ -317,11 +307,9 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
         if vma_mlm_count > 0:
             terms["vma_mlm"] = vma_mlm
     if is_detection and config.use_bbox:
-        per_box = [
-            bbox_loss_terms(model.bbox_corners(e.cross_cls), s.bbox)
-            for e, s in zip(encoded, batch.samples)
-        ]
-        terms["bbox"] = tensor.scale(tensor.add_scalars(per_box), 1.0 / len(per_box))
+        cls_rows = tensor.concat_rows([e.cross_cls for e in encoded])
+        terms["bbox"] = bbox_loss_terms(model.bbox_corners(cls_rows),
+                                        [s.bbox for s in batch.samples])
 
     total = tensor.add_scalars(list(terms.values()))
     total.backward()

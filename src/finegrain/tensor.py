@@ -262,12 +262,6 @@ def tsum(a: Tensor) -> Tensor:
     return _result(values, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.array.size
-    values = np.array(a.array.mean())
-    return _result(values, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
-
-
 def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     if a.array.ndim != 2:
         raise ShapeError(f"slice_cols needs a matrix, got shape {a.shape}")

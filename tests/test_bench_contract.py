@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from finegrain import runner
+from finegrain import model, runner
+from finegrain.config import RunConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +59,15 @@ def test_run_training_keeps_the_observed_loop_shape():
     code = inspect.unwrap(runner.run_training).__code__
     assert "step" in code.co_varnames
     assert observer.lines_calling(code, "save_checkpoint")
+
+
+def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
+    config = RunConfig(seed=4, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
+                       cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24)
+    cfg = config.model_config()
+    path = tmp_path / "step.ckpt"
+    model.save_checkpoint(model.VLModel(cfg, seed=1), path, config.config_hash())
+    lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    header = f"{model.CHECKPOINT_MAGIC} {model.CHECKPOINT_VERSION} {config.config_hash()}\n"
+    assert lines[0] == header
+    assert len(lines) == 1 + len(model.param_shapes(cfg))

@@ -3,6 +3,7 @@
 import builtins
 import errno
 import filecmp
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,17 @@ class TestConfig:
     def test_invalid_sources_rejected(self):
         with pytest.raises(ValidationError):
             tiny_config(sources="captions,nonsense")
+
+    @pytest.mark.parametrize("key,value", [
+        ("patch_grid", 0), ("hidden_dim", 0), ("heads", 0), ("heads", -4), ("proj_dim", 0),
+        ("mlp_dim", 0), ("max_len", 0), ("vision_layers", -1), ("text_layers", 0),
+        ("cross_layers", 0), ("caption_batch", 1), ("detection_batch", 1),
+        ("eval_per_subtask", 0),
+    ])
+    def test_out_of_range_size_rejected(self, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)
+        with pytest.raises(ValidationError, match=key):
+            parse_config_text(text)
 
     def test_hash_changes_with_any_field(self):
         assert tiny_config().config_hash() != tiny_config(seed=5).config_hash()
@@ -227,6 +239,11 @@ class TestCli:
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(save_or_text := tiny_config().render().replace("seed = 4", "seed = x"))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+
+    def test_zero_heads_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(tiny_config().render().replace("heads = 2", "heads = 0"))
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
 
     def test_dependency_exit_code(self, tmp_path):

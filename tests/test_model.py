@@ -231,7 +231,7 @@ class TestGradientsThroughModel:
 
         def f():
             pair = model.encode_pair(grid, ids)
-            return bbox_loss_terms(model.bbox_corners(pair.cross_cls), target)
+            return bbox_loss_terms(model.bbox_corners(pair.cross_cls), [target])
 
         inputs = [model.params["cross.0.xattn.wq"], model.params["head.bbox_w"]]
         err = check_gradients(f, inputs, coords_per_input=12, rng=rng_for(1, "gc"))

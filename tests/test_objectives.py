@@ -41,6 +41,19 @@ def detection_batch(model, n=2, seed=3, kind="region_description"):
     return sd.Batch("detection", tuple(samples))
 
 
+def count_calls(model, method_name):
+    """Record the arguments of every call to one of the model's methods."""
+    calls = []
+    method = getattr(model, method_name)
+
+    def counted(*args):
+        calls.append(args)
+        return method(*args)
+
+    setattr(model, method_name, counted)
+    return calls
+
+
 def caption_batch(model, n=2, seed=11):
     samples = tuple(
         sd.caption_of(sd.generate_scene(seed, i, grid_size=model.config.patch_grid))
@@ -116,6 +129,18 @@ class TestItmLoss:
         expected = -np.mean([np.log(p) for p in probs] + [np.log(1 - p) for p in neg_probs])
         assert loss == pytest.approx(float(expected), rel=1e-9)
 
+    def test_one_head_call_for_all_positives_and_negatives(self):
+        model = micro_model(seed=8)
+        batch = caption_batch(model, n=3, seed=29)
+        encoded = [
+            model.encode_pair(s.scene.grid, model.config.vocab.encode_wrapped(s.text))
+            for s in batch.samples
+        ]
+        calls = count_calls(model, "itm_logits")
+        obj.itm_loss(model, encoded, [s.scene.grid for s in batch.samples])
+        assert len(calls) == 1
+        assert calls[0][0].shape == (6, model.config.hidden_dim)
+
     def test_all_identical_images_rejected(self):
         model = micro_model()
         scene = sd.generate_scene(31, 0, grid_size=2)
@@ -164,6 +189,18 @@ class TestMlmLoss:
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = -np.mean([log_probs[r, ids[p]] for r, p in enumerate(positions)])
         assert loss.item() == pytest.approx(float(expected), rel=1e-12)
+
+    def test_one_head_call_on_the_masked_rows_only(self):
+        model = micro_model(seed=13)
+        vocab = model.config.vocab
+        scenes = [sd.generate_scene(41, i, grid_size=2) for i in range(3)]
+        ids = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
+        vision = [model.encode_image(s.grid) for s in scenes]
+        calls = count_calls(model, "mlm_logits")
+        _, count = obj.mlm_loss(model, ids, vision, rng_for(5, "mlm"), 0.5)
+        assert count > 0
+        assert len(calls) == 1
+        assert calls[0][0].shape == (count, model.config.hidden_dim)
 
     def test_zero_selection_skips_with_flag(self):
         model = micro_model()
@@ -242,8 +279,54 @@ class TestBBoxLoss:
     def test_gradient_of_corner_tensor(self):
         target = sd.BBox(0.2, 0.3, 0.7, 0.8)
         corners = Tensor(np.array([[0.1, 0.15, 0.55, 0.62]]), requires_grad=True)
-        err = check_gradients(lambda: obj.bbox_loss_terms(corners, target), [corners])
+        err = check_gradients(lambda: obj.bbox_loss_terms(corners, [target]), [corners])
         assert err < 1e-3
+
+    def test_batched_rows_equal_mean_of_single_rows(self):
+        rng = rng_for(13, "bbox-batch")
+        low = rng.uniform(0.0, 0.6, size=(16, 2))
+        high = low + rng.uniform(0.05, 0.4, size=(16, 2))
+        boxes = [sd.BBox(x1, y1, x2, y2) for (x1, y1), (x2, y2) in zip(low, high)]
+        preds, targets = boxes[:8], boxes[8:]
+        corners = Tensor(np.array([p.corners() for p in preds]))
+        batched = obj.bbox_loss_terms(corners, targets).item()
+        singles = [obj.bbox_loss(p, t) for p, t in zip(preds, targets)]
+        np.testing.assert_allclose(batched, np.mean(singles), rtol=1e-14)
+
+    def test_gradient_of_stacked_rows_with_a_tied_corner(self):
+        targets = [sd.BBox(0.2, 0.3, 0.7, 0.8), sd.BBox(0.1, 0.1, 0.5, 0.4),
+                   sd.BBox(0.4, 0.2, 0.9, 0.6)]
+        # row 0's x1 equals its target's, so both its max and its min tie
+        start = np.array([[0.2, 0.15, 0.55, 0.62], [0.05, 0.2, 0.45, 0.5],
+                          [0.3, 0.25, 0.8, 0.7]])
+        # the loss has a kink at the tie, where finite differences average the
+        # two one-sided slopes, so the tied coordinate is held fixed and every
+        # other coordinate is checked with the tie in place
+        keep = np.ones_like(start)
+        keep[0, 0] = 0.0
+        tied = Tensor(start * (1.0 - keep))
+        free = Tensor(start.copy(), requires_grad=True)
+
+        def f():
+            return obj.bbox_loss_terms(tensor.add(tensor.mul(free, Tensor(keep)), tied), targets)
+
+        assert check_gradients(f, [free]) < 1e-3
+        # a tie routes the same way in a stacked call as in a single-row call
+        corners = Tensor(start.copy(), requires_grad=True)
+        obj.bbox_loss_terms(corners, targets).backward()
+        single = Tensor(start[:1].copy(), requires_grad=True)
+        obj.bbox_loss_terms(single, targets[:1]).backward()
+        np.testing.assert_allclose(3.0 * corners.grad_array[0], single.grad_array[0],
+                                   rtol=1e-14)
+
+    def test_tape_nodes_do_not_grow_with_rows(self):
+        def nodes(n):
+            corners = Tensor(np.tile([[0.1, 0.15, 0.55, 0.62]], (n, 1)), requires_grad=True)
+            before = next(tensor._SEQ)
+            obj.bbox_loss_terms(corners, [sd.BBox(0.2, 0.3, 0.7, 0.8)] * n)
+            return next(tensor._SEQ) - before
+
+        assert nodes(1) == nodes(4)
 
 
 class TestVmaLosses:
@@ -423,11 +506,9 @@ class TestLossGradients:
                 loss, count = obj.mlm_loss(model, ids, vision, rng_for(1, "gc"), 0.5)
                 assert count > 0
                 return loss
-            per_box = [
-                obj.bbox_loss_terms(model.bbox_corners(e.cross_cls), s.bbox)
-                for e, s in zip(encoded, batch.samples)
-            ]
-            return tensor.scale(tensor.add_scalars(per_box), 0.5)
+            cls_rows = tensor.concat_rows([e.cross_cls for e in encoded])
+            return obj.bbox_loss_terms(model.bbox_corners(cls_rows),
+                                       [s.bbox for s in batch.samples])
 
         inputs = [
             model.params["vision.0.attn.wv"],
