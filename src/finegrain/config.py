@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -83,6 +84,13 @@ class RunConfig:
                                   "at least 2: the losses need in-batch negatives")
         if self.eval_per_subtask < 1:
             raise ValidationError("data.eval_per_subtask must be at least 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"train.learning_rate must be positive and finite, got {self.learning_rate}")
+        # a negative clip norm flips the update's sign; 0 turns clipping off
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValidationError(
+                f"train.clip_norm must be finite and at least 0, got {self.clip_norm}")
         self.model_config()  # validates the model sizes
         self.ablation_config()  # validates source names and loss/source compatibility
 

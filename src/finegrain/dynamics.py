@@ -137,18 +137,6 @@ def write_trajectory(path: Path, table: TrajectoryTable, config_hash: str) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trajectory(path: Path) -> TrajectoryTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = rows[0].split("\t")
-    table = TrajectoryTable()
-    for row in rows[1:]:
-        fields = row.split("\t")
-        table.append_row(int(fields[0]),
-                         {name: float(v) for name, v in zip(header[1:], fields[1:])})
-    return table
-
-
 def write_correlations(path: Path, report: CorrelationReport, config_hash: str) -> None:
     lines = [f"# config_hash={config_hash}",
              "metric_a\tmetric_b\tpearson\tspearman\tn\tstatus"]

@@ -65,12 +65,6 @@ def model_scorer(model: VLModel) -> Scorer:
     return score
 
 
-def as_scorer(model_or_scorer) -> Scorer:
-    if isinstance(model_or_scorer, VLModel):
-        return model_scorer(model_or_scorer)
-    return model_or_scorer
-
-
 # -- protocols -------------------------------------------------------------------
 
 
@@ -240,10 +234,13 @@ def retrieval_table(score: Scorer, seed: int, count: int, grid_size: int) -> np.
     return table
 
 
-def run_benchmark(model, manifest: dict, checkpoint_step: int = 0,
+def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0,
                   dump_path: Path | None = None) -> EvalReport:
-    """Route each manifest subtask to its protocol and aggregate a report."""
-    score = as_scorer(model)
+    """Score each manifest subtask with `score` under its protocol and aggregate a report.
+
+    `score` is a `Scorer`, called once per (scene, text) pair; `model_scorer`
+    adapts a model to one.
+    """
     report = EvalReport(checkpoint_step=checkpoint_step)
     dump: list[str] | None = [] if dump_path is not None else None
     grid_size = int(manifest.get("grid_size", 4))

@@ -55,8 +55,11 @@ def check_gradients(
         t.requires_grad = False  # keep finite-difference evaluations off the tape
 
     worst = 0.0
+    originals = [t.array for t in inputs]
     try:
         for t, grad in zip(inputs, analytic):
+            # perturb a private copy: other tensors built on the same array stay put
+            t.array = t.array.copy()
             flat = t.array.reshape(-1)
             if coords_per_input is None or coords_per_input >= flat.size:
                 coords = range(flat.size)
@@ -78,7 +81,8 @@ def check_gradients(
                 err = abs(fd - an) / max(abs(fd), abs(an), atol)
                 worst = max(worst, err)
     finally:
-        for t in inputs:
+        for t, original in zip(inputs, originals):
+            t.array = original
             t.requires_grad = True
             t.zero_grad()
     return worst

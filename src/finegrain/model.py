@@ -61,8 +61,9 @@ class ModelConfig:
             raise ValidationError(
                 f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}"
             )
-        if self.temperature_init <= 0:
-            raise ValidationError("temperature must be positive")
+        if not (math.isfinite(self.temperature_init) and self.temperature_init > 0):
+            raise ValidationError(
+                f"temperature_init must be positive and finite, got {self.temperature_init}")
         if self.vocab is None:
             bins = self.pevl_bins if self.use_pevl_tokens else None
             object.__setattr__(self, "vocab", Vocabulary(bins))
@@ -137,14 +138,9 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ("head.itm_w", (d, 2), "head"), ("head.itm_b", (2,), "zeros"),
         ("head.bbox_w", (d, 4), "head"), ("head.bbox_b", (4,), "zeros"),
         ("head.mlm_b", (v,), "zeros"),
-        ("log_tau", (), "tau"),
+        ("log_tau", (1,), "tau"),
     ]
     return rows
-
-
-def param_count(cfg: ModelConfig) -> int:
-    return sum(int(np.prod(shape, dtype=np.int64)) if shape else 1
-               for _, shape, _ in param_shapes(cfg))
 
 
 class VLModel:
@@ -164,7 +160,7 @@ class VLModel:
             elif kind == "ones":
                 values = np.ones(shape)
             elif kind == "tau":
-                values = np.array(np.log(config.temperature_init))
+                values = np.full(shape, np.log(config.temperature_init))
             else:
                 values = np.zeros(shape)
             self.params[name] = Tensor(values, requires_grad=True)
@@ -173,9 +169,6 @@ class VLModel:
 
     def parameters(self) -> list[Tensor]:
         return [self.params[name] for name, _, _ in param_shapes(self.config)]
-
-    def param_count(self) -> int:
-        return param_count(self.config)
 
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])
@@ -313,10 +306,6 @@ class VLModel:
         half = tensor.scale(size, 0.5)
         return tensor.concat_cols([tensor.sub(centre, half), tensor.add(centre, half)])
 
-    def predict_bbox(self, cross_cls: Tensor) -> BBox:
-        x1, y1, x2, y2 = self.bbox_corners(cross_cls).array[0]
-        return BBox(max(0.0, x1), max(0.0, y1), min(1.0, x2), min(1.0, y2))
-
     # -- position tokens -----------------------------------------------------------
 
     def encode_position_tokens(self, caption_tokens: list[str], bbox: BBox,
@@ -338,10 +327,6 @@ def quantize_coordinate(value: float, bins: int, image_extent: int) -> int:
     pixels = value * image_extent
     index = int(np.floor(pixels * bins / image_extent))
     return min(max(index, 0), bins - 1)
-
-
-def dequantize_coordinate(index: int, bins: int) -> float:
-    return (index + 0.5) / bins
 
 
 def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
@@ -367,7 +352,7 @@ def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
         for name, _, _ in param_shapes(model.config):
             arr = model.params[name].array
-            shape = ",".join(str(n) for n in arr.shape) or "scalar"
+            shape = ",".join(str(n) for n in arr.shape)
             payload = " ".join(v.hex() for v in arr.reshape(-1))
             fh.write(f"{name}\t{shape}\t{payload}\n")
 
@@ -398,8 +383,7 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str | None = None) 
                 name, shape_field, payload = line[:-1].split("\t")
                 if name not in model.params:
                     raise DependencyError(f"unexpected parameter {name!r} in checkpoint")
-                shape = () if shape_field == "scalar" else tuple(
-                    int(n) for n in shape_field.split(","))
+                shape = tuple(int(n) for n in shape_field.split(","))
                 tokens = payload.split()
                 if len(tokens) != math.prod(shape):
                     raise DependencyError(

@@ -76,9 +76,6 @@ class LossBundle:
     def component(self, name: str) -> float:
         return getattr(self, name)
 
-    def active_sum(self) -> float:
-        return sum(self.component(name) for name in self.active)
-
 
 @dataclass
 class SgdOptimizer:
@@ -223,11 +220,6 @@ def bbox_loss_terms(pred_corners: Tensor, targets: Sequence[BBox]) -> Tensor:
     giou = tensor.sub(iou, tensor.div(tensor.sub(enclose, union), enclose))
     penalty = tensor.sub(Tensor(1.0), giou)
     return tensor.scale(tensor.add(l1, tensor.tsum(penalty)), 1.0 / len(targets))
-
-
-def bbox_loss(predicted: BBox, target: BBox) -> float:
-    corners = Tensor(np.array([predicted.corners()]))
-    return bbox_loss_terms(corners, [target]).item()
 
 
 # -- batch-level composition -----------------------------------------------------

@@ -133,7 +133,7 @@ def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
                                        config.patch_grid, config.retrieval_count)
     chash = config.config_hash()
     report = ev.run_benchmark(
-        model, manifest, checkpoint_step=step,
+        ev.model_scorer(model), manifest, checkpoint_step=step,
         dump_path=out_dir / "reports" / f"scores_step_{step:06d}.tsv",
     )
     ev.write_report(out_dir / "reports" / f"eval_step_{step:06d}.tsv", report, chash)
@@ -157,7 +157,7 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
 
     def evaluate(step: int) -> dict[str, float]:
         model, _ = _load_model_at(config, checkpoint_path(run_dir, step))
-        return ev.run_benchmark(model, manifest, checkpoint_step=step).metrics
+        return ev.run_benchmark(ev.model_scorer(model), manifest, checkpoint_step=step).metrics
 
     steps = [checkpoint_step(p) for p in checkpoints]
     expected = list(range(config.cadence, config.steps + 1, config.cadence))

@@ -54,11 +54,6 @@ def active_sources(names: Iterable[str]) -> frozenset:
     return active
 
 
-FOIL_SUBTASKS = (
-    "existence", "counting", "relation_swap", "object_swap", "attribute_swap",
-    "svo_subject", "svo_verb", "svo_object",
-)
-
 MAX_OBJECTS = 4
 _BBOX_DECIMALS = 4
 
@@ -77,14 +72,8 @@ class BBox:
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
-
-FULL_IMAGE_BBOX = BBox(0.0, 0.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -98,18 +87,13 @@ class SceneObject:
         return f"{article} {self.color} {self.shape}"
 
 
-@dataclass(frozen=True)
+# eq=False: scenes compare and hash by identity; generated methods would use the numpy grid
+@dataclass(frozen=True, eq=False)
 class Scene:
     ident: str
     grid_size: int
     objects: tuple[SceneObject, ...]
     grid: np.ndarray  # (G, G, GRID_CHANNELS)
-
-    def __eq__(self, other):
-        return isinstance(other, Scene) and np.array_equal(self.grid, other.grid)
-
-    def __hash__(self):
-        return hash(self.ident)
 
 
 @dataclass(frozen=True)
@@ -360,49 +344,6 @@ def supports_subtask(scene: Scene, subtask: str) -> bool:
         return True
     except FoilCapabilityError:
         return False
-
-
-def foil_aspects(pair: FoilPair) -> list[str]:
-    """Structured diff of a foil pair, listing the controlled aspects changed.
-
-    A coordinated caption reorder plus the matching layout swap (the
-    relation-swap quad construction) counts as the single aspect
-    'relation_order'.
-    """
-    aspects = set()
-    if pair.neg_text is not None and pair.neg_text != pair.pos_text:
-        pos_toks, neg_toks = pair.pos_text.split(), pair.neg_text.split()
-        if sorted(pos_toks) == sorted(neg_toks):
-            aspects.add("word_order")
-        elif len(pos_toks) == len(neg_toks):
-            subs = {(p, n) for p, n in zip(pos_toks, neg_toks) if p != n}
-            if all(p in NUMERALS and n in NUMERALS for p, n in subs):
-                aspects.add("numeral")
-            elif all(p in COLORS and n in COLORS for p, n in subs):
-                aspects.add("colors")
-            elif all(p in SHAPES and n in SHAPES for p, n in subs):
-                aspects.add("shapes")
-            else:
-                aspects.add("wording")
-        else:
-            added = set(neg_toks) - set(pos_toks)
-            aspects.add("existence" if added == {"no"} else "wording")
-    if pair.neg_scene is not None and pair.neg_scene != pair.pos_scene:
-        pos_objs, neg_objs = pair.pos_scene.objects, pair.neg_scene.objects
-        identity_changes = [
-            (p, n) for p, n in zip(pos_objs, neg_objs)
-            if (p.color, p.shape) != (n.color, n.shape)
-        ]
-        bbox_changes = [(p, n) for p, n in zip(pos_objs, neg_objs) if p.bbox != n.bbox]
-        if identity_changes and not bbox_changes:
-            aspects.add("entity_identity")
-        elif bbox_changes and not identity_changes:
-            aspects.add("layout")
-        else:
-            aspects.add("scene")
-    if aspects == {"word_order", "layout"}:
-        return ["relation_order"]
-    return sorted(aspects)
 
 
 # -- streams and the interleaved sampler ---------------------------------------

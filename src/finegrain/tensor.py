@@ -46,11 +46,6 @@ class Tensor:
         return self.array.shape
 
     @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values."""
-        return self.array.reshape(-1)
-
-    @property
     def grad(self) -> np.ndarray | None:
         """Flat accumulated gradient, or None before any backward pass."""
         return None if self._grad is None else self._grad.reshape(-1)

@@ -39,9 +39,13 @@ READ_DIRECTLY = (
     ("runner", "load_checkpoint"),
     ("evalharness", "generate_scene"),
     ("evalharness", "default_manifest"),
+    ("evalharness", "FOIL_GROUP_SUBTASKS"),
+    ("evalharness", "PAIRWISE_SUBTASKS"),
+    ("evalharness", "THRESHOLD_SUBTASK"),
     ("model", "CHECKPOINT_MAGIC"),
     ("model", "CHECKPOINT_VERSION"),
     ("model", "param_shapes"),
+    ("tensor", "_SEQ"),
 )
 
 

@@ -62,7 +62,10 @@ class TestConfig:
         ("patch_grid", 0), ("hidden_dim", 0), ("heads", 0), ("heads", -4), ("proj_dim", 0),
         ("mlp_dim", 0), ("max_len", 0), ("vision_layers", -1), ("text_layers", 0),
         ("cross_layers", 0), ("caption_batch", 1), ("detection_batch", 1),
-        ("eval_per_subtask", 0),
+        ("eval_per_subtask", 0), ("clip_norm", -1), ("clip_norm", "nan"),
+        ("clip_norm", "inf"), ("learning_rate", 0), ("learning_rate", -0.01),
+        ("learning_rate", "nan"), ("temperature_init", 0), ("temperature_init", "nan"),
+        ("temperature_init", "inf"),
     ])
     def test_out_of_range_size_rejected(self, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)

@@ -128,11 +128,12 @@ class TestFiles:
         table = dyn.track(1000, 250, lambda step: {"a": step * 0.001, "b": 1 / step})
         path = tmp_path / "trajectory.tsv"
         dyn.write_trajectory(path, table, "hash123")
-        back = dyn.read_trajectory(path)
-        assert back.steps == table.steps
-        for name in table.columns:
-            assert back.columns[name] == table.columns[name]
         assert path.read_text().startswith("# config_hash=hash123\n")
+        header, *rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+        assert header[0] == "step" and sorted(header[1:]) == sorted(table.columns)
+        assert [int(row[0]) for row in rows] == table.steps
+        for j, name in enumerate(header[1:], start=1):
+            assert [float(row[j]) for row in rows] == table.columns[name]
 
     def test_correlation_file_has_sentinels(self, tmp_path):
         table = dyn.TrajectoryTable()

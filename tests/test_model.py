@@ -1,5 +1,7 @@
 """Model: encoders, masking, heads, position tokens, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,9 @@ def micro_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+FULL_IMAGE = sd.BBox(0.0, 0.0, 1.0, 1.0)
 
 
 @pytest.fixture
@@ -56,8 +61,9 @@ class TestConfig:
     def test_param_count_pure_function_of_config(self):
         cfg = micro_config()
         a, b = VLModel(cfg, seed=1), VLModel(cfg, seed=2)
-        assert a.param_count() == b.param_count() == fg_model.param_count(cfg)
-        assert a.param_count() == sum(p.array.size for p in a.parameters())
+        table = [math.prod(shape) for _, shape, _ in fg_model.param_shapes(cfg)]
+        assert [p.array.size for p in a.parameters()] == [p.array.size for p in b.parameters()]
+        assert [p.array.size for p in a.parameters()] == table
 
 
 class TestEncodeImage:
@@ -160,8 +166,8 @@ class TestHeads:
         micro.params["head.bbox_b"].array[:] = 0.0
         ids = micro.config.vocab.encode_wrapped("circle")
         pair = micro.encode_pair(grid, ids)
-        box = micro.predict_bbox(pair.cross_cls)
-        assert box.corners() == pytest.approx((0.25, 0.25, 0.75, 0.75), abs=1e-12)
+        corners = micro.bbox_corners(pair.cross_cls).array[0]
+        assert tuple(corners) == pytest.approx((0.25, 0.25, 0.75, 0.75), abs=1e-12)
 
     def test_predicted_box_always_valid(self, grid):
         model = VLModel(micro_config(), seed=33)
@@ -171,9 +177,10 @@ class TestHeads:
             model.params["head.bbox_w"].array[:] = rng.normal(0, 3, size=(8, 4))
             model.params["head.bbox_b"].array[:] = rng.normal(0, 3, size=4)
             pair = model.encode_pair(grid, ids)
-            box = model.predict_bbox(pair.cross_cls)  # BBox validates on build
-            assert 0.0 <= box.x1 < box.x2 <= 1.0
-            assert 0.0 <= box.y1 < box.y2 <= 1.0
+            x1, y1, x2, y2 = model.bbox_corners(pair.cross_cls).array[0]
+            # positive area inside the image: the box clamped to it is a valid BBox
+            assert max(0.0, x1) < min(1.0, x2)
+            assert max(0.0, y1) < min(1.0, y2)
 
     def test_matching_probability_in_unit_interval(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
@@ -193,32 +200,31 @@ class TestPositionTokens:
 
     def test_full_image_bbox_hits_bin_endpoints(self):
         for bins in (2, 8, 32):
-            out = fg_model.position_token_insert(["circle"], sd.FULL_IMAGE_BBOX,
+            out = fg_model.position_token_insert(["circle"], FULL_IMAGE,
                                                  bins=bins, image_extent=256)
             assert out == ["circle", "<", "0", "0", str(bins - 1), str(bins - 1), ">"]
 
     def test_quantize_round_trip_error_within_half_bin(self):
         bins, extent = 32, 256
         rng = rng_for(3, "roundtrip")
-        half_bin = 0.5 / bins
         for _ in range(1000):
             x1, y1 = rng.uniform(0, 0.9, size=2)
             box = sd.BBox(x1, y1, x1 + rng.uniform(0.05, 1 - x1 - 1e-6),
                           y1 + rng.uniform(0.05, 1 - y1 - 1e-6))
             for coord in box.corners():
-                back = fg_model.dequantize_coordinate(
-                    fg_model.quantize_coordinate(coord, bins, extent), bins)
-                assert abs(back - coord) <= half_bin + 1e-12
+                # the coordinate lies in its bin, so the bin centre is within half a bin
+                index = fg_model.quantize_coordinate(coord, bins, extent)
+                assert index / bins <= coord <= (index + 1) / bins
 
     def test_model_enforces_max_len_after_insertion(self):
         cfg = micro_config(use_pevl_tokens=True, max_len=8)
         model = VLModel(cfg, seed=1)
         with pytest.raises(SequenceLengthError):
-            model.encode_position_tokens(["a", "red", "circle"], sd.FULL_IMAGE_BBOX)
+            model.encode_position_tokens(["a", "red", "circle"], FULL_IMAGE)
 
     def test_position_tokens_refused_without_pevl_vocab(self, micro):
         with pytest.raises(ValidationError):
-            micro.encode_position_tokens(["circle"], sd.FULL_IMAGE_BBOX)
+            micro.encode_position_tokens(["circle"], FULL_IMAGE)
 
 
 class TestGradientsThroughModel:
@@ -253,6 +259,16 @@ class TestCheckpoints:
         assert loaded_hash == "cafe01"
         for name in source.params:
             assert np.array_equal(source.params[name].array, target.params[name].array)
+
+    def test_runtime_shapes_match_the_table(self, tmp_path):
+        cfg = micro_config()
+        table = [(name, shape) for name, shape, _ in fg_model.param_shapes(cfg)]
+        model = VLModel(cfg, seed=21)
+        assert [(name, model.params[name].shape) for name, _ in table] == table
+        path = tmp_path / "model.ckpt"
+        fg_model.save_checkpoint(model, path, "cafe01")
+        fg_model.load_checkpoint(model, path)
+        assert [(name, model.params[name].shape) for name, _ in table] == table
 
     def test_hash_mismatch_is_hard_error(self, tmp_path):
         cfg = micro_config()

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from finegrain import evalharness as ev
 from finegrain import synthdata as sd
 from finegrain.errors import FoilCapabilityError, ValidationError
 
@@ -15,6 +16,50 @@ def scene_with(*objects, grid_size=4):
         for i, (shape, color, bbox) in enumerate(objects)
     )
     return sd.Scene("test", grid_size, objs, sd.render_grid(grid_size, objs))
+
+
+def foil_aspects(pair: sd.FoilPair) -> list[str]:
+    """Structured diff of a foil pair, listing the controlled aspects changed.
+
+    A coordinated caption reorder plus the matching layout swap (the
+    relation-swap quad construction) counts as the single aspect
+    'relation_order'.
+    """
+    aspects = set()
+    if pair.neg_text is not None and pair.neg_text != pair.pos_text:
+        pos_toks, neg_toks = pair.pos_text.split(), pair.neg_text.split()
+        if sorted(pos_toks) == sorted(neg_toks):
+            aspects.add("word_order")
+        elif len(pos_toks) == len(neg_toks):
+            subs = {(p, n) for p, n in zip(pos_toks, neg_toks) if p != n}
+            if all(p in sd.NUMERALS and n in sd.NUMERALS for p, n in subs):
+                aspects.add("numeral")
+            elif all(p in sd.COLORS and n in sd.COLORS for p, n in subs):
+                aspects.add("colors")
+            elif all(p in sd.SHAPES and n in sd.SHAPES for p, n in subs):
+                aspects.add("shapes")
+            else:
+                aspects.add("wording")
+        else:
+            added = set(neg_toks) - set(pos_toks)
+            aspects.add("existence" if added == {"no"} else "wording")
+    if pair.neg_scene is not None and not np.array_equal(pair.neg_scene.grid,
+                                                         pair.pos_scene.grid):
+        pos_objs, neg_objs = pair.pos_scene.objects, pair.neg_scene.objects
+        identity_changes = [
+            (p, n) for p, n in zip(pos_objs, neg_objs)
+            if (p.color, p.shape) != (n.color, n.shape)
+        ]
+        bbox_changes = [(p, n) for p, n in zip(pos_objs, neg_objs) if p.bbox != n.bbox]
+        if identity_changes and not bbox_changes:
+            aspects.add("entity_identity")
+        elif bbox_changes and not identity_changes:
+            aspects.add("layout")
+        else:
+            aspects.add("scene")
+    if aspects == {"word_order", "layout"}:
+        return ["relation_order"]
+    return sorted(aspects)
 
 
 class TestSceneGeneration:
@@ -34,7 +79,7 @@ class TestSceneGeneration:
             for obj in scene.objects:
                 assert 0.0 <= obj.bbox.x1 < obj.bbox.x2 <= 1.0
                 assert 0.0 <= obj.bbox.y1 < obj.bbox.y2 <= 1.0
-                assert obj.bbox.area() > 0.0
+                assert (obj.bbox.x2 - obj.bbox.x1) * (obj.bbox.y2 - obj.bbox.y1) > 0.0
 
     def test_shape_frequencies_near_uniform(self):
         counts = Counter()
@@ -156,7 +201,7 @@ class TestFoils:
             pair = sd.make_foils(scene, subtask)
             assert pair.neg_text is None
             assert pair.neg_scene is not None
-            assert pair.neg_scene != pair.pos_scene
+            assert not np.array_equal(pair.neg_scene.grid, pair.pos_scene.grid)
 
     def test_unsupported_subtask_raises_capability_error(self):
         single = scene_with(("circle", "red", sd.BBox(0.25, 0.25, 0.5, 0.5)))
@@ -171,10 +216,10 @@ class TestFoils:
         checked = 0
         for i in range(150):
             scene = sd.generate_scene(31, i)
-            for subtask in sd.FOIL_SUBTASKS:
+            for subtask in ev.KNOWN_SUBTASKS:  # relation_statement has no foil pair
                 if not sd.supports_subtask(scene, subtask):
                     continue
-                aspects = sd.foil_aspects(sd.make_foils(scene, subtask))
+                aspects = foil_aspects(sd.make_foils(scene, subtask))
                 assert len(aspects) == 1, (subtask, aspects)
                 checked += 1
         assert checked > 300
@@ -220,10 +265,15 @@ class TestSampler:
         )
         detections = sd.detection_stream(7, 3, kinds)
         assert [b.kind for b in batches] == ["detection"] * 10
+
+        def key(s):  # scenes compare by identity, so compare their content
+            return (s.scene.ident, s.scene.grid.tobytes(), s.kind, s.text, s.bbox,
+                    s.entity_span_end)
+
         for step, batch in enumerate(batches):
             # the cursor advances by detection_batch and wraps around the stream
             expected = [detections[(step * 3 + j) % len(detections)] for j in range(3)]
-            assert list(batch.samples) == expected
+            assert [key(s) for s in batch.samples] == [key(s) for s in expected]
 
     def test_sampler_rejects_unknown_or_no_sources(self):
         for sources in ((), ("captions", "nonsense")):

@@ -25,8 +25,8 @@ class TestTensorBasics:
     def test_flat_storage_matches_shape(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.shape == (2, 2)
-        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert math.prod(t.shape) == t.data.size
+        assert t.array.reshape(-1).tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert math.prod(t.shape) == t.array.size
 
     def test_grad_absent_before_backward(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
@@ -35,7 +35,7 @@ class TestTensorBasics:
     def test_grad_same_length_as_data(self):
         t = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
         tensor.tsum(tensor.mul(t, t)).backward()
-        assert t.grad.size == t.data.size
+        assert t.grad.size == t.array.size
 
     def test_leaf_accumulates_from_all_consumers(self):
         x = Tensor([2.0], requires_grad=True)
@@ -294,6 +294,14 @@ class TestCheckGradients:
         x = Tensor([1.0, -1.0], requires_grad=True)
         err = check_gradients(lambda: Tensor(np.array(5.0)), [x])
         assert err == 0.0
+
+    def test_constant_sharing_the_input_array_stays_put(self):
+        start = np.array([[0.3, -1.2], [0.7, 2.0]])
+        x = Tensor(start, requires_grad=True)  # Tensor keeps `start` itself, not a copy
+        err = check_gradients(lambda: tensor.tsum(tensor.sub(x, Tensor(start))), [x])
+        assert err < 1e-6
+        assert x.array is start
+        assert np.array_equal(start, [[0.3, -1.2], [0.7, 2.0]])
 
 
 class TestDeterminism:
