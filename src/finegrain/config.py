@@ -1,9 +1,12 @@
 """Run configuration: plain key=value sections, lossless round-trip, hashing.
 
-The seed is mandatory (nothing falls back to wall-clock time) and the
-canonical rendering of a config is hashed into every artifact the run
-writes, so reusing a run directory or checkpoint with another config is a
-hard error.
+`RunConfig` is the one table of settings: each setting and its default is
+declared there once, and its type is read from the field annotation.
+`ModelConfig` and `AblationConfig` are views of it, built from the fields
+they share with it.  The seed is mandatory (nothing falls back to
+wall-clock time) and the canonical rendering of a config is hashed into
+every artifact the run writes, so reusing a run directory or checkpoint
+with another config is a hard error.
 """
 
 from __future__ import annotations
@@ -13,31 +16,24 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ValidationError
 from .fileio import atomic_open
 from .model import ModelConfig
 from .objectives import AblationConfig
-from .synthdata import DATA_SOURCES, GRID_CHANNELS
+from .synthdata import DATA_SOURCES
 
-_SCHEMA: dict[str, list[tuple[str, type]]] = {
-    "run": [("seed", int), ("steps", int), ("cadence", int)],
-    "model": [
-        ("patch_grid", int), ("hidden_dim", int), ("vision_layers", int),
-        ("text_layers", int), ("cross_layers", int), ("heads", int),
-        ("proj_dim", int), ("mlp_dim", int), ("max_len", int),
-        ("pevl_bins", int), ("image_extent", int), ("temperature_init", float),
-    ],
-    "ablation": [
-        ("use_vma", bool), ("use_bbox", bool), ("use_pevl_tokens", bool),
-        ("sources", str),
-    ],
-    "data": [
-        ("data_seed", int), ("caption_count", int), ("detection_scene_count", int),
-        ("caption_batch", int), ("detection_batch", int),
-        ("eval_seed", int), ("eval_per_subtask", int), ("retrieval_count", int),
-    ],
-    "train": [("learning_rate", float), ("clip_norm", float)],
+# the keys of each config section, in render order
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "run": ("seed", "steps", "cadence"),
+    "model": ("patch_grid", "hidden_dim", "vision_layers", "text_layers", "cross_layers",
+              "heads", "proj_dim", "mlp_dim", "max_len", "pevl_bins", "image_extent",
+              "temperature_init"),
+    "ablation": ("use_vma", "use_bbox", "use_pevl_tokens", "sources"),
+    "data": ("data_seed", "caption_count", "detection_scene_count", "caption_batch",
+             "detection_batch", "eval_seed", "eval_per_subtask", "retrieval_count"),
+    "train": ("learning_rate", "clip_norm"),
 }
 
 
@@ -84,6 +80,10 @@ class RunConfig:
                                   "at least 2: the losses need in-batch negatives")
         if self.eval_per_subtask < 1:
             raise ValidationError("data.eval_per_subtask must be at least 1")
+        # 0 means no retrieval table
+        if self.retrieval_count < 0:
+            raise ValidationError(
+                f"data.retrieval_count must be at least 0, got {self.retrieval_count}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
                 f"train.learning_rate must be positive and finite, got {self.learning_rate}")
@@ -98,40 +98,21 @@ class RunConfig:
         return frozenset(p.strip() for p in self.sources.split(",") if p.strip())
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            patch_grid=self.patch_grid,
-            patch_channels=GRID_CHANNELS,
-            hidden_dim=self.hidden_dim,
-            vision_layers=self.vision_layers,
-            text_layers=self.text_layers,
-            cross_layers=self.cross_layers,
-            heads=self.heads,
-            proj_dim=self.proj_dim,
-            mlp_dim=self.mlp_dim,
-            max_len=self.max_len,
-            use_pevl_tokens=self.use_pevl_tokens,
-            pevl_bins=self.pevl_bins,
-            image_extent=self.image_extent,
-            temperature_init=self.temperature_init,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelConfig) if f.init})
 
     def ablation_config(self) -> AblationConfig:
-        return AblationConfig(
-            use_vma=self.use_vma,
-            use_bbox=self.use_bbox,
-            use_pevl_tokens=self.use_pevl_tokens,
-            sources=self.source_set(),
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(AblationConfig)}
+        return AblationConfig(**values | {"sources": self.source_set()})
 
     def render(self) -> str:
         """Canonical key=value text; parsing it back is lossless."""
         lines = []
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
         for section, keys in _SCHEMA.items():
             lines.append(f"[{section}]")
-            for key, kind in keys:
-                value = values[key]
-                if kind is bool:
+            for key in keys:
+                value = getattr(self, key)
+                if _TYPES[key] is bool:
                     value = "true" if value else "false"
                 lines.append(f"{key} = {value}")
             lines.append("")
@@ -139,6 +120,9 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.render().encode("utf-8")).hexdigest()[:12]
+
+
+_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
@@ -151,15 +135,15 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     for section, keys in _SCHEMA.items():
         if not parser.has_section(section):
             raise ValidationError(f"{origin}: missing section [{section}]")
-        known = {k for k, _ in keys}
-        extra = set(parser.options(section)) - known
+        extra = set(parser.options(section)) - set(keys)
         if extra:
             raise ValidationError(
                 f"{origin}: unknown option(s) {sorted(extra)} in section [{section}]")
-        for key, kind in keys:
+        for key in keys:
             if not parser.has_option(section, key):
                 raise ValidationError(f"{origin}: missing option {section}.{key}")
             raw = parser.get(section, key)
+            kind = _TYPES[key]
             try:
                 if kind is bool:
                     kwargs[key] = parser.getboolean(section, key)

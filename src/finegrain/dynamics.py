@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,24 +37,15 @@ def pearson(x, y) -> float:
     return float((a * b).sum() / denom)
 
 
-def average_ranks(x) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size, dtype=np.float64)
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(x, y) -> float:
     a, b = _validated(x, y)
-    return pearson(average_ranks(a), average_ranks(b))
+    return pearson(_average_ranks(a), _average_ranks(b))
 
 
 @dataclass
@@ -93,16 +84,11 @@ class CorrelationReport:
     entries: list[CorrelationEntry] = field(default_factory=list)
 
 
-def correlate_tasks(table: TrajectoryTable,
-                    pairs: Sequence[tuple[str, str]] | None = None) -> CorrelationReport:
-    """Pearson and Spearman over raw trajectories for each requested pair."""
-    if pairs is None:
-        names = table.metric_names()
-        pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+def correlate_tasks(table: TrajectoryTable) -> CorrelationReport:
+    """Pearson and Spearman over raw trajectories for every pair of metrics, self-pairs included."""
+    names = table.metric_names()
     report = CorrelationReport()
-    for a, b in pairs:
-        if a not in table.columns or b not in table.columns:
-            raise ValidationError(f"unknown trajectory column in pair ({a}, {b})")
+    for a, b in ((a, b) for i, a in enumerate(names) for b in names[i:]):
         xs, ys = table.columns[a], table.columns[b]
         if len(xs) < 3:
             raise ValidationError(f"pair ({a}, {b}) has fewer than 3 shared steps")

@@ -134,8 +134,8 @@ def retrieval_recall(table: np.ndarray, k: int) -> tuple[float, float]:
 # -- benchmark manifest ----------------------------------------------------------
 
 
-def default_manifest(eval_seed: int, per_subtask: int, grid_size: int = 4,
-                     retrieval_count: int = 0) -> dict:
+def default_manifest(eval_seed: int, per_subtask: int, grid_size: int,
+                     retrieval_count: int) -> dict:
     manifest = {
         "version": 1,
         "grid_size": grid_size,
@@ -243,7 +243,7 @@ def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0,
     """
     report = EvalReport(checkpoint_step=checkpoint_step)
     dump: list[str] | None = [] if dump_path is not None else None
-    grid_size = int(manifest.get("grid_size", 4))
+    grid_size = int(manifest["grid_size"])
     for spec_row in manifest["subtasks"]:
         tag, seed, count = spec_row["tag"], int(spec_row["seed"]), int(spec_row["count"])
         items = subtask_items(tag, seed, count, grid_size)

@@ -46,9 +46,7 @@ def check_gradients(
     out.backward()
     analytic = []
     for t in inputs:
-        g = t.grad
-        if g is None:
-            g = np.zeros(t.array.size)
+        g = np.zeros(t.array.size) if t.grad is None else t.grad.reshape(-1)
         if not np.all(np.isfinite(g)):
             raise NumericError("backward produced non-finite gradients")
         analytic.append(g.copy())

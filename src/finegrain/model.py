@@ -34,29 +34,35 @@ CHECKPOINT_VERSION = "v1"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    patch_grid: int = 4
-    patch_channels: int = GRID_CHANNELS
-    hidden_dim: int = 64
-    vision_layers: int = 2
-    text_layers: int = 2
-    cross_layers: int = 2
-    heads: int = 4
-    proj_dim: int = 32
-    mlp_dim: int | None = None
-    max_len: int = 32
-    use_pevl_tokens: bool = False
-    pevl_bins: int = 32
-    image_extent: int = 256
-    temperature_init: float = 0.07
-    vocab: Vocabulary = field(default=None, compare=False)
+    """The model's view of a `RunConfig`, which holds every setting and its default.
+
+    `AblationConfig` is the losses' view of the same table.  The vocabulary
+    is derived: the base inventory, plus the position tokens when they are
+    in use.
+    """
+
+    patch_grid: int
+    hidden_dim: int
+    vision_layers: int
+    text_layers: int
+    cross_layers: int
+    heads: int
+    proj_dim: int
+    mlp_dim: int
+    max_len: int
+    use_pevl_tokens: bool
+    pevl_bins: int
+    image_extent: int
+    temperature_init: float
+    vocab: Vocabulary = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.mlp_dim is None:
-            object.__setattr__(self, "mlp_dim", 2 * self.hidden_dim)
         for name in ("patch_grid", "hidden_dim", "heads", "proj_dim", "mlp_dim", "max_len",
-                     "vision_layers", "text_layers", "cross_layers"):
+                     "vision_layers", "text_layers", "cross_layers", "image_extent"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.pevl_bins < 2:
+            raise ValidationError(f"pevl_bins must be at least 2, got {self.pevl_bins}")
         if self.hidden_dim % self.heads != 0:
             raise ValidationError(
                 f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}"
@@ -64,9 +70,8 @@ class ModelConfig:
         if not (math.isfinite(self.temperature_init) and self.temperature_init > 0):
             raise ValidationError(
                 f"temperature_init must be positive and finite, got {self.temperature_init}")
-        if self.vocab is None:
-            bins = self.pevl_bins if self.use_pevl_tokens else None
-            object.__setattr__(self, "vocab", Vocabulary(bins))
+        bins = self.pevl_bins if self.use_pevl_tokens else None
+        object.__setattr__(self, "vocab", Vocabulary(bins))
 
     @property
     def num_patches(self) -> int:
@@ -95,7 +100,7 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     rows: list[tuple[str, tuple[int, ...], str]] = [
         ("text.emb", (v, d), "table"),
         ("text.pos", (cfg.max_len, d), "table"),
-        ("vision.patch_w", (cfg.patch_channels, d), "linear"),
+        ("vision.patch_w", (GRID_CHANNELS, d), "linear"),
         ("vision.patch_b", (d,), "zeros"),
         ("vision.pos", (cfg.num_patches + 1, d), "table"),
         ("vision.cls", (1, d), "table"),
@@ -221,13 +226,13 @@ class VLModel:
     def encode_image(self, grid: np.ndarray, visibility=None) -> Tensor:
         cfg = self.config
         grid = np.asarray(grid, dtype=np.float64)
-        if grid.shape != (cfg.patch_grid, cfg.patch_grid, cfg.patch_channels):
+        if grid.shape != (cfg.patch_grid, cfg.patch_grid, GRID_CHANNELS):
             raise ValidationError(
                 f"grid shape {grid.shape} does not match config "
-                f"({cfg.patch_grid}x{cfg.patch_grid}x{cfg.patch_channels})"
+                f"({cfg.patch_grid}x{cfg.patch_grid}x{GRID_CHANNELS})"
             )
         token_mask = self._vision_token_mask(visibility)
-        patches = Tensor(grid.reshape(cfg.num_patches, cfg.patch_channels))
+        patches = Tensor(grid.reshape(cfg.num_patches, GRID_CHANNELS))
         emb = tensor.add(tensor.matmul(patches, self.params["vision.patch_w"]),
                          self.params["vision.patch_b"])
         x = tensor.add(tensor.concat_rows([self.params["vision.cls"], emb]),
@@ -309,7 +314,7 @@ class VLModel:
     # -- position tokens -----------------------------------------------------------
 
     def encode_position_tokens(self, caption_tokens: list[str], bbox: BBox,
-                               insert_after: int | None = None) -> list[str]:
+                               insert_after: int) -> list[str]:
         cfg = self.config
         if not cfg.use_pevl_tokens:
             raise ValidationError("position tokens need a PEVL-enabled vocabulary")
@@ -330,17 +335,16 @@ def quantize_coordinate(value: float, bins: int, image_extent: int) -> int:
 
 
 def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
-                          image_extent: int, insert_after: int | None = None) -> list[str]:
+                          image_extent: int, insert_after: int) -> list[str]:
     """Insert "< b(x1) b(y1) b(x2) b(y2) >" right after the entity span."""
     if bins < 2:
         raise ValidationError("position quantization needs at least 2 bins")
-    cut = len(tokens) if insert_after is None else int(insert_after)
-    if not 0 <= cut <= len(tokens):
-        raise ValidationError(f"insertion point {cut} outside token range")
+    if not 0 <= insert_after <= len(tokens):
+        raise ValidationError(f"insertion point {insert_after} outside token range")
     bin_tokens = [
         str(quantize_coordinate(v, bins, image_extent)) for v in bbox.corners()
     ]
-    return list(tokens[:cut]) + [POS_OPEN, *bin_tokens, POS_CLOSE] + list(tokens[cut:])
+    return [*tokens[:insert_after], POS_OPEN, *bin_tokens, POS_CLOSE, *tokens[insert_after:]]
 
 
 # -- checkpoints --------------------------------------------------------------------

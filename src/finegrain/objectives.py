@@ -42,10 +42,12 @@ MLM_MASK_RATE = 0.15
 
 @dataclass(frozen=True)
 class AblationConfig:
-    use_vma: bool = True
-    use_bbox: bool = True
-    use_pevl_tokens: bool = False
-    sources: frozenset = frozenset(DATA_SOURCES)
+    """The losses' view of a `RunConfig`: which objectives and data sources are active."""
+
+    use_vma: bool
+    use_bbox: bool
+    use_pevl_tokens: bool
+    sources: frozenset
 
     def __post_init__(self):
         object.__setattr__(self, "sources", active_sources(self.sources))
@@ -63,15 +65,15 @@ class AblationConfig:
 
 @dataclass(frozen=True)
 class LossBundle:
-    cl: float = 0.0
-    itm: float = 0.0
-    mlm: float = 0.0
-    vma_cl: float = 0.0
-    vma_itm: float = 0.0
-    vma_mlm: float = 0.0
-    bbox: float = 0.0
-    total: float = 0.0
-    active: frozenset = frozenset()
+    cl: float
+    itm: float
+    mlm: float
+    vma_cl: float
+    vma_itm: float
+    vma_mlm: float
+    bbox: float
+    total: float
+    active: frozenset
 
     def component(self, name: str) -> float:
         return getattr(self, name)
@@ -82,11 +84,11 @@ class SgdOptimizer:
     """Plain gradient descent with global gradient-norm clipping."""
 
     params: list
-    lr: float = 1e-2
-    clip_norm: float = 1.0
+    lr: float
+    clip_norm: float
 
     def step(self) -> None:
-        grads = [p.grad_array for p in self.params if p.grad_array is not None]
+        grads = [p.grad for p in self.params if p.grad is not None]
         norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads))) if grads else 0.0
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient norm {norm}; no parameter updated")
@@ -94,8 +96,8 @@ class SgdOptimizer:
         if self.clip_norm and norm > self.clip_norm:
             factor = self.lr * self.clip_norm / norm
         for p in self.params:
-            if p.grad_array is not None:
-                p.array = p.array - factor * p.grad_array
+            if p.grad is not None:
+                p.array = p.array - factor * p.grad
         self.zero()
 
     def zero(self) -> None:
@@ -150,15 +152,13 @@ def itm_loss(model: VLModel, encoded: Sequence[EncodedPair],
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
-def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Generator,
-                          mask_rate: float = MLM_MASK_RATE) -> list[int]:
+def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Generator) -> list[int]:
     maskable = [i for i, t in enumerate(token_ids) if vocab.is_maskable(t)]
-    return [i for i in maskable if rng.random() < mask_rate]
+    return [i for i in maskable if rng.random() < MLM_MASK_RATE]
 
 
 def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
              vision_states: Sequence[Tensor], rng: np.random.Generator,
-             mask_rate: float = MLM_MASK_RATE,
              visibility: Sequence | None = None) -> tuple[Tensor, int]:
     """Masked-LM loss fused against the pass's vision states; selected tokens become [MASK].
 
@@ -166,9 +166,9 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
     positions the selection is resampled once, then skipped with count 0.
     """
     vocab = model.config.vocab
-    selections = [select_mask_positions(ids, vocab, rng, mask_rate) for ids in token_batches]
+    selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
     if not any(selections):
-        selections = [select_mask_positions(ids, vocab, rng, mask_rate) for ids in token_batches]
+        selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
     if not any(selections):
         return Tensor(np.array(0.0)), 0
     masked_rows, targets = [], []
@@ -236,8 +236,7 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
 
 
 def pass_losses(model: VLModel, grids: Sequence[np.ndarray], ids: Sequence[Sequence[int]],
-                rng: np.random.Generator, mask_rate: float = MLM_MASK_RATE,
-                visibility: Sequence | None = None
+                rng: np.random.Generator, visibility: Sequence | None = None
                 ) -> tuple[list[EncodedPair], Tensor, Tensor, tuple[Tensor, int]]:
     """(encoded, cl, itm, (mlm, count)) of one pass, which encodes each sample once.
 
@@ -249,19 +248,18 @@ def pass_losses(model: VLModel, grids: Sequence[np.ndarray], ids: Sequence[Seque
     text_feats = tensor.concat_rows([e.text_feat for e in encoded])
     cl = contrastive_loss(image_feats, text_feats, model.temperature())
     itm = itm_loss(model, encoded, grids, visibility)
-    mlm = mlm_loss(model, ids, [e.vision_states for e in encoded], rng, mask_rate, visibility)
+    mlm = mlm_loss(model, ids, [e.vision_states for e in encoded], rng, visibility)
     return encoded, cl, itm, mlm
 
 
 def vma_losses(model: VLModel, batch_samples: Sequence[DetectionSample],
-               rng: np.random.Generator,
-               mask_rate: float = MLM_MASK_RATE) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
+               rng: np.random.Generator) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
     """Contrastive/matching/masked-LM with vision restricted to the target box."""
     grid_size = model.config.patch_grid
     visibility = [visual_mask_from_bbox(s.bbox, grid_size) for s in batch_samples]
     grids = [s.scene.grid for s in batch_samples]
     ids = [_wrapped_ids(model, s) for s in batch_samples]
-    _, cl, itm, mlm = pass_losses(model, grids, ids, rng, mask_rate, visibility)
+    _, cl, itm, mlm = pass_losses(model, grids, ids, rng, visibility)
     return cl, itm, mlm
 
 

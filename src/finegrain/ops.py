@@ -19,6 +19,7 @@ from .errors import DegenerateMaskError, ShapeError
 from .tensor import Tensor, _result
 
 LAYER_NORM_EPS = 1e-5
+L2_NORM_EPS = 1e-30
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -35,7 +36,7 @@ def gelu(a: Tensor) -> Tensor:
     return _result(values, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then apply the affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -43,7 +44,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     mu = x.array.mean(axis=-1, keepdims=True)
     centered = x.array - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     values = xhat * gain.array + bias.array
 
@@ -163,10 +164,10 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     return _result(values, (logits,), backward)
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-30) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Scale rows (or a single vector) to unit Euclidean norm."""
     arr = x.array
-    norm = np.sqrt((arr * arr).sum(axis=-1, keepdims=True) + eps)
+    norm = np.sqrt((arr * arr).sum(axis=-1, keepdims=True) + L2_NORM_EPS)
     values = arr / norm
 
     def backward(g):

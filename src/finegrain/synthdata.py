@@ -160,7 +160,7 @@ def _jittered_bbox(rng: np.random.Generator, col: int, row: int, w: int, h: int,
     )
 
 
-def generate_scene(seed: int, index: int = 0, grid_size: int = 4) -> Scene:
+def generate_scene(seed: int, index: int, grid_size: int) -> Scene:
     rng = rng_for(seed, "scene", index)
     max_count = min(MAX_OBJECTS, grid_size * grid_size)
     count = int(rng.integers(1, max_count + 1))
@@ -355,12 +355,12 @@ class Batch:
     samples: tuple
 
 
-def caption_stream(seed: int, count: int, grid_size: int = 4) -> list[CaptionSample]:
+def caption_stream(seed: int, count: int, grid_size: int) -> list[CaptionSample]:
     return [caption_of(generate_scene(seed, i, grid_size)) for i in range(count)]
 
 
 def detection_stream(
-    seed: int, scene_count: int, kinds: Sequence[str], grid_size: int = 4
+    seed: int, scene_count: int, kinds: Sequence[str], grid_size: int
 ) -> list[DetectionSample]:
     wanted = set(kinds)
     unknown = wanted - set(DETECTION_KINDS)
@@ -377,41 +377,31 @@ def detection_stream(
     return out
 
 
-def schedule_kinds(steps: int, detection_active: bool, ratio: tuple[int, int] = (2, 1)) -> list[str]:
-    if not detection_active:
-        return ["C"] * steps
-    period = ["C"] * ratio[0] + ["D"] * ratio[1]
-    return [period[i % len(period)] for i in range(steps)]
-
-
 def interleaved_sampler(
     captions: Sequence[CaptionSample],
     detections: Sequence[DetectionSample],
     steps: int,
     caption_batch: int,
     detection_batch: int,
-    ratio: tuple[int, int] = (2, 1),
-    detection_active: bool | None = None,
 ) -> list[Batch]:
-    """Deterministic C,C,D batch schedule with cyclic batch assembly."""
-    if detection_active is None:
-        detection_active = len(detections) > 0
-    if detection_active and not detections:
-        raise ValidationError("detection batches requested but the detection stream is empty")
-    kinds = schedule_kinds(steps, detection_active, ratio)
-    if "C" in kinds and not captions:
-        raise ValidationError("caption stream is empty")
+    """Deterministic C,C,D batch schedule with cyclic batch assembly.
+
+    With one stream empty, every step draws from the other.
+    """
+    period = []
+    if captions:
+        period += [("caption", captions, caption_batch)] * 2
+    if detections:
+        period.append(("detection", detections, detection_batch))
+    if not period:
+        raise ValidationError("the caption and detection streams are both empty")
     batches = []
-    cursor = {"C": 0, "D": 0}
-    for kind in kinds:
-        if kind == "C":
-            take, pool = caption_batch, captions
-        else:
-            take, pool = detection_batch, detections
+    cursor = {"caption": 0, "detection": 0}
+    for step in range(steps):
+        kind, pool, take = period[step % len(period)]
         start = cursor[kind]
-        samples = tuple(pool[(start + j) % len(pool)] for j in range(take))
+        batches.append(Batch(kind, tuple(pool[(start + j) % len(pool)] for j in range(take))))
         cursor[kind] = start + take
-        batches.append(Batch("caption" if kind == "C" else "detection", samples))
     return batches
 
 
@@ -423,11 +413,12 @@ def sampler_for_sources(
     detection_scene_count: int,
     caption_batch: int,
     detection_batch: int,
-    grid_size: int = 4,
+    grid_size: int,
 ) -> list[Batch]:
     """Build streams for the active data sources and schedule the batches.
 
-    Without captions every step is a detection step (ratio 0:1).
+    Without captions every step is a detection step; an active source
+    whose stream comes out empty is rejected.
     """
     active = active_sources(sources)
     kinds = [s.kind for name, s in DATA_SOURCES.items()
@@ -436,7 +427,8 @@ def sampler_for_sources(
     detections = (
         detection_stream(seed, detection_scene_count, kinds, grid_size) if kinds else []
     )
-    return interleaved_sampler(
-        captions, detections, steps, caption_batch, detection_batch,
-        ratio=(2, 1) if captions else (0, 1), detection_active=bool(kinds),
-    )
+    if "captions" in active and not captions:
+        raise ValidationError("the captions source is active but its stream is empty")
+    if kinds and not detections:
+        raise ValidationError("a detection source is active but the detection stream is empty")
+    return interleaved_sampler(captions, detections, steps, caption_batch, detection_batch)

@@ -2,8 +2,12 @@
 
 Storage is a row-major numpy array; every recorded operation keeps a
 monotonically increasing sequence number, so reverse creation order is a
-valid topological order for the backward sweep.  There is no graph
-optimization and no broadcasting beyond numpy's elementwise rules.
+valid topological order for the backward sweep.  Gradients accumulate on
+leaves only: a tensor with no tape node that requires a gradient keeps
+its sum across backward passes in `grad`, while the gradient of every
+recorded intermediate lives only for the sweep that computes it.  There
+is no graph optimization and no broadcasting beyond numpy's elementwise
+rules.
 """
 
 from __future__ import annotations
@@ -28,7 +32,11 @@ class _Node:
 
 
 class Tensor:
-    """N-dimensional float64 array, optionally tracked on the gradient tape."""
+    """N-dimensional float64 array, optionally tracked on the gradient tape.
+
+    `requires_grad` is set on leaves by the caller and on every result of
+    an op with such an input; exactly those results carry a tape node.
+    """
 
     __slots__ = ("array", "requires_grad", "_grad", "_node")
 
@@ -47,11 +55,7 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Flat accumulated gradient, or None before any backward pass."""
-        return None if self._grad is None else self._grad.reshape(-1)
-
-    @property
-    def grad_array(self) -> np.ndarray | None:
+        """Accumulated gradient of a leaf, shaped like `array`; None before any backward pass."""
         return self._grad
 
     def zero_grad(self) -> None:
@@ -66,32 +70,28 @@ class Tensor:
     # -- backward -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf that requires one."""
         if self.array.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            return
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.array)}
         for tensor in _reverse_topo(self):
-            node = tensor._node
             grad_out = pending.pop(id(tensor), None)
             if grad_out is None:
                 continue
-            if tensor.requires_grad:
+            node = tensor._node
+            if node is None:
                 if tensor._grad is None:
                     tensor._grad = np.zeros_like(tensor.array)
                 tensor._grad += grad_out
-            if node is None:
                 continue
-            parent_grads = node.backward_fn(grad_out)
-            for parent, pgrad in zip(node.parents, parent_grads):
-                if pgrad is None or not _tracks(parent):
+            for parent, pgrad in zip(node.parents, node.backward_fn(grad_out)):
+                if pgrad is None or not parent.requires_grad:
                     continue
                 # never mutate stored buffers: backward fns may alias outputs
                 slot = pending.get(id(parent))
                 pending[id(parent)] = pgrad if slot is None else slot + pgrad
-
-
-def _tracks(t: Tensor) -> bool:
-    return t.requires_grad or t._node is not None
 
 
 def _reverse_topo(root: Tensor) -> list[Tensor]:
@@ -113,7 +113,7 @@ def _reverse_topo(root: Tensor) -> list[Tensor]:
 
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     out = Tensor(values)
-    if any(_tracks(p) for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(parents, backward_fn, next(_SEQ))
     return out

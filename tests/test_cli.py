@@ -65,12 +65,19 @@ class TestConfig:
         ("eval_per_subtask", 0), ("clip_norm", -1), ("clip_norm", "nan"),
         ("clip_norm", "inf"), ("learning_rate", 0), ("learning_rate", -0.01),
         ("learning_rate", "nan"), ("temperature_init", 0), ("temperature_init", "nan"),
-        ("temperature_init", "inf"),
+        ("temperature_init", "inf"), ("image_extent", 0), ("image_extent", -256),
+        ("pevl_bins", 1), ("pevl_bins", 0), ("retrieval_count", -1),
     ])
     def test_out_of_range_size_rejected(self, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)
         with pytest.raises(ValidationError, match=key):
             parse_config_text(text)
+
+    def test_zero_retrieval_count_means_no_table(self):
+        config = tiny_config(retrieval_count=0)
+        manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
+                                       config.patch_grid, config.retrieval_count)
+        assert "retrieval" not in manifest
 
     def test_hash_changes_with_any_field(self):
         assert tiny_config().config_hash() != tiny_config(seed=5).config_hash()
@@ -181,7 +188,8 @@ class TestRunner:
             "config": lambda p: save_config(tiny_config(), p),
             "report": lambda p: ev.write_report(p, eval_report, "cafe01"),
             "report_json": lambda p: ev.write_report_json(p, eval_report, "cafe01"),
-            "scores": lambda p: ev.run_benchmark(lambda scene, text: 0.5, {"subtasks": []},
+            "scores": lambda p: ev.run_benchmark(lambda scene, text: 0.5,
+                                                 {"grid_size": 4, "subtasks": []},
                                                  dump_path=p),
             "trajectory": lambda p: dyn.write_trajectory(p, trajectory, "cafe01"),
             "correlations": lambda p: dyn.write_correlations(p, dyn.CorrelationReport(),
@@ -247,6 +255,19 @@ class TestCli:
     def test_zero_heads_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(tiny_config().render().replace("heads = 2", "heads = 0"))
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("settings", [
+        {"retrieval_count": -2},
+        # a position-token run divides by image_extent when it quantizes a box
+        {"use_vma": "false", "use_bbox": "false", "use_pevl_tokens": "true", "image_extent": 0},
+    ], ids=["retrieval_count", "image_extent"])
+    def test_out_of_range_setting_exit_code(self, tmp_path, settings):
+        text = tiny_config().render()
+        for key, value in settings.items():
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
 
     def test_dependency_exit_code(self, tmp_path):

@@ -153,7 +153,7 @@ def semantic_match(scene: sd.Scene, text: str) -> bool:
 
 class TestRunBenchmark:
     def manifest(self, n=4):
-        return ev.default_manifest(eval_seed=77, per_subtask=n, grid_size=4)
+        return ev.default_manifest(eval_seed=77, per_subtask=n, grid_size=4, retrieval_count=0)
 
     def test_oracle_scorer_scores_every_protocol_perfectly(self):
         scorer = lambda scene, text: 1.0 if semantic_match(scene, text) else 0.0
@@ -222,7 +222,9 @@ class TestRunBenchmark:
 
     def test_untrained_model_mean_score_near_half(self):
         cfg = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                          cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24)
+                          cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
+                          use_pevl_tokens=False, pevl_bins=32, image_extent=256,
+                          temperature_init=0.07)
         model = VLModel(cfg, seed=123)
         score = ev.model_scorer(model)
         values = []
@@ -235,7 +237,9 @@ class TestRunBenchmark:
 
     def test_model_scorer_deterministic(self):
         cfg = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                          cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24)
+                          cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
+                          use_pevl_tokens=False, pevl_bins=32, image_extent=256,
+                          temperature_init=0.07)
         scene = sd.generate_scene(19, 0, grid_size=2)
         text = sd.caption_of(scene).text
         a = ev.model_scorer(VLModel(cfg, seed=7))(scene, text)

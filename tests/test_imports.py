@@ -1,8 +1,10 @@
 """Static scans of the finegrain sources.
 
-No linter is installed, so these AST scans stand in for two dead-code
-checks: an unused import is a false dependency edge between modules, and a
-public name that only tests reach is API the program does not need.
+No linter is installed, so these AST scans stand in for three dead-code
+checks: an unused import is a false dependency edge between modules, a
+public name that only tests reach is API the program does not need, and a
+parameter default that no call overrides is a setting with one value,
+which belongs in a constant.
 """
 
 import ast
@@ -19,6 +21,11 @@ BENCH_SOURCES = sorted(p for p in (ROOT / "perfbench").glob("*.py")
 # names kept without a production caller, each with its reason
 NO_CALLER_NEEDED = {
     "gradcheck.check_gradients": "test support: the finite-difference check of every tape op",
+}
+# functions, or function.parameter, whose defaults no production call needs to pass
+DEFAULTS_NOT_PASSED = {
+    "gradcheck.check_gradients": "test support: the tests pick its step and sampling",
+    "cli.main.argv": "the console script calls main() with no argument",
 }
 
 
@@ -101,3 +108,66 @@ def test_every_public_name_has_a_caller():
                        for n, p, line, attr in reads):
                 uncalled.append(qualified)
     assert not uncalled, f"no caller outside the tests: {', '.join(uncalled)}"
+
+
+def defaulted_parameters(path: Path, tree: ast.Module):
+    """(qualified function name, called name, parameter, positional index or None) per default.
+
+    The called name of `__init__` is its class; a method's positional index
+    does not count `self`.  A keyword-only parameter has no index.
+    """
+    def visit(node, prefix, owner):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                yield from visit(item, f"{prefix}.{item.name}", item.name)
+            elif isinstance(item, ast.FunctionDef):
+                qualified = f"{prefix}.{item.name}"
+                called = owner if item.name == "__init__" else item.name
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                args = item.args.posonlyargs + item.args.args
+                skip = 1 if owner and not static else 0
+                for index, arg in enumerate(args):
+                    if index >= len(args) - len(item.args.defaults):
+                        yield qualified, called, arg.arg, index - skip
+                for arg, default in zip(item.args.kwonlyargs, item.args.kw_defaults):
+                    if default is not None:
+                        yield qualified, called, arg.arg, None
+                yield from visit(item, qualified, None)
+            else:
+                yield from visit(item, prefix, owner)
+
+    yield from visit(tree, path.stem, None)
+
+
+def passes(call: ast.Call, parameter: str, index: int | None) -> bool:
+    """Whether the call may pass the parameter: by keyword, by position or by unpacking."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_overridden_by_a_caller():
+    """Each defaulted parameter in finegrain is passed by some finegrain or perfbench call.
+
+    Calls are matched to a definition by the called name alone, so two
+    functions of the same name share their callers.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + BENCH_SOURCES}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never_passed = []
+    for path in SOURCES:
+        for qualified, called, parameter, index in defaulted_parameters(path, trees[path]):
+            if qualified in DEFAULTS_NOT_PASSED or f"{qualified}.{parameter}" in DEFAULTS_NOT_PASSED:
+                continue
+            if not any(passes(call, parameter, index) for call in calls.get(called, [])):
+                never_passed.append(f"{qualified}({parameter})")
+    assert not never_passed, f"defaults no caller overrides: {', '.join(never_passed)}"

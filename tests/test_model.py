@@ -24,6 +24,7 @@ def micro_config(**overrides):
     base = dict(
         patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
+        use_pevl_tokens=False, pevl_bins=32, image_extent=256, temperature_init=0.07,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -68,7 +69,7 @@ class TestConfig:
 
 class TestEncodeImage:
     def test_states_shape_includes_cls(self):
-        cfg = ModelConfig(patch_grid=4, hidden_dim=64)
+        cfg = micro_config(patch_grid=4, hidden_dim=64)
         model = VLModel(cfg, seed=0)
         grid = sd.generate_scene(3, 0, grid_size=4).grid
         assert model.encode_image(grid).shape == (17, 64)
@@ -201,7 +202,7 @@ class TestPositionTokens:
     def test_full_image_bbox_hits_bin_endpoints(self):
         for bins in (2, 8, 32):
             out = fg_model.position_token_insert(["circle"], FULL_IMAGE,
-                                                 bins=bins, image_extent=256)
+                                                 bins=bins, image_extent=256, insert_after=1)
             assert out == ["circle", "<", "0", "0", str(bins - 1), str(bins - 1), ">"]
 
     def test_quantize_round_trip_error_within_half_bin(self):
@@ -220,11 +221,11 @@ class TestPositionTokens:
         cfg = micro_config(use_pevl_tokens=True, max_len=8)
         model = VLModel(cfg, seed=1)
         with pytest.raises(SequenceLengthError):
-            model.encode_position_tokens(["a", "red", "circle"], FULL_IMAGE)
+            model.encode_position_tokens(["a", "red", "circle"], FULL_IMAGE, 3)
 
     def test_position_tokens_refused_without_pevl_vocab(self, micro):
         with pytest.raises(ValidationError):
-            micro.encode_position_tokens(["circle"], FULL_IMAGE)
+            micro.encode_position_tokens(["circle"], FULL_IMAGE, 1)
 
 
 class TestGradientsThroughModel:
@@ -243,7 +244,7 @@ class TestGradientsThroughModel:
         err = check_gradients(f, inputs, coords_per_input=12, rng=rng_for(1, "gc"))
         assert err < 1e-3
         f().backward()
-        assert np.any(model.params["cross.0.xattn.wq"].grad_array != 0.0)
+        assert np.any(model.params["cross.0.xattn.wq"].grad != 0.0)
         for p in model.parameters():
             p.zero_grad()
 

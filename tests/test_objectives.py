@@ -20,9 +20,18 @@ def micro_config(**overrides):
     base = dict(
         patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
+        use_pevl_tokens=False, pevl_bins=32, image_extent=256, temperature_init=0.07,
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def ablation(**flags):
+    """The full arm on every source, with `flags` overriding."""
+    values = dict(use_vma=True, use_bbox=True, use_pevl_tokens=False,
+                  sources=frozenset(sd.DATA_SOURCES))
+    values.update(flags)
+    return obj.AblationConfig(**values)
 
 
 def micro_model(seed=5, **overrides):
@@ -172,20 +181,21 @@ class TestMlmLoss:
     def test_mask_selection_deterministic_under_seed(self):
         model = micro_model()
         ids = model.config.vocab.encode_wrapped("a red circle is above a blue square")
-        picks1 = obj.select_mask_positions(ids, model.config.vocab, rng_for(3, "m"), 0.3)
-        picks2 = obj.select_mask_positions(ids, model.config.vocab, rng_for(3, "m"), 0.3)
+        picks1 = obj.select_mask_positions(ids, model.config.vocab, rng_for(3, "m"))
+        picks2 = obj.select_mask_positions(ids, model.config.vocab, rng_for(3, "m"))
         assert picks1 == picks2
         assert all(model.config.vocab.is_maskable(ids[p]) for p in picks1)
 
-    def test_matches_plain_numpy_cross_entropy(self):
+    def test_matches_plain_numpy_cross_entropy(self, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
         model = micro_model(seed=13)
         vocab = model.config.vocab
         scene = sd.generate_scene(41, 2, grid_size=2)
         ids = vocab.encode_wrapped(sd.caption_of(scene).text)
         vision = [model.encode_image(scene.grid)]
-        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"), 0.5)
+        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"))
         assert count > 0
-        positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"), 0.5)
+        positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"))
         masked = list(ids)
         for p in positions:
             masked[p] = vocab.mask_id
@@ -197,24 +207,26 @@ class TestMlmLoss:
         expected = -np.mean([log_probs[r, ids[p]] for r, p in enumerate(positions)])
         assert loss.item() == pytest.approx(float(expected), rel=1e-12)
 
-    def test_one_head_call_on_the_masked_rows_only(self):
+    def test_one_head_call_on_the_masked_rows_only(self, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
         model = micro_model(seed=13)
         vocab = model.config.vocab
         scenes = [sd.generate_scene(41, i, grid_size=2) for i in range(3)]
         ids = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
         vision = [model.encode_image(s.grid) for s in scenes]
         calls = count_calls(model, "mlm_logits")
-        _, count = obj.mlm_loss(model, ids, vision, rng_for(5, "mlm"), 0.5)
+        _, count = obj.mlm_loss(model, ids, vision, rng_for(5, "mlm"))
         assert count > 0
         assert len(calls) == 1
         assert calls[0][0].shape == (count, model.config.hidden_dim)
 
-    def test_zero_selection_skips_with_flag(self):
+    def test_zero_selection_skips_with_flag(self, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.0)
         model = micro_model()
         ids = model.config.vocab.encode_wrapped("a red circle")
         scene = sd.generate_scene(43, 0, grid_size=2)
         vision = [model.encode_image(scene.grid)]
-        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(1, "z"), 0.0)
+        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(1, "z"))
         assert count == 0
         assert loss.item() == 0.0
 
@@ -323,7 +335,7 @@ class TestBBoxLoss:
         obj.bbox_loss_terms(corners, targets).backward()
         single = Tensor(start[:1].copy(), requires_grad=True)
         obj.bbox_loss_terms(single, targets[:1]).backward()
-        np.testing.assert_allclose(3.0 * corners.grad_array[0], single.grad_array[0],
+        np.testing.assert_allclose(3.0 * corners.grad[0], single.grad[0],
                                    rtol=1e-14)
 
     def test_tape_nodes_do_not_grow_with_rows(self):
@@ -337,7 +349,8 @@ class TestBBoxLoss:
 
 
 class TestVmaLosses:
-    def test_full_box_identity_bit_exact(self):
+    def test_full_box_identity_bit_exact(self, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.4)
         model = micro_model(seed=17)
         batch = detection_batch(model, n=2, seed=51)
         full = tuple(
@@ -348,14 +361,15 @@ class TestVmaLosses:
         ids = [vocab.encode_wrapped(s.text) for s in full]
         grids = [s.scene.grid for s in full]
 
-        _, cl, itm, (mlm, _) = obj.pass_losses(model, grids, ids, rng_for(7, "same"), 0.4)
+        _, cl, itm, (mlm, _) = obj.pass_losses(model, grids, ids, rng_for(7, "same"))
 
-        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, full, rng_for(7, "same"), 0.4)
+        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, full, rng_for(7, "same"))
         assert vma_cl.item() == cl.item()
         assert vma_itm.item() == itm.item()
         assert vma_mlm.item() == mlm.item()
 
-    def test_outside_box_invariance_bit_exact(self):
+    def test_outside_box_invariance_bit_exact(self, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.4)
         model = micro_model(seed=19)
         batch = detection_batch(model, n=2, seed=53, kind="attribute_label")
         rng_seed = rng_for(13, "probe")
@@ -370,9 +384,9 @@ class TestVmaLosses:
             return sd.DetectionSample(scene, sample.kind, sample.text, sample.bbox,
                                       sample.entity_span_end)
 
-        base = obj.vma_losses(model, batch.samples, rng_for(3, "vma"), 0.4)
+        base = obj.vma_losses(model, batch.samples, rng_for(3, "vma"))
         noisy = obj.vma_losses(model, tuple(scrambled(s) for s in batch.samples),
-                               rng_for(3, "vma"), 0.4)
+                               rng_for(3, "vma"))
         assert base[0].item() == noisy[0].item()
         assert base[1].item() == noisy[1].item()
         assert base[2][0].item() == noisy[2][0].item()
@@ -381,24 +395,23 @@ class TestVmaLosses:
 class TestAblationConfig:
     def test_vma_needs_detection_source(self):
         with pytest.raises(ValidationError):
-            obj.AblationConfig(use_vma=True, use_bbox=False, sources=frozenset({"captions"}))
+            ablation(use_vma=True, use_bbox=False, sources=frozenset({"captions"}))
 
     def test_pevl_excludes_vma_and_bbox(self):
         with pytest.raises(ValidationError):
-            obj.AblationConfig(use_vma=True, use_bbox=False, use_pevl_tokens=True)
+            ablation(use_vma=True, use_bbox=False, use_pevl_tokens=True)
 
     def test_valid_arms(self):
-        obj.AblationConfig(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
-        obj.AblationConfig(use_vma=False, use_bbox=False, use_pevl_tokens=True,
-                           sources=frozenset({"captions", "region_descriptions"}))
+        ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
+        ablation(use_vma=False, use_bbox=False, use_pevl_tokens=True,
+                 sources=frozenset({"captions", "region_descriptions"}))
 
 
 class TestTrainingStep:
     def test_caption_batch_composition(self):
         model = micro_model(seed=23)
-        config = obj.AblationConfig(use_vma=False, use_bbox=False,
-                                    sources=frozenset({"captions"}))
-        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3)
+        config = ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         bundle = obj.training_step(model, caption_batch(model), config, optimizer,
                                    rng_for(1, "step"))
         assert bundle.active == {"cl", "itm", "mlm"}
@@ -407,8 +420,8 @@ class TestTrainingStep:
 
     def test_full_detection_batch_composition(self):
         model = micro_model(seed=23)
-        config = obj.AblationConfig()
-        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3)
+        config = ablation()
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         bundle = obj.training_step(model, detection_batch(model), config, optimizer,
                                    rng_for(2, "step"))
         assert bundle.active == set(obj.LOSS_COMPONENTS)
@@ -417,18 +430,17 @@ class TestTrainingStep:
 
     def test_pevl_detection_batch(self):
         model = micro_model(seed=27, use_pevl_tokens=True, max_len=32)
-        config = obj.AblationConfig(use_vma=False, use_bbox=False, use_pevl_tokens=True,
-                                    sources=frozenset({"captions", "object_labels"}))
-        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3)
+        config = ablation(use_vma=False, use_bbox=False, use_pevl_tokens=True,
+                          sources=frozenset({"captions", "object_labels"}))
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         batch = detection_batch(model, kind="object_label")
         bundle = obj.training_step(model, batch, config, optimizer, rng_for(3, "step"))
         assert bundle.active == {"cl", "itm", "mlm"}
 
     def test_kind_source_mismatch_rejected(self):
         model = micro_model()
-        config = obj.AblationConfig(use_vma=False, use_bbox=False,
-                                    sources=frozenset({"captions"}))
-        optimizer = obj.SgdOptimizer(model.parameters())
+        config = ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2, clip_norm=1.0)
         with pytest.raises(ValidationError):
             obj.training_step(model, detection_batch(model), config, optimizer,
                               rng_for(4, "step"))
@@ -445,8 +457,8 @@ class TestTrainingStep:
             return encode_image(self, grid, visibility)
 
         monkeypatch.setattr(VLModel, "encode_image", counted)
-        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3)
-        obj.training_step(model, batch, obj.AblationConfig(), optimizer, rng_for(5, "count"))
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
+        obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
         # one unmasked encode per sample, plus one box-masked encode per sample with VMA
         assert calls == [True] * 4 + [False] * (expected - 4)
 
@@ -457,8 +469,8 @@ class TestTrainingStep:
             model = micro_model(seed=29, use_pevl_tokens=True, max_len=32)
         else:
             model = micro_model(seed=29)
-        config = obj.AblationConfig(**flags)
-        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2)
+        config = ablation(**flags)
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2, clip_norm=1.0)
         if arm == "A":
             batch = caption_batch(model)
         else:
@@ -479,17 +491,18 @@ class TestSgdOptimizer:
         finite = tensor.tsum(tensor.scale(params[0], 2.0))
         poisoned = tensor.tsum(tensor.scale(params[-1], float("nan")))
         tensor.add(finite, poisoned).backward()
-        assert np.isnan(params[-1].grad_array).all()
+        assert np.isnan(params[-1].grad).all()
         before = [p.array.copy() for p in params]
         with pytest.raises(NumericError):
-            obj.SgdOptimizer(params, lr=1e-2).step()
+            obj.SgdOptimizer(params, lr=1e-2, clip_norm=1.0).step()
         for p, old in zip(params, before):
             assert np.array_equal(p.array, old)
 
 
 class TestLossGradients:
     @pytest.mark.parametrize("component", ["cl", "itm", "mlm", "vma", "bbox"])
-    def test_finite_differences_through_model(self, component):
+    def test_finite_differences_through_model(self, component, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
         model = micro_model(seed=31)
         batch = detection_batch(model, n=2, seed=71)
         vocab = model.config.vocab
@@ -498,8 +511,7 @@ class TestLossGradients:
 
         def f():
             if component == "vma":
-                cl, itm, (mlm, _) = obj.vma_losses(model, batch.samples,
-                                                   rng_for(1, "gc"), 0.5)
+                cl, itm, (mlm, _) = obj.vma_losses(model, batch.samples, rng_for(1, "gc"))
                 return tensor.add_scalars([cl, itm, mlm])
             encoded = [model.encode_pair(g, i) for g, i in zip(grids, ids)]
             if component == "cl":
@@ -511,7 +523,7 @@ class TestLossGradients:
                 return obj.itm_loss(model, encoded, grids)
             if component == "mlm":
                 vision = [e.vision_states for e in encoded]
-                loss, count = obj.mlm_loss(model, ids, vision, rng_for(1, "gc"), 0.5)
+                loss, count = obj.mlm_loss(model, ids, vision, rng_for(1, "gc"))
                 assert count > 0
                 return loss
             cls_rows = tensor.concat_rows([e.cross_cls for e in encoded])

@@ -64,15 +64,15 @@ def foil_aspects(pair: sd.FoilPair) -> list[str]:
 
 class TestSceneGeneration:
     def test_same_seed_gives_identical_scene(self):
-        a = sd.generate_scene(99, 3)
-        b = sd.generate_scene(99, 3)
+        a = sd.generate_scene(99, 3, 4)
+        b = sd.generate_scene(99, 3, 4)
         assert a.ident == b.ident
         assert np.array_equal(a.grid, b.grid)
         assert a.objects == b.objects
 
     def test_invariants_hold_over_many_seeds(self):
         for i in range(2000):
-            scene = sd.generate_scene(7, i)
+            scene = sd.generate_scene(7, i, 4)
             assert 1 <= len(scene.objects) <= 4
             boxes = [o.bbox.corners() for o in scene.objects]
             assert len(set(boxes)) == len(boxes)
@@ -85,7 +85,7 @@ class TestSceneGeneration:
         counts = Counter()
         total = 0
         for i in range(10_000):
-            for obj in sd.generate_scene(11, i).objects:
+            for obj in sd.generate_scene(11, i, 4).objects:
                 counts[obj.shape] += 1
                 total += 1
         for shape in sd.SHAPES:
@@ -101,7 +101,7 @@ class TestSceneGeneration:
 
     def test_bbox_serializes_at_four_decimals(self):
         for i in range(200):
-            for obj in sd.generate_scene(13, i).objects:
+            for obj in sd.generate_scene(13, i, 4).objects:
                 for v in obj.bbox.corners():
                     assert round(v, 4) == v
 
@@ -126,14 +126,14 @@ class TestTemplates:
         assert regions[0].text == "the red circle left of the blue square"
 
     def test_detection_bbox_matches_object(self):
-        scene = sd.generate_scene(21, 5)
+        scene = sd.generate_scene(21, 5, 4)
         by_obj = {o.bbox.corners(): o for o in scene.objects}
         for det in sd.detections_of(scene):
             assert det.bbox.corners() in by_obj
 
     def test_caption_mentions_each_color_shape_exactly_once(self):
         for i in range(300):
-            scene = sd.generate_scene(23, i)
+            scene = sd.generate_scene(23, i, 4)
             text = sd.caption_of(scene).text
             tokens = text.split()
             for obj in scene.objects:
@@ -215,7 +215,7 @@ class TestFoils:
     def test_every_generated_foil_changes_exactly_one_aspect(self):
         checked = 0
         for i in range(150):
-            scene = sd.generate_scene(31, i)
+            scene = sd.generate_scene(31, i, 4)
             for subtask in ev.KNOWN_SUBTASKS:  # relation_statement has no foil pair
                 if not sd.supports_subtask(scene, subtask):
                     continue
@@ -227,31 +227,36 @@ class TestFoils:
 
 class TestSampler:
     def test_pattern_c_c_d(self):
-        captions = sd.caption_stream(1, 4)
-        detections = sd.detection_stream(1, 4, sd.DETECTION_KINDS)
+        captions = sd.caption_stream(1, 4, 4)
+        detections = sd.detection_stream(1, 4, sd.DETECTION_KINDS, 4)
         batches = sd.interleaved_sampler(captions, detections, 6, 2, 2)
         assert [b.kind for b in batches] == [
             "caption", "caption", "detection", "caption", "caption", "detection",
         ]
 
     def test_3000_steps_split_2000_1000(self):
-        kinds = sd.schedule_kinds(3000, detection_active=True)
-        assert kinds.count("C") == 2000
-        assert kinds.count("D") == 1000
+        captions = sd.caption_stream(1, 4, 4)
+        detections = sd.detection_stream(1, 4, sd.DETECTION_KINDS, 4)
+        kinds = [b.kind for b in sd.interleaved_sampler(captions, detections, 3000, 2, 2)]
+        assert kinds.count("caption") == 2000
+        assert kinds.count("detection") == 1000
 
     def test_pure_caption_schedule(self):
-        kinds = sd.schedule_kinds(30, detection_active=False)
-        assert kinds == ["C"] * 30
+        batches = sd.interleaved_sampler(sd.caption_stream(1, 4, 4), [], 30, 2, 2)
+        assert [b.kind for b in batches] == ["caption"] * 30
 
     def test_detection_requested_but_empty_stream(self):
-        captions = sd.caption_stream(1, 4)
         with pytest.raises(ValidationError):
-            sd.interleaved_sampler(captions, [], 6, 2, 2, detection_active=True)
+            sd.sampler_for_sources(
+                seed=1, sources=("captions", "object_labels"), steps=6, caption_count=4,
+                detection_scene_count=0, caption_batch=2, detection_batch=2, grid_size=4,
+            )
 
     def test_sampler_for_sources_respects_kinds(self):
         batches = sd.sampler_for_sources(
             seed=3, sources=("captions", "object_labels"), steps=9,
             caption_count=6, detection_scene_count=6, caption_batch=2, detection_batch=2,
+            grid_size=4,
         )
         det = [b for b in batches if b.kind == "detection"]
         assert len(det) == 3
@@ -262,8 +267,9 @@ class TestSampler:
         batches = sd.sampler_for_sources(
             seed=7, sources=("region_descriptions", "object_labels"), steps=10,
             caption_count=6, detection_scene_count=3, caption_batch=2, detection_batch=3,
+            grid_size=4,
         )
-        detections = sd.detection_stream(7, 3, kinds)
+        detections = sd.detection_stream(7, 3, kinds, 4)
         assert [b.kind for b in batches] == ["detection"] * 10
 
         def key(s):  # scenes compare by identity, so compare their content
@@ -280,14 +286,14 @@ class TestSampler:
             with pytest.raises(ValidationError):
                 sd.sampler_for_sources(
                     seed=3, sources=sources, steps=3, caption_count=4,
-                    detection_scene_count=4, caption_batch=2, detection_batch=2,
+                    detection_scene_count=4, caption_batch=2, detection_batch=2, grid_size=4,
                 )
 
     def test_detection_batches_mix_scenes(self):
         batches = sd.sampler_for_sources(
             seed=5, sources=("captions", "object_labels", "region_descriptions"),
             steps=30, caption_count=8, detection_scene_count=8,
-            caption_batch=2, detection_batch=4,
+            caption_batch=2, detection_batch=4, grid_size=4,
         )
         for batch in batches:
             if batch.kind == "detection":

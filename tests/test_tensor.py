@@ -152,8 +152,8 @@ class TestMaskedAttention:
         v = Tensor(r.normal(size=(4, 4)), requires_grad=True)
         mask = np.array([True, False, True, True])
         tensor.tsum(ops.masked_attention(q, k, v, mask, heads=1)).backward()
-        assert np.all(v.grad_array[1] == 0.0)
-        assert np.all(k.grad_array[1] == 0.0)
+        assert np.all(v.grad[1] == 0.0)
+        assert np.all(k.grad[1] == 0.0)
 
     def test_gradients(self):
         r = rng(17)
@@ -238,7 +238,7 @@ class TestElementwiseOps:
     def test_embed_gradient_scatters(self):
         table = Tensor(rng(31).normal(size=(6, 3)), requires_grad=True)
         tensor.tsum(ops.embed([2, 2, 4], table)).backward()
-        g = table.grad_array
+        g = table.grad
         assert np.all(g[2] == 2.0) and np.all(g[4] == 1.0)
         assert np.all(g[[0, 1, 3, 5]] == 0.0)
 
