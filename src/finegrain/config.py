@@ -78,6 +78,10 @@ class RunConfig:
         if self.caption_batch < 2 or self.detection_batch < 2:
             raise ValidationError("data.caption_batch and data.detection_batch must be "
                                   "at least 2: the losses need in-batch negatives")
+        # a 1x1 grid holds one object, so no scene supports the two-object subtasks
+        if self.patch_grid < 2:
+            raise ValidationError(
+                f"model.patch_grid must be at least 2, got {self.patch_grid}")
         if self.eval_per_subtask < 1:
             raise ValidationError("data.eval_per_subtask must be at least 1")
         # 0 means no retrieval table

@@ -8,6 +8,7 @@ is the one exception since it anchors to the 0.5 level.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tensor
 from .errors import EmptyInputError, ValidationError
 from .fileio import atomic_open
 from .model import VLModel
@@ -57,10 +59,33 @@ class EvalReport:
 
 
 def model_scorer(model: VLModel) -> Scorer:
+    """Score a pair as the matching probability of `model`'s fused [CLS] row.
+
+    The scorer caches each input's encoder states for its own lifetime, so
+    build one scorer per set of weights: its cache never sees them change.
+    Vision states are keyed by the grid's shape and bytes (scenes compare by
+    identity, so equal grids from two scenes share one entry), and text
+    states with their pad mask by the text.  Each pair then runs only `fuse`
+    and the matching head, with the same arithmetic as `encode_pair`.
+    Everything runs under `tensor.no_tape()`, so a cached state holds its
+    values only, not the forward graph that computed them.
+    """
+    vocab = model.config.vocab
+    vision: dict[tuple, tensor.Tensor] = {}
+    texts: dict[str, tuple[tensor.Tensor, np.ndarray]] = {}
+
     def score(scene: Scene, text: str) -> float:
-        ids = model.config.vocab.encode_wrapped(text)
-        pair = model.encode_pair(scene.grid, ids)
-        return model.matching_probability(pair.cross_cls)
+        with tensor.no_tape():
+            grid_key = (scene.grid.shape, scene.grid.tobytes())
+            if grid_key not in vision:
+                vision[grid_key] = model.encode_image(scene.grid)
+            if text not in texts:
+                ids = vocab.encode_wrapped(text)
+                texts[text] = (model.encode_text(ids),
+                               np.array([i != vocab.pad_id for i in ids]))
+            text_states, text_mask = texts[text]
+            cross = model.fuse(text_states, vision[grid_key], None, text_mask)
+            return model.matching_probability(tensor.take_rows(cross, [0]))
 
     return score
 
@@ -153,8 +178,13 @@ def _foil_source(tag: str) -> str:
     return QUAD_SUBTASK if tag == THRESHOLD_SUBTASK else tag
 
 
-def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> list[FoilPair]:
-    """First `count` deterministic scenes that support the subtask."""
+@functools.lru_cache(maxsize=len(KNOWN_SUBTASKS))
+def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[FoilPair, ...]:
+    """First `count` deterministic scenes that support the subtask.
+
+    A pure function of its arguments, memoised so that scoring a manifest
+    at several checkpoints generates its scenes once.
+    """
     if tag not in KNOWN_SUBTASKS:
         raise ValidationError(f"unknown subtask tag {tag!r}")
     items = []
@@ -167,7 +197,7 @@ def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> list[FoilP
             items.append(make_foils(scene, source))
         if index > 100 * count + 1000:
             raise ValidationError(f"could not collect {count} scenes for {tag}")
-    return items
+    return tuple(items)
 
 
 # Cells scored per item, as (dump role, scene field, text field, label).
@@ -193,7 +223,7 @@ _CELLS = {
 }
 
 
-def _score_subtask(tag: str, items: list[FoilPair], score: Scorer,
+def _score_subtask(tag: str, items: Sequence[FoilPair], score: Scorer,
                    dump: list[str] | None) -> dict[str, float]:
     cells = _CELLS[tag]
     rows = []

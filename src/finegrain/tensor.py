@@ -8,10 +8,16 @@ its sum across backward passes in `grad`, while the gradient of every
 recorded intermediate lives only for the sweep that computes it.  There
 is no graph optimization and no broadcasting beyond numpy's elementwise
 rules.
+
+Inside `with no_tape():` nothing is recorded: every op computes the same
+values, but its result carries no tape node, has `requires_grad` False and
+takes no sequence number.  Forward-only work such as scoring runs there, so
+a result it keeps does not hold its whole forward graph alive.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import ShapeError
 
 _SEQ = itertools.count()
+_RECORDING = True  # False inside no_tape()
 
 
 class _Node:
@@ -111,9 +118,21 @@ def _reverse_topo(root: Tensor) -> list[Tensor]:
     return out
 
 
+@contextlib.contextmanager
+def no_tape():
+    """Record no tape node for any op run inside the block; nests, and restores on exit."""
+    global _RECORDING
+    saved = _RECORDING
+    _RECORDING = False
+    try:
+        yield
+    finally:
+        _RECORDING = saved
+
+
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _RECORDING and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(parents, backward_fn, next(_SEQ))
     return out

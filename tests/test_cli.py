@@ -261,7 +261,9 @@ class TestCli:
         {"retrieval_count": -2},
         # a position-token run divides by image_extent when it quantizes a box
         {"use_vma": "false", "use_bbox": "false", "use_pevl_tokens": "true", "image_extent": 0},
-    ], ids=["retrieval_count", "image_extent"])
+        # a 1x1 grid holds one object: no scene supports the two-object subtasks
+        {"patch_grid": 1},
+    ], ids=["retrieval_count", "image_extent", "patch_grid"])
     def test_out_of_range_setting_exit_code(self, tmp_path, settings):
         text = tiny_config().render()
         for key, value in settings.items():

@@ -7,9 +7,16 @@ import pytest
 
 from finegrain import evalharness as ev
 from finegrain import synthdata as sd
+from finegrain import tensor
 from finegrain.errors import EmptyInputError, ValidationError
 from finegrain.model import ModelConfig, VLModel
 from finegrain.seeding import rng_for
+
+
+MICRO = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
+                    cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
+                    use_pevl_tokens=False, pevl_bins=32, image_extent=256,
+                    temperature_init=0.07)
 
 
 def quad(s00, s01, s10, s11):
@@ -221,11 +228,7 @@ class TestRunBenchmark:
             assert ev.pairwise_ranking_accuracy(perm) == base
 
     def test_untrained_model_mean_score_near_half(self):
-        cfg = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                          cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-                          use_pevl_tokens=False, pevl_bins=32, image_extent=256,
-                          temperature_init=0.07)
-        model = VLModel(cfg, seed=123)
+        model = VLModel(MICRO, seed=123)
         score = ev.model_scorer(model)
         values = []
         for i in range(300):
@@ -236,14 +239,10 @@ class TestRunBenchmark:
         assert abs(values.mean() - 0.5) < 0.1
 
     def test_model_scorer_deterministic(self):
-        cfg = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                          cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-                          use_pevl_tokens=False, pevl_bins=32, image_extent=256,
-                          temperature_init=0.07)
         scene = sd.generate_scene(19, 0, grid_size=2)
         text = sd.caption_of(scene).text
-        a = ev.model_scorer(VLModel(cfg, seed=7))(scene, text)
-        b = ev.model_scorer(VLModel(cfg, seed=7))(scene, text)
+        a = ev.model_scorer(VLModel(MICRO, seed=7))(scene, text)
+        b = ev.model_scorer(VLModel(MICRO, seed=7))(scene, text)
         assert a == b
 
     def test_score_dump_written(self, tmp_path):
@@ -252,3 +251,100 @@ class TestRunBenchmark:
         lines = dump.read_text().splitlines()
         assert all(len(line.split("\t")) == 5 for line in lines)
         assert any("\texistence\t" in line for line in lines)
+
+
+def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
+    """The per-pair scoring path: both encoders and the fusion, recorded on the tape."""
+    pair = model.encode_pair(scene.grid, model.config.vocab.encode_wrapped(text))
+    assert pair.cross_cls.requires_grad
+    return model.matching_probability(pair.cross_cls)
+
+
+def scored_pairs(model: VLModel, manifest: dict) -> list[tuple[sd.Scene, str, float]]:
+    """Every (scene, text, score) that one `run_benchmark` call with a fresh scorer makes."""
+    score = ev.model_scorer(model)
+    seen = []
+
+    def recorded(scene, text):
+        seen.append((scene, text, score(scene, text)))
+        return seen[-1][2]
+
+    ev.run_benchmark(recorded, manifest)
+    return seen
+
+
+class TestModelScorer:
+    # grid 2 with a retrieval table: cells share scenes and texts within an
+    # item, and the retrieval scenes are equal to subtask scenes of the same seed
+    MANIFEST = ev.default_manifest(eval_seed=77, per_subtask=3, grid_size=2, retrieval_count=4)
+
+    def test_cached_scores_equal_the_taped_per_pair_path(self):
+        model = VLModel(MICRO, seed=5)
+        pairs = scored_pairs(model, self.MANIFEST)
+        assert len({t for _, t, _ in pairs}) < len(pairs)
+        assert len({s.grid.tobytes() for s, _, _ in pairs}) < len({id(s) for s, _, _ in pairs})
+        for scene, text, value in pairs:
+            assert value == taped_score(model, scene, text), (scene.ident, text)
+
+    def test_each_distinct_input_encoded_once(self, monkeypatch):
+        calls = {"encode_image": 0, "encode_text": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _original=getattr(VLModel, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(VLModel, name, counted)
+        pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST)
+        assert calls["encode_image"] == len({s.grid.tobytes() for s, _, _ in pairs})
+        assert calls["encode_text"] == len({t for _, t, _ in pairs})
+
+    def test_no_cache_shared_across_scorers(self):
+        model = VLModel(MICRO, seed=5)
+        before = scored_pairs(model, self.MANIFEST)
+        other = VLModel(MICRO, seed=6)
+        for name, param in model.params.items():
+            param.array = other.params[name].array.copy()
+        after = scored_pairs(model, self.MANIFEST)
+        for (scene, text, old), (_, _, new) in zip(before, after):
+            assert new != old
+            assert new == taped_score(other, scene, text)
+
+    def test_scoring_records_no_tape_node(self):
+        score = ev.model_scorer(VLModel(MICRO, seed=5))
+        scene = sd.generate_scene(19, 0, grid_size=2)
+        before = repr(tensor._SEQ)
+        score(scene, sd.caption_of(scene).text)
+        assert repr(tensor._SEQ) == before
+
+
+def foil_fingerprint(items) -> list[tuple]:
+    """FoilPair contents by value: scenes compare by identity."""
+    def scene_key(scene):
+        return None if scene is None else (scene.ident, scene.grid.tobytes())
+
+    return [(p.subtask, scene_key(p.pos_scene), p.pos_text, scene_key(p.neg_scene), p.neg_text)
+            for p in items]
+
+
+class TestSubtaskItems:
+    def test_memo_equals_a_fresh_build(self):
+        ev.subtask_items.cache_clear()
+        items = ev.subtask_items("svo_verb", 77, 3, 4)
+        assert isinstance(items, tuple)
+        assert ev.subtask_items("svo_verb", 77, 3, 4) is items
+        fresh = ev.subtask_items.__wrapped__("svo_verb", 77, 3, 4)
+        assert foil_fingerprint(items) == foil_fingerprint(fresh)
+
+    def test_repeat_call_generates_no_scene(self, monkeypatch):
+        ev.subtask_items.cache_clear()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sd.generate_scene(*args)
+
+        monkeypatch.setattr(ev, "generate_scene", counted)
+        ev.subtask_items("counting", 77, 3, 4)
+        generated = len(calls)
+        assert generated >= 3
+        ev.subtask_items("counting", 77, 3, 4)
+        assert len(calls) == generated

@@ -282,6 +282,62 @@ class TestElementwiseOps:
         assert err < 1e-3
 
 
+def _small_graph(a, b):
+    """A scalar through several op families, so every kind of tape node appears."""
+    hidden = ops.layer_norm(tensor.matmul(a, b), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+    return tensor.tsum(tensor.mul(ops.gelu(hidden), tensor.take_rows(hidden, [1, 0])))
+
+
+class TestNoTape:
+    def leaves(self):
+        r = rng(31)
+        return (Tensor(r.normal(size=(2, 4)), requires_grad=True),
+                Tensor(r.normal(size=(4, 3)), requires_grad=True))
+
+    def test_nothing_recorded(self):
+        a, b = self.leaves()
+        taped = _small_graph(a, b)
+        before = repr(tensor._SEQ)
+        with tensor.no_tape():
+            out = _small_graph(a, b)
+            hidden = tensor.matmul(a, b)
+        assert repr(tensor._SEQ) == before
+        assert out._node is None and hidden._node is None
+        assert not out.requires_grad and not hidden.requires_grad
+        assert out.array.tobytes() == taped.array.tobytes()
+        out.backward()  # a result off the tape has nothing to propagate
+        assert a.grad is None and b.grad is None
+
+    def test_flag_restored_after_an_exception(self):
+        a, b = self.leaves()
+        with pytest.raises(ShapeError):
+            with tensor.no_tape():
+                tensor.matmul(b, b)
+        assert tensor.matmul(a, b)._node is not None
+
+    def test_nesting(self):
+        a, b = self.leaves()
+        with tensor.no_tape():
+            with tensor.no_tape():
+                assert tensor.matmul(a, b)._node is None
+            assert tensor.matmul(a, b)._node is None
+        assert tensor.matmul(a, b)._node is not None
+
+    def test_backward_after_the_context_matches_one_before_it(self):
+        a, b = self.leaves()
+        _small_graph(a, b).backward()
+        expected = a.grad.copy(), b.grad.copy()
+        a.zero_grad()
+        b.zero_grad()
+        pending = _small_graph(a, b)  # recorded before the context, swept after it
+        with tensor.no_tape():
+            _small_graph(a, b)
+        pending.backward()
+        _small_graph(a, b).backward()
+        assert np.array_equal(a.grad, 2 * expected[0])
+        assert np.array_equal(b.grad, 2 * expected[1])
+
+
 class TestCheckGradients:
     def test_quadratic(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
