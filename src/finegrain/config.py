@@ -172,5 +172,5 @@ def save_config(config: RunConfig, path: Path) -> None:
         fh.write(config.render())
 
 
-def default_config_text(seed: int = 7) -> str:
+def default_config_text(seed: int) -> str:
     return RunConfig(seed=seed).render()

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor
 from .errors import EmptyInputError, ValidationError
 from .fileio import atomic_open
-from .model import VLModel
+from .model import Encoded, VLModel
 from .synthdata import FoilPair, Scene, caption_of, generate_scene, make_foils, supports_subtask
 
 FOIL_GROUP_SUBTASKS = ("existence", "counting", "object_swap", "attribute_swap")
@@ -61,30 +61,26 @@ class EvalReport:
 def model_scorer(model: VLModel) -> Scorer:
     """Score a pair as the matching probability of `model`'s fused [CLS] row.
 
-    The scorer caches each input's encoder states for its own lifetime, so
-    build one scorer per set of weights: its cache never sees them change.
-    Vision states are keyed by the grid's shape and bytes (scenes compare by
-    identity, so equal grids from two scenes share one entry), and text
-    states with their pad mask by the text.  Each pair then runs only `fuse`
-    and the matching head, with the same arithmetic as `encode_pair`.
-    Everything runs under `tensor.no_tape()`, so a cached state holds its
-    values only, not the forward graph that computed them.
+    The scorer caches each input's encoding for its own lifetime, so build
+    one scorer per set of weights: its cache never sees them change.  Images
+    are keyed by the grid's shape and bytes (scenes compare by identity, so
+    equal grids from two scenes share one entry), and texts by the text.
+    Each pair then runs only `fuse` and the matching head.  Everything runs
+    under `tensor.no_tape()`, so a cached encoding holds its values only,
+    not the forward graph that computed them.
     """
     vocab = model.config.vocab
-    vision: dict[tuple, tensor.Tensor] = {}
-    texts: dict[str, tuple[tensor.Tensor, np.ndarray]] = {}
+    images: dict[tuple, Encoded] = {}
+    texts: dict[str, Encoded] = {}
 
     def score(scene: Scene, text: str) -> float:
         with tensor.no_tape():
             grid_key = (scene.grid.shape, scene.grid.tobytes())
-            if grid_key not in vision:
-                vision[grid_key] = model.encode_image(scene.grid)
+            if grid_key not in images:
+                images[grid_key] = model.encode_image(scene.grid)
             if text not in texts:
-                ids = vocab.encode_wrapped(text)
-                texts[text] = (model.encode_text(ids),
-                               np.array([i != vocab.pad_id for i in ids]))
-            text_states, text_mask = texts[text]
-            cross = model.fuse(text_states, vision[grid_key], None, text_mask)
+                texts[text] = model.encode_text(vocab.encode_wrapped(text))
+            cross = model.fuse(texts[text], images[grid_key])
             return model.matching_probability(tensor.take_rows(cross, [0]))
 
     return score
@@ -250,13 +246,17 @@ def _score_subtask(tag: str, items: Sequence[FoilPair], score: Scorer,
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _retrieval_set(seed: int, count: int,
+                   grid_size: int) -> tuple[tuple[Scene, ...], tuple[str, ...]]:
+    """The first `count` scenes and their captions, memoised as `subtask_items` is."""
+    scenes = tuple(generate_scene(seed, i, grid_size) for i in range(count))
+    return scenes, tuple(caption_of(scene).text for scene in scenes)
+
+
 def retrieval_table(score: Scorer, seed: int, count: int, grid_size: int) -> np.ndarray:
     """Square table of scene-vs-caption scores with matched pairs on the diagonal."""
-    scenes, texts = [], []
-    for i in range(count):
-        scene = generate_scene(seed, i, grid_size)
-        scenes.append(scene)
-        texts.append(caption_of(scene).text)
+    scenes, texts = _retrieval_set(seed, count, grid_size)
     table = np.zeros((count, count))
     for i, scene in enumerate(scenes):
         for j, text in enumerate(texts):

@@ -1,9 +1,13 @@
 """Dual-stream encoder with cross-modal fusion at desk scale.
 
 Vision and text streams are small pre-norm transformers; the fusion
-stream adds cross-attention from text queries to vision states.  The
-vision [CLS] token stays visible under every patch-visibility mask, and
-masked rows are zeroed on output so downstream code can never read them.
+stream adds cross-attention from text queries to vision states.  Each
+encoder returns its mask with its states, as an `Encoded`, and `fuse`
+reads both masks from its arguments: patch visibility enters the model
+only at `encode_image`, and the pad rule lives only in `encode_text`.
+The vision [CLS] token stays visible under every patch-visibility mask,
+and masked rows are zeroed on output so downstream code can never read
+them.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,13 +83,20 @@ class ModelConfig:
         return self.patch_grid * self.patch_grid
 
 
+class Encoded(NamedTuple):
+    """One stream's output: its states, and which of their rows are visible."""
+
+    states: Tensor  # (rows, hidden_dim); rows that are not visible are zero
+    visible: np.ndarray  # (rows,) bool
+
+
 @dataclass
 class EncodedPair:
     image_feat: Tensor  # (1, proj_dim), unit norm
     text_feat: Tensor  # (1, proj_dim), unit norm
     cross_cls: Tensor  # (1, hidden_dim)
-    vision_states: Tensor
-    text_states: Tensor
+    vision: Encoded
+    text: Encoded
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -192,14 +204,13 @@ class VLModel:
                                      p[f"{prefix}.mlp_b1"]))
         return tensor.add(tensor.matmul(hidden, p[f"{prefix}.mlp_w2"]), p[f"{prefix}.mlp_b2"])
 
-    def _block(self, prefix: str, x: Tensor, key_mask,
-               cross_kv: Tensor | None = None, cross_mask=None) -> Tensor:
+    def _block(self, prefix: str, x: Tensor, key_mask, cross: Encoded | None = None) -> Tensor:
         p = self.params
         normed = ops.layer_norm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
         x = tensor.add(x, self._mha(f"{prefix}.attn", normed, normed, key_mask))
-        if cross_kv is not None:
+        if cross is not None:
             normed = ops.layer_norm(x, p[f"{prefix}.lnx_g"], p[f"{prefix}.lnx_b"])
-            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross_kv, cross_mask))
+            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross.states, cross.visible))
         normed = ops.layer_norm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
         return tensor.add(x, self._mlp(prefix, normed))
 
@@ -223,7 +234,7 @@ class VLModel:
                 raise DegenerateMaskError("every patch is masked")
         return np.concatenate([[True], patches])  # [CLS] always visible
 
-    def encode_image(self, grid: np.ndarray, visibility=None) -> Tensor:
+    def encode_image(self, grid: np.ndarray, visibility=None) -> Encoded:
         cfg = self.config
         grid = np.asarray(grid, dtype=np.float64)
         if grid.shape != (cfg.patch_grid, cfg.patch_grid, GRID_CHANNELS):
@@ -239,9 +250,9 @@ class VLModel:
                        self.params["vision.pos"])
         for i in range(cfg.vision_layers):
             x = self._block(f"vision.{i}", x, token_mask)
-        return self._zero_masked_rows(x, token_mask)
+        return Encoded(self._zero_masked_rows(x, token_mask), token_mask)
 
-    def encode_text(self, token_ids) -> Tensor:
+    def encode_text(self, token_ids) -> Encoded:
         cfg = self.config
         ids = [int(i) for i in token_ids]
         if len(ids) > cfg.max_len:
@@ -255,34 +266,27 @@ class VLModel:
                        tensor.take_rows(self.params["text.pos"], list(range(len(ids)))))
         for i in range(cfg.text_layers):
             x = self._block(f"text.{i}", x, pad_mask)
-        return self._zero_masked_rows(x, pad_mask)
+        return Encoded(self._zero_masked_rows(x, pad_mask), pad_mask)
 
-    def fuse(self, text_states: Tensor, vision_states: Tensor,
-             visibility=None, text_mask=None) -> Tensor:
-        cfg = self.config
-        vision_mask = self._vision_token_mask(visibility)
-        if text_mask is None:
-            text_mask = np.ones(text_states.shape[0], dtype=bool)
-        x = text_states
-        for i in range(cfg.cross_layers):
-            x = self._block(f"cross.{i}", x, text_mask,
-                            cross_kv=vision_states, cross_mask=vision_mask)
-        return self._zero_masked_rows(x, text_mask)
+    def fuse(self, text: Encoded, vision: Encoded) -> Tensor:
+        """Text states cross-attended to the visible vision rows; hidden text rows are zero."""
+        x = text.states
+        for i in range(self.config.cross_layers):
+            x = self._block(f"cross.{i}", x, text.visible, cross=vision)
+        return self._zero_masked_rows(x, text.visible)
 
     def encode_pair(self, grid: np.ndarray, token_ids, visibility=None) -> EncodedPair:
-        vision_states = self.encode_image(grid, visibility)
-        text_states = self.encode_text(token_ids)
-        ids = [int(i) for i in token_ids]
-        text_mask = np.array([i != self.config.vocab.pad_id for i in ids])
-        cross_states = self.fuse(text_states, vision_states, visibility, text_mask)
+        vision = self.encode_image(grid, visibility)
+        text = self.encode_text(token_ids)
+        cross_states = self.fuse(text, vision)
         image_feat = ops.l2_normalize(tensor.add(
-            tensor.matmul(tensor.take_rows(vision_states, [0]), self.params["proj.img_w"]),
+            tensor.matmul(tensor.take_rows(vision.states, [0]), self.params["proj.img_w"]),
             self.params["proj.img_b"]))
         text_feat = ops.l2_normalize(tensor.add(
-            tensor.matmul(tensor.take_rows(text_states, [0]), self.params["proj.txt_w"]),
+            tensor.matmul(tensor.take_rows(text.states, [0]), self.params["proj.txt_w"]),
             self.params["proj.txt_b"]))
         cross_cls = tensor.take_rows(cross_states, [0])
-        return EncodedPair(image_feat, text_feat, cross_cls, vision_states, text_states)
+        return EncodedPair(image_feat, text_feat, cross_cls, vision, text)
 
     # -- heads -------------------------------------------------------------------
 
@@ -361,7 +365,7 @@ def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
             fh.write(f"{name}\t{shape}\t{payload}\n")
 
 
-def load_checkpoint(model: VLModel, path: Path, expect_hash: str | None = None) -> str:
+def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
     """Load every parameter, or none: a truncated or malformed file is a DependencyError."""
     path = Path(path)
     if not path.exists():
@@ -375,10 +379,9 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str | None = None) 
                 raise DependencyError(f"not a checkpoint file: {path}")
             if header[1] != CHECKPOINT_VERSION:
                 raise DependencyError(f"unsupported checkpoint version {header[1]}")
-            found_hash = header[2]
-            if expect_hash is not None and found_hash != expect_hash:
+            if header[2] != expect_hash:
                 raise DependencyError(
-                    f"checkpoint belongs to config {found_hash}, expected {expect_hash}"
+                    f"checkpoint belongs to config {header[2]}, expected {expect_hash}"
                 )
             for line in fh:
                 # a cut inside the last token can leave a shorter, still valid hex float
@@ -407,4 +410,3 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str | None = None) 
         raise DependencyError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
     for name, values in arrays.items():
         model.params[name].array = np.ascontiguousarray(values)
-    return found_hash

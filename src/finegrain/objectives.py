@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ops, tensor
 from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
-from .model import EncodedPair, VLModel
+from .model import Encoded, EncodedPair, VLModel
 from .synthdata import (
     DATA_SOURCES,
     Batch,
@@ -65,18 +65,18 @@ class AblationConfig:
 
 @dataclass(frozen=True)
 class LossBundle:
-    cl: float
-    itm: float
-    mlm: float
-    vma_cl: float
-    vma_itm: float
-    vma_mlm: float
-    bbox: float
+    """One step's loss values: the active terms, named as in LOSS_COMPONENTS, and their sum."""
+
+    values: dict[str, float]
     total: float
-    active: frozenset
+
+    @property
+    def active(self) -> frozenset:
+        return frozenset(self.values)
 
     def component(self, name: str) -> float:
-        return getattr(self, name)
+        """The term's value, or 0.0 if it was not active this step."""
+        return self.values.get(name, 0.0)
 
 
 @dataclass
@@ -135,8 +135,12 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
 
 
 def itm_loss(model: VLModel, encoded: Sequence[EncodedPair],
-             grids: Sequence[np.ndarray], visibility: Sequence | None = None) -> Tensor:
-    """Binary matching loss over positives and one mined negative each."""
+             grids: Sequence[np.ndarray]) -> Tensor:
+    """Binary matching loss over positives and one mined negative each.
+
+    A negative fuses another sample's text with this sample's vision, under
+    the patch mask that vision was encoded with.
+    """
     n = len(encoded)
     if n < 2:
         raise BatchSizeError(f"matching loss needs at least 2 pairs, got {n}")
@@ -145,9 +149,7 @@ def itm_loss(model: VLModel, encoded: Sequence[EncodedPair],
     picks = mine_hard_negatives(image_feats @ text_feats.T, grids)
     rows = [e.cross_cls for e in encoded]
     for i, j in enumerate(picks):
-        mask = None if visibility is None else visibility[i]
-        negative_cross = model.fuse(encoded[j].text_states, encoded[i].vision_states, mask)
-        rows.append(tensor.take_rows(negative_cross, [0]))
+        rows.append(tensor.take_rows(model.fuse(encoded[j].text, encoded[i].vision), [0]))
     logits = model.itm_logits(tensor.concat_rows(rows))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
@@ -158,9 +160,8 @@ def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Genera
 
 
 def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
-             vision_states: Sequence[Tensor], rng: np.random.Generator,
-             visibility: Sequence | None = None) -> tuple[Tensor, int]:
-    """Masked-LM loss fused against the pass's vision states; selected tokens become [MASK].
+             visions: Sequence[Encoded], rng: np.random.Generator) -> tuple[Tensor, int]:
+    """Masked-LM loss fused against the pass's encoded visions; selected tokens become [MASK].
 
     Returns (loss, masked position count); when the batch draws zero
     positions the selection is resampled once, then skipped with count 0.
@@ -178,10 +179,7 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
         masked = list(ids)
         for pos in positions:
             masked[pos] = vocab.mask_id
-        mask = None if visibility is None else visibility[item]
-        states = model.encode_text(masked)
-        text_mask = np.array([t != vocab.pad_id for t in masked])
-        fused = model.fuse(states, vision_states[item], mask, text_mask)
+        fused = model.fuse(model.encode_text(masked), visions[item])
         masked_rows.append(tensor.take_rows(fused, positions))
         targets.extend(ids[pos] for pos in positions)
     logits = model.mlm_logits(tensor.concat_rows(masked_rows))
@@ -247,8 +245,8 @@ def pass_losses(model: VLModel, grids: Sequence[np.ndarray], ids: Sequence[Seque
     image_feats = tensor.concat_rows([e.image_feat for e in encoded])
     text_feats = tensor.concat_rows([e.text_feat for e in encoded])
     cl = contrastive_loss(image_feats, text_feats, model.temperature())
-    itm = itm_loss(model, encoded, grids, visibility)
-    mlm = mlm_loss(model, ids, [e.vision_states for e in encoded], rng, visibility)
+    itm = itm_loss(model, encoded, grids)
+    mlm = mlm_loss(model, ids, [e.vision for e in encoded], rng)
     return encoded, cl, itm, mlm
 
 
@@ -305,9 +303,4 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
     total.backward()
     optimizer.step()
 
-    values = {name: t.item() for name, t in terms.items()}
-    return LossBundle(
-        **{name: values.get(name, 0.0) for name in LOSS_COMPONENTS},
-        total=total.item(),
-        active=frozenset(values),
-    )
+    return LossBundle({name: t.item() for name, t in terms.items()}, total.item())

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DegenerateMaskError, ShapeError
-from .tensor import Tensor, _result
+from .tensor import Tensor, _result, take_rows
 
 LAYER_NORM_EPS = 1e-5
 L2_NORM_EPS = 1e-30
@@ -64,20 +64,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def embed(indices: Sequence[int], table: Tensor) -> Tensor:
-    """Rows of `table` selected by token index; gradients scatter-add back."""
+    """Rows of `table` selected by token index, range-checked, as one `take_rows` node."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("embed expects a flat index sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(f"embedding index out of range for table with {table.shape[0]} rows")
-    values = table.array[idx].copy()
-
-    def backward(g):
-        full = np.zeros_like(table.array)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _result(values, (table,), backward)
+    return take_rows(table, idx)
 
 
 def _as_mask(mask, rows: int, cols: int) -> np.ndarray:

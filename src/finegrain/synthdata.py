@@ -244,11 +244,11 @@ def detections_of(scene: Scene) -> list[DetectionSample]:
 # -- foils ---------------------------------------------------------------------
 
 
-def _first_pair(scene: Scene, distinct: str | None = None) -> tuple[SceneObject, SceneObject]:
+def _first_pair(scene: Scene, distinct: str) -> tuple[SceneObject, SceneObject]:
     objs = scene.objects
     for i in range(len(objs)):
         for j in range(i + 1, len(objs)):
-            if distinct is None or getattr(objs[i], distinct) != getattr(objs[j], distinct):
+            if getattr(objs[i], distinct) != getattr(objs[j], distinct):
                 return objs[i], objs[j]
     raise FoilCapabilityError(f"scene has no object pair with distinct {distinct}")
 

@@ -220,34 +220,26 @@ def absolute(a: Tensor) -> Tensor:
     return _result(values, (a,), lambda g: (g * np.sign(a.array),))
 
 
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
+def _select(a: Tensor, b: Tensor, prefer_a) -> Tensor:
+    """Elementwise `a` where `prefer_a(a, b)` holds, else `b`; the gradient follows the pick."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = a.array >= b.array
+    take_a = prefer_a(a.array, b.array)
     values = np.where(take_a, a.array, b.array)
 
     def backward(g):
-        return (
-            _unbroadcast(g * take_a, a.shape),
-            _unbroadcast(g * ~take_a, b.shape),
-        )
+        return _unbroadcast(g * take_a, a.shape), _unbroadcast(g * ~take_a, b.shape)
 
     return _result(values, (a, b), backward)
+
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise max; ties route the gradient to the first argument."""
+    return _select(a, b, np.greater_equal)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; ties route the gradient to the first argument."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.array <= b.array
-    values = np.where(take_a, a.array, b.array)
-
-    def backward(g):
-        return (
-            _unbroadcast(g * take_a, a.shape),
-            _unbroadcast(g * ~take_a, b.shape),
-        )
-
-    return _result(values, (a, b), backward)
+    return _select(a, b, np.less_equal)
 
 
 # -- linear algebra and shaping ----------------------------------------------

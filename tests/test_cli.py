@@ -3,6 +3,7 @@
 import builtins
 import errno
 import filecmp
+import math
 import re
 from pathlib import Path
 
@@ -294,3 +295,33 @@ class TestCli:
         code = main(["train", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
+
+
+# A micro run's per-step totals and per-checkpoint score digests: a refactor of
+# the model, the losses or the scorer that keeps run outputs keeps these values.
+PINNED_TOTALS = (5.0125858702309145, 5.356411505985785, 12.542314147177883,
+                 6.01442686865512, 5.847924186234222, 7.699481289148542)
+PINNED_SCORES = {  # step: (count, fsum, fsum of squares) of scores_step_*.tsv
+    2: (40, 20.168842610410024, 10.169668658952867),
+    4: (40, 20.166872883595108, 10.167681845417412),
+    6: (40, 20.165894738685758, 10.166696665027988),
+}
+
+
+def test_micro_run_outputs_pinned(tmp_path):
+    config = tiny_config(cadence=2)
+    result = runner.run_training(config, tmp_path)
+    for step in result.checkpoint_steps:
+        runner.run_eval(config, runner.checkpoint_path(tmp_path, step), tmp_path)
+    runner.run_dynamics(config, tmp_path)
+    rows = result.loss_log.read_text(encoding="utf-8").splitlines()[2:]
+    totals = [float(row.split("\t")[-2]) for row in rows]
+    assert totals == pytest.approx(PINNED_TOTALS, rel=1e-9, abs=0)
+    assert result.checkpoint_steps == sorted(PINNED_SCORES)
+    for step, (count, total, squares) in PINNED_SCORES.items():
+        dump = tmp_path / "reports" / f"scores_step_{step:06d}.tsv"
+        scores = [float(line.split("\t")[3]) for line in dump.read_text().splitlines()]
+        assert len(scores) == count
+        assert math.fsum(scores) == pytest.approx(total, rel=1e-9, abs=0)
+        assert math.fsum(v * v for v in scores) == pytest.approx(squares, rel=1e-9, abs=0)
+    assert (tmp_path / "reports" / "trajectory.tsv").exists()

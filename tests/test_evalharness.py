@@ -348,3 +348,23 @@ class TestSubtaskItems:
         assert generated >= 3
         ev.subtask_items("counting", 77, 3, 4)
         assert len(calls) == generated
+
+
+class TestRetrievalTable:
+    def test_repeat_call_generates_no_scene(self, monkeypatch):
+        ev._retrieval_set.cache_clear()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sd.generate_scene(*args)
+
+        monkeypatch.setattr(ev, "generate_scene", counted)
+
+        def score(scene, text):
+            return float(scene.grid.sum()) + len(text)
+
+        first = ev.retrieval_table(score, 77, 3, 2)
+        assert len(calls) == 3
+        assert np.array_equal(ev.retrieval_table(score, 77, 3, 2), first)
+        assert len(calls) == 3

@@ -72,12 +72,12 @@ class TestEncodeImage:
         cfg = micro_config(patch_grid=4, hidden_dim=64)
         model = VLModel(cfg, seed=0)
         grid = sd.generate_scene(3, 0, grid_size=4).grid
-        assert model.encode_image(grid).shape == (17, 64)
+        assert model.encode_image(grid).states.shape == (17, 64)
 
     def test_full_mask_equals_no_mask_bit_identical(self, micro, grid):
         no_mask = micro.encode_image(grid)
         all_visible = micro.encode_image(grid, np.ones(4, dtype=bool))
-        assert np.array_equal(no_mask.array, all_visible.array)
+        assert np.array_equal(no_mask.states.array, all_visible.states.array)
 
     def test_masked_patch_content_cannot_leak(self, micro, grid):
         mask = np.array([True, False, True, True])
@@ -85,20 +85,20 @@ class TestEncodeImage:
         perturbed = grid.copy()
         perturbed[0, 1, :] = 123.456  # patch j = (row 0, col 1) is hidden
         after = micro.encode_image(perturbed, mask)
-        assert np.array_equal(before.array, after.array)
+        assert np.array_equal(before.states.array, after.states.array)
 
     def test_all_masked_rejected(self, micro, grid):
         with pytest.raises(DegenerateMaskError):
             micro.encode_image(grid, np.zeros(4, dtype=bool))
 
     def test_finite_outputs(self, micro, grid):
-        assert np.all(np.isfinite(micro.encode_image(grid).array))
+        assert np.all(np.isfinite(micro.encode_image(grid).states.array))
 
 
 class TestEncodeText:
     def test_states_shape(self, micro):
         ids = micro.config.vocab.encode_wrapped("red circle")
-        assert micro.encode_text(ids).shape == (4, micro.config.hidden_dim)
+        assert micro.encode_text(ids).states.shape == (4, micro.config.hidden_dim)
 
     def test_padding_invariance(self, micro):
         # pads carry exactly zero attention weight; the only residue is BLAS
@@ -106,16 +106,16 @@ class TestEncodeText:
         vocab = micro.config.vocab
         ids = vocab.encode_wrapped("a red circle")
         padded = ids + [vocab.pad_id] * 3
-        plain = micro.encode_text(ids).array
-        with_pads = micro.encode_text(padded).array
+        plain = micro.encode_text(ids).states.array
+        with_pads = micro.encode_text(padded).states.array
         assert np.allclose(plain, with_pads[: len(ids)], rtol=0, atol=1e-12)
         assert np.all(with_pads[len(ids):] == 0.0)
 
     def test_deterministic_under_fixed_seed(self):
         cfg = micro_config()
         ids = cfg.vocab.encode_wrapped("a blue square")
-        grid_a = VLModel(cfg, seed=11).encode_text(ids).array
-        grid_b = VLModel(cfg, seed=11).encode_text(ids).array
+        grid_a = VLModel(cfg, seed=11).encode_text(ids).states.array
+        grid_b = VLModel(cfg, seed=11).encode_text(ids).states.array
         assert np.array_equal(grid_a, grid_b)
 
     def test_unknown_token_id(self, micro):
@@ -139,9 +139,8 @@ class TestFuse:
     def test_no_mask_equals_all_ones_mask(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        vision = micro.encode_image(grid)
-        a = micro.fuse(text, vision)
-        b = micro.fuse(text, vision, np.ones(4, dtype=bool))
+        a = micro.fuse(text, micro.encode_image(grid))
+        b = micro.fuse(text, micro.encode_image(grid, np.ones(4, dtype=bool)))
         assert np.array_equal(a.array, b.array)
 
     def test_single_visible_patch_blocks_other_content(self, micro, grid):
@@ -150,8 +149,8 @@ class TestFuse:
         scrambled = grid.copy()
         scrambled[0, :, :] = 9.9
         scrambled[1, 1, :] = -3.3
-        a = micro.fuse(micro.encode_text(ids), micro.encode_image(grid, mask), mask)
-        b = micro.fuse(micro.encode_text(ids), micro.encode_image(scrambled, mask), mask)
+        a = micro.fuse(micro.encode_text(ids), micro.encode_image(grid, mask))
+        b = micro.fuse(micro.encode_text(ids), micro.encode_image(scrambled, mask))
         assert np.array_equal(a.array, b.array)
 
 
@@ -256,8 +255,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         fg_model.save_checkpoint(source, path, "cafe01")
         target = VLModel(cfg, seed=99)
-        loaded_hash = fg_model.load_checkpoint(target, path)
-        assert loaded_hash == "cafe01"
+        fg_model.load_checkpoint(target, path, expect_hash="cafe01")
         for name in source.params:
             assert np.array_equal(source.params[name].array, target.params[name].array)
 
@@ -268,7 +266,7 @@ class TestCheckpoints:
         assert [(name, model.params[name].shape) for name, _ in table] == table
         path = tmp_path / "model.ckpt"
         fg_model.save_checkpoint(model, path, "cafe01")
-        fg_model.load_checkpoint(model, path)
+        fg_model.load_checkpoint(model, path, expect_hash="cafe01")
         assert [(name, model.params[name].shape) for name, _ in table] == table
 
     def test_hash_mismatch_is_hard_error(self, tmp_path):
@@ -284,11 +282,12 @@ class TestCheckpoints:
         fg_model.save_checkpoint(VLModel(micro_config(), seed=2), path, "cafe01")
         other = VLModel(micro_config(hidden_dim=16, mlp_dim=32), seed=2)
         with pytest.raises(DependencyError):
-            fg_model.load_checkpoint(other, path)
+            fg_model.load_checkpoint(other, path, expect_hash="cafe01")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DependencyError):
-            fg_model.load_checkpoint(VLModel(micro_config(), seed=2), tmp_path / "none.ckpt")
+            fg_model.load_checkpoint(VLModel(micro_config(), seed=2), tmp_path / "none.ckpt",
+                                     expect_hash="cafe01")
 
     def test_truncated_or_malformed_file_rejected_without_partial_load(self, tmp_path):
         cfg = micro_config()
@@ -309,7 +308,7 @@ class TestCheckpoints:
             path = tmp_path / f"{label}.ckpt"
             path.write_bytes(payload)
             with pytest.raises(DependencyError):
-                fg_model.load_checkpoint(target, path)
+                fg_model.load_checkpoint(target, path, expect_hash="cafe01")
             for name, p in target.params.items():
                 assert np.array_equal(p.array, before[name]), (label, name)
 

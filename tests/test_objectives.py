@@ -140,7 +140,7 @@ class TestItmLoss:
         # with 2 samples the only possible negative for i is 1 - i
         neg_probs = []
         for i, j in ((0, 1), (1, 0)):
-            cross = model.fuse(encoded[j].text_states, encoded[i].vision_states)
+            cross = model.fuse(encoded[j].text, encoded[i].vision)
             neg_probs.append(model.matching_probability(tensor.take_rows(cross, [0])))
         expected = -np.mean([np.log(p) for p in probs] + [np.log(1 - p) for p in neg_probs])
         assert loss == pytest.approx(float(expected), rel=1e-9)
@@ -415,8 +415,11 @@ class TestTrainingStep:
         bundle = obj.training_step(model, caption_batch(model), config, optimizer,
                                    rng_for(1, "step"))
         assert bundle.active == {"cl", "itm", "mlm"}
-        assert bundle.vma_cl == bundle.vma_itm == bundle.vma_mlm == bundle.bbox == 0.0
-        assert bundle.total == pytest.approx(bundle.cl + bundle.itm + bundle.mlm, abs=1e-9)
+        assert all(bundle.component(name) == 0.0
+                   for name in ("vma_cl", "vma_itm", "vma_mlm", "bbox"))
+        assert bundle.total == pytest.approx(
+            bundle.component("cl") + bundle.component("itm") + bundle.component("mlm"),
+            abs=1e-9)
 
     def test_full_detection_batch_composition(self):
         model = micro_model(seed=23)
@@ -522,7 +525,7 @@ class TestLossGradients:
             if component == "itm":
                 return obj.itm_loss(model, encoded, grids)
             if component == "mlm":
-                vision = [e.vision_states for e in encoded]
+                vision = [e.vision for e in encoded]
                 loss, count = obj.mlm_loss(model, ids, vision, rng_for(1, "gc"))
                 assert count > 0
                 return loss

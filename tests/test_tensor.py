@@ -271,6 +271,21 @@ class TestElementwiseOps:
         x = Tensor(rng(41).normal(size=(3, 6)), requires_grad=True)
         assert check_gradients(lambda: build(x), [x]) < 1e-3
 
+    @pytest.mark.parametrize("op,picks_a", [
+        (tensor.maximum, [True, True, False]),
+        (tensor.minimum, [True, False, True]),
+    ], ids=["maximum", "minimum"])
+    def test_max_min_is_one_node_and_ties_route_to_first_argument(self, op, picks_a):
+        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        b = Tensor([1.0, 0.0, 5.0], requires_grad=True)  # entry 0 ties
+        out = op(a, b)
+        assert out._node.parents == (a, b)
+        tensor.tsum(out).backward()
+        picks_a = np.array(picks_a)
+        assert np.array_equal(out.array, np.where(picks_a, a.array, b.array))
+        assert np.array_equal(a.grad, picks_a * 1.0)
+        assert np.array_equal(b.grad, ~picks_a * 1.0)
+
     def test_concat_gradients(self):
         r = rng(43)
         a = Tensor(r.normal(size=(2, 3)), requires_grad=True)
