@@ -34,8 +34,8 @@ class VocabError(ValueError):
     """A token is not present in the vocabulary."""
 
 
-class SequenceLengthError(ValueError):
-    """A token sequence exceeds the model's maximum length."""
+class SequenceLengthError(ValidationError):
+    """A token sequence exceeds the model's maximum length (a config too small for its data)."""
 
 
 class BatchSizeError(ValueError):

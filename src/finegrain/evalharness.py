@@ -80,8 +80,7 @@ def model_scorer(model: VLModel) -> Scorer:
                 images[grid_key] = model.encode_image(scene.grid)
             if text not in texts:
                 texts[text] = model.encode_text(vocab.encode_wrapped(text))
-            cross = model.fuse(texts[text], images[grid_key])
-            return model.matching_probability(tensor.take_rows(cross, [0]))
+            return model.matching_probability(model.cross_cls(texts[text], images[grid_key]))
 
     return score
 

@@ -5,6 +5,8 @@ stream adds cross-attention from text queries to vision states.  Each
 encoder returns its mask with its states, as an `Encoded`, and `fuse`
 reads both masks from its arguments: patch visibility enters the model
 only at `encode_image`, and the pad rule lives only in `encode_text`.
+`project` maps a list of encodings' [CLS] rows in one matmul, and
+`cross_cls` is the one place a fused [CLS] row is taken.
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
 them.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,15 +90,6 @@ class Encoded(NamedTuple):
 
     states: Tensor  # (rows, hidden_dim); rows that are not visible are zero
     visible: np.ndarray  # (rows,) bool
-
-
-@dataclass
-class EncodedPair:
-    image_feat: Tensor  # (1, proj_dim), unit norm
-    text_feat: Tensor  # (1, proj_dim), unit norm
-    cross_cls: Tensor  # (1, hidden_dim)
-    vision: Encoded
-    text: Encoded
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -275,18 +268,15 @@ class VLModel:
             x = self._block(f"cross.{i}", x, text.visible, cross=vision)
         return self._zero_masked_rows(x, text.visible)
 
-    def encode_pair(self, grid: np.ndarray, token_ids, visibility=None) -> EncodedPair:
-        vision = self.encode_image(grid, visibility)
-        text = self.encode_text(token_ids)
-        cross_states = self.fuse(text, vision)
-        image_feat = ops.l2_normalize(tensor.add(
-            tensor.matmul(tensor.take_rows(vision.states, [0]), self.params["proj.img_w"]),
-            self.params["proj.img_b"]))
-        text_feat = ops.l2_normalize(tensor.add(
-            tensor.matmul(tensor.take_rows(text.states, [0]), self.params["proj.txt_w"]),
-            self.params["proj.txt_b"]))
-        cross_cls = tensor.take_rows(cross_states, [0])
-        return EncodedPair(image_feat, text_feat, cross_cls, vision, text)
+    def cross_cls(self, text: Encoded, vision: Encoded) -> Tensor:
+        """(1, hidden_dim) fused [CLS] row: the row the matching and box heads read."""
+        return tensor.take_rows(self.fuse(text, vision), [0])
+
+    def project(self, stream: str, encoded: Sequence[Encoded]) -> Tensor:
+        """(n, proj_dim) unit-norm projections of n "img" or "txt" encodings' [CLS] rows."""
+        cls_rows = tensor.concat_rows([tensor.take_rows(e.states, [0]) for e in encoded])
+        raw = tensor.matmul(cls_rows, self.params[f"proj.{stream}_w"])
+        return ops.l2_normalize(tensor.add(raw, self.params[f"proj.{stream}_b"]))
 
     # -- heads -------------------------------------------------------------------
 

@@ -5,13 +5,15 @@ A caption batch contributes contrastive + matching + masked-LM losses on
 triple on (full image, region text), then per configuration the visually
 masked triple (vision and fusion attention restricted to patches touching
 the target box) and the box-regression term; one gradient accumulation,
-one update.  Each pass encodes each sample once and its three losses read
-those encodings.  The heads run once per call on stacked rows: one
+one update.  A step encodes each image and each text once: the text
+encoder never sees the image, so the visually masked pass encodes only
+the box-masked images and reuses the unmasked pass's text states.  The
+heads run once per call on stacked rows: one projection per stream, one
 matching-head call for all positives and negatives, one masked-LM head
 call for the masked positions only, and one box head and one box loss
-for the whole detection batch.  Matching negatives are the hardest in-batch negatives by
-contrastive similarity, one per positive, mined among samples whose
-underlying image differs.
+for the whole detection batch.  Matching negatives are the hardest
+in-batch negatives by contrastive similarity, one per positive, mined
+among samples whose underlying image differs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import ops, tensor
 from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
-from .model import Encoded, EncodedPair, VLModel
+from .model import Encoded, VLModel
 from .synthdata import (
     DATA_SOURCES,
     Batch,
@@ -134,23 +136,19 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
     return picks
 
 
-def itm_loss(model: VLModel, encoded: Sequence[EncodedPair],
-             grids: Sequence[np.ndarray]) -> Tensor:
-    """Binary matching loss over positives and one mined negative each.
+def itm_loss(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded],
+             positives: Tensor, sims: np.ndarray, grids: Sequence[np.ndarray]) -> Tensor:
+    """Binary matching loss over the stacked positive rows and one mined negative each.
 
-    A negative fuses another sample's text with this sample's vision, under
-    the patch mask that vision was encoded with.
+    Mining ranks `sims`; a negative fuses another sample's text with this
+    sample's vision, under the patch mask that vision was encoded with.
     """
-    n = len(encoded)
+    n = positives.shape[0]
     if n < 2:
         raise BatchSizeError(f"matching loss needs at least 2 pairs, got {n}")
-    image_feats = np.concatenate([e.image_feat.array for e in encoded])
-    text_feats = np.concatenate([e.text_feat.array for e in encoded])
-    picks = mine_hard_negatives(image_feats @ text_feats.T, grids)
-    rows = [e.cross_cls for e in encoded]
-    for i, j in enumerate(picks):
-        rows.append(tensor.take_rows(model.fuse(encoded[j].text, encoded[i].vision), [0]))
-    logits = model.itm_logits(tensor.concat_rows(rows))
+    picks = mine_hard_negatives(sims, grids)
+    negatives = [model.cross_cls(texts[j], visions[i]) for i, j in enumerate(picks)]
+    logits = model.itm_logits(tensor.concat_rows([positives, *negatives]))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
@@ -223,41 +221,34 @@ def bbox_loss_terms(pred_corners: Tensor, targets: Sequence[BBox]) -> Tensor:
 # -- batch-level composition -----------------------------------------------------
 
 
-def _wrapped_ids(model: VLModel, sample) -> list[int]:
-    return model.config.vocab.encode_wrapped(sample.text)
-
-
 def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
     tokens = sample.text.split()
     augmented = model.encode_position_tokens(tokens, sample.bbox, sample.entity_span_end)
     return model.config.vocab.encode_wrapped(augmented)
 
 
-def pass_losses(model: VLModel, grids: Sequence[np.ndarray], ids: Sequence[Sequence[int]],
-                rng: np.random.Generator, visibility: Sequence | None = None
-                ) -> tuple[list[EncodedPair], Tensor, Tensor, tuple[Tensor, int]]:
-    """(encoded, cl, itm, (mlm, count)) of one pass, which encodes each sample once.
-
-    `visibility` holds one patch mask per sample; None is the unmasked pass.
-    """
-    masks = [None] * len(grids) if visibility is None else visibility
-    encoded = [model.encode_pair(g, i, v) for g, i, v in zip(grids, ids, masks)]
-    image_feats = tensor.concat_rows([e.image_feat for e in encoded])
-    text_feats = tensor.concat_rows([e.text_feat for e in encoded])
+def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded],
+                ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
+                rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor, tuple[Tensor, int]]:
+    """(stacked fused [CLS] rows, cl, itm, (mlm, count)) of one pass over encoded samples."""
+    image_feats = model.project("img", visions)
+    text_feats = model.project("txt", texts)
     cl = contrastive_loss(image_feats, text_feats, model.temperature())
-    itm = itm_loss(model, encoded, grids)
-    mlm = mlm_loss(model, ids, [e.vision for e in encoded], rng)
-    return encoded, cl, itm, mlm
+    positives = tensor.concat_rows([model.cross_cls(t, v) for t, v in zip(texts, visions)])
+    itm = itm_loss(model, visions, texts, positives, image_feats.array @ text_feats.array.T,
+                   grids)
+    mlm = mlm_loss(model, ids, visions, rng)
+    return positives, cl, itm, mlm
 
 
-def vma_losses(model: VLModel, batch_samples: Sequence[DetectionSample],
-               rng: np.random.Generator) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
-    """Contrastive/matching/masked-LM with vision restricted to the target box."""
-    grid_size = model.config.patch_grid
-    visibility = [visual_mask_from_bbox(s.bbox, grid_size) for s in batch_samples]
-    grids = [s.scene.grid for s in batch_samples]
-    ids = [_wrapped_ids(model, s) for s in batch_samples]
-    _, cl, itm, mlm = pass_losses(model, grids, ids, rng, visibility)
+def vma_losses(model: VLModel, texts: Sequence[Encoded], ids: Sequence[Sequence[int]],
+               samples: Sequence[DetectionSample], rng: np.random.Generator
+               ) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
+    """The pass on box-masked images, reading the unmasked pass's encodings `texts` of `ids`."""
+    grids = [s.scene.grid for s in samples]
+    masks = [visual_mask_from_bbox(s.bbox, model.config.patch_grid) for s in samples]
+    visions = [model.encode_image(g, m) for g, m in zip(grids, masks)]
+    _, cl, itm, mlm = pass_losses(model, visions, texts, ids, grids, rng)
     return cl, itm, mlm
 
 
@@ -281,22 +272,24 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
 
     grids = [s.scene.grid for s in batch.samples]
     pevl = is_detection and config.use_pevl_tokens
-    ids = [_pevl_ids(model, s) if pevl else _wrapped_ids(model, s) for s in batch.samples]
+    vocab = model.config.vocab
+    ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
 
-    encoded, cl, itm, (mlm_term, mlm_count) = pass_losses(model, grids, ids, rng)
+    texts = [model.encode_text(i) for i in ids]
+    visions = [model.encode_image(g) for g in grids]
+    positives, cl, itm, (mlm, mlm_count) = pass_losses(model, visions, texts, ids, grids, rng)
     terms: dict[str, Tensor] = {"cl": cl, "itm": itm}
     if mlm_count > 0:
-        terms["mlm"] = mlm_term
+        terms["mlm"] = mlm
 
     if is_detection and config.use_vma:
-        vma_cl, vma_itm, (vma_mlm, vma_mlm_count) = vma_losses(model, batch.samples, rng)
+        vma_cl, vma_itm, (vma_mlm, vma_count) = vma_losses(model, texts, ids, batch.samples, rng)
         terms["vma_cl"] = vma_cl
         terms["vma_itm"] = vma_itm
-        if vma_mlm_count > 0:
+        if vma_count > 0:
             terms["vma_mlm"] = vma_mlm
     if is_detection and config.use_bbox:
-        cls_rows = tensor.concat_rows([e.cross_cls for e in encoded])
-        terms["bbox"] = bbox_loss_terms(model.bbox_corners(cls_rows),
+        terms["bbox"] = bbox_loss_terms(model.bbox_corners(positives),
                                         [s.bbox for s in batch.samples])
 
     total = tensor.add_scalars(list(terms.values()))

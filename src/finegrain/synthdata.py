@@ -418,7 +418,8 @@ def sampler_for_sources(
     """Build streams for the active data sources and schedule the batches.
 
     Without captions every step is a detection step; an active source
-    whose stream comes out empty is rejected.
+    whose stream comes out empty is rejected, and so is a schedule with a
+    batch whose samples all show one image, which has no matching negative.
     """
     active = active_sources(sources)
     kinds = [s.kind for name, s in DATA_SOURCES.items()
@@ -431,4 +432,9 @@ def sampler_for_sources(
         raise ValidationError("the captions source is active but its stream is empty")
     if kinds and not detections:
         raise ValidationError("a detection source is active but the detection stream is empty")
-    return interleaved_sampler(captions, detections, steps, caption_batch, detection_batch)
+    batches = interleaved_sampler(captions, detections, steps, caption_batch, detection_batch)
+    for step, batch in enumerate(batches, start=1):
+        if all(np.array_equal(batch.samples[0].scene.grid, s.scene.grid) for s in batch.samples):
+            raise ValidationError(f"the {batch.kind} batch of step {step} shows one image in "
+                                  "every sample, so it has no matching negative")
+    return batches

@@ -264,7 +264,9 @@ class TestCli:
         {"use_vma": "false", "use_bbox": "false", "use_pevl_tokens": "true", "image_extent": 0},
         # a 1x1 grid holds one object: no scene supports the two-object subtasks
         {"patch_grid": 1},
-    ], ids=["retrieval_count", "image_extent", "patch_grid"])
+        # the first caption is 11 tokens long
+        {"max_len": 8},
+    ], ids=["retrieval_count", "image_extent", "patch_grid", "max_len"])
     def test_out_of_range_setting_exit_code(self, tmp_path, settings):
         text = tiny_config().render()
         for key, value in settings.items():
@@ -272,6 +274,15 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("count", ["caption_count", "detection_scene_count"])
+    def test_one_image_stream_exit_code(self, tmp_path, capsys, count):
+        # every batch of a one-image stream shows one image: no matching negative
+        config_path = tmp_path / "config.ini"
+        save_config(tiny_config(**{count: 1}), config_path)
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert "no matching negative" in capsys.readouterr().err
 
     def test_dependency_exit_code(self, tmp_path):
         config_path = self.write_config(tmp_path)

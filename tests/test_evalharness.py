@@ -255,9 +255,10 @@ class TestRunBenchmark:
 
 def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
     """The per-pair scoring path: both encoders and the fusion, recorded on the tape."""
-    pair = model.encode_pair(scene.grid, model.config.vocab.encode_wrapped(text))
-    assert pair.cross_cls.requires_grad
-    return model.matching_probability(pair.cross_cls)
+    text_states = model.encode_text(model.config.vocab.encode_wrapped(text))
+    cross_cls = model.cross_cls(text_states, model.encode_image(scene.grid))
+    assert cross_cls.requires_grad
+    return model.matching_probability(cross_cls)
 
 
 def scored_pairs(model: VLModel, manifest: dict) -> list[tuple[sd.Scene, str, float]]:

@@ -154,19 +154,40 @@ class TestFuse:
         assert np.array_equal(a.array, b.array)
 
 
+def cross_cls_of(model, grid, ids):
+    """The fused [CLS] row of one (image, text) pair, recorded on the tape."""
+    return model.cross_cls(model.encode_text(ids), model.encode_image(grid))
+
+
 class TestHeads:
     def test_unit_norm_projections(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        pair = micro.encode_pair(grid, ids)
-        assert abs(np.linalg.norm(pair.image_feat.array) - 1.0) < 1e-9
-        assert abs(np.linalg.norm(pair.text_feat.array) - 1.0) < 1e-9
+        image_feat = micro.project("img", [micro.encode_image(grid)])
+        text_feat = micro.project("txt", [micro.encode_text(ids)])
+        assert abs(np.linalg.norm(image_feat.array) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(text_feat.array) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("stream", ["img", "txt"])
+    def test_project_stacks_single_row_projections(self, micro, stream):
+        # one matmul over n rows may round differently from n one-row matmuls; the
+        # rows have unit norm, so atol bounds the error relative to each row's length
+        scenes = [sd.generate_scene(3, i, grid_size=micro.config.patch_grid) for i in range(4)]
+        if stream == "img":
+            encoded = [micro.encode_image(s.grid) for s in scenes]
+        else:
+            vocab = micro.config.vocab
+            encoded = [micro.encode_text(vocab.encode_wrapped(sd.caption_of(s).text))
+                       for s in scenes]
+        stacked = micro.project(stream, encoded).array
+        rows = np.concatenate([micro.project(stream, [e]).array for e in encoded])
+        assert stacked.shape == (4, micro.config.proj_dim)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-14)
 
     def test_zero_raw_head_output_gives_centered_half_box(self, micro, grid):
         micro.params["head.bbox_w"].array[:] = 0.0
         micro.params["head.bbox_b"].array[:] = 0.0
         ids = micro.config.vocab.encode_wrapped("circle")
-        pair = micro.encode_pair(grid, ids)
-        corners = micro.bbox_corners(pair.cross_cls).array[0]
+        corners = micro.bbox_corners(cross_cls_of(micro, grid, ids)).array[0]
         assert tuple(corners) == pytest.approx((0.25, 0.25, 0.75, 0.75), abs=1e-12)
 
     def test_predicted_box_always_valid(self, grid):
@@ -176,15 +197,14 @@ class TestHeads:
         for trial in range(50):
             model.params["head.bbox_w"].array[:] = rng.normal(0, 3, size=(8, 4))
             model.params["head.bbox_b"].array[:] = rng.normal(0, 3, size=4)
-            pair = model.encode_pair(grid, ids)
-            x1, y1, x2, y2 = model.bbox_corners(pair.cross_cls).array[0]
+            x1, y1, x2, y2 = model.bbox_corners(cross_cls_of(model, grid, ids)).array[0]
             # positive area inside the image: the box clamped to it is a valid BBox
             assert max(0.0, x1) < min(1.0, x2)
             assert max(0.0, y1) < min(1.0, y2)
 
     def test_matching_probability_in_unit_interval(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        prob = micro.matching_probability(micro.encode_pair(grid, ids).cross_cls)
+        prob = micro.matching_probability(cross_cls_of(micro, grid, ids))
         assert 0.0 <= prob <= 1.0
 
 
@@ -236,8 +256,7 @@ class TestGradientsThroughModel:
         target = sd.BBox(0.1, 0.1, 0.6, 0.6)
 
         def f():
-            pair = model.encode_pair(grid, ids)
-            return bbox_loss_terms(model.bbox_corners(pair.cross_cls), [target])
+            return bbox_loss_terms(model.bbox_corners(cross_cls_of(model, grid, ids)), [target])
 
         inputs = [model.params["cross.0.xattn.wq"], model.params["head.bbox_w"]]
         err = check_gradients(f, inputs, coords_per_input=12, rng=rng_for(1, "gc"))

@@ -78,6 +78,23 @@ def caption_batch(model, n=2, seed=11):
     return sd.Batch("caption", samples)
 
 
+def encode_batch(model, samples):
+    """(visions, texts, ids, grids): each sample's unmasked encodings and their inputs."""
+    ids = [model.config.vocab.encode_wrapped(s.text) for s in samples]
+    grids = [s.scene.grid for s in samples]
+    return [model.encode_image(g) for g in grids], [model.encode_text(i) for i in ids], ids, grids
+
+
+def positive_rows(model, visions, texts):
+    return tensor.concat_rows([model.cross_cls(t, v) for t, v in zip(texts, visions)])
+
+
+def matching_loss(model, visions, texts, grids):
+    """The matching loss as a pass computes it, mining on the projected similarities."""
+    sims = model.project("img", visions).array @ model.project("txt", texts).array.T
+    return obj.itm_loss(model, visions, texts, positive_rows(model, visions, texts), sims, grids)
+
+
 class TestContrastiveLoss:
     def test_identical_feats_give_log_n(self):
         feats = Tensor(np.tile([[1.0, 0.0, 0.0]], (4, 1)))
@@ -116,31 +133,23 @@ class TestItmLoss:
         model.params["head.itm_w"].array[:] = 0.0
         model.params["head.itm_b"].array[:] = 0.0
         batch = caption_batch(model, n=3)
-        encoded = [
-            model.encode_pair(s.scene.grid, model.config.vocab.encode_wrapped(s.text))
-            for s in batch.samples
-        ]
-        grids = [s.scene.grid for s in batch.samples]
-        loss = obj.itm_loss(model, encoded, grids)
+        visions, texts, _, grids = encode_batch(model, batch.samples)
+        loss = matching_loss(model, visions, texts, grids)
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
     def test_matches_hand_computed_bce(self):
         model = micro_model(seed=8)
         batch = caption_batch(model, n=2, seed=29)
-        vocab = model.config.vocab
-        encoded = [
-            model.encode_pair(s.scene.grid, vocab.encode_wrapped(s.text))
-            for s in batch.samples
-        ]
-        grids = [s.scene.grid for s in batch.samples]
-        loss = obj.itm_loss(model, encoded, grids).item()
+        visions, texts, _, grids = encode_batch(model, batch.samples)
+        loss = matching_loss(model, visions, texts, grids).item()
 
         # independent recomputation from matching probabilities
-        probs = [model.matching_probability(e.cross_cls) for e in encoded]
+        probs = [model.matching_probability(tensor.take_rows(model.fuse(t, v), [0]))
+                 for t, v in zip(texts, visions)]
         # with 2 samples the only possible negative for i is 1 - i
         neg_probs = []
         for i, j in ((0, 1), (1, 0)):
-            cross = model.fuse(encoded[j].text, encoded[i].vision)
+            cross = model.fuse(texts[j], visions[i])
             neg_probs.append(model.matching_probability(tensor.take_rows(cross, [0])))
         expected = -np.mean([np.log(p) for p in probs] + [np.log(1 - p) for p in neg_probs])
         assert loss == pytest.approx(float(expected), rel=1e-9)
@@ -148,23 +157,21 @@ class TestItmLoss:
     def test_one_head_call_for_all_positives_and_negatives(self):
         model = micro_model(seed=8)
         batch = caption_batch(model, n=3, seed=29)
-        encoded = [
-            model.encode_pair(s.scene.grid, model.config.vocab.encode_wrapped(s.text))
-            for s in batch.samples
-        ]
+        visions, texts, _, grids = encode_batch(model, batch.samples)
         calls = count_calls(model, "itm_logits")
-        obj.itm_loss(model, encoded, [s.scene.grid for s in batch.samples])
+        matching_loss(model, visions, texts, grids)
         assert len(calls) == 1
         assert calls[0][0].shape == (6, model.config.hidden_dim)
 
     def test_all_identical_images_rejected(self):
+        # the sampler never schedules such a batch; the step still refuses one
         model = micro_model()
-        scene = sd.generate_scene(31, 0, grid_size=2)
-        sample = sd.caption_of(scene)
-        ids = model.config.vocab.encode_wrapped(sample.text)
-        encoded = [model.encode_pair(scene.grid, ids) for _ in range(2)]
+        sample = sd.caption_of(sd.generate_scene(31, 0, grid_size=2))
+        config = ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2, clip_norm=1.0)
         with pytest.raises(NegativeMiningError):
-            obj.itm_loss(model, encoded, [scene.grid, scene.grid])
+            obj.training_step(model, sd.Batch("caption", (sample, sample)), config, optimizer,
+                              rng_for(2, "step"))
 
     def test_hardest_negative_is_argmax_similarity(self):
         sims = np.array([[0.9, 0.2, 0.8], [0.1, 0.5, 0.7], [0.3, 0.9, 0.2]])
@@ -357,13 +364,13 @@ class TestVmaLosses:
             sd.DetectionSample(s.scene, s.kind, s.text, FULL_IMAGE, s.entity_span_end)
             for s in batch.samples
         )
-        vocab = model.config.vocab
-        ids = [vocab.encode_wrapped(s.text) for s in full]
-        grids = [s.scene.grid for s in full]
+        visions, texts, ids, grids = encode_batch(model, full)
 
-        _, cl, itm, (mlm, _) = obj.pass_losses(model, grids, ids, rng_for(7, "same"))
+        _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, ids, grids,
+                                               rng_for(7, "same"))
 
-        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, full, rng_for(7, "same"))
+        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, ids, full,
+                                                       rng_for(7, "same"))
         assert vma_cl.item() == cl.item()
         assert vma_itm.item() == itm.item()
         assert vma_mlm.item() == mlm.item()
@@ -384,8 +391,9 @@ class TestVmaLosses:
             return sd.DetectionSample(scene, sample.kind, sample.text, sample.bbox,
                                       sample.entity_span_end)
 
-        base = obj.vma_losses(model, batch.samples, rng_for(3, "vma"))
-        noisy = obj.vma_losses(model, tuple(scrambled(s) for s in batch.samples),
+        _, texts, ids, _ = encode_batch(model, batch.samples)
+        base = obj.vma_losses(model, texts, ids, batch.samples, rng_for(3, "vma"))
+        noisy = obj.vma_losses(model, texts, ids, tuple(scrambled(s) for s in batch.samples),
                                rng_for(3, "vma"))
         assert base[0].item() == noisy[0].item()
         assert base[1].item() == noisy[1].item()
@@ -465,6 +473,27 @@ class TestTrainingStep:
         # one unmasked encode per sample, plus one box-masked encode per sample with VMA
         assert calls == [True] * 4 + [False] * (expected - 4)
 
+    @pytest.mark.parametrize("kind", ["caption", "detection"])
+    def test_each_step_encodes_each_text_once(self, kind, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
+        model = micro_model(seed=23)
+        batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
+        calls = []
+        encode_text = VLModel.encode_text
+
+        def counted(self, token_ids):
+            calls.append(list(token_ids))
+            return encode_text(self, token_ids)
+
+        monkeypatch.setattr(VLModel, "encode_text", counted)
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
+        obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
+        vocab = model.config.vocab
+        ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
+        # every other encode is a masked-LM copy, which holds at least one [MASK]
+        assert [c for c in calls if vocab.mask_id not in c] == ids
+        assert len(calls) > len(ids)
+
     @pytest.mark.parametrize("arm", sorted(LOSS_ARMS))
     def test_repeated_batch_decreases_total_quickly(self, arm):
         flags = LOSS_ARMS[arm]
@@ -503,34 +532,35 @@ class TestSgdOptimizer:
 
 
 class TestLossGradients:
-    @pytest.mark.parametrize("component", ["cl", "itm", "mlm", "vma", "bbox"])
+    @pytest.mark.parametrize("component", ["cl", "itm", "mlm", "vma", "bbox", "shared"])
     def test_finite_differences_through_model(self, component, monkeypatch):
         monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
         model = micro_model(seed=31)
         batch = detection_batch(model, n=2, seed=71)
-        vocab = model.config.vocab
-        ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
-        grids = [s.scene.grid for s in batch.samples]
 
         def f():
+            visions, texts, ids, grids = encode_batch(model, batch.samples)
             if component == "vma":
-                cl, itm, (mlm, _) = obj.vma_losses(model, batch.samples, rng_for(1, "gc"))
+                cl, itm, (mlm, _) = obj.vma_losses(model, texts, ids, batch.samples,
+                                                   rng_for(1, "gc"))
                 return tensor.add_scalars([cl, itm, mlm])
-            encoded = [model.encode_pair(g, i) for g, i in zip(grids, ids)]
+            if component == "shared":
+                # both passes read one text encoding, so its gradient sums over them
+                rng = rng_for(1, "gc")
+                _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, ids, grids, rng)
+                vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, ids,
+                                                               batch.samples, rng)
+                return tensor.add_scalars([cl, itm, mlm, vma_cl, vma_itm, vma_mlm])
             if component == "cl":
-                return obj.contrastive_loss(
-                    tensor.concat_rows([e.image_feat for e in encoded]),
-                    tensor.concat_rows([e.text_feat for e in encoded]),
-                    model.temperature())
+                return obj.contrastive_loss(model.project("img", visions),
+                                            model.project("txt", texts), model.temperature())
             if component == "itm":
-                return obj.itm_loss(model, encoded, grids)
+                return matching_loss(model, visions, texts, grids)
             if component == "mlm":
-                vision = [e.vision for e in encoded]
-                loss, count = obj.mlm_loss(model, ids, vision, rng_for(1, "gc"))
+                loss, count = obj.mlm_loss(model, ids, visions, rng_for(1, "gc"))
                 assert count > 0
                 return loss
-            cls_rows = tensor.concat_rows([e.cross_cls for e in encoded])
-            return obj.bbox_loss_terms(model.bbox_corners(cls_rows),
+            return obj.bbox_loss_terms(model.bbox_corners(positive_rows(model, visions, texts)),
                                        [s.bbox for s in batch.samples])
 
         inputs = [

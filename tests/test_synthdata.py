@@ -289,6 +289,14 @@ class TestSampler:
                     detection_scene_count=4, caption_batch=2, detection_batch=2, grid_size=4,
                 )
 
+    def test_single_image_batch_rejected_with_its_step(self):
+        # two scenes with unequal detection counts: the round-robin tail drains one scene
+        with pytest.raises(ValidationError, match="detection batch of step 6 "):
+            sd.sampler_for_sources(
+                seed=3, sources=tuple(sd.DATA_SOURCES), steps=30, caption_count=8,
+                detection_scene_count=2, caption_batch=4, detection_batch=4, grid_size=4,
+            )
+
     def test_detection_batches_mix_scenes(self):
         batches = sd.sampler_for_sources(
             seed=5, sources=("captions", "object_labels", "region_descriptions"),
