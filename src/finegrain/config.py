@@ -28,7 +28,7 @@ from .synthdata import DATA_SOURCES
 _SCHEMA: dict[str, tuple[str, ...]] = {
     "run": ("seed", "steps", "cadence"),
     "model": ("patch_grid", "hidden_dim", "vision_layers", "text_layers", "cross_layers",
-              "heads", "proj_dim", "mlp_dim", "max_len", "pevl_bins", "image_extent",
+              "heads", "proj_dim", "mlp_dim", "max_len", "pevl_bins",
               "temperature_init"),
     "ablation": ("use_vma", "use_bbox", "use_pevl_tokens", "sources"),
     "data": ("data_seed", "caption_count", "detection_scene_count", "caption_batch",
@@ -52,7 +52,6 @@ class RunConfig:
     mlp_dim: int = 128
     max_len: int = 32
     pevl_bins: int = 32
-    image_extent: int = 256
     temperature_init: float = 0.07
     use_vma: bool = True
     use_bbox: bool = True

@@ -79,15 +79,10 @@ class CorrelationEntry:
         return self.pearson_r is not None
 
 
-@dataclass
-class CorrelationReport:
-    entries: list[CorrelationEntry] = field(default_factory=list)
-
-
-def correlate_tasks(table: TrajectoryTable) -> CorrelationReport:
+def correlate_tasks(table: TrajectoryTable) -> list[CorrelationEntry]:
     """Pearson and Spearman over raw trajectories for every pair of metrics, self-pairs included."""
     names = table.metric_names()
-    report = CorrelationReport()
+    entries = []
     for a, b in ((a, b) for i, a in enumerate(names) for b in names[i:]):
         xs, ys = table.columns[a], table.columns[b]
         if len(xs) < 3:
@@ -96,8 +91,8 @@ def correlate_tasks(table: TrajectoryTable) -> CorrelationReport:
             entry = CorrelationEntry(a, b, pearson(xs, ys), spearman(xs, ys), len(xs))
         except UndefinedCorrelationError:
             entry = CorrelationEntry(a, b, None, None, len(xs))
-        report.entries.append(entry)
-    return report
+        entries.append(entry)
+    return entries
 
 
 def track(total_steps: int, cadence: int,
@@ -123,10 +118,10 @@ def write_trajectory(path: Path, table: TrajectoryTable, config_hash: str) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-def write_correlations(path: Path, report: CorrelationReport, config_hash: str) -> None:
+def write_correlations(path: Path, entries: list[CorrelationEntry], config_hash: str) -> None:
     lines = [f"# config_hash={config_hash}",
              "metric_a\tmetric_b\tpearson\tspearman\tn\tstatus"]
-    for e in report.entries:
+    for e in entries:
         if e.defined:
             lines.append(f"{e.metric_a}\t{e.metric_b}\t{e.pearson_r:.17g}"
                          f"\t{e.spearman_rho:.17g}\t{e.count}\tok")

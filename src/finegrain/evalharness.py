@@ -105,16 +105,6 @@ def threshold_accuracy(scored: Sequence[tuple[float, bool]]) -> float:
     return correct / len(scored)
 
 
-def foil_accuracy(groups: Sequence[tuple[float, Sequence[float]]]) -> float:
-    groups = list(groups)
-    if not groups:
-        raise EmptyInputError("foil accuracy needs at least one group")
-    correct = sum(
-        1 for pos, negs in groups if negs and all(pos > neg for neg in negs)
-    )
-    return correct / len(groups)
-
-
 def winoground_scores(quads: Sequence[ScoreMatrix]) -> tuple[float, float, float]:
     quads = list(quads)
     if not quads:
@@ -229,9 +219,7 @@ def _score_subtask(tag: str, items: Sequence[FoilPair], score: Scorer,
                         for (role, _, _, label), value in zip(cells, row))
         rows.append(row)
 
-    if tag in FOIL_GROUP_SUBTASKS:
-        return {tag: foil_accuracy([(pos, [neg]) for pos, neg in rows])}
-    if tag in PAIRWISE_SUBTASKS:
+    if tag in FOIL_GROUP_SUBTASKS or tag in PAIRWISE_SUBTASKS:
         return {tag: pairwise_ranking_accuracy(rows)}
     if tag == THRESHOLD_SUBTASK:
         return {tag: threshold_accuracy(

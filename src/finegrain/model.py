@@ -59,13 +59,12 @@ class ModelConfig:
     max_len: int
     use_pevl_tokens: bool
     pevl_bins: int
-    image_extent: int
     temperature_init: float
     vocab: Vocabulary = field(init=False, compare=False)
 
     def __post_init__(self):
         for name in ("patch_grid", "hidden_dim", "heads", "proj_dim", "mlp_dim", "max_len",
-                     "vision_layers", "text_layers", "cross_layers", "image_extent"):
+                     "vision_layers", "text_layers", "cross_layers"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.pevl_bins < 2:
@@ -305,39 +304,21 @@ class VLModel:
         half = tensor.scale(size, 0.5)
         return tensor.concat_cols([tensor.sub(centre, half), tensor.add(centre, half)])
 
-    # -- position tokens -----------------------------------------------------------
 
-    def encode_position_tokens(self, caption_tokens: list[str], bbox: BBox,
-                               insert_after: int) -> list[str]:
-        cfg = self.config
-        if not cfg.use_pevl_tokens:
-            raise ValidationError("position tokens need a PEVL-enabled vocabulary")
-        out = position_token_insert(caption_tokens, bbox, cfg.pevl_bins,
-                                    cfg.image_extent, insert_after)
-        if len(out) + 2 > cfg.max_len:  # [CLS]/[SEP] framing
-            raise SequenceLengthError(
-                f"{len(out)} tokens after insertion exceed max_len {cfg.max_len}"
-            )
-        return out
+# -- position tokens -----------------------------------------------------------
 
 
-def quantize_coordinate(value: float, bins: int, image_extent: int) -> int:
-    """Scale a normalized coordinate to the image extent, then bin it."""
-    pixels = value * image_extent
-    index = int(np.floor(pixels * bins / image_extent))
-    return min(max(index, 0), bins - 1)
+def quantize_coordinate(value: float, bins: int) -> int:
+    """The bin of a normalized coordinate, clamped to [0, bins - 1]."""
+    return min(max(int(np.floor(value * bins)), 0), bins - 1)
 
 
 def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
-                          image_extent: int, insert_after: int) -> list[str]:
+                          insert_after: int) -> list[str]:
     """Insert "< b(x1) b(y1) b(x2) b(y2) >" right after the entity span."""
-    if bins < 2:
-        raise ValidationError("position quantization needs at least 2 bins")
     if not 0 <= insert_after <= len(tokens):
         raise ValidationError(f"insertion point {insert_after} outside token range")
-    bin_tokens = [
-        str(quantize_coordinate(v, bins, image_extent)) for v in bbox.corners()
-    ]
+    bin_tokens = [str(quantize_coordinate(v, bins)) for v in bbox.corners()]
     return [*tokens[:insert_after], POS_OPEN, *bin_tokens, POS_CLOSE, *tokens[insert_after:]]
 
 
@@ -380,6 +361,8 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                 name, shape_field, payload = line[:-1].split("\t")
                 if name not in model.params:
                     raise DependencyError(f"unexpected parameter {name!r} in checkpoint")
+                if name in arrays:
+                    raise DependencyError(f"parameter {name!r} repeated in checkpoint")
                 shape = tuple(int(n) for n in shape_field.split(","))
                 tokens = payload.split()
                 if len(tokens) != math.prod(shape):
@@ -392,6 +375,8 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                         f"parameter {name!r} has shape {values.shape}, "
                         f"expected {model.params[name].array.shape}"
                     )
+                if not np.isfinite(values).all():
+                    raise DependencyError(f"parameter {name!r} has a non-finite value")
                 arrays[name] = values
     except ValueError as exc:  # undecodable bytes, a missing field, a bad number
         raise DependencyError(f"malformed checkpoint {path}: {exc}") from exc

@@ -5,15 +5,15 @@ A caption batch contributes contrastive + matching + masked-LM losses on
 triple on (full image, region text), then per configuration the visually
 masked triple (vision and fusion attention restricted to patches touching
 the target box) and the box-regression term; one gradient accumulation,
-one update.  A step encodes each image and each text once: the text
+one update.  A step encodes and projects each text once: the text
 encoder never sees the image, so the visually masked pass encodes only
-the box-masked images and reuses the unmasked pass's text states.  The
-heads run once per call on stacked rows: one projection per stream, one
-matching-head call for all positives and negatives, one masked-LM head
-call for the masked positions only, and one box head and one box loss
-for the whole detection batch.  Matching negatives are the hardest
-in-batch negatives by contrastive similarity, one per positive, mined
-among samples whose underlying image differs.
+the box-masked images and reuses the unmasked pass's text states and
+text projection.  The heads run once per call on stacked rows: one image
+projection per pass, one matching-head call for all positives and
+negatives, one masked-LM head call for the masked positions only, and one
+box head and one box loss for the whole detection batch.  Matching
+negatives are the hardest in-batch negatives by contrastive similarity,
+one per positive, mined among samples whose underlying image differs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ops, tensor
 from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
-from .model import Encoded, VLModel
+from .model import Encoded, VLModel, position_token_insert
 from .synthdata import (
     DATA_SOURCES,
     Batch,
@@ -222,17 +222,17 @@ def bbox_loss_terms(pred_corners: Tensor, targets: Sequence[BBox]) -> Tensor:
 
 
 def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
-    tokens = sample.text.split()
-    augmented = model.encode_position_tokens(tokens, sample.bbox, sample.entity_span_end)
-    return model.config.vocab.encode_wrapped(augmented)
+    cfg = model.config
+    tokens = position_token_insert(sample.text.split(), sample.bbox, cfg.pevl_bins,
+                                   sample.entity_span_end)
+    return cfg.vocab.encode_wrapped(tokens)
 
 
 def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded],
-                ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
+                text_feats: Tensor, ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
                 rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor, tuple[Tensor, int]]:
-    """(stacked fused [CLS] rows, cl, itm, (mlm, count)) of one pass over encoded samples."""
+    """(stacked fused [CLS] rows, cl, itm, (mlm, count)) of a pass; `text_feats` projects `texts`."""
     image_feats = model.project("img", visions)
-    text_feats = model.project("txt", texts)
     cl = contrastive_loss(image_feats, text_feats, model.temperature())
     positives = tensor.concat_rows([model.cross_cls(t, v) for t, v in zip(texts, visions)])
     itm = itm_loss(model, visions, texts, positives, image_feats.array @ text_feats.array.T,
@@ -241,14 +241,14 @@ def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Enco
     return positives, cl, itm, mlm
 
 
-def vma_losses(model: VLModel, texts: Sequence[Encoded], ids: Sequence[Sequence[int]],
-               samples: Sequence[DetectionSample], rng: np.random.Generator
-               ) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
-    """The pass on box-masked images, reading the unmasked pass's encodings `texts` of `ids`."""
+def vma_losses(model: VLModel, texts: Sequence[Encoded], text_feats: Tensor,
+               ids: Sequence[Sequence[int]], samples: Sequence[DetectionSample],
+               rng: np.random.Generator) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
+    """The pass on box-masked images, reading the unmasked pass's `texts` and `text_feats`."""
     grids = [s.scene.grid for s in samples]
     masks = [visual_mask_from_bbox(s.bbox, model.config.patch_grid) for s in samples]
     visions = [model.encode_image(g, m) for g, m in zip(grids, masks)]
-    _, cl, itm, mlm = pass_losses(model, visions, texts, ids, grids, rng)
+    _, cl, itm, mlm = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
     return cl, itm, mlm
 
 
@@ -276,14 +276,17 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
     ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
 
     texts = [model.encode_text(i) for i in ids]
+    text_feats = model.project("txt", texts)
     visions = [model.encode_image(g) for g in grids]
-    positives, cl, itm, (mlm, mlm_count) = pass_losses(model, visions, texts, ids, grids, rng)
+    positives, cl, itm, (mlm, mlm_count) = pass_losses(model, visions, texts, text_feats, ids,
+                                                       grids, rng)
     terms: dict[str, Tensor] = {"cl": cl, "itm": itm}
     if mlm_count > 0:
         terms["mlm"] = mlm
 
     if is_detection and config.use_vma:
-        vma_cl, vma_itm, (vma_mlm, vma_count) = vma_losses(model, texts, ids, batch.samples, rng)
+        vma_cl, vma_itm, (vma_mlm, vma_count) = vma_losses(model, texts, text_feats, ids,
+                                                           batch.samples, rng)
         terms["vma_cl"] = vma_cl
         terms["vma_itm"] = vma_itm
         if vma_count > 0:

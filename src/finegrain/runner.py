@@ -172,8 +172,8 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
     correlation_path = run_dir / "reports" / "correlations.tsv"
     dyn.write_trajectory(trajectory_path, table, chash)
     # correlation needs at least 3 checkpoints; below that only the trajectory is written
-    report = dyn.correlate_tasks(table) if len(table.steps) >= 3 else dyn.CorrelationReport()
-    dyn.write_correlations(correlation_path, report, chash)
+    entries = dyn.correlate_tasks(table) if len(table.steps) >= 3 else []
+    dyn.write_correlations(correlation_path, entries, chash)
     return trajectory_path, correlation_path
 
 

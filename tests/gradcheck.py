@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
-from .tensor import Tensor
+from finegrain.errors import NumericError
+from finegrain.tensor import Tensor
 
 DEFAULT_STEP = 1e-4
 DEFAULT_ATOL = 1e-6

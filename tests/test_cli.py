@@ -66,8 +66,7 @@ class TestConfig:
         ("eval_per_subtask", 0), ("clip_norm", -1), ("clip_norm", "nan"),
         ("clip_norm", "inf"), ("learning_rate", 0), ("learning_rate", -0.01),
         ("learning_rate", "nan"), ("temperature_init", 0), ("temperature_init", "nan"),
-        ("temperature_init", "inf"), ("image_extent", 0), ("image_extent", -256),
-        ("pevl_bins", 1), ("pevl_bins", 0), ("retrieval_count", -1),
+        ("temperature_init", "inf"), ("pevl_bins", 1), ("pevl_bins", 0), ("retrieval_count", -1),
     ])
     def test_out_of_range_size_rejected(self, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)
@@ -86,7 +85,7 @@ class TestConfig:
     def test_default_config_hash_pinned(self):
         # every run artifact embeds this hash; a change to the defaults or to
         # the rendering orphans all existing run directories and checkpoints
-        assert RunConfig(seed=7).config_hash() == "b5083cab6b05"
+        assert RunConfig(seed=7).config_hash() == "64e11e6092e1"
 
 
 class TestRunner:
@@ -193,8 +192,7 @@ class TestRunner:
                                                  {"grid_size": 4, "subtasks": []},
                                                  dump_path=p),
             "trajectory": lambda p: dyn.write_trajectory(p, trajectory, "cafe01"),
-            "correlations": lambda p: dyn.write_correlations(p, dyn.CorrelationReport(),
-                                                             "cafe01"),
+            "correlations": lambda p: dyn.write_correlations(p, [], "cafe01"),
             "summary": lambda p: runner._write_summary(p, [], "cafe01"),
         }[writer]
         path = tmp_path / "eval_step_000003.tsv"
@@ -260,13 +258,11 @@ class TestCli:
 
     @pytest.mark.parametrize("settings", [
         {"retrieval_count": -2},
-        # a position-token run divides by image_extent when it quantizes a box
-        {"use_vma": "false", "use_bbox": "false", "use_pevl_tokens": "true", "image_extent": 0},
         # a 1x1 grid holds one object: no scene supports the two-object subtasks
         {"patch_grid": 1},
         # the first caption is 11 tokens long
         {"max_len": 8},
-    ], ids=["retrieval_count", "image_extent", "patch_grid", "max_len"])
+    ], ids=["retrieval_count", "patch_grid", "max_len"])
     def test_out_of_range_setting_exit_code(self, tmp_path, settings):
         text = tiny_config().render()
         for key, value in settings.items():

@@ -80,8 +80,8 @@ class TestCorrelateTasks:
         return table
 
     @staticmethod
-    def entry(report, a, b):
-        return next(e for e in report.entries if (e.metric_a, e.metric_b) == (a, b))
+    def entry(entries, a, b):
+        return next(e for e in entries if (e.metric_a, e.metric_b) == (a, b))
 
     def test_column_with_itself(self):
         entry = self.entry(dyn.correlate_tasks(self.build_table()), "existence", "existence")
@@ -135,9 +135,9 @@ class TestFiles:
         table = dyn.TrajectoryTable()
         for step in (1, 2, 3):
             table.append_row(step, {"x": float(step), "flat": 1.0})
-        report = dyn.correlate_tasks(table)
+        entries = dyn.correlate_tasks(table)
         path = tmp_path / "corr.tsv"
-        dyn.write_correlations(path, report, "hash123")
+        dyn.write_correlations(path, entries, "hash123")
         text = path.read_text()
         assert "undefined" in text
         assert "ok" in text

@@ -15,8 +15,7 @@ from finegrain.seeding import rng_for
 
 MICRO = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
                     cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-                    use_pevl_tokens=False, pevl_bins=32, image_extent=256,
-                    temperature_init=0.07)
+                    use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07)
 
 
 def quad(s00, s01, s10, s11):
@@ -40,19 +39,6 @@ class TestThresholdAccuracy:
         assert ev.threshold_accuracy([(0.5, True)]) == 0.0
         assert ev.threshold_accuracy([(0.5, False)]) == 0.0
         assert ev.threshold_accuracy([(0.4, False)]) == 1.0
-
-
-class TestFoilAccuracy:
-    def test_group_decisions(self):
-        assert ev.foil_accuracy([(0.9, [0.1, 0.8])]) == 1.0
-        assert ev.foil_accuracy([(0.8, [0.8])]) == 0.0  # tie fails
-        assert ev.foil_accuracy([(0.3, [0.1, 0.4])]) == 0.0
-
-    def test_k1_equals_pairwise_ranking(self):
-        rng = rng_for(1, "k1")
-        pairs = [(rng.random(), rng.random()) for _ in range(500)]
-        groups = [(pos, [neg]) for pos, neg in pairs]
-        assert ev.foil_accuracy(groups) == ev.pairwise_ranking_accuracy(pairs)
 
 
 class TestWinoground:

@@ -17,14 +17,11 @@ SOURCES = sorted((ROOT / "src" / "finegrain").glob("*.py"))
 # the benchmark's program files; its own tests are not callers
 BENCH_SOURCES = sorted(p for p in (ROOT / "perfbench").glob("*.py")
                        if not p.name.startswith("test_"))
+# the modules the tests import, such as the gradient check
+TEST_SUPPORT = sorted(p for p in (ROOT / "tests").glob("*.py") if not p.name.startswith("test_"))
 
-# names kept without a production caller, each with its reason
-NO_CALLER_NEEDED = {
-    "gradcheck.check_gradients": "test support: the finite-difference check of every tape op",
-}
 # functions, or function.parameter, whose defaults no production call needs to pass
 DEFAULTS_NOT_PASSED = {
-    "gradcheck.check_gradients": "test support: the tests pick its step and sampling",
     "cli.main.argv": "the console script calls main() with no argument",
 }
 
@@ -39,7 +36,7 @@ def imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TEST_SUPPORT, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -101,7 +98,7 @@ def test_every_public_name_has_a_caller():
     uncalled = []
     for path in SOURCES:
         for qualified, name, method, own, first, last in public_definitions(path, trees[path]):
-            if qualified in NO_CALLER_NEEDED or name in traced:
+            if name in traced:
                 continue
             if not any(n == name and (attr or not method)
                        and not (p == own and first <= line <= last)

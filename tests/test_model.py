@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from finegrain import model as fg_model
+from finegrain import objectives as obj
 from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.errors import (
@@ -15,16 +16,17 @@ from finegrain.errors import (
     ValidationError,
     VocabError,
 )
-from finegrain.gradcheck import check_gradients
 from finegrain.model import ModelConfig, VLModel
 from finegrain.seeding import rng_for
+
+from gradcheck import check_gradients
 
 
 def micro_config(**overrides):
     base = dict(
         patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-        use_pevl_tokens=False, pevl_bins=32, image_extent=256, temperature_init=0.07,
+        use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -210,22 +212,21 @@ class TestHeads:
 
 class TestPositionTokens:
     def test_insertion_pattern_with_literal_pixel_values(self):
-        # bins == image extent makes the bin tokens equal raw pixel coordinates
+        # 256 bins make the bin tokens the pixel coordinates of a 256-pixel image
         bbox = sd.BBox(10 / 256, 73 / 256, 206 / 256, 175 / 256)
         tokens = ["a", "red", "circle", "is", "above", "a", "blue", "square"]
-        out = fg_model.position_token_insert(tokens, bbox, bins=256, image_extent=256,
-                                             insert_after=3)
+        out = fg_model.position_token_insert(tokens, bbox, bins=256, insert_after=3)
         assert out == ["a", "red", "circle", "<", "10", "73", "206", "175", ">",
                        "is", "above", "a", "blue", "square"]
 
     def test_full_image_bbox_hits_bin_endpoints(self):
         for bins in (2, 8, 32):
-            out = fg_model.position_token_insert(["circle"], FULL_IMAGE,
-                                                 bins=bins, image_extent=256, insert_after=1)
+            out = fg_model.position_token_insert(["circle"], FULL_IMAGE, bins=bins,
+                                                 insert_after=1)
             assert out == ["circle", "<", "0", "0", str(bins - 1), str(bins - 1), ">"]
 
     def test_quantize_round_trip_error_within_half_bin(self):
-        bins, extent = 32, 256
+        bins = 32
         rng = rng_for(3, "roundtrip")
         for _ in range(1000):
             x1, y1 = rng.uniform(0, 0.9, size=2)
@@ -233,18 +234,17 @@ class TestPositionTokens:
                           y1 + rng.uniform(0.05, 1 - y1 - 1e-6))
             for coord in box.corners():
                 # the coordinate lies in its bin, so the bin centre is within half a bin
-                index = fg_model.quantize_coordinate(coord, bins, extent)
+                index = fg_model.quantize_coordinate(coord, bins)
                 assert index / bins <= coord <= (index + 1) / bins
 
     def test_model_enforces_max_len_after_insertion(self):
         cfg = micro_config(use_pevl_tokens=True, max_len=8)
         model = VLModel(cfg, seed=1)
+        scene = sd.generate_scene(1, 0, grid_size=cfg.patch_grid)
+        sample = sd.DetectionSample(scene, "object_label", "a red circle", FULL_IMAGE, 3)
+        ids = obj._pevl_ids(model, sample)  # 3 words + 6 position tokens + [CLS]/[SEP]
         with pytest.raises(SequenceLengthError):
-            model.encode_position_tokens(["a", "red", "circle"], FULL_IMAGE, 3)
-
-    def test_position_tokens_refused_without_pevl_vocab(self, micro):
-        with pytest.raises(ValidationError):
-            micro.encode_position_tokens(["circle"], FULL_IMAGE, 1)
+            model.encode_text(ids)
 
 
 class TestGradientsThroughModel:
@@ -330,6 +330,27 @@ class TestCheckpoints:
                 fg_model.load_checkpoint(target, path, expect_hash="cafe01")
             for name, p in target.params.items():
                 assert np.array_equal(p.array, before[name]), (label, name)
+
+    @pytest.mark.parametrize("fault", ["repeated_line", "nan_value"])
+    def test_repeated_or_non_finite_parameter_rejected_without_partial_load(self, tmp_path,
+                                                                            fault):
+        cfg = micro_config()
+        good = tmp_path / "good.ckpt"
+        fg_model.save_checkpoint(VLModel(cfg, seed=21), good, "cafe01")
+        lines = good.read_bytes().split(b"\n")
+        if fault == "repeated_line":  # read naively, the second copy would win
+            lines.insert(-1, lines[1])
+        else:
+            name, shape, payload = lines[1].split(b"\t")
+            lines[1] = b"\t".join([name, shape, b"nan" + payload[payload.index(b" "):]])
+        path = tmp_path / f"{fault}.ckpt"
+        path.write_bytes(b"\n".join(lines))
+        target = VLModel(cfg, seed=99)
+        before = {name: p.array.copy() for name, p in target.params.items()}
+        with pytest.raises(DependencyError):
+            fg_model.load_checkpoint(target, path, expect_hash="cafe01")
+        for name, p in target.params.items():
+            assert np.array_equal(p.array, before[name]), name
 
     def test_interrupted_save_keeps_previous_file(self, tmp_path):
         model = VLModel(micro_config(), seed=21)

@@ -1,5 +1,6 @@
 """Loss suite: analytic values, hand oracles, masking identities, training step."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,19 +9,21 @@ import pytest
 from finegrain import objectives as obj
 from finegrain import synthdata as sd
 from finegrain import tensor
+from finegrain.config import RunConfig
 from finegrain.errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
-from finegrain.gradcheck import check_gradients
 from finegrain.model import ModelConfig, VLModel
 from finegrain.runner import LOSS_ARMS
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
+
+from gradcheck import check_gradients
 
 
 def micro_config(**overrides):
     base = dict(
         patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-        use_pevl_tokens=False, pevl_bins=32, image_extent=256, temperature_init=0.07,
+        use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -366,10 +369,12 @@ class TestVmaLosses:
         )
         visions, texts, ids, grids = encode_batch(model, full)
 
-        _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, ids, grids,
+        text_feats = model.project("txt", texts)
+
+        _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, text_feats, ids, grids,
                                                rng_for(7, "same"))
 
-        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, ids, full,
+        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, text_feats, ids, full,
                                                        rng_for(7, "same"))
         assert vma_cl.item() == cl.item()
         assert vma_itm.item() == itm.item()
@@ -392,9 +397,10 @@ class TestVmaLosses:
                                       sample.entity_span_end)
 
         _, texts, ids, _ = encode_batch(model, batch.samples)
-        base = obj.vma_losses(model, texts, ids, batch.samples, rng_for(3, "vma"))
-        noisy = obj.vma_losses(model, texts, ids, tuple(scrambled(s) for s in batch.samples),
-                               rng_for(3, "vma"))
+        text_feats = model.project("txt", texts)
+        base = obj.vma_losses(model, texts, text_feats, ids, batch.samples, rng_for(3, "vma"))
+        noisy = obj.vma_losses(model, texts, text_feats, ids,
+                               tuple(scrambled(s) for s in batch.samples), rng_for(3, "vma"))
         assert base[0].item() == noisy[0].item()
         assert base[1].item() == noisy[1].item()
         assert base[2][0].item() == noisy[2][0].item()
@@ -413,6 +419,22 @@ class TestAblationConfig:
         ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
         ablation(use_vma=False, use_bbox=False, use_pevl_tokens=True,
                  sources=frozenset({"captions", "region_descriptions"}))
+
+
+class TestPositionTokenIds:
+    def test_default_detection_stream_pinned(self):
+        # every position-token id of the default detection stream: a change to how a
+        # box is quantized or inserted changes this digest
+        config = RunConfig(seed=7, use_vma=False, use_bbox=False, use_pevl_tokens=True)
+        model = VLModel(config.model_config(), seed=0)
+        stream = sd.detection_stream(config.data_seed, config.detection_scene_count,
+                                     sd.DETECTION_KINDS, config.patch_grid)
+        ids = [obj._pevl_ids(model, s) for s in stream]
+        text = "\n".join(" ".join(str(i) for i in row) for row in ids)
+        assert {s.kind for s in stream} == set(sd.DETECTION_KINDS)
+        assert (len(ids), sum(len(row) for row in ids)) == (306, 3325)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "f290a54beb3790b99cc4206078ebf25881be74fe090ab53543e31178050fc5c1")
 
 
 class TestTrainingStep:
@@ -494,6 +516,15 @@ class TestTrainingStep:
         assert [c for c in calls if vocab.mask_id not in c] == ids
         assert len(calls) > len(ids)
 
+    def test_vma_step_projects_the_texts_once(self):
+        model = micro_model(seed=23)
+        calls = count_calls(model, "project")
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
+        obj.training_step(model, detection_batch(model, n=4), ablation(), optimizer,
+                          rng_for(5, "count"))
+        # the box-masked pass reuses the unmasked pass's text projection
+        assert [stream for stream, _ in calls] == ["txt", "img", "img"]
+
     @pytest.mark.parametrize("arm", sorted(LOSS_ARMS))
     def test_repeated_batch_decreases_total_quickly(self, arm):
         flags = LOSS_ARMS[arm]
@@ -541,14 +572,16 @@ class TestLossGradients:
         def f():
             visions, texts, ids, grids = encode_batch(model, batch.samples)
             if component == "vma":
-                cl, itm, (mlm, _) = obj.vma_losses(model, texts, ids, batch.samples,
-                                                   rng_for(1, "gc"))
+                cl, itm, (mlm, _) = obj.vma_losses(model, texts, model.project("txt", texts),
+                                                   ids, batch.samples, rng_for(1, "gc"))
                 return tensor.add_scalars([cl, itm, mlm])
             if component == "shared":
-                # both passes read one text encoding, so its gradient sums over them
+                # both passes read one text encoding and projection, so their gradients sum
                 rng = rng_for(1, "gc")
-                _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, ids, grids, rng)
-                vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, ids,
+                text_feats = model.project("txt", texts)
+                _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, text_feats, ids,
+                                                       grids, rng)
+                vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, text_feats, ids,
                                                                batch.samples, rng)
                 return tensor.add_scalars([cl, itm, mlm, vma_cl, vma_itm, vma_mlm])
             if component == "cl":

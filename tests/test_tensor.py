@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from finegrain import ops, tensor
 from finegrain.errors import DegenerateMaskError, ShapeError
-from finegrain.gradcheck import check_gradients
 from finegrain.tensor import Tensor
+
+from gradcheck import check_gradients
 
 
 def rng(seed=0):
