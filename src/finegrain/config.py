@@ -2,11 +2,11 @@
 
 `RunConfig` is the one table of settings: each setting and its default is
 declared there once, and its type is read from the field annotation.
-`ModelConfig` and `AblationConfig` are views of it, built from the fields
-they share with it.  The seed is mandatory (nothing falls back to
-wall-clock time) and the canonical rendering of a config is hashed into
-every artifact the run writes, so reusing a run directory or checkpoint
-with another config is a hard error.
+`ModelConfig` is the model's view of it, built from the fields it shares
+with it; the losses read the `RunConfig` itself.  The seed is mandatory
+(nothing falls back to wall-clock time) and the canonical rendering of a
+config is hashed into every artifact the run writes, so reusing a run
+directory or checkpoint with another config is a hard error.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import get_type_hints
 from .errors import ValidationError
 from .fileio import atomic_open
 from .model import ModelConfig
-from .objectives import AblationConfig
-from .synthdata import DATA_SOURCES
+from .synthdata import DATA_SOURCES, active_sources
 
 # the keys of each config section, in render order
 _SCHEMA: dict[str, tuple[str, ...]] = {
@@ -69,6 +68,9 @@ class RunConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
+        for key in ("seed", "data_seed", "eval_seed"):  # numpy rejects a negative seed
+            if getattr(self, key) < 0:
+                raise ValidationError(f"{key} must be at least 0, got {getattr(self, key)}")
         if self.steps <= 0 or self.cadence <= 0:
             raise ValidationError("run.steps and run.cadence must be positive")
         if self.steps % self.cadence != 0:
@@ -95,18 +97,25 @@ class RunConfig:
             raise ValidationError(
                 f"train.clip_norm must be finite and at least 0, got {self.clip_norm}")
         self.model_config()  # validates the model sizes
-        self.ablation_config()  # validates source names and loss/source compatibility
+        self.source_set()  # validates the source names
+        if (self.use_vma or self.use_bbox) and not self.detection_active:
+            raise ValidationError("vma/bbox losses need a detection data source")
+        if self.use_pevl_tokens and (self.use_vma or self.use_bbox):
+            raise ValidationError("position-token runs exclude vma/bbox (separate arms)")
+        if self.use_pevl_tokens and not self.detection_active:
+            raise ValidationError("position tokens need a detection data source")
 
     def source_set(self) -> frozenset:
-        return frozenset(p.strip() for p in self.sources.split(",") if p.strip())
+        """The active data sources; unknown names or none at all are rejected."""
+        return active_sources(p.strip() for p in self.sources.split(",") if p.strip())
+
+    @property
+    def detection_active(self) -> bool:
+        return any(DATA_SOURCES[s].kind != "caption" for s in self.source_set())
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name)
                               for f in fields(ModelConfig) if f.init})
-
-    def ablation_config(self) -> AblationConfig:
-        values = {f.name: getattr(self, f.name) for f in fields(AblationConfig)}
-        return AblationConfig(**values | {"sources": self.source_set()})
 
     def render(self) -> str:
         """Canonical key=value text; parsing it back is lossless."""
@@ -161,9 +170,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
 
 def load_config(path: Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, origin=str(path))
 
 
 def save_config(config: RunConfig, path: Path) -> None:

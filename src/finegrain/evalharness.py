@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor
-from .errors import EmptyInputError, ValidationError
+from .errors import EmptyInputError, FoilCapabilityError, ValidationError
 from .fileio import atomic_open
 from .model import Encoded, VLModel
-from .synthdata import FoilPair, Scene, caption_of, generate_scene, make_foils, supports_subtask
+from .synthdata import FoilPair, Scene, caption_of, generate_scene, make_foils
 
 FOIL_GROUP_SUBTASKS = ("existence", "counting", "object_swap", "attribute_swap")
 PAIRWISE_SUBTASKS = ("svo_subject", "svo_verb", "svo_object")
@@ -178,8 +178,10 @@ def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[Foil
     while len(items) < count:
         scene = generate_scene(seed, index, grid_size)
         index += 1
-        if supports_subtask(scene, source):
+        try:
             items.append(make_foils(scene, source))
+        except FoilCapabilityError:
+            pass
         if index > 100 * count + 1000:
             raise ValidationError(f"could not collect {count} scenes for {tag}")
     return tuple(items)

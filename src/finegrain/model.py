@@ -43,9 +43,8 @@ CHECKPOINT_VERSION = "v1"
 class ModelConfig:
     """The model's view of a `RunConfig`, which holds every setting and its default.
 
-    `AblationConfig` is the losses' view of the same table.  The vocabulary
-    is derived: the base inventory, plus the position tokens when they are
-    in use.
+    The vocabulary is derived: the base inventory, plus the position tokens
+    when they are in use.
     """
 
     patch_grid: int
@@ -378,8 +377,8 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                 if not np.isfinite(values).all():
                     raise DependencyError(f"parameter {name!r} has a non-finite value")
                 arrays[name] = values
-    except ValueError as exc:  # undecodable bytes, a missing field, a bad number
-        raise DependencyError(f"malformed checkpoint {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, undecodable bytes, a bad field
+        raise DependencyError(f"unreadable or malformed checkpoint {path}: {exc}") from exc
     missing = set(model.params) - set(arrays)
     if missing:
         raise DependencyError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")

@@ -14,6 +14,8 @@ negatives, one masked-LM head call for the masked positions only, and one
 box head and one box loss for the whole detection batch.  Matching
 negatives are the hardest in-batch negatives by contrastive similarity,
 one per positive, mined among samples whose underlying image differs.
+The step reads which losses are on from the run's `RunConfig`; each pass
+returns its terms by name, and the step returns their values and total.
 """
 
 from __future__ import annotations
@@ -24,61 +26,15 @@ from typing import Sequence
 import numpy as np
 
 from . import ops, tensor
+from .config import RunConfig
 from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
 from .model import Encoded, VLModel, position_token_insert
-from .synthdata import (
-    DATA_SOURCES,
-    Batch,
-    BBox,
-    CaptionSample,
-    DetectionSample,
-    active_sources,
-    patches_touching,
-)
+from .synthdata import Batch, BBox, CaptionSample, DetectionSample, patches_touching
 from .tensor import Tensor
 
 LOSS_COMPONENTS = ("cl", "itm", "mlm", "vma_cl", "vma_itm", "vma_mlm", "bbox")
 
 MLM_MASK_RATE = 0.15
-
-
-@dataclass(frozen=True)
-class AblationConfig:
-    """The losses' view of a `RunConfig`: which objectives and data sources are active."""
-
-    use_vma: bool
-    use_bbox: bool
-    use_pevl_tokens: bool
-    sources: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "sources", active_sources(self.sources))
-        if (self.use_vma or self.use_bbox) and not self.detection_active:
-            raise ValidationError("vma/bbox losses need a detection data source")
-        if self.use_pevl_tokens and (self.use_vma or self.use_bbox):
-            raise ValidationError("position-token runs exclude vma/bbox (separate arms)")
-        if self.use_pevl_tokens and not self.detection_active:
-            raise ValidationError("position tokens need a detection data source")
-
-    @property
-    def detection_active(self) -> bool:
-        return any(DATA_SOURCES[s].kind != "caption" for s in self.sources)
-
-
-@dataclass(frozen=True)
-class LossBundle:
-    """One step's loss values: the active terms, named as in LOSS_COMPONENTS, and their sum."""
-
-    values: dict[str, float]
-    total: float
-
-    @property
-    def active(self) -> frozenset:
-        return frozenset(self.values)
-
-    def component(self, name: str) -> float:
-        """The term's value, or 0.0 if it was not active this step."""
-        return self.values.get(name, 0.0)
 
 
 @dataclass
@@ -100,10 +56,6 @@ class SgdOptimizer:
         for p in self.params:
             if p.grad is not None:
                 p.array = p.array - factor * p.grad
-        self.zero()
-
-    def zero(self) -> None:
-        for p in self.params:
             p.zero_grad()
 
 
@@ -158,18 +110,18 @@ def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Genera
 
 
 def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
-             visions: Sequence[Encoded], rng: np.random.Generator) -> tuple[Tensor, int]:
+             visions: Sequence[Encoded], rng: np.random.Generator) -> Tensor | None:
     """Masked-LM loss fused against the pass's encoded visions; selected tokens become [MASK].
 
-    Returns (loss, masked position count); when the batch draws zero
-    positions the selection is resampled once, then skipped with count 0.
+    When the batch draws zero positions the selection is resampled once;
+    None means that draw was empty too, and the term is skipped.
     """
     vocab = model.config.vocab
     selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
     if not any(selections):
         selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
     if not any(selections):
-        return Tensor(np.array(0.0)), 0
+        return None
     masked_rows, targets = [], []
     for item, (ids, positions) in enumerate(zip(token_batches, selections)):
         if not positions:
@@ -181,7 +133,7 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
         masked_rows.append(tensor.take_rows(fused, positions))
         targets.extend(ids[pos] for pos in positions)
     logits = model.mlm_logits(tensor.concat_rows(masked_rows))
-    return ops.softmax_cross_entropy(logits, targets), len(targets)
+    return ops.softmax_cross_entropy(logits, targets)
 
 
 def visual_mask_from_bbox(bbox: BBox, grid_size: int) -> np.ndarray:
@@ -230,33 +182,46 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
 
 def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded],
                 text_feats: Tensor, ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
-                rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor, tuple[Tensor, int]]:
-    """(stacked fused [CLS] rows, cl, itm, (mlm, count)) of a pass; `text_feats` projects `texts`."""
+                rng: np.random.Generator) -> tuple[Tensor, dict[str, Tensor]]:
+    """(stacked fused [CLS] rows, terms) of a pass; `text_feats` projects `texts`.
+
+    The terms are "cl" and "itm", plus "mlm" when at least one position is drawn.
+    """
     image_feats = model.project("img", visions)
     cl = contrastive_loss(image_feats, text_feats, model.temperature())
     positives = tensor.concat_rows([model.cross_cls(t, v) for t, v in zip(texts, visions)])
     itm = itm_loss(model, visions, texts, positives, image_feats.array @ text_feats.array.T,
                    grids)
+    terms = {"cl": cl, "itm": itm}
     mlm = mlm_loss(model, ids, visions, rng)
-    return positives, cl, itm, mlm
+    if mlm is not None:
+        terms["mlm"] = mlm
+    return positives, terms
 
 
 def vma_losses(model: VLModel, texts: Sequence[Encoded], text_feats: Tensor,
                ids: Sequence[Sequence[int]], samples: Sequence[DetectionSample],
-               rng: np.random.Generator) -> tuple[Tensor, Tensor, tuple[Tensor, int]]:
-    """The pass on box-masked images, reading the unmasked pass's `texts` and `text_feats`."""
+               rng: np.random.Generator) -> dict[str, Tensor]:
+    """The pass on box-masked images, reading the unmasked pass's `texts` and `text_feats`.
+
+    Its terms are named as the unmasked pass's, with a "vma_" prefix.
+    """
     grids = [s.scene.grid for s in samples]
     masks = [visual_mask_from_bbox(s.bbox, model.config.patch_grid) for s in samples]
     visions = [model.encode_image(g, m) for g, m in zip(grids, masks)]
-    _, cl, itm, mlm = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
-    return cl, itm, mlm
+    _, terms = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
+    return {f"vma_{name}": loss for name, loss in terms.items()}
 
 
-def training_step(model: VLModel, batch: Batch, config: AblationConfig,
-                  optimizer: SgdOptimizer, rng: np.random.Generator) -> LossBundle:
-    """Run every active pass for one batch, then apply a single update."""
+def training_step(model: VLModel, batch: Batch, config: RunConfig, optimizer: SgdOptimizer,
+                  rng: np.random.Generator) -> tuple[dict[str, float], float]:
+    """Run every active pass for one batch, then apply a single update.
+
+    Returns the active terms' values by name, in `LOSS_COMPONENTS` order, and
+    their tape total's value.  Position tokens follow the model's vocabulary.
+    """
     if batch.kind == "caption":
-        if "captions" not in config.sources:
+        if "captions" not in config.source_set():
             raise ValidationError("caption batch scheduled but captions source inactive")
         if not all(isinstance(s, CaptionSample) for s in batch.samples):
             raise ValidationError("caption batch contains non-caption samples")
@@ -271,26 +236,16 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
         raise ValidationError(f"unknown batch kind {batch.kind!r}")
 
     grids = [s.scene.grid for s in batch.samples]
-    pevl = is_detection and config.use_pevl_tokens
+    pevl = is_detection and model.config.use_pevl_tokens
     vocab = model.config.vocab
     ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
 
     texts = [model.encode_text(i) for i in ids]
     text_feats = model.project("txt", texts)
     visions = [model.encode_image(g) for g in grids]
-    positives, cl, itm, (mlm, mlm_count) = pass_losses(model, visions, texts, text_feats, ids,
-                                                       grids, rng)
-    terms: dict[str, Tensor] = {"cl": cl, "itm": itm}
-    if mlm_count > 0:
-        terms["mlm"] = mlm
-
+    positives, terms = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
     if is_detection and config.use_vma:
-        vma_cl, vma_itm, (vma_mlm, vma_count) = vma_losses(model, texts, text_feats, ids,
-                                                           batch.samples, rng)
-        terms["vma_cl"] = vma_cl
-        terms["vma_itm"] = vma_itm
-        if vma_count > 0:
-            terms["vma_mlm"] = vma_mlm
+        terms |= vma_losses(model, texts, text_feats, ids, batch.samples, rng)
     if is_detection and config.use_bbox:
         terms["bbox"] = bbox_loss_terms(model.bbox_corners(positives),
                                         [s.bbox for s in batch.samples])
@@ -299,4 +254,4 @@ def training_step(model: VLModel, batch: Batch, config: AblationConfig,
     total.backward()
     optimizer.step()
 
-    return LossBundle({name: t.item() for name, t in terms.items()}, total.item())
+    return {name: t.item() for name, t in terms.items()}, total.item()

@@ -36,7 +36,10 @@ LOSS_ARMS = {
 
 def prepare_run_dir(config: RunConfig, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name on the path, or no permission
+        raise ValidationError(f"cannot use {out_dir} as a run directory: {exc}") from exc
     config_copy = out_dir / "config.ini"
     if config_copy.exists():
         existing = load_config(config_copy)
@@ -81,7 +84,6 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
     out_dir = prepare_run_dir(config, out_dir)
     chash = config.config_hash()
     model = VLModel(config.model_config(), seed=config.seed)
-    ablation = config.ablation_config()
     optimizer = SgdOptimizer(model.parameters(), lr=config.learning_rate,
                              clip_norm=config.clip_norm)
     batches = sd.sampler_for_sources(
@@ -101,13 +103,13 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
         log.write("\t".join(LOSS_LOG_HEADER) + "\n")
         for index, batch in enumerate(batches):
             step = index + 1
-            bundle = training_step(model, batch, ablation, optimizer,
-                                   rng_for(config.seed, "step", step))
-            if not np.isfinite(bundle.total):
+            values, total = training_step(model, batch, config, optimizer,
+                                          rng_for(config.seed, "step", step))
+            if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at step {step}")
             fields = [str(step), batch.kind]
-            fields += [f"{bundle.component(name):.17g}" for name in LOSS_COMPONENTS]
-            fields += [f"{bundle.total:.17g}", ",".join(sorted(bundle.active))]
+            fields += [f"{values.get(name, 0.0):.17g}" for name in LOSS_COMPONENTS]
+            fields += [f"{total:.17g}", ",".join(sorted(values))]
             log.write("\t".join(fields) + "\n")
             if step % config.cadence == 0:
                 save_checkpoint(model, checkpoint_path(out_dir, step), chash)
@@ -220,12 +222,12 @@ SUMMARY_METRICS = (
 
 
 def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
+    # every arm's config is checked before any arm trains; prepare_run_dir makes out_dir
+    arms = [(loss_tag, sources, arm_config(base, loss_tag, sources))
+            for loss_tag, sources in parse_grid_spec(grid_spec)]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    arms = parse_grid_spec(grid_spec)
     rows = []
-    for loss_tag, sources in arms:
-        config = arm_config(base, loss_tag, sources)
+    for loss_tag, sources, config in arms:
         arm_dir = out_dir / arm_name(loss_tag, sources)
         result = run_training(config, arm_dir)
         final = result.checkpoint_steps[-1]

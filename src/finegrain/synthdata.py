@@ -338,14 +338,6 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
     raise FoilCapabilityError(f"unknown foil subtask {subtask!r}")
 
 
-def supports_subtask(scene: Scene, subtask: str) -> bool:
-    try:
-        make_foils(scene, subtask)
-        return True
-    except FoilCapabilityError:
-        return False
-
-
 # -- streams and the interleaved sampler ---------------------------------------
 
 

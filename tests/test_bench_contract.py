@@ -65,6 +65,29 @@ def test_run_training_keeps_the_observed_loop_shape():
     assert observer.lines_calling(code, "save_checkpoint")
 
 
+def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
+    # the tracer tags spans from positional arguments: the batch of a training
+    # step, the grid of an image encode and the ids of a text encode
+    config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
+                       vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
+                       mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
+                       caption_batch=2, detection_batch=2, eval_per_subtask=1,
+                       retrieval_count=2, eval_seed=900)
+    with TRACER.Tracer() as tracer:
+        runner.run_training(config, tmp_path)
+        runner.run_eval(config, runner.checkpoint_path(tmp_path, 3), tmp_path)
+
+    def tags(name):
+        found = [span.tag for span in tracer.spans if span.name == name]
+        assert found, name
+        return found
+
+    assert set(tags("objectives.training_step")) == {"caption", "detection"}
+    assert all(type(tag) is tuple for tag in tags("model.encode_text"))
+    assert all(type(tag) is bytes for tag in tags("model.encode_image"))
+    assert TRACER.wrapped_bindings() == []
+
+
 def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
     config = RunConfig(seed=4, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
                        cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24)

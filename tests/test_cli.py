@@ -67,6 +67,7 @@ class TestConfig:
         ("clip_norm", "inf"), ("learning_rate", 0), ("learning_rate", -0.01),
         ("learning_rate", "nan"), ("temperature_init", 0), ("temperature_init", "nan"),
         ("temperature_init", "inf"), ("pevl_bins", 1), ("pevl_bins", 0), ("retrieval_count", -1),
+        ("seed", -1), ("data_seed", -1), ("eval_seed", -1),
     ])
     def test_out_of_range_size_rejected(self, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)
@@ -297,6 +298,42 @@ class TestCli:
         code = main(["eval", "--config", str(config_path), "--checkpoint", str(cut),
                      "--out", str(run_dir)])
         assert code == EXIT_DEPENDENCY
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff" + tiny_config().render().encode("utf-8"))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_checkpoint_directory_exit_code(self, tmp_path):
+        config_path = self.write_config(tmp_path)
+        code = main(["eval", "--config", str(config_path), "--checkpoint", str(tmp_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_DEPENDENCY
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys, command):
+        config_path = self.write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = [command, "--config", str(config_path), "--out", str(taken)]
+        code = main(argv + (["--grid", "A:captions"] if command == "ablate" else []))
+        assert code == EXIT_VALIDATION
+        assert "as a run directory" in capsys.readouterr().err
+
+    def test_ablate_checks_every_arm_before_training(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        grid = tmp_path / "grid"
+        code = main(["ablate", "--config", str(config_path), "--grid", "A:captions; full:captions",
+                     "--out", str(grid)])
+        assert code == EXIT_VALIDATION
+        assert "detection data source" in capsys.readouterr().err
+        assert not list(grid.glob("*"))
 
     def test_missing_config_file(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "none.ini"),

@@ -336,6 +336,23 @@ class TestSubtaskItems:
         ev.subtask_items("counting", 77, 3, 4)
         assert len(calls) == generated
 
+    def test_each_collected_item_builds_its_foil_once(self, monkeypatch):
+        built = []
+        make_foils = sd.make_foils
+
+        def counted(scene, subtask):
+            pair = make_foils(scene, subtask)  # a scene that cannot hold the foil raises here
+            built.append(pair)
+            return pair
+
+        monkeypatch.setattr(sd, "make_foils", counted)
+        monkeypatch.setattr(ev, "make_foils", counted)
+        ev.subtask_items.cache_clear()
+        items = [item for tag in ev.KNOWN_SUBTASKS for item in ev.subtask_items(tag, 77, 3, 4)]
+        ev.subtask_items.cache_clear()
+        assert len(items) == 3 * len(ev.KNOWN_SUBTASKS)
+        assert len(built) == len(items)
+
 
 class TestRetrievalTable:
     def test_repeat_call_generates_no_scene(self, monkeypatch):

@@ -30,11 +30,10 @@ def micro_config(**overrides):
 
 
 def ablation(**flags):
-    """The full arm on every source, with `flags` overriding."""
-    values = dict(use_vma=True, use_bbox=True, use_pevl_tokens=False,
-                  sources=frozenset(sd.DATA_SOURCES))
-    values.update(flags)
-    return obj.AblationConfig(**values)
+    """A run config with the full arm on every source (the defaults), with `flags` overriding."""
+    if "sources" in flags:
+        flags["sources"] = ",".join(sorted(flags["sources"]))
+    return RunConfig(seed=0, **flags)
 
 
 def micro_model(seed=5, **overrides):
@@ -203,8 +202,8 @@ class TestMlmLoss:
         scene = sd.generate_scene(41, 2, grid_size=2)
         ids = vocab.encode_wrapped(sd.caption_of(scene).text)
         vision = [model.encode_image(scene.grid)]
-        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"))
-        assert count > 0
+        loss = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"))
+        assert loss is not None
         positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"))
         masked = list(ids)
         for p in positions:
@@ -225,7 +224,9 @@ class TestMlmLoss:
         ids = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
         vision = [model.encode_image(s.grid) for s in scenes]
         calls = count_calls(model, "mlm_logits")
-        _, count = obj.mlm_loss(model, ids, vision, rng_for(5, "mlm"))
+        assert obj.mlm_loss(model, ids, vision, rng_for(5, "mlm")) is not None
+        rng = rng_for(5, "mlm")
+        count = sum(len(obj.select_mask_positions(i, vocab, rng)) for i in ids)
         assert count > 0
         assert len(calls) == 1
         assert calls[0][0].shape == (count, model.config.hidden_dim)
@@ -236,9 +237,7 @@ class TestMlmLoss:
         ids = model.config.vocab.encode_wrapped("a red circle")
         scene = sd.generate_scene(43, 0, grid_size=2)
         vision = [model.encode_image(scene.grid)]
-        loss, count = obj.mlm_loss(model, [ids], vision, rng_for(1, "z"))
-        assert count == 0
-        assert loss.item() == 0.0
+        assert obj.mlm_loss(model, [ids], vision, rng_for(1, "z")) is None
 
 
 class TestVisualMask:
@@ -371,14 +370,14 @@ class TestVmaLosses:
 
         text_feats = model.project("txt", texts)
 
-        _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, text_feats, ids, grids,
-                                               rng_for(7, "same"))
+        _, terms = obj.pass_losses(model, visions, texts, text_feats, ids, grids,
+                                   rng_for(7, "same"))
 
-        vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, text_feats, ids, full,
-                                                       rng_for(7, "same"))
-        assert vma_cl.item() == cl.item()
-        assert vma_itm.item() == itm.item()
-        assert vma_mlm.item() == mlm.item()
+        vma = obj.vma_losses(model, texts, text_feats, ids, full, rng_for(7, "same"))
+        assert [*vma] == ["vma_cl", "vma_itm", "vma_mlm"]
+        assert vma["vma_cl"].item() == terms["cl"].item()
+        assert vma["vma_itm"].item() == terms["itm"].item()
+        assert vma["vma_mlm"].item() == terms["mlm"].item()
 
     def test_outside_box_invariance_bit_exact(self, monkeypatch):
         monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.4)
@@ -401,18 +400,21 @@ class TestVmaLosses:
         base = obj.vma_losses(model, texts, text_feats, ids, batch.samples, rng_for(3, "vma"))
         noisy = obj.vma_losses(model, texts, text_feats, ids,
                                tuple(scrambled(s) for s in batch.samples), rng_for(3, "vma"))
-        assert base[0].item() == noisy[0].item()
-        assert base[1].item() == noisy[1].item()
-        assert base[2][0].item() == noisy[2][0].item()
+        assert [*base] == [*noisy] == ["vma_cl", "vma_itm", "vma_mlm"]
+        assert base["vma_cl"].item() == noisy["vma_cl"].item()
+        assert base["vma_itm"].item() == noisy["vma_itm"].item()
+        assert base["vma_mlm"].item() == noisy["vma_mlm"].item()
 
 
 class TestAblationConfig:
+    """The checks on a `RunConfig`'s [ablation] section."""
+
     def test_vma_needs_detection_source(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="need a detection data source"):
             ablation(use_vma=True, use_bbox=False, sources=frozenset({"captions"}))
 
     def test_pevl_excludes_vma_and_bbox(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="exclude vma/bbox"):
             ablation(use_vma=True, use_bbox=False, use_pevl_tokens=True)
 
     def test_valid_arms(self):
@@ -442,24 +444,20 @@ class TestTrainingStep:
         model = micro_model(seed=23)
         config = ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        bundle = obj.training_step(model, caption_batch(model), config, optimizer,
-                                   rng_for(1, "step"))
-        assert bundle.active == {"cl", "itm", "mlm"}
-        assert all(bundle.component(name) == 0.0
-                   for name in ("vma_cl", "vma_itm", "vma_mlm", "bbox"))
-        assert bundle.total == pytest.approx(
-            bundle.component("cl") + bundle.component("itm") + bundle.component("mlm"),
-            abs=1e-9)
+        values, total = obj.training_step(model, caption_batch(model), config, optimizer,
+                                          rng_for(1, "step"))
+        assert values.keys() == {"cl", "itm", "mlm"}
+        assert all(name not in values for name in ("vma_cl", "vma_itm", "vma_mlm", "bbox"))
+        assert total == pytest.approx(values["cl"] + values["itm"] + values["mlm"], abs=1e-9)
 
     def test_full_detection_batch_composition(self):
         model = micro_model(seed=23)
         config = ablation()
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        bundle = obj.training_step(model, detection_batch(model), config, optimizer,
-                                   rng_for(2, "step"))
-        assert bundle.active == set(obj.LOSS_COMPONENTS)
-        active_sum = sum(bundle.component(name) for name in bundle.active)
-        assert bundle.total == pytest.approx(active_sum, abs=1e-9)
+        values, total = obj.training_step(model, detection_batch(model), config, optimizer,
+                                          rng_for(2, "step"))
+        assert [*values] == list(obj.LOSS_COMPONENTS)
+        assert total == pytest.approx(sum(values.values()), abs=1e-9)
 
     def test_pevl_detection_batch(self):
         model = micro_model(seed=27, use_pevl_tokens=True, max_len=32)
@@ -467,8 +465,8 @@ class TestTrainingStep:
                           sources=frozenset({"captions", "object_labels"}))
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         batch = detection_batch(model, kind="object_label")
-        bundle = obj.training_step(model, batch, config, optimizer, rng_for(3, "step"))
-        assert bundle.active == {"cl", "itm", "mlm"}
+        values, _ = obj.training_step(model, batch, config, optimizer, rng_for(3, "step"))
+        assert values.keys() == {"cl", "itm", "mlm"}
 
     def test_kind_source_mismatch_rejected(self):
         model = micro_model()
@@ -538,13 +536,13 @@ class TestTrainingStep:
             batch = caption_batch(model)
         else:
             batch = detection_batch(model, n=2, seed=61)
-        first = obj.training_step(model, batch, config, optimizer, rng_for(0, "overfit"))
-        best = first.total
+        _, first = obj.training_step(model, batch, config, optimizer, rng_for(0, "overfit"))
+        best = first
         for step in range(1, 21):
-            bundle = obj.training_step(model, batch, config, optimizer,
-                                       rng_for(step, "overfit"))
-            best = min(best, bundle.total)
-        assert best < first.total
+            _, total = obj.training_step(model, batch, config, optimizer,
+                                         rng_for(step, "overfit"))
+            best = min(best, total)
+        assert best < first
 
 
 class TestSgdOptimizer:
@@ -572,26 +570,24 @@ class TestLossGradients:
         def f():
             visions, texts, ids, grids = encode_batch(model, batch.samples)
             if component == "vma":
-                cl, itm, (mlm, _) = obj.vma_losses(model, texts, model.project("txt", texts),
-                                                   ids, batch.samples, rng_for(1, "gc"))
-                return tensor.add_scalars([cl, itm, mlm])
+                vma = obj.vma_losses(model, texts, model.project("txt", texts), ids,
+                                     batch.samples, rng_for(1, "gc"))
+                return tensor.add_scalars(list(vma.values()))
             if component == "shared":
                 # both passes read one text encoding and projection, so their gradients sum
                 rng = rng_for(1, "gc")
                 text_feats = model.project("txt", texts)
-                _, cl, itm, (mlm, _) = obj.pass_losses(model, visions, texts, text_feats, ids,
-                                                       grids, rng)
-                vma_cl, vma_itm, (vma_mlm, _) = obj.vma_losses(model, texts, text_feats, ids,
-                                                               batch.samples, rng)
-                return tensor.add_scalars([cl, itm, mlm, vma_cl, vma_itm, vma_mlm])
+                _, terms = obj.pass_losses(model, visions, texts, text_feats, ids, grids, rng)
+                vma = obj.vma_losses(model, texts, text_feats, ids, batch.samples, rng)
+                return tensor.add_scalars([*terms.values(), *vma.values()])
             if component == "cl":
                 return obj.contrastive_loss(model.project("img", visions),
                                             model.project("txt", texts), model.temperature())
             if component == "itm":
                 return matching_loss(model, visions, texts, grids)
             if component == "mlm":
-                loss, count = obj.mlm_loss(model, ids, visions, rng_for(1, "gc"))
-                assert count > 0
+                loss = obj.mlm_loss(model, ids, visions, rng_for(1, "gc"))
+                assert loss is not None
                 return loss
             return obj.bbox_loss_terms(model.bbox_corners(positive_rows(model, visions, texts)),
                                        [s.bbox for s in batch.samples])
