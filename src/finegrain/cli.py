@@ -50,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate = add("ablate", "train and evaluate one run per grid arm")
     ablate.add_argument("--grid", required=True,
                         help='arms like "full:all; A:captions; A+VMA:captions+region_descriptions". '
-                             'The calibration grid "A:captions; full:all; '
-                             'full:captions+object_labels; full:captions+region_descriptions" '
+                             f'The calibration grid "{runner.CALIBRATION_GRID}" '
                              'checks the paper\'s two findings (full >= A on relation_statement, '
                              'region descriptions >= object labels on foil_avg); run it over '
                              'three seeds and compare medians.')

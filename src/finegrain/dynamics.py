@@ -1,5 +1,6 @@
 """Checkpoint-cadence trajectories and cross-task correlation.
 
+A trajectory is a dict, checkpoint step -> metrics, over steps the caller has checked.
 Correlation analysis runs on the raw, unsmoothed trajectories.
 Zero-variance pairs are reported as explicit 'undefined' records rather
 than dropped.
@@ -7,14 +8,14 @@ than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import UndefinedCorrelationError, ValidationError
-from .fileio import atomic_open
+from .fileio import write_table
 
 
 def _validated(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -48,24 +49,6 @@ def spearman(x, y) -> float:
     return pearson(_average_ranks(a), _average_ranks(b))
 
 
-@dataclass
-class TrajectoryTable:
-    steps: list[int] = field(default_factory=list)
-    columns: dict[str, list[float]] = field(default_factory=dict)
-
-    def append_row(self, step: int, metrics: dict[str, float]) -> None:
-        if self.steps and step <= self.steps[-1]:
-            raise ValidationError(f"steps must strictly increase, got {step}")
-        if self.columns and set(metrics) != set(self.columns):
-            raise ValidationError("row metric names do not match existing columns")
-        self.steps.append(int(step))
-        for name, value in metrics.items():
-            self.columns.setdefault(name, []).append(float(value))
-
-    def metric_names(self) -> list[str]:
-        return sorted(self.columns)
-
-
 @dataclass(frozen=True)
 class CorrelationEntry:
     metric_a: str
@@ -79,14 +62,13 @@ class CorrelationEntry:
         return self.pearson_r is not None
 
 
-def correlate_tasks(table: TrajectoryTable) -> list[CorrelationEntry]:
+def correlate_tasks(trajectory: dict[int, dict[str, float]]) -> list[CorrelationEntry]:
     """Pearson and Spearman over raw trajectories for every pair of metrics, self-pairs included."""
-    names = table.metric_names()
+    names = sorted(next(iter(trajectory.values())))
+    columns = {name: [metrics[name] for metrics in trajectory.values()] for name in names}
     entries = []
     for a, b in ((a, b) for i, a in enumerate(names) for b in names[i:]):
-        xs, ys = table.columns[a], table.columns[b]
-        if len(xs) < 3:
-            raise ValidationError(f"pair ({a}, {b}) has fewer than 3 shared steps")
+        xs, ys = columns[a], columns[b]
         try:
             entry = CorrelationEntry(a, b, pearson(xs, ys), spearman(xs, ys), len(xs))
         except UndefinedCorrelationError:
@@ -95,37 +77,26 @@ def correlate_tasks(table: TrajectoryTable) -> list[CorrelationEntry]:
     return entries
 
 
-def track(total_steps: int, cadence: int,
-          evaluate: Callable[[int], dict[str, float]]) -> TrajectoryTable:
-    """Evaluate at each cadence point and assemble the trajectory table."""
-    if cadence <= 0 or total_steps % cadence != 0:
-        raise ValidationError(f"cadence {cadence} must divide total steps {total_steps}")
-    table = TrajectoryTable()
-    for step in range(cadence, total_steps + 1, cadence):
-        table.append_row(step, evaluate(step))
-    return table
+def track(steps: list[int],
+          evaluate: Callable[[int], dict[str, float]]) -> dict[int, dict[str, float]]:
+    """Evaluate each checkpoint step in order: the trajectory, step -> metrics."""
+    return {step: evaluate(step) for step in steps}
 
 
 # -- files -----------------------------------------------------------------------
 
 
-def write_trajectory(path: Path, table: TrajectoryTable, config_hash: str) -> None:
-    names = table.metric_names()
-    lines = [f"# config_hash={config_hash}", "\t".join(["step"] + names)]
-    for i, step in enumerate(table.steps):
-        lines.append("\t".join([str(step)] + [f"{table.columns[n][i]:.17g}" for n in names]))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_trajectory(path: Path, trajectory: dict[int, dict[str, float]],
+                     config_hash: str) -> None:
+    names = sorted(next(iter(trajectory.values())))
+    write_table(path, config_hash, ["step", *names],
+                ([str(step), *(f"{metrics[n]:.17g}" for n in names)]
+                 for step, metrics in trajectory.items()))
 
 
 def write_correlations(path: Path, entries: list[CorrelationEntry], config_hash: str) -> None:
-    lines = [f"# config_hash={config_hash}",
-             "metric_a\tmetric_b\tpearson\tspearman\tn\tstatus"]
-    for e in entries:
-        if e.defined:
-            lines.append(f"{e.metric_a}\t{e.metric_b}\t{e.pearson_r:.17g}"
-                         f"\t{e.spearman_rho:.17g}\t{e.count}\tok")
-        else:
-            lines.append(f"{e.metric_a}\t{e.metric_b}\tnan\tnan\t{e.count}\tundefined")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [[e.metric_a, e.metric_b,
+             *(f"{r:.17g}" if e.defined else "nan" for r in (e.pearson_r, e.spearman_rho)),
+             str(e.count), "ok" if e.defined else "undefined"] for e in entries]
+    write_table(path, config_hash,
+                ("metric_a", "metric_b", "pearson", "spearman", "n", "status"), rows)

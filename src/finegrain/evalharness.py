@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor
 from .errors import EmptyInputError, FoilCapabilityError, ValidationError
-from .fileio import atomic_open
+from .fileio import atomic_open, write_table
 from .model import Encoded, VLModel
 from .synthdata import FoilPair, Scene, caption_of, generate_scene, make_foils
 
@@ -290,10 +290,8 @@ def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0,
 
 
 def write_report(path: Path, report: EvalReport, config_hash: str) -> None:
-    lines = [f"# config_hash={config_hash}", "metric\tvalue\tcount"]
-    lines += [f"{name}\t{value:.17g}\t{count}" for name, value, count in report.rows()]
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, config_hash, ("metric", "value", "count"),
+                ((name, f"{value:.17g}", str(count)) for name, value, count in report.rows()))
 
 
 def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:

@@ -19,3 +19,11 @@ def atomic_open(path: Path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_table(path: Path, config_hash: str, header, rows) -> None:
+    """The one writer of `# config_hash=` report tables: the hash line, then tab-joined rows."""
+    lines = [f"# config_hash={config_hash}", "\t".join(header)]
+    lines += ["\t".join(row) for row in rows]
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")

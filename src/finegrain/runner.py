@@ -3,6 +3,9 @@
 Every command is deterministic given (config, seed): rerunning into a
 fresh directory reproduces the output tree byte for byte.  Run directory
 layout is fixed: config.ini copy, checkpoints/, logs/, reports/.
+
+An ablation grid is {arm directory name: RunConfig} in grid order; every
+arm's config and directory is checked before the first arm trains.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import evalharness as ev
 from . import synthdata as sd
 from .config import RunConfig, load_config, save_config
 from .errors import DependencyError, NumericError, ValidationError
-from .fileio import atomic_open
+from .fileio import write_table
 from .model import VLModel, load_checkpoint, save_checkpoint
 from .objectives import LOSS_COMPONENTS, SgdOptimizer, training_step
 from .seeding import rng_for
@@ -162,19 +165,17 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
         return ev.run_benchmark(ev.model_scorer(model), manifest, checkpoint_step=step).metrics
 
     steps = [checkpoint_step(p) for p in checkpoints]
-    expected = list(range(config.cadence, config.steps + 1, config.cadence))
-    if steps != expected:
-        raise DependencyError(
-            f"checkpoints at steps {steps} do not match cadence {config.cadence} "
-            f"over {config.steps} steps"
-        )
-    table = dyn.track(config.steps, config.cadence, evaluate)
+    if steps != list(range(config.cadence, config.steps + 1, config.cadence)):
+        raise DependencyError(f"checkpoints at steps {steps} do not match cadence "
+                              f"{config.cadence} over {config.steps} steps")
+    prepare_run_dir(config, run_dir)
+    trajectory = dyn.track(steps, evaluate)
     chash = config.config_hash()
     trajectory_path = run_dir / "reports" / "trajectory.tsv"
     correlation_path = run_dir / "reports" / "correlations.tsv"
-    dyn.write_trajectory(trajectory_path, table, chash)
+    dyn.write_trajectory(trajectory_path, trajectory, chash)
     # correlation needs at least 3 checkpoints; below that only the trajectory is written
-    entries = dyn.correlate_tasks(table) if len(table.steps) >= 3 else []
+    entries = dyn.correlate_tasks(trajectory) if len(trajectory) >= 3 else []
     dyn.write_correlations(correlation_path, entries, chash)
     return trajectory_path, correlation_path
 
@@ -182,9 +183,14 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
 # -- ablation grid --------------------------------------------------------------------
 
 
-def parse_grid_spec(spec: str) -> list[tuple[str, frozenset]]:
-    """Arms like "full:all; A:captions; A+VMA:captions+region_descriptions"."""
-    arms = []
+# the grid that checks the paper's two findings (see `finegrain ablate --help`)
+CALIBRATION_GRID = ("A:captions; full:all; full:captions+object_labels; "
+                    "full:captions+region_descriptions")
+
+
+def parse_grid_spec(base: RunConfig, spec: str) -> dict[str, RunConfig]:
+    """Arms like "full:all; A:captions; A+VMA:captions+region_descriptions", by directory name."""
+    arms = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -195,23 +201,17 @@ def parse_grid_spec(spec: str) -> list[tuple[str, frozenset]]:
         if loss_tag not in LOSS_ARMS:
             raise ValidationError(
                 f"unknown loss arm {loss_tag!r}, expected one of {sorted(LOSS_ARMS)}")
-        if source_field == "all":
-            sources = frozenset(sd.DATA_SOURCES)
-        else:
-            sources = frozenset(s.strip() for s in source_field.split("+") if s.strip())
-        arms.append((loss_tag, sources))
+        sources = (set(sd.DATA_SOURCES) if source_field == "all"
+                   else {s.strip() for s in source_field.split("+") if s.strip()})
+        config = replace(base, sources=",".join(sorted(sources)), **LOSS_ARMS[loss_tag])
+        tags = "-".join(sd.DATA_SOURCES[s].tag for s in sorted(sources))
+        name = f"{loss_tag.replace('+', '_').lower()}__{tags}"
+        if name in arms:
+            raise ValidationError(f"grid names arm {name} twice")
+        arms[name] = config
     if not arms:
         raise ValidationError("grid spec contains no arms")
     return arms
-
-
-def arm_name(loss_tag: str, sources: frozenset) -> str:
-    tag = loss_tag.replace("+", "_").lower()
-    return f"{tag}__{'-'.join(sd.DATA_SOURCES[s].tag for s in sorted(sources))}"
-
-
-def arm_config(base: RunConfig, loss_tag: str, sources: frozenset) -> RunConfig:
-    return replace(base, sources=",".join(sorted(sources)), **LOSS_ARMS[loss_tag])
 
 
 SUMMARY_METRICS = (
@@ -222,49 +222,23 @@ SUMMARY_METRICS = (
 
 
 def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
-    # every arm's config is checked before any arm trains; prepare_run_dir makes out_dir
-    arms = [(loss_tag, sources, arm_config(base, loss_tag, sources))
-            for loss_tag, sources in parse_grid_spec(grid_spec)]
+    arms = parse_grid_spec(base, grid_spec)
     out_dir = Path(out_dir)
+    for name, config in arms.items():
+        prepare_run_dir(config, out_dir / name)
     rows = []
-    for loss_tag, sources, config in arms:
-        arm_dir = out_dir / arm_name(loss_tag, sources)
-        result = run_training(config, arm_dir)
-        final = result.checkpoint_steps[-1]
-        report = run_eval(config, checkpoint_path(arm_dir, final), arm_dir)
-        metrics = dict(report.metrics)
+    for name, config in arms.items():
+        arm_dir = out_dir / name
+        final = run_training(config, arm_dir).checkpoint_steps[-1]
+        metrics = dict(run_eval(config, checkpoint_path(arm_dir, final), arm_dir).metrics)
         metrics["svo_avg"] = float(np.mean([
             metrics[t] for t in ("svo_subject", "svo_verb", "svo_object")]))
-        flags = LOSS_ARMS[loss_tag]
-        rows.append({
-            "arm": arm_name(loss_tag, sources),
-            "loss": loss_tag,
-            "sources": sources,
-            "flags": flags,
-            "metrics": metrics,
-        })
+        marks = [s in config.source_set() for s in sd.DATA_SOURCES]
+        marks += [True, config.use_vma, config.use_bbox, config.use_pevl_tokens]
+        rows.append([name, *("x" if on else "-" for on in marks),
+                     *(f"{metrics[m]:.4f}" for m in SUMMARY_METRICS)])
     summary = out_dir / "summary.tsv"
-    _write_summary(summary, rows, base.config_hash())
+    header = ["arm", *sd.DATA_SOURCES, "loss_A", "loss_VMA", "loss_bbox", "loss_pevl",
+              *SUMMARY_METRICS]
+    write_table(summary, base.config_hash(), header, rows)
     return summary
-
-
-def _write_summary(path: Path, rows: list[dict], config_hash: str) -> None:
-    source_cols = tuple(sd.DATA_SOURCES)
-    loss_cols = ("A", "VMA", "bbox", "pevl")
-    header = ["arm", *source_cols, *(f"loss_{c}" for c in loss_cols), *SUMMARY_METRICS]
-    lines = [f"# config_hash={config_hash}", "\t".join(header)]
-    for row in rows:
-        flags = row["flags"]
-        loss_marks = [
-            "x",
-            "x" if flags["use_vma"] else "-",
-            "x" if flags["use_bbox"] else "-",
-            "x" if flags["use_pevl_tokens"] else "-",
-        ]
-        fields = [row["arm"]]
-        fields += ["x" if s in row["sources"] else "-" for s in source_cols]
-        fields += loss_marks
-        fields += [f"{row['metrics'][m]:.4f}" for m in SUMMARY_METRICS]
-        lines.append("\t".join(fields))
-    with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -5,6 +5,8 @@ import errno
 import filecmp
 import math
 import re
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -156,13 +158,40 @@ class TestRunner:
         assert (tmp_path / "eval" / "reports" / "eval_step_000000.tsv").exists()
 
     def test_grid_spec_parsing(self):
-        arms = runner.parse_grid_spec("full:all; A:captions")
-        assert arms[0][0] == "full" and len(arms[0][1]) == 4
-        assert arms[1] == ("A", frozenset({"captions"}))
+        arms = runner.parse_grid_spec(tiny_config(), "full:all; A:captions")
+        assert list(arms) == ["full__attr-cap-obj-region", "a__cap"]
+        full, a = arms.values()
+        assert full.use_vma and full.use_bbox and len(full.source_set()) == 4
+        assert a == replace(tiny_config(), sources="captions", **runner.LOSS_ARMS["A"])
         with pytest.raises(ValidationError):
-            runner.parse_grid_spec("bogus:all")
+            runner.parse_grid_spec(tiny_config(), "bogus:all")
         with pytest.raises(ValidationError):
-            runner.parse_grid_spec("")
+            runner.parse_grid_spec(tiny_config(), "")
+
+    def test_grid_spec_strips_and_merges_sources(self):
+        arms = runner.parse_grid_spec(tiny_config(), " pevl : captions + object_labels+captions ;")
+        assert list(arms) == ["pevl__cap-obj"]
+        assert arms["pevl__cap-obj"].sources == "captions,object_labels"
+
+    def test_calibration_grid_arms(self):
+        arms = runner.parse_grid_spec(tiny_config(), runner.CALIBRATION_GRID)
+        assert list(arms) == ["a__cap", "full__attr-cap-obj-region", "full__cap-obj",
+                              "full__cap-region"]
+
+    def test_dynamics_needs_every_cadence_checkpoint(self, tmp_path):
+        config = tiny_config(cadence=2)
+        runner.run_training(config, tmp_path)
+        runner.checkpoint_path(tmp_path, 4).unlink()
+        with pytest.raises(DependencyError, match=r"checkpoints at steps \[2, 6\]"):
+            runner.run_dynamics(config, tmp_path)
+
+    def test_dynamics_of_run_dir_of_other_config_rejected(self, tmp_path):
+        config = tiny_config()
+        runner.run_training(config, tmp_path / "run")
+        save_config(tiny_config(seed=99), tmp_path / "run" / "config.ini")
+        with pytest.raises(DependencyError, match="belongs to config"):
+            runner.run_dynamics(config, tmp_path / "run")
+        assert not list((tmp_path / "run" / "reports").iterdir())
 
     def test_ablation_writes_one_dir_per_arm_and_summary(self, tmp_path):
         config = tiny_config()
@@ -183,8 +212,7 @@ class TestRunner:
                                                              monkeypatch):
         eval_report = ev.EvalReport(checkpoint_step=3, metrics={"foil_avg": 0.5},
                                     counts={"foil_avg": 4})
-        trajectory = dyn.TrajectoryTable()
-        trajectory.append_row(3, {"foil_avg": 0.5})
+        trajectory = {3: {"foil_avg": 0.5}}
         write = {
             "config": lambda p: save_config(tiny_config(), p),
             "report": lambda p: ev.write_report(p, eval_report, "cafe01"),
@@ -194,7 +222,7 @@ class TestRunner:
                                                  dump_path=p),
             "trajectory": lambda p: dyn.write_trajectory(p, trajectory, "cafe01"),
             "correlations": lambda p: dyn.write_correlations(p, [], "cafe01"),
-            "summary": lambda p: runner._write_summary(p, [], "cafe01"),
+            "summary": lambda p: fileio.write_table(p, "cafe01", ["arm"], []),
         }[writer]
         path = tmp_path / "eval_step_000003.tsv"
         path.write_text("previous\n", encoding="utf-8")
@@ -220,8 +248,8 @@ class TestRunner:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_arm_name_of_full_all_pinned(self):
-        [(loss_tag, sources)] = runner.parse_grid_spec("full:all")
-        assert runner.arm_name(loss_tag, sources) == "full__attr-cap-obj-region"
+        assert list(runner.parse_grid_spec(tiny_config(), "full:all")) == [
+            "full__attr-cap-obj-region"]
 
 
 class TestCli:
@@ -334,6 +362,43 @@ class TestCli:
         assert code == EXIT_VALIDATION
         assert "detection data source" in capsys.readouterr().err
         assert not list(grid.glob("*"))
+
+    def test_ablate_arm_named_twice_exit_code(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        grid = tmp_path / "grid"
+        code = main(["ablate", "--config", str(config_path), "--grid", "A:captions; A:captions",
+                     "--out", str(grid)])
+        assert code == EXIT_VALIDATION
+        assert "grid names arm a__cap twice" in capsys.readouterr().err
+        assert not grid.exists()
+
+    def test_ablate_checks_every_arm_dir_before_training(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        grid = tmp_path / "grid"
+        runner.prepare_run_dir(tiny_config(seed=99), grid / "a__cap")
+        code = main(["ablate", "--config", str(config_path), "--grid", "full:all; A:captions",
+                     "--out", str(grid)])
+        assert code == EXIT_DEPENDENCY
+        assert "a__cap belongs to config" in capsys.readouterr().err
+        assert not (grid / "full__attr-cap-obj-region" / "logs" / "losses.tsv").exists()
+
+    def test_dynamics_of_checkpoints_only_dir(self, tmp_path):
+        config_path = self.write_config(tmp_path)
+        run_dir, bare = tmp_path / "run", tmp_path / "bare"
+        assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
+        shutil.copytree(run_dir / "checkpoints", bare / "checkpoints")
+        for out in (run_dir, bare):
+            assert main(["dynamics", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+        for name in ("trajectory.tsv", "correlations.tsv"):
+            assert filecmp.cmp(run_dir / "reports" / name, bare / "reports" / name, shallow=False)
+        assert (bare / "config.ini").read_bytes() == (run_dir / "config.ini").read_bytes()
+
+    def test_dynamics_of_missing_run_dir_creates_nothing(self, tmp_path):
+        config_path = self.write_config(tmp_path)
+        missing = tmp_path / "missing"
+        code = main(["dynamics", "--config", str(config_path), "--out", str(missing)])
+        assert code == EXIT_DEPENDENCY
+        assert not missing.exists()
 
     def test_missing_config_file(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "none.ini"),

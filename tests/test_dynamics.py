@@ -69,15 +69,10 @@ class TestSpearman:
 
 class TestCorrelateTasks:
     def build_table(self):
-        table = dyn.TrajectoryTable()
         rng = rng_for(3, "table")
-        for i, step in enumerate(range(500, 4001, 500)):
-            table.append_row(step, {
-                "existence": float(rng.random()),
-                "counting": float(rng.random()),
-                "flat": 0.5,
-            })
-        return table
+        return {step: {"existence": float(rng.random()), "counting": float(rng.random()),
+                       "flat": 0.5}
+                for step in range(500, 4001, 500)}
 
     @staticmethod
     def entry(entries, a, b):
@@ -98,43 +93,32 @@ class TestCorrelateTasks:
         table = self.build_table()
         entry = self.entry(dyn.correlate_tasks(table), "counting", "existence")
         assert entry.pearson_r == pytest.approx(
-            float(stats.pearsonr(table.columns["existence"], table.columns["counting"]).statistic),
+            float(stats.pearsonr([m["existence"] for m in table.values()],
+                                 [m["counting"] for m in table.values()]).statistic),
             abs=1e-12)
 
 
 class TestTrack:
     def test_rows_at_cadence_points(self):
-        table = dyn.track(2000, 500, lambda step: {"metric": step / 2000})
-        assert table.steps == [500, 1000, 1500, 2000]
-        assert table.columns["metric"] == [0.25, 0.5, 0.75, 1.0]
-
-    def test_cadence_must_divide(self):
-        with pytest.raises(ValidationError):
-            dyn.track(2000, 300, lambda step: {"m": 0.0})
-
-    def test_steps_strictly_increasing_enforced(self):
-        table = dyn.TrajectoryTable()
-        table.append_row(100, {"m": 0.1})
-        with pytest.raises(ValidationError):
-            table.append_row(100, {"m": 0.2})
+        table = dyn.track([500, 1000, 1500, 2000], lambda step: {"metric": step / 2000})
+        assert list(table) == [500, 1000, 1500, 2000]
+        assert [m["metric"] for m in table.values()] == [0.25, 0.5, 0.75, 1.0]
 
 
 class TestFiles:
     def test_trajectory_round_trip(self, tmp_path):
-        table = dyn.track(1000, 250, lambda step: {"a": step * 0.001, "b": 1 / step})
+        table = dyn.track([250, 500, 750, 1000], lambda step: {"a": step * 0.001, "b": 1 / step})
         path = tmp_path / "trajectory.tsv"
         dyn.write_trajectory(path, table, "hash123")
         assert path.read_text().startswith("# config_hash=hash123\n")
         header, *rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
-        assert header[0] == "step" and sorted(header[1:]) == sorted(table.columns)
-        assert [int(row[0]) for row in rows] == table.steps
+        assert header[0] == "step" and sorted(header[1:]) == sorted(table[250])
+        assert [int(row[0]) for row in rows] == list(table)
         for j, name in enumerate(header[1:], start=1):
-            assert [float(row[j]) for row in rows] == table.columns[name]
+            assert [float(row[j]) for row in rows] == [m[name] for m in table.values()]
 
     def test_correlation_file_has_sentinels(self, tmp_path):
-        table = dyn.TrajectoryTable()
-        for step in (1, 2, 3):
-            table.append_row(step, {"x": float(step), "flat": 1.0})
+        table = {step: {"x": float(step), "flat": 1.0} for step in (1, 2, 3)}
         entries = dyn.correlate_tasks(table)
         path = tmp_path / "corr.tsv"
         dyn.write_correlations(path, entries, "hash123")
