@@ -38,14 +38,6 @@ class SequenceLengthError(ValidationError):
     """A token sequence exceeds the model's maximum length (a config too small for its data)."""
 
 
-class BatchSizeError(ValueError):
-    """A batch is too small for the requested loss."""
-
-
-class NegativeMiningError(ValueError):
-    """No in-batch negative exists (all images identical)."""
-
-
 class FoilCapabilityError(ValueError):
     """The scene cannot support the requested foil subtask."""
 

@@ -32,21 +32,6 @@ KNOWN_SUBTASKS = FOIL_GROUP_SUBTASKS + PAIRWISE_SUBTASKS + (THRESHOLD_SUBTASK, Q
 Scorer = Callable[[Scene, str], float]
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Winoground-style quad: scores[i][j] = score of caption i with image j."""
-
-    scores: tuple[tuple[float, float], tuple[float, float]]
-
-    def __post_init__(self):
-        flat = [v for row in self.scores for v in row]
-        if len(flat) != 4 or not all(np.isfinite(v) for v in flat):
-            raise ValidationError(f"score matrix needs four finite entries, got {self.scores}")
-
-    def __getitem__(self, i):
-        return self.scores[i]
-
-
 @dataclass
 class EvalReport:
     checkpoint_step: int
@@ -105,14 +90,18 @@ def threshold_accuracy(scored: Sequence[tuple[float, bool]]) -> float:
     return correct / len(scored)
 
 
-def winoground_scores(quads: Sequence[ScoreMatrix]) -> tuple[float, float, float]:
+def winoground_scores(quads: Sequence[Sequence[float]]) -> tuple[float, float, float]:
+    """Text, image and group accuracy over rows (c0_i0, c0_i1, c1_i0, c1_i1).
+
+    cJ_iK scores caption J with image K; caption J belongs to image J.
+    """
     quads = list(quads)
     if not quads:
         raise EmptyInputError("winoground scoring needs at least one quad")
     text_hits = image_hits = group_hits = 0
-    for s in quads:
-        text_ok = s[0][0] > s[1][0] and s[1][1] > s[0][1]
-        image_ok = s[0][0] > s[0][1] and s[1][1] > s[1][0]
+    for c0_i0, c0_i1, c1_i0, c1_i1 in quads:
+        text_ok = c0_i0 > c1_i0 and c1_i1 > c0_i1
+        image_ok = c0_i0 > c0_i1 and c1_i1 > c1_i0
         text_hits += text_ok
         image_hits += image_ok
         group_hits += text_ok and image_ok
@@ -226,8 +215,7 @@ def _score_subtask(tag: str, items: Sequence[FoilPair], score: Scorer,
     if tag == THRESHOLD_SUBTASK:
         return {tag: threshold_accuracy(
             [(value, bool(label)) for row in rows for (*_, label), value in zip(cells, row)])}
-    text, image, group = winoground_scores(
-        [ScoreMatrix(((s00, s01), (s10, s11))) for s00, s01, s10, s11 in rows])
+    text, image, group = winoground_scores(rows)
     return {
         f"{tag}_text": text,
         f"{tag}_image": image,

@@ -27,7 +27,6 @@ from .errors import (
     DependencyError,
     SequenceLengthError,
     ValidationError,
-    VocabError,
 )
 from .fileio import atomic_open
 from .seeding import rng_for
@@ -248,10 +247,6 @@ class VLModel:
         ids = [int(i) for i in token_ids]
         if len(ids) > cfg.max_len:
             raise SequenceLengthError(f"{len(ids)} tokens exceed max_len {cfg.max_len}")
-        if any(i < 0 or i >= len(cfg.vocab) for i in ids):
-            raise VocabError(f"token id out of range for vocabulary of {len(cfg.vocab)}")
-        if not ids or ids[0] != cfg.vocab.cls_id:
-            raise ValidationError("text must start with [CLS]")
         pad_mask = np.array([i != cfg.vocab.pad_id for i in ids])
         x = tensor.add(ops.embed(ids, self.params["text.emb"]),
                        tensor.take_rows(self.params["text.pos"], list(range(len(ids)))))

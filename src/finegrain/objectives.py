@@ -16,6 +16,10 @@ negatives are the hardest in-batch negatives by contrastive similarity,
 one per positive, mined among samples whose underlying image differs.
 The step reads which losses are on from the run's `RunConfig`; each pass
 returns its terms by name, and the step returns their values and total.
+
+The step and the losses trust their batch: `run_training` feeds them only
+batches of `sampler_for_sources`, whose docstring names what it
+guarantees, and `RunConfig` rejects a batch size below 2.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ import numpy as np
 
 from . import ops, tensor
 from .config import RunConfig
-from .errors import BatchSizeError, NegativeMiningError, NumericError, ValidationError
+from .errors import NumericError
 from .model import Encoded, VLModel, position_token_insert
-from .synthdata import Batch, BBox, CaptionSample, DetectionSample, patches_touching
+from .synthdata import Batch, BBox, DetectionSample, patches_touching
 from .tensor import Tensor
 
 LOSS_COMPONENTS = ("cl", "itm", "mlm", "vma_cl", "vma_itm", "vma_mlm", "bbox")
@@ -64,14 +68,9 @@ class SgdOptimizer:
 
 def contrastive_loss(image_feats: Tensor, text_feats: Tensor, temperature) -> Tensor:
     """Symmetric InfoNCE with matched pairs on the diagonal."""
-    n = image_feats.shape[0]
-    if n < 2:
-        raise BatchSizeError(f"contrastive loss needs at least 2 pairs, got {n}")
-    if text_feats.shape[0] != n:
-        raise BatchSizeError("image and text feature counts differ")
     sims = tensor.matmul(image_feats, tensor.transpose(text_feats))
     scaled = tensor.div(sims, tensor.as_tensor(temperature))
-    diagonal = list(range(n))
+    diagonal = list(range(image_feats.shape[0]))
     i2t = ops.softmax_cross_entropy(scaled, diagonal)
     t2i = ops.softmax_cross_entropy(tensor.transpose(scaled), diagonal)
     return tensor.scale(tensor.add(i2t, t2i), 0.5)
@@ -82,8 +81,6 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
     picks = []
     for i in range(sim_values.shape[0]):
         candidates = [j for j, grid in enumerate(grids) if not np.array_equal(grids[i], grid)]
-        if not candidates:
-            raise NegativeMiningError("no in-batch negative: all images identical")
         picks.append(candidates[int(np.argmax(sim_values[i, candidates]))])
     return picks
 
@@ -96,8 +93,6 @@ def itm_loss(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded
     sample's vision, under the patch mask that vision was encoded with.
     """
     n = positives.shape[0]
-    if n < 2:
-        raise BatchSizeError(f"matching loss needs at least 2 pairs, got {n}")
     picks = mine_hard_negatives(sims, grids)
     negatives = [model.cross_cls(texts[j], visions[i]) for i, j in enumerate(picks)]
     logits = model.itm_logits(tensor.concat_rows([positives, *negatives]))
@@ -220,21 +215,7 @@ def training_step(model: VLModel, batch: Batch, config: RunConfig, optimizer: Sg
     Returns the active terms' values by name, in `LOSS_COMPONENTS` order, and
     their tape total's value.  Position tokens follow the model's vocabulary.
     """
-    if batch.kind == "caption":
-        if "captions" not in config.source_set():
-            raise ValidationError("caption batch scheduled but captions source inactive")
-        if not all(isinstance(s, CaptionSample) for s in batch.samples):
-            raise ValidationError("caption batch contains non-caption samples")
-        is_detection = False
-    elif batch.kind == "detection":
-        if not config.detection_active:
-            raise ValidationError("detection batch scheduled but no detection source active")
-        if not all(isinstance(s, DetectionSample) for s in batch.samples):
-            raise ValidationError("detection batch contains non-detection samples")
-        is_detection = True
-    else:
-        raise ValidationError(f"unknown batch kind {batch.kind!r}")
-
+    is_detection = batch.kind == "detection"
     grids = [s.scene.grid for s in batch.samples]
     pevl = is_detection and model.config.use_pevl_tokens
     vocab = model.config.vocab

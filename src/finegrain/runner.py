@@ -154,7 +154,7 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
     ckpt_dir = run_dir / "checkpoints"
     if not ckpt_dir.is_dir():
         raise DependencyError(f"no checkpoints directory under {run_dir}")
-    checkpoints = sorted(ckpt_dir.glob("step_*.ckpt"))
+    checkpoints = sorted(ckpt_dir.glob("step_*.ckpt"), key=checkpoint_step)
     if not checkpoints:
         raise DependencyError(f"no checkpoints found under {ckpt_dir}")
     manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,

@@ -40,7 +40,6 @@ DATA_SOURCES = {
     "attribute_labels": DataSource("attribute_label", "attr"),
     "region_descriptions": DataSource("region_description", "region"),
 }
-DETECTION_KINDS = tuple(s.kind for s in DATA_SOURCES.values() if s.kind != "caption")
 
 
 def active_sources(names: Iterable[str]) -> frozenset:
@@ -355,9 +354,6 @@ def detection_stream(
     seed: int, scene_count: int, kinds: Sequence[str], grid_size: int
 ) -> list[DetectionSample]:
     wanted = set(kinds)
-    unknown = wanted - set(DETECTION_KINDS)
-    if unknown:
-        raise ValidationError(f"unknown detection kinds {sorted(unknown)}")
     per_scene = []
     for i in range(scene_count):
         scene = generate_scene(seed, i, grid_size)
@@ -385,8 +381,6 @@ def interleaved_sampler(
         period += [("caption", captions, caption_batch)] * 2
     if detections:
         period.append(("detection", detections, detection_batch))
-    if not period:
-        raise ValidationError("the caption and detection streams are both empty")
     batches = []
     cursor = {"caption": 0, "detection": 0}
     for step in range(steps):
@@ -409,9 +403,14 @@ def sampler_for_sources(
 ) -> list[Batch]:
     """Build streams for the active data sources and schedule the batches.
 
-    Without captions every step is a detection step; an active source
-    whose stream comes out empty is rejected, and so is a schedule with a
-    batch whose samples all show one image, which has no matching negative.
+    Without captions every step is a detection step.  The training step
+    and its losses rely on three guarantees and check none of them: caption
+    batches appear only with captions active and hold only caption samples;
+    detection batches hold only detection samples of active kinds; every
+    batch shows at least two distinct images, so each has a matching negative.
+    A schedule that breaks the last is rejected, and so is an empty captions
+    stream with captions active or an empty detection stream with a detection
+    source active.
     """
     active = active_sources(sources)
     kinds = [s.kind for name, s in DATA_SOURCES.items()

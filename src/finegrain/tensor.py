@@ -321,9 +321,7 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 
 
 def add_scalars(parts: Iterable[Tensor]) -> Tensor:
-    total: Tensor | None = None
-    for p in parts:
-        total = p if total is None else add(total, p)
-    if total is None:
-        raise ShapeError("add_scalars needs at least one term")
+    total, *rest = parts
+    for p in rest:
+        total = add(total, p)
     return total

@@ -17,6 +17,7 @@ from finegrain import fileio, runner
 from finegrain.cli import EXIT_DEPENDENCY, EXIT_OK, EXIT_VALIDATION, main
 from finegrain.config import RunConfig, load_config, parse_config_text, save_config
 from finegrain.errors import DependencyError, ValidationError
+from finegrain.model import VLModel, save_checkpoint
 
 
 def tiny_config(**overrides):
@@ -184,6 +185,18 @@ class TestRunner:
         runner.checkpoint_path(tmp_path, 4).unlink()
         with pytest.raises(DependencyError, match=r"checkpoints at steps \[2, 6\]"):
             runner.run_dynamics(config, tmp_path)
+
+    def test_dynamics_orders_checkpoints_by_step(self, tmp_path):
+        # names pad steps to 6 digits, so step_1000000 sorts before step_200000 by name
+        config = tiny_config(steps=1_200_000, cadence=200_000)
+        model = VLModel(config.model_config(), seed=config.seed)
+        runner.prepare_run_dir(config, tmp_path)
+        steps = list(range(200_000, 1_200_001, 200_000))
+        for step in steps:
+            save_checkpoint(model, runner.checkpoint_path(tmp_path, step), config.config_hash())
+        trajectory, _ = runner.run_dynamics(config, tmp_path)
+        rows = trajectory.read_text().splitlines()[2:]
+        assert [int(row.split("\t")[0]) for row in rows] == steps
 
     def test_dynamics_of_run_dir_of_other_config_rejected(self, tmp_path):
         config = tiny_config()

@@ -19,7 +19,8 @@ MICRO = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
 
 
 def quad(s00, s01, s10, s11):
-    return ev.ScoreMatrix(((s00, s01), (s10, s11)))
+    """A row (c0_i0, c0_i1, c1_i0, c1_i1): sJK scores caption J with image K."""
+    return (s00, s01, s10, s11)
 
 
 class TestPairwiseRanking:

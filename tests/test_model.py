@@ -14,7 +14,6 @@ from finegrain.errors import (
     DependencyError,
     SequenceLengthError,
     ValidationError,
-    VocabError,
 )
 from finegrain.model import ModelConfig, VLModel
 from finegrain.seeding import rng_for
@@ -121,8 +120,11 @@ class TestEncodeText:
         assert np.array_equal(grid_a, grid_b)
 
     def test_unknown_token_id(self, micro):
-        with pytest.raises(VocabError):
+        # ops.embed range-checks the ids, negative ones included
+        with pytest.raises(IndexError):
             micro.encode_text([micro.config.vocab.cls_id, 10_000])
+        with pytest.raises(IndexError):
+            micro.encode_text([micro.config.vocab.cls_id, -1])
 
     def test_too_long_rejected(self, micro):
         vocab = micro.config.vocab

@@ -7,7 +7,15 @@ import pytest
 
 from finegrain import evalharness as ev
 from finegrain import synthdata as sd
+from finegrain.config import RunConfig
 from finegrain.errors import FoilCapabilityError, ValidationError
+from finegrain.runner import CALIBRATION_GRID, parse_grid_spec
+
+DETECTION_KINDS = ("object_label", "attribute_label", "region_description")
+# each single source, then each calibration arm's sources (the A arm's are "captions" alone)
+SOURCE_SETS = list(dict.fromkeys([(name,) for name in sd.DATA_SOURCES] + [
+    tuple(sorted(config.source_set()))
+    for config in parse_grid_spec(RunConfig(seed=0), CALIBRATION_GRID).values()]))
 
 
 def scene_with(*objects, grid_size=4):
@@ -230,7 +238,7 @@ class TestFoils:
 class TestSampler:
     def test_pattern_c_c_d(self):
         captions = sd.caption_stream(1, 4, 4)
-        detections = sd.detection_stream(1, 4, sd.DETECTION_KINDS, 4)
+        detections = sd.detection_stream(1, 4, DETECTION_KINDS, 4)
         batches = sd.interleaved_sampler(captions, detections, 6, 2, 2)
         assert [b.kind for b in batches] == [
             "caption", "caption", "detection", "caption", "caption", "detection",
@@ -238,7 +246,7 @@ class TestSampler:
 
     def test_3000_steps_split_2000_1000(self):
         captions = sd.caption_stream(1, 4, 4)
-        detections = sd.detection_stream(1, 4, sd.DETECTION_KINDS, 4)
+        detections = sd.detection_stream(1, 4, DETECTION_KINDS, 4)
         kinds = [b.kind for b in sd.interleaved_sampler(captions, detections, 3000, 2, 2)]
         assert kinds.count("caption") == 2000
         assert kinds.count("detection") == 1000
@@ -254,15 +262,29 @@ class TestSampler:
                 detection_scene_count=0, caption_batch=2, detection_batch=2, grid_size=4,
             )
 
-    def test_sampler_for_sources_respects_kinds(self):
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("sources", SOURCE_SETS, ids="+".join)
+    def test_sampler_for_sources_respects_kinds(self, sources, seed):
+        # the guarantees the training step and its losses rely on without checking
         batches = sd.sampler_for_sources(
-            seed=3, sources=("captions", "object_labels"), steps=9,
-            caption_count=6, detection_scene_count=6, caption_batch=2, detection_batch=2,
-            grid_size=4,
+            seed=seed, sources=sources, steps=30, caption_count=8, detection_scene_count=8,
+            caption_batch=4, detection_batch=3, grid_size=4,
         )
-        det = [b for b in batches if b.kind == "detection"]
-        assert len(det) == 3
-        assert all(s.kind == "object_label" for b in det for s in b.samples)
+        active_kinds = {sd.DATA_SOURCES[name].kind for name in sources}
+        detection_steps = 0 if sources == ("captions",) else 10 if "captions" in sources else 30
+        assert len(batches) == 30
+        assert sum(batch.kind == "detection" for batch in batches) == detection_steps
+        for batch in batches:
+            assert batch.kind in ("caption", "detection")
+            if batch.kind == "caption":
+                assert "captions" in sources
+                assert len(batch.samples) == 4
+                assert all(isinstance(s, sd.CaptionSample) for s in batch.samples)
+            else:
+                assert len(batch.samples) == 3
+                assert all(isinstance(s, sd.DetectionSample) and s.kind in active_kinds
+                           for s in batch.samples)
+            assert len({s.scene.grid.tobytes() for s in batch.samples}) >= 2
 
     def test_detection_only_sources_schedule_every_step_as_detection(self):
         kinds = ["object_label", "region_description"]
