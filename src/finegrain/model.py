@@ -14,6 +14,7 @@ them.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,7 @@ from .tensor import Tensor
 from .vocab import POS_CLOSE, POS_OPEN, Vocabulary
 
 CHECKPOINT_MAGIC = "finegrain-checkpoint"
-CHECKPOINT_VERSION = "v1"
+CHECKPOINT_VERSION = "v2"
 
 
 @dataclass(frozen=True)
@@ -320,13 +321,17 @@ def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
 
 
 def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
-    """Header, then one 'name shape hex...' line per tensor; written atomically."""
+    """Header, then one 'name<TAB>shape<TAB>payload' line per tensor; written atomically.
+
+    The payload is the base64 of the tensor's little-endian float64 bytes in C order,
+    so every parameter stays one line of ASCII text.
+    """
     with atomic_open(path) as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
         for name, _, _ in param_shapes(model.config):
             arr = model.params[name].array
             shape = ",".join(str(n) for n in arr.shape)
-            payload = " ".join(v.hex() for v in arr.reshape(-1))
+            payload = base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
             fh.write(f"{name}\t{shape}\t{payload}\n")
 
 
@@ -349,7 +354,7 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                     f"checkpoint belongs to config {header[2]}, expected {expect_hash}"
                 )
             for line in fh:
-                # a cut inside the last token can leave a shorter, still valid hex float
+                # a cut just before the last newline still leaves a complete payload
                 if not line.endswith("\n"):
                     raise DependencyError(f"checkpoint {path} is truncated")
                 name, shape_field, payload = line[:-1].split("\t")
@@ -358,12 +363,12 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                 if name in arrays:
                     raise DependencyError(f"parameter {name!r} repeated in checkpoint")
                 shape = tuple(int(n) for n in shape_field.split(","))
-                tokens = payload.split()
-                if len(tokens) != math.prod(shape):
+                raw = base64.b64decode(payload, validate=True)
+                if len(raw) != 8 * math.prod(shape):
                     raise DependencyError(
-                        f"parameter {name!r} has {len(tokens)} values for shape {shape}")
-                values = np.array([float.fromhex(tok) for tok in tokens],
-                                  dtype=np.float64).reshape(shape)
+                        f"parameter {name!r} has {len(raw)} bytes for shape {shape}")
+                # astype copies the read-only buffer view into an owned, writeable array
+                values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
                 if values.shape != model.params[name].array.shape:
                     raise DependencyError(
                         f"parameter {name!r} has shape {values.shape}, "
@@ -372,10 +377,10 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                 if not np.isfinite(values).all():
                     raise DependencyError(f"parameter {name!r} has a non-finite value")
                 arrays[name] = values
-    except (OSError, ValueError) as exc:  # a directory, undecodable bytes, a bad field
+    except (OSError, ValueError) as exc:  # a directory, bad UTF-8 or base64, a bad field
         raise DependencyError(f"unreadable or malformed checkpoint {path}: {exc}") from exc
     missing = set(model.params) - set(arrays)
     if missing:
         raise DependencyError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
     for name, values in arrays.items():
-        model.params[name].array = np.ascontiguousarray(values)
+        model.params[name].array = values

@@ -408,9 +408,8 @@ def sampler_for_sources(
     batches appear only with captions active and hold only caption samples;
     detection batches hold only detection samples of active kinds; every
     batch shows at least two distinct images, so each has a matching negative.
-    A schedule that breaks the last is rejected, and so is an empty captions
-    stream with captions active or an empty detection stream with a detection
-    source active.
+    A schedule that breaks the last is rejected, and so is an active source
+    whose stream holds no sample of its kind.
     """
     active = active_sources(sources)
     kinds = [s.kind for name, s in DATA_SOURCES.items()
@@ -419,10 +418,10 @@ def sampler_for_sources(
     detections = (
         detection_stream(seed, detection_scene_count, kinds, grid_size) if kinds else []
     )
-    if "captions" in active and not captions:
-        raise ValidationError("the captions source is active but its stream is empty")
-    if kinds and not detections:
-        raise ValidationError("a detection source is active but the detection stream is empty")
+    present = {s.kind for s in detections} | ({"caption"} if captions else set())
+    for name, source in DATA_SOURCES.items():
+        if name in active and source.kind not in present:
+            raise ValidationError(f"the {name} source is active but contributes no sample")
     batches = interleaved_sampler(captions, detections, steps, caption_batch, detection_batch)
     for step, batch in enumerate(batches, start=1):
         if all(np.array_equal(batch.samples[0].scene.grid, s.scene.grid) for s in batch.samples):

@@ -10,6 +10,7 @@ so this fast check reads the benchmark's own tables without running it.
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -98,3 +99,8 @@ def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
     header = f"{model.CHECKPOINT_MAGIC} {model.CHECKPOINT_VERSION} {config.config_hash()}\n"
     assert lines[0] == header
     assert len(lines) == 1 + len(model.param_shapes(cfg))
+    # base64 of float64 bytes, not per-float text: the size the benchmark's ckpt_bytes reports
+    size = len(header) + sum(
+        len(name) + len(",".join(map(str, shape))) + 4 * -(-8 * math.prod(shape) // 3) + 3
+        for name, shape, _ in model.param_shapes(cfg))
+    assert path.stat().st_size == size

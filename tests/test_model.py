@@ -1,5 +1,6 @@
 """Model: encoders, masking, heads, position tokens, checkpoints."""
 
+import base64
 import math
 
 import numpy as np
@@ -317,12 +318,19 @@ class TestCheckpoints:
         data = good.read_bytes()
         header_end = data.index(b"\n") + 1
         lines = data.split(b"\n")
-        short_line = lines[1].rsplit(b" ", 1)[0]  # one value fewer than its shape
+        name, shape, payload = lines[1].split(b"\t")
+
+        def with_payload(new):  # the file with the first parameter's payload replaced
+            return b"\n".join([lines[0], b"\t".join([name, shape, new]), *lines[2:]])
+
         cases = {f"cut_{n}": data[:n]
                  for n in (0, 10, header_end, len(data) // 2, len(data) - 5, len(data) - 1)}
         cases["binary"] = bytes(range(256)) * 8
-        cases["short_line"] = b"\n".join([lines[0], short_line, *lines[2:]])
+        # one value fewer than its shape
+        cases["short_line"] = with_payload(base64.b64encode(base64.b64decode(payload)[:-8]))
         cases["bad_shape"] = data.replace(b"\t", b"\tx,", 1)
+        # a lenient decoder would skip the "*" and load the line as it was
+        cases["non_base64"] = with_payload(payload[:4] + b"*" + payload[4:])
         target = VLModel(cfg, seed=99)
         before = {name: p.array.copy() for name, p in target.params.items()}
         for label, payload in cases.items():
@@ -344,7 +352,9 @@ class TestCheckpoints:
             lines.insert(-1, lines[1])
         else:
             name, shape, payload = lines[1].split(b"\t")
-            lines[1] = b"\t".join([name, shape, b"nan" + payload[payload.index(b" "):]])
+            values = np.frombuffer(base64.b64decode(payload), dtype="<f8").copy()
+            values[0] = np.nan
+            lines[1] = b"\t".join([name, shape, base64.b64encode(values.tobytes())])
         path = tmp_path / f"{fault}.ckpt"
         path.write_bytes(b"\n".join(lines))
         target = VLModel(cfg, seed=99)
@@ -360,8 +370,42 @@ class TestCheckpoints:
         fg_model.save_checkpoint(model, path, "cafe01")
         saved = path.read_bytes()
         last = list(model.params)[-1]
-        model.params[last].array = np.zeros(model.params[last].array.shape, dtype=np.int64)
-        with pytest.raises(AttributeError):  # int64 has no .hex(), after most lines are out
+        model.params[last].array = np.full(model.params[last].array.shape, object(), dtype=object)
+        with pytest.raises(TypeError):  # no float64 bytes to encode, after most lines are out
             fg_model.save_checkpoint(model, path, "beef02")
         assert path.read_bytes() == saved
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_v1_checkpoint_rejected_without_partial_load(self, tmp_path):
+        cfg = micro_config()
+        source = VLModel(cfg, seed=21)
+        lines = [f"{fg_model.CHECKPOINT_MAGIC} v1 cafe01\n"]
+        for name, shape, _ in fg_model.param_shapes(cfg):
+            values = " ".join(v.hex() for v in source.params[name].array.reshape(-1))
+            lines.append(f"{name}\t{','.join(map(str, shape))}\t{values}\n")
+        path = tmp_path / "v1.ckpt"
+        path.write_text("".join(lines), encoding="utf-8")
+        target = VLModel(cfg, seed=99)
+        before = {name: p.array.copy() for name, p in target.params.items()}
+        with pytest.raises(DependencyError, match="unsupported checkpoint version v1"):
+            fg_model.load_checkpoint(target, path, expect_hash="cafe01")
+        for name, p in target.params.items():
+            assert np.array_equal(p.array, before[name]), name
+
+    def test_extreme_values_round_trip_bit_exact_into_owned_arrays(self, tmp_path):
+        cfg = micro_config()
+        source = VLModel(cfg, seed=21)
+        big = np.finfo(np.float64).max
+        extremes = np.array([-0.0, 0.0, 5e-324, -5e-324, big, -big,
+                             1.0, np.nextafter(1.0, 2.0), 0.1, np.nextafter(0.1, 0.0)])
+        for param in source.params.values():
+            flat = param.array.reshape(-1)
+            flat[:len(extremes)] = extremes[:flat.size]
+        path = tmp_path / "extremes.ckpt"
+        fg_model.save_checkpoint(source, path, "cafe01")
+        target = VLModel(cfg, seed=99)
+        fg_model.load_checkpoint(target, path, expect_hash="cafe01")
+        for name, param in source.params.items():
+            loaded = target.params[name].array
+            assert loaded.tobytes() == param.array.tobytes(), name  # tells -0.0 from 0.0
+            assert loaded.flags.writeable and loaded.flags.owndata, name

@@ -262,6 +262,15 @@ class TestSampler:
                 detection_scene_count=0, caption_batch=2, detection_batch=2, grid_size=4,
             )
 
+    def test_active_source_without_samples_rejected_by_name(self):
+        # seed 21's first two scenes hold one object each, so neither has a region description
+        with pytest.raises(ValidationError, match="region_descriptions source is active"):
+            sd.sampler_for_sources(
+                seed=21, sources=("object_labels", "region_descriptions"), steps=8,
+                caption_count=4, detection_scene_count=2, caption_batch=2, detection_batch=3,
+                grid_size=4,
+            )
+
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("sources", SOURCE_SETS, ids="+".join)
     def test_sampler_for_sources_respects_kinds(self, sources, seed):
