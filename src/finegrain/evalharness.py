@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,15 +32,42 @@ KNOWN_SUBTASKS = FOIL_GROUP_SUBTASKS + PAIRWISE_SUBTASKS + (THRESHOLD_SUBTASK, Q
 Scorer = Callable[[Scene, str], float]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
+    """One scoring run's record; `metrics` and `counts` are computed from it.
+
+    `cells`: subtask tag, in manifest order -> (items, cells) scores, with
+    columns in `_CELLS[tag]` order.  `retrieval`: the retrieval table, or None.
+    """
+
     checkpoint_step: int
-    metrics: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    cells: dict[str, np.ndarray]
+    retrieval: np.ndarray | None = None
+
+    @functools.cached_property
+    def _scored(self) -> dict[str, tuple[float, int]]:
+        """Each metric's value and item count."""
+        scored = {name: (value, len(rows)) for tag, rows in self.cells.items()
+                  for name, value in subtask_metrics(tag, rows).items()}
+        foils = [scored[t] for t in FOIL_GROUP_SUBTASKS if t in scored]
+        if foils:
+            scored["foil_avg"] = (float(np.mean([v for v, _ in foils])), sum(n for _, n in foils))
+        if self.retrieval is not None:
+            tr1, ir1 = retrieval_recall(self.retrieval, 1)
+            n = len(self.retrieval)
+            scored.update({"retrieval_tr@1": (tr1, n), "retrieval_ir@1": (ir1, n)})
+        return scored
+
+    @property
+    def metrics(self) -> dict[str, float]:
+        return {name: value for name, (value, _) in self._scored.items()}
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return {name: count for name, (_, count) in self._scored.items()}
 
     def rows(self) -> list[tuple[str, float, int]]:
-        return [(name, self.metrics[name], self.counts.get(name, 0))
-                for name in sorted(self.metrics)]
+        return [(name, *self._scored[name]) for name in sorted(self._scored)]
 
 
 def model_scorer(model: VLModel) -> Scorer:
@@ -73,40 +100,34 @@ def model_scorer(model: VLModel) -> Scorer:
 # -- protocols -------------------------------------------------------------------
 
 
-def pairwise_ranking_accuracy(pairs: Sequence[tuple[float, float]]) -> float:
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInputError("pairwise ranking needs at least one pair")
-    return sum(1 for pos, neg in pairs if pos > neg) / len(pairs)
+def _rows(rows, what: str) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.float64)
+    if not rows.size:
+        raise EmptyInputError(f"{what} needs at least one item")
+    return rows
 
 
-def threshold_accuracy(scored: Sequence[tuple[float, bool]]) -> float:
-    scored = list(scored)
-    if not scored:
-        raise EmptyInputError("threshold accuracy needs at least one item")
-    correct = sum(
-        1 for score, label in scored if (score > 0.5 if label else score < 0.5)
-    )
-    return correct / len(scored)
+def pairwise_ranking_accuracy(rows) -> float:
+    """Share of (pos, neg) rows that score the positive above the negative."""
+    rows = _rows(rows, "pairwise ranking")
+    return int((rows[:, 0] > rows[:, 1]).sum()) / len(rows)
 
 
-def winoground_scores(quads: Sequence[Sequence[float]]) -> tuple[float, float, float]:
+def threshold_accuracy(rows) -> float:
+    """Share of statements on the right side of 0.5, over (true, false) rows."""
+    rows = _rows(rows, "threshold accuracy")
+    return int((rows[:, 0] > 0.5).sum() + (rows[:, 1] < 0.5).sum()) / rows.size
+
+
+def winoground_scores(rows) -> tuple[float, float, float]:
     """Text, image and group accuracy over rows (c0_i0, c0_i1, c1_i0, c1_i1).
 
     cJ_iK scores caption J with image K; caption J belongs to image J.
     """
-    quads = list(quads)
-    if not quads:
-        raise EmptyInputError("winoground scoring needs at least one quad")
-    text_hits = image_hits = group_hits = 0
-    for c0_i0, c0_i1, c1_i0, c1_i1 in quads:
-        text_ok = c0_i0 > c1_i0 and c1_i1 > c0_i1
-        image_ok = c0_i0 > c0_i1 and c1_i1 > c1_i0
-        text_hits += text_ok
-        image_hits += image_ok
-        group_hits += text_ok and image_ok
-    n = len(quads)
-    return text_hits / n, image_hits / n, group_hits / n
+    c0_i0, c0_i1, c1_i0, c1_i1 = _rows(rows, "winoground scoring").T
+    text_ok = (c0_i0 > c1_i0) & (c1_i1 > c0_i1)
+    image_ok = (c0_i0 > c0_i1) & (c1_i1 > c1_i0)
+    return tuple(int(ok.sum()) / len(ok) for ok in (text_ok, image_ok, text_ok & image_ok))
 
 
 def retrieval_recall(table: np.ndarray, k: int) -> tuple[float, float]:
@@ -148,10 +169,6 @@ def default_manifest(eval_seed: int, per_subtask: int, grid_size: int,
     return manifest
 
 
-def _foil_source(tag: str) -> str:
-    return QUAD_SUBTASK if tag == THRESHOLD_SUBTASK else tag
-
-
 @functools.lru_cache(maxsize=len(KNOWN_SUBTASKS))
 def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[FoilPair, ...]:
     """First `count` deterministic scenes that support the subtask.
@@ -163,7 +180,7 @@ def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[Foil
         raise ValidationError(f"unknown subtask tag {tag!r}")
     items = []
     index = 0
-    source = _foil_source(tag)
+    source = QUAD_SUBTASK if tag == THRESHOLD_SUBTASK else tag
     while len(items) < count:
         scene = generate_scene(seed, index, grid_size)
         index += 1
@@ -199,28 +216,14 @@ _CELLS = {
 }
 
 
-def _score_subtask(tag: str, items: Sequence[FoilPair], score: Scorer,
-                   dump: list[str] | None) -> dict[str, float]:
-    cells = _CELLS[tag]
-    rows = []
-    for idx, pair in enumerate(items):
-        row = [score(getattr(pair, scene), getattr(pair, text)) for _, scene, text, _ in cells]
-        if dump is not None:
-            dump.extend(f"{idx}\t{tag}\t{role}\t{value:.17g}\t{label}"
-                        for (role, _, _, label), value in zip(cells, row))
-        rows.append(row)
-
+def subtask_metrics(tag: str, rows: np.ndarray) -> dict[str, float]:
+    """The subtask's accuracies over its (items, cells) rows, under its protocol."""
     if tag in FOIL_GROUP_SUBTASKS or tag in PAIRWISE_SUBTASKS:
         return {tag: pairwise_ranking_accuracy(rows)}
     if tag == THRESHOLD_SUBTASK:
-        return {tag: threshold_accuracy(
-            [(value, bool(label)) for row in rows for (*_, label), value in zip(cells, row)])}
+        return {tag: threshold_accuracy(rows)}
     text, image, group = winoground_scores(rows)
-    return {
-        f"{tag}_text": text,
-        f"{tag}_image": image,
-        f"{tag}_group": group,
-    }
+    return {f"{tag}_text": text, f"{tag}_image": image, f"{tag}_group": group}
 
 
 @functools.lru_cache(maxsize=1)
@@ -234,52 +237,48 @@ def _retrieval_set(seed: int, count: int,
 def retrieval_table(score: Scorer, seed: int, count: int, grid_size: int) -> np.ndarray:
     """Square table of scene-vs-caption scores with matched pairs on the diagonal."""
     scenes, texts = _retrieval_set(seed, count, grid_size)
-    table = np.zeros((count, count))
-    for i, scene in enumerate(scenes):
-        for j, text in enumerate(texts):
-            table[i, j] = score(scene, text)
-    return table
+    return np.array([[score(scene, text) for text in texts] for scene in scenes],
+                    dtype=np.float64).reshape(count, count)
 
 
-def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0,
-                  dump_path: Path | None = None) -> EvalReport:
-    """Score each manifest subtask with `score` under its protocol and aggregate a report.
+def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0) -> EvalReport:
+    """Score every cell of each manifest subtask, and the retrieval table, with `score`.
 
     `score` is a `Scorer`, called once per (scene, text) pair; `model_scorer`
     adapts a model to one.
     """
-    report = EvalReport(checkpoint_step=checkpoint_step)
-    dump: list[str] | None = [] if dump_path is not None else None
     grid_size = int(manifest["grid_size"])
+    cells = {}
     for spec_row in manifest["subtasks"]:
         tag, seed, count = spec_row["tag"], int(spec_row["seed"]), int(spec_row["count"])
         items = subtask_items(tag, seed, count, grid_size)
-        metrics = _score_subtask(tag, items, score, dump)
-        for name, value in metrics.items():
-            report.metrics[name] = value
-            report.counts[name] = count
-    foil_metrics = [report.metrics[t] for t in FOIL_GROUP_SUBTASKS if t in report.metrics]
-    if foil_metrics:
-        report.metrics["foil_avg"] = float(np.mean(foil_metrics))
-        report.counts["foil_avg"] = sum(
-            report.counts[t] for t in FOIL_GROUP_SUBTASKS if t in report.counts)
+        layout = _CELLS[tag]
+        cells[tag] = np.array([[score(getattr(pair, scene), getattr(pair, text))
+                                for _, scene, text, _ in layout] for pair in items],
+                              dtype=np.float64).reshape(len(items), len(layout))
     retrieval = manifest.get("retrieval")
-    if retrieval:
-        table = retrieval_table(score, int(retrieval["seed"]), int(retrieval["count"]),
-                                grid_size)
-        tr1, ir1 = retrieval_recall(table, 1)
-        report.metrics["retrieval_tr@1"] = tr1
-        report.metrics["retrieval_ir@1"] = ir1
-        report.counts["retrieval_tr@1"] = report.counts["retrieval_ir@1"] = len(table)
-    if dump_path is not None:
-        with atomic_open(dump_path) as fh:
-            fh.write("\n".join(dump) + "\n")
-    return report
+    table = retrieval_table(score, int(retrieval["seed"]), int(retrieval["count"]),
+                            grid_size) if retrieval else None
+    return EvalReport(checkpoint_step, cells, table)
 
 
 def write_report(path: Path, report: EvalReport, config_hash: str) -> None:
     write_table(path, config_hash, ("metric", "value", "count"),
                 ((name, f"{value:.17g}", str(count)) for name, value, count in report.rows()))
+
+
+def write_scores(path: Path, report: EvalReport) -> None:
+    """The score dump: per scored cell, one line of item, tag, role, score, label.
+
+    Tab-separated, scores as %.17g, no header; subtasks in manifest order and
+    cells in `_CELLS` order.  The retrieval table is not dumped.
+    """
+    lines = [f"{item}\t{tag}\t{role}\t{value:.17g}\t{label}"
+             for tag, rows in report.cells.items()
+             for item, row in enumerate(rows)
+             for (role, *_, label), value in zip(_CELLS[tag], row)]
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:

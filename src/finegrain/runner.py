@@ -137,12 +137,10 @@ def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
         manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
                                        config.patch_grid, config.retrieval_count)
     chash = config.config_hash()
-    report = ev.run_benchmark(
-        ev.model_scorer(model), manifest, checkpoint_step=step,
-        dump_path=out_dir / "reports" / f"scores_step_{step:06d}.tsv",
-    )
+    report = ev.run_benchmark(ev.model_scorer(model), manifest, checkpoint_step=step)
     ev.write_report(out_dir / "reports" / f"eval_step_{step:06d}.tsv", report, chash)
     ev.write_report_json(out_dir / "reports" / f"eval_step_{step:06d}.json", report, chash)
+    ev.write_scores(out_dir / "reports" / f"scores_step_{step:06d}.tsv", report)
     return report
 
 
@@ -230,9 +228,8 @@ def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
     for name, config in arms.items():
         arm_dir = out_dir / name
         final = run_training(config, arm_dir).checkpoint_steps[-1]
-        metrics = dict(run_eval(config, checkpoint_path(arm_dir, final), arm_dir).metrics)
-        metrics["svo_avg"] = float(np.mean([
-            metrics[t] for t in ("svo_subject", "svo_verb", "svo_object")]))
+        metrics = run_eval(config, checkpoint_path(arm_dir, final), arm_dir).metrics
+        metrics["svo_avg"] = float(np.mean([metrics[t] for t in ev.PAIRWISE_SUBTASKS]))
         marks = [s in config.source_set() for s in sd.DATA_SOURCES]
         marks += [True, config.use_vma, config.use_bbox, config.use_pevl_tokens]
         rows.append([name, *("x" if on else "-" for on in marks),

@@ -43,9 +43,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_of(self, token: str) -> int:
         try:
             return self._ids[token]

@@ -10,13 +10,14 @@ so this fast check reads the benchmark's own tables without running it.
 import importlib
 import importlib.util
 import inspect
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from finegrain import model, runner
+from finegrain import evalharness, model, runner
 from finegrain.config import RunConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -87,6 +88,38 @@ def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
     assert all(type(tag) is tuple for tag in tags("model.encode_text"))
     assert all(type(tag) is bytes for tag in tags("model.encode_image"))
     assert TRACER.wrapped_bindings() == []
+
+
+def test_eval_calls_keep_the_benchmark_shapes(tmp_path):
+    # the score audit calls run_benchmark with a recording scorer and counts one
+    # call per pair; retrieval_dense times run_eval on a retrieval-only manifest
+    config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
+                       vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
+                       mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
+                       caption_batch=2, detection_batch=2, eval_seed=900)
+    runner.run_training(config, tmp_path)
+    ckpt = runner.checkpoint_path(tmp_path, 3)
+    scored_model = model.VLModel(config.model_config(), seed=config.seed)
+    model.load_checkpoint(scored_model, ckpt, expect_hash=config.config_hash())
+    scorer = evalharness.model_scorer(scored_model)
+    calls = []
+
+    def recorded(scene, text):
+        calls.append(text)
+        return scorer(scene, text)
+
+    manifest = evalharness.default_manifest(eval_seed=900, per_subtask=2, grid_size=2,
+                                            retrieval_count=3)
+    report = evalharness.run_benchmark(recorded, manifest, checkpoint_step=3)
+    assert report.checkpoint_step == 3
+    # 8 subtasks of 2 cells and one of 4, 2 items each, and a 3 x 3 table
+    assert len(calls) == 8 * 2 * 2 + 4 * 2 + 3 * 3
+
+    dense = {"version": 1, "grid_size": config.patch_grid, "subtasks": [],
+             "retrieval": {"seed": config.eval_seed, "count": 3}}
+    runner.run_eval(config, ckpt, tmp_path, manifest=dense)
+    written = json.loads((tmp_path / "reports" / "eval_step_000003.json").read_text())
+    assert set(written["metrics"]) == {"retrieval_tr@1", "retrieval_ir@1"}
 
 
 def test_checkpoint_layout_read_by_the_benchmark(tmp_path):

@@ -3,12 +3,14 @@
 import builtins
 import errno
 import filecmp
+import json
 import math
 import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finegrain import dynamics as dyn
@@ -219,20 +221,36 @@ class TestRunner:
         assert (tmp_path / "grid" / "a__cap").is_dir()
         assert (tmp_path / "grid" / "full__attr-cap-obj-region").is_dir()
 
+    def test_score_dump_agrees_with_metrics(self, tmp_path):
+        config = tiny_config()
+        runner.run_training(config, tmp_path)
+        runner.run_eval(config, runner.checkpoint_path(tmp_path, 6), tmp_path)
+        rows: dict[str, dict[int, list[float]]] = {}
+        for line in (tmp_path / "reports" / "scores_step_000006.tsv").read_text().splitlines():
+            item, tag, _, score, _ = line.split("\t")
+            rows.setdefault(tag, {}).setdefault(int(item), []).append(float(score))
+        assert set(rows) == set(ev.KNOWN_SUBTASKS)
+        expected = {}
+        for tag, items in rows.items():
+            assert sorted(items) == list(range(config.eval_per_subtask))
+            expected.update(ev.subtask_metrics(tag, np.array(list(items.values()))))
+        report = json.loads((tmp_path / "reports" / "eval_step_000006.json").read_text())
+        assert {name: report["metrics"][name] for name in expected} == expected
+        assert set(report["metrics"]) - set(expected) == {
+            "foil_avg", "retrieval_tr@1", "retrieval_ir@1"}
+
     @pytest.mark.parametrize("writer", [
         "config", "report", "report_json", "scores", "trajectory", "correlations", "summary"])
     def test_report_write_failing_midway_keeps_previous_file(self, writer, tmp_path,
                                                              monkeypatch):
-        eval_report = ev.EvalReport(checkpoint_step=3, metrics={"foil_avg": 0.5},
-                                    counts={"foil_avg": 4})
+        eval_report = ev.EvalReport(checkpoint_step=3,
+                                    cells={"existence": np.array([[0.75, 0.25], [0.25, 0.75]])})
         trajectory = {3: {"foil_avg": 0.5}}
         write = {
             "config": lambda p: save_config(tiny_config(), p),
             "report": lambda p: ev.write_report(p, eval_report, "cafe01"),
             "report_json": lambda p: ev.write_report_json(p, eval_report, "cafe01"),
-            "scores": lambda p: ev.run_benchmark(lambda scene, text: 0.5,
-                                                 {"grid_size": 4, "subtasks": []},
-                                                 dump_path=p),
+            "scores": lambda p: ev.write_scores(p, eval_report),
             "trajectory": lambda p: dyn.write_trajectory(p, trajectory, "cafe01"),
             "correlations": lambda p: dyn.write_correlations(p, [], "cafe01"),
             "summary": lambda p: fileio.write_table(p, "cafe01", ["arm"], []),

@@ -25,6 +25,10 @@ class TestPearson:
     def test_zero_variance_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
             dyn.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        # the float64 mean of [0.025] * 3 is 0.025 + 3.5e-18, so centring leaves no zeros
+        for x, y in (([0.025] * 3, [1.0, 2.0, 3.0]), ([0.025] * 3, [0.025] * 3)):
+            with pytest.raises(UndefinedCorrelationError):
+                dyn.pearson(x, y)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValidationError):

@@ -53,8 +53,8 @@ class TestConfig:
 
     def test_vocab_contains_specials(self):
         cfg = micro_config()
-        for tok in ("[PAD]", "[CLS]", "[SEP]", "[MASK]"):
-            assert tok in cfg.vocab
+        ids = {cfg.vocab.id_of(tok) for tok in ("[PAD]", "[CLS]", "[SEP]", "[MASK]")}
+        assert len(ids) == 4  # id_of raises VocabError on a token it lacks
 
     def test_pevl_vocab_adds_bins_plus_delimiters(self):
         plain = micro_config()
