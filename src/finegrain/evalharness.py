@@ -271,14 +271,15 @@ def write_scores(path: Path, report: EvalReport) -> None:
     """The score dump: per scored cell, one line of item, tag, role, score, label.
 
     Tab-separated, scores as %.17g, no header; subtasks in manifest order and
-    cells in `_CELLS` order.  The retrieval table is not dumped.
+    cells in `_CELLS` order.  The retrieval table is not dumped, so a report
+    with no subtask writes an empty file.
     """
-    lines = [f"{item}\t{tag}\t{role}\t{value:.17g}\t{label}"
+    lines = [f"{item}\t{tag}\t{role}\t{value:.17g}\t{label}\n"
              for tag, rows in report.cells.items()
              for item, row in enumerate(rows)
              for (role, *_, label), value in zip(_CELLS[tag], row)]
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(lines))
 
 
 def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:

@@ -4,9 +4,23 @@ Vision and text streams are small pre-norm transformers; the fusion
 stream adds cross-attention from text queries to vision states.  Each
 encoder returns its mask with its states, as an `Encoded`, and `fuse`
 reads both masks from its arguments: patch visibility enters the model
-only at `encode_image`, and the pad rule lives only in `encode_text`.
-`project` maps a list of encodings' [CLS] rows in one matmul, and
-`cross_cls` is the one place a fused [CLS] row is taken.
+only at `encode_images`, and the pad rule lives only in `encode_texts`.
+
+Every encoding holds a batch.  Its states stay one 2-D tape tensor of
+stacked rows, (batch * seq, width), sample b owning rows b * seq onward,
+so the tape's matmul, add, layer norm and GELU see a batch as more rows;
+only attention, which must not mix samples, reads the batch axis, from
+the (batch, seq) visibility mask.  Texts are padded with [PAD] to the
+batch's longest sequence, and pads are hidden like any masked row.
+`Encoded.take` gathers samples by batch index in one tape node, so a
+negative or a subset of a batch costs no new encode.  `fuse` pairs the
+text and vision at each batch index, `project` maps a batch's [CLS] rows
+in one matmul, and `cross_cls` is the one place fused [CLS] rows are taken.
+
+`encode_image` and `encode_text` encode one input as a batch of one.
+The scorer calls them, one input per cache entry, and the benchmark's
+tracer tags their spans by that input, so they keep its argument shape.
+
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
 them.
@@ -27,6 +41,7 @@ from .errors import (
     DegenerateMaskError,
     DependencyError,
     SequenceLengthError,
+    ShapeError,
     ValidationError,
 )
 from .fileio import atomic_open
@@ -84,10 +99,23 @@ class ModelConfig:
 
 
 class Encoded(NamedTuple):
-    """One stream's output: its states, and which of their rows are visible."""
+    """One stream's output for a batch: stacked states, and which of their rows are visible."""
 
-    states: Tensor  # (rows, hidden_dim); rows that are not visible are zero
-    visible: np.ndarray  # (rows,) bool
+    states: Tensor  # (batch * seq, hidden_dim); rows that are not visible are zero
+    visible: np.ndarray  # (batch, seq) bool
+
+    def take(self, samples: Sequence[int]) -> Encoded:
+        """The encodings at these batch indices, in this order, as one `take_rows` node."""
+        idx = np.asarray(samples, dtype=np.intp)
+        seq = self.visible.shape[1]
+        rows = (idx[:, None] * seq + np.arange(seq)).reshape(-1)
+        return Encoded(tensor.take_rows(self.states, rows), self.visible[idx])
+
+
+def _cls_rows(states: Tensor, visible: np.ndarray) -> Tensor:
+    """(batch, hidden_dim): each sample's first row of stacked states, its [CLS] state."""
+    batch, seq = visible.shape
+    return tensor.take_rows(states, np.arange(batch) * seq)
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -207,7 +235,7 @@ class VLModel:
 
     @staticmethod
     def _zero_masked_rows(states: Tensor, keep: np.ndarray) -> Tensor:
-        return tensor.mul(states, Tensor(keep.astype(np.float64)[:, None]))
+        return tensor.mul(states, Tensor(keep.astype(np.float64).reshape(-1, 1)))
 
     # -- encoders ---------------------------------------------------------------
 
@@ -225,51 +253,78 @@ class VLModel:
                 raise DegenerateMaskError("every patch is masked")
         return np.concatenate([[True], patches])  # [CLS] always visible
 
-    def encode_image(self, grid: np.ndarray, visibility=None) -> Encoded:
+    def encode_images(self, grids: Sequence[np.ndarray], visibilities=None) -> Encoded:
+        """One encode of a batch of grids; `visibilities` holds a patch mask or None per grid."""
         cfg = self.config
-        grid = np.asarray(grid, dtype=np.float64)
-        if grid.shape != (cfg.patch_grid, cfg.patch_grid, GRID_CHANNELS):
-            raise ValidationError(
-                f"grid shape {grid.shape} does not match config "
-                f"({cfg.patch_grid}x{cfg.patch_grid}x{GRID_CHANNELS})"
-            )
-        token_mask = self._vision_token_mask(visibility)
-        patches = Tensor(grid.reshape(cfg.num_patches, GRID_CHANNELS))
+        n = cfg.num_patches
+        shape = (cfg.patch_grid, cfg.patch_grid, GRID_CHANNELS)
+        arrays = [np.asarray(grid, dtype=np.float64) for grid in grids]
+        for grid in arrays:
+            if grid.shape != shape:
+                raise ValidationError(
+                    f"grid shape {grid.shape} does not match config "
+                    f"({cfg.patch_grid}x{cfg.patch_grid}x{GRID_CHANNELS})"
+                )
+        batch = len(arrays)
+        if visibilities is None:
+            visibilities = [None] * batch
+        token_mask = np.stack([self._vision_token_mask(v) for v in visibilities])
+        patches = Tensor(np.stack(arrays).reshape(batch * n, GRID_CHANNELS))
         emb = tensor.add(tensor.matmul(patches, self.params["vision.patch_w"]),
                          self.params["vision.patch_b"])
-        x = tensor.add(tensor.concat_rows([self.params["vision.cls"], emb]),
-                       self.params["vision.pos"])
+        # row 0 is the shared [CLS] row; each sample takes it, then its own n patch rows
+        order = np.insert(np.arange(1, batch * n + 1).reshape(batch, n), 0, 0, axis=1)
+        x = tensor.add(
+            tensor.take_rows(tensor.concat_rows([self.params["vision.cls"], emb]),
+                             order.reshape(-1)),
+            tensor.take_rows(self.params["vision.pos"], np.tile(np.arange(n + 1), batch)))
         for i in range(cfg.vision_layers):
             x = self._block(f"vision.{i}", x, token_mask)
         return Encoded(self._zero_masked_rows(x, token_mask), token_mask)
 
-    def encode_text(self, token_ids) -> Encoded:
+    def encode_image(self, grid: np.ndarray) -> Encoded:
+        return self.encode_images([grid])
+
+    def encode_texts(self, id_lists: Sequence[Sequence[int]]) -> Encoded:
+        """One encode of a batch of id lists, each padded with [PAD] to the longest."""
         cfg = self.config
-        ids = [int(i) for i in token_ids]
-        if len(ids) > cfg.max_len:
-            raise SequenceLengthError(f"{len(ids)} tokens exceed max_len {cfg.max_len}")
-        pad_mask = np.array([i != cfg.vocab.pad_id for i in ids])
-        x = tensor.add(ops.embed(ids, self.params["text.emb"]),
-                       tensor.take_rows(self.params["text.pos"], list(range(len(ids)))))
+        rows = [[int(i) for i in ids] for ids in id_lists]
+        longest = max(len(ids) for ids in rows)
+        if longest > cfg.max_len:
+            raise SequenceLengthError(f"{longest} tokens exceed max_len {cfg.max_len}")
+        ids = np.full((len(rows), longest), cfg.vocab.pad_id, dtype=np.intp)
+        for b, row in enumerate(rows):
+            ids[b, :len(row)] = row
+        pad_mask = ids != cfg.vocab.pad_id
+        x = tensor.add(ops.embed(ids.reshape(-1), self.params["text.emb"]),
+                       tensor.take_rows(self.params["text.pos"],
+                                        np.tile(np.arange(longest), len(rows))))
         for i in range(cfg.text_layers):
             x = self._block(f"text.{i}", x, pad_mask)
         return Encoded(self._zero_masked_rows(x, pad_mask), pad_mask)
 
+    def encode_text(self, token_ids: Sequence[int]) -> Encoded:
+        return self.encode_texts([token_ids])
+
     def fuse(self, text: Encoded, vision: Encoded) -> Tensor:
-        """Text states cross-attended to the visible vision rows; hidden text rows are zero."""
+        """Each text's states cross-attended to the visible rows of the vision at its index.
+
+        Hidden text rows are zero.
+        """
+        if len(text.visible) != len(vision.visible):
+            raise ShapeError(f"fusing {len(text.visible)} texts with {len(vision.visible)} images")
         x = text.states
         for i in range(self.config.cross_layers):
             x = self._block(f"cross.{i}", x, text.visible, cross=vision)
         return self._zero_masked_rows(x, text.visible)
 
     def cross_cls(self, text: Encoded, vision: Encoded) -> Tensor:
-        """(1, hidden_dim) fused [CLS] row: the row the matching and box heads read."""
-        return tensor.take_rows(self.fuse(text, vision), [0])
+        """(batch, hidden_dim) fused [CLS] rows: the rows the matching and box heads read."""
+        return _cls_rows(self.fuse(text, vision), text.visible)
 
-    def project(self, stream: str, encoded: Sequence[Encoded]) -> Tensor:
-        """(n, proj_dim) unit-norm projections of n "img" or "txt" encodings' [CLS] rows."""
-        cls_rows = tensor.concat_rows([tensor.take_rows(e.states, [0]) for e in encoded])
-        raw = tensor.matmul(cls_rows, self.params[f"proj.{stream}_w"])
+    def project(self, stream: str, encoded: Encoded) -> Tensor:
+        """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""
+        raw = tensor.matmul(_cls_rows(*encoded), self.params[f"proj.{stream}_w"])
         return ops.l2_normalize(tensor.add(raw, self.params[f"proj.{stream}_b"]))
 
     # -- heads -------------------------------------------------------------------

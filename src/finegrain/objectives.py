@@ -5,11 +5,20 @@ A caption batch contributes contrastive + matching + masked-LM losses on
 triple on (full image, region text), then per configuration the visually
 masked triple (vision and fusion attention restricted to patches touching
 the target box) and the box-regression term; one gradient accumulation,
-one update.  A step encodes and projects each text once: the text
-encoder never sees the image, so the visually masked pass encodes only
-the box-masked images and reuses the unmasked pass's text states and
-text projection.  The heads run once per call on stacked rows: one image
-projection per pass, one matching-head call for all positives and
+one update.
+
+Every pass works on whole batches (`model` describes the stacked-row
+layout), so its encoder and fusion calls do not grow with the batch.  A
+step encodes and projects its texts once, padded to the longest: the
+text encoder never sees the image, so the visually masked pass encodes
+only the box-masked images and reuses the unmasked pass's text states
+and text projection.  A pass encodes its images once and fuses once per
+role: the positives; the matching negatives, which gather the texts by
+mined index against all of the pass's visions; and the masked LM, which
+encodes the masked copies of the samples that drew positions in one call
+and fuses them with those samples' visions.  The masked-LM draws stay per
+sample, in batch order.  The heads run once per call on stacked rows: one
+image projection per pass, one matching-head call for all positives and
 negatives, one masked-LM head call for the masked positions only, and one
 box head and one box loss for the whole detection batch.  Matching
 negatives are the hardest in-batch negatives by contrastive similarity,
@@ -85,17 +94,16 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
     return picks
 
 
-def itm_loss(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded],
-             positives: Tensor, sims: np.ndarray, grids: Sequence[np.ndarray]) -> Tensor:
+def itm_loss(model: VLModel, visions: Encoded, texts: Encoded, positives: Tensor,
+             sims: np.ndarray, grids: Sequence[np.ndarray]) -> Tensor:
     """Binary matching loss over the stacked positive rows and one mined negative each.
 
     Mining ranks `sims`; a negative fuses another sample's text with this
     sample's vision, under the patch mask that vision was encoded with.
     """
     n = positives.shape[0]
-    picks = mine_hard_negatives(sims, grids)
-    negatives = [model.cross_cls(texts[j], visions[i]) for i, j in enumerate(picks)]
-    logits = model.itm_logits(tensor.concat_rows([positives, *negatives]))
+    negatives = model.cross_cls(texts.take(mine_hard_negatives(sims, grids)), visions)
+    logits = model.itm_logits(tensor.concat_rows([positives, negatives]))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
@@ -104,8 +112,8 @@ def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Genera
     return [i for i in maskable if rng.random() < MLM_MASK_RATE]
 
 
-def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
-             visions: Sequence[Encoded], rng: np.random.Generator) -> Tensor | None:
+def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]], visions: Encoded,
+             rng: np.random.Generator) -> Tensor | None:
     """Masked-LM loss fused against the pass's encoded visions; selected tokens become [MASK].
 
     When the batch draws zero positions the selection is resampled once;
@@ -117,17 +125,19 @@ def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]],
         selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
     if not any(selections):
         return None
-    masked_rows, targets = [], []
-    for item, (ids, positions) in enumerate(zip(token_batches, selections)):
-        if not positions:
-            continue
-        masked = list(ids)
-        for pos in positions:
+    items = [item for item, positions in enumerate(selections) if positions]
+    masked_ids = []
+    for item in items:
+        masked = list(token_batches[item])
+        for pos in selections[item]:
             masked[pos] = vocab.mask_id
-        fused = model.fuse(model.encode_text(masked), visions[item])
-        masked_rows.append(tensor.take_rows(fused, positions))
-        targets.extend(ids[pos] for pos in positions)
-    logits = model.mlm_logits(tensor.concat_rows(masked_rows))
+        masked_ids.append(masked)
+    masked_texts = model.encode_texts(masked_ids)
+    fused = model.fuse(masked_texts, visions.take(items))
+    seq = masked_texts.visible.shape[1]
+    rows = [k * seq + pos for k, item in enumerate(items) for pos in selections[item]]
+    targets = [token_batches[item][pos] for item in items for pos in selections[item]]
+    logits = model.mlm_logits(tensor.take_rows(fused, rows))
     return ops.softmax_cross_entropy(logits, targets)
 
 
@@ -175,8 +185,8 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
     return cfg.vocab.encode_wrapped(tokens)
 
 
-def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Encoded],
-                text_feats: Tensor, ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
+def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,
+                ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
                 rng: np.random.Generator) -> tuple[Tensor, dict[str, Tensor]]:
     """(stacked fused [CLS] rows, terms) of a pass; `text_feats` projects `texts`.
 
@@ -184,7 +194,7 @@ def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Enco
     """
     image_feats = model.project("img", visions)
     cl = contrastive_loss(image_feats, text_feats, model.temperature())
-    positives = tensor.concat_rows([model.cross_cls(t, v) for t, v in zip(texts, visions)])
+    positives = model.cross_cls(texts, visions)
     itm = itm_loss(model, visions, texts, positives, image_feats.array @ text_feats.array.T,
                    grids)
     terms = {"cl": cl, "itm": itm}
@@ -194,7 +204,7 @@ def pass_losses(model: VLModel, visions: Sequence[Encoded], texts: Sequence[Enco
     return positives, terms
 
 
-def vma_losses(model: VLModel, texts: Sequence[Encoded], text_feats: Tensor,
+def vma_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
                ids: Sequence[Sequence[int]], samples: Sequence[DetectionSample],
                rng: np.random.Generator) -> dict[str, Tensor]:
     """The pass on box-masked images, reading the unmasked pass's `texts` and `text_feats`.
@@ -203,7 +213,7 @@ def vma_losses(model: VLModel, texts: Sequence[Encoded], text_feats: Tensor,
     """
     grids = [s.scene.grid for s in samples]
     masks = [visual_mask_from_bbox(s.bbox, model.config.patch_grid) for s in samples]
-    visions = [model.encode_image(g, m) for g, m in zip(grids, masks)]
+    visions = model.encode_images(grids, masks)
     _, terms = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
     return {f"vma_{name}": loss for name, loss in terms.items()}
 
@@ -221,9 +231,9 @@ def training_step(model: VLModel, batch: Batch, config: RunConfig, optimizer: Sg
     vocab = model.config.vocab
     ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
 
-    texts = [model.encode_text(i) for i in ids]
+    texts = model.encode_texts(ids)
     text_feats = model.project("txt", texts)
-    visions = [model.encode_image(g) for g in grids]
+    visions = model.encode_images(grids)
     positives, terms = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
     if is_detection and config.use_vma:
         terms |= vma_losses(model, texts, text_feats, ids, batch.samples, rng)

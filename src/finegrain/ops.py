@@ -1,8 +1,9 @@
 """Neural-network operations on the autodiff tape.
 
 Each op records one tape node with a hand-written backward.  Multi-head
-attention is a single op: the heads are batched through numpy's stacked
-matmul, and the masked softmax inside it is plain numpy, not a tape op.
+attention is a single op: the samples of a batch and their heads go
+through numpy's stacked matmul, and the masked softmax inside it is plain
+numpy, not a tape op.
 Attention masking uses an additive -inf before the softmax, so masked
 positions carry exactly zero weight and the normalization runs over the
 visible keys only; the hard-zero property is exact, not approximate.
@@ -73,13 +74,6 @@ def embed(indices: Sequence[int], table: Tensor) -> Tensor:
     return take_rows(table, idx)
 
 
-def _as_mask(mask, rows: int, cols: int) -> np.ndarray:
-    m = np.asarray(mask, dtype=bool)
-    if m.shape not in ((cols,), (rows, cols)):
-        raise ShapeError(f"mask shape {m.shape} does not match logits shape {(rows, cols)}")
-    return np.broadcast_to(m, (rows, cols))
-
-
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis restricted to visible positions (mask True = visible).
 
@@ -95,41 +89,61 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return weights
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention as one tape node.
+def _batch_mask(mask, rows: int, keys: int) -> np.ndarray:
+    """The mask as (batch, 1, queries or 1, keys), for `rows` stacked query and `keys` key rows.
 
-    `q` is (queries, width) and `k`, `v` are (keys, width); each is viewed
-    as `heads` column blocks of width // heads.  `mask` marks the visible
-    keys, per key or per (query, key), and is shared by every head.
+    The mask's leading axis is the batch: (keys,) is one sample, (batch, keys)
+    one key mask per sample, and (batch, queries, keys) one per query.
+    """
+    m = np.asarray(mask, dtype=bool)
+    if m.ndim == 1:
+        m = m[None]
+    batch = m.shape[0] if m.ndim in (2, 3) else 0
+    if (not batch or rows % batch or keys != batch * m.shape[-1]
+            or (m.ndim == 3 and rows != batch * m.shape[1])):
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match {rows} query rows "
+                         f"and {keys} key rows")
+    return m[:, None] if m.ndim == 3 else m[:, None, None]
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over a batch, as one tape node.
+
+    `q` stacks each sample's query rows, (batch * queries, width), and `k`
+    and `v` its key rows, (batch * keys, width); the mask's leading axis
+    fixes the batch (see `_batch_mask`), and the mask is shared by every
+    head.  Each width is viewed as `heads` column blocks of width // heads.
+    Numpy's stacked matmul runs one attention per (sample, head), so no
+    sample attends to another's rows.
     """
     if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")
     rows, width = q.shape
-    keys = k.shape[0]
     if heads < 1 or width % heads:
         raise ShapeError(f"width {width} does not split into {heads} heads")
+    m = _batch_mask(mask, rows, k.shape[0])
+    batch = m.shape[0]
     dh = width // heads
     root = np.sqrt(dh)
-    m = _as_mask(mask, rows, keys)
 
-    def split(x: np.ndarray) -> np.ndarray:  # (n, width) -> (heads, n, dh)
-        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+    def split(x: np.ndarray) -> np.ndarray:  # (batch * n, width) -> (batch, heads, n, dh)
+        return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray) -> np.ndarray:  # (heads, n, dh) -> (n, width)
-        return x.transpose(1, 0, 2).reshape(x.shape[1], width)
+    def merge(x: np.ndarray) -> np.ndarray:  # (batch, heads, n, dh) -> (batch * n, width)
+        return x.transpose(0, 2, 1, 3).reshape(-1, width)
+
+    def swap(x: np.ndarray) -> np.ndarray:  # transpose each (sample, head) matrix
+        return x.swapaxes(-1, -2)
 
     qh, kh, vh = split(q.array), split(k.array), split(v.array)
-    weights = masked_softmax(qh @ kh.transpose(0, 2, 1) / root, m)
+    weights = masked_softmax(qh @ swap(kh) / root, m)
     values = merge(weights @ vh)
 
     def backward(g):
         gh = split(g)
-        gw = (gh @ vh.transpose(0, 2, 1)) * weights
+        gw = (gh @ swap(vh)) * weights
         gs = (gw - weights * gw.sum(axis=-1, keepdims=True)) / root
-        dq = gs @ kh
-        dk = gs.transpose(0, 2, 1) @ qh
-        dv = weights.transpose(0, 2, 1) @ gh
-        return merge(dq), merge(dk), merge(dv)
+        return merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(weights) @ gh)
 
     return _result(values, (q, k, v), backward)
 

@@ -69,7 +69,9 @@ def test_run_training_keeps_the_observed_loop_shape():
 
 def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
     # the tracer tags spans from positional arguments: the batch of a training
-    # step, the grid of an image encode and the ids of a text encode
+    # step, the grid of an image encode and the ids of a text encode.  Training
+    # encodes whole batches through encode_images and encode_texts, which are not
+    # traced, so the encode spans here come from the eval scorer's per-input calls
     config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
                        vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
                        mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,

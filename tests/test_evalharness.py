@@ -179,6 +179,14 @@ class TestRunBenchmark:
             key = tag if tag != "relation_swap" else "relation_swap_text"
             assert report.counts[key] == 3
 
+    def test_score_dump_of_a_retrieval_only_report_is_empty(self, tmp_path):
+        manifest = {"version": 1, "grid_size": 4, "subtasks": [],
+                    "retrieval": {"seed": 77, "count": 3}}
+        report = ev.run_benchmark(lambda scene, text: 0.5, manifest)
+        path = tmp_path / "scores.tsv"
+        ev.write_scores(path, report)
+        assert path.read_bytes() == b""
+
     def test_unknown_subtask_tag(self):
         manifest = {"version": 1, "grid_size": 4,
                     "subtasks": [{"tag": "nope", "seed": 1, "count": 1}]}

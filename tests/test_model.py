@@ -14,6 +14,7 @@ from finegrain.errors import (
     DegenerateMaskError,
     DependencyError,
     SequenceLengthError,
+    ShapeError,
     ValidationError,
 )
 from finegrain.model import ModelConfig, VLModel
@@ -78,20 +79,20 @@ class TestEncodeImage:
 
     def test_full_mask_equals_no_mask_bit_identical(self, micro, grid):
         no_mask = micro.encode_image(grid)
-        all_visible = micro.encode_image(grid, np.ones(4, dtype=bool))
+        all_visible = micro.encode_images([grid], [np.ones(4, dtype=bool)])
         assert np.array_equal(no_mask.states.array, all_visible.states.array)
 
     def test_masked_patch_content_cannot_leak(self, micro, grid):
         mask = np.array([True, False, True, True])
-        before = micro.encode_image(grid, mask)
+        before = micro.encode_images([grid], [mask])
         perturbed = grid.copy()
         perturbed[0, 1, :] = 123.456  # patch j = (row 0, col 1) is hidden
-        after = micro.encode_image(perturbed, mask)
+        after = micro.encode_images([perturbed], [mask])
         assert np.array_equal(before.states.array, after.states.array)
 
     def test_all_masked_rejected(self, micro, grid):
         with pytest.raises(DegenerateMaskError):
-            micro.encode_image(grid, np.zeros(4, dtype=bool))
+            micro.encode_images([grid], [np.zeros(4, dtype=bool)])
 
     def test_finite_outputs(self, micro, grid):
         assert np.all(np.isfinite(micro.encode_image(grid).states.array))
@@ -145,7 +146,7 @@ class TestFuse:
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
         a = micro.fuse(text, micro.encode_image(grid))
-        b = micro.fuse(text, micro.encode_image(grid, np.ones(4, dtype=bool)))
+        b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]))
         assert np.array_equal(a.array, b.array)
 
     def test_single_visible_patch_blocks_other_content(self, micro, grid):
@@ -154,9 +155,103 @@ class TestFuse:
         scrambled = grid.copy()
         scrambled[0, :, :] = 9.9
         scrambled[1, 1, :] = -3.3
-        a = micro.fuse(micro.encode_text(ids), micro.encode_image(grid, mask))
-        b = micro.fuse(micro.encode_text(ids), micro.encode_image(scrambled, mask))
+        a = micro.fuse(micro.encode_text(ids), micro.encode_images([grid], [mask]))
+        b = micro.fuse(micro.encode_text(ids), micro.encode_images([scrambled], [mask]))
         assert np.array_equal(a.array, b.array)
+
+
+def batch_inputs(model):
+    """Three grids with mixed visibility, and three texts of different lengths."""
+    scenes = [sd.generate_scene(2, i, grid_size=model.config.patch_grid) for i in range(3)]
+    vocab = model.config.vocab
+    texts = ["a red circle is above a blue square", "circle", "a green triangle"]
+    visibilities = [None, np.array([True, False, False, True]), np.array([False, True, True, True])]
+    return [s.grid for s in scenes], visibilities, [vocab.encode_wrapped(t) for t in texts]
+
+
+def sample_rows(states, b, seq):
+    """Sample b's rows of stacked (batch * seq, width) states."""
+    return states[b * seq:(b + 1) * seq]
+
+
+class TestBatchAxis:
+    # images share one sequence length, so a batch changes no arithmetic: bit-identical.
+    # Texts are padded to the longest, which lets BLAS pick other kernels for the longer
+    # sequences, so their visible rows match within test_padding_invariance's atol.
+
+    def test_encode_images_rows_equal_single_encodes_bit_for_bit(self, micro):
+        grids, visibilities, _ = batch_inputs(micro)
+        batch = micro.encode_images(grids, visibilities)
+        seq = micro.config.num_patches + 1
+        assert batch.states.shape == (3 * seq, micro.config.hidden_dim)
+        for b, (grid, visibility) in enumerate(zip(grids, visibilities)):
+            single = micro.encode_images([grid], [visibility])
+            assert np.array_equal(batch.visible[b], single.visible[0])
+            assert np.array_equal(sample_rows(batch.states.array, b, seq), single.states.array)
+
+    def test_encode_texts_rows_match_single_encodes_and_pads_are_zero(self, micro):
+        _, _, ids = batch_inputs(micro)
+        batch = micro.encode_texts(ids)
+        seq = max(len(i) for i in ids)
+        assert batch.visible.shape == (3, seq)
+        for b, row_ids in enumerate(ids):
+            rows = sample_rows(batch.states.array, b, seq)
+            single = micro.encode_text(row_ids).states.array
+            assert np.allclose(rows[:len(row_ids)], single, rtol=0, atol=1e-12)
+            assert np.all(rows[len(row_ids):] == 0.0)
+            assert batch.visible[b].sum() == len(row_ids)
+
+    def test_batched_fuse_matches_per_pair_fuse(self, micro):
+        grids, visibilities, ids = batch_inputs(micro)
+        fused = micro.fuse(micro.encode_texts(ids), micro.encode_images(grids, visibilities))
+        seq = max(len(i) for i in ids)
+        for b, (grid, visibility, row_ids) in enumerate(zip(grids, visibilities, ids)):
+            rows = sample_rows(fused.array, b, seq)
+            single = micro.fuse(micro.encode_text(row_ids), micro.encode_images([grid], [visibility]))
+            assert np.allclose(rows[:len(row_ids)], single.array, rtol=0, atol=1e-12)
+            assert np.all(rows[len(row_ids):] == 0.0)
+
+    def test_one_sample_cannot_reach_another(self, micro):
+        # the masked-patch no-leak invariant across batch members: changing sample 1's
+        # whole grid leaves samples 0 and 2 bit-identical, and changing a patch that
+        # sample 1 hides leaves every row bit-identical, through fusion as well
+        grids, visibilities, ids = batch_inputs(micro)
+        texts = micro.encode_texts(ids)
+        image_seq, text_seq = micro.config.num_patches + 1, texts.visible.shape[1]
+
+        def run(grid_list):
+            images = micro.encode_images(grid_list, visibilities)
+            return images.states.array, micro.fuse(texts, images).array
+
+        base_images, base_fused = run(grids)
+        images, fused = run([grids[0], grids[1] + 7.5, grids[2]])
+        assert not np.array_equal(sample_rows(images, 1, image_seq),
+                                  sample_rows(base_images, 1, image_seq))
+        for b in (0, 2):
+            assert np.array_equal(sample_rows(images, b, image_seq),
+                                  sample_rows(base_images, b, image_seq))
+            assert np.array_equal(sample_rows(fused, b, text_seq),
+                                  sample_rows(base_fused, b, text_seq))
+
+        hidden = grids[1].copy()
+        hidden[0, 1, :] = 123.456  # patch (row 0, col 1) is hidden in sample 1
+        images, fused = run([grids[0], hidden, grids[2]])
+        assert np.array_equal(images, base_images)
+        assert np.array_equal(fused, base_fused)
+
+    def test_take_gathers_samples_in_order(self, micro):
+        _, _, ids = batch_inputs(micro)
+        texts = micro.encode_texts(ids)
+        seq = texts.visible.shape[1]
+        picked = texts.take([2, 0, 2])
+        assert np.array_equal(picked.visible, texts.visible[[2, 0, 2]])
+        expected = np.concatenate([sample_rows(texts.states.array, b, seq) for b in (2, 0, 2)])
+        assert np.array_equal(picked.states.array, expected)
+
+    def test_fuse_rejects_batches_of_different_sizes(self, micro):
+        grids, _, ids = batch_inputs(micro)
+        with pytest.raises(ShapeError):
+            micro.fuse(micro.encode_texts(ids), micro.encode_images(grids[:2]))
 
 
 def cross_cls_of(model, grid, ids):
@@ -167,8 +262,8 @@ def cross_cls_of(model, grid, ids):
 class TestHeads:
     def test_unit_norm_projections(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        image_feat = micro.project("img", [micro.encode_image(grid)])
-        text_feat = micro.project("txt", [micro.encode_text(ids)])
+        image_feat = micro.project("img", micro.encode_image(grid))
+        text_feat = micro.project("txt", micro.encode_text(ids))
         assert abs(np.linalg.norm(image_feat.array) - 1.0) < 1e-9
         assert abs(np.linalg.norm(text_feat.array) - 1.0) < 1e-9
 
@@ -178,13 +273,14 @@ class TestHeads:
         # rows have unit norm, so atol bounds the error relative to each row's length
         scenes = [sd.generate_scene(3, i, grid_size=micro.config.patch_grid) for i in range(4)]
         if stream == "img":
-            encoded = [micro.encode_image(s.grid) for s in scenes]
+            inputs = [s.grid for s in scenes]
+            batched, single = micro.encode_images, micro.encode_image
         else:
             vocab = micro.config.vocab
-            encoded = [micro.encode_text(vocab.encode_wrapped(sd.caption_of(s).text))
-                       for s in scenes]
-        stacked = micro.project(stream, encoded).array
-        rows = np.concatenate([micro.project(stream, [e]).array for e in encoded])
+            inputs = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
+            batched, single = micro.encode_texts, micro.encode_text
+        stacked = micro.project(stream, batched(inputs)).array
+        rows = np.concatenate([micro.project(stream, single(x)).array for x in inputs])
         assert stacked.shape == (4, micro.config.proj_dim)
         np.testing.assert_allclose(stacked, rows, rtol=1e-14, atol=1e-14)
 

@@ -81,20 +81,16 @@ def caption_batch(model, n=2, seed=11):
 
 
 def encode_batch(model, samples):
-    """(visions, texts, ids, grids): each sample's unmasked encodings and their inputs."""
+    """(visions, texts, ids, grids): the samples' batched unmasked encodings and their inputs."""
     ids = [model.config.vocab.encode_wrapped(s.text) for s in samples]
     grids = [s.scene.grid for s in samples]
-    return [model.encode_image(g) for g in grids], [model.encode_text(i) for i in ids], ids, grids
-
-
-def positive_rows(model, visions, texts):
-    return tensor.concat_rows([model.cross_cls(t, v) for t, v in zip(texts, visions)])
+    return model.encode_images(grids), model.encode_texts(ids), ids, grids
 
 
 def matching_loss(model, visions, texts, grids):
     """The matching loss as a pass computes it, mining on the projected similarities."""
     sims = model.project("img", visions).array @ model.project("txt", texts).array.T
-    return obj.itm_loss(model, visions, texts, positive_rows(model, visions, texts), sims, grids)
+    return obj.itm_loss(model, visions, texts, model.cross_cls(texts, visions), sims, grids)
 
 
 class TestContrastiveLoss:
@@ -137,17 +133,17 @@ class TestItmLoss:
     def test_matches_hand_computed_bce(self):
         model = micro_model(seed=8)
         batch = caption_batch(model, n=2, seed=29)
-        visions, texts, _, grids = encode_batch(model, batch.samples)
+        visions, texts, ids, grids = encode_batch(model, batch.samples)
         loss = matching_loss(model, visions, texts, grids).item()
 
-        # independent recomputation from matching probabilities
-        probs = [model.matching_probability(tensor.take_rows(model.fuse(t, v), [0]))
-                 for t, v in zip(texts, visions)]
+        # independent recomputation from matching probabilities, one pair at a time
+        def probability(i, j):
+            cross = model.fuse(model.encode_text(ids[j]), model.encode_image(grids[i]))
+            return model.matching_probability(tensor.take_rows(cross, [0]))
+
+        probs = [probability(i, i) for i in range(2)]
         # with 2 samples the only possible negative for i is 1 - i
-        neg_probs = []
-        for i, j in ((0, 1), (1, 0)):
-            cross = model.fuse(texts[j], visions[i])
-            neg_probs.append(model.matching_probability(tensor.take_rows(cross, [0])))
+        neg_probs = [probability(i, j) for i, j in ((0, 1), (1, 0))]
         expected = -np.mean([np.log(p) for p in probs] + [np.log(1 - p) for p in neg_probs])
         assert loss == pytest.approx(float(expected), rel=1e-9)
 
@@ -186,7 +182,7 @@ class TestMlmLoss:
         vocab = model.config.vocab
         scene = sd.generate_scene(41, 2, grid_size=2)
         ids = vocab.encode_wrapped(sd.caption_of(scene).text)
-        vision = [model.encode_image(scene.grid)]
+        vision = model.encode_image(scene.grid)
         loss = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"))
         assert loss is not None
         positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"))
@@ -207,7 +203,7 @@ class TestMlmLoss:
         vocab = model.config.vocab
         scenes = [sd.generate_scene(41, i, grid_size=2) for i in range(3)]
         ids = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
-        vision = [model.encode_image(s.grid) for s in scenes]
+        vision = model.encode_images([s.grid for s in scenes])
         calls = count_calls(model, "mlm_logits")
         assert obj.mlm_loss(model, ids, vision, rng_for(5, "mlm")) is not None
         rng = rng_for(5, "mlm")
@@ -221,7 +217,7 @@ class TestMlmLoss:
         model = micro_model()
         ids = model.config.vocab.encode_wrapped("a red circle")
         scene = sd.generate_scene(43, 0, grid_size=2)
-        vision = [model.encode_image(scene.grid)]
+        vision = model.encode_image(scene.grid)
         assert obj.mlm_loss(model, [ids], vision, rng_for(1, "z")) is None
 
 
@@ -459,17 +455,18 @@ class TestTrainingStep:
         model = micro_model(seed=23)
         batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
         calls = []
-        encode_image = VLModel.encode_image
+        encode_images = VLModel.encode_images
 
-        def counted(self, grid, visibility=None):
-            calls.append(visibility is None)
-            return encode_image(self, grid, visibility)
+        def counted(self, grids, visibilities=None):
+            calls.append((len(grids), visibilities is None))
+            return encode_images(self, grids, visibilities)
 
-        monkeypatch.setattr(VLModel, "encode_image", counted)
+        monkeypatch.setattr(VLModel, "encode_images", counted)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
-        # one unmasked encode per sample, plus one box-masked encode per sample with VMA
-        assert calls == [True] * 4 + [False] * (expected - 4)
+        # one unmasked encode of the whole batch, plus one box-masked encode with VMA;
+        # `expected` images in all
+        assert calls == [(4, True)] + [(4, False)] * (expected // 4 - 1)
 
     @pytest.mark.parametrize("kind", ["caption", "detection"])
     def test_each_step_encodes_each_text_once(self, kind, monkeypatch):
@@ -477,20 +474,22 @@ class TestTrainingStep:
         model = micro_model(seed=23)
         batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
         calls = []
-        encode_text = VLModel.encode_text
+        encode_texts = VLModel.encode_texts
 
-        def counted(self, token_ids):
-            calls.append(list(token_ids))
-            return encode_text(self, token_ids)
+        def counted(self, id_lists):
+            calls.append([list(ids) for ids in id_lists])
+            return encode_texts(self, id_lists)
 
-        monkeypatch.setattr(VLModel, "encode_text", counted)
+        monkeypatch.setattr(VLModel, "encode_texts", counted)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
         vocab = model.config.vocab
         ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
-        # every other encode is a masked-LM copy, which holds at least one [MASK]
-        assert [c for c in calls if vocab.mask_id not in c] == ids
-        assert len(calls) > len(ids)
+        # one encode of the batch's texts, then one masked-LM encode per pass, each of
+        # whose copies holds at least one [MASK]
+        assert calls[0] == ids
+        assert len(calls) == (2 if kind == "caption" else 3)
+        assert all(vocab.mask_id in copy for call in calls[1:] for copy in call)
 
     def test_vma_step_projects_the_texts_once(self):
         model = micro_model(seed=23)
@@ -500,6 +499,31 @@ class TestTrainingStep:
                           rng_for(5, "count"))
         # the box-masked pass reuses the unmasked pass's text projection
         assert [stream for stream, _ in calls] == ["txt", "img", "img"]
+
+    # Tape nodes one default-config step records with a batch axis through the encoders
+    # and fusion: 332 per caption step, and 558 or 664 per detection step (664 when both
+    # passes draw masked-LM positions).  A per-sample loop multiplies them by about three.
+    @pytest.mark.parametrize("kind,ceiling", [("caption", 365), ("detection", 730)])
+    def test_default_step_stays_under_its_tape_node_ceiling(self, kind, ceiling):
+        def tape_position():  # read the counter without advancing it, as perfbench does
+            text = repr(tensor._SEQ)
+            return int(text[text.index("(") + 1:text.index(")")])
+
+        config = RunConfig(seed=7, steps=3, cadence=3)
+        model = VLModel(config.model_config(), seed=config.seed)
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=config.learning_rate,
+                                     clip_norm=config.clip_norm)
+        batches = sd.sampler_for_sources(
+            seed=config.data_seed, sources=sorted(config.source_set()), steps=config.steps,
+            caption_count=config.caption_count,
+            detection_scene_count=config.detection_scene_count,
+            caption_batch=config.caption_batch, detection_batch=config.detection_batch,
+            grid_size=config.patch_grid)
+        step = next(i for i, b in enumerate(batches, start=1) if b.kind == kind)
+        before = tape_position()
+        obj.training_step(model, batches[step - 1], config, optimizer,
+                          rng_for(config.seed, "step", step))
+        assert tape_position() - before <= ceiling
 
     @pytest.mark.parametrize("arm", sorted(LOSS_ARMS))
     def test_repeated_batch_decreases_total_quickly(self, arm):
@@ -567,7 +591,7 @@ class TestLossGradients:
                 loss = obj.mlm_loss(model, ids, visions, rng_for(1, "gc"))
                 assert loss is not None
                 return loss
-            return obj.bbox_loss_terms(model.bbox_corners(positive_rows(model, visions, texts)),
+            return obj.bbox_loss_terms(model.bbox_corners(model.cross_cls(texts, visions)),
                                        [s.bbox for s in batch.samples])
 
         inputs = [

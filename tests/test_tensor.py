@@ -179,7 +179,8 @@ class TestMaskedAttention:
             logits = np.where(mask, q[:, cols] @ k[:, cols].T / np.sqrt(dh), -np.inf)
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             expected.append(w / w.sum(axis=1, keepdims=True) @ v[:, cols])
-        out = ops.masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
+        # a per-query mask carries the batch axis first: here one sample
+        out = ops.masked_attention(Tensor(q), Tensor(k), Tensor(v), mask[None], heads)
         assert np.allclose(out.array, np.concatenate(expected, axis=1), rtol=0.0, atol=1e-12)
 
     def test_multi_head_gradients(self):
@@ -195,6 +196,43 @@ class TestMaskedAttention:
             [q, k, v])
         assert err < 1e-3
 
+    def test_batched_gradients_with_per_sample_masks_and_a_padded_query(self):
+        # batch 3 of self-attention over 4 positions, each sample with its own key mask;
+        # sample 1's last position is a pad, hidden as a key and zeroed as a query row
+        r = rng(31)
+        q, k, v = (Tensor(r.normal(size=(12, 8)), requires_grad=True) for _ in range(3))
+        mask = np.array([[True, True, False, True],
+                         [True, True, True, False],
+                         [False, True, True, True]])
+        keep = np.ones((12, 1))
+        keep[7] = 0.0
+        weights = Tensor(r.normal(size=(12, 8)) * keep)
+        err = check_gradients(
+            lambda: tensor.tsum(tensor.mul(ops.masked_attention(q, k, v, mask, heads=2), weights)),
+            [q, k, v])
+        assert err < 1e-3
+
+    def test_batch_equals_one_call_per_sample(self):
+        # forward and backward, bit for bit: the stacked matmul keeps each sample's arithmetic
+        r = rng(37)
+        q, k, v = r.normal(size=(6, 8)), r.normal(size=(10, 8)), r.normal(size=(10, 8))
+        mask = np.array([[True, False, True, True, True], [False, False, True, True, False]])
+        g = r.normal(size=(6, 8))
+
+        def attend(parts, m, rows):
+            leaves = [Tensor(p, requires_grad=True) for p in parts]
+            out = ops.masked_attention(*leaves, m, heads=4)
+            tensor.tsum(tensor.mul(out, Tensor(g[rows]))).backward()
+            return out.array, [leaf.grad for leaf in leaves]
+
+        out, grads = attend((q, k, v), mask, slice(None))
+        for b in range(2):
+            rows, keys = slice(3 * b, 3 * b + 3), slice(5 * b, 5 * b + 5)
+            single, single_grads = attend((q[rows], k[keys], v[keys]), mask[b], rows)
+            assert np.array_equal(out[rows], single)
+            for batched, part, grad in zip(grads, (rows, keys, keys), single_grads):
+                assert np.array_equal(batched[part], grad)
+
     def test_width_must_split_into_heads(self):
         x = Tensor(np.zeros((2, 6)))
         with pytest.raises(ShapeError):
@@ -204,6 +242,16 @@ class TestMaskedAttention:
         q, kv = Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 4)))
         with pytest.raises(ShapeError):
             ops.masked_attention(q, kv, kv, np.ones(3, dtype=bool), heads=1)
+
+    @pytest.mark.parametrize("q_rows,kv_rows,mask_shape", [
+        (4, 5, (2, 5)),  # keys for one sample, mask for two
+        (3, 10, (2, 5)),  # query rows do not split into two samples
+        (4, 10, (2, 3, 5)),  # a per-query mask for three queries per sample, given two
+    ])
+    def test_mask_batch_must_fit_the_stacked_rows(self, q_rows, kv_rows, mask_shape):
+        q, kv = Tensor(np.zeros((q_rows, 4))), Tensor(np.zeros((kv_rows, 4)))
+        with pytest.raises(ShapeError):
+            ops.masked_attention(q, kv, kv, np.ones(mask_shape, dtype=bool), heads=1)
 
     def test_one_tape_node_per_call(self):
         r = rng(29)
