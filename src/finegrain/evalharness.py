@@ -70,29 +70,82 @@ class EvalReport:
         return [(name, *self._scored[name]) for name in sorted(self._scored)]
 
 
-def model_scorer(model: VLModel) -> Scorer:
+# The most stacked text rows one scoring `fuse` takes.  A chunk's activations
+# grow with its rows; the bound keeps batched scoring's peak memory near that
+# of scoring pair by pair, and is large enough to cost no speed.
+FUSE_CHUNK_ROWS = 512
+
+
+def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     """Score a pair as the matching probability of `model`'s fused [CLS] row.
 
-    The scorer caches each input's encoding for its own lifetime, so build
-    one scorer per set of weights: its cache never sees them change.  Images
-    are keyed by the grid's shape and bytes (scenes compare by identity, so
-    equal grids from two scenes share one entry), and texts by the text.
-    Each pair then runs only `fuse` and the matching head.  Everything runs
-    under `tensor.no_tape()`, so a cached encoding holds its values only,
-    not the forward graph that computed them.
+    The scorer caches each input's encoding, and each pair's score, for its
+    own lifetime, so build one scorer per set of weights: its caches never
+    see them change.  Images are keyed by the grid's shape and bytes (scenes
+    compare by identity, so equal grids from two scenes share one entry),
+    and texts by the text.  Every distinct input is encoded once, on its
+    own, through `encode_image` or `encode_text`.
+
+    Pairs are fused in batches, since one pair's `fuse` is mostly the
+    per-call overhead of its 40-odd small ops.  The first call scores every
+    pair that `run_benchmark` scores for `manifest`, and each later call
+    looks its pair up; a pair not yet scored, as with no manifest, is scored
+    on its own, as a batch of one.  The images of the pairs to score are stacked
+    into one batch, and their texts into one batch per token length: texts
+    of one length need no [PAD] row, so no padding is fused.  Each length's
+    pairs are fused in chunks of at most `FUSE_CHUNK_ROWS` text rows, each
+    pair's text and image gathered from the stacks by `Encoded.take`.  A
+    batched score can differ from the same pair's score at batch one in its
+    last bits: the matching head's product runs on another row count.
+
+    Everything runs under `tensor.no_tape()`, so a cached encoding holds its
+    values only, not the forward graph that computed them.
     """
     vocab = model.config.vocab
     images: dict[tuple, Encoded] = {}
     texts: dict[str, Encoded] = {}
+    scores: dict[tuple, float] = {}
+    unscored_manifest = manifest
 
-    def score(scene: Scene, text: str) -> float:
-        with tensor.no_tape():
-            grid_key = (scene.grid.shape, scene.grid.tobytes())
-            if grid_key not in images:
-                images[grid_key] = model.encode_image(scene.grid)
+    def key_of(scene: Scene, text: str) -> tuple:
+        return (scene.grid.shape, scene.grid.tobytes()), text
+
+    def score_pairs(pairs) -> None:
+        """Encode the pairs' new inputs, then fuse each distinct pair, none scored yet."""
+        by_length: dict[int, dict[tuple, None]] = {}  # text length -> pair keys, in order
+        for scene, text in pairs:
+            key = key_of(scene, text)
+            if key[0] not in images:
+                images[key[0]] = model.encode_image(scene.grid)
             if text not in texts:
                 texts[text] = model.encode_text(vocab.encode_wrapped(text))
-            return model.matching_probability(model.cross_cls(texts[text], images[grid_key]))
+            by_length.setdefault(texts[text].visible.shape[1], {})[key] = None
+        if not by_length:
+            return
+        grids = {grid: i for i, grid in enumerate(
+            dict.fromkeys(grid for keys in by_length.values() for grid, _ in keys))}
+        image_batch = Encoded.stack([images[grid] for grid in grids])
+        for length, keys in by_length.items():
+            rows = {text: j for j, text in enumerate(dict.fromkeys(t for _, t in keys))}
+            text_batch = Encoded.stack([texts[text] for text in rows])
+            keys = list(keys)
+            step = max(1, FUSE_CHUNK_ROWS // length)
+            for lo in range(0, len(keys), step):
+                chunk = keys[lo:lo + step]
+                cls = model.cross_cls(text_batch.take([rows[t] for _, t in chunk]),
+                                      image_batch.take([grids[g] for g, _ in chunk]))
+                scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))
+
+    def score(scene: Scene, text: str) -> float:
+        nonlocal unscored_manifest
+        with tensor.no_tape():
+            if unscored_manifest is not None:
+                score_pairs(_manifest_pairs(unscored_manifest))
+                unscored_manifest = None
+            key = key_of(scene, text)
+            if key not in scores:
+                score_pairs([(scene, text)])
+            return scores[key]
 
     return score
 
@@ -216,6 +269,11 @@ _CELLS = {
 }
 
 
+def _cell_pairs(tag: str, item: FoilPair) -> list[tuple[Scene, str]]:
+    """The (scene, text) pair of each of the item's cells, in `_CELLS[tag]` order."""
+    return [(getattr(item, scene), getattr(item, text)) for _, scene, text, _ in _CELLS[tag]]
+
+
 def subtask_metrics(tag: str, rows: np.ndarray) -> dict[str, float]:
     """The subtask's accuracies over its (items, cells) rows, under its protocol."""
     if tag in FOIL_GROUP_SUBTASKS or tag in PAIRWISE_SUBTASKS:
@@ -252,14 +310,28 @@ def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0) -> Ev
     for spec_row in manifest["subtasks"]:
         tag, seed, count = spec_row["tag"], int(spec_row["seed"]), int(spec_row["count"])
         items = subtask_items(tag, seed, count, grid_size)
-        layout = _CELLS[tag]
-        cells[tag] = np.array([[score(getattr(pair, scene), getattr(pair, text))
-                                for _, scene, text, _ in layout] for pair in items],
-                              dtype=np.float64).reshape(len(items), len(layout))
+        cells[tag] = np.array([[score(*pair) for pair in _cell_pairs(tag, item)]
+                               for item in items],
+                              dtype=np.float64).reshape(len(items), len(_CELLS[tag]))
     retrieval = manifest.get("retrieval")
     table = retrieval_table(score, int(retrieval["seed"]), int(retrieval["count"]),
                             grid_size) if retrieval else None
     return EvalReport(checkpoint_step, cells, table)
+
+
+def _manifest_pairs(manifest: dict) -> list[tuple[Scene, str]]:
+    """Every (scene, text) pair `run_benchmark` scores for `manifest`, in its order."""
+    grid_size = int(manifest["grid_size"])
+    pairs = [pair for spec_row in manifest["subtasks"]
+             for item in subtask_items(spec_row["tag"], int(spec_row["seed"]),
+                                       int(spec_row["count"]), grid_size)
+             for pair in _cell_pairs(spec_row["tag"], item)]
+    retrieval = manifest.get("retrieval")
+    if retrieval:
+        scenes, texts = _retrieval_set(int(retrieval["seed"]), int(retrieval["count"]),
+                                       grid_size)
+        pairs += [(scene, text) for scene in scenes for text in texts]
+    return pairs
 
 
 def write_report(path: Path, report: EvalReport, config_hash: str) -> None:

@@ -20,6 +20,10 @@ in one matmul, and `cross_cls` is the one place fused [CLS] rows are taken.
 `encode_image` and `encode_text` encode one input as a batch of one.
 The scorer calls them, one input per cache entry, and the benchmark's
 tracer tags their spans by that input, so they keep its argument shape.
+The scorer batches the fusion instead: `Encoded.stack` joins cached
+encodings of one sequence length into one batch, `take` gathers each
+pair's text and image from those batches, and one `fuse` and one
+`matching_probabilities` call then score many pairs, a probability per row.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
@@ -110,6 +114,15 @@ class Encoded(NamedTuple):
         seq = self.visible.shape[1]
         rows = (idx[:, None] * seq + np.arange(seq)).reshape(-1)
         return Encoded(tensor.take_rows(self.states, rows), self.visible[idx])
+
+    @staticmethod
+    def stack(parts: Sequence[Encoded]) -> Encoded:
+        """Batches of one sequence length as one batch, in this order, as one `concat_rows` node."""
+        lengths = {part.visible.shape[1] for part in parts}
+        if len(lengths) != 1:
+            raise ShapeError(f"cannot stack encodings of sequence lengths {sorted(lengths)}")
+        return Encoded(tensor.concat_rows([part.states for part in parts]),
+                       np.concatenate([part.visible for part in parts]))
 
 
 def _cls_rows(states: Tensor, visible: np.ndarray) -> Tensor:
@@ -333,11 +346,11 @@ class VLModel:
         return tensor.add(tensor.matmul(cross_cls, self.params["head.itm_w"]),
                           self.params["head.itm_b"])
 
-    def matching_probability(self, cross_cls: Tensor) -> float:
-        logits = self.itm_logits(cross_cls).array[0]
-        shifted = logits - logits.max()
-        weights = np.exp(shifted)
-        return float(weights[1] / weights.sum())
+    def matching_probabilities(self, cross_cls: Tensor) -> np.ndarray:
+        """(batch,) probability that each fused [CLS] row's text matches its image."""
+        logits = self.itm_logits(cross_cls).array
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return weights[:, 1] / weights.sum(axis=1)
 
     def mlm_logits(self, cross_states: Tensor) -> Tensor:
         return tensor.add(

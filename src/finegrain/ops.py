@@ -42,9 +42,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}")
-    mu = x.array.mean(axis=-1, keepdims=True)
+    # sum / d is ndarray.mean's own arithmetic, without its per-call overhead
+    mu = x.array.sum(axis=-1, keepdims=True) / d
     centered = x.array - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     values = xhat * gain.array + bias.array
@@ -53,8 +54,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dxhat = g * gain.array
         dx = inv_std * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=axes)

@@ -137,7 +137,8 @@ def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
         manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
                                        config.patch_grid, config.retrieval_count)
     chash = config.config_hash()
-    report = ev.run_benchmark(ev.model_scorer(model), manifest, checkpoint_step=step)
+    report = ev.run_benchmark(ev.model_scorer(model, manifest), manifest,
+                              checkpoint_step=step)
     ev.write_report(out_dir / "reports" / f"eval_step_{step:06d}.tsv", report, chash)
     ev.write_report_json(out_dir / "reports" / f"eval_step_{step:06d}.json", report, chash)
     ev.write_scores(out_dir / "reports" / f"scores_step_{step:06d}.tsv", report)
@@ -160,7 +161,8 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
 
     def evaluate(step: int) -> dict[str, float]:
         model, _ = _load_model_at(config, checkpoint_path(run_dir, step))
-        return ev.run_benchmark(ev.model_scorer(model), manifest, checkpoint_step=step).metrics
+        return ev.run_benchmark(ev.model_scorer(model, manifest), manifest,
+                                checkpoint_step=step).metrics
 
     steps = [checkpoint_step(p) for p in checkpoints]
     if steps != list(range(config.cadence, config.steps + 1, config.cadence)):

@@ -124,6 +124,40 @@ def test_eval_calls_keep_the_benchmark_shapes(tmp_path):
     assert set(written["metrics"]) == {"retrieval_tr@1", "retrieval_ir@1"}
 
 
+def test_audit_scores_pair_by_pair_what_run_eval_scores_in_batches(tmp_path):
+    # run_eval's scorer has the manifest and fuses its pairs in batches; the
+    # score audit re-scores each pair alone, through a recording wrapper around
+    # model_scorer(model).  Its digests stand for run_eval's scores only while
+    # the two agree, to the last two bits of a score in [0.5, 1)
+    config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
+                       vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
+                       mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
+                       caption_batch=2, detection_batch=2, eval_per_subtask=3,
+                       retrieval_count=4, eval_seed=900)
+    runner.run_training(config, tmp_path)
+    ckpt = runner.checkpoint_path(tmp_path, 3)
+    report = runner.run_eval(config, ckpt, tmp_path)
+    dumped = [float(line.split("\t")[3]) for line in
+              (tmp_path / "reports" / "scores_step_000003.tsv").read_text().splitlines()]
+
+    scored_model = model.VLModel(config.model_config(), seed=config.seed)
+    model.load_checkpoint(scored_model, ckpt, expect_hash=config.config_hash())
+    scorer = evalharness.model_scorer(scored_model)
+    audited = []
+
+    def recorded(scene, text):
+        audited.append(scorer(scene, text))
+        return audited[-1]
+
+    manifest = evalharness.default_manifest(config.eval_seed, config.eval_per_subtask,
+                                            config.patch_grid, config.retrieval_count)
+    audit = evalharness.run_benchmark(recorded, manifest, checkpoint_step=3)
+    assert len(audited) == len(dumped) + config.retrieval_count ** 2
+    batched = dumped + report.retrieval.reshape(-1).tolist()
+    assert max(abs(a - b) for a, b in zip(audited, batched)) <= 2.3e-16
+    assert audit.metrics == report.metrics
+
+
 def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
     config = RunConfig(seed=4, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
                        cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24)

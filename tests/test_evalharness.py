@@ -1,5 +1,6 @@
 """Scoring protocols: trivial decisions, enumeration oracles, invariances."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -247,12 +248,22 @@ def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
     text_states = model.encode_text(model.config.vocab.encode_wrapped(text))
     cross_cls = model.cross_cls(text_states, model.encode_image(scene.grid))
     assert cross_cls.requires_grad
-    return model.matching_probability(cross_cls)
+    return model.matching_probabilities(cross_cls)[0]
 
 
-def scored_pairs(model: VLModel, manifest: dict) -> list[tuple[sd.Scene, str, float]]:
-    """Every (scene, text, score) that one `run_benchmark` call with a fresh scorer makes."""
-    score = ev.model_scorer(model)
+# Two units in the last place of a score in [0.5, 1).  A fused [CLS] row is
+# the same at any batch size, but the matching head's product runs as a
+# matrix-vector product at batch one and as a matrix product on a batch.
+SCORE_ATOL = 2.3e-16
+
+
+def scored_pairs(model: VLModel, manifest: dict,
+                 batched: bool = False) -> list[tuple[sd.Scene, str, float]]:
+    """Every (scene, text, score) that one `run_benchmark` call with a fresh scorer makes.
+
+    `batched` gives the scorer the manifest, so that it fuses the pairs in batches.
+    """
+    score = ev.model_scorer(model, manifest if batched else None)
     seen = []
 
     def recorded(scene, text):
@@ -283,9 +294,63 @@ class TestModelScorer:
                 calls[_name] += 1
                 return _original(self, *args)
             monkeypatch.setattr(VLModel, name, counted)
-        pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST)
-        assert calls["encode_image"] == len({s.grid.tobytes() for s, _, _ in pairs})
-        assert calls["encode_text"] == len({t for _, t, _ in pairs})
+        for batched in (False, True):
+            calls.update(encode_image=0, encode_text=0)
+            pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched)
+            assert calls["encode_image"] == len({s.grid.tobytes() for s, _, _ in pairs})
+            assert calls["encode_text"] == len({t for _, t, _ in pairs})
+
+    def test_manifest_scores_agree_with_per_pair_scores(self):
+        model = VLModel(MICRO, seed=5)
+        # a head far from chance spreads the scores, so batching moves some last bits
+        model.params["head.itm_w"].array *= 30
+        alone = scored_pairs(model, self.MANIFEST)
+        batched = scored_pairs(model, self.MANIFEST, batched=True)
+        by_pair = {}
+        for (scene, text, one), (_, _, many) in zip(alone, batched, strict=True):
+            assert abs(many - one) <= SCORE_ATOL, (scene.ident, text)
+            assert by_pair.setdefault((scene.grid.tobytes(), text), many) == many
+        assert len(by_pair) < len(batched)
+        assert (ev.run_benchmark(ev.model_scorer(model), self.MANIFEST).metrics
+                == ev.run_benchmark(ev.model_scorer(model, self.MANIFEST), self.MANIFEST).metrics)
+
+    @staticmethod
+    def fused_text_rows(monkeypatch) -> list[int]:
+        """Each later `VLModel.fuse` call's stacked text rows, in call order."""
+        rows = []
+        fuse = VLModel.fuse
+
+        def counted(self, text, vision):
+            rows.append(text.states.shape[0])
+            return fuse(self, text, vision)
+
+        monkeypatch.setattr(VLModel, "fuse", counted)
+        return rows
+
+    def test_every_fuse_runs_in_the_first_call(self, monkeypatch):
+        rows = self.fused_text_rows(monkeypatch)
+        score = ev.model_scorer(VLModel(MICRO, seed=5), self.MANIFEST)
+        fuses_before_each_call = []
+
+        def recorded(scene, text):
+            fuses_before_each_call.append(len(rows))
+            return score(scene, text)
+
+        ev.run_benchmark(recorded, self.MANIFEST)
+        assert fuses_before_each_call[0] == 0
+        assert set(fuses_before_each_call[1:]) == {len(rows)}
+
+    @pytest.mark.parametrize("chunk_rows", [ev.FUSE_CHUNK_ROWS, 16])
+    def test_one_fuse_per_text_length_and_chunk(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(ev, "FUSE_CHUNK_ROWS", chunk_rows)
+        rows = self.fused_text_rows(monkeypatch)
+        pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched=True)
+        distinct = {(s.grid.tobytes(), t) for s, t, _ in pairs}
+        per_length = collections.Counter(len(MICRO.vocab.encode_wrapped(t)) for _, t in distinct)
+        chunks = sum(-(-n // (chunk_rows // length)) for length, n in per_length.items())
+        assert len(rows) <= chunks < len(pairs)
+        assert max(rows) <= chunk_rows
+        assert sum(rows) == sum(n * length for length, n in per_length.items())
 
     def test_no_cache_shared_across_scorers(self):
         model = VLModel(MICRO, seed=5)

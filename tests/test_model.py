@@ -305,7 +305,7 @@ class TestHeads:
 
     def test_matching_probability_in_unit_interval(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        prob = micro.matching_probability(cross_cls_of(micro, grid, ids))
+        prob = micro.matching_probabilities(cross_cls_of(micro, grid, ids))[0]
         assert 0.0 <= prob <= 1.0
 
 

@@ -139,7 +139,7 @@ class TestItmLoss:
         # independent recomputation from matching probabilities, one pair at a time
         def probability(i, j):
             cross = model.fuse(model.encode_text(ids[j]), model.encode_image(grids[i]))
-            return model.matching_probability(tensor.take_rows(cross, [0]))
+            return model.matching_probabilities(tensor.take_rows(cross, [0]))[0]
 
         probs = [probability(i, i) for i in range(2)]
         # with 2 samples the only possible negative for i is 1 - i
