@@ -8,14 +8,17 @@ only at `encode_images`, and the pad rule lives only in `encode_texts`.
 
 Every encoding holds a batch.  Its states stay one 2-D tape tensor of
 stacked rows, (batch * seq, width), sample b owning rows b * seq onward,
-so the tape's matmul, add, layer norm and GELU see a batch as more rows;
-only attention, which must not mix samples, reads the batch axis, from
-the (batch, seq) visibility mask.  Texts are padded with [PAD] to the
-batch's longest sequence, and pads are hidden like any masked row.
-`Encoded.take` gathers samples by batch index in one tape node, so a
-negative or a subset of a batch costs no new encode.  `fuse` pairs the
-text and vision at each batch index, `project` maps a batch's [CLS] rows
-in one matmul, and `cross_cls` is the one place fused [CLS] rows are taken.
+so the tape's affine maps (`ops.linear`, one node each), adds, layer
+norms and GELUs see a batch as more rows; only attention, which must not
+mix samples, reads the batch axis, from the (batch, seq) visibility mask.
+Texts are padded with [PAD] to the batch's longest sequence, and pads are
+hidden like any masked row.  `Encoded.take` gathers samples by batch
+index in one tape node, so a negative, a repeat or a subset of a batch
+costs no new encode.  `fuse` pairs the text and vision at each batch
+index, so the training step stacks every role of a pass (positives,
+mined negatives, masked copies) as one text batch against the matching
+visions and fuses once.  `project` maps a batch's [CLS] rows in one
+affine map, and `cross_cls` takes the fused [CLS] rows of a fuse.
 
 `encode_image` and `encode_text` encode one input as a batch of one.
 The scorer calls them, one input per cache entry, and the benchmark's
@@ -224,17 +227,16 @@ class VLModel:
 
     def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, key_mask) -> Tensor:
         p = self.params
-        q = tensor.add(tensor.matmul(x_q, p[f"{prefix}.wq"]), p[f"{prefix}.bq"])
-        k = tensor.add(tensor.matmul(x_kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"])
-        v = tensor.add(tensor.matmul(x_kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"])
+        q = ops.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
+        k = ops.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = ops.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
         attended = ops.masked_attention(q, k, v, key_mask, self.config.heads)
-        return tensor.add(tensor.matmul(attended, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+        return ops.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
-        hidden = ops.gelu(tensor.add(tensor.matmul(x, p[f"{prefix}.mlp_w1"]),
-                                     p[f"{prefix}.mlp_b1"]))
-        return tensor.add(tensor.matmul(hidden, p[f"{prefix}.mlp_w2"]), p[f"{prefix}.mlp_b2"])
+        hidden = ops.gelu(ops.linear(x, p[f"{prefix}.mlp_w1"], p[f"{prefix}.mlp_b1"]))
+        return ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"])
 
     def _block(self, prefix: str, x: Tensor, key_mask, cross: Encoded | None = None) -> Tensor:
         p = self.params
@@ -283,8 +285,7 @@ class VLModel:
             visibilities = [None] * batch
         token_mask = np.stack([self._vision_token_mask(v) for v in visibilities])
         patches = Tensor(np.stack(arrays).reshape(batch * n, GRID_CHANNELS))
-        emb = tensor.add(tensor.matmul(patches, self.params["vision.patch_w"]),
-                         self.params["vision.patch_b"])
+        emb = ops.linear(patches, self.params["vision.patch_w"], self.params["vision.patch_b"])
         # row 0 is the shared [CLS] row; each sample takes it, then its own n patch rows
         order = np.insert(np.arange(1, batch * n + 1).reshape(batch, n), 0, 0, axis=1)
         x = tensor.add(
@@ -337,14 +338,13 @@ class VLModel:
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""
-        raw = tensor.matmul(_cls_rows(*encoded), self.params[f"proj.{stream}_w"])
-        return ops.l2_normalize(tensor.add(raw, self.params[f"proj.{stream}_b"]))
+        return ops.l2_normalize(ops.linear(_cls_rows(*encoded), self.params[f"proj.{stream}_w"],
+                                           self.params[f"proj.{stream}_b"]))
 
     # -- heads -------------------------------------------------------------------
 
     def itm_logits(self, cross_cls: Tensor) -> Tensor:
-        return tensor.add(tensor.matmul(cross_cls, self.params["head.itm_w"]),
-                          self.params["head.itm_b"])
+        return ops.linear(cross_cls, self.params["head.itm_w"], self.params["head.itm_b"])
 
     def matching_probabilities(self, cross_cls: Tensor) -> np.ndarray:
         """(batch,) probability that each fused [CLS] row's text matches its image."""
@@ -353,15 +353,13 @@ class VLModel:
         return weights[:, 1] / weights.sum(axis=1)
 
     def mlm_logits(self, cross_states: Tensor) -> Tensor:
-        return tensor.add(
-            tensor.matmul(cross_states, tensor.transpose(self.params["text.emb"])),
-            self.params["head.mlm_b"])
+        return ops.linear(cross_states, tensor.transpose(self.params["text.emb"]),
+                          self.params["head.mlm_b"])
 
     def bbox_corners(self, cls_rows: Tensor) -> Tensor:
         """(n, 4) corner rows (x1, y1, x2, y2), one per [CLS] row; gradients stay alive."""
-        raw = tensor.add(tensor.matmul(cls_rows, self.params["head.bbox_w"]),
-                         self.params["head.bbox_b"])
-        squashed = tensor.sigmoid(raw)
+        squashed = tensor.sigmoid(
+            ops.linear(cls_rows, self.params["head.bbox_w"], self.params["head.bbox_b"]))
         centre = tensor.slice_cols(squashed, 0, 2)
         size = tensor.maximum(tensor.slice_cols(squashed, 2, 4), Tensor(1e-3))
         half = tensor.scale(size, 0.5)

@@ -9,16 +9,17 @@ one update.
 
 Every pass works on whole batches (`model` describes the stacked-row
 layout), so its encoder and fusion calls do not grow with the batch.  A
-step encodes and projects its texts once, padded to the longest: the
-text encoder never sees the image, so the visually masked pass encodes
-only the box-masked images and reuses the unmasked pass's text states
-and text projection.  A pass encodes its images once and fuses once per
-role: the positives; the matching negatives, which gather the texts by
-mined index against all of the pass's visions; and the masked LM, which
-encodes the masked copies of the samples that drew positions in one call
-and fuses them with those samples' visions.  The masked-LM draws stay per
-sample, in batch order.  The heads run once per call on stacked rows: one
-image projection per pass, one matching-head call for all positives and
+step first draws each pass's masked-LM positions, per sample in batch
+order, unmasked pass first.  It then encodes its texts and every pass's
+masked copies in one `encode_texts` call, padded to the batch's longest
+(a copy has its original's length), and projects the batch's texts once:
+the text encoder never sees the image, so the visually masked pass reuses
+them.  A pass encodes its images once and fuses once: the text roles
+[positives | mined negatives | the pass's masked copies] are stacked as
+one batch against [visions | visions | each copy's vision], and the
+matching and masked-LM losses read their rows out of that one fused
+tensor.  The heads run once per call on stacked rows: one image
+projection per pass, one matching-head call for all positives and
 negatives, one masked-LM head call for the masked positions only, and one
 box head and one box loss for the whole detection batch.  Matching
 negatives are the hardest in-batch negatives by contrastive similarity,
@@ -34,7 +35,7 @@ guarantees, and `RunConfig` rejects a batch size below 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,16 +95,13 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
     return picks
 
 
-def itm_loss(model: VLModel, visions: Encoded, texts: Encoded, positives: Tensor,
-             sims: np.ndarray, grids: Sequence[np.ndarray]) -> Tensor:
-    """Binary matching loss over the stacked positive rows and one mined negative each.
+def itm_loss(model: VLModel, fused: Tensor, seq: int, n: int) -> Tensor:
+    """Binary matching loss read off a pass's fused text roles, `seq` rows per text.
 
-    Mining ranks `sims`; a negative fuses another sample's text with this
-    sample's vision, under the patch mask that vision was encoded with.
+    The [CLS] rows of the first `n` stacked texts are the positives, and of
+    the next `n` their mined negatives, each fused with the positive's vision.
     """
-    n = positives.shape[0]
-    negatives = model.cross_cls(texts.take(mine_hard_negatives(sims, grids)), visions)
-    logits = model.itm_logits(tensor.concat_rows([positives, negatives]))
+    logits = model.itm_logits(tensor.take_rows(fused, np.arange(2 * n) * seq))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
@@ -112,31 +110,77 @@ def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Genera
     return [i for i in maskable if rng.random() < MLM_MASK_RATE]
 
 
-def mlm_loss(model: VLModel, token_batches: Sequence[Sequence[int]], visions: Encoded,
-             rng: np.random.Generator) -> Tensor | None:
-    """Masked-LM loss fused against the pass's encoded visions; selected tokens become [MASK].
+class MaskedLM(NamedTuple):
+    """A pass's masked copies of the batch's texts, as texts `first` onward of the step's batch.
 
-    When the batch draws zero positions the selection is resampled once;
-    None means that draw was empty too, and the term is skipped.
+    Copy k, `copies[k]`, is sample `items[k]` with `positions[k]` set to
+    [MASK]; `targets` holds the original ids at those positions, copy by copy.
     """
-    vocab = model.config.vocab
-    selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
+
+    first: int
+    items: list[int]
+    positions: list[list[int]]
+    copies: list[list[int]]
+    targets: list[int]
+
+    @property
+    def texts(self) -> range:
+        return range(self.first, self.first + len(self.items))
+
+    def rows(self, role: int, seq: int) -> list[int]:
+        """Fused rows of the masked positions, `seq` rows per role, the copies from `role` on."""
+        return [(role + k) * seq + pos for k, positions in enumerate(self.positions)
+                for pos in positions]
+
+
+def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator,
+                   first: int) -> MaskedLM | None:
+    """A pass's masked copies of `ids`, to sit at text `first` of the step's text batch.
+
+    Positions are drawn per sample, in batch order.  When the batch draws
+    zero positions the draw is repeated once; None means that draw was empty
+    too, and the pass has no masked-LM term.
+    """
+    selections = [select_mask_positions(t, vocab, rng) for t in ids]
     if not any(selections):
-        selections = [select_mask_positions(ids, vocab, rng) for ids in token_batches]
-    if not any(selections):
-        return None
+        selections = [select_mask_positions(t, vocab, rng) for t in ids]
     items = [item for item, positions in enumerate(selections) if positions]
-    masked_ids = []
-    for item in items:
-        masked = list(token_batches[item])
-        for pos in selections[item]:
-            masked[pos] = vocab.mask_id
-        masked_ids.append(masked)
-    masked_texts = model.encode_texts(masked_ids)
-    fused = model.fuse(masked_texts, visions.take(items))
-    seq = masked_texts.visible.shape[1]
-    rows = [k * seq + pos for k, item in enumerate(items) for pos in selections[item]]
-    targets = [token_batches[item][pos] for item in items for pos in selections[item]]
+    if not items:
+        return None
+    positions = [selections[item] for item in items]
+    copies = []
+    for item, picks in zip(items, positions):
+        copy = list(ids[item])
+        for pos in picks:
+            copy[pos] = vocab.mask_id
+        copies.append(copy)
+    targets = [ids[item][pos] for item, picks in zip(items, positions) for pos in picks]
+    return MaskedLM(first, items, positions, copies, targets)
+
+
+def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
+                      rng: np.random.Generator) -> tuple[Encoded, Tensor, list[MaskedLM | None]]:
+    """(texts, text_feats, each pass's masked copies): the step's one text encode.
+
+    Each pass draws its masked-LM positions, in pass order, before anything
+    is encoded, so one `encode_texts` holds the batch's texts and then every
+    pass's masked copies.  A copy has its original's length, so the padding
+    is the batch's.  `text_feats` projects the batch's texts.
+    """
+    n = len(ids)
+    masked: list[MaskedLM | None] = []
+    copies: list[list[int]] = []
+    for _ in range(passes):
+        draw = draw_masked_lm(ids, model.config.vocab, rng, n + len(copies))
+        masked.append(draw)
+        if draw is not None:
+            copies += draw.copies
+    texts = model.encode_texts([*ids, *copies])
+    return texts, model.project("txt", texts.take(range(n))), masked
+
+
+def mlm_loss(model: VLModel, fused: Tensor, rows: Sequence[int], targets: Sequence[int]) -> Tensor:
+    """Masked-LM loss over the fused `rows` of the masked positions, against their original ids."""
     logits = model.mlm_logits(tensor.take_rows(fused, rows))
     return ops.softmax_cross_entropy(logits, targets)
 
@@ -186,35 +230,42 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
 
 
 def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,
-                ids: Sequence[Sequence[int]], grids: Sequence[np.ndarray],
-                rng: np.random.Generator) -> tuple[Tensor, dict[str, Tensor]]:
-    """(stacked fused [CLS] rows, terms) of a pass; `text_feats` projects `texts`.
+                grids: Sequence[np.ndarray],
+                masked: MaskedLM | None) -> tuple[Tensor, dict[str, Tensor]]:
+    """(fused text roles, terms) of a pass over the batch's `visions`.
 
-    The terms are "cl" and "itm", plus "mlm" when at least one position is drawn.
+    `texts` is the step's text batch: the batch's texts first, which
+    `text_feats` projects, then the masked copies.  One fuse runs the
+    stacked roles [positives | mined negatives | this pass's masked copies]
+    against [visions | visions | each copy's vision].  The terms are "cl"
+    and "itm", plus "mlm" when `masked` holds copies.
     """
+    n = len(grids)
     image_feats = model.project("img", visions)
-    cl = contrastive_loss(image_feats, text_feats, model.temperature())
-    positives = model.cross_cls(texts, visions)
-    itm = itm_loss(model, visions, texts, positives, image_feats.array @ text_feats.array.T,
-                   grids)
-    terms = {"cl": cl, "itm": itm}
-    mlm = mlm_loss(model, ids, visions, rng)
-    if mlm is not None:
-        terms["mlm"] = mlm
-    return positives, terms
+    terms = {"cl": contrastive_loss(image_feats, text_feats, model.temperature())}
+    negatives = mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
+    text_roles, vision_roles = [*range(n), *negatives], [*range(n), *range(n)]
+    if masked is not None:
+        text_roles += masked.texts
+        vision_roles += masked.items
+    fused = model.fuse(texts.take(text_roles), visions.take(vision_roles))
+    seq = texts.visible.shape[1]
+    terms["itm"] = itm_loss(model, fused, seq, n)
+    if masked is not None:
+        terms["mlm"] = mlm_loss(model, fused, masked.rows(2 * n, seq), masked.targets)
+    return fused, terms
 
 
 def vma_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
-               ids: Sequence[Sequence[int]], samples: Sequence[DetectionSample],
-               rng: np.random.Generator) -> dict[str, Tensor]:
-    """The pass on box-masked images, reading the unmasked pass's `texts` and `text_feats`.
+               samples: Sequence[DetectionSample], masked: MaskedLM | None) -> dict[str, Tensor]:
+    """The pass on box-masked images, reading the step's `texts` and `text_feats`.
 
     Its terms are named as the unmasked pass's, with a "vma_" prefix.
     """
     grids = [s.scene.grid for s in samples]
     masks = [visual_mask_from_bbox(s.bbox, model.config.patch_grid) for s in samples]
     visions = model.encode_images(grids, masks)
-    _, terms = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
+    _, terms = pass_losses(model, visions, texts, text_feats, grids, masked)
     return {f"vma_{name}": loss for name, loss in terms.items()}
 
 
@@ -226,18 +277,18 @@ def training_step(model: VLModel, batch: Batch, config: RunConfig, optimizer: Sg
     their tape total's value.  Position tokens follow the model's vocabulary.
     """
     is_detection = batch.kind == "detection"
+    use_vma = is_detection and config.use_vma
     grids = [s.scene.grid for s in batch.samples]
     pevl = is_detection and model.config.use_pevl_tokens
     vocab = model.config.vocab
     ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
-
-    texts = model.encode_texts(ids)
-    text_feats = model.project("txt", texts)
+    texts, text_feats, masked = encode_step_texts(model, ids, 2 if use_vma else 1, rng)
     visions = model.encode_images(grids)
-    positives, terms = pass_losses(model, visions, texts, text_feats, ids, grids, rng)
-    if is_detection and config.use_vma:
-        terms |= vma_losses(model, texts, text_feats, ids, batch.samples, rng)
+    fused, terms = pass_losses(model, visions, texts, text_feats, grids, masked[0])
+    if use_vma:
+        terms |= vma_losses(model, texts, text_feats, batch.samples, masked[1])
     if is_detection and config.use_bbox:
+        positives = tensor.take_rows(fused, np.arange(len(ids)) * texts.visible.shape[1])
         terms["bbox"] = bbox_loss_terms(model.bbox_corners(positives),
                                         [s.bbox for s in batch.samples])
 

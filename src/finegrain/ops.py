@@ -1,6 +1,8 @@
 """Neural-network operations on the autodiff tape.
 
-Each op records one tape node with a hand-written backward.  Multi-head
+Each op records one tape node with a hand-written backward.  `linear` is
+the affine map `x @ w + b` as one node, so every projection in the model
+costs one node, not a matmul node and a bias-add node.  Multi-head
 attention is a single op: the samples of a batch and their heads go
 through numpy's stacked matmul, and the masked softmax inside it is plain
 numpy, not a tape op.
@@ -23,6 +25,24 @@ LAYER_NORM_EPS = 1e-5
 L2_NORM_EPS = 1e-30
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` for a row-stacked `x`, (rows, in) @ (in, out) + (out,), as one tape node.
+
+    Values and gradients are bit-identical to `add(matmul(x, w), b)`.
+    """
+    if x.array.ndim != 2 or w.array.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear shapes do not agree: {x.shape} x {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear bias shape {b.shape} does not match {w.shape[1]} outputs")
+    values = x.array @ w.array + b.array
+
+    def backward(g):
+        gx = g @ w.array.T if x.requires_grad else None
+        return gx, x.array.T @ g, g.sum(axis=0)
+
+    return _result(values, (x, w, b), backward)
 
 
 def gelu(a: Tensor) -> Tensor:

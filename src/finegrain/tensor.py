@@ -283,7 +283,7 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
-    values = a.array[idx].copy()
+    values = a.array[idx]  # integer-array indexing returns a new array
 
     def backward(g):
         full = np.zeros_like(a.array)

@@ -88,9 +88,28 @@ def encode_batch(model, samples):
 
 
 def matching_loss(model, visions, texts, grids):
-    """The matching loss as a pass computes it, mining on the projected similarities."""
+    """The matching loss as a pass computes it: mined negatives fused after the positives."""
+    n = len(grids)
     sims = model.project("img", visions).array @ model.project("txt", texts).array.T
-    return obj.itm_loss(model, visions, texts, model.cross_cls(texts, visions), sims, grids)
+    negatives = obj.mine_hard_negatives(sims, grids)
+    fused = model.fuse(texts.take([*range(n), *negatives]), visions.take([*range(n)] * 2))
+    return obj.itm_loss(model, fused, texts.visible.shape[1], n)
+
+
+def masked_lm_loss(model, ids, visions, rng):
+    """The masked-LM term of a pass's draw, its copies encoded and fused on their own."""
+    masked = obj.draw_masked_lm(ids, model.config.vocab, rng, 0)
+    if masked is None:
+        return None
+    texts = model.encode_texts(masked.copies)
+    fused = model.fuse(texts, visions.take(masked.items))
+    return obj.mlm_loss(model, fused, masked.rows(0, texts.visible.shape[1]), masked.targets)
+
+
+def step_texts(model, samples, passes, rng):
+    """(texts, text_feats, masked, grids): a step's one text encode of `samples`, for `passes`."""
+    ids = [model.config.vocab.encode_wrapped(s.text) for s in samples]
+    return (*obj.encode_step_texts(model, ids, passes, rng), [s.scene.grid for s in samples])
 
 
 class TestContrastiveLoss:
@@ -183,7 +202,7 @@ class TestMlmLoss:
         scene = sd.generate_scene(41, 2, grid_size=2)
         ids = vocab.encode_wrapped(sd.caption_of(scene).text)
         vision = model.encode_image(scene.grid)
-        loss = obj.mlm_loss(model, [ids], vision, rng_for(5, "mlm"))
+        loss = masked_lm_loss(model, [ids], vision, rng_for(5, "mlm"))
         assert loss is not None
         positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"))
         masked = list(ids)
@@ -205,7 +224,7 @@ class TestMlmLoss:
         ids = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
         vision = model.encode_images([s.grid for s in scenes])
         calls = count_calls(model, "mlm_logits")
-        assert obj.mlm_loss(model, ids, vision, rng_for(5, "mlm")) is not None
+        assert masked_lm_loss(model, ids, vision, rng_for(5, "mlm")) is not None
         rng = rng_for(5, "mlm")
         count = sum(len(obj.select_mask_positions(i, vocab, rng)) for i in ids)
         assert count > 0
@@ -218,7 +237,7 @@ class TestMlmLoss:
         ids = model.config.vocab.encode_wrapped("a red circle")
         scene = sd.generate_scene(43, 0, grid_size=2)
         vision = model.encode_image(scene.grid)
-        assert obj.mlm_loss(model, [ids], vision, rng_for(1, "z")) is None
+        assert masked_lm_loss(model, [ids], vision, rng_for(1, "z")) is None
 
 
 class TestVisualMask:
@@ -347,14 +366,12 @@ class TestVmaLosses:
             sd.DetectionSample(s.scene, s.kind, s.text, FULL_IMAGE, s.entity_span_end)
             for s in batch.samples
         )
-        visions, texts, ids, grids = encode_batch(model, full)
+        texts, text_feats, [masked], grids = step_texts(model, full, 1, rng_for(7, "same"))
+        assert masked is not None
+        _, terms = obj.pass_losses(model, model.encode_images(grids), texts, text_feats, grids,
+                                   masked)
 
-        text_feats = model.project("txt", texts)
-
-        _, terms = obj.pass_losses(model, visions, texts, text_feats, ids, grids,
-                                   rng_for(7, "same"))
-
-        vma = obj.vma_losses(model, texts, text_feats, ids, full, rng_for(7, "same"))
+        vma = obj.vma_losses(model, texts, text_feats, full, masked)
         assert [*vma] == ["vma_cl", "vma_itm", "vma_mlm"]
         assert vma["vma_cl"].item() == terms["cl"].item()
         assert vma["vma_itm"].item() == terms["itm"].item()
@@ -376,11 +393,14 @@ class TestVmaLosses:
             return sd.DetectionSample(scene, sample.kind, sample.text, sample.bbox,
                                       sample.entity_span_end)
 
-        _, texts, ids, _ = encode_batch(model, batch.samples)
-        text_feats = model.project("txt", texts)
-        base = obj.vma_losses(model, texts, text_feats, ids, batch.samples, rng_for(3, "vma"))
-        noisy = obj.vma_losses(model, texts, text_feats, ids,
-                               tuple(scrambled(s) for s in batch.samples), rng_for(3, "vma"))
+        # the masked copies of both passes ride in one text batch; the box-masked pass
+        # reads the second pass's copies
+        texts, text_feats, [_, masked], _ = step_texts(model, batch.samples, 2,
+                                                       rng_for(3, "vma"))
+        assert masked is not None
+        base = obj.vma_losses(model, texts, text_feats, batch.samples, masked)
+        noisy = obj.vma_losses(model, texts, text_feats,
+                               tuple(scrambled(s) for s in batch.samples), masked)
         assert [*base] == [*noisy] == ["vma_cl", "vma_itm", "vma_mlm"]
         assert base["vma_cl"].item() == noisy["vma_cl"].item()
         assert base["vma_itm"].item() == noisy["vma_itm"].item()
@@ -485,11 +505,25 @@ class TestTrainingStep:
         obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
         vocab = model.config.vocab
         ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
-        # one encode of the batch's texts, then one masked-LM encode per pass, each of
-        # whose copies holds at least one [MASK]
-        assert calls[0] == ids
-        assert len(calls) == (2 if kind == "caption" else 3)
-        assert all(vocab.mask_id in copy for call in calls[1:] for copy in call)
+        # one encode per step: the batch's texts, then every pass's masked copies, each
+        # of which holds at least one [MASK]
+        assert len(calls) == 1
+        assert calls[0][:4] == ids
+        assert len(calls[0]) > 4
+        assert all(vocab.mask_id in copy for copy in calls[0][4:])
+
+    @pytest.mark.parametrize("kind,expected", [("caption", 1), ("detection", 2)])
+    def test_each_pass_fuses_once(self, kind, expected, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
+        model = micro_model(seed=23)
+        batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
+        calls = count_calls(model, "fuse")
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
+        obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
+        # one fuse per pass stacks the positives, the mined negatives and the masked copies
+        assert len(calls) == expected
+        for text, vision in calls:
+            assert len(text.visible) == len(vision.visible) > 2 * 4
 
     def test_vma_step_projects_the_texts_once(self):
         model = micro_model(seed=23)
@@ -500,10 +534,11 @@ class TestTrainingStep:
         # the box-masked pass reuses the unmasked pass's text projection
         assert [stream for stream, _ in calls] == ["txt", "img", "img"]
 
-    # Tape nodes one default-config step records with a batch axis through the encoders
-    # and fusion: 332 per caption step, and 558 or 664 per detection step (664 when both
-    # passes draw masked-LM positions).  A per-sample loop multiplies them by about three.
-    @pytest.mark.parametrize("kind,ceiling", [("caption", 365), ("detection", 730)])
+    # Tape nodes one default-config step records with one node per affine map, one text
+    # encode per step and one fuse per pass: 124 per caption step, and 255 or 260 per
+    # detection step (260 when both passes draw masked-LM positions).  A matmul and an
+    # add per affine map, or a fuse per role, exceeds the ceiling.
+    @pytest.mark.parametrize("kind,ceiling", [("caption", 137), ("detection", 286)])
     def test_default_step_stays_under_its_tape_node_ceiling(self, kind, ceiling):
         def tape_position():  # read the counter without advancing it, as perfbench does
             text = repr(tensor._SEQ)
@@ -547,6 +582,86 @@ class TestTrainingStep:
         assert best < first
 
 
+def cross_entropy(logits, targets):
+    """Mean -log softmax(logits)[target] in plain numpy."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(targets)), targets].mean())
+
+
+def per_role_step(model, batch, config, rng):
+    """(terms, masked copies): a training step's terms, each role fused on its own.
+
+    The positives, the mined negatives and the masked LM each run their own
+    fuse, and a pass's masked copies are encoded apart from the batch's texts,
+    padded to their own longest.  The losses are plain numpy over the heads.
+    """
+    vocab = model.config.vocab
+    ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
+    grids = [s.scene.grid for s in batch.samples]
+    n = len(ids)
+    texts = model.encode_texts(ids)
+    text_feats = model.project("txt", texts)
+    terms, copies = {}, []
+
+    def one_pass(prefix, visions):
+        image_feats = model.project("img", visions)
+        terms[f"{prefix}cl"] = obj.contrastive_loss(image_feats, text_feats,
+                                                    model.temperature()).item()
+        negatives = obj.mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
+        positives = model.cross_cls(texts, visions)
+        mined = model.cross_cls(texts.take(negatives), visions)
+        logits = model.itm_logits(tensor.concat_rows([positives, mined])).array
+        terms[f"{prefix}itm"] = cross_entropy(logits, [1] * n + [0] * n)
+        selections = [obj.select_mask_positions(t, vocab, rng) for t in ids]
+        if not any(selections):
+            selections = [obj.select_mask_positions(t, vocab, rng) for t in ids]
+        items = [i for i in range(n) if selections[i]]
+        if items:
+            masked = [[vocab.mask_id if p in selections[i] else t for p, t in enumerate(ids[i])]
+                      for i in items]
+            copies.extend(masked)
+            states = model.fuse(model.encode_texts(masked), visions.take(items))
+            seq = max(len(m) for m in masked)
+            rows = [k * seq + p for k, i in enumerate(items) for p in selections[i]]
+            targets = [ids[i][p] for i in items for p in selections[i]]
+            terms[f"{prefix}mlm"] = cross_entropy(model.mlm_logits(states).array[rows], targets)
+        return positives
+
+    positives = one_pass("", model.encode_images(grids))
+    if batch.kind == "detection" and config.use_vma:
+        masks = [obj.visual_mask_from_bbox(s.bbox, model.config.patch_grid)
+                 for s in batch.samples]
+        one_pass("vma_", model.encode_images(grids, masks))
+    if batch.kind == "detection" and config.use_bbox:
+        terms["bbox"] = obj.bbox_loss_terms(model.bbox_corners(positives),
+                                            [s.bbox for s in batch.samples]).item()
+    return terms, copies
+
+
+class TestPerRoleOracle:
+    @pytest.mark.parametrize("kind", ["caption", "detection"])
+    def test_step_terms_match_a_fuse_per_role(self, kind, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.3)
+        model = micro_model(seed=41)
+        batch = caption_batch(model, n=4, seed=19) if kind == "caption" else \
+            detection_batch(model, n=4, seed=57)
+        config = ablation()  # VMA and bbox on
+        with tensor.no_tape():
+            expected, expected_copies = per_role_step(model, batch, config, rng_for(9, "oracle"))
+        calls = count_calls(model, "encode_texts")
+        optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
+        values, _ = obj.training_step(model, batch, config, optimizer, rng_for(9, "oracle"))
+        names = ["cl", "itm", "mlm"] + (["vma_cl", "vma_itm", "vma_mlm", "bbox"]
+                                        if kind == "detection" else [])
+        assert [*values] == [*expected] == names
+        for name in names:
+            np.testing.assert_allclose(values[name], expected[name], rtol=1e-12, err_msg=name)
+        # the same masked positions, drawn in the same order
+        [(step_ids,)] = calls
+        assert step_ids[len(batch.samples):] == expected_copies
+
+
 class TestSgdOptimizer:
     def test_non_finite_gradient_rejected_before_any_update(self):
         model = micro_model(seed=37)
@@ -570,25 +685,24 @@ class TestLossGradients:
         batch = detection_batch(model, n=2, seed=71)
 
         def f():
-            visions, texts, ids, grids = encode_batch(model, batch.samples)
-            if component == "vma":
-                vma = obj.vma_losses(model, texts, model.project("txt", texts), ids,
-                                     batch.samples, rng_for(1, "gc"))
-                return tensor.add_scalars(list(vma.values()))
-            if component == "shared":
+            if component in ("vma", "shared"):
                 # both passes read one text encoding and projection, so their gradients sum
-                rng = rng_for(1, "gc")
-                text_feats = model.project("txt", texts)
-                _, terms = obj.pass_losses(model, visions, texts, text_feats, ids, grids, rng)
-                vma = obj.vma_losses(model, texts, text_feats, ids, batch.samples, rng)
+                texts, text_feats, masked, grids = step_texts(model, batch.samples, 2,
+                                                              rng_for(1, "gc"))
+                vma = obj.vma_losses(model, texts, text_feats, batch.samples, masked[1])
+                if component == "vma":
+                    return tensor.add_scalars(list(vma.values()))
+                _, terms = obj.pass_losses(model, model.encode_images(grids), texts, text_feats,
+                                           grids, masked[0])
                 return tensor.add_scalars([*terms.values(), *vma.values()])
+            visions, texts, ids, grids = encode_batch(model, batch.samples)
             if component == "cl":
                 return obj.contrastive_loss(model.project("img", visions),
                                             model.project("txt", texts), model.temperature())
             if component == "itm":
                 return matching_loss(model, visions, texts, grids)
             if component == "mlm":
-                loss = obj.mlm_loss(model, ids, visions, rng_for(1, "gc"))
+                loss = masked_lm_loss(model, ids, visions, rng_for(1, "gc"))
                 assert loss is not None
                 return loss
             return obj.bbox_loss_terms(model.bbox_corners(model.cross_cls(texts, visions)),

@@ -80,6 +80,48 @@ class TestMatmul:
         assert err < 1e-3
 
 
+class TestLinear:
+    def test_gradient_vs_finite_differences(self):
+        r = rng(11)
+        x = Tensor(r.normal(size=(5, 4)), requires_grad=True)
+        w = Tensor(r.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(r.normal(size=3), requires_grad=True)
+        # a non-uniform downstream weight gives every row and bias entry its own gradient
+        weights = Tensor(r.normal(size=(5, 3)))
+
+        def f():
+            out = ops.linear(x, w, b)
+            return tensor.tsum(tensor.mul(tensor.mul(out, out), weights))
+
+        assert check_gradients(f, [x, w, b]) < 1e-3
+
+    def test_bit_identical_to_matmul_then_add(self):
+        r = rng(12)
+        arrays = r.normal(size=(6, 5)), r.normal(size=(5, 4)), r.normal(size=4)
+        upstream = Tensor(r.normal(size=(6, 4)))
+
+        def run(affine):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = affine(x, w, b)
+            tensor.tsum(tensor.mul(out, upstream)).backward()
+            return out.array, x.grad, w.grad, b.grad
+
+        fused = run(ops.linear)
+        split = run(lambda x, w, b: tensor.add(tensor.matmul(x, w), b))
+        for got, want in zip(fused, split):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_tape_node_per_call(self):
+        x = Tensor(rng(13).normal(size=(3, 2)), requires_grad=True)
+        w, b = Tensor(np.ones((2, 2)), requires_grad=True), Tensor(np.zeros(2))
+        out = ops.linear(x, w, b)
+        assert out._node.parents == (x, w, b)
+
+    def test_bias_must_match_the_outputs(self):
+        with pytest.raises(ShapeError, match="bias"):
+            ops.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
         logits = Tensor(np.zeros((3, 8)))
