@@ -86,17 +86,19 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     and texts by the text.  Every distinct input is encoded once, on its
     own, through `encode_image` or `encode_text`.
 
-    Pairs are fused in batches, since one pair's `fuse` is mostly the
-    per-call overhead of its 40-odd small ops.  The first call scores every
-    pair that `run_benchmark` scores for `manifest`, and each later call
-    looks its pair up; a pair not yet scored, as with no manifest, is scored
-    on its own, as a batch of one.  The images of the pairs to score are stacked
-    into one batch, and their texts into one batch per token length: texts
-    of one length need no [PAD] row, so no padding is fused.  Each length's
-    pairs are fused in chunks of at most `FUSE_CHUNK_ROWS` text rows, each
-    pair's text and image gathered from the stacks by `Encoded.take`.  A
-    batched score can differ from the same pair's score at batch one in its
-    last bits: the matching head's product runs on another row count.
+    Pairs are fused in batches, so a fuse's per-call overhead is paid once
+    per chunk, not once per pair, and each fuse computes only the [CLS]
+    rows in its last layer (`cross_cls`).  The first call scores every pair
+    that `run_benchmark` scores for `manifest`, and each later call looks
+    its pair up; a pair not yet scored, as with no manifest, is scored on
+    its own, as a batch of one.  The images of the pairs to score are
+    stacked into one batch, and their texts into one batch per token
+    length: texts of one length need no [PAD] row, so no padding is fused.
+    Each length's pairs are fused in chunks of at most `FUSE_CHUNK_ROWS`
+    text rows, each pair's text and image gathered from the stacks by
+    `Encoded.take`.  A batched score can differ from the same pair's score
+    at batch one in its last bits: the last layer's [CLS] queries and the
+    matching head's product run on another row count.
 
     Everything runs under `tensor.no_tape()`, so a cached encoding holds its
     values only, not the forward graph that computed them.

@@ -17,15 +17,20 @@ index in one tape node, so a negative, a repeat or a subset of a batch
 costs no new encode.  `fuse` pairs the text and vision at each batch
 index, so the training step stacks every role of a pass (positives,
 mined negatives, masked copies) as one text batch against the matching
-visions and fuses once.  `project` maps a batch's [CLS] rows in one
-affine map, and `cross_cls` takes the fused [CLS] rows of a fuse.
+visions and fuses once.  `fuse` also takes the stacked text rows its
+caller reads, and its last cross layer computes only those: its keys and
+values read every row, but its queries, output maps and MLP run on the
+requested rows alone.  The heads read little: the matching and box heads
+a [CLS] row per pair, the masked-LM head the masked positions.
+`project` maps a batch's [CLS] rows in one affine map, and `cross_cls`
+fuses asking for the [CLS] rows only.
 
 `encode_image` and `encode_text` encode one input as a batch of one.
 The scorer calls them, one input per cache entry, and the benchmark's
 tracer tags their spans by that input, so they keep its argument shape.
 The scorer batches the fusion instead: `Encoded.stack` joins cached
 encodings of one sequence length into one batch, `take` gathers each
-pair's text and image from those batches, and one `fuse` and one
+pair's text and image from those batches, and one `cross_cls` and one
 `matching_probabilities` call then score many pairs, a probability per row.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
@@ -126,6 +131,27 @@ class Encoded(NamedTuple):
             raise ShapeError(f"cannot stack encodings of sequence lengths {sorted(lengths)}")
         return Encoded(tensor.concat_rows([part.states for part in parts]),
                        np.concatenate([part.visible for part in parts]))
+
+
+def _padded_queries(rows: Sequence[int], batch: int, seq: int) -> tuple[np.ndarray, np.ndarray]:
+    """(queries, picks) for stacked `rows` of a (batch, seq) text batch.
+
+    `queries` holds each sample's distinct requested rows in ascending
+    order, padded with the sample's [CLS] row to the most any sample
+    requests, so every sample has the same number; `picks` gathers the
+    requested rows back out of them, in request order.
+    """
+    idx = np.asarray(rows, dtype=np.intp)
+    if idx.ndim != 1 or not idx.size or idx.min() < 0 or idx.max() >= batch * seq:
+        raise ShapeError(f"fuse needs a non-empty 1-D sequence of rows below {batch * seq}")
+    distinct, where = np.unique(idx, return_inverse=True)
+    owner = distinct // seq
+    counts = np.bincount(owner, minlength=batch)
+    width = int(counts.max())
+    slots = owner * width + np.arange(distinct.size) - (np.cumsum(counts) - counts)[owner]
+    queries = np.repeat(np.arange(batch) * seq, width)
+    queries[slots] = distinct
+    return queries, slots[where]
 
 
 def _cls_rows(states: Tensor, visible: np.ndarray) -> Tensor:
@@ -238,10 +264,19 @@ class VLModel:
         hidden = ops.gelu(ops.linear(x, p[f"{prefix}.mlp_w1"], p[f"{prefix}.mlp_b1"]))
         return ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"])
 
-    def _block(self, prefix: str, x: Tensor, key_mask, cross: Encoded | None = None) -> Tensor:
+    def _block(self, prefix: str, x: Tensor, key_mask, cross: Encoded | None = None,
+               rows: np.ndarray | None = None) -> Tensor:
+        """One pre-norm layer; with `rows`, only those stacked rows query and are returned.
+
+        The self-attention keys and values still come from every row of `x`,
+        so `rows` must hold the same number of rows for each sample.
+        """
         p = self.params
         normed = ops.layer_norm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
-        x = tensor.add(x, self._mha(f"{prefix}.attn", normed, normed, key_mask))
+        queries = normed
+        if rows is not None:
+            x, queries = tensor.take_rows(x, rows), tensor.take_rows(normed, rows)
+        x = tensor.add(x, self._mha(f"{prefix}.attn", queries, normed, key_mask))
         if cross is not None:
             normed = ops.layer_norm(x, p[f"{prefix}.lnx_g"], p[f"{prefix}.lnx_b"])
             x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross.states, cross.visible))
@@ -320,21 +355,37 @@ class VLModel:
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
 
-    def fuse(self, text: Encoded, vision: Encoded) -> Tensor:
-        """Each text's states cross-attended to the visible rows of the vision at its index.
+    def fuse(self, text: Encoded, vision: Encoded, rows: Sequence[int]) -> Tensor:
+        """(len(rows), hidden_dim): the fused states of the stacked text `rows`, in this order.
 
-        Hidden text rows are zero.
+        Each text's states are cross-attended to the visible rows of the
+        vision at its batch index.  Every cross layer but the last runs on
+        every text row.  The last one runs layer norm 1 and the self- and
+        cross-attention keys and values on every row as well, and the rest
+        only on the requested rows, padded per sample with its [CLS] row to
+        the most any sample requests, so each sample keeps its own keys and
+        key mask.  A row may be requested more than once; a hidden row is zero.
         """
         if len(text.visible) != len(vision.visible):
             raise ShapeError(f"fusing {len(text.visible)} texts with {len(vision.visible)} images")
+        queries, picks = _padded_queries(rows, *text.visible.shape)
         x = text.states
-        for i in range(self.config.cross_layers):
+        last = self.config.cross_layers - 1
+        for i in range(last):
             x = self._block(f"cross.{i}", x, text.visible, cross=vision)
-        return self._zero_masked_rows(x, text.visible)
+        x = self._block(f"cross.{last}", x, text.visible, cross=vision, rows=queries)
+        keep = text.visible.reshape(-1)[queries]
+        if not keep.all():
+            x = self._zero_masked_rows(x, keep)
+        return tensor.take_rows(x, picks)
 
     def cross_cls(self, text: Encoded, vision: Encoded) -> Tensor:
-        """(batch, hidden_dim) fused [CLS] rows: the rows the matching and box heads read."""
-        return _cls_rows(self.fuse(text, vision), text.visible)
+        """(batch, hidden_dim) fused [CLS] rows, from one fuse that asks for only these rows.
+
+        They are the rows the matching and box heads read.
+        """
+        batch, seq = text.visible.shape
+        return self.fuse(text, vision, np.arange(batch) * seq)
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""

@@ -16,14 +16,17 @@ masked copies in one `encode_texts` call, padded to the batch's longest
 the text encoder never sees the image, so the visually masked pass reuses
 them.  A pass encodes its images once and fuses once: the text roles
 [positives | mined negatives | the pass's masked copies] are stacked as
-one batch against [visions | visions | each copy's vision], and the
-matching and masked-LM losses read their rows out of that one fused
-tensor.  The heads run once per call on stacked rows: one image
-projection per pass, one matching-head call for all positives and
-negatives, one masked-LM head call for the masked positions only, and one
-box head and one box loss for the whole detection batch.  Matching
-negatives are the hardest in-batch negatives by contrastive similarity,
-one per positive, mined among samples whose underlying image differs.
+one batch against [visions | visions | each copy's vision].  The fuse
+returns only the rows the heads read, and computes only those in its
+last layer: the 2n [CLS] rows of the positives and negatives, then the
+masked positions.  The matching loss, the box head and the masked-LM
+loss read them by position.  The heads run once per call on stacked
+rows: one image projection per pass, one matching-head call for all
+positives and negatives, one masked-LM head call for the masked
+positions only, and one box head and one box loss for the whole
+detection batch.  Matching negatives are the hardest in-batch negatives
+by contrastive similarity, one per positive, mined among samples whose
+underlying image differs.
 The step reads which losses are on from the run's `RunConfig`; each pass
 returns its terms by name, and the step returns their values and total.
 
@@ -69,7 +72,7 @@ class SgdOptimizer:
             factor = self.lr * self.clip_norm / norm
         for p in self.params:
             if p.grad is not None:
-                p.array = p.array - factor * p.grad
+                p.array -= factor * p.grad
             p.zero_grad()
 
 
@@ -95,13 +98,13 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
     return picks
 
 
-def itm_loss(model: VLModel, fused: Tensor, seq: int, n: int) -> Tensor:
-    """Binary matching loss read off a pass's fused text roles, `seq` rows per text.
+def itm_loss(model: VLModel, fused: Tensor, n: int) -> Tensor:
+    """Binary matching loss read off a pass's fused rows.
 
-    The [CLS] rows of the first `n` stacked texts are the positives, and of
-    the next `n` their mined negatives, each fused with the positive's vision.
+    The first `n` rows are the positives' fused [CLS] rows, and the next `n`
+    their mined negatives', each fused with the positive's vision.
     """
-    logits = model.itm_logits(tensor.take_rows(fused, np.arange(2 * n) * seq))
+    logits = model.itm_logits(tensor.take_rows(fused, np.arange(2 * n)))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
@@ -128,7 +131,7 @@ class MaskedLM(NamedTuple):
         return range(self.first, self.first + len(self.items))
 
     def rows(self, role: int, seq: int) -> list[int]:
-        """Fused rows of the masked positions, `seq` rows per role, the copies from `role` on."""
+        """Stacked text rows of the masked positions: `seq` rows per role, copies from `role` on."""
         return [(role + k) * seq + pos for k, positions in enumerate(self.positions)
                 for pos in positions]
 
@@ -180,7 +183,8 @@ def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
 
 
 def mlm_loss(model: VLModel, fused: Tensor, rows: Sequence[int], targets: Sequence[int]) -> Tensor:
-    """Masked-LM loss over the fused `rows` of the masked positions, against their original ids."""
+    """Masked-LM loss over the `rows` of `fused` that hold the masked positions, against their
+    original ids."""
     logits = model.mlm_logits(tensor.take_rows(fused, rows))
     return ops.softmax_cross_entropy(logits, targets)
 
@@ -232,27 +236,31 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
 def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,
                 grids: Sequence[np.ndarray],
                 masked: MaskedLM | None) -> tuple[Tensor, dict[str, Tensor]]:
-    """(fused text roles, terms) of a pass over the batch's `visions`.
+    """(fused rows, terms) of a pass over the batch's `visions`.
 
     `texts` is the step's text batch: the batch's texts first, which
     `text_feats` projects, then the masked copies.  One fuse runs the
     stacked roles [positives | mined negatives | this pass's masked copies]
-    against [visions | visions | each copy's vision].  The terms are "cl"
-    and "itm", plus "mlm" when `masked` holds copies.
+    against [visions | visions | each copy's vision], and returns only the
+    rows the heads read: the 2n [CLS] rows of the positives and negatives,
+    then the copies' masked positions.  The terms are "cl" and "itm", plus
+    "mlm" when `masked` holds copies.
     """
     n = len(grids)
     image_feats = model.project("img", visions)
     terms = {"cl": contrastive_loss(image_feats, text_feats, model.temperature())}
     negatives = mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
+    seq = texts.visible.shape[1]
     text_roles, vision_roles = [*range(n), *negatives], [*range(n), *range(n)]
+    rows = [role * seq for role in range(2 * n)]  # the positives' and negatives' [CLS] rows
     if masked is not None:
         text_roles += masked.texts
         vision_roles += masked.items
-    fused = model.fuse(texts.take(text_roles), visions.take(vision_roles))
-    seq = texts.visible.shape[1]
-    terms["itm"] = itm_loss(model, fused, seq, n)
+        rows += masked.rows(2 * n, seq)
+    fused = model.fuse(texts.take(text_roles), visions.take(vision_roles), rows)
+    terms["itm"] = itm_loss(model, fused, n)
     if masked is not None:
-        terms["mlm"] = mlm_loss(model, fused, masked.rows(2 * n, seq), masked.targets)
+        terms["mlm"] = mlm_loss(model, fused, range(2 * n, len(rows)), masked.targets)
     return fused, terms
 
 
@@ -288,7 +296,7 @@ def training_step(model: VLModel, batch: Batch, config: RunConfig, optimizer: Sg
     if use_vma:
         terms |= vma_losses(model, texts, text_feats, batch.samples, masked[1])
     if is_detection and config.use_bbox:
-        positives = tensor.take_rows(fused, np.arange(len(ids)) * texts.visible.shape[1])
+        positives = tensor.take_rows(fused, np.arange(len(ids)))
         terms["bbox"] = bbox_loss_terms(model.bbox_corners(positives),
                                         [s.bbox for s in batch.samples])
 

@@ -90,8 +90,9 @@ class Tensor:
             node = tensor._node
             if node is None:
                 if tensor._grad is None:
-                    tensor._grad = np.zeros_like(tensor.array)
-                tensor._grad += grad_out
+                    tensor._grad = grad_out.copy()  # grad_out may alias a stored buffer
+                else:
+                    tensor._grad += grad_out
                 continue
             for parent, pgrad in zip(node.parents, node.backward_fn(grad_out)):
                 if pgrad is None or not parent.requires_grad:

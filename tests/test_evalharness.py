@@ -251,9 +251,9 @@ def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
     return model.matching_probabilities(cross_cls)[0]
 
 
-# Two units in the last place of a score in [0.5, 1).  A fused [CLS] row is
-# the same at any batch size, but the matching head's product runs as a
-# matrix-vector product at batch one and as a matrix product on a batch.
+# Two units in the last place of a score in [0.5, 1).  At batch one the last
+# cross layer's [CLS] query rows and the matching head's product run as
+# matrix-vector products, and on a batch as matrix products.
 SCORE_ATOL = 2.3e-16
 
 
@@ -316,13 +316,18 @@ class TestModelScorer:
 
     @staticmethod
     def fused_text_rows(monkeypatch) -> list[int]:
-        """Each later `VLModel.fuse` call's stacked text rows, in call order."""
+        """Each later `VLModel.fuse` call's stacked text rows, in call order.
+
+        Each call must ask for exactly one row per pair, its [CLS] row.
+        """
         rows = []
         fuse = VLModel.fuse
 
-        def counted(self, text, vision):
+        def counted(self, text, vision, requested):
+            batch, seq = text.visible.shape
+            assert list(requested) == [pair * seq for pair in range(batch)]
             rows.append(text.states.shape[0])
-            return fuse(self, text, vision)
+            return fuse(self, text, vision, requested)
 
         monkeypatch.setattr(VLModel, "fuse", counted)
         return rows

@@ -19,6 +19,7 @@ from finegrain.errors import (
 )
 from finegrain.model import ModelConfig, VLModel
 from finegrain.seeding import rng_for
+from finegrain.tensor import Tensor
 
 from gradcheck import check_gradients
 
@@ -135,18 +136,24 @@ class TestEncodeText:
             micro.encode_text(ids)
 
 
+def every_row(text):
+    """Every stacked row of a text batch, in order: a fuse that returns the whole fused state."""
+    return np.arange(text.states.shape[0])
+
+
 class TestFuse:
     def test_output_shape(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        fused = micro.fuse(text, micro.encode_image(grid))
+        fused = micro.fuse(text, micro.encode_image(grid), every_row(text))
         assert fused.shape == (len(ids), micro.config.hidden_dim)
 
     def test_no_mask_equals_all_ones_mask(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        a = micro.fuse(text, micro.encode_image(grid))
-        b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]))
+        a = micro.fuse(text, micro.encode_image(grid), every_row(text))
+        b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]),
+                       every_row(text))
         assert np.array_equal(a.array, b.array)
 
     def test_single_visible_patch_blocks_other_content(self, micro, grid):
@@ -155,8 +162,9 @@ class TestFuse:
         scrambled = grid.copy()
         scrambled[0, :, :] = 9.9
         scrambled[1, 1, :] = -3.3
-        a = micro.fuse(micro.encode_text(ids), micro.encode_images([grid], [mask]))
-        b = micro.fuse(micro.encode_text(ids), micro.encode_images([scrambled], [mask]))
+        text = micro.encode_text(ids)
+        a = micro.fuse(text, micro.encode_images([grid], [mask]), every_row(text))
+        b = micro.fuse(text, micro.encode_images([scrambled], [mask]), every_row(text))
         assert np.array_equal(a.array, b.array)
 
 
@@ -203,11 +211,13 @@ class TestBatchAxis:
 
     def test_batched_fuse_matches_per_pair_fuse(self, micro):
         grids, visibilities, ids = batch_inputs(micro)
-        fused = micro.fuse(micro.encode_texts(ids), micro.encode_images(grids, visibilities))
+        texts = micro.encode_texts(ids)
+        fused = micro.fuse(texts, micro.encode_images(grids, visibilities), every_row(texts))
         seq = max(len(i) for i in ids)
         for b, (grid, visibility, row_ids) in enumerate(zip(grids, visibilities, ids)):
             rows = sample_rows(fused.array, b, seq)
-            single = micro.fuse(micro.encode_text(row_ids), micro.encode_images([grid], [visibility]))
+            text = micro.encode_text(row_ids)
+            single = micro.fuse(text, micro.encode_images([grid], [visibility]), every_row(text))
             assert np.allclose(rows[:len(row_ids)], single.array, rtol=0, atol=1e-12)
             assert np.all(rows[len(row_ids):] == 0.0)
 
@@ -221,7 +231,7 @@ class TestBatchAxis:
 
         def run(grid_list):
             images = micro.encode_images(grid_list, visibilities)
-            return images.states.array, micro.fuse(texts, images).array
+            return images.states.array, micro.fuse(texts, images, every_row(texts)).array
 
         base_images, base_fused = run(grids)
         images, fused = run([grids[0], grids[1] + 7.5, grids[2]])
@@ -250,8 +260,117 @@ class TestBatchAxis:
 
     def test_fuse_rejects_batches_of_different_sizes(self, micro):
         grids, _, ids = batch_inputs(micro)
+        texts = micro.encode_texts(ids)
         with pytest.raises(ShapeError):
-            micro.fuse(micro.encode_texts(ids), micro.encode_images(grids[:2]))
+            micro.fuse(texts, micro.encode_images(grids[:2]), every_row(texts))
+
+
+def row_requests(texts) -> dict[str, list[int]]:
+    """Stacked rows a caller may ask `fuse` for, by kind, for a padded text batch."""
+    batch, seq = texts.visible.shape
+    cls = [b * seq for b in range(batch)]
+    visible = np.flatnonzero(texts.visible.reshape(-1)).tolist()
+    hidden = np.flatnonzero(~texts.visible.reshape(-1)).tolist()
+    return {
+        "cls": cls,
+        "visible_any_order": [visible[-1], visible[3], cls[1], visible[7], visible[0]],
+        "repeated": [visible[4], cls[2], visible[4], cls[2], cls[0], visible[4]],
+        "hidden": [hidden[0], cls[1], hidden[-1], visible[5]],
+        "every": list(range(batch * seq)),
+    }
+
+
+@pytest.mark.parametrize("cross_layers", [1, 2])
+@pytest.mark.parametrize("kind", ["cls", "visible_any_order", "repeated", "hidden", "every"])
+class TestFuseRows:
+    # `fuse(text, vision, rows)` against the same fuse asked for every row, on padded
+    # texts and box-masked visions.  The last cross layer runs its queries on fewer
+    # rows, so BLAS may round them differently: values and gradients match to 1e-12.
+
+    @staticmethod
+    def inputs(cross_layers, kind):
+        model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
+        grids, visibilities, ids = batch_inputs(model)
+        texts = model.encode_texts(ids)
+        return model, texts, model.encode_images(grids, visibilities), row_requests(texts)[kind]
+
+    def test_rows_match_the_fuse_of_every_row_and_hidden_rows_are_zero(self, cross_layers,
+                                                                        kind):
+        model, texts, images, rows = self.inputs(cross_layers, kind)
+        full = model.fuse(texts, images, every_row(texts)).array
+        fused = model.fuse(texts, images, rows).array
+        assert fused.shape == (len(rows), model.config.hidden_dim)
+        np.testing.assert_allclose(fused, full[rows], rtol=0, atol=1e-12)
+        hidden = ~texts.visible.reshape(-1)[rows]
+        assert np.all(fused[hidden] == 0.0)
+        assert np.all(fused[~hidden] != 0.0)
+
+    def test_parameter_gradients_match_the_fuse_of_every_row(self, cross_layers, kind):
+        model, texts, images, rows = self.inputs(cross_layers, kind)
+        weights = Tensor(rng_for(3, "fuse-rows", kind).normal(
+            size=(len(rows), model.config.hidden_dim)))
+
+        def gradients(fused):
+            for param in model.parameters():
+                param.zero_grad()
+            tensor.tsum(tensor.mul(fused, weights)).backward()
+            return [param.grad for param in model.parameters()]
+
+        full = gradients(tensor.take_rows(model.fuse(texts, images, every_row(texts)), rows))
+        picked = gradients(model.fuse(texts, images, rows))
+        for name, want, got in zip(model.params, full, picked):
+            assert (want is None) == (got is None), name
+            if name.endswith(".bk"):
+                # a key bias shifts every logit of a query alike, so the softmax cancels
+                # its gradient: both sides hold rounding noise around an exact zero
+                assert np.abs(got).max() < 1e-14 and np.abs(want).max() < 1e-14, name
+            elif want is not None:
+                # an entry that cancels in a sum over rows keeps only the accuracy of
+                # its terms, so rtol also applies to the parameter's largest entry
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+    def test_full_mask_equals_no_mask_bit_for_bit(self, cross_layers, kind):
+        model, texts, _, rows = self.inputs(cross_layers, kind)
+        grids, _, _ = batch_inputs(model)
+        ones = [np.ones(model.config.num_patches, dtype=bool)] * len(grids)
+        a = model.fuse(texts, model.encode_images(grids), rows)
+        b = model.fuse(texts, model.encode_images(grids, ones), rows)
+        assert np.array_equal(a.array, b.array)
+
+    def test_hidden_patch_cannot_leak_bit_for_bit(self, cross_layers, kind):
+        model, texts, images, rows = self.inputs(cross_layers, kind)
+        grids, visibilities, _ = batch_inputs(model)
+        hidden = grids[1].copy()
+        hidden[0, 1, :] = 123.456  # patch (row 0, col 1) is hidden in sample 1
+        changed = model.encode_images([grids[0], hidden, grids[2]], visibilities)
+        assert np.array_equal(model.fuse(texts, changed, rows).array,
+                              model.fuse(texts, images, rows).array)
+
+
+def test_fuse_rows_gradcheck():
+    model = VLModel(micro_config(cross_layers=2), seed=5)
+    grids, visibilities, ids = batch_inputs(model)
+    seq = max(len(i) for i in ids)
+    rows = [seq + 2, 0, 2 * seq + 3, 1, seq]
+    weights = Tensor(rng_for(4, "fuse-rows-gc").normal(size=(len(rows), model.config.hidden_dim)))
+
+    def f():
+        fused = model.fuse(model.encode_texts(ids), model.encode_images(grids, visibilities),
+                           rows)
+        return tensor.tsum(tensor.mul(fused, weights))
+
+    inputs = [model.params[name] for name in
+              ("text.emb", "cross.0.mlp_w2", "cross.1.attn.wk", "cross.1.xattn.wv",
+               "cross.1.lnx_g", "cross.1.mlp_w1")]
+    assert check_gradients(f, inputs, coords_per_input=10, rng=rng_for(8, "fuse-rows-gc")) < 1e-6
+
+
+@pytest.mark.parametrize("rows", [[], [-1], [60], [[0, 1]]])
+def test_fuse_rejects_rows_outside_the_text_batch(micro, rows):
+    grids, _, ids = batch_inputs(micro)
+    with pytest.raises(ShapeError):
+        micro.fuse(micro.encode_texts(ids), micro.encode_images(grids), rows)
 
 
 def cross_cls_of(model, grid, ids):

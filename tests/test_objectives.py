@@ -92,8 +92,9 @@ def matching_loss(model, visions, texts, grids):
     n = len(grids)
     sims = model.project("img", visions).array @ model.project("txt", texts).array.T
     negatives = obj.mine_hard_negatives(sims, grids)
-    fused = model.fuse(texts.take([*range(n), *negatives]), visions.take([*range(n)] * 2))
-    return obj.itm_loss(model, fused, texts.visible.shape[1], n)
+    fused = model.fuse(texts.take([*range(n), *negatives]), visions.take([*range(n)] * 2),
+                       np.arange(2 * n) * texts.visible.shape[1])
+    return obj.itm_loss(model, fused, n)
 
 
 def masked_lm_loss(model, ids, visions, rng):
@@ -102,8 +103,8 @@ def masked_lm_loss(model, ids, visions, rng):
     if masked is None:
         return None
     texts = model.encode_texts(masked.copies)
-    fused = model.fuse(texts, visions.take(masked.items))
-    return obj.mlm_loss(model, fused, masked.rows(0, texts.visible.shape[1]), masked.targets)
+    fused = model.fuse(texts, visions.take(masked.items), masked.rows(0, texts.visible.shape[1]))
+    return obj.mlm_loss(model, fused, range(len(masked.targets)), masked.targets)
 
 
 def step_texts(model, samples, passes, rng):
@@ -157,7 +158,8 @@ class TestItmLoss:
 
         # independent recomputation from matching probabilities, one pair at a time
         def probability(i, j):
-            cross = model.fuse(model.encode_text(ids[j]), model.encode_image(grids[i]))
+            text = model.encode_text(ids[j])
+            cross = model.fuse(text, model.encode_image(grids[i]), range(len(ids[j])))
             return model.matching_probabilities(tensor.take_rows(cross, [0]))[0]
 
         probs = [probability(i, i) for i in range(2)]
@@ -209,7 +211,7 @@ class TestMlmLoss:
         for p in positions:
             masked[p] = vocab.mask_id
         states = model.encode_text(masked)
-        fused = model.fuse(states, model.encode_image(scene.grid))
+        fused = model.fuse(states, model.encode_image(scene.grid), range(len(masked)))
         logits = model.mlm_logits(fused).array[positions]
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -518,12 +520,25 @@ class TestTrainingStep:
         model = micro_model(seed=23)
         batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
         calls = count_calls(model, "fuse")
+        copies = count_calls(model, "encode_texts")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
         # one fuse per pass stacks the positives, the mined negatives and the masked copies
         assert len(calls) == expected
-        for text, vision in calls:
+        for text, vision, _ in calls:
             assert len(text.visible) == len(vision.visible) > 2 * 4
+        # and asks for the 2n [CLS] rows of the positives and negatives, then the [MASK]
+        # positions of the pass's copies, which follow the batch's texts pass by pass
+        [(step_ids,)] = copies
+        pass_copies = iter(step_ids[4:])
+        mask_id = model.config.vocab.mask_id
+        for text, _, rows in calls:
+            seq = text.visible.shape[1]
+            masked = [(2 * 4 + k) * seq + pos
+                      for k in range(len(text.visible) - 2 * 4)
+                      for pos, token in enumerate(next(pass_copies)) if token == mask_id]
+            assert list(rows) == [role * seq for role in range(2 * 4)] + masked
+        assert next(pass_copies, None) is None
 
     def test_vma_step_projects_the_texts_once(self):
         model = micro_model(seed=23)
@@ -535,9 +550,11 @@ class TestTrainingStep:
         assert [stream for stream, _ in calls] == ["txt", "img", "img"]
 
     # Tape nodes one default-config step records with one node per affine map, one text
-    # encode per step and one fuse per pass: 124 per caption step, and 255 or 260 per
-    # detection step (260 when both passes draw masked-LM positions).  A matmul and an
-    # add per affine map, or a fuse per role, exceeds the ceiling.
+    # encode per step and one fuse per pass: 126 per caption step, and 259 or 264 per
+    # detection step (264 when both passes draw masked-LM positions).  Each fuse's last
+    # layer adds three gathers (its residual and query rows, then the requested rows)
+    # and drops its zeroing of hidden rows when it returns none.  A matmul and an add
+    # per affine map, or a fuse per role, exceeds the ceiling.
     @pytest.mark.parametrize("kind,ceiling", [("caption", 137), ("detection", 286)])
     def test_default_step_stays_under_its_tape_node_ceiling(self, kind, ceiling):
         def tape_position():  # read the counter without advancing it, as perfbench does
@@ -621,7 +638,9 @@ def per_role_step(model, batch, config, rng):
             masked = [[vocab.mask_id if p in selections[i] else t for p, t in enumerate(ids[i])]
                       for i in items]
             copies.extend(masked)
-            states = model.fuse(model.encode_texts(masked), visions.take(items))
+            copies_encoded = model.encode_texts(masked)
+            states = model.fuse(copies_encoded, visions.take(items),
+                                range(copies_encoded.states.shape[0]))
             seq = max(len(m) for m in masked)
             rows = [k * seq + p for k, i in enumerate(items) for p in selections[i]]
             targets = [ids[i][p] for i in items for p in selections[i]]
