@@ -23,17 +23,10 @@ from .fileio import atomic_open
 from .model import ModelConfig
 from .synthdata import DATA_SOURCES, active_sources
 
-# the keys of each config section, in render order
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "run": ("seed", "steps", "cadence"),
-    "model": ("patch_grid", "hidden_dim", "vision_layers", "text_layers", "cross_layers",
-              "heads", "proj_dim", "mlp_dim", "max_len", "pevl_bins",
-              "temperature_init"),
-    "ablation": ("use_vma", "use_bbox", "use_pevl_tokens", "sources"),
-    "data": ("data_seed", "caption_count", "detection_scene_count", "caption_batch",
-             "detection_batch", "eval_seed", "eval_per_subtask", "retrieval_count"),
-    "train": ("learning_rate", "clip_norm"),
-}
+# each config section and its first key: a section holds the `RunConfig`
+# fields from its first key to the next section's, in field order
+_SECTION_STARTS = {"run": "seed", "model": "patch_grid", "ablation": "use_vma",
+                   "data": "data_seed", "train": "learning_rate"}
 
 
 @dataclass(frozen=True)
@@ -135,6 +128,12 @@ class RunConfig:
 
 
 _TYPES = get_type_hints(RunConfig)
+_KEYS = [f.name for f in fields(RunConfig)]
+_STARTS = [_KEYS.index(key) for key in _SECTION_STARTS.values()] + [len(_KEYS)]
+# the keys of each config section, in render order
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    section: tuple(_KEYS[start:end])
+    for section, start, end in zip(_SECTION_STARTS, _STARTS, _STARTS[1:])}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:

@@ -89,16 +89,16 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     Pairs are fused in batches, so a fuse's per-call overhead is paid once
     per chunk, not once per pair, and each fuse computes only the [CLS]
     rows in its last layer (`cross_cls`).  The first call scores every pair
-    that `run_benchmark` scores for `manifest`, and each later call looks
-    its pair up; a pair not yet scored, as with no manifest, is scored on
-    its own, as a batch of one.  The images of the pairs to score are
-    stacked into one batch, and their texts into one batch per token
-    length: texts of one length need no [PAD] row, so no padding is fused.
-    Each length's pairs are fused in chunks of at most `FUSE_CHUNK_ROWS`
-    text rows, each pair's text and image gathered from the stacks by
-    `Encoded.take`.  A batched score can differ from the same pair's score
-    at batch one in its last bits: the last layer's [CLS] queries and the
-    matching head's product run on another row count.
+    that `run_benchmark` scores for `manifest`, collected by a dry run of
+    `run_benchmark` itself, and each later call looks its pair up; a pair
+    not yet scored, as with no manifest, is scored on its own, as a batch
+    of one.  Pairs are grouped by their text's token length, so no [PAD]
+    row is fused, and each length's pairs are fused in chunks of at most
+    `FUSE_CHUNK_ROWS` text rows, each chunk's texts and images joined by
+    `Encoded.stack` from their cached encodings.  A batched score can
+    differ from the same pair's score at batch one in its last bits: the
+    last layer's [CLS] queries and the matching head's product run on
+    another row count.
 
     Everything runs under `tensor.no_tape()`, so a cached encoding holds its
     values only, not the forward graph that computed them.
@@ -122,27 +122,27 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
             if text not in texts:
                 texts[text] = model.encode_text(vocab.encode_wrapped(text))
             by_length.setdefault(texts[text].visible.shape[1], {})[key] = None
-        if not by_length:
-            return
-        grids = {grid: i for i, grid in enumerate(
-            dict.fromkeys(grid for keys in by_length.values() for grid, _ in keys))}
-        image_batch = Encoded.stack([images[grid] for grid in grids])
         for length, keys in by_length.items():
-            rows = {text: j for j, text in enumerate(dict.fromkeys(t for _, t in keys))}
-            text_batch = Encoded.stack([texts[text] for text in rows])
             keys = list(keys)
             step = max(1, FUSE_CHUNK_ROWS // length)
             for lo in range(0, len(keys), step):
                 chunk = keys[lo:lo + step]
-                cls = model.cross_cls(text_batch.take([rows[t] for _, t in chunk]),
-                                      image_batch.take([grids[g] for g, _ in chunk]))
+                cls = model.cross_cls(Encoded.stack([texts[text] for _, text in chunk]),
+                                      Encoded.stack([images[grid] for grid, _ in chunk]))
                 scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))
 
     def score(scene: Scene, text: str) -> float:
         nonlocal unscored_manifest
         with tensor.no_tape():
             if unscored_manifest is not None:
-                score_pairs(_manifest_pairs(unscored_manifest))
+                pairs = []
+
+                def record(*pair) -> float:
+                    pairs.append(pair)
+                    return 0.0
+
+                run_benchmark(record, unscored_manifest)
+                score_pairs(pairs)
                 unscored_manifest = None
             key = key_of(scene, text)
             if key not in scores:
@@ -319,21 +319,6 @@ def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0) -> Ev
     table = retrieval_table(score, int(retrieval["seed"]), int(retrieval["count"]),
                             grid_size) if retrieval else None
     return EvalReport(checkpoint_step, cells, table)
-
-
-def _manifest_pairs(manifest: dict) -> list[tuple[Scene, str]]:
-    """Every (scene, text) pair `run_benchmark` scores for `manifest`, in its order."""
-    grid_size = int(manifest["grid_size"])
-    pairs = [pair for spec_row in manifest["subtasks"]
-             for item in subtask_items(spec_row["tag"], int(spec_row["seed"]),
-                                       int(spec_row["count"]), grid_size)
-             for pair in _cell_pairs(spec_row["tag"], item)]
-    retrieval = manifest.get("retrieval")
-    if retrieval:
-        scenes, texts = _retrieval_set(int(retrieval["seed"]), int(retrieval["count"]),
-                                       grid_size)
-        pairs += [(scene, text) for scene in scenes for text in texts]
-    return pairs
 
 
 def write_report(path: Path, report: EvalReport, config_hash: str) -> None:

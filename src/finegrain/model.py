@@ -28,9 +28,9 @@ fuses asking for the [CLS] rows only.
 `encode_image` and `encode_text` encode one input as a batch of one.
 The scorer calls them, one input per cache entry, and the benchmark's
 tracer tags their spans by that input, so they keep its argument shape.
-The scorer batches the fusion instead: `Encoded.stack` joins cached
-encodings of one sequence length into one batch, `take` gathers each
-pair's text and image from those batches, and one `cross_cls` and one
+The scorer batches the fusion instead: `Encoded.stack` joins the cached
+encodings of a chunk of pairs, texts of one sequence length, into one text
+batch and one vision batch, and one `cross_cls` and one
 `matching_probabilities` call then score many pairs, a probability per row.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
@@ -152,12 +152,6 @@ def _padded_queries(rows: Sequence[int], batch: int, seq: int) -> tuple[np.ndarr
     queries = np.repeat(np.arange(batch) * seq, width)
     queries[slots] = distinct
     return queries, slots[where]
-
-
-def _cls_rows(states: Tensor, visible: np.ndarray) -> Tensor:
-    """(batch, hidden_dim): each sample's first row of stacked states, its [CLS] state."""
-    batch, seq = visible.shape
-    return tensor.take_rows(states, np.arange(batch) * seq)
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -389,7 +383,9 @@ class VLModel:
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""
-        return ops.l2_normalize(ops.linear(_cls_rows(*encoded), self.params[f"proj.{stream}_w"],
+        batch, seq = encoded.visible.shape
+        cls = tensor.take_rows(encoded.states, np.arange(batch) * seq)
+        return ops.l2_normalize(ops.linear(cls, self.params[f"proj.{stream}_w"],
                                            self.params[f"proj.{stream}_b"]))
 
     # -- heads -------------------------------------------------------------------

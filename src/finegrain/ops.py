@@ -111,31 +111,27 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _batch_mask(mask, rows: int, keys: int) -> np.ndarray:
-    """The mask as (batch, 1, queries or 1, keys), for `rows` stacked query and `keys` key rows.
+    """A (batch, keys) mask, one key mask per sample, as (batch, 1, 1, keys).
 
-    The mask's leading axis is the batch: (keys,) is one sample, (batch, keys)
-    one key mask per sample, and (batch, queries, keys) one per query.
+    The `rows` stacked query rows must split evenly into its batch, and the
+    `keys` stacked key rows must be one per mask entry.
     """
     m = np.asarray(mask, dtype=bool)
-    if m.ndim == 1:
-        m = m[None]
-    batch = m.shape[0] if m.ndim in (2, 3) else 0
-    if (not batch or rows % batch or keys != batch * m.shape[-1]
-            or (m.ndim == 3 and rows != batch * m.shape[1])):
+    if m.ndim != 2 or not len(m) or rows % len(m) or keys != m.size:
         raise ShapeError(f"mask shape {np.shape(mask)} does not match {rows} query rows "
                          f"and {keys} key rows")
-    return m[:, None] if m.ndim == 3 else m[:, None, None]
+    return m[:, None, None]
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over a batch, as one tape node.
 
     `q` stacks each sample's query rows, (batch * queries, width), and `k`
-    and `v` its key rows, (batch * keys, width); the mask's leading axis
-    fixes the batch (see `_batch_mask`), and the mask is shared by every
-    head.  Each width is viewed as `heads` column blocks of width // heads.
-    Numpy's stacked matmul runs one attention per (sample, head), so no
-    sample attends to another's rows.
+    and `v` its key rows, (batch * keys, width); the (batch, keys) mask
+    holds each sample's key mask, and is shared by every head.  Each width
+    is viewed as `heads` column blocks of width // heads.  Numpy's stacked
+    matmul runs one attention per (sample, head), so no sample attends to
+    another's rows.
     """
     if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")

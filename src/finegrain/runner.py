@@ -78,7 +78,6 @@ def checkpoint_step(ckpt: Path) -> int:
 
 @dataclass
 class TrainResult:
-    model: VLModel
     checkpoint_steps: list[int]
     loss_log: Path
 
@@ -117,7 +116,7 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
             if step % config.cadence == 0:
                 save_checkpoint(model, checkpoint_path(out_dir, step), chash)
                 steps_saved.append(step)
-    return TrainResult(model=model, checkpoint_steps=steps_saved, loss_log=log_path)
+    return TrainResult(checkpoint_steps=steps_saved, loss_log=log_path)
 
 
 # -- eval --------------------------------------------------------------------------

@@ -112,7 +112,6 @@ class DetectionSample:
 
 @dataclass(frozen=True)
 class FoilPair:
-    subtask: str
     pos_scene: Scene
     pos_text: str
     neg_scene: Scene | None
@@ -279,8 +278,7 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
     if subtask == "existence":
         obj = scene.objects[0]
         return FoilPair(
-            subtask, scene,
-            f"there is {obj.noun_phrase()}", None,
+            scene, f"there is {obj.noun_phrase()}", None,
             f"there is no {obj.color} {obj.shape}",
         )
 
@@ -292,8 +290,7 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
         n = counts[shape]
         foil_n = n + 1 if n < MAX_OBJECTS else n - 1
         return FoilPair(
-            subtask, scene,
-            f"there are exactly {NUMERALS[n - 1]} {PLURAL[shape]}", None,
+            scene, f"there are exactly {NUMERALS[n - 1]} {PLURAL[shape]}", None,
             f"there are exactly {NUMERALS[foil_n - 1]} {PLURAL[shape]}",
         )
 
@@ -304,7 +301,7 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
         a, b = scene.objects[0], scene.objects[1]
         rel = relation_between(a, b)
         return FoilPair(
-            subtask, scene, relation_statement(a, b, rel),
+            scene, relation_statement(a, b, rel),
             _swap_positions(scene, a, b, "swapped"),
             relation_statement(b, a, rel),
         )
@@ -314,14 +311,14 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
         pos = relation_statement(a, b)
         neg = relation_statement(replace(a, shape=b.shape), replace(b, shape=a.shape),
                                  relation_between(a, b))
-        return FoilPair(subtask, scene, pos, None, neg)
+        return FoilPair(scene, pos, None, neg)
 
     if subtask == "attribute_swap":
         a, b = _first_pair(scene, "color")
         pos = relation_statement(a, b)
         neg = relation_statement(replace(a, color=b.color), replace(b, color=a.color),
                                  relation_between(a, b))
-        return FoilPair(subtask, scene, pos, None, neg)
+        return FoilPair(scene, pos, None, neg)
 
     if subtask in ("svo_subject", "svo_verb", "svo_object"):
         a, b = scene.objects[0], scene.objects[1]
@@ -332,7 +329,7 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
             neg_scene = _replace_identity(scene, b, "obj")
         else:
             neg_scene = _swap_positions(scene, a, b, "verb")
-        return FoilPair(subtask, scene, text, neg_scene, None)
+        return FoilPair(scene, text, neg_scene, None)
 
     raise FoilCapabilityError(f"unknown foil subtask {subtask!r}")
 

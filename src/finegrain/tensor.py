@@ -296,15 +296,12 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    arrays = [p.array if p.array.ndim == 2 else p.array.reshape(1, -1) for p in parts]
-    values = np.concatenate(arrays, axis=0)
-    sizes = [arr.shape[0] for arr in arrays]
+    values = np.concatenate([p.array for p in parts], axis=0)
+    sizes = [p.shape[0] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        return tuple(
-            g[offsets[i]:offsets[i + 1]].reshape(p.shape) for i, p in enumerate(parts)
-        )
+        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _result(values, tuple(parts), backward)
 

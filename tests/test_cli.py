@@ -7,7 +7,7 @@ import json
 import math
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +87,28 @@ class TestConfig:
 
     def test_hash_changes_with_any_field(self):
         assert tiny_config().config_hash() != tiny_config(seed=5).config_hash()
+
+    # a second valid value of each setting, for tiny_config
+    OTHER_VALUES = {
+        "seed": 5, "steps": 9, "cadence": 2, "patch_grid": 3, "hidden_dim": 12,
+        "vision_layers": 2, "text_layers": 2, "cross_layers": 2, "heads": 4, "proj_dim": 6,
+        "mlp_dim": 8, "max_len": 32, "pevl_bins": 16, "temperature_init": 0.1,
+        "use_vma": False, "use_bbox": False, "use_pevl_tokens": True,
+        "sources": "captions,object_labels", "data_seed": 2, "caption_count": 7,
+        "detection_scene_count": 7, "caption_batch": 3, "detection_batch": 3,
+        "eval_seed": 901, "eval_per_subtask": 3, "retrieval_count": 0,
+        "learning_rate": 0.02, "clip_norm": 0.5,
+    }
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_every_setting_moves_the_hash(self, key):
+        # a setting missing from the rendering would let two configs share a
+        # run directory and its checkpoints
+        config = tiny_config(**({"use_vma": False, "use_bbox": False}
+                                if key == "use_pevl_tokens" else {}))
+        other = replace(config, **{key: self.OTHER_VALUES[key]})
+        assert getattr(other, key) != getattr(config, key)
+        assert other.config_hash() != config.config_hash()
 
     def test_default_config_hash_pinned(self):
         # every run artifact embeds this hash; a change to the defaults or to

@@ -381,7 +381,7 @@ def foil_fingerprint(items) -> list[tuple]:
     def scene_key(scene):
         return None if scene is None else (scene.ident, scene.grid.tobytes())
 
-    return [(p.subtask, scene_key(p.pos_scene), p.pos_text, scene_key(p.neg_scene), p.neg_text)
+    return [(scene_key(p.pos_scene), p.pos_text, scene_key(p.neg_scene), p.neg_text)
             for p in items]
 
 

@@ -1,10 +1,11 @@
 """Static scans of the finegrain sources.
 
-No linter is installed, so these AST scans stand in for three dead-code
+No linter is installed, so these AST scans stand in for four dead-code
 checks: an unused import is a false dependency edge between modules, a
-public name that only tests reach is API the program does not need, and a
-parameter default that no call overrides is a setting with one value,
-which belongs in a constant.
+public name that only tests reach is API the program does not need, a
+record field that nothing reads is state the program carries for no one,
+and a parameter default that no call overrides is a setting with one
+value, which belongs in a constant.
 """
 
 import ast
@@ -105,6 +106,42 @@ def test_every_public_name_has_a_caller():
                        for n, p, line, attr in reads):
                 uncalled.append(qualified)
     assert not uncalled, f"no caller outside the tests: {', '.join(uncalled)}"
+
+
+def record_fields(path: Path, tree: ast.Module):
+    """(qualified name, field name) per field of each dataclass or NamedTuple."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if (any(getattr(d, "id", None) == "dataclass" for d in decorators)
+                or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_record_field_has_a_reader():
+    """Each field of a finegrain record is read by finegrain or perfbench.
+
+    A field counts as read by an attribute of its name, or by a string
+    constant of finegrain naming it, as `_CELLS` names the fields it reads
+    with `getattr`.  Dict keys do not count, nor do perfbench's strings:
+    they name config sections, modules and metrics, not fields.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + BENCH_SOURCES}
+    read = set()
+    for path, tree in trees.items():
+        keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (path in SOURCES and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and id(node) not in keys):
+                read.add(node.value)
+    unread = [qualified for path in SOURCES
+              for qualified, name in record_fields(path, trees[path]) if name not in read]
+    assert not unread, f"record fields nothing reads: {', '.join(unread)}"
 
 
 def defaulted_parameters(path: Path, tree: ast.Module):

@@ -156,7 +156,7 @@ class TestMaskedAttention:
         v = Tensor(r.normal(size=(5, 4)))
         mask = np.zeros(5, dtype=bool)
         mask[2] = True
-        out = ops.masked_attention(q, k, v, mask, heads=1)
+        out = ops.masked_attention(q, k, v, mask[None], heads=1)
         assert np.array_equal(out.array, np.tile(v.array[2], (3, 1)))
 
     def test_identical_keys_give_uniform_weights(self):
@@ -184,8 +184,8 @@ class TestMaskedAttention:
         v2[1] = 1e6
         v2[3] = -1e6
         mask = np.array([True, False, True, False])
-        out1 = ops.masked_attention(q, k, Tensor(v1), mask, heads=1)
-        out2 = ops.masked_attention(q, k, Tensor(v2), mask, heads=1)
+        out1 = ops.masked_attention(q, k, Tensor(v1), mask[None], heads=1)
+        out2 = ops.masked_attention(q, k, Tensor(v2), mask[None], heads=1)
         assert np.array_equal(out1.array, out2.array)
 
     def test_masked_key_rows_do_not_receive_gradient(self):
@@ -194,7 +194,7 @@ class TestMaskedAttention:
         k = Tensor(r.normal(size=(4, 4)), requires_grad=True)
         v = Tensor(r.normal(size=(4, 4)), requires_grad=True)
         mask = np.array([True, False, True, True])
-        tensor.tsum(ops.masked_attention(q, k, v, mask, heads=1)).backward()
+        tensor.tsum(ops.masked_attention(q, k, v, mask[None], heads=1)).backward()
         assert np.all(v.grad[1] == 0.0)
         assert np.all(k.grad[1] == 0.0)
 
@@ -205,14 +205,14 @@ class TestMaskedAttention:
         v = Tensor(r.normal(size=(5, 4)), requires_grad=True)
         mask = np.array([True, False, True, True, False])
         err = check_gradients(
-            lambda: tensor.tsum(ops.masked_attention(q, k, v, mask, heads=1)), [q, k, v])
+            lambda: tensor.tsum(ops.masked_attention(q, k, v, mask[None], heads=1)), [q, k, v])
         assert err < 1e-3
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_heads_match_a_loop_over_column_blocks(self, heads):
         r = rng(19)
         q, k, v = r.normal(size=(3, 8)), r.normal(size=(5, 8)), r.normal(size=(5, 8))
-        mask = r.random((3, 5)) < 0.6
+        mask = r.random((1, 5)) < 0.6
         mask[:, 0] = True
         dh = 8 // heads
         expected = []
@@ -221,8 +221,8 @@ class TestMaskedAttention:
             logits = np.where(mask, q[:, cols] @ k[:, cols].T / np.sqrt(dh), -np.inf)
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             expected.append(w / w.sum(axis=1, keepdims=True) @ v[:, cols])
-        # a per-query mask carries the batch axis first: here one sample
-        out = ops.masked_attention(Tensor(q), Tensor(k), Tensor(v), mask[None], heads)
+        # the key mask carries the batch axis first: here one sample
+        out = ops.masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
         assert np.allclose(out.array, np.concatenate(expected, axis=1), rtol=0.0, atol=1e-12)
 
     def test_multi_head_gradients(self):
@@ -234,7 +234,8 @@ class TestMaskedAttention:
         # uneven output weights show a head whose gradient lands in the wrong block
         weights = Tensor(r.normal(size=(3, 8)))
         err = check_gradients(
-            lambda: tensor.tsum(tensor.mul(ops.masked_attention(q, k, v, mask, heads=2), weights)),
+            lambda: tensor.tsum(tensor.mul(ops.masked_attention(q, k, v, mask[None], heads=2),
+                                           weights)),
             [q, k, v])
         assert err < 1e-3
 
@@ -270,7 +271,7 @@ class TestMaskedAttention:
         out, grads = attend((q, k, v), mask, slice(None))
         for b in range(2):
             rows, keys = slice(3 * b, 3 * b + 3), slice(5 * b, 5 * b + 5)
-            single, single_grads = attend((q[rows], k[keys], v[keys]), mask[b], rows)
+            single, single_grads = attend((q[rows], k[keys], v[keys]), mask[b:b + 1], rows)
             assert np.array_equal(out[rows], single)
             for batched, part, grad in zip(grads, (rows, keys, keys), single_grads):
                 assert np.array_equal(batched[part], grad)
@@ -283,12 +284,12 @@ class TestMaskedAttention:
     def test_wrong_length_key_mask_is_a_shape_error(self):
         q, kv = Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 4)))
         with pytest.raises(ShapeError):
-            ops.masked_attention(q, kv, kv, np.ones(3, dtype=bool), heads=1)
+            ops.masked_attention(q, kv, kv, np.ones((1, 3), dtype=bool), heads=1)
 
     @pytest.mark.parametrize("q_rows,kv_rows,mask_shape", [
         (4, 5, (2, 5)),  # keys for one sample, mask for two
         (3, 10, (2, 5)),  # query rows do not split into two samples
-        (4, 10, (2, 3, 5)),  # a per-query mask for three queries per sample, given two
+        (4, 10, (2, 2, 5)),  # a 3-D mask, here one per query that fits the rows
     ])
     def test_mask_batch_must_fit_the_stacked_rows(self, q_rows, kv_rows, mask_shape):
         q, kv = Tensor(np.zeros((q_rows, 4))), Tensor(np.zeros((kv_rows, 4)))
@@ -300,7 +301,7 @@ class TestMaskedAttention:
         q = Tensor(r.normal(size=(3, 8)), requires_grad=True)
         kv = Tensor(r.normal(size=(5, 8)), requires_grad=True)
         before = next(tensor._SEQ)
-        out = ops.masked_attention(q, kv, kv, np.ones(5, dtype=bool), heads=4)
+        out = ops.masked_attention(q, kv, kv, np.ones((1, 5), dtype=bool), heads=4)
         assert out._node.seq == before + 1
         assert next(tensor._SEQ) == before + 2
 
@@ -381,7 +382,7 @@ class TestElementwiseOps:
         r = rng(43)
         a = Tensor(r.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(r.normal(size=(1, 3)), requires_grad=True)
-        c = Tensor(r.normal(size=(3,)), requires_grad=True)
+        c = Tensor(r.normal(size=(1, 3)), requires_grad=True)
         err = check_gradients(
             lambda: tensor.tsum(tensor.mul(m := tensor.concat_rows([a, b, c]), m)), [a, b, c]
         )
