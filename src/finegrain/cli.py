@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import runner
-from .config import default_config_text, load_config
+from .config import RunConfig, load_config
 from .errors import DependencyError, NumericError, ValidationError
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "init-config":
-            sys.stdout.write(default_config_text(args.seed))
+            sys.stdout.write(RunConfig(seed=args.seed).render())
             return EXIT_OK
         if args.command == "report":
             cmd_report(args.out)

@@ -1,12 +1,12 @@
 """Run configuration: plain key=value sections, lossless round-trip, hashing.
 
 `RunConfig` is the one table of settings: each setting and its default is
-declared there once, and its type is read from the field annotation.
-`ModelConfig` is the model's view of it, built from the fields it shares
-with it; the losses read the `RunConfig` itself.  The seed is mandatory
-(nothing falls back to wall-clock time) and the canonical rendering of a
-config is hashed into every artifact the run writes, so reusing a run
-directory or checkpoint with another config is a hard error.
+declared there once, and its type is read from the field annotation.  The
+model keeps it, and its training step and the losses read it there.  The
+seed is mandatory (nothing falls back to wall-clock time) and the canonical
+rendering of a config, with `sources` in `DATA_SOURCES` order, is hashed
+into every artifact the run writes, so reusing a run directory or
+checkpoint with another config is a hard error.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ValidationError
 from .fileio import atomic_open
-from .model import ModelConfig
 from .synthdata import DATA_SOURCES, active_sources
+from .vocab import Vocabulary
 
 # each config section and its first key: a section holds the `RunConfig`
 # fields from its first key to the next section's, in field order
@@ -89,8 +90,20 @@ class RunConfig:
         if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
             raise ValidationError(
                 f"train.clip_norm must be finite and at least 0, got {self.clip_norm}")
-        self.model_config()  # validates the model sizes
-        self.source_set()  # validates the source names
+        for name in ("hidden_dim", "heads", "proj_dim", "mlp_dim", "max_len",
+                     "vision_layers", "text_layers", "cross_layers"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.pevl_bins < 2:
+            raise ValidationError(f"pevl_bins must be at least 2, got {self.pevl_bins}")
+        if self.hidden_dim % self.heads != 0:
+            raise ValidationError(
+                f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}")
+        if not (math.isfinite(self.temperature_init) and self.temperature_init > 0):
+            raise ValidationError(
+                f"temperature_init must be positive and finite, got {self.temperature_init}")
+        active = self.source_set()  # validates the source names
+        object.__setattr__(self, "sources", ",".join(s for s in DATA_SOURCES if s in active))
         if (self.use_vma or self.use_bbox) and not self.detection_active:
             raise ValidationError("vma/bbox losses need a detection data source")
         if self.use_pevl_tokens and (self.use_vma or self.use_bbox):
@@ -106,9 +119,18 @@ class RunConfig:
     def detection_active(self) -> bool:
         return any(DATA_SOURCES[s].kind != "caption" for s in self.source_set())
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{f.name: getattr(self, f.name)
-                              for f in fields(ModelConfig) if f.init})
+    @property
+    def num_patches(self) -> int:
+        return self.patch_grid * self.patch_grid
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        """The base inventory, plus the position tokens when they are in use."""
+        return Vocabulary(self.pevl_bins if self.use_pevl_tokens else None)
+
+    def model_config(self) -> RunConfig:
+        """The config itself, which the model reads; perfbench still builds models through this."""
+        return self
 
     def render(self) -> str:
         """Canonical key=value text; parsing it back is lossless."""
@@ -142,6 +164,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ValidationError(f"cannot parse {origin}: {exc}") from exc
+    unknown = set(parser.sections()) - _SCHEMA.keys()
+    if unknown:
+        raise ValidationError(f"{origin}: unknown section(s) {sorted(unknown)}")
     kwargs = {}
     for section, keys in _SCHEMA.items():
         if not parser.has_section(section):
@@ -179,7 +204,3 @@ def load_config(path: Path) -> RunConfig:
 def save_config(config: RunConfig, path: Path) -> None:
     with atomic_open(path) as fh:
         fh.write(config.render())
-
-
-def default_config_text(seed: int) -> str:
-    return RunConfig(seed=seed).render()

@@ -5,6 +5,8 @@ stream adds cross-attention from text queries to vision states.  Each
 encoder returns its mask with its states, as an `Encoded`, and `fuse`
 reads both masks from its arguments: patch visibility enters the model
 only at `encode_images`, and the pad rule lives only in `encode_texts`.
+A model keeps the run's `RunConfig` as `config`: its sizes and vocabulary
+come from there, and the training step reads the loss flags there too.
 
 Every encoding holds a batch.  Its states stay one 2-D tape tensor of
 stacked rows, (batch * seq, width), sample b owning rows b * seq onward,
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import ops, tensor
+from .config import RunConfig
 from .errors import (
     DegenerateMaskError,
     DependencyError,
@@ -60,54 +62,10 @@ from .fileio import atomic_open
 from .seeding import rng_for
 from .synthdata import BBox, GRID_CHANNELS
 from .tensor import Tensor
-from .vocab import POS_CLOSE, POS_OPEN, Vocabulary
+from .vocab import POS_CLOSE, POS_OPEN
 
 CHECKPOINT_MAGIC = "finegrain-checkpoint"
 CHECKPOINT_VERSION = "v2"
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """The model's view of a `RunConfig`, which holds every setting and its default.
-
-    The vocabulary is derived: the base inventory, plus the position tokens
-    when they are in use.
-    """
-
-    patch_grid: int
-    hidden_dim: int
-    vision_layers: int
-    text_layers: int
-    cross_layers: int
-    heads: int
-    proj_dim: int
-    mlp_dim: int
-    max_len: int
-    use_pevl_tokens: bool
-    pevl_bins: int
-    temperature_init: float
-    vocab: Vocabulary = field(init=False, compare=False)
-
-    def __post_init__(self):
-        for name in ("patch_grid", "hidden_dim", "heads", "proj_dim", "mlp_dim", "max_len",
-                     "vision_layers", "text_layers", "cross_layers"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.pevl_bins < 2:
-            raise ValidationError(f"pevl_bins must be at least 2, got {self.pevl_bins}")
-        if self.hidden_dim % self.heads != 0:
-            raise ValidationError(
-                f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}"
-            )
-        if not (math.isfinite(self.temperature_init) and self.temperature_init > 0):
-            raise ValidationError(
-                f"temperature_init must be positive and finite, got {self.temperature_init}")
-        bins = self.pevl_bins if self.use_pevl_tokens else None
-        object.__setattr__(self, "vocab", Vocabulary(bins))
-
-    @property
-    def num_patches(self) -> int:
-        return self.patch_grid * self.patch_grid
 
 
 class Encoded(NamedTuple):
@@ -154,7 +112,7 @@ def _padded_queries(rows: Sequence[int], batch: int, seq: int) -> tuple[np.ndarr
     return queries, slots[where]
 
 
-def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+def param_shapes(cfg: RunConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Ordered (name, shape, init kind) table.
 
     Init kinds: linear (std 1/sqrt(fan_in)), head (100x smaller), table
@@ -216,7 +174,7 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
 
 
 class VLModel:
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: RunConfig, seed: int = 0):
         self.config = config
         rng = rng_for(seed, "model-init")
         self.params: dict[str, Tensor] = {}

@@ -27,7 +27,7 @@ positions only, and one box head and one box loss for the whole
 detection batch.  Matching negatives are the hardest in-batch negatives
 by contrastive similarity, one per positive, mined among samples whose
 underlying image differs.
-The step reads which losses are on from the run's `RunConfig`; each pass
+The step reads which losses are on from the model's `RunConfig`; each pass
 returns its terms by name, and the step returns their values and total.
 
 The step and the losses trust their batch: `run_training` feeds them only
@@ -43,7 +43,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ops, tensor
-from .config import RunConfig
 from .errors import NumericError
 from .model import Encoded, VLModel, position_token_insert
 from .synthdata import Batch, BBox, DetectionSample, patches_touching
@@ -277,18 +276,19 @@ def vma_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
     return {f"vma_{name}": loss for name, loss in terms.items()}
 
 
-def training_step(model: VLModel, batch: Batch, config: RunConfig, optimizer: SgdOptimizer,
+def training_step(model: VLModel, batch: Batch, optimizer: SgdOptimizer,
                   rng: np.random.Generator) -> tuple[dict[str, float], float]:
-    """Run every active pass for one batch, then apply a single update.
+    """Run every pass `model.config` turns on for one batch, then apply a single update.
 
     Returns the active terms' values by name, in `LOSS_COMPONENTS` order, and
-    their tape total's value.  Position tokens follow the model's vocabulary.
+    their tape total's value.
     """
+    config = model.config
     is_detection = batch.kind == "detection"
     use_vma = is_detection and config.use_vma
     grids = [s.scene.grid for s in batch.samples]
-    pevl = is_detection and model.config.use_pevl_tokens
-    vocab = model.config.vocab
+    pevl = is_detection and config.use_pevl_tokens
+    vocab = config.vocab
     ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
     texts, text_feats, masked = encode_step_texts(model, ids, 2 if use_vma else 1, rng)
     visions = model.encode_images(grids)

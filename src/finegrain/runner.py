@@ -85,7 +85,7 @@ class TrainResult:
 def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
     out_dir = prepare_run_dir(config, out_dir)
     chash = config.config_hash()
-    model = VLModel(config.model_config(), seed=config.seed)
+    model = VLModel(config, seed=config.seed)
     optimizer = SgdOptimizer(model.parameters(), lr=config.learning_rate,
                              clip_norm=config.clip_norm)
     batches = sd.sampler_for_sources(
@@ -105,7 +105,7 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
         log.write("\t".join(LOSS_LOG_HEADER) + "\n")
         for index, batch in enumerate(batches):
             step = index + 1
-            values, total = training_step(model, batch, config, optimizer,
+            values, total = training_step(model, batch, optimizer,
                                           rng_for(config.seed, "step", step))
             if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at step {step}")
@@ -123,7 +123,7 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
 
 
 def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
-    model = VLModel(config.model_config(), seed=config.seed)
+    model = VLModel(config, seed=config.seed)
     load_checkpoint(model, ckpt, expect_hash=config.config_hash())
     return model, checkpoint_step(ckpt)
 
@@ -202,7 +202,7 @@ def parse_grid_spec(base: RunConfig, spec: str) -> dict[str, RunConfig]:
                 f"unknown loss arm {loss_tag!r}, expected one of {sorted(LOSS_ARMS)}")
         sources = (set(sd.DATA_SOURCES) if source_field == "all"
                    else {s.strip() for s in source_field.split("+") if s.strip()})
-        config = replace(base, sources=",".join(sorted(sources)), **LOSS_ARMS[loss_tag])
+        config = replace(base, sources=",".join(sources), **LOSS_ARMS[loss_tag])
         tags = "-".join(sd.DATA_SOURCES[s].tag for s in sorted(sources))
         name = f"{loss_tag.replace('+', '_').lower()}__{tags}"
         if name in arms:

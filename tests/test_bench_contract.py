@@ -48,6 +48,7 @@ READ_DIRECTLY = (
     ("model", "CHECKPOINT_VERSION"),
     ("model", "param_shapes"),
     ("tensor", "_SEQ"),
+    ("config", "RunConfig.model_config"),
 )
 
 

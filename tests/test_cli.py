@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finegrain import dynamics as dyn
 from finegrain import evalharness as ev
@@ -20,6 +22,7 @@ from finegrain.cli import EXIT_DEPENDENCY, EXIT_OK, EXIT_VALIDATION, main
 from finegrain.config import RunConfig, load_config, parse_config_text, save_config
 from finegrain.errors import DependencyError, ValidationError
 from finegrain.model import VLModel, save_checkpoint
+from finegrain.synthdata import DATA_SOURCES
 
 
 def tiny_config(**overrides):
@@ -114,6 +117,32 @@ class TestConfig:
         # every run artifact embeds this hash; a change to the defaults or to
         # the rendering orphans all existing run directories and checkpoints
         assert RunConfig(seed=7).config_hash() == "64e11e6092e1"
+
+    SPACES = st.sampled_from(["", " ", "  "])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(DATA_SOURCES)), SPACES, SPACES),
+                    min_size=1, max_size=8))
+    def test_equal_source_sets_render_and_hash_alike(self, spelled):
+        # order, repeats and spacing do not change which sources train, so they
+        # must not change the config's text or hash either
+        text = ",".join(f"{before}{name}{after}" for name, before, after in spelled)
+        names = {name for name, _, _ in spelled}
+        canonical = tiny_config(use_vma=False, use_bbox=False,
+                                sources=",".join(s for s in DATA_SOURCES if s in names))
+        config = replace(canonical, sources=text)
+        assert config.sources == canonical.sources
+        assert config.render() == canonical.render()
+        assert config.config_hash() == canonical.config_hash()
+        rendered = canonical.render().replace(f"sources = {canonical.sources}\n",
+                                              f"sources = {text}\n")
+        assert parse_config_text(rendered).config_hash() == canonical.config_hash()
+
+    def test_reordered_default_sources_and_full_all_arm_keep_the_default_hash(self):
+        default = RunConfig(seed=7)
+        reordered = RunConfig(seed=7, sources=" , ".join(reversed(list(DATA_SOURCES))))
+        [full] = runner.parse_grid_spec(default, "full:all").values()
+        assert reordered.config_hash() == full.config_hash() == "64e11e6092e1"
 
 
 class TestRunner:
@@ -310,6 +339,15 @@ class TestCli:
         path = tmp_path / "config.ini"
         save_config(tiny_config(), path)
         return path
+
+    def test_unknown_section_is_a_validation_error(self, tmp_path, capsys):
+        # a misspelt section would otherwise be ignored, and the run trained at defaults
+        path = self.write_config(tmp_path)
+        path.write_text(path.read_text() + "[trian]\nlearning_rate = 0.5\n")
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert "unknown section(s) ['trian']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_init_config_round_trips(self, capsys):
         assert main(["init-config", "--seed", "3"]) == EXIT_OK

@@ -9,14 +9,15 @@ import pytest
 from finegrain import evalharness as ev
 from finegrain import synthdata as sd
 from finegrain import tensor
+from finegrain.config import RunConfig
 from finegrain.errors import EmptyInputError, ValidationError
-from finegrain.model import ModelConfig, VLModel
+from finegrain.model import VLModel
 from finegrain.seeding import rng_for
 
 
-MICRO = ModelConfig(patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                    cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-                    use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07)
+MICRO = RunConfig(seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
+                  cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
+                  use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07)
 
 
 def quad(s00, s01, s10, s11):

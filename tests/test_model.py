@@ -2,6 +2,7 @@
 
 import base64
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from finegrain import model as fg_model
 from finegrain import objectives as obj
 from finegrain import synthdata as sd
 from finegrain import tensor
+from finegrain.config import RunConfig
 from finegrain.errors import (
     DegenerateMaskError,
     DependencyError,
@@ -17,7 +19,7 @@ from finegrain.errors import (
     ShapeError,
     ValidationError,
 )
-from finegrain.model import ModelConfig, VLModel
+from finegrain.model import VLModel
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
 
@@ -25,13 +27,16 @@ from gradcheck import check_gradients
 
 
 def micro_config(**overrides):
+    """A micro-size run config; a position-token config turns VMA and bbox off."""
     base = dict(
-        patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
+        seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
         use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07,
     )
+    if overrides.get("use_pevl_tokens"):
+        base.update(use_vma=False, use_bbox=False)
     base.update(overrides)
-    return ModelConfig(**base)
+    return RunConfig(**base)
 
 
 FULL_IMAGE = sd.BBox(0.0, 0.0, 1.0, 1.0)
@@ -62,6 +67,15 @@ class TestConfig:
         plain = micro_config()
         pevl = micro_config(use_pevl_tokens=True, pevl_bins=32)
         assert len(pevl.vocab) == len(plain.vocab) + 32 + 2
+
+    def test_replace_into_a_pevl_arm_gives_that_arms_vocab(self):
+        # the vocabulary is cached per config; a replaced config derives its own
+        plain = micro_config()
+        base_size = len(plain.vocab)
+        pevl = replace(plain, use_vma=False, use_bbox=False, use_pevl_tokens=True, pevl_bins=16)
+        assert len(pevl.vocab) == base_size + 16 + 2
+        assert len(replace(pevl, use_pevl_tokens=False).vocab) == base_size
+        assert len(plain.vocab) == base_size
 
     def test_param_count_pure_function_of_config(self):
         cfg = micro_config()

@@ -11,7 +11,7 @@ from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.config import RunConfig
 from finegrain.errors import NumericError, ValidationError
-from finegrain.model import ModelConfig, VLModel
+from finegrain.model import VLModel
 from finegrain.runner import LOSS_ARMS
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
@@ -20,19 +20,22 @@ from gradcheck import check_gradients
 
 
 def micro_config(**overrides):
+    """A micro-size run config; a position-token config turns VMA and bbox off."""
     base = dict(
-        patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
+        seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
         use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07,
     )
+    if overrides.get("use_pevl_tokens"):
+        base.update(use_vma=False, use_bbox=False)
     base.update(overrides)
-    return ModelConfig(**base)
+    return RunConfig(**base)
 
 
 def ablation(**flags):
     """A run config with the full arm on every source (the defaults), with `flags` overriding."""
     if "sources" in flags:
-        flags["sources"] = ",".join(sorted(flags["sources"]))
+        flags["sources"] = ",".join(flags["sources"])
     return RunConfig(seed=0, **flags)
 
 
@@ -445,31 +448,28 @@ class TestPositionTokenIds:
 
 class TestTrainingStep:
     def test_caption_batch_composition(self):
-        model = micro_model(seed=23)
-        config = ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
+        model = micro_model(seed=23, use_vma=False, use_bbox=False, sources="captions")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        values, total = obj.training_step(model, caption_batch(model), config, optimizer,
+        values, total = obj.training_step(model, caption_batch(model), optimizer,
                                           rng_for(1, "step"))
         assert values.keys() == {"cl", "itm", "mlm"}
         assert all(name not in values for name in ("vma_cl", "vma_itm", "vma_mlm", "bbox"))
         assert total == pytest.approx(values["cl"] + values["itm"] + values["mlm"], abs=1e-9)
 
     def test_full_detection_batch_composition(self):
-        model = micro_model(seed=23)
-        config = ablation()
+        model = micro_model(seed=23)  # the full arm on every source
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        values, total = obj.training_step(model, detection_batch(model), config, optimizer,
+        values, total = obj.training_step(model, detection_batch(model), optimizer,
                                           rng_for(2, "step"))
         assert [*values] == list(obj.LOSS_COMPONENTS)
         assert total == pytest.approx(sum(values.values()), abs=1e-9)
 
     def test_pevl_detection_batch(self):
-        model = micro_model(seed=27, use_pevl_tokens=True, max_len=32)
-        config = ablation(use_vma=False, use_bbox=False, use_pevl_tokens=True,
-                          sources=frozenset({"captions", "object_labels"}))
+        model = micro_model(seed=27, use_pevl_tokens=True, max_len=32,
+                            sources="captions,object_labels")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         batch = detection_batch(model, kind="object_label")
-        values, _ = obj.training_step(model, batch, config, optimizer, rng_for(3, "step"))
+        values, _ = obj.training_step(model, batch, optimizer, rng_for(3, "step"))
         assert values.keys() == {"cl", "itm", "mlm"}
 
     @pytest.mark.parametrize("kind,expected", [("caption", 4), ("detection", 8)])
@@ -485,7 +485,7 @@ class TestTrainingStep:
 
         monkeypatch.setattr(VLModel, "encode_images", counted)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
+        obj.training_step(model, batch, optimizer, rng_for(5, "count"))
         # one unmasked encode of the whole batch, plus one box-masked encode with VMA;
         # `expected` images in all
         assert calls == [(4, True)] + [(4, False)] * (expected // 4 - 1)
@@ -504,7 +504,7 @@ class TestTrainingStep:
 
         monkeypatch.setattr(VLModel, "encode_texts", counted)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
+        obj.training_step(model, batch, optimizer, rng_for(5, "count"))
         vocab = model.config.vocab
         ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
         # one encode per step: the batch's texts, then every pass's masked copies, each
@@ -522,7 +522,7 @@ class TestTrainingStep:
         calls = count_calls(model, "fuse")
         copies = count_calls(model, "encode_texts")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        obj.training_step(model, batch, ablation(), optimizer, rng_for(5, "count"))
+        obj.training_step(model, batch, optimizer, rng_for(5, "count"))
         # one fuse per pass stacks the positives, the mined negatives and the masked copies
         assert len(calls) == expected
         for text, vision, _ in calls:
@@ -544,8 +544,7 @@ class TestTrainingStep:
         model = micro_model(seed=23)
         calls = count_calls(model, "project")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        obj.training_step(model, detection_batch(model, n=4), ablation(), optimizer,
-                          rng_for(5, "count"))
+        obj.training_step(model, detection_batch(model, n=4), optimizer, rng_for(5, "count"))
         # the box-masked pass reuses the unmasked pass's text projection
         assert [stream for stream, _ in calls] == ["txt", "img", "img"]
 
@@ -562,7 +561,7 @@ class TestTrainingStep:
             return int(text[text.index("(") + 1:text.index(")")])
 
         config = RunConfig(seed=7, steps=3, cadence=3)
-        model = VLModel(config.model_config(), seed=config.seed)
+        model = VLModel(config, seed=config.seed)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=config.learning_rate,
                                      clip_norm=config.clip_norm)
         batches = sd.sampler_for_sources(
@@ -573,7 +572,7 @@ class TestTrainingStep:
             grid_size=config.patch_grid)
         step = next(i for i, b in enumerate(batches, start=1) if b.kind == kind)
         before = tape_position()
-        obj.training_step(model, batches[step - 1], config, optimizer,
+        obj.training_step(model, batches[step - 1], optimizer,
                           rng_for(config.seed, "step", step))
         assert tape_position() - before <= ceiling
 
@@ -581,20 +580,18 @@ class TestTrainingStep:
     def test_repeated_batch_decreases_total_quickly(self, arm):
         flags = LOSS_ARMS[arm]
         if flags["use_pevl_tokens"]:
-            model = micro_model(seed=29, use_pevl_tokens=True, max_len=32)
+            model = micro_model(seed=29, max_len=32, **flags)
         else:
-            model = micro_model(seed=29)
-        config = ablation(**flags)
+            model = micro_model(seed=29, **flags)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2, clip_norm=1.0)
         if arm == "A":
             batch = caption_batch(model)
         else:
             batch = detection_batch(model, n=2, seed=61)
-        _, first = obj.training_step(model, batch, config, optimizer, rng_for(0, "overfit"))
+        _, first = obj.training_step(model, batch, optimizer, rng_for(0, "overfit"))
         best = first
         for step in range(1, 21):
-            _, total = obj.training_step(model, batch, config, optimizer,
-                                         rng_for(step, "overfit"))
+            _, total = obj.training_step(model, batch, optimizer, rng_for(step, "overfit"))
             best = min(best, total)
         assert best < first
 
@@ -670,7 +667,7 @@ class TestPerRoleOracle:
             expected, expected_copies = per_role_step(model, batch, config, rng_for(9, "oracle"))
         calls = count_calls(model, "encode_texts")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
-        values, _ = obj.training_step(model, batch, config, optimizer, rng_for(9, "oracle"))
+        values, _ = obj.training_step(model, batch, optimizer, rng_for(9, "oracle"))
         names = ["cl", "itm", "mlm"] + (["vma_cl", "vma_itm", "vma_mlm", "bbox"]
                                         if kind == "detection" else [])
         assert [*values] == [*expected] == names
