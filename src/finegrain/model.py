@@ -19,13 +19,14 @@ index in one tape node, so a negative, a repeat or a subset of a batch
 costs no new encode.  `fuse` pairs the text and vision at each batch
 index, so the training step stacks every role of a pass (positives,
 mined negatives, masked copies) as one text batch against the matching
-visions and fuses once.  `fuse` also takes the stacked text rows its
-caller reads, and its last cross layer computes only those: its keys and
-values read every row, but its queries, output maps and MLP run on the
-requested rows alone.  The heads read little: the matching and box heads
-a [CLS] row per pair, the masked-LM head the masked positions.
-`project` maps a batch's [CLS] rows in one affine map, and `cross_cls`
-fuses asking for the [CLS] rows only.
+visions and fuses once.  `fuse` also takes a list of text positions per
+sample, the ones its caller reads, and returns their rows sample by
+sample; its last cross layer computes only those: its keys and values
+read every row, but its queries, output maps and MLP run on the
+requested rows alone.  So the stacked-row layout stays in this module.
+The heads read little: the matching and box heads a [CLS] row per pair,
+the masked-LM head the masked positions.  `project` maps a batch's [CLS]
+rows in one affine map, and `cross_cls` fuses asking for position 0 only.
 
 `encode_image` and `encode_text` encode one input as a batch of one.
 The scorer calls them, one input per cache entry, and the benchmark's
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import base64
 import math
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -91,25 +93,27 @@ class Encoded(NamedTuple):
                        np.concatenate([part.visible for part in parts]))
 
 
-def _padded_queries(rows: Sequence[int], batch: int, seq: int) -> tuple[np.ndarray, np.ndarray]:
-    """(queries, picks) for stacked `rows` of a (batch, seq) text batch.
+def _padded_queries(positions: Sequence[Sequence[int]], batch: int,
+                    seq: int) -> tuple[np.ndarray, np.ndarray]:
+    """(queries, picks) for each sample's text `positions` of a (batch, seq) text batch.
 
-    `queries` holds each sample's distinct requested rows in ascending
-    order, padded with the sample's [CLS] row to the most any sample
-    requests, so every sample has the same number; `picks` gathers the
-    requested rows back out of them, in request order.
+    `queries` holds each sample's positions as stacked rows, in its list's
+    order, padded with the sample's [CLS] row to the longest list, so every
+    sample has the same number; `picks` gathers the requested rows back out
+    of them, sample by sample.
     """
-    idx = np.asarray(rows, dtype=np.intp)
-    if idx.ndim != 1 or not idx.size or idx.min() < 0 or idx.max() >= batch * seq:
-        raise ShapeError(f"fuse needs a non-empty 1-D sequence of rows below {batch * seq}")
-    distinct, where = np.unique(idx, return_inverse=True)
-    owner = distinct // seq
-    counts = np.bincount(owner, minlength=batch)
+    try:
+        counts = np.fromiter(map(len, positions), np.intp, batch)
+        flat = np.fromiter(chain.from_iterable(positions), np.intp, int(counts.sum()))
+    except (TypeError, ValueError) as exc:  # too few lists, or an entry that is not 1-D
+        raise ShapeError(f"fuse needs one 1-D list of text positions per sample: {exc}") from exc
+    if len(positions) != batch or not flat.size or flat.min() < 0 or flat.max() >= seq:
+        raise ShapeError(f"fuse needs {batch} lists of positions below {seq}, not all empty")
     width = int(counts.max())
-    slots = owner * width + np.arange(distinct.size) - (np.cumsum(counts) - counts)[owner]
+    picks = np.flatnonzero(np.arange(width) < counts[:, None])
     queries = np.repeat(np.arange(batch) * seq, width)
-    queries[slots] = distinct
-    return queries, slots[where]
+    queries[picks] += flat
+    return queries, picks
 
 
 def param_shapes(cfg: RunConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -307,20 +311,21 @@ class VLModel:
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
 
-    def fuse(self, text: Encoded, vision: Encoded, rows: Sequence[int]) -> Tensor:
-        """(len(rows), hidden_dim): the fused states of the stacked text `rows`, in this order.
+    def fuse(self, text: Encoded, vision: Encoded, positions: Sequence[Sequence[int]]) -> Tensor:
+        """The fused states at each sample's text `positions`, sample by sample, in list order.
 
         Each text's states are cross-attended to the visible rows of the
         vision at its batch index.  Every cross layer but the last runs on
         every text row.  The last one runs layer norm 1 and the self- and
         cross-attention keys and values on every row as well, and the rest
-        only on the requested rows, padded per sample with its [CLS] row to
-        the most any sample requests, so each sample keeps its own keys and
-        key mask.  A row may be requested more than once; a hidden row is zero.
+        only on the requested positions, padded per sample with its [CLS]
+        position to the longest list, so each sample keeps its own keys and
+        key mask.  A position may be requested more than once, and a list may
+        be empty; a hidden position's row is zero.
         """
         if len(text.visible) != len(vision.visible):
             raise ShapeError(f"fusing {len(text.visible)} texts with {len(vision.visible)} images")
-        queries, picks = _padded_queries(rows, *text.visible.shape)
+        queries, picks = _padded_queries(positions, *text.visible.shape)
         x = text.states
         last = self.config.cross_layers - 1
         for i in range(last):
@@ -332,12 +337,8 @@ class VLModel:
         return tensor.take_rows(x, picks)
 
     def cross_cls(self, text: Encoded, vision: Encoded) -> Tensor:
-        """(batch, hidden_dim) fused [CLS] rows, from one fuse that asks for only these rows.
-
-        They are the rows the matching and box heads read.
-        """
-        batch, seq = text.visible.shape
-        return self.fuse(text, vision, np.arange(batch) * seq)
+        """(batch, hidden_dim) fused [CLS] rows, the rows the matching and box heads read."""
+        return self.fuse(text, vision, [[0]] * len(text.visible))
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""

@@ -7,26 +7,24 @@ masked triple (vision and fusion attention restricted to patches touching
 the target box) and the box-regression term; one gradient accumulation,
 one update.
 
-Every pass works on whole batches (`model` describes the stacked-row
-layout), so its encoder and fusion calls do not grow with the batch.  A
-step first draws each pass's masked-LM positions, per sample in batch
-order, unmasked pass first.  It then encodes its texts and every pass's
-masked copies in one `encode_texts` call, padded to the batch's longest
-(a copy has its original's length), and projects the batch's texts once:
-the text encoder never sees the image, so the visually masked pass reuses
-them.  A pass encodes its images once and fuses once: the text roles
-[positives | mined negatives | the pass's masked copies] are stacked as
-one batch against [visions | visions | each copy's vision].  The fuse
-returns only the rows the heads read, and computes only those in its
-last layer: the 2n [CLS] rows of the positives and negatives, then the
-masked positions.  The matching loss, the box head and the masked-LM
-loss read them by position.  The heads run once per call on stacked
-rows: one image projection per pass, one matching-head call for all
-positives and negatives, one masked-LM head call for the masked
-positions only, and one box head and one box loss for the whole
-detection batch.  Matching negatives are the hardest in-batch negatives
-by contrastive similarity, one per positive, mined among samples whose
-underlying image differs.
+Every pass works on whole batches, so its encoder and fusion calls do
+not grow with the batch.  A step first draws each pass's masked-LM
+positions, per sample in batch order, unmasked pass first.  It then
+encodes its texts and every pass's masked copies in one `encode_texts`
+call, padded to the batch's longest (a copy has its original's length),
+and projects the batch's texts once: the text encoder never sees the
+image, so the visually masked pass reuses them.  A pass encodes its
+images once and fuses once: the text roles [positives | mined negatives |
+the pass's masked copies] are stacked as one batch against [visions |
+visions | each copy's vision].  The fuse takes each role's text positions
+and returns, and computes in its last layer, only the rows the heads
+read: the [CLS] row of each of the 2n positives and negatives, then each
+copy's masked positions.  The heads run once per call: one image
+projection per pass, one matching-head call for all positives and
+negatives, one masked-LM head call for the masked positions only, and one
+box head and one box loss for the whole detection batch.  Matching
+negatives are the hardest in-batch negatives by contrastive similarity,
+one per positive, mined among samples whose underlying image differs.
 The step reads which losses are on from the model's `RunConfig`; each pass
 returns its terms by name, and the step returns their values and total.
 
@@ -128,11 +126,6 @@ class MaskedLM(NamedTuple):
     @property
     def texts(self) -> range:
         return range(self.first, self.first + len(self.items))
-
-    def rows(self, role: int, seq: int) -> list[int]:
-        """Stacked text rows of the masked positions: `seq` rows per role, copies from `role` on."""
-        return [(role + k) * seq + pos for k, positions in enumerate(self.positions)
-                for pos in positions]
 
 
 def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator,
@@ -249,17 +242,16 @@ def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Te
     image_feats = model.project("img", visions)
     terms = {"cl": contrastive_loss(image_feats, text_feats, model.temperature())}
     negatives = mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
-    seq = texts.visible.shape[1]
     text_roles, vision_roles = [*range(n), *negatives], [*range(n), *range(n)]
-    rows = [role * seq for role in range(2 * n)]  # the positives' and negatives' [CLS] rows
+    positions = [[0]] * (2 * n)  # the positives' and negatives' [CLS] positions
     if masked is not None:
         text_roles += masked.texts
         vision_roles += masked.items
-        rows += masked.rows(2 * n, seq)
-    fused = model.fuse(texts.take(text_roles), visions.take(vision_roles), rows)
+        positions += masked.positions
+    fused = model.fuse(texts.take(text_roles), visions.take(vision_roles), positions)
     terms["itm"] = itm_loss(model, fused, n)
     if masked is not None:
-        terms["mlm"] = mlm_loss(model, fused, range(2 * n, len(rows)), masked.targets)
+        terms["mlm"] = mlm_loss(model, fused, range(2 * n, fused.shape[0]), masked.targets)
     return fused, terms
 
 

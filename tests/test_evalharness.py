@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finegrain import evalharness as ev
 from finegrain import synthdata as sd
@@ -85,6 +87,15 @@ class TestWinoground:
         quads = [quad(*row) for row in rng.random((2000, 4))]
         text, image, group = ev.winoground_scores(quads)
         assert group <= min(text, image)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+                    min_size=1, max_size=8))
+    def test_additive_scorer_scores_zero(self, terms):
+        # score(cJ, iK) = f(cJ) + g(iK): text needs f0 > f1 and f1 > f0, image g0 > g1 and
+        # g1 > g0.  Rounding is monotone, so a rounded sum cannot reverse an order either.
+        quads = [quad(f0 + g0, f0 + g1, f1 + g0, f1 + g1) for f0, f1, g0, g1 in terms]
+        assert ev.winoground_scores(quads) == (0.0, 0.0, 0.0)
 
 
 class TestRetrievalRecall:
@@ -216,6 +227,23 @@ class TestRunBenchmark:
                 continue  # anchored to the 0.5 level, exempt by design
             assert base.metrics[name] == moved.metrics[name], name
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_additive_scorer_scores_zero_on_relation_swap(self, seed):
+        rng = rng_for(seed, "additive")
+        text_terms, image_terms = {}, {}
+
+        def additive(scene, text):
+            f = text_terms.setdefault(text, float(rng.normal()))
+            return f + image_terms.setdefault(scene.ident, float(rng.normal()))
+
+        manifest = {"version": 1, "grid_size": 4,
+                    "subtasks": [{"tag": ev.QUAD_SUBTASK, "seed": 77, "count": 8}]}
+        report = ev.run_benchmark(additive, manifest)
+        assert len(np.unique(report.cells[ev.QUAD_SUBTASK])) > 1
+        for name in ("relation_swap_text", "relation_swap_image", "relation_swap_group"):
+            assert report.metrics[name] == 0.0, name
+
     def test_order_permutation_invariance(self):
         values = [(0.9, 0.1), (0.2, 0.8), (0.7, 0.69), (0.5, 0.5)]
         rng = rng_for(13, "perm")
@@ -319,14 +347,13 @@ class TestModelScorer:
     def fused_text_rows(monkeypatch) -> list[int]:
         """Each later `VLModel.fuse` call's stacked text rows, in call order.
 
-        Each call must ask for exactly one row per pair, its [CLS] row.
+        Each call must ask for exactly one position per pair, its [CLS] position.
         """
         rows = []
         fuse = VLModel.fuse
 
         def counted(self, text, vision, requested):
-            batch, seq = text.visible.shape
-            assert list(requested) == [pair * seq for pair in range(batch)]
+            assert list(requested) == [[0]] * len(text.visible)
             rows.append(text.states.shape[0])
             return fuse(self, text, vision, requested)
 

@@ -151,8 +151,15 @@ class TestEncodeText:
 
 
 def every_row(text):
-    """Every stacked row of a text batch, in order: a fuse that returns the whole fused state."""
-    return np.arange(text.states.shape[0])
+    """Every position of every sample, in order: a fuse that returns the whole fused state."""
+    batch, seq = text.visible.shape
+    return [list(range(seq))] * batch
+
+
+def stacked_rows(text, positions):
+    """The stacked rows of a text batch that hold each sample's `positions`, sample by sample."""
+    seq = text.visible.shape[1]
+    return np.array([b * seq + pos for b, listed in enumerate(positions) for pos in listed])
 
 
 class TestFuse:
@@ -189,6 +196,9 @@ def batch_inputs(model):
     texts = ["a red circle is above a blue square", "circle", "a green triangle"]
     visibilities = [None, np.array([True, False, False, True]), np.array([False, True, True, True])]
     return [s.grid for s in scenes], visibilities, [vocab.encode_wrapped(t) for t in texts]
+
+
+SEQ = 10  # the padded length of batch_inputs' texts: 8 words, [CLS] and [SEP]
 
 
 def sample_rows(states, b, seq):
@@ -279,25 +289,23 @@ class TestBatchAxis:
             micro.fuse(texts, micro.encode_images(grids[:2]), every_row(texts))
 
 
-def row_requests(texts) -> dict[str, list[int]]:
-    """Stacked rows a caller may ask `fuse` for, by kind, for a padded text batch."""
-    batch, seq = texts.visible.shape
-    cls = [b * seq for b in range(batch)]
-    visible = np.flatnonzero(texts.visible.reshape(-1)).tolist()
-    hidden = np.flatnonzero(~texts.visible.reshape(-1)).tolist()
+def row_requests(texts) -> dict[str, list[list[int]]]:
+    """Positions a caller may ask `fuse` for, by kind, one list per sample of a padded batch."""
+    s0, s1, s2 = [np.flatnonzero(row).tolist() for row in texts.visible]
+    hidden = [np.flatnonzero(~row).tolist() for row in texts.visible]
     return {
-        "cls": cls,
-        "visible_any_order": [visible[-1], visible[3], cls[1], visible[7], visible[0]],
-        "repeated": [visible[4], cls[2], visible[4], cls[2], cls[0], visible[4]],
-        "hidden": [hidden[0], cls[1], hidden[-1], visible[5]],
-        "every": list(range(batch * seq)),
+        "cls": [[0]] * len(texts.visible),
+        "visible_any_order": [[s0[3], s0[-1], s0[0], s0[7]], [s1[-1]], [s2[4], s2[1]]],
+        "repeated": [[s0[4], s0[4], s0[0], s0[4]], [], [s2[0], s2[0]]],
+        "hidden": [[s0[5]], [hidden[1][0], s1[0]], [hidden[2][-1]]],
+        "every": every_row(texts),
     }
 
 
 @pytest.mark.parametrize("cross_layers", [1, 2])
 @pytest.mark.parametrize("kind", ["cls", "visible_any_order", "repeated", "hidden", "every"])
 class TestFuseRows:
-    # `fuse(text, vision, rows)` against the same fuse asked for every row, on padded
+    # `fuse(text, vision, positions)` against the same fuse asked for every row, on padded
     # texts and box-masked visions.  The last cross layer runs its queries on fewer
     # rows, so BLAS may round them differently: values and gradients match to 1e-12.
 
@@ -310,9 +318,10 @@ class TestFuseRows:
 
     def test_rows_match_the_fuse_of_every_row_and_hidden_rows_are_zero(self, cross_layers,
                                                                         kind):
-        model, texts, images, rows = self.inputs(cross_layers, kind)
+        model, texts, images, positions = self.inputs(cross_layers, kind)
+        rows = stacked_rows(texts, positions)
         full = model.fuse(texts, images, every_row(texts)).array
-        fused = model.fuse(texts, images, rows).array
+        fused = model.fuse(texts, images, positions).array
         assert fused.shape == (len(rows), model.config.hidden_dim)
         np.testing.assert_allclose(fused, full[rows], rtol=0, atol=1e-12)
         hidden = ~texts.visible.reshape(-1)[rows]
@@ -320,7 +329,8 @@ class TestFuseRows:
         assert np.all(fused[~hidden] != 0.0)
 
     def test_parameter_gradients_match_the_fuse_of_every_row(self, cross_layers, kind):
-        model, texts, images, rows = self.inputs(cross_layers, kind)
+        model, texts, images, positions = self.inputs(cross_layers, kind)
+        rows = stacked_rows(texts, positions)
         weights = Tensor(rng_for(3, "fuse-rows", kind).normal(
             size=(len(rows), model.config.hidden_dim)))
 
@@ -331,7 +341,7 @@ class TestFuseRows:
             return [param.grad for param in model.parameters()]
 
         full = gradients(tensor.take_rows(model.fuse(texts, images, every_row(texts)), rows))
-        picked = gradients(model.fuse(texts, images, rows))
+        picked = gradients(model.fuse(texts, images, positions))
         for name, want, got in zip(model.params, full, picked):
             assert (want is None) == (got is None), name
             if name.endswith(".bk"):
@@ -345,33 +355,32 @@ class TestFuseRows:
                                            atol=1e-12 * np.abs(want).max(), err_msg=name)
 
     def test_full_mask_equals_no_mask_bit_for_bit(self, cross_layers, kind):
-        model, texts, _, rows = self.inputs(cross_layers, kind)
+        model, texts, _, positions = self.inputs(cross_layers, kind)
         grids, _, _ = batch_inputs(model)
         ones = [np.ones(model.config.num_patches, dtype=bool)] * len(grids)
-        a = model.fuse(texts, model.encode_images(grids), rows)
-        b = model.fuse(texts, model.encode_images(grids, ones), rows)
+        a = model.fuse(texts, model.encode_images(grids), positions)
+        b = model.fuse(texts, model.encode_images(grids, ones), positions)
         assert np.array_equal(a.array, b.array)
 
     def test_hidden_patch_cannot_leak_bit_for_bit(self, cross_layers, kind):
-        model, texts, images, rows = self.inputs(cross_layers, kind)
+        model, texts, images, positions = self.inputs(cross_layers, kind)
         grids, visibilities, _ = batch_inputs(model)
         hidden = grids[1].copy()
         hidden[0, 1, :] = 123.456  # patch (row 0, col 1) is hidden in sample 1
         changed = model.encode_images([grids[0], hidden, grids[2]], visibilities)
-        assert np.array_equal(model.fuse(texts, changed, rows).array,
-                              model.fuse(texts, images, rows).array)
+        assert np.array_equal(model.fuse(texts, changed, positions).array,
+                              model.fuse(texts, images, positions).array)
 
 
 def test_fuse_rows_gradcheck():
     model = VLModel(micro_config(cross_layers=2), seed=5)
     grids, visibilities, ids = batch_inputs(model)
-    seq = max(len(i) for i in ids)
-    rows = [seq + 2, 0, 2 * seq + 3, 1, seq]
-    weights = Tensor(rng_for(4, "fuse-rows-gc").normal(size=(len(rows), model.config.hidden_dim)))
+    positions = [[0, 1], [2, 0], [3]]
+    weights = Tensor(rng_for(4, "fuse-rows-gc").normal(size=(5, model.config.hidden_dim)))
 
     def f():
         fused = model.fuse(model.encode_texts(ids), model.encode_images(grids, visibilities),
-                           rows)
+                           positions)
         return tensor.tsum(tensor.mul(fused, weights))
 
     inputs = [model.params[name] for name in
@@ -380,11 +389,21 @@ def test_fuse_rows_gradcheck():
     assert check_gradients(f, inputs, coords_per_input=10, rng=rng_for(8, "fuse-rows-gc")) < 1e-6
 
 
-@pytest.mark.parametrize("rows", [[], [-1], [60], [[0, 1]]])
+@pytest.mark.parametrize("rows", [
+    [[], [], []],  # every list empty
+    [[0], [-1], [0]],  # a negative position
+    [[0], [SEQ], [0]],  # a position equal to the padded length
+    [[0], [[0, 1]], [0]],  # a 2-D entry
+    [[0], [0]],  # one list too few
+    [[0], [0], [0], [0]],  # one list too many
+])
 def test_fuse_rejects_rows_outside_the_text_batch(micro, rows):
+    # `rows` holds one list of text positions per sample; any malformed request is a ShapeError
     grids, _, ids = batch_inputs(micro)
+    texts = micro.encode_texts(ids)
+    assert texts.visible.shape == (3, SEQ)
     with pytest.raises(ShapeError):
-        micro.fuse(micro.encode_texts(ids), micro.encode_images(grids), rows)
+        micro.fuse(texts, micro.encode_images(grids), rows)
 
 
 def cross_cls_of(model, grid, ids):

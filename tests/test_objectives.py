@@ -96,7 +96,7 @@ def matching_loss(model, visions, texts, grids):
     sims = model.project("img", visions).array @ model.project("txt", texts).array.T
     negatives = obj.mine_hard_negatives(sims, grids)
     fused = model.fuse(texts.take([*range(n), *negatives]), visions.take([*range(n)] * 2),
-                       np.arange(2 * n) * texts.visible.shape[1])
+                       [[0]] * (2 * n))
     return obj.itm_loss(model, fused, n)
 
 
@@ -106,7 +106,7 @@ def masked_lm_loss(model, ids, visions, rng):
     if masked is None:
         return None
     texts = model.encode_texts(masked.copies)
-    fused = model.fuse(texts, visions.take(masked.items), masked.rows(0, texts.visible.shape[1]))
+    fused = model.fuse(texts, visions.take(masked.items), masked.positions)
     return obj.mlm_loss(model, fused, range(len(masked.targets)), masked.targets)
 
 
@@ -162,7 +162,7 @@ class TestItmLoss:
         # independent recomputation from matching probabilities, one pair at a time
         def probability(i, j):
             text = model.encode_text(ids[j])
-            cross = model.fuse(text, model.encode_image(grids[i]), range(len(ids[j])))
+            cross = model.fuse(text, model.encode_image(grids[i]), [range(len(ids[j]))])
             return model.matching_probabilities(tensor.take_rows(cross, [0]))[0]
 
         probs = [probability(i, i) for i in range(2)]
@@ -214,7 +214,7 @@ class TestMlmLoss:
         for p in positions:
             masked[p] = vocab.mask_id
         states = model.encode_text(masked)
-        fused = model.fuse(states, model.encode_image(scene.grid), range(len(masked)))
+        fused = model.fuse(states, model.encode_image(scene.grid), [range(len(masked))])
         logits = model.mlm_logits(fused).array[positions]
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -527,17 +527,15 @@ class TestTrainingStep:
         assert len(calls) == expected
         for text, vision, _ in calls:
             assert len(text.visible) == len(vision.visible) > 2 * 4
-        # and asks for the 2n [CLS] rows of the positives and negatives, then the [MASK]
-        # positions of the pass's copies, which follow the batch's texts pass by pass
+        # and asks for the [CLS] positions of the 2n positives and negatives, then the
+        # [MASK] positions of the pass's copies, which follow the batch's texts pass by pass
         [(step_ids,)] = copies
         pass_copies = iter(step_ids[4:])
         mask_id = model.config.vocab.mask_id
-        for text, _, rows in calls:
-            seq = text.visible.shape[1]
-            masked = [(2 * 4 + k) * seq + pos
-                      for k in range(len(text.visible) - 2 * 4)
-                      for pos, token in enumerate(next(pass_copies)) if token == mask_id]
-            assert list(rows) == [role * seq for role in range(2 * 4)] + masked
+        for text, _, positions in calls:
+            masked = [[pos for pos, token in enumerate(next(pass_copies)) if token == mask_id]
+                      for _ in range(len(text.visible) - 2 * 4)]
+            assert list(positions) == [[0]] * (2 * 4) + masked
         assert next(pass_copies, None) is None
 
     def test_vma_step_projects_the_texts_once(self):
@@ -637,7 +635,7 @@ def per_role_step(model, batch, config, rng):
             copies.extend(masked)
             copies_encoded = model.encode_texts(masked)
             states = model.fuse(copies_encoded, visions.take(items),
-                                range(copies_encoded.states.shape[0]))
+                                [range(copies_encoded.visible.shape[1])] * len(items))
             seq = max(len(m) for m in masked)
             rows = [k * seq + p for k, i in enumerate(items) for p in selections[i]]
             targets = [ids[i][p] for i in items for p in selections[i]]
