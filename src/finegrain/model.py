@@ -85,11 +85,11 @@ class Encoded(NamedTuple):
 
     @staticmethod
     def stack(parts: Sequence[Encoded]) -> Encoded:
-        """Batches of one sequence length as one batch, in this order, as one `concat_rows` node."""
+        """Batches of one sequence length as one batch, in this order, as one `concat` node."""
         lengths = {part.visible.shape[1] for part in parts}
         if len(lengths) != 1:
             raise ShapeError(f"cannot stack encodings of sequence lengths {sorted(lengths)}")
-        return Encoded(tensor.concat_rows([part.states for part in parts]),
+        return Encoded(tensor.concat([part.states for part in parts], 0),
                        np.concatenate([part.visible for part in parts]))
 
 
@@ -280,7 +280,7 @@ class VLModel:
         # row 0 is the shared [CLS] row; each sample takes it, then its own n patch rows
         order = np.insert(np.arange(1, batch * n + 1).reshape(batch, n), 0, 0, axis=1)
         x = tensor.add(
-            tensor.take_rows(tensor.concat_rows([self.params["vision.cls"], emb]),
+            tensor.take_rows(tensor.concat([self.params["vision.cls"], emb], 0),
                              order.reshape(-1)),
             tensor.take_rows(self.params["vision.pos"], np.tile(np.arange(n + 1), batch)))
         for i in range(cfg.vision_layers):
@@ -369,7 +369,7 @@ class VLModel:
         centre = tensor.slice_cols(squashed, 0, 2)
         size = tensor.maximum(tensor.slice_cols(squashed, 2, 4), Tensor(1e-3))
         half = tensor.scale(size, 0.5)
-        return tensor.concat_cols([tensor.sub(centre, half), tensor.add(centre, half)])
+        return tensor.concat([tensor.sub(centre, half), tensor.add(centre, half)], 1)
 
 
 # -- position tokens -----------------------------------------------------------

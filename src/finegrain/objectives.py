@@ -76,10 +76,10 @@ class SgdOptimizer:
 # -- individual losses --------------------------------------------------------
 
 
-def contrastive_loss(image_feats: Tensor, text_feats: Tensor, temperature) -> Tensor:
+def contrastive_loss(image_feats: Tensor, text_feats: Tensor, temperature: Tensor) -> Tensor:
     """Symmetric InfoNCE with matched pairs on the diagonal."""
     sims = tensor.matmul(image_feats, tensor.transpose(text_feats))
-    scaled = tensor.div(sims, tensor.as_tensor(temperature))
+    scaled = tensor.div(sims, temperature)
     diagonal = list(range(image_feats.shape[0]))
     i2t = ops.softmax_cross_entropy(scaled, diagonal)
     t2i = ops.softmax_cross_entropy(tensor.transpose(scaled), diagonal)
@@ -129,19 +129,17 @@ class MaskedLM(NamedTuple):
 
 
 def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator,
-                   first: int) -> MaskedLM | None:
+                   first: int) -> MaskedLM:
     """A pass's masked copies of `ids`, to sit at text `first` of the step's text batch.
 
     Positions are drawn per sample, in batch order.  When the batch draws
-    zero positions the draw is repeated once; None means that draw was empty
-    too, and the pass has no masked-LM term.
+    zero positions the draw is repeated once; if that draw is empty too, so is
+    the record, and the pass has no masked-LM term.
     """
     selections = [select_mask_positions(t, vocab, rng) for t in ids]
     if not any(selections):
         selections = [select_mask_positions(t, vocab, rng) for t in ids]
     items = [item for item, positions in enumerate(selections) if positions]
-    if not items:
-        return None
     positions = [selections[item] for item in items]
     copies = []
     for item, picks in zip(items, positions):
@@ -154,7 +152,7 @@ def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator
 
 
 def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
-                      rng: np.random.Generator) -> tuple[Encoded, Tensor, list[MaskedLM | None]]:
+                      rng: np.random.Generator) -> tuple[Encoded, Tensor, list[MaskedLM]]:
     """(texts, text_feats, each pass's masked copies): the step's one text encode.
 
     Each pass draws its masked-LM positions, in pass order, before anything
@@ -163,13 +161,12 @@ def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
     is the batch's.  `text_feats` projects the batch's texts.
     """
     n = len(ids)
-    masked: list[MaskedLM | None] = []
+    masked: list[MaskedLM] = []
     copies: list[list[int]] = []
     for _ in range(passes):
         draw = draw_masked_lm(ids, model.config.vocab, rng, n + len(copies))
         masked.append(draw)
-        if draw is not None:
-            copies += draw.copies
+        copies += draw.copies
     texts = model.encode_texts([*ids, *copies])
     return texts, model.project("txt", texts.take(range(n))), masked
 
@@ -227,7 +224,7 @@ def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
 
 def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,
                 grids: Sequence[np.ndarray],
-                masked: MaskedLM | None) -> tuple[Tensor, dict[str, Tensor]]:
+                masked: MaskedLM) -> tuple[Tensor, dict[str, Tensor]]:
     """(fused rows, terms) of a pass over the batch's `visions`.
 
     `texts` is the step's text batch: the batch's texts first, which
@@ -242,21 +239,18 @@ def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Te
     image_feats = model.project("img", visions)
     terms = {"cl": contrastive_loss(image_feats, text_feats, model.temperature())}
     negatives = mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
-    text_roles, vision_roles = [*range(n), *negatives], [*range(n), *range(n)]
-    positions = [[0]] * (2 * n)  # the positives' and negatives' [CLS] positions
-    if masked is not None:
-        text_roles += masked.texts
-        vision_roles += masked.items
-        positions += masked.positions
+    text_roles = [*range(n), *negatives, *masked.texts]
+    vision_roles = [*range(n), *range(n), *masked.items]
+    positions = [[0]] * (2 * n) + masked.positions  # [CLS] of positives and negatives first
     fused = model.fuse(texts.take(text_roles), visions.take(vision_roles), positions)
     terms["itm"] = itm_loss(model, fused, n)
-    if masked is not None:
+    if masked.targets:
         terms["mlm"] = mlm_loss(model, fused, range(2 * n, fused.shape[0]), masked.targets)
     return fused, terms
 
 
 def vma_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
-               samples: Sequence[DetectionSample], masked: MaskedLM | None) -> dict[str, Tensor]:
+               samples: Sequence[DetectionSample], masked: MaskedLM) -> dict[str, Tensor]:
     """The pass on box-masked images, reading the step's `texts` and `text_feats`.
 
     Its terms are named as the unmasked pass's, with a "vma_" prefix.

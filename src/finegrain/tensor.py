@@ -1,13 +1,16 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
 Storage is a row-major numpy array; every recorded operation keeps a
-monotonically increasing sequence number, so reverse creation order is a
-valid topological order for the backward sweep.  Gradients accumulate on
-leaves only: a tensor with no tape node that requires a gradient keeps
-its sum across backward passes in `grad`, while the gradient of every
-recorded intermediate lives only for the sweep that computes it.  There
-is no graph optimization and no broadcasting beyond numpy's elementwise
-rules.
+monotonically increasing sequence number, and an op converts nothing: its
+array operands are `Tensor`s.  The backward sweep keeps a heap of the
+recorded tensors that hold a gradient and pops the latest first: every
+tensor that reads it was created later, so its gradient is complete when it
+is popped, and its backward runs once.  Gradients accumulate on leaves
+only: a tensor with no tape node that requires a gradient adds each
+gradient into `grad` as it arrives, across backward passes, while the
+gradient of every recorded intermediate lives only for the sweep that
+computes it.  There is no graph optimization and no broadcasting beyond
+numpy's elementwise rules.
 
 Inside `with no_tape():` nothing is recorded: every op computes the same
 values, but its result carries no tape node, has `requires_grad` False and
@@ -18,6 +21,7 @@ a result it keeps does not hold its whole forward graph alive.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -69,7 +73,8 @@ class Tensor:
         self._grad = None
 
     def item(self) -> float:
-        return float(self.array.reshape(-1)[0])
+        """The value of a one-element tensor; like `ndarray.item`, a ValueError for any other size."""
+        return self.array.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -82,41 +87,29 @@ class Tensor:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         if not self.requires_grad:
             return
-        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.array)}
-        for tensor in _reverse_topo(self):
-            grad_out = pending.pop(id(tensor), None)
-            if grad_out is None:
-                continue
-            node = tensor._node
-            if node is None:
-                if tensor._grad is None:
-                    tensor._grad = grad_out.copy()  # grad_out may alias a stored buffer
-                else:
-                    tensor._grad += grad_out
-                continue
-            for parent, pgrad in zip(node.parents, node.backward_fn(grad_out)):
-                if pgrad is None or not parent.requires_grad:
+        pending: dict[int, np.ndarray] = {}  # seq -> gradient of a recorded tensor so far
+        heap: list[tuple[int, _Node]] = []  # (-seq, node) for every seq in pending
+        arrivals = [(self, np.ones_like(self.array))]
+        while True:
+            for tensor, grad in arrivals:
+                if grad is None or not tensor.requires_grad:
                     continue
-                # never mutate stored buffers: backward fns may alias outputs
-                slot = pending.get(id(parent))
-                pending[id(parent)] = pgrad if slot is None else slot + pgrad
-
-
-def _reverse_topo(root: Tensor) -> list[Tensor]:
-    """All tensors reachable from root, in descending creation order."""
-    seen: set[int] = set()
-    out: list[Tensor] = []
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        out.append(t)
-        if t._node is not None:
-            stack.extend(t._node.parents)
-    out.sort(key=lambda t: -1 if t._node is None else t._node.seq, reverse=True)
-    return out
+                node = tensor._node
+                if node is None:
+                    if tensor._grad is None:
+                        tensor._grad = grad.copy()  # grad may alias a stored buffer
+                    else:
+                        tensor._grad += grad
+                elif node.seq in pending:
+                    # never mutate a received gradient: backward fns may alias outputs
+                    pending[node.seq] = pending[node.seq] + grad
+                else:
+                    pending[node.seq] = grad
+                    heapq.heappush(heap, (-node.seq, node))
+            if not heap:
+                return
+            _, node = heapq.heappop(heap)
+            arrivals = zip(node.parents, node.backward_fn(pending.pop(node.seq)))
 
 
 @contextlib.contextmanager
@@ -139,10 +132,6 @@ def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callab
     return out
 
 
-def as_tensor(values) -> Tensor:
-    return values if isinstance(values, Tensor) else Tensor(values)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad back down to `shape` after numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -158,7 +147,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     values = a.array + b.array
 
     def backward(g):
@@ -168,7 +156,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     values = a.array - b.array
 
     def backward(g):
@@ -178,7 +165,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     values = a.array * b.array
 
     def backward(g):
@@ -188,7 +174,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     values = a.array / b.array
 
     def backward(g):
@@ -223,7 +208,6 @@ def absolute(a: Tensor) -> Tensor:
 
 def _select(a: Tensor, b: Tensor, prefer_a) -> Tensor:
     """Elementwise `a` where `prefer_a(a, b)` holds, else `b`; the gradient follows the pick."""
-    a, b = as_tensor(a), as_tensor(b)
     take_a = prefer_a(a.array, b.array)
     values = np.where(take_a, a.array, b.array)
 
@@ -247,7 +231,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
     values = a.array @ b.array
@@ -294,28 +277,11 @@ def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
     return _result(values, (a,), backward)
 
 
-def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    values = np.concatenate([p.array for p in parts], axis=0)
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _result(values, tuple(parts), backward)
-
-
-def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    values = np.concatenate([p.array for p in parts], axis=1)
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _result(values, tuple(parts), backward)
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """`parts` joined along `axis`; the backward hands each part its slice of the gradient as a view."""
+    values = np.concatenate([p.array for p in parts], axis=axis)
+    bounds = np.cumsum([p.shape[axis] for p in parts[:-1]])
+    return _result(values, tuple(parts), lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
 def add_scalars(parts: Iterable[Tensor]) -> Tensor:

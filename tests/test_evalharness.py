@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finegrain import evalharness as ev
@@ -132,6 +132,50 @@ class TestRetrievalRecall:
             ev.retrieval_recall(np.eye(4), 5)
 
 
+# bounded, so scaling by 2**7 is exact; the sampled values make ties likely
+SCORE = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=-1e6, max_value=1e6))
+
+
+def dense_ranks(values: np.ndarray) -> np.ndarray:
+    return np.unique(values, return_inverse=True)[1].reshape(values.shape).astype(np.float64)
+
+
+# strictly increasing maps that keep every comparison between finite floats
+MONOTONE_MAPS = {"dense_ranks": dense_ranks, "times_2**7": lambda values: values * 2.0**7}
+
+
+@pytest.mark.parametrize("transform", MONOTONE_MAPS.values(), ids=MONOTONE_MAPS)
+class TestMonotoneInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(SCORE, SCORE), min_size=1, max_size=8))
+    def test_pairwise_ranking(self, transform, rows):
+        rows = np.array(rows)
+        assert ev.pairwise_ranking_accuracy(transform(rows)) == ev.pairwise_ranking_accuracy(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(SCORE, SCORE, SCORE, SCORE), min_size=1, max_size=8))
+    def test_winoground(self, transform, rows):
+        rows = np.array(rows)
+        assert ev.winoground_scores(transform(rows)) == ev.winoground_scores(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_retrieval_recall(self, transform, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        table = np.array(data.draw(st.lists(SCORE, min_size=n * n, max_size=n * n)))
+        table = table.reshape(n, n)
+        for k in range(1, n + 1):
+            assert ev.retrieval_recall(transform(table), k) == ev.retrieval_recall(table, k)
+
+
+def test_threshold_accuracy_is_the_exception():
+    # it reads each score against the fixed level 0.5, which a transform can move past
+    assert ev.threshold_accuracy(np.array([(0.6, 0.4)])) == 1.0
+    assert ev.threshold_accuracy(np.array([(0.6, 0.4)]) * 2.0**7) == 0.5
+    assert ev.threshold_accuracy(np.array([(0.6, 0.55)])) == 0.5
+    assert ev.threshold_accuracy(dense_ranks(np.array([(0.6, 0.55)]))) == 1.0
+
+
 def semantic_match(scene: sd.Scene, text: str) -> bool:
     """Independent truth oracle: parse template text against scene geometry."""
     tokens = text.split()
@@ -184,6 +228,23 @@ class TestRunBenchmark:
         assert report.metrics[ev.THRESHOLD_SUBTASK] == 0.0
         for tag in ev.PAIRWISE_SUBTASKS + ev.FOIL_GROUP_SUBTASKS:
             assert report.metrics[tag] == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.5)
+    def test_constant_scorer_on_the_default_manifest(self, constant):
+        config = RunConfig(seed=0)
+        manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
+                                       config.patch_grid, config.retrieval_count)
+        report = ev.run_benchmark(lambda scene, text: constant, manifest)
+        for name in ev.FOIL_GROUP_SUBTASKS + ev.PAIRWISE_SUBTASKS + (
+                "relation_swap_text", "relation_swap_image", "relation_swap_group"):
+            assert report.metrics[name] == 0.0, name  # ties count as wrong
+        # a constant on one side of 0.5 puts exactly one statement of each pair right
+        assert report.metrics[ev.THRESHOLD_SUBTASK] == (0.0 if constant == 0.5 else 0.5)
+        # ties rank the lower index first, so only item 0 finds its match
+        n = config.retrieval_count
+        assert report.metrics["retrieval_tr@1"] == report.metrics["retrieval_ir@1"] == 1 / n
 
     def test_counts_match_manifest(self):
         report = ev.run_benchmark(lambda s, t: 0.5, self.manifest(n=3))

@@ -103,7 +103,7 @@ def matching_loss(model, visions, texts, grids):
 def masked_lm_loss(model, ids, visions, rng):
     """The masked-LM term of a pass's draw, its copies encoded and fused on their own."""
     masked = obj.draw_masked_lm(ids, model.config.vocab, rng, 0)
-    if masked is None:
+    if not masked.targets:
         return None
     texts = model.encode_texts(masked.copies)
     fused = model.fuse(texts, visions.take(masked.items), masked.positions)
@@ -119,12 +119,12 @@ def step_texts(model, samples, passes, rng):
 class TestContrastiveLoss:
     def test_identical_feats_give_log_n(self):
         feats = Tensor(np.tile([[1.0, 0.0, 0.0]], (4, 1)))
-        loss = obj.contrastive_loss(feats, feats, 1.0)
+        loss = obj.contrastive_loss(feats, feats, Tensor(1.0))
         assert loss.item() == pytest.approx(math.log(4), abs=1e-9)
 
     def test_orthonormal_pairs_saturate_at_low_temperature(self):
         feats = Tensor(np.eye(4))
-        assert obj.contrastive_loss(feats, feats, 0.05).item() < 1e-6
+        assert obj.contrastive_loss(feats, feats, Tensor(0.05)).item() < 1e-6
 
     def test_matches_independent_softmax_recomputation(self):
         rng = rng_for(0, "cl-oracle")
@@ -139,7 +139,7 @@ class TestContrastiveLoss:
             return float(-np.log(np.diag(probs)).mean())
 
         expected = 0.5 * (ce(sims) + ce(sims.T))
-        got = obj.contrastive_loss(Tensor(img), Tensor(txt), 1.0).item()
+        got = obj.contrastive_loss(Tensor(img), Tensor(txt), Tensor(1.0)).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -623,7 +623,7 @@ def per_role_step(model, batch, config, rng):
         negatives = obj.mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
         positives = model.cross_cls(texts, visions)
         mined = model.cross_cls(texts.take(negatives), visions)
-        logits = model.itm_logits(tensor.concat_rows([positives, mined])).array
+        logits = model.itm_logits(tensor.concat([positives, mined], 0)).array
         terms[f"{prefix}itm"] = cross_entropy(logits, [1] * n + [0] * n)
         selections = [obj.select_mask_positions(t, vocab, rng) for t in ids]
         if not any(selections):

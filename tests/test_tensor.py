@@ -1,5 +1,6 @@
 """Tensor engine: forward values, gradient correctness, masking semantics."""
 
+import collections
 import math
 
 import numpy as np
@@ -48,6 +49,12 @@ class TestTensorBasics:
         t = Tensor([[1.0, 2.0]], requires_grad=True)
         with pytest.raises(ShapeError):
             tensor.mul(t, t).backward()
+
+    def test_item_reads_one_element_only(self):
+        assert Tensor(7.5).item() == 7.5
+        assert Tensor([[7.5]]).item() == 7.5
+        with pytest.raises(ValueError):
+            Tensor(np.arange(3.0) + 7).item()
 
     def test_shared_subexpression_visited_once(self):
         x = Tensor([1.5], requires_grad=True)
@@ -384,7 +391,7 @@ class TestElementwiseOps:
         b = Tensor(r.normal(size=(1, 3)), requires_grad=True)
         c = Tensor(r.normal(size=(1, 3)), requires_grad=True)
         err = check_gradients(
-            lambda: tensor.tsum(tensor.mul(m := tensor.concat_rows([a, b, c]), m)), [a, b, c]
+            lambda: tensor.tsum(tensor.mul(m := tensor.concat([a, b, c], 0), m)), [a, b, c]
         )
         assert err < 1e-3
 
@@ -481,6 +488,97 @@ class TestDeterminism:
         v2, ga2, gb2 = run()
         assert v1 == v2
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
+
+
+def _reference_sweep(root):
+    """Leaf gradients by the first backward algorithm: every reachable tensor in
+    descending creation order (leaves last), summing what each one receives."""
+    seen, order, stack = set(), [], [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            order.append(t)
+            stack.extend(t._node.parents if t._node is not None else ())
+    order.sort(key=lambda t: -1 if t._node is None else t._node.seq, reverse=True)
+    pending, leaf_grads = {id(root): np.ones_like(root.array)}, {}
+    for t in order:
+        grad = pending.pop(id(t), None)
+        if grad is None:
+            continue
+        if t._node is None:
+            leaf_grads[id(t)] = grad.copy()
+            continue
+        for parent, pgrad in zip(t._node.parents, t._node.backward_fn(grad)):
+            if pgrad is not None and parent.requires_grad:
+                slot = pending.get(id(parent))
+                pending[id(parent)] = pgrad if slot is None else slot + pgrad
+    return leaf_grads
+
+
+GRAPH_OPS = ("add", "mul", "matmul", "scale", "take_rows", "concat_axis0", "concat_axis1")
+
+
+class TestBackwardSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=3))
+    def test_leaf_gradients_match_the_reference_sweep_bit_for_bit(self, data, n):
+        r = rng(data.draw(st.integers(min_value=0, max_value=2**31 - 1)))
+        leaves = [Tensor(r.normal(size=(n, n)), requires_grad=True) for _ in range(3)]
+        shared = tensor.mul(leaves[0], leaves[0])  # a leaf read twice by one node
+        pool = [*leaves, Tensor(r.normal(size=(n, n))), shared]
+
+        def pick():
+            return pool[data.draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+
+        def rows(count):  # n row indices into `count` rows, repeats allowed
+            return data.draw(st.lists(st.integers(min_value=0, max_value=count - 1),
+                                      min_size=n, max_size=n))
+
+        for op in data.draw(st.lists(st.sampled_from(GRAPH_OPS), min_size=1, max_size=8)):
+            if op == "scale":
+                out = tensor.scale(pick(), 0.5)
+            elif op == "take_rows":
+                out = tensor.take_rows(pick(), rows(n))
+            elif op == "concat_axis0":
+                out = tensor.take_rows(tensor.concat([pick(), pick()], 0), rows(2 * n))
+            elif op == "concat_axis1":
+                out = tensor.matmul(tensor.concat([pick(), pick()], 1),
+                                    tensor.concat([pick(), pick()], 0))
+            else:
+                out = getattr(tensor, op)(pick(), pick())
+            pool.append(out)
+        # `shared` is read by two nodes here, and by any op that picked it
+        root = tensor.tsum(tensor.add(tensor.mul(shared, pool[-1]), shared))
+        expected = _reference_sweep(root)
+        root.backward()
+        for leaf in leaves:
+            want = expected.get(id(leaf))
+            assert (leaf.grad is None) == (want is None)
+            if want is not None:
+                assert leaf.grad.tobytes() == want.tobytes()
+
+    def test_each_backward_runs_at_most_once_and_only_with_a_gradient(self):
+        calls = collections.Counter()
+
+        def node(name, parents, routes):
+            """A node that hands its gradient to the parents where `routes` holds, None elsewhere."""
+            def backward(g):
+                calls[name] += 1
+                return tuple(g if route else None for route in routes)
+
+            return tensor._result(parents[0].array.copy(), tuple(parents), backward)
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        a = node("a", [x], [True])
+        cut = node("cut", [y, x], [True, True])  # its only consumer returns None for it
+        b = node("b", [a, cut, a], [True, False, True])
+        c = node("c", [a, b], [True, True])
+        tensor.tsum(node("d", [c, b], [True, True])).backward()
+        assert calls == {"a": 1, "b": 1, "c": 1, "d": 1}
+        assert y.grad is None
+        assert np.array_equal(x.grad, [5.0, 5.0])  # a receives 1 from c and 2 + 2 from b
 
 
 @settings(max_examples=100, deadline=None)
