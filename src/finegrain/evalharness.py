@@ -70,10 +70,17 @@ class EvalReport:
         return [(name, *self._scored[name]) for name in sorted(self._scored)]
 
 
-# The most stacked text rows one scoring `fuse` takes.  A chunk's activations
-# grow with its rows; the bound keeps batched scoring's peak memory near that
-# of scoring pair by pair, and is large enough to cost no speed.
-FUSE_CHUNK_ROWS = 512
+# The most stacked rows one batched call of the scorer takes: an encode of
+# images or of texts, or a fuse of pairs.  A chunk's activations grow with
+# its rows; the bound keeps batched scoring's peak memory near that of
+# scoring pair by pair, and is large enough to cost no speed.
+CHUNK_ROWS = 512
+
+
+def _chunks(items: list, rows: int):
+    """`items`, of `rows` stacked rows each, in runs of at most `CHUNK_ROWS` rows, or of one item."""
+    step = max(1, CHUNK_ROWS // rows)
+    return (items[lo:lo + step] for lo in range(0, len(items), step))
 
 
 def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
@@ -83,22 +90,27 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     own lifetime, so build one scorer per set of weights: its caches never
     see them change.  Images are keyed by the grid's shape and bytes (scenes
     compare by identity, so equal grids from two scenes share one entry),
-    and texts by the text.  Every distinct input is encoded once, on its
-    own, through `encode_image` or `encode_text`.
+    and texts by the text.  Every distinct input is encoded once.
 
-    Pairs are fused in batches, so a fuse's per-call overhead is paid once
-    per chunk, not once per pair, and each fuse computes only the [CLS]
-    rows in its last layer (`cross_cls`).  The first call scores every pair
-    that `run_benchmark` scores for `manifest`, collected by a dry run of
-    `run_benchmark` itself, and each later call looks its pair up; a pair
-    not yet scored, as with no manifest, is scored on its own, as a batch
-    of one.  Pairs are grouped by their text's token length, so no [PAD]
-    row is fused, and each length's pairs are fused in chunks of at most
-    `FUSE_CHUNK_ROWS` text rows, each chunk's texts and images joined by
-    `Encoded.stack` from their cached encodings.  A batched score can
-    differ from the same pair's score at batch one in its last bits: the
-    last layer's [CLS] queries and the matching head's product run on
-    another row count.
+    The first call scores every pair that `run_benchmark` scores for
+    `manifest`, collected by a dry run of `run_benchmark` itself, and each
+    later call looks its pair up; a pair not yet scored, as with no
+    manifest, is scored on its own, as a batch of one.  Scoring a set of
+    pairs runs in batches, each of at most `CHUNK_ROWS` stacked rows, so an
+    encode's or a fuse's per-call overhead is paid once per chunk, not once
+    per input or pair:
+    - the new grids are encoded by `encode_images`, in chunks, in order;
+    - the new texts by `encode_texts`, in chunks of one token length, so no
+      [PAD] row is encoded: a text's states then equal those of its batch
+      of one bit for bit, which padding to a longer text does not keep;
+    - each batch's inputs are cached one by one (`Encoded.take`);
+    - the pairs are grouped by their text's token length, and each length's
+      pairs fused in chunks, each chunk's texts and images joined by
+      `Encoded.stack` from their cached encodings, and each fuse computes
+      only the [CLS] rows in its last layer (`cross_cls`).
+    A batched score can differ from the same pair's score at batch one in
+    its last bits: the last layer's [CLS] queries and the matching head's
+    product run on another row count.
 
     Everything runs under `tensor.no_tape()`, so a cached encoding holds its
     values only, not the forward graph that computed them.
@@ -112,21 +124,35 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     def key_of(scene: Scene, text: str) -> tuple:
         return (scene.grid.shape, scene.grid.tobytes()), text
 
+    def encode_new(encode, cache: dict, new: dict, rows: int) -> None:
+        """Encode `new`'s inputs, `rows` rows each, in chunks, and cache each under its key."""
+        for chunk in _chunks(list(new), rows):
+            batch = encode([new[key] for key in chunk])
+            cache.update((key, batch.take([b])) for b, key in enumerate(chunk))
+
     def score_pairs(pairs) -> None:
         """Encode the pairs' new inputs, then fuse each distinct pair, none scored yet."""
-        by_length: dict[int, dict[tuple, None]] = {}  # text length -> pair keys, in order
+        keys: dict[tuple, None] = {}  # distinct pair keys, in order
+        new_grids: dict[tuple, np.ndarray] = {}
+        new_ids: dict[str, list[int]] = {}
         for scene, text in pairs:
             key = key_of(scene, text)
+            keys[key] = None
             if key[0] not in images:
-                images[key[0]] = model.encode_image(scene.grid)
-            if text not in texts:
-                texts[text] = model.encode_text(vocab.encode_wrapped(text))
-            by_length.setdefault(texts[text].visible.shape[1], {})[key] = None
-        for length, keys in by_length.items():
-            keys = list(keys)
-            step = max(1, FUSE_CHUNK_ROWS // length)
-            for lo in range(0, len(keys), step):
-                chunk = keys[lo:lo + step]
+                new_grids.setdefault(key[0], scene.grid)
+            if text not in texts and text not in new_ids:
+                new_ids[text] = vocab.encode_wrapped(text)
+        encode_new(model.encode_images, images, new_grids, model.config.num_patches + 1)
+        ids_by_length: dict[int, dict[str, list[int]]] = {}
+        for text, ids in new_ids.items():
+            ids_by_length.setdefault(len(ids), {})[text] = ids
+        for length, group in ids_by_length.items():
+            encode_new(model.encode_texts, texts, group, length)
+        by_length: dict[int, list[tuple]] = {}  # text length -> pair keys, in order
+        for key in keys:
+            by_length.setdefault(texts[key[1]].visible.shape[1], []).append(key)
+        for length, group in by_length.items():
+            for chunk in _chunks(group, length):
                 cls = model.cross_cls(Encoded.stack([texts[text] for _, text in chunk]),
                                       Encoded.stack([images[grid] for grid, _ in chunk]))
                 scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))

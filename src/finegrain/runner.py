@@ -234,7 +234,7 @@ def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
         marks = [s in config.source_set() for s in sd.DATA_SOURCES]
         marks += [True, config.use_vma, config.use_bbox, config.use_pevl_tokens]
         rows.append([name, *("x" if on else "-" for on in marks),
-                     *(f"{metrics[m]:.4f}" for m in SUMMARY_METRICS)])
+                     *(f"{metrics.get(m, np.nan):.4f}" for m in SUMMARY_METRICS)])
     summary = out_dir / "summary.tsv"
     header = ["arm", *sd.DATA_SOURCES, "loss_A", "loss_VMA", "loss_bbox", "loss_pevl",
               *SUMMARY_METRICS]

@@ -473,6 +473,20 @@ class TestCli:
         assert "a__cap belongs to config" in capsys.readouterr().err
         assert not (grid / "full__attr-cap-obj-region" / "logs" / "losses.tsv").exists()
 
+    def test_ablate_without_retrieval_table_exit_code(self, tmp_path):
+        # retrieval_count = 0 means no retrieval table, so both retrieval columns read nan
+        config_path = tmp_path / "config.ini"
+        save_config(tiny_config(steps=3, retrieval_count=0), config_path)
+        grid = tmp_path / "grid"
+        code = main(["ablate", "--config", str(config_path), "--grid", "A:captions",
+                     "--out", str(grid)])
+        assert code == EXIT_OK
+        header, row = (line.split("\t") for line in
+                       (grid / "summary.tsv").read_text().splitlines()[1:])
+        values = dict(zip(header, row, strict=True))
+        assert values["retrieval_tr@1"] == values["retrieval_ir@1"] == "nan"
+        assert values["svo_avg"] != "nan"
+
     def test_dynamics_of_checkpoints_only_dir(self, tmp_path):
         config_path = self.write_config(tmp_path)
         run_dir, bare = tmp_path / "run", tmp_path / "bare"

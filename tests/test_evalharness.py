@@ -378,17 +378,30 @@ class TestModelScorer:
             assert value == taped_score(model, scene, text), (scene.ident, text)
 
     def test_each_distinct_input_encoded_once(self, monkeypatch):
-        calls = {"encode_image": 0, "encode_text": 0}
+        calls = {"encode_images": [], "encode_texts": []}  # each call's inputs
         for name in calls:
-            def counted(self, *args, _name=name, _original=getattr(VLModel, name)):
-                calls[_name] += 1
-                return _original(self, *args)
-            monkeypatch.setattr(VLModel, name, counted)
-        for batched in (False, True):
-            calls.update(encode_image=0, encode_text=0)
+            def recorded(self, inputs, *args, _name=name, _original=getattr(VLModel, name)):
+                calls[_name].append(list(inputs))
+                return _original(self, inputs, *args)
+            monkeypatch.setattr(VLModel, name, recorded)
+        image_rows = MICRO.num_patches + 1
+        for chunk_rows, batched in itertools.product((ev.CHUNK_ROWS, 16), (False, True)):
+            monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
+            for made in calls.values():
+                made.clear()
             pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched)
-            assert calls["encode_image"] == len({s.grid.tobytes() for s, _, _ in pairs})
-            assert calls["encode_text"] == len({t for _, t, _ in pairs})
+            grids = [g.tobytes() for call in calls["encode_images"] for g in call]
+            texts = [tuple(ids) for call in calls["encode_texts"] for ids in call]
+            assert sorted(grids) == sorted({s.grid.tobytes() for s, _, _ in pairs})
+            assert sorted(texts) == sorted({tuple(MICRO.vocab.encode_wrapped(t))
+                                            for _, t, _ in pairs})
+            # one token length per text encode, so no [PAD] row is encoded
+            assert all(len(set(map(len, call))) == 1 for call in calls["encode_texts"])
+            assert max(len(call) * image_rows for call in calls["encode_images"]) <= chunk_rows
+            assert max(len(call) * len(call[0]) for call in calls["encode_texts"]) <= chunk_rows
+            if batched:
+                assert len(calls["encode_images"]) < len(grids)
+                assert len(calls["encode_texts"]) < len(texts)
 
     def test_manifest_scores_agree_with_per_pair_scores(self):
         model = VLModel(MICRO, seed=5)
@@ -434,9 +447,9 @@ class TestModelScorer:
         assert fuses_before_each_call[0] == 0
         assert set(fuses_before_each_call[1:]) == {len(rows)}
 
-    @pytest.mark.parametrize("chunk_rows", [ev.FUSE_CHUNK_ROWS, 16])
+    @pytest.mark.parametrize("chunk_rows", [ev.CHUNK_ROWS, 16])
     def test_one_fuse_per_text_length_and_chunk(self, monkeypatch, chunk_rows):
-        monkeypatch.setattr(ev, "FUSE_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
         rows = self.fused_text_rows(monkeypatch)
         pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched=True)
         distinct = {(s.grid.tobytes(), t) for s, t, _ in pairs}
