@@ -71,9 +71,9 @@ class EvalReport:
 
 
 # The most stacked rows one batched call of the scorer takes: an encode of
-# images or of texts, or a fuse of pairs.  A chunk's activations grow with
-# its rows; the bound keeps batched scoring's peak memory near that of
-# scoring pair by pair, and is large enough to cost no speed.
+# texts or a fuse of pairs.  A chunk's activations grow with its rows; the
+# bound keeps batched scoring's peak memory near that of scoring pair by
+# pair, and is large enough to cost no speed.
 CHUNK_ROWS = 512
 
 
@@ -96,18 +96,20 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     `manifest`, collected by a dry run of `run_benchmark` itself, and each
     later call looks its pair up; a pair not yet scored, as with no
     manifest, is scored on its own, as a batch of one.  Scoring a set of
-    pairs runs in batches, each of at most `CHUNK_ROWS` stacked rows, so an
-    encode's or a fuse's per-call overhead is paid once per chunk, not once
-    per input or pair:
-    - the new grids are encoded by `encode_images`, in chunks, in order;
-    - the new texts by `encode_texts`, in chunks of one token length, so no
-      [PAD] row is encoded: a text's states then equal those of its batch
-      of one bit for bit, which padding to a longer text does not keep;
-    - each batch's inputs are cached one by one (`Encoded.take`);
+    pairs runs in three steps:
+    - each new grid is encoded on its own by `encode_image`, one call per
+      grid, in the pairs' order;
+    - the new texts are encoded by `encode_texts`, one call per token
+      length and chunk of at most `CHUNK_ROWS` stacked rows, so no [PAD]
+      row is encoded and the per-call overhead is paid once per chunk, not
+      once per text; each text is cached on its own (`Encoded.take`).  At
+      the default config its states were measured byte-identical to its
+      batch of one, which padding to a longer text does not keep;
     - the pairs are grouped by their text's token length, and each length's
-      pairs fused in chunks, each chunk's texts and images joined by
-      `Encoded.stack` from their cached encodings, and each fuse computes
-      only the [CLS] rows in its last layer (`cross_cls`).
+      pairs fused in chunks of at most `CHUNK_ROWS` text rows, each chunk's
+      texts and images joined by `Encoded.stack` from their cached
+      encodings, and each fuse computes only the [CLS] rows in its last
+      layer (`cross_cls`).
     A batched score can differ from the same pair's score at batch one in
     its last bits: the last layer's [CLS] queries and the matching head's
     product run on another row count.
@@ -124,30 +126,22 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     def key_of(scene: Scene, text: str) -> tuple:
         return (scene.grid.shape, scene.grid.tobytes()), text
 
-    def encode_new(encode, cache: dict, new: dict, rows: int) -> None:
-        """Encode `new`'s inputs, `rows` rows each, in chunks, and cache each under its key."""
-        for chunk in _chunks(list(new), rows):
-            batch = encode([new[key] for key in chunk])
-            cache.update((key, batch.take([b])) for b, key in enumerate(chunk))
-
     def score_pairs(pairs) -> None:
         """Encode the pairs' new inputs, then fuse each distinct pair, none scored yet."""
         keys: dict[tuple, None] = {}  # distinct pair keys, in order
-        new_grids: dict[tuple, np.ndarray] = {}
-        new_ids: dict[str, list[int]] = {}
+        new_texts: dict[int, dict[str, list[int]]] = {}  # token length -> new texts' ids
         for scene, text in pairs:
             key = key_of(scene, text)
             keys[key] = None
             if key[0] not in images:
-                new_grids.setdefault(key[0], scene.grid)
-            if text not in texts and text not in new_ids:
-                new_ids[text] = vocab.encode_wrapped(text)
-        encode_new(model.encode_images, images, new_grids, model.config.num_patches + 1)
-        ids_by_length: dict[int, dict[str, list[int]]] = {}
-        for text, ids in new_ids.items():
-            ids_by_length.setdefault(len(ids), {})[text] = ids
-        for length, group in ids_by_length.items():
-            encode_new(model.encode_texts, texts, group, length)
+                images[key[0]] = model.encode_image(scene.grid)
+            if text not in texts:
+                ids = vocab.encode_wrapped(text)
+                new_texts.setdefault(len(ids), {})[text] = ids
+        for length, group in new_texts.items():
+            for chunk in _chunks(list(group), length):
+                batch = model.encode_texts([group[text] for text in chunk])
+                texts.update((text, batch.take([b])) for b, text in enumerate(chunk))
         by_length: dict[int, list[tuple]] = {}  # text length -> pair keys, in order
         for key in keys:
             by_length.setdefault(texts[key[1]].visible.shape[1], []).append(key)

@@ -28,17 +28,16 @@ The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
 
-The scorer encodes in batches too: its new grids in chunks through
-`encode_images`, and its new texts in chunks of one token length through
-`encode_texts`, so no [PAD] row is encoded and each text's states equal
-those of its batch of one bit for bit.  It caches each input's encoding
+The scorer encodes each new grid on its own through `encode_image`, a
+batch of one, and its new texts in chunks of one token length through
+`encode_texts`, so no [PAD] row is encoded; it caches each text's encoding
 on its own, by `Encoded.take`.  `Encoded.stack` then joins the cached
 encodings of a chunk of pairs, texts of one sequence length, into one text
 batch and one vision batch, and one `cross_cls` and one
 `matching_probabilities` call score many pairs, a probability per row.
-`encode_image` and `encode_text` encode one input as a batch of one; the
-benchmark's tracer tags their spans by that input, so they keep its
-argument shape.
+The benchmark's tracer tags `encode_image` and `encode_text` spans by
+their one input, so both keep that argument shape; no run calls
+`encode_text` since the scorer batches its texts.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read

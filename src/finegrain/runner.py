@@ -231,10 +231,12 @@ def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
         final = run_training(config, arm_dir).checkpoint_steps[-1]
         metrics = run_eval(config, checkpoint_path(arm_dir, final), arm_dir).metrics
         metrics["svo_avg"] = float(np.mean([metrics[t] for t in ev.PAIRWISE_SUBTASKS]))
+        if config.retrieval_count == 0:  # no retrieval table: its columns read nan
+            metrics.update(dict.fromkeys(("retrieval_tr@1", "retrieval_ir@1"), np.nan))
         marks = [s in config.source_set() for s in sd.DATA_SOURCES]
         marks += [True, config.use_vma, config.use_bbox, config.use_pevl_tokens]
         rows.append([name, *("x" if on else "-" for on in marks),
-                     *(f"{metrics.get(m, np.nan):.4f}" for m in SUMMARY_METRICS)])
+                     *(f"{metrics[m]:.4f}" for m in SUMMARY_METRICS)])
     summary = out_dir / "summary.tsv"
     header = ["arm", *sd.DATA_SOURCES, "loss_A", "loss_VMA", "loss_bbox", "loss_pevl",
               *SUMMARY_METRICS]

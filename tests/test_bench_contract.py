@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from finegrain import evalharness, model, runner, synthdata
+from finegrain import evalharness, model, runner
 from finegrain.config import RunConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,22 +71,20 @@ def test_run_training_keeps_the_observed_loop_shape():
 def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
     # the tracer tags spans from positional arguments: the batch of a training
     # step, the grid of an image encode and the ids of a text encode.  Training
-    # and the eval scorer encode whole batches through encode_images and
-    # encode_texts, which are not traced, so the batch-of-one encodes the tracer
-    # names are called here directly, once each, on the trained model
+    # encodes whole batches through encode_images and encode_texts, which are not
+    # traced, so the image encode spans come from the eval scorer's per-grid
+    # calls.  The scorer encodes its texts in batches too, so nothing in a run
+    # calls encode_text; its tag is read from one direct call
     config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
                        vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
                        mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
                        caption_batch=2, detection_batch=2, eval_per_subtask=1,
                        retrieval_count=2, eval_seed=900)
-    scene = synthdata.generate_scene(config.eval_seed, 0, config.patch_grid)
     with TRACER.Tracer() as tracer:
         runner.run_training(config, tmp_path)
-        trained = model.VLModel(config, seed=config.seed)
-        model.load_checkpoint(trained, runner.checkpoint_path(tmp_path, 3),
-                              expect_hash=config.config_hash())
-        trained.encode_image(scene.grid)
-        trained.encode_text(config.vocab.encode_wrapped(synthdata.caption_of(scene).text))
+        runner.run_eval(config, runner.checkpoint_path(tmp_path, 3), tmp_path)
+        model.VLModel(config, seed=config.seed).encode_text(
+            config.vocab.encode_wrapped("a red circle"))
 
     def tags(name):
         found = [span.tag for span in tracer.spans if span.name == name]

@@ -378,29 +378,26 @@ class TestModelScorer:
             assert value == taped_score(model, scene, text), (scene.ident, text)
 
     def test_each_distinct_input_encoded_once(self, monkeypatch):
-        calls = {"encode_images": [], "encode_texts": []}  # each call's inputs
+        calls = {"encode_image": [], "encode_texts": []}  # each call's argument
         for name in calls:
-            def recorded(self, inputs, *args, _name=name, _original=getattr(VLModel, name)):
-                calls[_name].append(list(inputs))
-                return _original(self, inputs, *args)
+            def recorded(self, inputs, _name=name, _original=getattr(VLModel, name)):
+                calls[_name].append(inputs)
+                return _original(self, inputs)
             monkeypatch.setattr(VLModel, name, recorded)
-        image_rows = MICRO.num_patches + 1
         for chunk_rows, batched in itertools.product((ev.CHUNK_ROWS, 16), (False, True)):
             monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
             for made in calls.values():
                 made.clear()
             pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched)
-            grids = [g.tobytes() for call in calls["encode_images"] for g in call]
+            grids = [grid.tobytes() for grid in calls["encode_image"]]
             texts = [tuple(ids) for call in calls["encode_texts"] for ids in call]
             assert sorted(grids) == sorted({s.grid.tobytes() for s, _, _ in pairs})
             assert sorted(texts) == sorted({tuple(MICRO.vocab.encode_wrapped(t))
                                             for _, t, _ in pairs})
             # one token length per text encode, so no [PAD] row is encoded
             assert all(len(set(map(len, call))) == 1 for call in calls["encode_texts"])
-            assert max(len(call) * image_rows for call in calls["encode_images"]) <= chunk_rows
             assert max(len(call) * len(call[0]) for call in calls["encode_texts"]) <= chunk_rows
             if batched:
-                assert len(calls["encode_images"]) < len(grids)
                 assert len(calls["encode_texts"]) < len(texts)
 
     def test_manifest_scores_agree_with_per_pair_scores(self):
