@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import runner
-from .config import RunConfig, load_config
+from .config import LOSS_ARMS, RunConfig, load_config
 from .errors import DependencyError, NumericError, ValidationError
 
 EXIT_OK = 0
@@ -47,9 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     dyn_cmd.add_argument("--out", type=Path, required=True,
                          help="run directory containing checkpoints/")
 
+    arms = "; ".join(" + ".join([f"{name} = base", *(f for f, on in zip(arm._fields, arm) if on)])
+                     for name, arm in LOSS_ARMS.items())
     ablate = add("ablate", "train and evaluate one run per grid arm")
     ablate.add_argument("--grid", required=True,
                         help='arms like "full:all; A:captions; A+VMA:captions+region_descriptions". '
+                             f'Loss arms: {arms}. base is contrastive, matching and masked LM; vma '
+                             'repeats them on box-masked images; bbox regresses boxes; pevl adds '
+                             'position tokens to detection texts. '
                              f'The calibration grid "{runner.CALIBRATION_GRID}" '
                              'checks the paper\'s two findings (full >= A on relation_statement, '
                              'region descriptions >= object labels on foil_avg); run it over '

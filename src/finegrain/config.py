@@ -6,7 +6,8 @@ model keeps it, and its training step and the losses read it there.  The
 seed is mandatory (nothing falls back to wall-clock time) and the canonical
 rendering of a config, with `sources` in `DATA_SOURCES` order, is hashed
 into every artifact the run writes, so reusing a run directory or
-checkpoint with another config is a hard error.
+checkpoint with another config is a hard error.  A loss arm is one key,
+`losses`, whose value names a row of `LOSS_ARMS`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from .errors import ValidationError
 from .fileio import atomic_open
@@ -26,8 +27,24 @@ from .vocab import Vocabulary
 
 # each config section and its first key: a section holds the `RunConfig`
 # fields from its first key to the next section's, in field order
-_SECTION_STARTS = {"run": "seed", "model": "patch_grid", "ablation": "use_vma",
+_SECTION_STARTS = {"run": "seed", "model": "patch_grid", "ablation": "losses",
                    "data": "data_seed", "train": "learning_rate"}
+
+
+class LossArm(NamedTuple):
+    """What a loss arm adds to the base losses (contrastive, matching, masked LM)."""
+    vma: bool  # the same passes on box-masked images (X-VLM)
+    bbox: bool  # box regression from the matched [CLS] (X-VLM)
+    pevl: bool  # position tokens in detection texts (PEVL)
+
+
+LOSS_ARMS = {
+    "A": LossArm(vma=False, bbox=False, pevl=False),
+    "A+VMA": LossArm(vma=True, bbox=False, pevl=False),
+    "A+bbox": LossArm(vma=False, bbox=True, pevl=False),
+    "full": LossArm(vma=True, bbox=True, pevl=False),
+    "pevl": LossArm(vma=False, bbox=False, pevl=True),
+}
 
 
 @dataclass(frozen=True)
@@ -46,9 +63,7 @@ class RunConfig:
     max_len: int = 32
     pevl_bins: int = 32
     temperature_init: float = 0.07
-    use_vma: bool = True
-    use_bbox: bool = True
-    use_pevl_tokens: bool = False
+    losses: str = "full"
     sources: str = ",".join(DATA_SOURCES)
     data_seed: int = 1
     caption_count: int = 64
@@ -104,20 +119,20 @@ class RunConfig:
                 f"temperature_init must be positive and finite, got {self.temperature_init}")
         active = self.source_set()  # validates the source names
         object.__setattr__(self, "sources", ",".join(s for s in DATA_SOURCES if s in active))
-        if (self.use_vma or self.use_bbox) and not self.detection_active:
-            raise ValidationError("vma/bbox losses need a detection data source")
-        if self.use_pevl_tokens and (self.use_vma or self.use_bbox):
-            raise ValidationError("position-token runs exclude vma/bbox (separate arms)")
-        if self.use_pevl_tokens and not self.detection_active:
-            raise ValidationError("position tokens need a detection data source")
+        if self.losses not in LOSS_ARMS:
+            raise ValidationError(f"unknown loss arm ablation.losses={self.losses!r}, "
+                                  f"expected one of {', '.join(LOSS_ARMS)}")
+        if self.losses != "A" and all(DATA_SOURCES[s].kind == "caption" for s in active):
+            raise ValidationError(
+                f"the {self.losses} arm's detection losses need a detection data source")
 
     def source_set(self) -> frozenset:
         """The active data sources; unknown names or none at all are rejected."""
         return active_sources(p.strip() for p in self.sources.split(",") if p.strip())
 
     @property
-    def detection_active(self) -> bool:
-        return any(DATA_SOURCES[s].kind != "caption" for s in self.source_set())
+    def arm(self) -> LossArm:
+        return LOSS_ARMS[self.losses]
 
     @property
     def num_patches(self) -> int:
@@ -126,7 +141,7 @@ class RunConfig:
     @cached_property
     def vocab(self) -> Vocabulary:
         """The base inventory, plus the position tokens when they are in use."""
-        return Vocabulary(self.pevl_bins if self.use_pevl_tokens else None)
+        return Vocabulary(self.pevl_bins if self.arm.pevl else None)
 
     def model_config(self) -> RunConfig:
         """The config itself, which the model reads; perfbench still builds models through this."""
@@ -137,11 +152,7 @@ class RunConfig:
         lines = []
         for section, keys in _SCHEMA.items():
             lines.append(f"[{section}]")
-            for key in keys:
-                value = getattr(self, key)
-                if _TYPES[key] is bool:
-                    value = "true" if value else "false"
-                lines.append(f"{key} = {value}")
+            lines += [f"{key} = {getattr(self, key)}" for key in keys]
             lines.append("")
         return "\n".join(lines)
 
@@ -159,7 +170,7 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a `%` is a plain character
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
@@ -181,10 +192,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             raw = parser.get(section, key)
             kind = _TYPES[key]
             try:
-                if kind is bool:
-                    kwargs[key] = parser.getboolean(section, key)
-                else:
-                    kwargs[key] = kind(raw)
+                kwargs[key] = kind(raw)
             except ValueError as exc:
                 raise ValidationError(
                     f"{origin}: option {section}.{key}={raw!r} is not a valid {kind.__name__}"

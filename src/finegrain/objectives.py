@@ -269,19 +269,19 @@ def training_step(model: VLModel, batch: Batch, optimizer: SgdOptimizer,
     Returns the active terms' values by name, in `LOSS_COMPONENTS` order, and
     their tape total's value.
     """
-    config = model.config
+    arm = model.config.arm
     is_detection = batch.kind == "detection"
-    use_vma = is_detection and config.use_vma
+    vma = is_detection and arm.vma
     grids = [s.scene.grid for s in batch.samples]
-    pevl = is_detection and config.use_pevl_tokens
-    vocab = config.vocab
+    pevl = is_detection and arm.pevl
+    vocab = model.config.vocab
     ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
-    texts, text_feats, masked = encode_step_texts(model, ids, 2 if use_vma else 1, rng)
+    texts, text_feats, masked = encode_step_texts(model, ids, 2 if vma else 1, rng)
     visions = model.encode_images(grids)
     fused, terms = pass_losses(model, visions, texts, text_feats, grids, masked[0])
-    if use_vma:
+    if vma:
         terms |= vma_losses(model, texts, text_feats, batch.samples, masked[1])
-    if is_detection and config.use_bbox:
+    if is_detection and arm.bbox:
         positives = tensor.take_rows(fused, np.arange(len(ids)))
         terms["bbox"] = bbox_loss_terms(model.bbox_corners(positives),
                                         [s.bbox for s in batch.samples])

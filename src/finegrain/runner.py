@@ -28,14 +28,6 @@ from .seeding import rng_for
 
 LOSS_LOG_HEADER = ("step", "batch_kind", *LOSS_COMPONENTS, "total", "active")
 
-LOSS_ARMS = {
-    "A": dict(use_vma=False, use_bbox=False, use_pevl_tokens=False),
-    "A+VMA": dict(use_vma=True, use_bbox=False, use_pevl_tokens=False),
-    "A+bbox": dict(use_vma=False, use_bbox=True, use_pevl_tokens=False),
-    "full": dict(use_vma=True, use_bbox=True, use_pevl_tokens=False),
-    "pevl": dict(use_vma=False, use_bbox=False, use_pevl_tokens=True),
-}
-
 
 def prepare_run_dir(config: RunConfig, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
@@ -197,12 +189,9 @@ def parse_grid_spec(base: RunConfig, spec: str) -> dict[str, RunConfig]:
         if ":" not in chunk:
             raise ValidationError(f"grid arm {chunk!r} is missing ':' separator")
         loss_tag, source_field = (part.strip() for part in chunk.split(":", 1))
-        if loss_tag not in LOSS_ARMS:
-            raise ValidationError(
-                f"unknown loss arm {loss_tag!r}, expected one of {sorted(LOSS_ARMS)}")
         sources = (set(sd.DATA_SOURCES) if source_field == "all"
                    else {s.strip() for s in source_field.split("+") if s.strip()})
-        config = replace(base, sources=",".join(sources), **LOSS_ARMS[loss_tag])
+        config = replace(base, sources=",".join(sources), losses=loss_tag)
         tags = "-".join(sd.DATA_SOURCES[s].tag for s in sorted(sources))
         name = f"{loss_tag.replace('+', '_').lower()}__{tags}"
         if name in arms:
@@ -234,7 +223,7 @@ def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
         if config.retrieval_count == 0:  # no retrieval table: its columns read nan
             metrics.update(dict.fromkeys(("retrieval_tr@1", "retrieval_ir@1"), np.nan))
         marks = [s in config.source_set() for s in sd.DATA_SOURCES]
-        marks += [True, config.use_vma, config.use_bbox, config.use_pevl_tokens]
+        marks += [True, config.arm.vma, config.arm.bbox, config.arm.pevl]
         rows.append([name, *("x" if on else "-" for on in marks),
                      *(f"{metrics[m]:.4f}" for m in SUMMARY_METRICS)])
     summary = out_dir / "summary.tsv"

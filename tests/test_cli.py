@@ -19,7 +19,7 @@ from finegrain import dynamics as dyn
 from finegrain import evalharness as ev
 from finegrain import fileio, runner
 from finegrain.cli import EXIT_DEPENDENCY, EXIT_OK, EXIT_VALIDATION, main
-from finegrain.config import RunConfig, load_config, parse_config_text, save_config
+from finegrain.config import LOSS_ARMS, RunConfig, load_config, parse_config_text, save_config
 from finegrain.errors import DependencyError, ValidationError
 from finegrain.model import VLModel, save_checkpoint
 from finegrain.synthdata import DATA_SOURCES
@@ -96,7 +96,7 @@ class TestConfig:
         "seed": 5, "steps": 9, "cadence": 2, "patch_grid": 3, "hidden_dim": 12,
         "vision_layers": 2, "text_layers": 2, "cross_layers": 2, "heads": 4, "proj_dim": 6,
         "mlp_dim": 8, "max_len": 32, "pevl_bins": 16, "temperature_init": 0.1,
-        "use_vma": False, "use_bbox": False, "use_pevl_tokens": True,
+        "losses": "A",
         "sources": "captions,object_labels", "data_seed": 2, "caption_count": 7,
         "detection_scene_count": 7, "caption_batch": 3, "detection_batch": 3,
         "eval_seed": 901, "eval_per_subtask": 3, "retrieval_count": 0,
@@ -107,8 +107,7 @@ class TestConfig:
     def test_every_setting_moves_the_hash(self, key):
         # a setting missing from the rendering would let two configs share a
         # run directory and its checkpoints
-        config = tiny_config(**({"use_vma": False, "use_bbox": False}
-                                if key == "use_pevl_tokens" else {}))
+        config = tiny_config()
         other = replace(config, **{key: self.OTHER_VALUES[key]})
         assert getattr(other, key) != getattr(config, key)
         assert other.config_hash() != config.config_hash()
@@ -116,7 +115,25 @@ class TestConfig:
     def test_default_config_hash_pinned(self):
         # every run artifact embeds this hash; a change to the defaults or to
         # the rendering orphans all existing run directories and checkpoints
-        assert RunConfig(seed=7).config_hash() == "64e11e6092e1"
+        assert RunConfig(seed=7).config_hash() == "a5a24f3cee58"
+
+    @pytest.mark.parametrize("arm", list(LOSS_ARMS))
+    def test_each_loss_arm_round_trips(self, arm):
+        config = tiny_config(losses=arm)
+        text = config.render()
+        assert f"[ablation]\nlosses = {arm}\nsources = " in text
+        parsed = parse_config_text(text)
+        assert parsed == config and parsed.arm == LOSS_ARMS[arm]
+        assert parsed.config_hash() == config.config_hash()
+
+    FIVE_ARMS = "expected one of A, A+VMA, A+bbox, full, pevl"
+
+    def test_unknown_loss_arm_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape(self.FIVE_ARMS)):
+            tiny_config(losses="B")
+        text = tiny_config().render().replace("losses = full\n", "losses = B\n")
+        with pytest.raises(ValidationError, match=re.escape(self.FIVE_ARMS)):
+            parse_config_text(text)
 
     SPACES = st.sampled_from(["", " ", "  "])
 
@@ -128,8 +145,7 @@ class TestConfig:
         # must not change the config's text or hash either
         text = ",".join(f"{before}{name}{after}" for name, before, after in spelled)
         names = {name for name, _, _ in spelled}
-        canonical = tiny_config(use_vma=False, use_bbox=False,
-                                sources=",".join(s for s in DATA_SOURCES if s in names))
+        canonical = tiny_config(losses="A", sources=",".join(s for s in DATA_SOURCES if s in names))
         config = replace(canonical, sources=text)
         assert config.sources == canonical.sources
         assert config.render() == canonical.render()
@@ -142,7 +158,7 @@ class TestConfig:
         default = RunConfig(seed=7)
         reordered = RunConfig(seed=7, sources=" , ".join(reversed(list(DATA_SOURCES))))
         [full] = runner.parse_grid_spec(default, "full:all").values()
-        assert reordered.config_hash() == full.config_hash() == "64e11e6092e1"
+        assert reordered.config_hash() == full.config_hash() == "a5a24f3cee58"
 
 
 class TestRunner:
@@ -215,8 +231,8 @@ class TestRunner:
         arms = runner.parse_grid_spec(tiny_config(), "full:all; A:captions")
         assert list(arms) == ["full__attr-cap-obj-region", "a__cap"]
         full, a = arms.values()
-        assert full.use_vma and full.use_bbox and len(full.source_set()) == 4
-        assert a == replace(tiny_config(), sources="captions", **runner.LOSS_ARMS["A"])
+        assert full.losses == "full" and len(full.source_set()) == 4
+        assert a == replace(tiny_config(), sources="captions", losses="A")
         with pytest.raises(ValidationError):
             runner.parse_grid_spec(tiny_config(), "bogus:all")
         with pytest.raises(ValidationError):
@@ -453,6 +469,42 @@ class TestCli:
         assert code == EXIT_VALIDATION
         assert "detection data source" in capsys.readouterr().err
         assert not list(grid.glob("*"))
+
+    def test_ablate_unknown_loss_arm_exit_code(self, tmp_path, capsys):
+        config_path = self.write_config(tmp_path)
+        grid = tmp_path / "grid"
+        code = main(["ablate", "--config", str(config_path), "--grid", "B:captions",
+                     "--out", str(grid)])
+        assert code == EXIT_VALIDATION
+        assert TestConfig.FIVE_ARMS in capsys.readouterr().err
+        assert not grid.exists()
+
+    def test_train_into_run_dir_of_flag_config_exit_code(self, tmp_path, capsys):
+        # a run directory written when the loss arm was three flags no longer parses
+        config_path = self.write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
+        flags = "use_vma = true\nuse_bbox = true\nuse_pevl_tokens = false\n"
+        copy = run_dir / "config.ini"
+        copy.write_text(copy.read_text().replace("losses = full\n", flags))
+        before = {p: p.read_bytes() if p.is_file() else None for p in run_dir.rglob("*")}
+        code = main(["train", "--config", str(config_path), "--out", str(run_dir)])
+        assert code == EXIT_VALIDATION
+        assert "unknown option(s)" in capsys.readouterr().err
+        assert {p: p.read_bytes() if p.is_file() else None for p in run_dir.rglob("*")} == before
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("sources", "captions%x", "unknown data sources ['captions%x']"),
+        ("steps", "%(seed)s", "option run.steps='%(seed)s' is not a valid int"),
+    ], ids=["sources", "steps"])
+    def test_percent_in_config_is_literal(self, tmp_path, capsys, key, value, message):
+        # a `%` is neither interpolation syntax nor a reference to another key
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_ablate_arm_named_twice_exit_code(self, tmp_path, capsys):
         config_path = self.write_config(tmp_path)

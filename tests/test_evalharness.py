@@ -19,7 +19,7 @@ from finegrain.seeding import rng_for
 
 MICRO = RunConfig(seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
                   cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-                  use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07)
+                  losses="full", pevl_bins=32, temperature_init=0.07)
 
 
 def quad(s00, s01, s10, s11):

@@ -27,14 +27,12 @@ from gradcheck import check_gradients
 
 
 def micro_config(**overrides):
-    """A micro-size run config; a position-token config turns VMA and bbox off."""
+    """A micro-size run config, on the full arm unless `overrides` name another."""
     base = dict(
         seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-        use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07,
+        losses="full", pevl_bins=32, temperature_init=0.07,
     )
-    if overrides.get("use_pevl_tokens"):
-        base.update(use_vma=False, use_bbox=False)
     base.update(overrides)
     return RunConfig(**base)
 
@@ -65,16 +63,16 @@ class TestConfig:
 
     def test_pevl_vocab_adds_bins_plus_delimiters(self):
         plain = micro_config()
-        pevl = micro_config(use_pevl_tokens=True, pevl_bins=32)
+        pevl = micro_config(losses="pevl", pevl_bins=32)
         assert len(pevl.vocab) == len(plain.vocab) + 32 + 2
 
     def test_replace_into_a_pevl_arm_gives_that_arms_vocab(self):
         # the vocabulary is cached per config; a replaced config derives its own
         plain = micro_config()
         base_size = len(plain.vocab)
-        pevl = replace(plain, use_vma=False, use_bbox=False, use_pevl_tokens=True, pevl_bins=16)
+        pevl = replace(plain, losses="pevl", pevl_bins=16)
         assert len(pevl.vocab) == base_size + 16 + 2
-        assert len(replace(pevl, use_pevl_tokens=False).vocab) == base_size
+        assert len(replace(pevl, losses="full").vocab) == base_size
         assert len(plain.vocab) == base_size
 
     def test_param_count_pure_function_of_config(self):
@@ -489,7 +487,7 @@ class TestPositionTokens:
                 assert index / bins <= coord <= (index + 1) / bins
 
     def test_model_enforces_max_len_after_insertion(self):
-        cfg = micro_config(use_pevl_tokens=True, max_len=8)
+        cfg = micro_config(losses="pevl", max_len=8)
         model = VLModel(cfg, seed=1)
         scene = sd.generate_scene(1, 0, grid_size=cfg.patch_grid)
         sample = sd.DetectionSample(scene, "object_label", "a red circle", FULL_IMAGE, 3)

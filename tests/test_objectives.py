@@ -9,10 +9,9 @@ import pytest
 from finegrain import objectives as obj
 from finegrain import synthdata as sd
 from finegrain import tensor
-from finegrain.config import RunConfig
+from finegrain.config import LOSS_ARMS, RunConfig
 from finegrain.errors import NumericError, ValidationError
 from finegrain.model import VLModel
-from finegrain.runner import LOSS_ARMS
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
 
@@ -20,23 +19,19 @@ from gradcheck import check_gradients
 
 
 def micro_config(**overrides):
-    """A micro-size run config; a position-token config turns VMA and bbox off."""
+    """A micro-size run config, on the full arm unless `overrides` name another."""
     base = dict(
         seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
         cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-        use_pevl_tokens=False, pevl_bins=32, temperature_init=0.07,
+        losses="full", pevl_bins=32, temperature_init=0.07,
     )
-    if overrides.get("use_pevl_tokens"):
-        base.update(use_vma=False, use_bbox=False)
     base.update(overrides)
     return RunConfig(**base)
 
 
-def ablation(**flags):
-    """A run config with the full arm on every source (the defaults), with `flags` overriding."""
-    if "sources" in flags:
-        flags["sources"] = ",".join(flags["sources"])
-    return RunConfig(seed=0, **flags)
+def ablation(losses="full", sources=tuple(sd.DATA_SOURCES)):
+    """A run config with the `losses` arm on the `sources` set (the defaults: full on all)."""
+    return RunConfig(seed=0, losses=losses, sources=",".join(sources))
 
 
 def micro_model(seed=5, **overrides):
@@ -417,23 +412,18 @@ class TestAblationConfig:
 
     def test_vma_needs_detection_source(self):
         with pytest.raises(ValidationError, match="need a detection data source"):
-            ablation(use_vma=True, use_bbox=False, sources=frozenset({"captions"}))
-
-    def test_pevl_excludes_vma_and_bbox(self):
-        with pytest.raises(ValidationError, match="exclude vma/bbox"):
-            ablation(use_vma=True, use_bbox=False, use_pevl_tokens=True)
+            ablation("A+VMA", sources=frozenset({"captions"}))
 
     def test_valid_arms(self):
-        ablation(use_vma=False, use_bbox=False, sources=frozenset({"captions"}))
-        ablation(use_vma=False, use_bbox=False, use_pevl_tokens=True,
-                 sources=frozenset({"captions", "region_descriptions"}))
+        ablation("A", sources=frozenset({"captions"}))
+        ablation("pevl", sources=frozenset({"captions", "region_descriptions"}))
 
 
 class TestPositionTokenIds:
     def test_default_detection_stream_pinned(self):
         # every position-token id of the default detection stream: a change to how a
         # box is quantized or inserted changes this digest
-        config = RunConfig(seed=7, use_vma=False, use_bbox=False, use_pevl_tokens=True)
+        config = RunConfig(seed=7, losses="pevl")
         model = VLModel(config.model_config(), seed=0)
         kinds = ("object_label", "attribute_label", "region_description")
         stream = sd.detection_stream(config.data_seed, config.detection_scene_count, kinds,
@@ -448,7 +438,7 @@ class TestPositionTokenIds:
 
 class TestTrainingStep:
     def test_caption_batch_composition(self):
-        model = micro_model(seed=23, use_vma=False, use_bbox=False, sources="captions")
+        model = micro_model(seed=23, losses="A", sources="captions")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         values, total = obj.training_step(model, caption_batch(model), optimizer,
                                           rng_for(1, "step"))
@@ -465,7 +455,7 @@ class TestTrainingStep:
         assert total == pytest.approx(sum(values.values()), abs=1e-9)
 
     def test_pevl_detection_batch(self):
-        model = micro_model(seed=27, use_pevl_tokens=True, max_len=32,
+        model = micro_model(seed=27, losses="pevl", max_len=32,
                             sources="captions,object_labels")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         batch = detection_batch(model, kind="object_label")
@@ -576,11 +566,7 @@ class TestTrainingStep:
 
     @pytest.mark.parametrize("arm", sorted(LOSS_ARMS))
     def test_repeated_batch_decreases_total_quickly(self, arm):
-        flags = LOSS_ARMS[arm]
-        if flags["use_pevl_tokens"]:
-            model = micro_model(seed=29, max_len=32, **flags)
-        else:
-            model = micro_model(seed=29, **flags)
+        model = micro_model(seed=29, losses=arm, max_len=32 if LOSS_ARMS[arm].pevl else 24)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-2, clip_norm=1.0)
         if arm == "A":
             batch = caption_batch(model)
@@ -643,11 +629,11 @@ def per_role_step(model, batch, config, rng):
         return positives
 
     positives = one_pass("", model.encode_images(grids))
-    if batch.kind == "detection" and config.use_vma:
+    if batch.kind == "detection" and config.arm.vma:
         masks = [obj.visual_mask_from_bbox(s.bbox, model.config.patch_grid)
                  for s in batch.samples]
         one_pass("vma_", model.encode_images(grids, masks))
-    if batch.kind == "detection" and config.use_bbox:
+    if batch.kind == "detection" and config.arm.bbox:
         terms["bbox"] = obj.bbox_loss_terms(model.bbox_corners(positives),
                                             [s.bbox for s in batch.samples]).item()
     return terms, copies
