@@ -5,7 +5,8 @@ fresh directory reproduces the output tree byte for byte.  Run directory
 layout is fixed: config.ini copy, checkpoints/, logs/, reports/.
 
 An ablation grid is {arm directory name: RunConfig} in grid order; every
-arm's config and directory is checked before the first arm trains.
+arm's config, schedule and directory is checked before the first arm trains.
+`train` and `eval` claim their run directory only after their inputs pass.
 """
 
 from __future__ import annotations
@@ -74,22 +75,21 @@ class TrainResult:
     loss_log: Path
 
 
+def training_batches(config: RunConfig) -> list[sd.Batch]:
+    """The config's batch schedule; one the losses cannot train on is rejected."""
+    return sd.sampler_for_sources(
+        config.data_seed, sorted(config.source_set()), config.steps, config.caption_count,
+        config.detection_scene_count, config.caption_batch, config.detection_batch,
+        config.patch_grid)
+
+
 def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
+    batches = training_batches(config)  # before the run directory is claimed
     out_dir = prepare_run_dir(config, out_dir)
     chash = config.config_hash()
     model = VLModel(config, seed=config.seed)
     optimizer = SgdOptimizer(model.parameters(), lr=config.learning_rate,
                              clip_norm=config.clip_norm)
-    batches = sd.sampler_for_sources(
-        seed=config.data_seed,
-        sources=sorted(config.source_set()),
-        steps=config.steps,
-        caption_count=config.caption_count,
-        detection_scene_count=config.detection_scene_count,
-        caption_batch=config.caption_batch,
-        detection_batch=config.detection_batch,
-        grid_size=config.patch_grid,
-    )
     log_path = out_dir / "logs" / "losses.tsv"
     steps_saved = []
     with open(log_path, "w", encoding="utf-8") as log:
@@ -122,8 +122,8 @@ def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
 
 def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
              manifest: dict | None = None) -> ev.EvalReport:
+    model, step = _load_model_at(config, ckpt)  # before the run directory is claimed
     out_dir = prepare_run_dir(config, out_dir)
-    model, step = _load_model_at(config, ckpt)
     if manifest is None:
         manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
                                        config.patch_grid, config.retrieval_count)
@@ -212,6 +212,8 @@ SUMMARY_METRICS = (
 def run_ablation(base: RunConfig, grid_spec: str, out_dir: Path) -> Path:
     arms = parse_grid_spec(base, grid_spec)
     out_dir = Path(out_dir)
+    for config in arms.values():
+        training_batches(config)
     for name, config in arms.items():
         prepare_run_dir(config, out_dir / name)
     rows = []

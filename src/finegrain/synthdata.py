@@ -343,18 +343,9 @@ class Batch:
     samples: tuple
 
 
-def caption_stream(seed: int, count: int, grid_size: int) -> list[CaptionSample]:
-    return [caption_of(generate_scene(seed, i, grid_size)) for i in range(count)]
-
-
-def detection_stream(
-    seed: int, scene_count: int, kinds: Sequence[str], grid_size: int
-) -> list[DetectionSample]:
+def detection_stream(scenes: Sequence[Scene], kinds: Sequence[str]) -> list[DetectionSample]:
     wanted = set(kinds)
-    per_scene = []
-    for i in range(scene_count):
-        scene = generate_scene(seed, i, grid_size)
-        per_scene.append([s for s in detections_of(scene) if s.kind in wanted])
+    per_scene = [[s for s in detections_of(scene) if s.kind in wanted] for scene in scenes]
     # round-robin across scenes so consecutive batch windows mix images
     out = []
     for column in range(max((len(group) for group in per_scene), default=0)):
@@ -400,21 +391,26 @@ def sampler_for_sources(
 ) -> list[Batch]:
     """Build streams for the active data sources and schedule the batches.
 
-    Without captions every step is a detection step.  The training step
-    and its losses rely on three guarantees and check none of them: caption
-    batches appear only with captions active and hold only caption samples;
-    detection batches hold only detection samples of active kinds; every
-    batch shows at least two distinct images, so each has a matching negative.
-    A schedule that breaks the last is rejected, and so is an active source
-    whose stream holds no sample of its kind.
+    Captions and detections are read from one list of scenes, each generated
+    once: detection scene i is caption scene i.  Without captions every step
+    is a detection step.  The training step and its losses rely on three
+    guarantees and check none of them: caption batches appear only with
+    captions active and hold only caption samples; detection batches hold
+    only detection samples of active kinds; every batch shows at least two
+    distinct images, so each has a matching negative.  A schedule that breaks
+    the last is rejected, and so is an active source whose stream holds no
+    sample of its kind.
     """
     active = active_sources(sources)
     kinds = [s.kind for name, s in DATA_SOURCES.items()
              if name in active and s.kind != "caption"]
-    captions = caption_stream(seed, caption_count, grid_size) if "captions" in active else []
-    detections = (
-        detection_stream(seed, detection_scene_count, kinds, grid_size) if kinds else []
-    )
+    # an inactive stream, or a count below zero, takes no scene
+    caption_count = max(caption_count, 0) if "captions" in active else 0
+    detection_scene_count = max(detection_scene_count, 0) if kinds else 0
+    scenes = [generate_scene(seed, i, grid_size)
+              for i in range(max(caption_count, detection_scene_count))]
+    captions = [caption_of(scene) for scene in scenes[:caption_count]]
+    detections = detection_stream(scenes[:detection_scene_count], kinds)
     present = {s.kind for s in detections} | ({"caption"} if captions else set())
     for name, source in DATA_SOURCES.items():
         if name in active and source.kind not in present:

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from finegrain import evalharness, model, runner
-from finegrain.config import RunConfig
+
+from support import micro_config, tiny_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -75,11 +76,7 @@ def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
     # traced, so the image encode spans come from the eval scorer's per-grid
     # calls.  The scorer encodes its texts in batches too, so nothing in a run
     # calls encode_text; its tag is read from one direct call
-    config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
-                       vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
-                       mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
-                       caption_batch=2, detection_batch=2, eval_per_subtask=1,
-                       retrieval_count=2, eval_seed=900)
+    config = tiny_config(steps=3, eval_per_subtask=1, retrieval_count=2)
     with TRACER.Tracer() as tracer:
         runner.run_training(config, tmp_path)
         runner.run_eval(config, runner.checkpoint_path(tmp_path, 3), tmp_path)
@@ -100,10 +97,7 @@ def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
 def test_eval_calls_keep_the_benchmark_shapes(tmp_path):
     # the score audit calls run_benchmark with a recording scorer and counts one
     # call per pair; retrieval_dense times run_eval on a retrieval-only manifest
-    config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
-                       vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
-                       mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
-                       caption_batch=2, detection_batch=2, eval_seed=900)
+    config = tiny_config(steps=3, eval_per_subtask=20, retrieval_count=8)  # the default eval
     runner.run_training(config, tmp_path)
     ckpt = runner.checkpoint_path(tmp_path, 3)
     scored_model = model.VLModel(config.model_config(), seed=config.seed)
@@ -138,11 +132,7 @@ def test_audit_scores_pair_by_pair_what_run_eval_scores_in_batches(tmp_path, eva
     # score audit re-scores each pair alone, through a recording wrapper around
     # model_scorer(model).  Its digests stand for run_eval's scores only while
     # the two agree, to the last two bits of a score in [0.5, 1)
-    config = RunConfig(seed=4, steps=3, cadence=3, patch_grid=2, hidden_dim=8,
-                       vision_layers=1, text_layers=1, cross_layers=1, heads=2, proj_dim=4,
-                       mlp_dim=16, max_len=24, caption_count=6, detection_scene_count=6,
-                       caption_batch=2, detection_batch=2, eval_per_subtask=3,
-                       retrieval_count=4, eval_seed=eval_seed)
+    config = tiny_config(steps=3, eval_per_subtask=3, retrieval_count=4, eval_seed=eval_seed)
     runner.run_training(config, tmp_path)
     ckpt = runner.checkpoint_path(tmp_path, 3)
     report = runner.run_eval(config, ckpt, tmp_path)
@@ -168,8 +158,7 @@ def test_audit_scores_pair_by_pair_what_run_eval_scores_in_batches(tmp_path, eva
 
 
 def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
-    config = RunConfig(seed=4, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                       cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24)
+    config = micro_config(seed=4)
     cfg = config.model_config()
     path = tmp_path / "step.ckpt"
     model.save_checkpoint(model.VLModel(cfg, seed=1), path, config.config_hash())

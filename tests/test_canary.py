@@ -52,7 +52,8 @@ def test_micro_model_learns_to_match_its_captions(tmp_path):
     runner.run_training(CANARY, tmp_path)
     model = VLModel(CANARY, seed=CANARY.seed)
     load_checkpoint(model, runner.checkpoint_path(tmp_path, CANARY.steps), CANARY.config_hash())
-    samples = sd.caption_stream(CANARY.data_seed, CANARY.caption_count, CANARY.patch_grid)
+    samples = [sd.caption_of(sd.generate_scene(CANARY.data_seed, i, CANARY.patch_grid))
+               for i in range(CANARY.caption_count)]
     itm_hits, itc_hits = text_to_image_hits(model, samples)
     assert itm_hits >= ITM_MIN_HITS, f"ITM text->image R@1 {itm_hits}/16"
     assert itc_hits >= ITC_MIN_HITS, f"ITC text->image R@1 {itc_hits}/16"

@@ -16,10 +16,9 @@ from finegrain.errors import EmptyInputError, ValidationError
 from finegrain.model import VLModel
 from finegrain.seeding import rng_for
 
+from support import micro_config
 
-MICRO = RunConfig(seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-                  cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-                  losses="full", pevl_bins=32, temperature_init=0.07)
+MICRO = micro_config()
 
 
 def quad(s00, s01, s10, s11):

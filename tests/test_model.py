@@ -11,7 +11,6 @@ from finegrain import model as fg_model
 from finegrain import objectives as obj
 from finegrain import synthdata as sd
 from finegrain import tensor
-from finegrain.config import RunConfig
 from finegrain.errors import (
     DegenerateMaskError,
     DependencyError,
@@ -24,20 +23,7 @@ from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
 
 from gradcheck import check_gradients
-
-
-def micro_config(**overrides):
-    """A micro-size run config, on the full arm unless `overrides` name another."""
-    base = dict(
-        seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-        cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-        losses="full", pevl_bins=32, temperature_init=0.07,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
-
-
-FULL_IMAGE = sd.BBox(0.0, 0.0, 1.0, 1.0)
+from support import FULL_IMAGE, micro_config
 
 
 @pytest.fixture

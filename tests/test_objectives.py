@@ -16,17 +16,7 @@ from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
 
 from gradcheck import check_gradients
-
-
-def micro_config(**overrides):
-    """A micro-size run config, on the full arm unless `overrides` name another."""
-    base = dict(
-        seed=0, patch_grid=2, hidden_dim=8, vision_layers=1, text_layers=1,
-        cross_layers=1, heads=2, proj_dim=4, mlp_dim=16, max_len=24,
-        losses="full", pevl_bins=32, temperature_init=0.07,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+from support import FULL_IMAGE, micro_config
 
 
 def ablation(losses="full", sources=tuple(sd.DATA_SOURCES)):
@@ -36,9 +26,6 @@ def ablation(losses="full", sources=tuple(sd.DATA_SOURCES)):
 
 def micro_model(seed=5, **overrides):
     return VLModel(micro_config(**overrides), seed=seed)
-
-
-FULL_IMAGE = sd.BBox(0.0, 0.0, 1.0, 1.0)
 
 
 def single_box_loss(predicted: sd.BBox, target: sd.BBox) -> float:
@@ -426,8 +413,9 @@ class TestPositionTokenIds:
         config = RunConfig(seed=7, losses="pevl")
         model = VLModel(config.model_config(), seed=0)
         kinds = ("object_label", "attribute_label", "region_description")
-        stream = sd.detection_stream(config.data_seed, config.detection_scene_count, kinds,
-                                     config.patch_grid)
+        scenes = [sd.generate_scene(config.data_seed, i, config.patch_grid)
+                  for i in range(config.detection_scene_count)]
+        stream = sd.detection_stream(scenes, kinds)
         ids = [obj._pevl_ids(model, s) for s in stream]
         text = "\n".join(" ".join(str(i) for i in row) for row in ids)
         assert {s.kind for s in stream} == set(kinds)

@@ -12,10 +12,16 @@ from finegrain.errors import FoilCapabilityError, ValidationError
 from finegrain.runner import CALIBRATION_GRID, parse_grid_spec
 
 DETECTION_KINDS = ("object_label", "attribute_label", "region_description")
+DETECTION_SOURCES = tuple(name for name in sd.DATA_SOURCES if name != "captions")
 # each single source, then each calibration arm's sources (the A arm's are "captions" alone)
 SOURCE_SETS = list(dict.fromkeys([(name,) for name in sd.DATA_SOURCES] + [
     tuple(sorted(config.source_set()))
     for config in parse_grid_spec(RunConfig(seed=0), CALIBRATION_GRID).values()]))
+
+
+def scenes_of(seed, count, grid_size=4):
+    """Scenes 0 to count - 1 of a seed, as the sampler generates them."""
+    return [sd.generate_scene(seed, i, grid_size) for i in range(count)]
 
 
 def scene_with(*objects, grid_size=4):
@@ -237,22 +243,25 @@ class TestFoils:
 
 class TestSampler:
     def test_pattern_c_c_d(self):
-        captions = sd.caption_stream(1, 4, 4)
-        detections = sd.detection_stream(1, 4, DETECTION_KINDS, 4)
+        scenes = scenes_of(1, 4)
+        captions = [sd.caption_of(scene) for scene in scenes]
+        detections = sd.detection_stream(scenes, DETECTION_KINDS)
         batches = sd.interleaved_sampler(captions, detections, 6, 2, 2)
         assert [b.kind for b in batches] == [
             "caption", "caption", "detection", "caption", "caption", "detection",
         ]
 
     def test_3000_steps_split_2000_1000(self):
-        captions = sd.caption_stream(1, 4, 4)
-        detections = sd.detection_stream(1, 4, DETECTION_KINDS, 4)
+        scenes = scenes_of(1, 4)
+        captions = [sd.caption_of(scene) for scene in scenes]
+        detections = sd.detection_stream(scenes, DETECTION_KINDS)
         kinds = [b.kind for b in sd.interleaved_sampler(captions, detections, 3000, 2, 2)]
         assert kinds.count("caption") == 2000
         assert kinds.count("detection") == 1000
 
     def test_pure_caption_schedule(self):
-        batches = sd.interleaved_sampler(sd.caption_stream(1, 4, 4), [], 30, 2, 2)
+        captions = [sd.caption_of(scene) for scene in scenes_of(1, 4)]
+        batches = sd.interleaved_sampler(captions, [], 30, 2, 2)
         assert [b.kind for b in batches] == ["caption"] * 30
 
     def test_detection_requested_but_empty_stream(self):
@@ -302,7 +311,7 @@ class TestSampler:
             caption_count=6, detection_scene_count=3, caption_batch=2, detection_batch=3,
             grid_size=4,
         )
-        detections = sd.detection_stream(7, 3, kinds, 4)
+        detections = sd.detection_stream(scenes_of(7, 3), kinds)
         assert [b.kind for b in batches] == ["detection"] * 10
 
         def key(s):  # scenes compare by identity, so compare their content
@@ -313,6 +322,26 @@ class TestSampler:
             # the cursor advances by detection_batch and wraps around the stream
             expected = [detections[(step * 3 + j) % len(detections)] for j in range(3)]
             assert [key(s) for s in batch.samples] == [key(s) for s in expected]
+
+    def test_each_scene_generated_once(self, monkeypatch):
+        # captions and detections read one list of scenes: scene i is generated
+        # once, for both streams, up to the larger active count
+        calls = []
+        generate = sd.generate_scene
+
+        def recorded(seed, index, grid_size):
+            calls.append(index)
+            return generate(seed, index, grid_size)
+
+        monkeypatch.setattr(sd, "generate_scene", recorded)
+        for sources, generated in [(tuple(sd.DATA_SOURCES), 6), (("captions",), 6),
+                                   (DETECTION_SOURCES, 4)]:
+            calls.clear()
+            sd.sampler_for_sources(
+                seed=1, sources=sources, steps=12, caption_count=6, detection_scene_count=4,
+                caption_batch=2, detection_batch=2, grid_size=4,
+            )
+            assert sorted(calls) == list(range(generated)), sources
 
     def test_sampler_rejects_unknown_or_no_sources(self):
         for sources in ((), ("captions", "nonsense")):
