@@ -1,13 +1,17 @@
 """Run configuration: plain key=value sections, lossless round-trip, hashing.
 
-`RunConfig` is the one table of settings: each setting and its default is
-declared there once, and its type is read from the field annotation.  The
-model keeps it, and its training step and the losses read it there.  The
-seed is mandatory (nothing falls back to wall-clock time) and the canonical
-rendering of a config, with `sources` in `DATA_SOURCES` order, is hashed
-into every artifact the run writes, so reusing a run directory or
-checkpoint with another config is a hard error.  A loss arm is one key,
-`losses`, whose value names a row of `LOSS_ARMS`.
+`RunConfig` is the one table of settings: each setting's default is
+declared there once, its type is read from the field annotation, and each
+numeric setting's lowest value is declared once, in `LOWEST_VALUES`.  What
+no run varies is a constant, not a setting: PEVL's position-bin count is
+`vocab.POSITION_BINS` and the initial contrastive temperature is
+`model.TEMPERATURE_INIT`.  The model keeps the config, and its training
+step and the losses read it there.  The seed is mandatory (nothing falls
+back to wall-clock time) and the canonical rendering of a config, with
+`sources` in `DATA_SOURCES` order, is hashed into every artifact the run
+writes, so reusing a run directory or checkpoint with another config is a
+hard error.  A loss arm is one key, `losses`, whose value names a row of
+`LOSS_ARMS`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import NamedTuple, get_type_hints
 
 from .errors import ValidationError
 from .fileio import atomic_open
-from .synthdata import DATA_SOURCES, active_sources
+from .synthdata import DATA_SOURCES
 from .vocab import Vocabulary
 
 # each config section and its first key: a section holds the `RunConfig`
@@ -46,6 +50,24 @@ LOSS_ARMS = {
     "pevl": LossArm(vma=False, bbox=False, pevl=True),
 }
 
+# each numeric setting's lowest value; `learning_rate` has its own rule (> 0)
+LOWEST_VALUES = {
+    # numpy rejects a negative seed
+    "seed": 0, "data_seed": 0, "eval_seed": 0,
+    "steps": 1, "cadence": 1,
+    # a 1x1 grid holds one object, so no scene supports the two-object subtasks
+    "patch_grid": 2,
+    "hidden_dim": 1, "vision_layers": 1, "text_layers": 1, "cross_layers": 1, "heads": 1,
+    "proj_dim": 1, "mlp_dim": 1, "max_len": 1,
+    "caption_count": 0, "detection_scene_count": 0,
+    # the losses need in-batch negatives
+    "caption_batch": 2, "detection_batch": 2,
+    "eval_per_subtask": 1,
+    "retrieval_count": 0,  # 0 means no retrieval table
+    # a negative clip norm flips the update's sign; 0 turns clipping off
+    "clip_norm": 0,
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,8 +83,6 @@ class RunConfig:
     proj_dim: int = 32
     mlp_dim: int = 128
     max_len: int = 32
-    pevl_bins: int = 32
-    temperature_init: float = 0.07
     losses: str = "full"
     sources: str = ",".join(DATA_SOURCES)
     data_seed: int = 1
@@ -77,46 +97,23 @@ class RunConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        for key in ("seed", "data_seed", "eval_seed"):  # numpy rejects a negative seed
-            if getattr(self, key) < 0:
-                raise ValidationError(f"{key} must be at least 0, got {getattr(self, key)}")
-        if self.steps <= 0 or self.cadence <= 0:
-            raise ValidationError("run.steps and run.cadence must be positive")
-        if self.steps % self.cadence != 0:
-            raise ValidationError(
-                f"run.cadence {self.cadence} must divide run.steps {self.steps}")
-        if self.caption_batch < 2 or self.detection_batch < 2:
-            raise ValidationError("data.caption_batch and data.detection_batch must be "
-                                  "at least 2: the losses need in-batch negatives")
-        # a 1x1 grid holds one object, so no scene supports the two-object subtasks
-        if self.patch_grid < 2:
-            raise ValidationError(
-                f"model.patch_grid must be at least 2, got {self.patch_grid}")
-        if self.eval_per_subtask < 1:
-            raise ValidationError("data.eval_per_subtask must be at least 1")
-        # 0 means no retrieval table
-        if self.retrieval_count < 0:
-            raise ValidationError(
-                f"data.retrieval_count must be at least 0, got {self.retrieval_count}")
+        # first: the rules below divide by cadence and heads
+        for key, lowest in LOWEST_VALUES.items():
+            value = getattr(self, key)
+            if _TYPES[key] is float and not math.isfinite(value):
+                raise ValidationError(f"{_SECTION_OF[key]}.{key} must be finite, got {value}")
+            if value < lowest:
+                raise ValidationError(
+                    f"{_SECTION_OF[key]}.{key} must be at least {lowest}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
                 f"train.learning_rate must be positive and finite, got {self.learning_rate}")
-        # a negative clip norm flips the update's sign; 0 turns clipping off
-        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+        if self.steps % self.cadence != 0:
             raise ValidationError(
-                f"train.clip_norm must be finite and at least 0, got {self.clip_norm}")
-        for name in ("hidden_dim", "heads", "proj_dim", "mlp_dim", "max_len",
-                     "vision_layers", "text_layers", "cross_layers"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.pevl_bins < 2:
-            raise ValidationError(f"pevl_bins must be at least 2, got {self.pevl_bins}")
+                f"run.cadence {self.cadence} must divide run.steps {self.steps}")
         if self.hidden_dim % self.heads != 0:
             raise ValidationError(
-                f"hidden_dim {self.hidden_dim} not divisible by heads {self.heads}")
-        if not (math.isfinite(self.temperature_init) and self.temperature_init > 0):
-            raise ValidationError(
-                f"temperature_init must be positive and finite, got {self.temperature_init}")
+                f"model.heads {self.heads} must divide model.hidden_dim {self.hidden_dim}")
         active = self.source_set()  # validates the source names
         object.__setattr__(self, "sources", ",".join(s for s in DATA_SOURCES if s in active))
         if self.losses not in LOSS_ARMS:
@@ -128,7 +125,13 @@ class RunConfig:
 
     def source_set(self) -> frozenset:
         """The active data sources; unknown names or none at all are rejected."""
-        return active_sources(p.strip() for p in self.sources.split(",") if p.strip())
+        active = frozenset(p.strip() for p in self.sources.split(",") if p.strip())
+        unknown = active - DATA_SOURCES.keys()
+        if unknown:
+            raise ValidationError(f"unknown data sources {sorted(unknown)}")
+        if not active:
+            raise ValidationError("at least one data source must be active")
+        return active
 
     @property
     def arm(self) -> LossArm:
@@ -141,7 +144,7 @@ class RunConfig:
     @cached_property
     def vocab(self) -> Vocabulary:
         """The base inventory, plus the position tokens when they are in use."""
-        return Vocabulary(self.pevl_bins if self.arm.pevl else None)
+        return Vocabulary(position_tokens=self.arm.pevl)
 
     def model_config(self) -> RunConfig:
         """The config itself, which the model reads; perfbench still builds models through this."""
@@ -167,6 +170,7 @@ _STARTS = [_KEYS.index(key) for key in _SECTION_STARTS.values()] + [len(_KEYS)]
 _SCHEMA: dict[str, tuple[str, ...]] = {
     section: tuple(_KEYS[start:end])
     for section, start, end in zip(_SECTION_STARTS, _STARTS, _STARTS[1:])}
+_SECTION_OF = {key: section for section, keys in _SCHEMA.items() for key in keys}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:

@@ -6,7 +6,7 @@ encoder returns its mask with its states, as an `Encoded`, and `fuse`
 reads both masks from its arguments: patch visibility enters the model
 only at `encode_images`, and the pad rule lives only in `encode_texts`.
 A model keeps the run's `RunConfig` as `config`: its sizes and vocabulary
-come from there, and the training step reads the loss flags there too.
+come from there, and the training step reads its loss arm there too.
 
 Every encoding holds a batch.  Its states stay one 2-D tape tensor of
 stacked rows, (batch * seq, width), sample b owning rows b * seq onward,
@@ -28,16 +28,9 @@ The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
 
-The scorer encodes each new grid on its own through `encode_image`, a
-batch of one, and its new texts in chunks of one token length through
-`encode_texts`, so no [PAD] row is encoded; it caches each text's encoding
-on its own, by `Encoded.take`.  `Encoded.stack` then joins the cached
-encodings of a chunk of pairs, texts of one sequence length, into one text
-batch and one vision batch, and one `cross_cls` and one
-`matching_probabilities` call score many pairs, a probability per row.
-The benchmark's tracer tags `encode_image` and `encode_text` spans by
-their one input, so both keep that argument shape; no run calls
-`encode_text` since the scorer batches its texts.
+How the scorer batches its encodes and fuses is told in
+`evalharness.model_scorer`; `encode_image` and `encode_text`, batches of
+one, stay because the benchmark's tracer wraps them.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
@@ -71,6 +64,8 @@ from .vocab import POS_CLOSE, POS_OPEN
 
 CHECKPOINT_MAGIC = "finegrain-checkpoint"
 CHECKPOINT_VERSION = "v2"
+# the contrastive temperature's initial value, as in CLIP, ALBEF and X-VLM
+TEMPERATURE_INIT = 0.07
 
 
 class Encoded(NamedTuple):
@@ -184,7 +179,7 @@ class VLModel:
     def __init__(self, config: RunConfig, seed: int = 0):
         self.config = config
         rng = rng_for(seed, "model-init")
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Tensor] = {}  # in `param_shapes` order, as checkpoints are
         for name, shape, kind in param_shapes(config):
             if kind == "linear":
                 values = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
@@ -197,7 +192,7 @@ class VLModel:
             elif kind == "ones":
                 values = np.ones(shape)
             elif kind == "tau":
-                values = np.full(shape, np.log(config.temperature_init))
+                values = np.full(shape, np.log(TEMPERATURE_INIT))
             else:
                 values = np.zeros(shape)
             self.params[name] = Tensor(values, requires_grad=True)
@@ -205,7 +200,7 @@ class VLModel:
     # -- plumbing -------------------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
-        return [self.params[name] for name, _, _ in param_shapes(self.config)]
+        return list(self.params.values())
 
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])
@@ -403,8 +398,8 @@ def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
     """
     with atomic_open(path) as fh:
         fh.write(f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION} {config_hash}\n")
-        for name, _, _ in param_shapes(model.config):
-            arr = model.params[name].array
+        for name, param in model.params.items():
+            arr = param.array
             shape = ",".join(str(n) for n in arr.shape)
             payload = base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
             fh.write(f"{name}\t{shape}\t{payload}\n")

@@ -45,6 +45,7 @@ from .errors import NumericError
 from .model import Encoded, VLModel, position_token_insert
 from .synthdata import Batch, BBox, DetectionSample, patches_touching
 from .tensor import Tensor
+from .vocab import POSITION_BINS
 
 LOSS_COMPONENTS = ("cl", "itm", "mlm", "vma_cl", "vma_itm", "vma_mlm", "bbox")
 
@@ -216,10 +217,9 @@ def bbox_loss_terms(pred_corners: Tensor, targets: Sequence[BBox]) -> Tensor:
 
 
 def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
-    cfg = model.config
-    tokens = position_token_insert(sample.text.split(), sample.bbox, cfg.pevl_bins,
+    tokens = position_token_insert(sample.text.split(), sample.bbox, POSITION_BINS,
                                    sample.entity_span_end)
-    return cfg.vocab.encode_wrapped(tokens)
+    return model.config.vocab.encode_wrapped(tokens)
 
 
 def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,

@@ -12,7 +12,7 @@ pure function of (seed, index).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,17 +40,6 @@ DATA_SOURCES = {
     "attribute_labels": DataSource("attribute_label", "attr"),
     "region_descriptions": DataSource("region_description", "region"),
 }
-
-
-def active_sources(names: Iterable[str]) -> frozenset:
-    """The named data sources as a set; unknown names or none at all are rejected."""
-    active = frozenset(names)
-    unknown = active - DATA_SOURCES.keys()
-    if unknown:
-        raise ValidationError(f"unknown data sources {sorted(unknown)}")
-    if not active:
-        raise ValidationError("at least one data source must be active")
-    return active
 
 
 MAX_OBJECTS = 4
@@ -391,6 +380,8 @@ def sampler_for_sources(
 ) -> list[Batch]:
     """Build streams for the active data sources and schedule the batches.
 
+    The settings come from a checked `RunConfig`, and this function trusts
+    them: `sources` are known names, at least one, and no count is negative.
     Captions and detections are read from one list of scenes, each generated
     once: detection scene i is caption scene i.  Without captions every step
     is a detection step.  The training step and its losses rely on three
@@ -401,12 +392,12 @@ def sampler_for_sources(
     the last is rejected, and so is an active source whose stream holds no
     sample of its kind.
     """
-    active = active_sources(sources)
+    active = set(sources)
     kinds = [s.kind for name, s in DATA_SOURCES.items()
              if name in active and s.kind != "caption"]
-    # an inactive stream, or a count below zero, takes no scene
-    caption_count = max(caption_count, 0) if "captions" in active else 0
-    detection_scene_count = max(detection_scene_count, 0) if kinds else 0
+    # an inactive stream takes no scene
+    caption_count = caption_count if "captions" in active else 0
+    detection_scene_count = detection_scene_count if kinds else 0
     scenes = [generate_scene(seed, i, grid_size)
               for i in range(max(caption_count, detection_scene_count))]
     captions = [caption_of(scene) for scene in scenes[:caption_count]]

@@ -22,13 +22,14 @@ WORD_TOKENS = (
 )
 
 POS_OPEN, POS_CLOSE = "<", ">"
+POSITION_BINS = 32  # PEVL's bins per box coordinate, one position token each
 
 
 class Vocabulary:
-    def __init__(self, position_bins: int | None = None):
+    def __init__(self, position_tokens: bool):
         tokens = list(SPECIAL_TOKENS) + list(WORD_TOKENS)
-        if position_bins is not None:
-            tokens += [POS_OPEN, POS_CLOSE] + [str(b) for b in range(position_bins)]
+        if position_tokens:
+            tokens += [POS_OPEN, POS_CLOSE] + [str(b) for b in range(POSITION_BINS)]
         self._tokens = tuple(tokens)
         self._ids = {tok: i for i, tok in enumerate(tokens)}
         self.pad_id = self._ids[PAD]

@@ -9,6 +9,7 @@ import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from finegrain import dynamics as dyn
 from finegrain import evalharness as ev
 from finegrain import fileio, runner
 from finegrain.cli import EXIT_DEPENDENCY, EXIT_OK, EXIT_VALIDATION, main
-from finegrain.config import LOSS_ARMS, RunConfig, load_config, parse_config_text, save_config
+from finegrain.config import (LOSS_ARMS, LOWEST_VALUES, RunConfig, load_config, parse_config_text,
+                              save_config)
 from finegrain.errors import DependencyError, ValidationError
 from finegrain.model import VLModel, save_checkpoint
 from finegrain.synthdata import DATA_SOURCES
@@ -57,15 +59,25 @@ class TestConfig:
         with pytest.raises(ValidationError):
             tiny_config(sources="captions,nonsense")
 
+    def test_no_sources_rejected(self):
+        for sources in ("", " , "):
+            with pytest.raises(ValidationError, match="at least one data source"):
+                tiny_config(sources=sources)
+
+    def test_every_numeric_setting_has_a_lowest_value(self):
+        # a numeric setting added without a bound would accept any value;
+        # learning_rate has its own rule
+        numeric = {key for key, kind in get_type_hints(RunConfig).items() if kind in (int, float)}
+        assert set(LOWEST_VALUES) == numeric - {"learning_rate"}
+
     @pytest.mark.parametrize("key,value", [
         ("patch_grid", 0), ("hidden_dim", 0), ("heads", 0), ("heads", -4), ("proj_dim", 0),
         ("mlp_dim", 0), ("max_len", 0), ("vision_layers", -1), ("text_layers", 0),
         ("cross_layers", 0), ("caption_batch", 1), ("detection_batch", 1),
         ("eval_per_subtask", 0), ("clip_norm", -1), ("clip_norm", "nan"),
         ("clip_norm", "inf"), ("learning_rate", 0), ("learning_rate", -0.01),
-        ("learning_rate", "nan"), ("temperature_init", 0), ("temperature_init", "nan"),
-        ("temperature_init", "inf"), ("pevl_bins", 1), ("pevl_bins", 0), ("retrieval_count", -1),
-        ("seed", -1), ("data_seed", -1), ("eval_seed", -1),
+        ("learning_rate", "nan"), ("retrieval_count", -1), ("caption_count", -1),
+        ("detection_scene_count", -1), ("seed", -1), ("data_seed", -1), ("eval_seed", -1),
     ])
     def test_out_of_range_size_rejected(self, key, value):
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", tiny_config().render(), flags=re.M)
@@ -82,8 +94,7 @@ class TestConfig:
     OTHER_VALUES = {
         "seed": 5, "steps": 9, "cadence": 2, "patch_grid": 3, "hidden_dim": 12,
         "vision_layers": 2, "text_layers": 2, "cross_layers": 2, "heads": 4, "proj_dim": 6,
-        "mlp_dim": 8, "max_len": 32, "pevl_bins": 16, "temperature_init": 0.1,
-        "losses": "A",
+        "mlp_dim": 8, "max_len": 32, "losses": "A",
         "sources": "captions,object_labels", "data_seed": 2, "caption_count": 7,
         "detection_scene_count": 7, "caption_batch": 3, "detection_batch": 3,
         "eval_seed": 901, "eval_per_subtask": 3, "retrieval_count": 0,
@@ -102,7 +113,7 @@ class TestConfig:
     def test_default_config_hash_pinned(self):
         # every run artifact embeds this hash; a change to the defaults or to
         # the rendering orphans all existing run directories and checkpoints
-        assert RunConfig(seed=7).config_hash() == "a5a24f3cee58"
+        assert RunConfig(seed=7).config_hash() == "cf41e5a444e7"
 
     @pytest.mark.parametrize("arm", list(LOSS_ARMS))
     def test_each_loss_arm_round_trips(self, arm):
@@ -145,7 +156,7 @@ class TestConfig:
         default = RunConfig(seed=7)
         reordered = RunConfig(seed=7, sources=" , ".join(reversed(list(DATA_SOURCES))))
         [full] = runner.parse_grid_spec(default, "full:all").values()
-        assert reordered.config_hash() == full.config_hash() == "a5a24f3cee58"
+        assert reordered.config_hash() == full.config_hash() == "cf41e5a444e7"
 
 
 class TestRunner:

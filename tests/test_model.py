@@ -21,6 +21,7 @@ from finegrain.errors import (
 from finegrain.model import VLModel
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
+from finegrain.vocab import POSITION_BINS
 
 from gradcheck import check_gradients
 from support import FULL_IMAGE, micro_config
@@ -49,15 +50,15 @@ class TestConfig:
 
     def test_pevl_vocab_adds_bins_plus_delimiters(self):
         plain = micro_config()
-        pevl = micro_config(losses="pevl", pevl_bins=32)
-        assert len(pevl.vocab) == len(plain.vocab) + 32 + 2
+        pevl = micro_config(losses="pevl")
+        assert len(pevl.vocab) == len(plain.vocab) + POSITION_BINS + 2
 
     def test_replace_into_a_pevl_arm_gives_that_arms_vocab(self):
         # the vocabulary is cached per config; a replaced config derives its own
         plain = micro_config()
         base_size = len(plain.vocab)
-        pevl = replace(plain, losses="pevl", pevl_bins=16)
-        assert len(pevl.vocab) == base_size + 16 + 2
+        pevl = replace(plain, losses="pevl")
+        assert len(pevl.vocab) == base_size + POSITION_BINS + 2
         assert len(replace(pevl, losses="full").vocab) == base_size
         assert len(plain.vocab) == base_size
 

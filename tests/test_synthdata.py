@@ -343,14 +343,6 @@ class TestSampler:
             )
             assert sorted(calls) == list(range(generated)), sources
 
-    def test_sampler_rejects_unknown_or_no_sources(self):
-        for sources in ((), ("captions", "nonsense")):
-            with pytest.raises(ValidationError):
-                sd.sampler_for_sources(
-                    seed=3, sources=sources, steps=3, caption_count=4,
-                    detection_scene_count=4, caption_batch=2, detection_batch=2, grid_size=4,
-                )
-
     def test_single_image_batch_rejected_with_its_step(self):
         # two scenes with unequal detection counts: the round-robin tail drains one scene
         with pytest.raises(ValidationError, match="detection batch of step 6 "):
