@@ -58,9 +58,8 @@ from .errors import (
 )
 from .fileio import atomic_open
 from .seeding import rng_for
-from .synthdata import BBox, GRID_CHANNELS
+from .synthdata import GRID_CHANNELS
 from .tensor import Tensor
-from .vocab import POS_CLOSE, POS_OPEN
 
 CHECKPOINT_MAGIC = "finegrain-checkpoint"
 CHECKPOINT_VERSION = "v2"
@@ -368,23 +367,6 @@ class VLModel:
         size = tensor.maximum(tensor.slice_cols(squashed, 2, 4), Tensor(1e-3))
         half = tensor.scale(size, 0.5)
         return tensor.concat([tensor.sub(centre, half), tensor.add(centre, half)], 1)
-
-
-# -- position tokens -----------------------------------------------------------
-
-
-def quantize_coordinate(value: float, bins: int) -> int:
-    """The bin of a normalized coordinate, clamped to [0, bins - 1]."""
-    return min(max(int(np.floor(value * bins)), 0), bins - 1)
-
-
-def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
-                          insert_after: int) -> list[str]:
-    """Insert "< b(x1) b(y1) b(x2) b(y2) >" right after the entity span."""
-    if not 0 <= insert_after <= len(tokens):
-        raise ValidationError(f"insertion point {insert_after} outside token range")
-    bin_tokens = [str(quantize_coordinate(v, bins)) for v in bbox.corners()]
-    return [*tokens[:insert_after], POS_OPEN, *bin_tokens, POS_CLOSE, *tokens[insert_after:]]
 
 
 # -- checkpoints --------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A caption batch contributes contrastive + matching + masked-LM losses on
 (full image, caption).  A detection batch contributes the same unmasked
 triple on (full image, region text), then per configuration the visually
-masked triple (vision and fusion attention restricted to patches touching
-the target box) and the box-regression term; one gradient accumulation,
-one update.
+masked triple (vision and fusion attention restricted to the target box's
+`synthdata.patch_mask`, the patches its object is drawn on) and the
+box-regression term; one gradient accumulation, one update.
 
 Every pass works on whole batches, so its encoder and fusion calls do
 not grow with the batch.  A step first draws each pass's masked-LM
@@ -42,10 +42,10 @@ import numpy as np
 
 from . import ops, tensor
 from .errors import NumericError
-from .model import Encoded, VLModel, position_token_insert
-from .synthdata import Batch, BBox, DetectionSample, patches_touching
+from .model import Encoded, VLModel
+from .synthdata import Batch, BBox, DetectionSample, patch_mask
 from .tensor import Tensor
-from .vocab import POSITION_BINS
+from .vocab import POSITION_BINS, position_token_insert
 
 LOSS_COMPONENTS = ("cl", "itm", "mlm", "vma_cl", "vma_itm", "vma_mlm", "bbox")
 
@@ -179,14 +179,6 @@ def mlm_loss(model: VLModel, fused: Tensor, rows: Sequence[int], targets: Sequen
     return ops.softmax_cross_entropy(logits, targets)
 
 
-def visual_mask_from_bbox(bbox: BBox, grid_size: int) -> np.ndarray:
-    """Patch visible iff its cell intersects the box with positive area."""
-    mask = np.zeros((grid_size, grid_size), dtype=bool)
-    for row, col in patches_touching(bbox, grid_size):
-        mask[row, col] = True
-    return mask
-
-
 def _area(extent: Tensor) -> Tensor:
     """(n, 1) areas of (n, 2) rectangle extents (width, height)."""
     return tensor.mul(tensor.slice_cols(extent, 0, 1), tensor.slice_cols(extent, 1, 2))
@@ -256,7 +248,7 @@ def vma_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
     Its terms are named as the unmasked pass's, with a "vma_" prefix.
     """
     grids = [s.scene.grid for s in samples]
-    masks = [visual_mask_from_bbox(s.bbox, model.config.patch_grid) for s in samples]
+    masks = [patch_mask(s.bbox, model.config.patch_grid) for s in samples]
     visions = model.encode_images(grids, masks)
     _, terms = pass_losses(model, visions, texts, text_feats, grids, masked)
     return {f"vma_{name}": loss for name, loss in terms.items()}

@@ -6,7 +6,8 @@ layout is fixed: config.ini copy, checkpoints/, logs/, reports/.
 
 An ablation grid is {arm directory name: RunConfig} in grid order; every
 arm's config, schedule and directory is checked before the first arm trains.
-`train` and `eval` claim their run directory only after their inputs pass.
+`train`, `eval` and `dynamics` claim their run directory only after their
+inputs pass.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
     if steps != list(range(config.cadence, config.steps + 1, config.cadence)):
         raise DependencyError(f"checkpoints at steps {steps} do not match cadence "
                               f"{config.cadence} over {config.steps} steps")
+    trajectory = dyn.track(steps, evaluate)  # before the run directory is claimed
     prepare_run_dir(config, run_dir)
-    trajectory = dyn.track(steps, evaluate)
     chash = config.config_hash()
     trajectory_path = run_dir / "reports" / "trajectory.tsv"
     correlation_path = run_dir / "reports" / "correlations.tsv"

@@ -5,8 +5,11 @@ followed by one-hot color channels).  Objects occupy disjoint rectangular
 cell blocks; each object's bounding box is the block extent shrunk by a
 small jitter and rounded to four decimals, so a box reads back exactly
 from its four-decimal text; the training targets, position tokens and
-every stored run output depend on these rounded values.  Everything is a
-pure function of (seed, index).
+every stored run output depend on these rounded values.  `patch_mask` is
+the one rule for which patches a box covers: `render_grid` draws each
+object on them, and the visually masked pass leaves exactly them visible.
+The word lists here are the vocabulary's too.  Everything is a pure
+function of (seed, index).
 """
 
 from __future__ import annotations
@@ -113,23 +116,20 @@ class FoilPair:
 def render_grid(grid_size: int, objects: Sequence[SceneObject]) -> np.ndarray:
     grid = np.zeros((grid_size, grid_size, GRID_CHANNELS), dtype=np.float64)
     for obj in objects:
-        for row, col in patches_touching(obj.bbox, grid_size):
-            grid[row, col, SHAPES.index(obj.shape)] = 1.0
-            grid[row, col, len(SHAPES) + COLORS.index(obj.color)] = 1.0
+        cells = patch_mask(obj.bbox, grid_size)
+        grid[cells, SHAPES.index(obj.shape)] = 1.0
+        grid[cells, len(SHAPES) + COLORS.index(obj.color)] = 1.0
     return grid
 
 
-def patches_touching(bbox: BBox, grid_size: int) -> list[tuple[int, int]]:
-    """Cells whose rectangle intersects the bbox with positive area."""
-    cell = 1.0 / grid_size
-    out = []
-    for row in range(grid_size):
-        for col in range(grid_size):
-            x_overlap = min(bbox.x2, (col + 1) * cell) - max(bbox.x1, col * cell)
-            y_overlap = min(bbox.y2, (row + 1) * cell) - max(bbox.y1, row * cell)
-            if x_overlap > 0.0 and y_overlap > 0.0:
-                out.append((row, col))
-    return out
+def patch_mask(bbox: BBox, grid_size: int) -> np.ndarray:
+    """(G, G) bool, True at each cell whose rectangle intersects the bbox with positive area."""
+    edges = np.arange(grid_size + 1) * (1.0 / grid_size)
+
+    def overlaps(lo: float, hi: float) -> np.ndarray:
+        return np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]) > 0.0
+
+    return overlaps(bbox.y1, bbox.y2)[:, None] & overlaps(bbox.x1, bbox.x2)[None, :]
 
 
 def _jittered_bbox(rng: np.random.Generator, col: int, row: int, w: int, h: int, grid_size: int) -> BBox:

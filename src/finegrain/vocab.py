@@ -1,13 +1,21 @@
 """Closed token inventory shared by the scene grammar and the model.
 
-The base vocabulary covers the template grammar exactly; numerals are
+The base vocabulary is the template grammar's function words plus the
+generator's own word lists (colors, shapes, plurals, numerals), read from
+`synthdata` so a scene word has one owner.  "an", "one" and "." appear in
+no generated text; they stay so that no token id moves.  Numerals are
 spelled as words so digit strings stay free for the position-token
-extension, where each coordinate bin is its own vocabulary entry.
+extension, where each coordinate bin is its own vocabulary entry.  PEVL's
+box spelling lives here with its tokens: `position_token_insert` writes a
+box as "< b(x1) b(y1) b(x2) b(y2) >".
 """
 
 from __future__ import annotations
 
-from .errors import VocabError
+import numpy as np
+
+from .errors import ValidationError, VocabError
+from .synthdata import COLORS, NUMERALS, PLURAL, SHAPES, BBox
 
 PAD, CLS, SEP, MASK = "[PAD]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, CLS, SEP, MASK)
@@ -15,14 +23,26 @@ SPECIAL_TOKENS = (PAD, CLS, SEP, MASK)
 WORD_TOKENS = (
     "a", "an", "and", "the", "is", "are", "there", "no", "exactly", "of",
     "left", "right", "above", "below",
-    "red", "blue", "green", "yellow",
-    "circle", "square", "triangle", "circles", "squares", "triangles",
-    "one", "two", "three", "four",
+    *COLORS, *SHAPES, *(PLURAL[s] for s in SHAPES), *NUMERALS,
     ".",
 )
 
 POS_OPEN, POS_CLOSE = "<", ">"
 POSITION_BINS = 32  # PEVL's bins per box coordinate, one position token each
+
+
+def quantize_coordinate(value: float, bins: int) -> int:
+    """The bin of a normalized coordinate, clamped to [0, bins - 1]."""
+    return min(max(int(np.floor(value * bins)), 0), bins - 1)
+
+
+def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
+                          insert_after: int) -> list[str]:
+    """Insert "< b(x1) b(y1) b(x2) b(y2) >" right after the entity span."""
+    if not 0 <= insert_after <= len(tokens):
+        raise ValidationError(f"insertion point {insert_after} outside token range")
+    bin_tokens = [str(quantize_coordinate(v, bins)) for v in bbox.corners()]
+    return [*tokens[:insert_after], POS_OPEN, *bin_tokens, POS_CLOSE, *tokens[insert_after:]]
 
 
 class Vocabulary:

@@ -564,6 +564,20 @@ class TestCli:
         assert code == EXIT_DEPENDENCY
         assert not missing.exists()
 
+    def test_dynamics_of_checkpoints_of_other_config_creates_nothing(self, tmp_path, capsys):
+        config = tiny_config(steps=3, cadence=3)
+        runner.run_training(config, tmp_path / "a")
+        copy = tmp_path / "copy"
+        shutil.copytree(tmp_path / "a" / "checkpoints", copy / "checkpoints")
+        wrong, right = tmp_path / "wrong.ini", tmp_path / "right.ini"
+        save_config(replace(config, learning_rate=0.02), wrong)
+        save_config(config, right)
+        before = sorted(copy.rglob("*"))
+        assert main(["dynamics", "--config", str(wrong), "--out", str(copy)]) == EXIT_DEPENDENCY
+        assert "checkpoint belongs to config" in capsys.readouterr().err
+        assert sorted(copy.rglob("*")) == before
+        assert main(["dynamics", "--config", str(right), "--out", str(copy)]) == EXIT_OK
+
     def test_missing_config_file(self, tmp_path):
         code = main(["train", "--config", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "r")])

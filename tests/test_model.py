@@ -21,7 +21,7 @@ from finegrain.errors import (
 from finegrain.model import VLModel
 from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
-from finegrain.vocab import POSITION_BINS
+from finegrain.vocab import POSITION_BINS, position_token_insert, quantize_coordinate
 
 from gradcheck import check_gradients
 from support import FULL_IMAGE, micro_config
@@ -451,14 +451,13 @@ class TestPositionTokens:
         # 256 bins make the bin tokens the pixel coordinates of a 256-pixel image
         bbox = sd.BBox(10 / 256, 73 / 256, 206 / 256, 175 / 256)
         tokens = ["a", "red", "circle", "is", "above", "a", "blue", "square"]
-        out = fg_model.position_token_insert(tokens, bbox, bins=256, insert_after=3)
+        out = position_token_insert(tokens, bbox, bins=256, insert_after=3)
         assert out == ["a", "red", "circle", "<", "10", "73", "206", "175", ">",
                        "is", "above", "a", "blue", "square"]
 
     def test_full_image_bbox_hits_bin_endpoints(self):
         for bins in (2, 8, 32):
-            out = fg_model.position_token_insert(["circle"], FULL_IMAGE, bins=bins,
-                                                 insert_after=1)
+            out = position_token_insert(["circle"], FULL_IMAGE, bins=bins, insert_after=1)
             assert out == ["circle", "<", "0", "0", str(bins - 1), str(bins - 1), ">"]
 
     def test_quantize_round_trip_error_within_half_bin(self):
@@ -470,7 +469,7 @@ class TestPositionTokens:
                           y1 + rng.uniform(0.05, 1 - y1 - 1e-6))
             for coord in box.corners():
                 # the coordinate lies in its bin, so the bin centre is within half a bin
-                index = fg_model.quantize_coordinate(coord, bins)
+                index = quantize_coordinate(coord, bins)
                 assert index / bins <= coord <= (index + 1) / bins
 
     def test_model_enforces_max_len_after_insertion(self):

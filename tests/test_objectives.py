@@ -229,18 +229,18 @@ class TestMlmLoss:
 
 class TestVisualMask:
     def test_full_cover(self):
-        mask = obj.visual_mask_from_bbox(FULL_IMAGE, 4)
+        mask = sd.patch_mask(FULL_IMAGE, 4)
         assert mask.all() and mask.shape == (4, 4)
 
     def test_bbox_inside_single_patch(self):
-        mask = obj.visual_mask_from_bbox(sd.BBox(0.05, 0.05, 0.20, 0.20), 4)
+        mask = sd.patch_mask(sd.BBox(0.05, 0.05, 0.20, 0.20), 4)
         expected = np.zeros((4, 4), dtype=bool)
         expected[0, 0] = True
         assert np.array_equal(mask, expected)
 
     def test_quarter_box_against_intersection_oracle(self):
         bbox = sd.BBox(0.2, 0.2, 0.3, 0.3)
-        mask = obj.visual_mask_from_bbox(bbox, 4)
+        mask = sd.patch_mask(bbox, 4)
         expected = np.zeros((4, 4), dtype=bool)
         expected[0, 0] = expected[0, 1] = expected[1, 0] = expected[1, 1] = True
         assert np.array_equal(mask, expected)
@@ -252,7 +252,7 @@ class TestVisualMask:
             x1, y1 = rng.uniform(0, 0.8, size=2)
             bbox = sd.BBox(x1, y1, x1 + rng.uniform(0.05, 1 - x1 - 1e-9),
                            y1 + rng.uniform(0.05, 1 - y1 - 1e-9))
-            mask = obj.visual_mask_from_bbox(bbox, g)
+            mask = sd.patch_mask(bbox, g)
             for r in range(g):
                 for c in range(g):
                     # independent rectangle-intersection test via interval logic
@@ -371,7 +371,7 @@ class TestVmaLosses:
         rng_seed = rng_for(13, "probe")
 
         def scrambled(sample):
-            mask = obj.visual_mask_from_bbox(sample.bbox, model.config.patch_grid)
+            mask = sd.patch_mask(sample.bbox, model.config.patch_grid)
             grid = sample.scene.grid.copy()
             noise = rng_seed.normal(size=grid.shape)
             grid[~mask] = noise[~mask]
@@ -618,8 +618,7 @@ def per_role_step(model, batch, config, rng):
 
     positives = one_pass("", model.encode_images(grids))
     if batch.kind == "detection" and config.arm.vma:
-        masks = [obj.visual_mask_from_bbox(s.bbox, model.config.patch_grid)
-                 for s in batch.samples]
+        masks = [sd.patch_mask(s.bbox, model.config.patch_grid) for s in batch.samples]
         one_pass("vma_", model.encode_images(grids, masks))
     if batch.kind == "detection" and config.arm.bbox:
         terms["bbox"] = obj.bbox_loss_terms(model.bbox_corners(positives),

@@ -1,5 +1,6 @@
 """Scene generator, templates, foils, sampler schedule."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from finegrain import synthdata as sd
 from finegrain.config import RunConfig
 from finegrain.errors import FoilCapabilityError, ValidationError
 from finegrain.runner import CALIBRATION_GRID, parse_grid_spec
+from finegrain.vocab import POSITION_BINS, WORD_TOKENS, Vocabulary, position_token_insert
 
 DETECTION_KINDS = ("object_label", "attribute_label", "region_description")
 DETECTION_SOURCES = tuple(name for name in sd.DATA_SOURCES if name != "captions")
@@ -113,6 +115,24 @@ class TestSceneGeneration:
         untouched[0, 0] = 0.0
         assert np.all(untouched == 0.0)
 
+    def test_rendered_grids_and_masks_pinned(self):
+        """The bits of scenes 0-199 at grid sizes 2-7: each grid, each swap or
+        identity foil's grid where the scene supports it, and each box's patch mask."""
+        digest = hashlib.sha256()
+        for grid_size in range(2, 8):
+            for i in range(200):
+                scene = sd.generate_scene(0, i, grid_size)
+                digest.update(scene.grid.tobytes())
+                for subtask in ("relation_swap", "svo_subject", "svo_verb", "svo_object"):
+                    try:
+                        digest.update(sd.make_foils(scene, subtask).neg_scene.grid.tobytes())
+                    except FoilCapabilityError:
+                        pass
+                for obj in scene.objects:
+                    digest.update(sd.patch_mask(obj.bbox, grid_size).tobytes())
+        assert digest.hexdigest() == (
+            "3bf1e21fb6ba6be82bdadddd030fb7a5e2dac3aa8e34dc5626cce147c823af36")
+
     def test_bbox_serializes_at_four_decimals(self):
         for i in range(200):
             for obj in sd.generate_scene(13, i, 4).objects:
@@ -157,6 +177,30 @@ class TestTemplates:
                     if a == obj.color and b == obj.shape
                 ]
                 assert sum(pairs) == 1
+
+    def test_every_generated_text_encodes(self):
+        """Captions, detection texts (also with PEVL's position tokens) and foil texts
+        use only vocabulary words; of the words, only "an", "one" and "." go unused."""
+        plain, pevl = Vocabulary(position_tokens=False), Vocabulary(position_tokens=True)
+        used = set()
+        for grid_size in range(2, 6):
+            for i in range(500):
+                scene = sd.generate_scene(0, i, grid_size)
+                texts = [sd.caption_of(scene).text]
+                for det in sd.detections_of(scene):
+                    texts.append(det.text)
+                    pevl.encode_wrapped(position_token_insert(
+                        det.text.split(), det.bbox, POSITION_BINS, det.entity_span_end))
+                for subtask in ev.KNOWN_SUBTASKS:  # relation_statement has no foil pair
+                    try:
+                        pair = sd.make_foils(scene, subtask)
+                    except FoilCapabilityError:
+                        continue
+                    texts += [t for t in (pair.pos_text, pair.neg_text) if t is not None]
+                for text in texts:
+                    plain.encode_wrapped(text)
+                    used.update(text.split())
+        assert set(WORD_TOKENS) - used == {"an", "one", "."}
 
     def test_relation_geometry(self):
         left = sd.SceneObject("circle", "red", sd.BBox(0.0, 0.4, 0.2, 0.6), 0)
