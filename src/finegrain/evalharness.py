@@ -1,5 +1,9 @@
 """Zero-shot scoring protocols over matching scores.
 
+`SUBTASKS` is the one table of how each subtask is built and scored: the
+`make_foils` source of its items, the (scene, text) cells scored per item,
+and the protocol that scores them.
+
 Every protocol uses strict inequalities: a tie is scored as incorrect.
 Accuracies based purely on comparisons are therefore invariant under any
 strictly increasing transform of the scores; the 50%-threshold protocol
@@ -12,7 +16,7 @@ import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,8 +31,6 @@ PAIRWISE_SUBTASKS = ("svo_subject", "svo_verb", "svo_object")
 THRESHOLD_SUBTASK = "relation_statement"
 QUAD_SUBTASK = "relation_swap"
 
-KNOWN_SUBTASKS = FOIL_GROUP_SUBTASKS + PAIRWISE_SUBTASKS + (THRESHOLD_SUBTASK, QUAD_SUBTASK)
-
 Scorer = Callable[[Scene, str], float]
 
 
@@ -37,7 +39,7 @@ class EvalReport:
     """One scoring run's record; `metrics` and `counts` are computed from it.
 
     `cells`: subtask tag, in manifest order -> (items, cells) scores, with
-    columns in `_CELLS[tag]` order.  `retrieval`: the retrieval table, or None.
+    columns in `SUBTASKS[tag].cells` order.  `retrieval`: the retrieval table, or None.
     """
 
     checkpoint_step: int
@@ -229,14 +231,37 @@ def retrieval_recall(table: np.ndarray, k: int) -> tuple[float, float]:
 # -- benchmark manifest ----------------------------------------------------------
 
 
+class Subtask(NamedTuple):
+    foil: str  # the `make_foils` source of its items
+    cells: tuple  # scored per item, as (dump role, scene field, text field, label)
+    protocol: Callable  # scores its (items, cells) rows
+
+
+_TEXT_FOIL = (("positive", "pos_scene", "pos_text", 1), ("negative", "pos_scene", "neg_text", 0))
+_IMAGE_FOIL = (("positive", "pos_scene", "pos_text", 1), ("negative", "neg_scene", "pos_text", 0))
+
+# Every subtask, in manifest order.
+SUBTASKS: dict[str, Subtask] = {
+    **{tag: Subtask(tag, _TEXT_FOIL, pairwise_ranking_accuracy) for tag in FOIL_GROUP_SUBTASKS},
+    **{tag: Subtask(tag, _IMAGE_FOIL, pairwise_ranking_accuracy) for tag in PAIRWISE_SUBTASKS},
+    # the two statements are the quad's captions, on its first image
+    THRESHOLD_SUBTASK: Subtask(QUAD_SUBTASK, (("true", "pos_scene", "pos_text", 1),
+                                              ("false", "pos_scene", "neg_text", 0)),
+                               threshold_accuracy),
+    QUAD_SUBTASK: Subtask(QUAD_SUBTASK, (
+        ("c0_i0", "pos_scene", "pos_text", 1), ("c0_i1", "neg_scene", "pos_text", 0),
+        ("c1_i0", "pos_scene", "neg_text", 0), ("c1_i1", "neg_scene", "neg_text", 1),
+    ), winoground_scores),
+}
+
+
 def default_manifest(eval_seed: int, per_subtask: int, grid_size: int,
                      retrieval_count: int) -> dict:
     manifest = {
-        "version": 1,
         "grid_size": grid_size,
         "subtasks": [
             {"tag": tag, "seed": eval_seed, "count": per_subtask}
-            for tag in KNOWN_SUBTASKS
+            for tag in SUBTASKS
         ],
     }
     if retrieval_count:
@@ -244,23 +269,22 @@ def default_manifest(eval_seed: int, per_subtask: int, grid_size: int,
     return manifest
 
 
-@functools.lru_cache(maxsize=len(KNOWN_SUBTASKS))
+@functools.lru_cache(maxsize=len(SUBTASKS))
 def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[FoilPair, ...]:
     """First `count` deterministic scenes that support the subtask.
 
     A pure function of its arguments, memoised so that scoring a manifest
     at several checkpoints generates its scenes once.
     """
-    if tag not in KNOWN_SUBTASKS:
+    if tag not in SUBTASKS:
         raise ValidationError(f"unknown subtask tag {tag!r}")
     items = []
     index = 0
-    source = QUAD_SUBTASK if tag == THRESHOLD_SUBTASK else tag
     while len(items) < count:
         scene = generate_scene(seed, index, grid_size)
         index += 1
         try:
-            items.append(make_foils(scene, source))
+            items.append(make_foils(scene, SUBTASKS[tag].foil))
         except FoilCapabilityError:
             pass
         if index > 100 * count + 1000:
@@ -268,42 +292,12 @@ def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[Foil
     return tuple(items)
 
 
-# Cells scored per item, as (dump role, scene field, text field, label).
-_CELLS = {
-    **dict.fromkeys(FOIL_GROUP_SUBTASKS, (
-        ("positive", "pos_scene", "pos_text", 1),
-        ("negative", "pos_scene", "neg_text", 0),
-    )),
-    **dict.fromkeys(PAIRWISE_SUBTASKS, (
-        ("positive", "pos_scene", "pos_text", 1),
-        ("negative", "neg_scene", "pos_text", 0),
-    )),
-    THRESHOLD_SUBTASK: (
-        ("true", "pos_scene", "pos_text", 1),
-        ("false", "pos_scene", "neg_text", 0),
-    ),
-    QUAD_SUBTASK: (
-        ("c0_i0", "pos_scene", "pos_text", 1),
-        ("c0_i1", "neg_scene", "pos_text", 0),
-        ("c1_i0", "pos_scene", "neg_text", 0),
-        ("c1_i1", "neg_scene", "neg_text", 1),
-    ),
-}
-
-
-def _cell_pairs(tag: str, item: FoilPair) -> list[tuple[Scene, str]]:
-    """The (scene, text) pair of each of the item's cells, in `_CELLS[tag]` order."""
-    return [(getattr(item, scene), getattr(item, text)) for _, scene, text, _ in _CELLS[tag]]
-
-
 def subtask_metrics(tag: str, rows: np.ndarray) -> dict[str, float]:
     """The subtask's accuracies over its (items, cells) rows, under its protocol."""
-    if tag in FOIL_GROUP_SUBTASKS or tag in PAIRWISE_SUBTASKS:
-        return {tag: pairwise_ranking_accuracy(rows)}
-    if tag == THRESHOLD_SUBTASK:
-        return {tag: threshold_accuracy(rows)}
-    text, image, group = winoground_scores(rows)
-    return {f"{tag}_text": text, f"{tag}_image": image, f"{tag}_group": group}
+    protocol = SUBTASKS[tag].protocol
+    if protocol is winoground_scores:
+        return dict(zip((f"{tag}_text", f"{tag}_image", f"{tag}_group"), protocol(rows)))
+    return {tag: protocol(rows)}
 
 
 @functools.lru_cache(maxsize=1)
@@ -332,9 +326,10 @@ def run_benchmark(score: Scorer, manifest: dict, checkpoint_step: int = 0) -> Ev
     for spec_row in manifest["subtasks"]:
         tag, seed, count = spec_row["tag"], int(spec_row["seed"]), int(spec_row["count"])
         items = subtask_items(tag, seed, count, grid_size)
-        cells[tag] = np.array([[score(*pair) for pair in _cell_pairs(tag, item)]
-                               for item in items],
-                              dtype=np.float64).reshape(len(items), len(_CELLS[tag]))
+        item_cells = SUBTASKS[tag].cells
+        cells[tag] = np.array([[score(getattr(item, scene), getattr(item, text))
+                                for _, scene, text, _ in item_cells] for item in items],
+                              dtype=np.float64).reshape(len(items), len(item_cells))
     retrieval = manifest.get("retrieval")
     table = retrieval_table(score, int(retrieval["seed"]), int(retrieval["count"]),
                             grid_size) if retrieval else None
@@ -350,13 +345,13 @@ def write_scores(path: Path, report: EvalReport) -> None:
     """The score dump: per scored cell, one line of item, tag, role, score, label.
 
     Tab-separated, scores as %.17g, no header; subtasks in manifest order and
-    cells in `_CELLS` order.  The retrieval table is not dumped, so a report
-    with no subtask writes an empty file.
+    cells in `SUBTASKS[tag].cells` order.  The retrieval table is not dumped,
+    so a report with no subtask writes an empty file.
     """
     lines = [f"{item}\t{tag}\t{role}\t{value:.17g}\t{label}\n"
              for tag, rows in report.cells.items()
              for item, row in enumerate(rows)
-             for (role, *_, label), value in zip(_CELLS[tag], row)]
+             for (role, *_, label), value in zip(SUBTASKS[tag].cells, row)]
     with atomic_open(path) as fh:
         fh.write("".join(lines))
 

@@ -7,7 +7,8 @@ layout is fixed: config.ini copy, checkpoints/, logs/, reports/.
 An ablation grid is {arm directory name: RunConfig} in grid order; every
 arm's config, schedule and directory is checked before the first arm trains.
 `train`, `eval` and `dynamics` claim their run directory only after their
-inputs pass.
+inputs pass; `dynamics` rejects a run directory of another config before it
+scores.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from .seeding import rng_for
 LOSS_LOG_HEADER = ("step", "batch_kind", *LOSS_COMPONENTS, "total", "active")
 
 
-def prepare_run_dir(config: RunConfig, out_dir: Path) -> Path:
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file of that name on the path, or no permission
-        raise ValidationError(f"cannot use {out_dir} as a run directory: {exc}") from exc
-    config_copy = out_dir / "config.ini"
+def check_run_dir(config: RunConfig, out_dir: Path) -> None:
+    """Reject a run directory whose config.ini names another config; writes nothing."""
+    config_copy = Path(out_dir) / "config.ini"
     if config_copy.exists():
         existing = load_config(config_copy)
         if existing.config_hash() != config.config_hash():
@@ -45,8 +42,17 @@ def prepare_run_dir(config: RunConfig, out_dir: Path) -> Path:
                 f"run directory {out_dir} belongs to config {existing.config_hash()}, "
                 f"not {config.config_hash()}"
             )
-    else:
-        save_config(config, config_copy)
+
+
+def prepare_run_dir(config: RunConfig, out_dir: Path) -> Path:
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name on the path, or no permission
+        raise ValidationError(f"cannot use {out_dir} as a run directory: {exc}") from exc
+    check_run_dir(config, out_dir)
+    if not (out_dir / "config.ini").exists():
+        save_config(config, out_dir / "config.ini")
     for sub in ("checkpoints", "logs", "reports"):
         (out_dir / sub).mkdir(exist_ok=True)
     return out_dir
@@ -160,6 +166,7 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
     if steps != list(range(config.cadence, config.steps + 1, config.cadence)):
         raise DependencyError(f"checkpoints at steps {steps} do not match cadence "
                               f"{config.cadence} over {config.steps} steps")
+    check_run_dir(config, run_dir)  # before the costly scoring
     trajectory = dyn.track(steps, evaluate)  # before the run directory is claimed
     prepare_run_dir(config, run_dir)
     chash = config.config_hash()

@@ -295,19 +295,13 @@ def make_foils(scene: Scene, subtask: str) -> FoilPair:
             relation_statement(b, a, rel),
         )
 
-    if subtask == "object_swap":
-        a, b = _first_pair(scene, "shape")
-        pos = relation_statement(a, b)
-        neg = relation_statement(replace(a, shape=b.shape), replace(b, shape=a.shape),
+    if subtask in ("object_swap", "attribute_swap"):
+        field = "shape" if subtask == "object_swap" else "color"
+        a, b = _first_pair(scene, field)
+        neg = relation_statement(replace(a, **{field: getattr(b, field)}),
+                                 replace(b, **{field: getattr(a, field)}),
                                  relation_between(a, b))
-        return FoilPair(scene, pos, None, neg)
-
-    if subtask == "attribute_swap":
-        a, b = _first_pair(scene, "color")
-        pos = relation_statement(a, b)
-        neg = relation_statement(replace(a, color=b.color), replace(b, color=a.color),
-                                 relation_between(a, b))
-        return FoilPair(scene, pos, None, neg)
+        return FoilPair(scene, relation_statement(a, b), None, neg)
 
     if subtask in ("svo_subject", "svo_verb", "svo_object"):
         a, b = scene.objects[0], scene.objects[1]

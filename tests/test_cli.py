@@ -265,13 +265,22 @@ class TestRunner:
         rows = trajectory.read_text().splitlines()[2:]
         assert [int(row.split("\t")[0]) for row in rows] == steps
 
-    def test_dynamics_of_run_dir_of_other_config_rejected(self, tmp_path):
+    def test_dynamics_of_run_dir_of_other_config_rejected(self, tmp_path, monkeypatch):
         config = tiny_config()
         runner.run_training(config, tmp_path / "run")
         save_config(tiny_config(seed=99), tmp_path / "run" / "config.ini")
+        scored = []
+        run_benchmark = ev.run_benchmark
+
+        def counted(*args, **kwargs):
+            scored.append(args)
+            return run_benchmark(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "run_benchmark", counted)
         with pytest.raises(DependencyError, match="belongs to config"):
             runner.run_dynamics(config, tmp_path / "run")
         assert not list((tmp_path / "run" / "reports").iterdir())
+        assert not scored  # rejected before any checkpoint is scored
 
     def test_ablation_writes_one_dir_per_arm_and_summary(self, tmp_path):
         config = tiny_config()
@@ -294,7 +303,7 @@ class TestRunner:
         for line in (tmp_path / "reports" / "scores_step_000006.tsv").read_text().splitlines():
             item, tag, _, score, _ = line.split("\t")
             rows.setdefault(tag, {}).setdefault(int(item), []).append(float(score))
-        assert set(rows) == set(ev.KNOWN_SUBTASKS)
+        assert set(rows) == set(ev.SUBTASKS)
         expected = {}
         for tag, items in rows.items():
             assert sorted(items) == list(range(config.eval_per_subtask))

@@ -1,6 +1,7 @@
 """Scoring protocols: trivial decisions, enumeration oracles, invariances."""
 
 import collections
+import hashlib
 import itertools
 
 import numpy as np
@@ -519,10 +520,38 @@ class TestSubtaskItems:
         monkeypatch.setattr(sd, "make_foils", counted)
         monkeypatch.setattr(ev, "make_foils", counted)
         ev.subtask_items.cache_clear()
-        items = [item for tag in ev.KNOWN_SUBTASKS for item in ev.subtask_items(tag, 77, 3, 4)]
+        items = [item for tag in ev.SUBTASKS for item in ev.subtask_items(tag, 77, 3, 4)]
         ev.subtask_items.cache_clear()
-        assert len(items) == 3 * len(ev.KNOWN_SUBTASKS)
+        assert len(items) == 3 * len(ev.SUBTASKS)
         assert len(built) == len(items)
+
+    def test_scored_cells_pinned(self):
+        """What the harness scores on the default manifest at eval seeds 9000-9002.
+
+        In manifest order, each item's cells in `SUBTASKS[tag].cells` order:
+        tag, role, label, scene ident, scene grid bytes and text; then each
+        retrieval scene's grid and caption.  Pins the foil texts, the foil
+        scenes and the cell order.
+        """
+        digest = hashlib.sha256()
+        for seed in (9000, 9001, 9002):
+            manifest = ev.default_manifest(seed, per_subtask=20, grid_size=4, retrieval_count=8)
+            for row in manifest["subtasks"]:
+                tag = row["tag"]
+                for item in ev.subtask_items(tag, row["seed"], row["count"], manifest["grid_size"]):
+                    for role, scene_field, text_field, label in ev.SUBTASKS[tag].cells:
+                        scene = getattr(item, scene_field)
+                        digest.update(f"{tag}\t{role}\t{label}\t{scene.ident}\t".encode())
+                        digest.update(scene.grid.tobytes())
+                        digest.update(getattr(item, text_field).encode() + b"\n")
+            retrieval = manifest["retrieval"]
+            scenes, texts = ev._retrieval_set(retrieval["seed"], retrieval["count"],
+                                              manifest["grid_size"])
+            for scene, text in zip(scenes, texts):
+                digest.update(scene.grid.tobytes())
+                digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "c8e44efcc07a97abe9ee28d49ac996bf27e0d5b7a4325910eca619c4f65898f3")
 
 
 class TestRetrievalTable:

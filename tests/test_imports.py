@@ -125,9 +125,10 @@ def test_every_record_field_has_a_reader():
     """Each field of a finegrain record is read by finegrain or perfbench.
 
     A field counts as read by an attribute of its name, or by a string
-    constant of finegrain naming it, as `_CELLS` names the fields it reads
-    with `getattr`.  Dict keys do not count, nor do perfbench's strings:
-    they name config sections, modules and metrics, not fields.
+    constant of finegrain naming it, as the cells of `evalharness.SUBTASKS`
+    name the fields that `getattr` reads.  Dict keys do not count, nor do
+    perfbench's strings: they name config sections, modules and metrics,
+    not fields.
     """
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + BENCH_SOURCES}
     read = set()

@@ -238,6 +238,16 @@ class TestVisualMask:
         expected[0, 0] = True
         assert np.array_equal(mask, expected)
 
+    @pytest.mark.parametrize("bbox, cell", [
+        (sd.BBox(0.0, 0.0, 0.25, 0.25), (0, 0)),
+        (sd.BBox(0.25, 0.5, 0.5, 0.75), (2, 1)),
+    ])
+    def test_box_on_cell_edges_covers_only_its_cell(self, bbox, cell):
+        """A box edge on a cell edge touches the next cell with zero area: not covered."""
+        expected = np.zeros((4, 4), dtype=bool)
+        expected[cell] = True
+        assert np.array_equal(sd.patch_mask(bbox, 4), expected)
+
     def test_quarter_box_against_intersection_oracle(self):
         bbox = sd.BBox(0.2, 0.2, 0.3, 0.3)
         mask = sd.patch_mask(bbox, 4)

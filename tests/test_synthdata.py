@@ -14,6 +14,8 @@ from finegrain.runner import CALIBRATION_GRID, parse_grid_spec
 from finegrain.vocab import POSITION_BINS, WORD_TOKENS, Vocabulary, position_token_insert
 
 DETECTION_KINDS = ("object_label", "attribute_label", "region_description")
+# each foil source the eval harness reads, once
+FOIL_SOURCES = tuple(dict.fromkeys(row.foil for row in ev.SUBTASKS.values()))
 DETECTION_SOURCES = tuple(name for name in sd.DATA_SOURCES if name != "captions")
 # each single source, then each calibration arm's sources (the A arm's are "captions" alone)
 SOURCE_SETS = list(dict.fromkeys([(name,) for name in sd.DATA_SOURCES] + [
@@ -191,7 +193,7 @@ class TestTemplates:
                     texts.append(det.text)
                     pevl.encode_wrapped(position_token_insert(
                         det.text.split(), det.bbox, POSITION_BINS, det.entity_span_end))
-                for subtask in ev.KNOWN_SUBTASKS:  # relation_statement has no foil pair
+                for subtask in FOIL_SOURCES:
                     try:
                         pair = sd.make_foils(scene, subtask)
                     except FoilCapabilityError:
@@ -274,7 +276,7 @@ class TestFoils:
         checked = 0
         for i in range(150):
             scene = sd.generate_scene(31, i, 4)
-            for subtask in ev.KNOWN_SUBTASKS:  # relation_statement has no foil pair
+            for subtask in FOIL_SOURCES:
                 try:
                     pair = sd.make_foils(scene, subtask)
                 except FoilCapabilityError:
