@@ -108,9 +108,14 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
       the default config its states were measured byte-identical to its
       batch of one, which padding to a longer text does not keep;
     - the pairs are grouped by their text's token length, and each length's
-      pairs fused in chunks of at most `CHUNK_ROWS` text rows, each chunk's
-      texts and images joined by `Encoded.stack` from their cached
-      encodings, and each fuse computes only the [CLS] rows in its last
+      pairs fused in chunks of at most `CHUNK_ROWS` text rows over the
+      pairs.  A chunk's fuse takes its distinct texts and its distinct
+      grids, each joined once by `Encoded.stack` from their cached
+      encodings, and a pair index into them.  Off the tape the fuse gathers
+      per pair only where text and image meet, so cross layer 0's
+      text-only work runs once per distinct text and each layer's
+      cross-attention keys and values once per distinct grid (see
+      `VLModel.fuse`); each fuse computes only the [CLS] rows in its last
       layer (`cross_cls`).
     A batched score can differ from the same pair's score at batch one in
     its last bits: the last layer's [CLS] queries and the matching head's
@@ -149,8 +154,12 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
             by_length.setdefault(texts[key[1]].visible.shape[1], []).append(key)
         for length, group in by_length.items():
             for chunk in _chunks(group, length):
-                cls = model.cross_cls(Encoded.stack([texts[text] for _, text in chunk]),
-                                      Encoded.stack([images[grid] for grid, _ in chunk]))
+                text_index: dict[str, int] = {}  # the chunk's distinct inputs, in order
+                grid_index: dict[tuple, int] = {}
+                pairs = [(text_index.setdefault(text, len(text_index)),
+                          grid_index.setdefault(grid, len(grid_index))) for grid, text in chunk]
+                cls = model.cross_cls(Encoded.stack([texts[text] for text in text_index]),
+                                      Encoded.stack([images[grid] for grid in grid_index]), pairs)
                 scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))
 
     def score(scene: Scene, text: str) -> float:

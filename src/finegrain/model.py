@@ -16,14 +16,17 @@ mix samples, reads the batch axis, from the (batch, seq) visibility mask.
 Texts are padded with [PAD] to the batch's longest sequence, and pads are
 hidden like any masked row.  `Encoded.take` gathers samples by batch
 index in one tape node, so a negative, a repeat or a subset of a batch
-costs no new encode.  `fuse` pairs the text and vision at each batch
-index, so the training step stacks every role of a pass (positives,
-mined negatives, masked copies) as one text batch against the matching
-visions and fuses once.  `fuse` also takes a list of text positions per
-sample, the ones its caller reads, and returns their rows sample by
-sample; its last cross layer computes only those: its keys and values
-read every row, but its queries, output maps and MLP run on the
-requested rows alone.  So the stacked-row layout stays in this module.
+costs no new encode.  `fuse` takes a batch of texts, a batch of images
+and an (m, 2) pair index of (text, image) batch indices, so the training
+step fuses every role of a pass (positives, mined negatives, masked
+copies) once, and the scorer passes a chunk's texts and images once
+each, however many of its pairs share them; `fuse` tells where it
+gathers the pairs' rows, on and off the tape.  It also takes a list of
+text positions per pair, the ones its caller reads, and returns their
+rows pair by pair; its last cross layer computes only those: its keys
+and values read every row, but its queries, output maps and MLP run on
+the requested rows alone.  So the stacked-row layout stays in this
+module.
 The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
@@ -76,9 +79,8 @@ class Encoded(NamedTuple):
     def take(self, samples: Sequence[int]) -> Encoded:
         """The encodings at these batch indices, in this order, as one `take_rows` node."""
         idx = np.asarray(samples, dtype=np.intp)
-        seq = self.visible.shape[1]
-        rows = (idx[:, None] * seq + np.arange(seq)).reshape(-1)
-        return Encoded(tensor.take_rows(self.states, rows), self.visible[idx])
+        return Encoded(tensor.take_rows(self.states, _sample_rows(idx, self.visible.shape[1])),
+                       self.visible[idx])
 
     @staticmethod
     def stack(parts: Sequence[Encoded]) -> Encoded:
@@ -88,6 +90,22 @@ class Encoded(NamedTuple):
             raise ShapeError(f"cannot stack encodings of sequence lengths {sorted(lengths)}")
         return Encoded(tensor.concat([part.states for part in parts], 0),
                        np.concatenate([part.visible for part in parts]))
+
+
+def _sample_rows(samples: np.ndarray, seq: int) -> np.ndarray:
+    """The stacked rows of these batch indices' samples, for samples of `seq` rows each."""
+    return (samples[:, None] * seq + np.arange(seq)).reshape(-1)
+
+
+def _pair_index(pairs, texts: int, images: int) -> np.ndarray:
+    """`pairs` as an (m, 2) index array of (text, image) batch indices, checked."""
+    index = np.asarray(pairs)
+    if (index.ndim != 2 or index.shape[1] != 2 or not len(index)
+            or index.dtype.kind not in "iu"):
+        raise ShapeError(f"fuse needs an (m, 2) integer pair index, got shape {index.shape}")
+    if index.min() < 0 or index[:, 0].max() >= texts or index[:, 1].max() >= images:
+        raise ShapeError(f"pair index outside {texts} texts and {images} images")
+    return index.astype(np.intp, copy=False)
 
 
 def _padded_queries(positions: Sequence[Sequence[int]], batch: int,
@@ -204,11 +222,22 @@ class VLModel:
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])
 
-    def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, key_mask) -> Tensor:
+    def _mha(self, prefix: str, x_q: Tensor, keys: Encoded,
+             samples: np.ndarray | None = None) -> Tensor:
+        """Attention from the stacked query rows `x_q` to the visible rows of `keys`.
+
+        With `samples`, `keys` holds distinct inputs: their keys and values
+        are projected once each, then gathered so that query sample j
+        attends to input `samples[j]`.
+        """
         p = self.params
         q = ops.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k = ops.linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = ops.linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        k = ops.linear(keys.states, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = ops.linear(keys.states, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        key_mask = keys.visible
+        if samples is not None:
+            rows = _sample_rows(samples, key_mask.shape[1])
+            k, v, key_mask = tensor.take_rows(k, rows), tensor.take_rows(v, rows), key_mask[samples]
         attended = ops.masked_attention(q, k, v, key_mask, self.config.heads)
         return ops.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
@@ -218,21 +247,36 @@ class VLModel:
         return ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"])
 
     def _block(self, prefix: str, x: Tensor, key_mask, cross: Encoded | None = None,
-               rows: np.ndarray | None = None) -> Tensor:
+               rows: np.ndarray | None = None, texts_of: np.ndarray | None = None,
+               images_of: np.ndarray | None = None) -> Tensor:
         """One pre-norm layer; with `rows`, only those stacked rows query and are returned.
 
         The self-attention keys and values still come from every row of `x`,
         so `rows` must hold the same number of rows for each sample.
+
+        With `texts_of`, `x` and `key_mask` hold distinct texts and output
+        sample j is text `texts_of[j]`'s: layer norm 1 and the self-attention
+        keys and values run once per text, and so does the whole
+        self-attention when every row queries; `rows` count the output
+        samples' rows.  With `images_of`, `cross` holds distinct images and
+        output sample j attends to image `images_of[j]`, whose
+        cross-attention keys and values are projected once per image.
         """
         p = self.params
         normed = ops.layer_norm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
-        queries = normed
-        if rows is not None:
+        keys = Encoded(normed, key_mask)
+        if rows is None:
+            x = tensor.add(x, self._mha(f"{prefix}.attn", normed, keys))
+            if texts_of is not None:
+                x = tensor.take_rows(x, _sample_rows(texts_of, key_mask.shape[1]))
+        else:
+            if texts_of is not None:
+                rows = _sample_rows(texts_of, key_mask.shape[1])[rows]
             x, queries = tensor.take_rows(x, rows), tensor.take_rows(normed, rows)
-        x = tensor.add(x, self._mha(f"{prefix}.attn", queries, normed, key_mask))
+            x = tensor.add(x, self._mha(f"{prefix}.attn", queries, keys, texts_of))
         if cross is not None:
             normed = ops.layer_norm(x, p[f"{prefix}.lnx_g"], p[f"{prefix}.lnx_b"])
-            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross.states, cross.visible))
+            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross, images_of))
         normed = ops.layer_norm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
         return tensor.add(x, self._mlp(prefix, normed))
 
@@ -308,34 +352,56 @@ class VLModel:
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
 
-    def fuse(self, text: Encoded, vision: Encoded, positions: Sequence[Sequence[int]]) -> Tensor:
-        """The fused states at each sample's text `positions`, sample by sample, in list order.
+    def fuse(self, texts: Encoded, visions: Encoded, pairs,
+             positions: Sequence[Sequence[int]]) -> Tensor:
+        """The fused states at each pair's text `positions`, pair by pair, in list order.
 
-        Each text's states are cross-attended to the visible rows of the
-        vision at its batch index.  Every cross layer but the last runs on
-        every text row.  The last one runs layer norm 1 and the self- and
-        cross-attention keys and values on every row as well, and the rest
-        only on the requested positions, padded per sample with its [CLS]
-        position to the longest list, so each sample keeps its own keys and
-        key mask.  A position may be requested more than once, and a list may
-        be empty; a hidden position's row is zero.
+        `pairs` is an (m, 2) index array: pair j fuses text `pairs[j, 0]` of
+        `texts` with image `pairs[j, 1]` of `visions`, its text states
+        cross-attended to the image's visible rows.  Every cross layer but
+        the last runs on every text row.  The last one runs layer norm 1 and
+        the self- and cross-attention keys and values on every row as well,
+        and the rest only on the requested positions, padded per pair with
+        its [CLS] position to the longest list, so each pair keeps its own
+        keys and key mask.  A position may be requested more than once, and
+        a list may be empty; a hidden position's row is zero.
+
+        Where the pairs are gathered depends on whether a backward can run.
+        On the tape, both batches are gathered per pair first, as
+        `Encoded.take` nodes, and every layer runs per pair: so training's
+        ops and gradient order stay those of a fuse of gathered batches, and
+        no backward pays the scatter-add of a gather inside the layers, which
+        at the default batch costs more than the rows it saves.  Off the tape
+        (`tensor.no_tape`), the gather happens where text and image meet:
+        cross layer 0's layer norm and self-attention read only the text, so
+        they run once per distinct text (in a last layer, only the norm and
+        the self-attention keys and values), and every layer projects the
+        cross-attention keys and values once per distinct image.  Both give
+        the same bits, which the tests check: a row of an affine map over
+        several rows does not depend on the other rows.
         """
-        if len(text.visible) != len(vision.visible):
-            raise ShapeError(f"fusing {len(text.visible)} texts with {len(vision.visible)} images")
-        queries, picks = _padded_queries(positions, *text.visible.shape)
-        x = text.states
+        index = _pair_index(pairs, len(texts.visible), len(visions.visible))
+        texts_of, images_of = index[:, 0], index[:, 1]
+        queries, picks = _padded_queries(positions, len(index), texts.visible.shape[1])
+        pair_mask = texts.visible[texts_of]
+        if tensor.recording():
+            texts, visions = texts.take(texts_of), visions.take(images_of)
+            texts_of = images_of = None
+        x, key_mask = texts.states, texts.visible
         last = self.config.cross_layers - 1
-        for i in range(last):
-            x = self._block(f"cross.{i}", x, text.visible, cross=vision)
-        x = self._block(f"cross.{last}", x, text.visible, cross=vision, rows=queries)
-        keep = text.visible.reshape(-1)[queries]
+        for i in range(last + 1):
+            x = self._block(f"cross.{i}", x, key_mask, cross=visions,
+                            rows=queries if i == last else None,
+                            texts_of=texts_of if i == 0 else None, images_of=images_of)
+            key_mask = pair_mask
+        keep = pair_mask.reshape(-1)[queries]
         if not keep.all():
             x = self._zero_masked_rows(x, keep)
         return tensor.take_rows(x, picks)
 
-    def cross_cls(self, text: Encoded, vision: Encoded) -> Tensor:
-        """(batch, hidden_dim) fused [CLS] rows, the rows the matching and box heads read."""
-        return self.fuse(text, vision, [[0]] * len(text.visible))
+    def cross_cls(self, texts: Encoded, visions: Encoded, pairs) -> Tensor:
+        """(pairs, hidden_dim) fused [CLS] rows, the rows the matching and box heads read."""
+        return self.fuse(texts, visions, pairs, [[0]] * len(pairs))
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""

@@ -15,7 +15,8 @@ numpy's elementwise rules.
 Inside `with no_tape():` nothing is recorded: every op computes the same
 values, but its result carries no tape node, has `requires_grad` False and
 takes no sequence number.  Forward-only work such as scoring runs there, so
-a result it keeps does not hold its whole forward graph alive.
+a result it keeps does not hold its whole forward graph alive; `recording()`
+tells code that may take a cheaper forward-only route which side it is on.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ def no_tape():
         yield
     finally:
         _RECORDING = saved
+
+
+def recording() -> bool:
+    """Whether ops record tape nodes here: False inside `no_tape()`, so no backward can run."""
+    return _RECORDING
 
 
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:

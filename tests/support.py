@@ -1,4 +1,4 @@
-"""The micro run configs and the whole-image box shared by the tests.
+"""The micro run configs, the whole-image box and the aligned pair index shared by the tests.
 
 Each config spells out only the settings that differ from `RunConfig`'s
 defaults.
@@ -6,10 +6,17 @@ defaults.
 
 from __future__ import annotations
 
+import numpy as np
+
 from finegrain import synthdata as sd
 from finegrain.config import RunConfig
 
 FULL_IMAGE = sd.BBox(0.0, 0.0, 1.0, 1.0)
+
+
+def aligned_pairs(n: int) -> np.ndarray:
+    """The pair index that fuses text b with image b, for b < n."""
+    return np.stack([np.arange(n)] * 2, axis=1)
 
 
 def micro_config(**overrides) -> RunConfig:

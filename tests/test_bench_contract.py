@@ -34,6 +34,15 @@ def load_perfbench(name):
 
 TRACER = load_perfbench("tracer")
 
+
+def load_bench():
+    """perfbench's bench.py, which imports its sibling modules by their plain names."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return load_perfbench("bench")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
 # names perfbench's runner and tests read directly, besides the traced ones
 READ_DIRECTLY = (
     ("runner", "checkpoint_path"),
@@ -116,11 +125,31 @@ def test_eval_calls_keep_the_benchmark_shapes(tmp_path):
     # 8 subtasks of 2 cells and one of 4, 2 items each, and a 3 x 3 table
     assert len(calls) == 8 * 2 * 2 + 4 * 2 + 3 * 3
 
-    dense = {"version": 1, "grid_size": config.patch_grid, "subtasks": [],
+    dense = {"grid_size": config.patch_grid, "subtasks": [],
              "retrieval": {"seed": config.eval_seed, "count": 3}}
     runner.run_eval(config, ckpt, tmp_path, manifest=dense)
     written = json.loads((tmp_path / "reports" / "eval_step_000003.json").read_text())
     assert set(written["metrics"]) == {"retrieval_tr@1", "retrieval_ir@1"}
+
+
+@pytest.mark.parametrize("workload", ["train_full", "dynamics_sweep", "retrieval_dense"])
+def test_benchmark_pair_count_is_the_pairs_run_benchmark_scores(workload):
+    # the score audit checks each checkpoint's pair count against `manifest_pairs`,
+    # which re-derives each subtask's cells per item from its protocol group rather
+    # than reading `evalharness.SUBTASKS`; a recording scorer counts what is scored,
+    # on the benchmark's own manifests: two default-shaped ones and a dense table
+    bench = load_bench()
+    spec = bench.make_spec(workload, seed=1, seconds=15)
+    manifest = spec.manifest()
+    scored = []
+
+    def recorded(scene, text):
+        scored.append((scene, text))
+        return 0.5
+
+    evalharness.run_benchmark(recorded, manifest)
+    assert bench.manifest_pairs(manifest) == spec.pairs_per_checkpoint() == len(scored)
+    assert bool(manifest["subtasks"]) == (workload != "retrieval_dense")
 
 
 # at grid 2, eval seed 902's four retrieval captions hold "a blue square"

@@ -41,8 +41,8 @@ def text_to_image_hits(model: VLModel, samples) -> tuple[int, int]:
     with tensor.no_tape():
         visions = model.encode_images([s.scene.grid for s in samples])
         texts = model.encode_texts([model.config.vocab.encode_wrapped(s.text) for s in samples])
-        cls = model.cross_cls(texts.take(np.repeat(np.arange(n), n)),
-                              visions.take(np.tile(np.arange(n), n)))
+        cls = model.cross_cls(texts, visions, np.column_stack((np.repeat(np.arange(n), n),
+                                                               np.tile(np.arange(n), n))))
         itm = model.matching_probabilities(cls).reshape(n, n)  # [text, image]
         itc = model.project("txt", texts).array @ model.project("img", visions).array.T
     return tuple(round(ev.retrieval_recall(table, 1)[0] * n) for table in (itm, itc))

@@ -254,16 +254,14 @@ class TestRunBenchmark:
             assert report.counts[key] == 3
 
     def test_score_dump_of_a_retrieval_only_report_is_empty(self, tmp_path):
-        manifest = {"version": 1, "grid_size": 4, "subtasks": [],
-                    "retrieval": {"seed": 77, "count": 3}}
+        manifest = {"grid_size": 4, "subtasks": [], "retrieval": {"seed": 77, "count": 3}}
         report = ev.run_benchmark(lambda scene, text: 0.5, manifest)
         path = tmp_path / "scores.tsv"
         ev.write_scores(path, report)
         assert path.read_bytes() == b""
 
     def test_unknown_subtask_tag(self):
-        manifest = {"version": 1, "grid_size": 4,
-                    "subtasks": [{"tag": "nope", "seed": 1, "count": 1}]}
+        manifest = {"grid_size": 4, "subtasks": [{"tag": "nope", "seed": 1, "count": 1}]}
         with pytest.raises(ValidationError):
             ev.run_benchmark(lambda s, t: 0.5, manifest)
 
@@ -298,7 +296,7 @@ class TestRunBenchmark:
             f = text_terms.setdefault(text, float(rng.normal()))
             return f + image_terms.setdefault(scene.ident, float(rng.normal()))
 
-        manifest = {"version": 1, "grid_size": 4,
+        manifest = {"grid_size": 4,
                     "subtasks": [{"tag": ev.QUAD_SUBTASK, "seed": 77, "count": 8}]}
         report = ev.run_benchmark(additive, manifest)
         assert len(np.unique(report.cells[ev.QUAD_SUBTASK])) > 1
@@ -336,7 +334,7 @@ class TestRunBenchmark:
 def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
     """The per-pair scoring path: both encoders and the fusion, recorded on the tape."""
     text_states = model.encode_text(model.config.vocab.encode_wrapped(text))
-    cross_cls = model.cross_cls(text_states, model.encode_image(scene.grid))
+    cross_cls = model.cross_cls(text_states, model.encode_image(scene.grid), [(0, 0)])
     assert cross_cls.requires_grad
     return model.matching_probabilities(cross_cls)[0]
 
@@ -416,20 +414,40 @@ class TestModelScorer:
 
     @staticmethod
     def fused_text_rows(monkeypatch) -> list[int]:
-        """Each later `VLModel.fuse` call's stacked text rows, in call order.
+        """Each later `VLModel.fuse` call's text rows over its pairs, in call order.
 
         Each call must ask for exactly one position per pair, its [CLS] position.
         """
         rows = []
         fuse = VLModel.fuse
 
-        def counted(self, text, vision, requested):
-            assert list(requested) == [[0]] * len(text.visible)
-            rows.append(text.states.shape[0])
-            return fuse(self, text, vision, requested)
+        def counted(self, texts, visions, pairs, requested):
+            assert list(requested) == [[0]] * len(pairs)
+            rows.append(len(pairs) * texts.visible.shape[1])
+            return fuse(self, texts, visions, pairs, requested)
 
         monkeypatch.setattr(VLModel, "fuse", counted)
         return rows
+
+    @pytest.mark.parametrize("chunk_rows", [ev.CHUNK_ROWS, 16])
+    def test_each_fuse_reads_each_input_once(self, monkeypatch, chunk_rows):
+        # a fuse takes a chunk's distinct texts and distinct grids and pairs them by
+        # index: no text and no grid is stacked twice, though the manifest's pairs
+        # share both
+        monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
+        inputs = []  # each fuse's texts and grids, one state block per sample
+        fuse = VLModel.fuse
+
+        def recorded(self, texts, visions, *rest):
+            inputs.append([np.split(encoded.states.array, len(encoded.visible))
+                           for encoded in (texts, visions)])
+            return fuse(self, texts, visions, *rest)
+
+        monkeypatch.setattr(VLModel, "fuse", recorded)
+        pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched=True)
+        assert len({(s.grid.tobytes(), t) for s, t, _ in pairs}) > len(inputs)
+        for blocks in itertools.chain.from_iterable(inputs):
+            assert len({block.tobytes() for block in blocks}) == len(blocks)
 
     def test_every_fuse_runs_in_the_first_call(self, monkeypatch):
         rows = self.fused_text_rows(monkeypatch)

@@ -24,7 +24,7 @@ from finegrain.tensor import Tensor
 from finegrain.vocab import POSITION_BINS, position_token_insert, quantize_coordinate
 
 from gradcheck import check_gradients
-from support import FULL_IMAGE, micro_config
+from support import FULL_IMAGE, aligned_pairs, micro_config
 
 
 @pytest.fixture
@@ -135,6 +135,9 @@ class TestEncodeText:
             micro.encode_text(ids)
 
 
+ONE_PAIR = [(0, 0)]  # the pair index of a fuse of one text with one image
+
+
 def every_row(text):
     """Every position of every sample, in order: a fuse that returns the whole fused state."""
     batch, seq = text.visible.shape
@@ -151,14 +154,14 @@ class TestFuse:
     def test_output_shape(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        fused = micro.fuse(text, micro.encode_image(grid), every_row(text))
+        fused = micro.fuse(text, micro.encode_image(grid), ONE_PAIR, every_row(text))
         assert fused.shape == (len(ids), micro.config.hidden_dim)
 
     def test_no_mask_equals_all_ones_mask(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        a = micro.fuse(text, micro.encode_image(grid), every_row(text))
-        b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]),
+        a = micro.fuse(text, micro.encode_image(grid), ONE_PAIR, every_row(text))
+        b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]), ONE_PAIR,
                        every_row(text))
         assert np.array_equal(a.array, b.array)
 
@@ -169,8 +172,9 @@ class TestFuse:
         scrambled[0, :, :] = 9.9
         scrambled[1, 1, :] = -3.3
         text = micro.encode_text(ids)
-        a = micro.fuse(text, micro.encode_images([grid], [mask]), every_row(text))
-        b = micro.fuse(text, micro.encode_images([scrambled], [mask]), every_row(text))
+        a = micro.fuse(text, micro.encode_images([grid], [mask]), ONE_PAIR, every_row(text))
+        b = micro.fuse(text, micro.encode_images([scrambled], [mask]), ONE_PAIR,
+                       every_row(text))
         assert np.array_equal(a.array, b.array)
 
 
@@ -221,12 +225,14 @@ class TestBatchAxis:
     def test_batched_fuse_matches_per_pair_fuse(self, micro):
         grids, visibilities, ids = batch_inputs(micro)
         texts = micro.encode_texts(ids)
-        fused = micro.fuse(texts, micro.encode_images(grids, visibilities), every_row(texts))
+        fused = micro.fuse(texts, micro.encode_images(grids, visibilities), aligned_pairs(3),
+                           every_row(texts))
         seq = max(len(i) for i in ids)
         for b, (grid, visibility, row_ids) in enumerate(zip(grids, visibilities, ids)):
             rows = sample_rows(fused.array, b, seq)
             text = micro.encode_text(row_ids)
-            single = micro.fuse(text, micro.encode_images([grid], [visibility]), every_row(text))
+            single = micro.fuse(text, micro.encode_images([grid], [visibility]), ONE_PAIR,
+                                every_row(text))
             assert np.allclose(rows[:len(row_ids)], single.array, rtol=0, atol=1e-12)
             assert np.all(rows[len(row_ids):] == 0.0)
 
@@ -240,7 +246,8 @@ class TestBatchAxis:
 
         def run(grid_list):
             images = micro.encode_images(grid_list, visibilities)
-            return images.states.array, micro.fuse(texts, images, every_row(texts)).array
+            fused = micro.fuse(texts, images, aligned_pairs(3), every_row(texts))
+            return images.states.array, fused.array
 
         base_images, base_fused = run(grids)
         images, fused = run([grids[0], grids[1] + 7.5, grids[2]])
@@ -267,11 +274,20 @@ class TestBatchAxis:
         expected = np.concatenate([sample_rows(texts.states.array, b, seq) for b in (2, 0, 2)])
         assert np.array_equal(picked.states.array, expected)
 
-    def test_fuse_rejects_batches_of_different_sizes(self, micro):
+    @pytest.mark.parametrize("pairs", [
+        pytest.param([], id="no-pair"),
+        pytest.param([0, 1, 2], id="flat"),
+        pytest.param([(0, 1, 2)], id="triple"),
+        pytest.param([(0.0, 1.0)], id="float"),
+        pytest.param([(0, 0), (-1, 1)], id="negative"),
+        pytest.param([(3, 0)], id="text-past-its-batch"),
+        pytest.param([(0, 2)], id="image-past-its-batch"),
+    ])
+    def test_fuse_rejects_a_malformed_pair_index(self, micro, pairs):
         grids, _, ids = batch_inputs(micro)
         texts = micro.encode_texts(ids)
         with pytest.raises(ShapeError):
-            micro.fuse(texts, micro.encode_images(grids[:2]), every_row(texts))
+            micro.fuse(texts, micro.encode_images(grids[:2]), pairs, [[0]] * len(pairs))
 
 
 def row_requests(texts) -> dict[str, list[list[int]]]:
@@ -290,7 +306,7 @@ def row_requests(texts) -> dict[str, list[list[int]]]:
 @pytest.mark.parametrize("cross_layers", [1, 2])
 @pytest.mark.parametrize("kind", ["cls", "visible_any_order", "repeated", "hidden", "every"])
 class TestFuseRows:
-    # `fuse(text, vision, positions)` against the same fuse asked for every row, on padded
+    # `fuse(texts, visions, pairs, positions)` against the same fuse asked for every row, on padded
     # texts and box-masked visions.  The last cross layer runs its queries on fewer
     # rows, so BLAS may round them differently: values and gradients match to 1e-12.
 
@@ -305,8 +321,8 @@ class TestFuseRows:
                                                                         kind):
         model, texts, images, positions = self.inputs(cross_layers, kind)
         rows = stacked_rows(texts, positions)
-        full = model.fuse(texts, images, every_row(texts)).array
-        fused = model.fuse(texts, images, positions).array
+        full = model.fuse(texts, images, aligned_pairs(3), every_row(texts)).array
+        fused = model.fuse(texts, images, aligned_pairs(3), positions).array
         assert fused.shape == (len(rows), model.config.hidden_dim)
         np.testing.assert_allclose(fused, full[rows], rtol=0, atol=1e-12)
         hidden = ~texts.visible.reshape(-1)[rows]
@@ -325,8 +341,9 @@ class TestFuseRows:
             tensor.tsum(tensor.mul(fused, weights)).backward()
             return [param.grad for param in model.parameters()]
 
-        full = gradients(tensor.take_rows(model.fuse(texts, images, every_row(texts)), rows))
-        picked = gradients(model.fuse(texts, images, positions))
+        full = gradients(tensor.take_rows(
+            model.fuse(texts, images, aligned_pairs(3), every_row(texts)), rows))
+        picked = gradients(model.fuse(texts, images, aligned_pairs(3), positions))
         for name, want, got in zip(model.params, full, picked):
             assert (want is None) == (got is None), name
             if name.endswith(".bk"):
@@ -343,8 +360,8 @@ class TestFuseRows:
         model, texts, _, positions = self.inputs(cross_layers, kind)
         grids, _, _ = batch_inputs(model)
         ones = [np.ones(model.config.num_patches, dtype=bool)] * len(grids)
-        a = model.fuse(texts, model.encode_images(grids), positions)
-        b = model.fuse(texts, model.encode_images(grids, ones), positions)
+        a = model.fuse(texts, model.encode_images(grids), aligned_pairs(3), positions)
+        b = model.fuse(texts, model.encode_images(grids, ones), aligned_pairs(3), positions)
         assert np.array_equal(a.array, b.array)
 
     def test_hidden_patch_cannot_leak_bit_for_bit(self, cross_layers, kind):
@@ -353,8 +370,32 @@ class TestFuseRows:
         hidden = grids[1].copy()
         hidden[0, 1, :] = 123.456  # patch (row 0, col 1) is hidden in sample 1
         changed = model.encode_images([grids[0], hidden, grids[2]], visibilities)
-        assert np.array_equal(model.fuse(texts, changed, positions).array,
-                              model.fuse(texts, images, positions).array)
+        assert np.array_equal(model.fuse(texts, changed, aligned_pairs(3), positions).array,
+                              model.fuse(texts, images, aligned_pairs(3), positions).array)
+
+
+@pytest.mark.parametrize("cross_layers", [1, 2, 3])
+def test_fuse_off_the_tape_equals_the_gather_first_fuse_bit_for_bit(cross_layers):
+    # off the tape, fuse runs text-only work once per distinct text and projects the
+    # cross-attention keys and values once per distinct image; on the tape it gathers
+    # both batches per pair first, as training always has.  Texts and images repeat,
+    # the visions are masked, pairs ask for several positions, and two of those are
+    # hidden pads ("circle" has 3 tokens and "a green triangle" 5, of 10)
+    model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
+    grids, visibilities, ids = batch_inputs(model)
+    texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
+    pairs = np.array([[0, 0], [1, 0], [0, 2], [2, 1], [0, 0], [1, 2], [2, 2], [2, 0]])
+    positions = [[0, 3, 9], [0, 7], [4, 4, 1], [2, 0], [], [1], [0, 4, 3], [8]]
+    gathered = model.fuse(texts.take(pairs[:, 0]), images.take(pairs[:, 1]),
+                          aligned_pairs(len(pairs)), positions)
+    taped = model.fuse(texts, images, pairs, positions)
+    with tensor.no_tape():
+        untaped = model.fuse(texts, images, pairs, positions)
+    assert taped.requires_grad and not untaped.requires_grad
+    assert untaped.shape == (15, model.config.hidden_dim)
+    assert np.array_equal(taped.array, gathered.array)
+    assert np.array_equal(untaped.array, gathered.array)
+    assert np.all(untaped.array[[4, 14]] == 0.0)  # the two hidden positions
 
 
 def test_fuse_rows_gradcheck():
@@ -365,7 +406,7 @@ def test_fuse_rows_gradcheck():
 
     def f():
         fused = model.fuse(model.encode_texts(ids), model.encode_images(grids, visibilities),
-                           positions)
+                           aligned_pairs(3), positions)
         return tensor.tsum(tensor.mul(fused, weights))
 
     inputs = [model.params[name] for name in
@@ -388,12 +429,12 @@ def test_fuse_rejects_rows_outside_the_text_batch(micro, rows):
     texts = micro.encode_texts(ids)
     assert texts.visible.shape == (3, SEQ)
     with pytest.raises(ShapeError):
-        micro.fuse(texts, micro.encode_images(grids), rows)
+        micro.fuse(texts, micro.encode_images(grids), aligned_pairs(3), rows)
 
 
 def cross_cls_of(model, grid, ids):
     """The fused [CLS] row of one (image, text) pair, recorded on the tape."""
-    return model.cross_cls(model.encode_text(ids), model.encode_image(grid))
+    return model.cross_cls(model.encode_text(ids), model.encode_image(grid), ONE_PAIR)
 
 
 class TestHeads:

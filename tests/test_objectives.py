@@ -16,7 +16,7 @@ from finegrain.seeding import rng_for
 from finegrain.tensor import Tensor
 
 from gradcheck import check_gradients
-from support import FULL_IMAGE, micro_config
+from support import FULL_IMAGE, aligned_pairs, micro_config
 
 
 def ablation(losses="full", sources=tuple(sd.DATA_SOURCES)):
@@ -77,7 +77,7 @@ def matching_loss(model, visions, texts, grids):
     n = len(grids)
     sims = model.project("img", visions).array @ model.project("txt", texts).array.T
     negatives = obj.mine_hard_negatives(sims, grids)
-    fused = model.fuse(texts.take([*range(n), *negatives]), visions.take([*range(n)] * 2),
+    fused = model.fuse(texts, visions, np.column_stack(([*range(n), *negatives], [*range(n)] * 2)),
                        [[0]] * (2 * n))
     return obj.itm_loss(model, fused, n)
 
@@ -88,7 +88,8 @@ def masked_lm_loss(model, ids, visions, rng):
     if not masked.targets:
         return None
     texts = model.encode_texts(masked.copies)
-    fused = model.fuse(texts, visions.take(masked.items), masked.positions)
+    fused = model.fuse(texts, visions, np.column_stack((range(len(masked.items)), masked.items)),
+                       masked.positions)
     return obj.mlm_loss(model, fused, range(len(masked.targets)), masked.targets)
 
 
@@ -144,7 +145,8 @@ class TestItmLoss:
         # independent recomputation from matching probabilities, one pair at a time
         def probability(i, j):
             text = model.encode_text(ids[j])
-            cross = model.fuse(text, model.encode_image(grids[i]), [range(len(ids[j]))])
+            cross = model.fuse(text, model.encode_image(grids[i]), [(0, 0)],
+                               [range(len(ids[j]))])
             return model.matching_probabilities(tensor.take_rows(cross, [0]))[0]
 
         probs = [probability(i, i) for i in range(2)]
@@ -196,7 +198,8 @@ class TestMlmLoss:
         for p in positions:
             masked[p] = vocab.mask_id
         states = model.encode_text(masked)
-        fused = model.fuse(states, model.encode_image(scene.grid), [range(len(masked))])
+        fused = model.fuse(states, model.encode_image(scene.grid), [(0, 0)],
+                           [range(len(masked))])
         logits = model.mlm_logits(fused).array[positions]
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -511,18 +514,20 @@ class TestTrainingStep:
         copies = count_calls(model, "encode_texts")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, batch, optimizer, rng_for(5, "count"))
-        # one fuse per pass stacks the positives, the mined negatives and the masked copies
+        # one fuse per pass reads the step's texts and the pass's visions, and pairs the
+        # positives, the mined negatives and the masked copies
         assert len(calls) == expected
-        for text, vision, _ in calls:
-            assert len(text.visible) == len(vision.visible) > 2 * 4
+        for texts, visions, pairs, _ in calls:
+            assert len(texts.visible) > len(visions.visible) == 4
+            assert len(pairs) > 2 * 4
         # and asks for the [CLS] positions of the 2n positives and negatives, then the
         # [MASK] positions of the pass's copies, which follow the batch's texts pass by pass
         [(step_ids,)] = copies
         pass_copies = iter(step_ids[4:])
         mask_id = model.config.vocab.mask_id
-        for text, _, positions in calls:
+        for _, _, pairs, positions in calls:
             masked = [[pos for pos, token in enumerate(next(pass_copies)) if token == mask_id]
-                      for _ in range(len(text.visible) - 2 * 4)]
+                      for _ in range(len(pairs) - 2 * 4)]
             assert list(positions) == [[0]] * (2 * 4) + masked
         assert next(pass_copies, None) is None
 
@@ -605,8 +610,8 @@ def per_role_step(model, batch, config, rng):
         terms[f"{prefix}cl"] = obj.contrastive_loss(image_feats, text_feats,
                                                     model.temperature()).item()
         negatives = obj.mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
-        positives = model.cross_cls(texts, visions)
-        mined = model.cross_cls(texts.take(negatives), visions)
+        positives = model.cross_cls(texts, visions, aligned_pairs(n))
+        mined = model.cross_cls(texts, visions, np.column_stack((negatives, range(n))))
         logits = model.itm_logits(tensor.concat([positives, mined], 0)).array
         terms[f"{prefix}itm"] = cross_entropy(logits, [1] * n + [0] * n)
         selections = [obj.select_mask_positions(t, vocab, rng) for t in ids]
@@ -618,7 +623,8 @@ def per_role_step(model, batch, config, rng):
                       for i in items]
             copies.extend(masked)
             copies_encoded = model.encode_texts(masked)
-            states = model.fuse(copies_encoded, visions.take(items),
+            states = model.fuse(copies_encoded, visions,
+                                np.column_stack((range(len(items)), items)),
                                 [range(copies_encoded.visible.shape[1])] * len(items))
             seq = max(len(m) for m in masked)
             rows = [k * seq + p for k, i in enumerate(items) for p in selections[i]]
@@ -702,7 +708,8 @@ class TestLossGradients:
                 loss = masked_lm_loss(model, ids, visions, rng_for(1, "gc"))
                 assert loss is not None
                 return loss
-            return obj.bbox_loss_terms(model.bbox_corners(model.cross_cls(texts, visions)),
+            return obj.bbox_loss_terms(model.bbox_corners(model.cross_cls(texts, visions,
+                                                                          aligned_pairs(2))),
                                        [s.bbox for s in batch.samples])
 
         inputs = [
