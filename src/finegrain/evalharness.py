@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import tensor
 from .errors import EmptyInputError, FoilCapabilityError, ValidationError
 from .fileio import atomic_open, write_table
 from .model import Encoded, VLModel
@@ -111,7 +110,7 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
       pairs fused in chunks of at most `CHUNK_ROWS` text rows over the
       pairs.  A chunk's fuse takes its distinct texts and its distinct
       grids, each joined once by `Encoded.stack` from their cached
-      encodings, and a pair index into them.  Off the tape the fuse gathers
+      encodings, and a pair index into them.  A frozen model's fuse gathers
       per pair only where text and image meet, so cross layer 0's
       text-only work runs once per distinct text and each layer's
       cross-attention keys and values once per distinct grid (see
@@ -121,9 +120,11 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     its last bits: the last layer's [CLS] queries and the matching head's
     product run on another row count.
 
-    Everything runs under `tensor.no_tape()`, so a cached encoding holds its
-    values only, not the forward graph that computed them.
+    Everything runs on `model.frozen()`, so nothing is recorded on the tape
+    and a cached encoding holds its values only, not the forward graph that
+    computed them.
     """
+    model = model.frozen()
     vocab = model.config.vocab
     images: dict[tuple, Encoded] = {}
     texts: dict[str, Encoded] = {}
@@ -164,21 +165,20 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
 
     def score(scene: Scene, text: str) -> float:
         nonlocal unscored_manifest
-        with tensor.no_tape():
-            if unscored_manifest is not None:
-                pairs = []
+        if unscored_manifest is not None:
+            pairs = []
 
-                def record(*pair) -> float:
-                    pairs.append(pair)
-                    return 0.0
+            def record(*pair) -> float:
+                pairs.append(pair)
+                return 0.0
 
-                run_benchmark(record, unscored_manifest)
-                score_pairs(pairs)
-                unscored_manifest = None
-            key = key_of(scene, text)
-            if key not in scores:
-                score_pairs([(scene, text)])
-            return scores[key]
+            run_benchmark(record, unscored_manifest)
+            score_pairs(pairs)
+            unscored_manifest = None
+        key = key_of(scene, text)
+        if key not in scores:
+            score_pairs([(scene, text)])
+        return scores[key]
 
     return score
 

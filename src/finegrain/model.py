@@ -21,19 +21,19 @@ and an (m, 2) pair index of (text, image) batch indices, so the training
 step fuses every role of a pass (positives, mined negatives, masked
 copies) once, and the scorer passes a chunk's texts and images once
 each, however many of its pairs share them; `fuse` tells where it
-gathers the pairs' rows, on and off the tape.  It also takes a list of
-text positions per pair, the ones its caller reads, and returns their
-rows pair by pair; its last cross layer computes only those: its keys
-and values read every row, but its queries, output maps and MLP run on
-the requested rows alone.  So the stacked-row layout stays in this
-module.
+gathers the pairs' rows, for trainable and for frozen weights.  It also
+takes a list of text positions per pair, the ones its caller reads, and
+returns their rows pair by pair; its last cross layer computes only
+those: its keys and values read every row, but its queries, output maps
+and MLP run on the requested rows alone.  So the stacked-row layout stays
+in this module.
 The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
 
-How the scorer batches its encodes and fuses is told in
-`evalharness.model_scorer`; `encode_image` and `encode_text`, batches of
-one, stay because the benchmark's tracer wraps them.
+How the scorer batches its encodes and fuses, on `frozen` weights, is told
+in `evalharness.model_scorer`; `encode_image` and `encode_text`, batches
+of one, stay because the benchmark's tracer wraps them.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
@@ -219,6 +219,17 @@ class VLModel:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
+    def frozen(self) -> VLModel:
+        """This model over constant parameters sharing its arrays: nothing it computes is taped.
+
+        In-place updates of the arrays show through; a checkpoint load, which
+        replaces them, does not.
+        """
+        frozen = VLModel.__new__(VLModel)
+        frozen.config = self.config
+        frozen.params = {name: Tensor(param.array) for name, param in self.params.items()}
+        return frozen
+
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])
 
@@ -366,16 +377,17 @@ class VLModel:
         keys and key mask.  A position may be requested more than once, and
         a list may be empty; a hidden position's row is zero.
 
-        Where the pairs are gathered depends on whether a backward can run.
-        On the tape, both batches are gathered per pair first, as
-        `Encoded.take` nodes, and every layer runs per pair: so training's
+        Where the pairs are gathered depends on the model's own weights.
+        Trainable weights gather both batches per pair first, as
+        `Encoded.take` nodes, and run every layer per pair: so training's
         ops and gradient order stay those of a fuse of gathered batches, and
-        no backward pays the scatter-add of a gather inside the layers, which
-        at the default batch costs more than the rows it saves.  Off the tape
-        (`tensor.no_tape`), the gather happens where text and image meet:
-        cross layer 0's layer norm and self-attention read only the text, so
-        they run once per distinct text (in a last layer, only the norm and
-        the self-attention keys and values), and every layer projects the
+        no backward pays the scatter-add of a gather inside the layers: at
+        the default batch it costs more than the rows it saves (the detection
+        step median went from 14.6 to 15.3 ms on a 2-core host).  Frozen
+        weights (`frozen`) gather where text and image meet: cross layer 0's
+        layer norm and self-attention read only the text, so they run once
+        per distinct text (in a last layer, only the norm and the
+        self-attention keys and values), and every layer projects the
         cross-attention keys and values once per distinct image.  Both give
         the same bits, which the tests check: a row of an affine map over
         several rows does not depend on the other rows.
@@ -384,7 +396,7 @@ class VLModel:
         texts_of, images_of = index[:, 0], index[:, 1]
         queries, picks = _padded_queries(positions, len(index), texts.visible.shape[1])
         pair_mask = texts.visible[texts_of]
-        if tensor.recording():
+        if any(param.requires_grad for param in self.params.values()):
             texts, visions = texts.take(texts_of), visions.take(images_of)
             texts_of = images_of = None
         x, key_mask = texts.states, texts.visible

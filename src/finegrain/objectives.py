@@ -16,15 +16,13 @@ and projects the batch's texts once: the text encoder never sees the
 image, so the visually masked pass reuses them.  A pass encodes its
 images once and fuses once: its pairs index the text roles [positives |
 mined negatives | the pass's masked copies] against [visions | visions |
-each copy's vision].  The fuse runs on the tape, so it gathers both
-roles' rows before its first layer (see `pass_losses`).  It takes each
-role's text positions and returns, and computes in its last layer, only
-the rows the heads read: the [CLS] row of each of the 2n positives and
-negatives, then each copy's masked positions.  The heads run once per
-call: one image projection per pass, one matching-head call for all
-positives and negatives, one masked-LM head call for the masked
-positions only, and one box head and one box loss for the whole
-detection batch.  Matching
+each copy's vision].  It takes each role's text positions and returns,
+and computes in its last layer, only the rows the heads read: the [CLS]
+row of each of the 2n positives and negatives, then each copy's masked
+positions.  The heads run once per call: one image projection per pass,
+one matching-head call for all positives and negatives, one masked-LM
+head call for the masked positions only, and one box head and one box
+loss for the whole detection batch.  Matching
 negatives are the hardest in-batch negatives by contrastive similarity,
 one per positive, mined among samples whose underlying image differs.
 The step reads which losses are on from the model's `RunConfig`; each pass
@@ -43,6 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import ops, tensor
+from .config import RunConfig
 from .errors import NumericError
 from .model import Encoded, VLModel
 from .synthdata import Batch, BBox, DetectionSample, patch_mask
@@ -210,10 +209,12 @@ def bbox_loss_terms(pred_corners: Tensor, targets: Sequence[BBox]) -> Tensor:
 # -- batch-level composition -----------------------------------------------------
 
 
-def _pevl_ids(model: VLModel, sample: DetectionSample) -> list[int]:
-    tokens = position_token_insert(sample.text.split(), sample.bbox, POSITION_BINS,
-                                   sample.entity_span_end)
-    return model.config.vocab.encode_wrapped(tokens)
+def step_ids(config: RunConfig, batch: Batch) -> list[list[int]]:
+    """Each sample's token ids as the step encodes them; PEVL puts a detection's box in its text."""
+    if batch.kind == "detection" and config.arm.pevl:
+        return [config.vocab.encode_wrapped(position_token_insert(
+            s.text.split(), s.bbox, POSITION_BINS, s.entity_span_end)) for s in batch.samples]
+    return [config.vocab.encode_wrapped(s.text) for s in batch.samples]
 
 
 def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,
@@ -228,14 +229,6 @@ def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Te
     rows the heads read: the 2n [CLS] rows of the positives and negatives,
     then the copies' masked positions.  The terms are "cl" and "itm", plus
     "mlm" when `masked` holds copies.
-
-    The fuse runs on the tape, so it gathers each pair's text and vision
-    rows before its first layer, as two `Encoded.take` nodes: the ops and
-    the gradient order stay those of a fuse of gathered batches.  Gathering
-    inside the layers instead, once per distinct text and image, moved the
-    losses by up to 5e-16 relative and was slower (detection step median
-    14.6 -> 15.3 ms on a 2-core host): at batch 4 the scatter-add backward
-    of the later gathers costs more than the rows it saves.
     """
     n = len(grids)
     image_feats = model.project("img", visions)
@@ -275,9 +268,7 @@ def training_step(model: VLModel, batch: Batch, optimizer: SgdOptimizer,
     is_detection = batch.kind == "detection"
     vma = is_detection and arm.vma
     grids = [s.scene.grid for s in batch.samples]
-    pevl = is_detection and arm.pevl
-    vocab = model.config.vocab
-    ids = [_pevl_ids(model, s) if pevl else vocab.encode_wrapped(s.text) for s in batch.samples]
+    ids = step_ids(model.config, batch)
     texts, text_feats, masked = encode_step_texts(model, ids, 2 if vma else 1, rng)
     visions = model.encode_images(grids)
     fused, terms = pass_losses(model, visions, texts, text_feats, grids, masked[0])

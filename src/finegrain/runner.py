@@ -7,8 +7,8 @@ layout is fixed: config.ini copy, checkpoints/, logs/, reports/.
 An ablation grid is {arm directory name: RunConfig} in grid order; every
 arm's config, schedule and directory is checked before the first arm trains.
 `train`, `eval` and `dynamics` claim their run directory only after their
-inputs pass; `dynamics` rejects a run directory of another config before it
-scores.
+inputs pass; `eval` and `dynamics` reject a run directory of another config
+before they score, and claim it only after scoring.
 """
 
 from __future__ import annotations
@@ -23,18 +23,21 @@ from . import dynamics as dyn
 from . import evalharness as ev
 from . import synthdata as sd
 from .config import RunConfig, load_config, save_config
-from .errors import DependencyError, NumericError, ValidationError
+from .errors import DependencyError, NumericError, SequenceLengthError, ValidationError
 from .fileio import write_table
 from .model import VLModel, load_checkpoint, save_checkpoint
-from .objectives import LOSS_COMPONENTS, SgdOptimizer, training_step
+from .objectives import LOSS_COMPONENTS, SgdOptimizer, step_ids, training_step
 from .seeding import rng_for
 
 LOSS_LOG_HEADER = ("step", "batch_kind", *LOSS_COMPONENTS, "total", "active")
 
 
 def check_run_dir(config: RunConfig, out_dir: Path) -> None:
-    """Reject a run directory whose config.ini names another config; writes nothing."""
-    config_copy = Path(out_dir) / "config.ini"
+    """Reject a file, or a run directory whose config.ini names another config; writes nothing."""
+    out_dir = Path(out_dir)
+    if out_dir.is_file():
+        raise ValidationError(f"cannot use {out_dir} as a run directory: it is a file")
+    config_copy = out_dir / "config.ini"
     if config_copy.exists():
         existing = load_config(config_copy)
         if existing.config_hash() != config.config_hash():
@@ -83,11 +86,22 @@ class TrainResult:
 
 
 def training_batches(config: RunConfig) -> list[sd.Batch]:
-    """The config's batch schedule; one the losses cannot train on is rejected."""
-    return sd.sampler_for_sources(
+    """The config's batch schedule; one the losses cannot train on is rejected.
+
+    So is one with a sample the step would encode to more than `max_len` tokens.
+    """
+    batches = sd.sampler_for_sources(
         config.data_seed, sorted(config.source_set()), config.steps, config.caption_count,
         config.detection_scene_count, config.caption_batch, config.detection_batch,
         config.patch_grid)
+    by_kind: dict[str, list] = {}  # batch kind -> its distinct samples
+    for kind, sample in {id(s): (b.kind, s) for b in batches for s in b.samples}.values():
+        by_kind.setdefault(kind, []).append(sample)
+    longest = max(len(ids) for kind, samples in by_kind.items()
+                  for ids in step_ids(config, sd.Batch(kind, tuple(samples))))
+    if longest > config.max_len:
+        raise SequenceLengthError(f"{longest} tokens exceed max_len {config.max_len}")
+    return batches
 
 
 def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
@@ -129,14 +143,15 @@ def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
 
 def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
              manifest: dict | None = None) -> ev.EvalReport:
-    model, step = _load_model_at(config, ckpt)  # before the run directory is claimed
-    out_dir = prepare_run_dir(config, out_dir)
+    model, step = _load_model_at(config, ckpt)
+    check_run_dir(config, out_dir)  # before the costly scoring
     if manifest is None:
         manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
                                        config.patch_grid, config.retrieval_count)
-    chash = config.config_hash()
     report = ev.run_benchmark(ev.model_scorer(model, manifest), manifest,
-                              checkpoint_step=step)
+                              checkpoint_step=step)  # before the run directory is claimed
+    out_dir = prepare_run_dir(config, out_dir)
+    chash = config.config_hash()
     ev.write_report(out_dir / "reports" / f"eval_step_{step:06d}.tsv", report, chash)
     ev.write_report_json(out_dir / "reports" / f"eval_step_{step:06d}.json", report, chash)
     ev.write_scores(out_dir / "reports" / f"scores_step_{step:06d}.tsv", report)

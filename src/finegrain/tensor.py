@@ -12,16 +12,14 @@ gradient of every recorded intermediate lives only for the sweep that
 computes it.  There is no graph optimization and no broadcasting beyond
 numpy's elementwise rules.
 
-Inside `with no_tape():` nothing is recorded: every op computes the same
-values, but its result carries no tape node, has `requires_grad` False and
-takes no sequence number.  Forward-only work such as scoring runs there, so
-a result it keeps does not hold its whole forward graph alive; `recording()`
-tells code that may take a cheaper forward-only route which side it is on.
+An op records a tape node only when one of its inputs requires a gradient:
+forward-only work such as scoring runs on constant tensors (see
+`VLModel.frozen`), so its results take no sequence number and do not hold
+the forward graph that computed them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 from typing import Callable, Iterable, Sequence
@@ -31,7 +29,6 @@ import numpy as np
 from .errors import ShapeError
 
 _SEQ = itertools.count()
-_RECORDING = True  # False inside no_tape()
 
 
 class _Node:
@@ -113,26 +110,9 @@ class Tensor:
             arrivals = zip(node.parents, node.backward_fn(pending.pop(node.seq)))
 
 
-@contextlib.contextmanager
-def no_tape():
-    """Record no tape node for any op run inside the block; nests, and restores on exit."""
-    global _RECORDING
-    saved = _RECORDING
-    _RECORDING = False
-    try:
-        yield
-    finally:
-        _RECORDING = saved
-
-
-def recording() -> bool:
-    """Whether ops record tape nodes here: False inside `no_tape()`, so no backward can run."""
-    return _RECORDING
-
-
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     out = Tensor(values)
-    if _RECORDING and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(parents, backward_fn, next(_SEQ))
     return out

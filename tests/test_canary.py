@@ -16,7 +16,6 @@ import numpy as np
 from finegrain import evalharness as ev
 from finegrain import runner
 from finegrain import synthdata as sd
-from finegrain import tensor
 from finegrain.config import RunConfig
 from finegrain.model import VLModel, load_checkpoint
 
@@ -38,13 +37,13 @@ def text_to_image_hits(model: VLModel, samples) -> tuple[int, int]:
     the contrastive loss's similarity.
     """
     n = len(samples)
-    with tensor.no_tape():
-        visions = model.encode_images([s.scene.grid for s in samples])
-        texts = model.encode_texts([model.config.vocab.encode_wrapped(s.text) for s in samples])
-        cls = model.cross_cls(texts, visions, np.column_stack((np.repeat(np.arange(n), n),
-                                                               np.tile(np.arange(n), n))))
-        itm = model.matching_probabilities(cls).reshape(n, n)  # [text, image]
-        itc = model.project("txt", texts).array @ model.project("img", visions).array.T
+    model = model.frozen()
+    visions = model.encode_images([s.scene.grid for s in samples])
+    texts = model.encode_texts([model.config.vocab.encode_wrapped(s.text) for s in samples])
+    cls = model.cross_cls(texts, visions, np.column_stack((np.repeat(np.arange(n), n),
+                                                           np.tile(np.arange(n), n))))
+    itm = model.matching_probabilities(cls).reshape(n, n)  # [text, image]
+    itc = model.project("txt", texts).array @ model.project("img", visions).array.T
     return tuple(round(ev.retrieval_recall(table, 1)[0] * n) for table in (itm, itc))
 
 

@@ -413,6 +413,19 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+        assert not (tmp_path / "r").exists()
+
+    def test_eval_text_beyond_max_len_creates_nothing(self, tmp_path):
+        # object labels fit in 6 tokens, so training passes; the eval captions do not
+        config_path = tmp_path / "config.ini"
+        save_config(tiny_config(sources="object_labels", losses="A", max_len=6), config_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
+        ckpt = run_dir / "checkpoints" / "step_000006.ckpt"
+        code = main(["eval", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("count", ["caption_count", "detection_scene_count"])
     def test_one_image_stream_exit_code(self, tmp_path, capsys, count):
@@ -467,6 +480,22 @@ class TestCli:
         taken.write_text("")
         argv = [command, "--config", str(config_path), "--out", str(taken)]
         code = main(argv + (["--grid", "A:captions"] if command == "ablate" else []))
+        assert code == EXIT_VALIDATION
+        assert "as a run directory" in capsys.readouterr().err
+
+    def test_eval_into_a_file_scores_nothing(self, tmp_path, capsys, monkeypatch):
+        config_path = self.write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def scored(*args, **kwargs):
+            raise AssertionError("eval scored before it checked --out")
+
+        monkeypatch.setattr(ev, "run_benchmark", scored)
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(run_dir / "checkpoints" / "step_000006.ckpt"), "--out", str(taken)])
         assert code == EXIT_VALIDATION
         assert "as a run directory" in capsys.readouterr().err
 

@@ -485,7 +485,7 @@ class TestModelScorer:
             assert new != old
             assert new == taped_score(other, scene, text)
 
-    def test_scoring_records_no_tape_node(self):
+    def test_scoring_records_nothing_on_the_tape(self):
         score = ev.model_scorer(VLModel(MICRO, seed=5))
         scene = sd.generate_scene(19, 0, grid_size=2)
         before = repr(tensor._SEQ)

@@ -5,7 +5,9 @@ checks: an unused import is a false dependency edge between modules, a
 public name that only tests reach is API the program does not need, a
 record field that nothing reads is state the program carries for no one,
 and a parameter default that no call overrides is a setting with one
-value, which belongs in a constant.
+value, which belongs in a constant.  A fifth scan keeps out `global`
+statements: a process-wide mode that an op reads is state every caller
+shares.
 """
 
 import ast
@@ -42,6 +44,14 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported_names(tree) - used == set()
+
+
+def test_no_global_statement():
+    """No finegrain function rebinds a module-level name: a mode travels with the objects."""
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert not found, f"global statements: {', '.join(found)}"
 
 
 def _is_dunder(name: str) -> bool:

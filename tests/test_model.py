@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from finegrain import evalharness as ev
 from finegrain import model as fg_model
 from finegrain import objectives as obj
 from finegrain import synthdata as sd
@@ -376,12 +377,13 @@ class TestFuseRows:
 
 @pytest.mark.parametrize("cross_layers", [1, 2, 3])
 def test_fuse_off_the_tape_equals_the_gather_first_fuse_bit_for_bit(cross_layers):
-    # off the tape, fuse runs text-only work once per distinct text and projects the
-    # cross-attention keys and values once per distinct image; on the tape it gathers
-    # both batches per pair first, as training always has.  Texts and images repeat,
-    # the visions are masked, pairs ask for several positions, and two of those are
-    # hidden pads ("circle" has 3 tokens and "a green triangle" 5, of 10)
+    # a frozen model's fuse runs text-only work once per distinct text and projects
+    # the cross-attention keys and values once per distinct image; a trainable one
+    # gathers both batches per pair first, as training always has.  Texts and images
+    # repeat, the visions are masked, pairs ask for several positions, and two of
+    # those are hidden pads ("circle" has 3 tokens and "a green triangle" 5, of 10)
     model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
+    frozen = model.frozen()
     grids, visibilities, ids = batch_inputs(model)
     texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
     pairs = np.array([[0, 0], [1, 0], [0, 2], [2, 1], [0, 0], [1, 2], [2, 2], [2, 0]])
@@ -389,13 +391,87 @@ def test_fuse_off_the_tape_equals_the_gather_first_fuse_bit_for_bit(cross_layers
     gathered = model.fuse(texts.take(pairs[:, 0]), images.take(pairs[:, 1]),
                           aligned_pairs(len(pairs)), positions)
     taped = model.fuse(texts, images, pairs, positions)
-    with tensor.no_tape():
-        untaped = model.fuse(texts, images, pairs, positions)
+    untaped = frozen.fuse(frozen.encode_texts(ids), frozen.encode_images(grids, visibilities),
+                          pairs, positions)
     assert taped.requires_grad and not untaped.requires_grad
     assert untaped.shape == (15, model.config.hidden_dim)
     assert np.array_equal(taped.array, gathered.array)
     assert np.array_equal(untaped.array, gathered.array)
     assert np.all(untaped.array[[4, 14]] == 0.0)  # the two hidden positions
+
+
+class TestFrozen:
+    # the scorer runs on `model.frozen()`: constant parameters over the model's own
+    # arrays, so the tape's one rule (record only when an input requires a gradient)
+    # keeps everything it computes off the tape
+    PAIRS = np.array([[0, 0], [1, 0], [0, 2], [2, 1], [0, 0], [1, 2], [2, 2], [2, 0]])
+
+    def outputs(self, model):
+        """Encodings, projections and fused rows of batch_inputs, pairs repeating inputs."""
+        grids, visibilities, ids = batch_inputs(model)
+        texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
+        fused = model.fuse(texts, images, self.PAIRS, [[0, 3]] * len(self.PAIRS))
+        return [texts.states, images.states, model.project("txt", texts),
+                model.project("img", images), fused]
+
+    def test_parameters_are_the_models_arrays_as_constants(self):
+        model = VLModel(micro_config(cross_layers=2), seed=5)
+        frozen = model.frozen()
+        assert type(frozen) is VLModel and frozen.config is model.config
+        assert list(frozen.params) == list(model.params)
+        for name, param in model.params.items():
+            assert frozen.params[name].array is param.array, name
+            assert not frozen.params[name].requires_grad and param.requires_grad, name
+
+    def test_outputs_equal_the_trainable_models_and_record_nothing(self):
+        model = VLModel(micro_config(cross_layers=2), seed=5)
+        trainable = self.outputs(model)
+        frozen = model.frozen()
+        before = repr(tensor._SEQ)
+        outputs = self.outputs(frozen)
+        assert repr(tensor._SEQ) == before
+        for expected, out in zip(trainable, outputs, strict=True):
+            assert expected.requires_grad
+            assert out._node is None and not out.requires_grad
+            assert np.array_equal(out.array, expected.array)
+        tensor.tsum(outputs[-1]).backward()  # nothing recorded, nothing to propagate
+        assert all(p.grad is None for p in model.parameters() + frozen.parameters())
+
+    def test_trainable_model_still_learns_after_a_scorer_is_built(self):
+        model = VLModel(micro_config(cross_layers=2), seed=5)
+        scene = sd.generate_scene(2, 0, grid_size=model.config.patch_grid)
+        tensor.tsum(self.outputs(model)[-1]).backward()
+        expected = {name: p.grad.copy() for name, p in model.params.items() if p.grad is not None}
+        assert expected
+        for param in model.parameters():
+            param.zero_grad()
+        pending = tensor.tsum(self.outputs(model)[-1])  # recorded before scoring, swept after
+        ev.model_scorer(model)(scene, sd.caption_of(scene).text)
+        pending.backward()
+        grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
+        assert grads.keys() == expected.keys()
+        for name, grad in grads.items():
+            assert np.array_equal(grad, expected[name]), name
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_cross_attention_keys_projected_once_per_image_when_frozen(self, monkeypatch,
+                                                                       frozen):
+        # 8 pairs over 3 images: a frozen fuse projects each image's keys once, a
+        # trainable one gathers per pair first, as training's gradient order needs
+        model = VLModel(micro_config(cross_layers=2), seed=5)
+        model = model.frozen() if frozen else model
+        key_rows = []
+        mha = VLModel._mha
+
+        def recorded(self, prefix, x_q, keys, *rest):
+            if prefix.endswith(".xattn"):
+                key_rows.append(keys.states.shape[0])
+            return mha(self, prefix, x_q, keys, *rest)
+
+        monkeypatch.setattr(VLModel, "_mha", recorded)
+        self.outputs(model)
+        seq = model.config.num_patches + 1
+        assert key_rows == [(3 if frozen else len(self.PAIRS)) * seq] * 2
 
 
 def test_fuse_rows_gradcheck():
@@ -518,7 +594,8 @@ class TestPositionTokens:
         model = VLModel(cfg, seed=1)
         scene = sd.generate_scene(1, 0, grid_size=cfg.patch_grid)
         sample = sd.DetectionSample(scene, "object_label", "a red circle", FULL_IMAGE, 3)
-        ids = obj._pevl_ids(model, sample)  # 3 words + 6 position tokens + [CLS]/[SEP]
+        # 3 words + 6 position tokens + [CLS]/[SEP]
+        [ids] = obj.step_ids(model.config, sd.Batch("detection", (sample,)))
         with pytest.raises(SequenceLengthError):
             model.encode_text(ids)
 

@@ -424,12 +424,11 @@ class TestPositionTokenIds:
         # every position-token id of the default detection stream: a change to how a
         # box is quantized or inserted changes this digest
         config = RunConfig(seed=7, losses="pevl")
-        model = VLModel(config.model_config(), seed=0)
         kinds = ("object_label", "attribute_label", "region_description")
         scenes = [sd.generate_scene(config.data_seed, i, config.patch_grid)
                   for i in range(config.detection_scene_count)]
         stream = sd.detection_stream(scenes, kinds)
-        ids = [obj._pevl_ids(model, s) for s in stream]
+        ids = obj.step_ids(config, sd.Batch("detection", tuple(stream)))
         text = "\n".join(" ".join(str(i) for i in row) for row in ids)
         assert {s.kind for s in stream} == set(kinds)
         assert (len(ids), sum(len(row) for row in ids)) == (306, 3325)
@@ -650,8 +649,8 @@ class TestPerRoleOracle:
         batch = caption_batch(model, n=4, seed=19) if kind == "caption" else \
             detection_batch(model, n=4, seed=57)
         config = ablation()  # VMA and bbox on
-        with tensor.no_tape():
-            expected, expected_copies = per_role_step(model, batch, config, rng_for(9, "oracle"))
+        expected, expected_copies = per_role_step(model.frozen(), batch, config,
+                                                  rng_for(9, "oracle"))
         calls = count_calls(model, "encode_texts")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         values, _ = obj.training_step(model, batch, optimizer, rng_for(9, "oracle"))
