@@ -5,8 +5,8 @@ Correlation analysis runs on the raw, unsmoothed trajectories.
 Zero-variance pairs are reported as explicit 'undefined' records rather
 than dropped.
 
-`pearson` and `spearman` stay hand-written, since `correlations.tsv` prints
-%.17g: on 19,996 random k/m series (m <= 200, length 3-20), `scipy.stats`
+Pearson's r and Spearman's rho stay hand-written, since `correlations.tsv`
+prints %.17g: on 19,996 random k/m series (m <= 200, length 3-20), `scipy.stats`
 `pearsonr` differs from them in 77% of cases (by up to 7.8e-16), `spearmanr` in 53%.
 """
 
@@ -48,11 +48,6 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
-def spearman(x, y) -> float:
-    a, b = _validated(x, y)
-    return pearson(_average_ranks(a), _average_ranks(b))
-
-
 @dataclass(frozen=True)
 class CorrelationEntry:
     metric_a: str
@@ -67,16 +62,23 @@ class CorrelationEntry:
 
 
 def correlate_tasks(trajectory: dict[int, dict[str, float]]) -> list[CorrelationEntry]:
-    """Pearson and Spearman over raw trajectories for every pair of metrics, self-pairs included."""
+    """Pearson and Spearman over raw trajectories for every pair of metrics, self-pairs included.
+
+    Spearman's rho is Pearson's r of the two metrics' average ranks; each
+    metric is ranked once, not once per pair it is in.
+    """
     names = sorted(next(iter(trajectory.values())))
-    columns = {name: [metrics[name] for metrics in trajectory.values()] for name in names}
+    columns = {name: np.array([metrics[name] for metrics in trajectory.values()],
+                              dtype=np.float64) for name in names}
+    ranks = {name: _average_ranks(column) for name, column in columns.items()}
+    count = len(trajectory)
     entries = []
     for a, b in ((a, b) for i, a in enumerate(names) for b in names[i:]):
-        xs, ys = columns[a], columns[b]
         try:
-            entry = CorrelationEntry(a, b, pearson(xs, ys), spearman(xs, ys), len(xs))
+            entry = CorrelationEntry(a, b, pearson(columns[a], columns[b]),
+                                     pearson(ranks[a], ranks[b]), count)
         except UndefinedCorrelationError:
-            entry = CorrelationEntry(a, b, None, None, len(xs))
+            entry = CorrelationEntry(a, b, None, None, count)
         entries.append(entry)
     return entries
 

@@ -137,15 +137,18 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     def score_pairs(pairs) -> None:
         """Encode the pairs' new inputs, then fuse each distinct pair, none scored yet."""
         keys: dict[tuple, None] = {}  # distinct pair keys, in order
-        new_texts: dict[int, dict[str, list[int]]] = {}  # token length -> new texts' ids
+        new: dict[str, None] = {}  # distinct new texts, in order
         for scene, text in pairs:
             key = key_of(scene, text)
             keys[key] = None
             if key[0] not in images:
                 images[key[0]] = model.encode_image(scene.grid)
             if text not in texts:
-                ids = vocab.encode_wrapped(text)
-                new_texts.setdefault(len(ids), {})[text] = ids
+                new[text] = None
+        new_texts: dict[int, dict[str, list[int]]] = {}  # token length -> new texts' ids
+        for text in new:
+            ids = vocab.encode_wrapped(text)
+            new_texts.setdefault(len(ids), {})[text] = ids
         for length, group in new_texts.items():
             for chunk in _chunks(list(group), length):
                 batch = model.encode_texts([group[text] for text in chunk])

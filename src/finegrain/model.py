@@ -219,16 +219,24 @@ class VLModel:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
+    @classmethod
+    def _frozen_over(cls, config: RunConfig, arrays: dict[str, np.ndarray]) -> VLModel:
+        """A model of constant parameters over `arrays`, in `param_shapes` order; no init drawn."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {name: Tensor(array) for name, array in arrays.items()}
+        return model
+
     def frozen(self) -> VLModel:
         """This model over constant parameters sharing its arrays: nothing it computes is taped.
 
         In-place updates of the arrays show through; a checkpoint load, which
-        replaces them, does not.
+        replaces them, does not.  The model that `eval` and `dynamics` score
+        is frozen from the start: `runner` builds it over placeholders from
+        the same constructor, and `load_checkpoint` fills them.
         """
-        frozen = VLModel.__new__(VLModel)
-        frozen.config = self.config
-        frozen.params = {name: Tensor(param.array) for name, param in self.params.items()}
-        return frozen
+        return self._frozen_over(
+            self.config, {name: param.array for name, param in self.params.items()})
 
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])

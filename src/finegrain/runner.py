@@ -9,6 +9,9 @@ arm's config, schedule and directory is checked before the first arm trains.
 `train`, `eval` and `dynamics` claim their run directory only after their
 inputs pass; `eval` and `dynamics` reject a run directory of another config
 before they score, and claim it only after scoring.
+
+The model that `eval`, `dynamics` and `ablate` score is frozen and built
+from its checkpoint file alone: no random init is drawn for it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import synthdata as sd
 from .config import RunConfig, load_config, save_config
 from .errors import DependencyError, NumericError, SequenceLengthError, ValidationError
 from .fileio import write_table
-from .model import VLModel, load_checkpoint, save_checkpoint
+from .model import VLModel, load_checkpoint, param_shapes, save_checkpoint
 from .objectives import LOSS_COMPONENTS, SgdOptimizer, step_ids, training_step
 from .seeding import rng_for
 
@@ -136,7 +139,14 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
 
 
 def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
-    model = VLModel(config, seed=config.seed)
+    """The frozen model in `ckpt`, built from the file alone, and its step.
+
+    Its parameters start as unfilled arrays of `param_shapes`' shapes, and
+    `load_checkpoint` replaces every one of them or raises, so no random
+    init is drawn only to be overwritten.
+    """
+    model = VLModel._frozen_over(config, {name: np.empty(shape)
+                                          for name, shape, _ in param_shapes(config)})
     load_checkpoint(model, ckpt, expect_hash=config.config_hash())
     return model, checkpoint_step(ckpt)
 

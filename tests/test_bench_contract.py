@@ -186,6 +186,25 @@ def test_audit_scores_pair_by_pair_what_run_eval_scores_in_batches(tmp_path, eva
     assert audit.metrics == report.metrics
 
 
+def test_eval_loads_each_checkpoint_through_the_runner_binding(tmp_path, monkeypatch):
+    # the tracer times checkpoint reads by wrapping `runner.load_checkpoint`
+    config = tiny_config(steps=6, cadence=2, eval_per_subtask=1, retrieval_count=2)
+    runner.run_training(config, tmp_path)
+    loaded = []
+    load = runner.load_checkpoint
+
+    def spied(scored, path, expect_hash):
+        loaded.append(Path(path).name)
+        return load(scored, path, expect_hash)
+
+    monkeypatch.setattr(runner, "load_checkpoint", spied)
+    runner.run_eval(config, runner.checkpoint_path(tmp_path, 4), tmp_path)
+    assert loaded == ["step_000004.ckpt"]
+    loaded.clear()
+    runner.run_dynamics(config, tmp_path)
+    assert loaded == ["step_000002.ckpt", "step_000004.ckpt", "step_000006.ckpt"]
+
+
 def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
     config = micro_config(seed=4)
     cfg = config.model_config()

@@ -208,6 +208,32 @@ class TestRunner:
         assert t2.read_bytes() == first_t
         assert c2.read_bytes() == first_c
 
+    def test_eval_and_dynamics_draw_no_init(self, tmp_path, monkeypatch):
+        # the scored model is built from its checkpoint alone; the outputs are
+        # byte-identical to a run's whose model class may draw an init
+        config = tiny_config(steps=6, cadence=2)  # 3 checkpoints: correlations computable
+        drawn, built = tmp_path / "drawn", tmp_path / "built"
+        runner.run_training(config, drawn)
+        shutil.copytree(drawn, built)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("VLModel.__init__ drew an init")
+
+        for run_dir in (drawn, built):
+            if run_dir == built:
+                monkeypatch.setattr(VLModel, "__init__", refused)
+            for step in (2, 4, 6):
+                runner.run_eval(config, runner.checkpoint_path(run_dir, step), run_dir)
+            runner.run_dynamics(config, run_dir)
+        names = sorted(p.name for p in (drawn / "reports").iterdir())
+        assert names == sorted([*(f"{kind}_step_{step:06d}.{ext}" for step in (2, 4, 6)
+                                  for kind, ext in (("eval", "tsv"), ("eval", "json"),
+                                                    ("scores", "tsv"))),
+                                "trajectory.tsv", "correlations.tsv"])
+        for name in names:
+            assert ((built / "reports" / name).read_bytes()
+                    == (drawn / "reports" / name).read_bytes()), name
+
     def test_checkpoint_step_from_name(self):
         assert runner.checkpoint_step(Path("run/checkpoints/step_000300.ckpt")) == 300
         assert runner.checkpoint_step(Path("my_model.ckpt")) == 0

@@ -9,6 +9,14 @@ from finegrain.errors import UndefinedCorrelationError, ValidationError
 from finegrain.seeding import rng_for
 
 
+def spearman(x, y) -> float:
+    """Spearman's rho of one pair, ranking both series afresh.
+
+    The reference for `correlate_tasks`, which ranks each metric once.
+    """
+    return dyn.pearson(*(dyn._average_ranks(np.asarray(s, dtype=np.float64)) for s in (x, y)))
+
+
 class TestPearson:
     def test_self_correlation(self):
         x = [1.0, 2.0, 3.0, 5.0]
@@ -38,16 +46,16 @@ class TestPearson:
 class TestSpearman:
     def test_monotone_invariance(self):
         x = [0.1, 0.5, 1.2, 2.0, 3.3]
-        assert dyn.spearman(x, np.exp(x)) == pytest.approx(1.0, abs=1e-15)
+        assert spearman(x, np.exp(x)) == pytest.approx(1.0, abs=1e-15)
 
     def test_reversed_series(self):
         x = [1.0, 2.0, 3.0, 4.0]
-        assert dyn.spearman(x, x[::-1]) == pytest.approx(-1.0, abs=1e-15)
+        assert spearman(x, x[::-1]) == pytest.approx(-1.0, abs=1e-15)
 
     def test_tie_handling_matches_brute_force_ranks(self):
         x = [1.0, 2.0, 2.0, 3.0]
         y = [0.3, 0.1, 0.4, 0.4]
-        rho = dyn.spearman(x, y)
+        rho = spearman(x, y)
         # tied values share the average of their 1-based positions
         assert rho == dyn.pearson([1.0, 2.5, 2.5, 4.0], [2.0, 1.0, 3.5, 3.5])
         assert rho == pytest.approx(float(stats.spearmanr(x, y).statistic), abs=1e-12)
@@ -61,14 +69,14 @@ class TestSpearman:
                 x[1] = x[5]  # inject ties
             assert dyn.pearson(x, y) == pytest.approx(
                 float(stats.pearsonr(x, y).statistic), abs=1e-12)
-            assert dyn.spearman(x, y) == pytest.approx(
+            assert spearman(x, y) == pytest.approx(
                 float(stats.spearmanr(x, y).statistic), abs=1e-12)
 
     def test_symmetry(self):
         rng = rng_for(2, "sym")
         x, y = rng.random(10), rng.random(10)
         assert dyn.pearson(x, y) == dyn.pearson(y, x)
-        assert dyn.spearman(x, y) == dyn.spearman(y, x)
+        assert spearman(x, y) == spearman(y, x)
 
 
 class TestCorrelateTasks:
@@ -100,6 +108,21 @@ class TestCorrelateTasks:
             float(stats.pearsonr([m["existence"] for m in table.values()],
                                  [m["counting"] for m in table.values()]).statistic),
             abs=1e-12)
+
+    def test_spearman_is_the_per_pair_rho_bit_for_bit(self):
+        rng = rng_for(5, "ties")
+        table = {step: {"tied": float(rng.integers(3)), "smooth": float(rng.random()),
+                        "halves": float(step > 6), "flat": 0.25}
+                 for step in range(1, 13)}
+        entries = dyn.correlate_tasks(table)
+        assert len(entries) == 10
+        for entry in entries:
+            if "flat" in (entry.metric_a, entry.metric_b):
+                assert entry.spearman_rho is None
+            else:
+                xs, ys = ([m[name] for m in table.values()]
+                          for name in (entry.metric_a, entry.metric_b))
+                assert entry.spearman_rho == spearman(xs, ys)
 
 
 class TestTrack:

@@ -16,6 +16,7 @@ from finegrain.config import RunConfig
 from finegrain.errors import EmptyInputError, ValidationError
 from finegrain.model import VLModel
 from finegrain.seeding import rng_for
+from finegrain.vocab import Vocabulary
 
 from support import micro_config
 
@@ -397,6 +398,21 @@ class TestModelScorer:
             assert max(len(call) * len(call[0]) for call in calls["encode_texts"]) <= chunk_rows
             if batched:
                 assert len(calls["encode_texts"]) < len(texts)
+
+    def test_each_distinct_text_tokenized_once(self, monkeypatch):
+        calls = []
+        encode_wrapped = Vocabulary.encode_wrapped
+
+        def recorded(self, text):
+            calls.append(text)
+            return encode_wrapped(self, text)
+
+        monkeypatch.setattr(Vocabulary, "encode_wrapped", recorded)
+        for batched in (False, True):
+            calls.clear()
+            pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched)
+            assert len({t for _, t, _ in pairs}) < len(pairs)
+            assert sorted(calls) == sorted({t for _, t, _ in pairs})
 
     def test_manifest_scores_agree_with_per_pair_scores(self):
         model = VLModel(MICRO, seed=5)
