@@ -79,10 +79,12 @@ def cmd_report(out_dir: Path) -> None:
     if not reports and not summary.exists() and not losses.exists():
         raise DependencyError(f"nothing to report under {out_dir}")
     if losses.exists():
-        lines = [ln for ln in losses.read_text().splitlines() if not ln.startswith("#")]
-        print(f"loss log: {len(lines) - 1} steps")
-        if len(lines) > 1:
-            print("last step: " + lines[-1])
+        # a killed run leaves the log empty or its last line cut off: count complete lines only
+        complete = losses.read_text().split("\n")[:-1]
+        steps = [ln for ln in complete if not ln.startswith("#")][1:]  # after the header
+        print(f"loss log: {len(steps)} steps")
+        if steps:
+            print("last step: " + steps[-1])
     for path in reports:
         print(f"\n== {path.name}")
         print(path.read_text().strip())

@@ -78,10 +78,17 @@ class EvalReport:
 CHUNK_ROWS = 512
 
 
-def _chunks(items: list, rows: int):
-    """`items`, of `rows` stacked rows each, in runs of at most `CHUNK_ROWS` rows, or of one item."""
-    step = max(1, CHUNK_ROWS // rows)
-    return (items[lo:lo + step] for lo in range(0, len(items), step))
+def _length_chunks(items, length_of: Callable[..., int]):
+    """`items` grouped by `length_of(item)`, the rows each stacks, in first-seen order.
+
+    Each group is cut into runs of at most `CHUNK_ROWS` rows, or of one item.
+    """
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(length_of(item), []).append(item)
+    for length, group in groups.items():
+        step = max(1, CHUNK_ROWS // length)
+        yield from (group[lo:lo + step] for lo in range(0, len(group), step))
 
 
 def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
@@ -93,25 +100,26 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     compare by identity, so equal grids from two scenes share one entry),
     and texts by the text.  Every distinct input is encoded once.
 
-    The first call scores every pair that `run_benchmark` scores for
-    `manifest`, collected by a dry run of `run_benchmark` itself, and each
-    later call looks its pair up; a pair not yet scored, as with no
+    Building the scorer scores every pair that `run_benchmark` scores for
+    `manifest`, collected by a dry run of `run_benchmark` itself, so each
+    call for such a pair is a lookup.  A pair not yet scored, as with no
     manifest, is scored on its own, as a batch of one.  Scoring a set of
-    pairs runs in three steps:
+    pairs runs in three steps, and both batched steps group their rows by
+    one rule (`_length_chunks`): by token length, in first-seen order, in
+    chunks of at most `CHUNK_ROWS` stacked rows.
     - each new grid is encoded on its own by `encode_image`, one call per
       grid, in the pairs' order;
-    - the new texts are encoded by `encode_texts`, one call per token
-      length and chunk of at most `CHUNK_ROWS` stacked rows, so no [PAD]
-      row is encoded and the per-call overhead is paid once per chunk, not
-      once per text; each text is cached on its own (`Encoded.take`).  At
-      the default config its states were measured byte-identical to its
-      batch of one, which padding to a longer text does not keep;
-    - the pairs are grouped by their text's token length, and each length's
-      pairs fused in chunks of at most `CHUNK_ROWS` text rows over the
-      pairs.  A chunk's fuse takes its distinct texts and its distinct
-      grids, each joined once by `Encoded.stack` from their cached
-      encodings, and a pair index into them.  A frozen model's fuse gathers
-      per pair only where text and image meet, so cross layer 0's
+    - the new texts are encoded by `encode_texts`, one call per chunk, so
+      no [PAD] row is encoded and the per-call overhead is paid once per
+      chunk, not once per text; each text is cached on its own
+      (`Encoded.take`).  At the default config its states were measured
+      byte-identical to its batch of one, which padding to a longer text
+      does not keep;
+    - the distinct pairs are fused one chunk per call, grouped by their
+      text's token length.  A chunk's fuse takes its distinct texts and
+      its distinct grids, each joined once by `Encoded.stack` from their
+      cached encodings, and a pair index into them.  A frozen model's fuse
+      gathers per pair only where text and image meet, so cross layer 0's
       text-only work runs once per distinct text and each layer's
       cross-attention keys and values once per distinct grid (see
       `VLModel.fuse`); each fuse computes only the [CLS] rows in its last
@@ -129,7 +137,6 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     images: dict[tuple, Encoded] = {}
     texts: dict[str, Encoded] = {}
     scores: dict[tuple, float] = {}
-    unscored_manifest = manifest
 
     def key_of(scene: Scene, text: str) -> tuple:
         return (scene.grid.shape, scene.grid.tobytes()), text
@@ -137,52 +144,36 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     def score_pairs(pairs) -> None:
         """Encode the pairs' new inputs, then fuse each distinct pair, none scored yet."""
         keys: dict[tuple, None] = {}  # distinct pair keys, in order
-        new: dict[str, None] = {}  # distinct new texts, in order
+        ids: dict[str, list[int]] = {}  # distinct new texts' token ids, in order
         for scene, text in pairs:
             key = key_of(scene, text)
             keys[key] = None
             if key[0] not in images:
                 images[key[0]] = model.encode_image(scene.grid)
-            if text not in texts:
-                new[text] = None
-        new_texts: dict[int, dict[str, list[int]]] = {}  # token length -> new texts' ids
-        for text in new:
-            ids = vocab.encode_wrapped(text)
-            new_texts.setdefault(len(ids), {})[text] = ids
-        for length, group in new_texts.items():
-            for chunk in _chunks(list(group), length):
-                batch = model.encode_texts([group[text] for text in chunk])
-                texts.update((text, batch.take([b])) for b, text in enumerate(chunk))
-        by_length: dict[int, list[tuple]] = {}  # text length -> pair keys, in order
-        for key in keys:
-            by_length.setdefault(texts[key[1]].visible.shape[1], []).append(key)
-        for length, group in by_length.items():
-            for chunk in _chunks(group, length):
-                text_index: dict[str, int] = {}  # the chunk's distinct inputs, in order
-                grid_index: dict[tuple, int] = {}
-                pairs = [(text_index.setdefault(text, len(text_index)),
-                          grid_index.setdefault(grid, len(grid_index))) for grid, text in chunk]
-                cls = model.cross_cls(Encoded.stack([texts[text] for text in text_index]),
-                                      Encoded.stack([images[grid] for grid in grid_index]), pairs)
-                scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))
+            if text not in texts and text not in ids:
+                ids[text] = vocab.encode_wrapped(text)
+        for chunk in _length_chunks(ids, lambda text: len(ids[text])):
+            batch = model.encode_texts([ids[text] for text in chunk])
+            texts.update((text, batch.take([b])) for b, text in enumerate(chunk))
+        for chunk in _length_chunks(keys, lambda key: texts[key[1]].visible.shape[1]):
+            text_index: dict[str, int] = {}  # the chunk's distinct inputs, in order
+            grid_index: dict[tuple, int] = {}
+            pairs = [(text_index.setdefault(text, len(text_index)),
+                      grid_index.setdefault(grid, len(grid_index))) for grid, text in chunk]
+            cls = model.cross_cls(Encoded.stack([texts[text] for text in text_index]),
+                                  Encoded.stack([images[grid] for grid in grid_index]), pairs)
+            scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))
 
     def score(scene: Scene, text: str) -> float:
-        nonlocal unscored_manifest
-        if unscored_manifest is not None:
-            pairs = []
-
-            def record(*pair) -> float:
-                pairs.append(pair)
-                return 0.0
-
-            run_benchmark(record, unscored_manifest)
-            score_pairs(pairs)
-            unscored_manifest = None
         key = key_of(scene, text)
         if key not in scores:
             score_pairs([(scene, text)])
         return scores[key]
 
+    if manifest is not None:
+        pairs = []
+        run_benchmark(lambda *pair: pairs.append(pair) or 0.0, manifest)
+        score_pairs(pairs)
     return score
 
 

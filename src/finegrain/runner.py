@@ -8,10 +8,12 @@ An ablation grid is {arm directory name: RunConfig} in grid order; every
 arm's config, schedule and directory is checked before the first arm trains.
 `train`, `eval` and `dynamics` claim their run directory only after their
 inputs pass; `eval` and `dynamics` reject a run directory of another config
-before they score, and claim it only after scoring.
+before they load a checkpoint, and claim it only after scoring.
 
-The model that `eval`, `dynamics` and `ablate` score is frozen and built
-from its checkpoint file alone: no random init is drawn for it.
+`eval`, `dynamics` and `ablate` score a checkpoint through one function,
+`_score_checkpoint`: its model is frozen and built from the checkpoint file
+alone, with no random init drawn for it, and its scorer is given the
+manifest, so that it scores every pair before `run_benchmark` reads them.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
 # -- eval --------------------------------------------------------------------------
 
 
-def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
-    """The frozen model in `ckpt`, built from the file alone, and its step.
+def _score_checkpoint(config: RunConfig, ckpt: Path, manifest: dict) -> ev.EvalReport:
+    """`manifest` scored by the frozen model in `ckpt`, built from the file alone.
 
     Its parameters start as unfilled arrays of `param_shapes`' shapes, and
     `load_checkpoint` replaces every one of them or raises, so no random
@@ -148,20 +150,20 @@ def _load_model_at(config: RunConfig, ckpt: Path) -> tuple[VLModel, int]:
     model = VLModel._frozen_over(config, {name: np.empty(shape)
                                           for name, shape, _ in param_shapes(config)})
     load_checkpoint(model, ckpt, expect_hash=config.config_hash())
-    return model, checkpoint_step(ckpt)
+    step = checkpoint_step(ckpt)
+    return ev.run_benchmark(ev.model_scorer(model, manifest), manifest, checkpoint_step=step)
 
 
 def run_eval(config: RunConfig, ckpt: Path, out_dir: Path,
              manifest: dict | None = None) -> ev.EvalReport:
-    model, step = _load_model_at(config, ckpt)
-    check_run_dir(config, out_dir)  # before the costly scoring
+    check_run_dir(config, out_dir)  # before the checkpoint is read
     if manifest is None:
         manifest = ev.default_manifest(config.eval_seed, config.eval_per_subtask,
                                        config.patch_grid, config.retrieval_count)
-    report = ev.run_benchmark(ev.model_scorer(model, manifest), manifest,
-                              checkpoint_step=step)  # before the run directory is claimed
+    report = _score_checkpoint(config, ckpt, manifest)  # before the run directory is claimed
     out_dir = prepare_run_dir(config, out_dir)
     chash = config.config_hash()
+    step = report.checkpoint_step
     ev.write_report(out_dir / "reports" / f"eval_step_{step:06d}.tsv", report, chash)
     ev.write_report_json(out_dir / "reports" / f"eval_step_{step:06d}.json", report, chash)
     ev.write_scores(out_dir / "reports" / f"scores_step_{step:06d}.tsv", report)
@@ -183,9 +185,7 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
                                    config.patch_grid, config.retrieval_count)
 
     def evaluate(step: int) -> dict[str, float]:
-        model, _ = _load_model_at(config, checkpoint_path(run_dir, step))
-        return ev.run_benchmark(ev.model_scorer(model, manifest), manifest,
-                                checkpoint_step=step).metrics
+        return _score_checkpoint(config, checkpoint_path(run_dir, step), manifest).metrics
 
     steps = [checkpoint_step(p) for p in checkpoints]
     if steps != list(range(config.cadence, config.steps + 1, config.cadence)):

@@ -525,6 +525,39 @@ class TestCli:
         assert code == EXIT_VALIDATION
         assert "as a run directory" in capsys.readouterr().err
 
+    def test_eval_into_run_dir_of_other_config_reads_no_checkpoint(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        config_path = self.write_config(tmp_path)
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        assert main(["train", "--config", str(config_path), "--out", str(run_dir)]) == EXIT_OK
+        runner.prepare_run_dir(tiny_config(seed=99), other)
+        loaded = []
+        load = runner.load_checkpoint
+
+        def spied(model, path, **kwargs):
+            loaded.append(path)
+            return load(model, path, **kwargs)
+
+        monkeypatch.setattr(runner, "load_checkpoint", spied)
+        code = main(["eval", "--config", str(config_path), "--checkpoint",
+                     str(run_dir / "checkpoints" / "step_000006.ckpt"), "--out", str(other)])
+        assert code == EXIT_DEPENDENCY
+        assert "belongs to config" in capsys.readouterr().err
+        assert not loaded
+
+    @pytest.mark.parametrize("log,printed", [
+        ("", "loss log: 0 steps\n"),
+        ("# config_hash=cafe01\nstep\tbatch_kind\n1\tcaption\n2\tdetection\n3\tcapt",
+         "loss log: 2 steps\nlast step: 2\tdetection\n"),
+    ], ids=["empty", "cut_off_last_line"])
+    def test_report_of_a_killed_run_counts_complete_steps(self, tmp_path, capsys, log, printed):
+        # the loss log is written through a buffer: a run killed before the first
+        # flush leaves it empty, and one killed mid-write leaves a line cut off
+        (tmp_path / "logs").mkdir()
+        (tmp_path / "logs" / "losses.tsv").write_text(log, encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == printed
+
     def test_ablate_checks_every_arm_before_training(self, tmp_path, capsys):
         for case, settings, arms, message in [
             ("config", {}, "A:captions; full:captions", "detection data source"),
