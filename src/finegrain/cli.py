@@ -69,6 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_run_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, bad UTF-8
+        raise DependencyError(f"cannot read run file {path}: {exc}") from exc
+
+
 def cmd_report(out_dir: Path) -> None:
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -80,17 +87,14 @@ def cmd_report(out_dir: Path) -> None:
         raise DependencyError(f"nothing to report under {out_dir}")
     if losses.exists():
         # a killed run leaves the log empty or its last line cut off: count complete lines only
-        complete = losses.read_text().split("\n")[:-1]
+        complete = _read_run_file(losses).split("\n")[:-1]
         steps = [ln for ln in complete if not ln.startswith("#")][1:]  # after the header
         print(f"loss log: {len(steps)} steps")
         if steps:
             print("last step: " + steps[-1])
-    for path in reports:
-        print(f"\n== {path.name}")
-        print(path.read_text().strip())
-    if summary.exists():
-        print(f"\n== {summary.name}")
-        print(summary.read_text().strip())
+    for path in [*reports, summary] if summary.exists() else reports:
+        text = _read_run_file(path).strip()
+        print(f"\n== {path.name}\n{text}")
 
 
 def main(argv: list[str] | None = None) -> int:

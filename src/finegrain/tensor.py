@@ -5,12 +5,17 @@ monotonically increasing sequence number, and an op converts nothing: its
 array operands are `Tensor`s.  The backward sweep keeps a heap of the
 recorded tensors that hold a gradient and pops the latest first: every
 tensor that reads it was created later, so its gradient is complete when it
-is popped, and its backward runs once.  Gradients accumulate on leaves
-only: a tensor with no tape node that requires a gradient adds each
-gradient into `grad` as it arrives, across backward passes, while the
-gradient of every recorded intermediate lives only for the sweep that
-computes it.  There is no graph optimization and no broadcasting beyond
-numpy's elementwise rules.
+is popped, and its backward runs once.  A node lets go of its parents and
+its backward function, and with them the arrays that function saved, as
+soon as that function has run, so an intermediate that nothing else holds
+is freed during the sweep rather than after it.  A graph is therefore
+backpropagated once: a sweep that reaches a spent node raises a
+`RuntimeError`.  Gradients accumulate on leaves only: a tensor with no tape
+node that requires a gradient adds each gradient into `grad` as it arrives,
+across the backward passes of separately built graphs, while the gradient
+of every recorded intermediate lives only for the sweep that computes it.
+There is no graph optimization and no broadcasting beyond numpy's
+elementwise rules.
 
 An op records a tape node only when one of its inputs requires a gradient:
 forward-only work such as scoring runs on constant tensors (see
@@ -32,6 +37,7 @@ _SEQ = itertools.count()
 
 
 class _Node:
+    # parents and backward_fn are None once the node's backward has run
     __slots__ = ("parents", "backward_fn", "seq")
 
     def __init__(self, parents: tuple[Tensor, ...], backward_fn: Callable, seq: int):
@@ -80,7 +86,13 @@ class Tensor:
     # -- backward -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf that requires one."""
+        """Accumulate gradients of this scalar into every reachable leaf that requires one.
+
+        Each node drops its parents and saved arrays once its backward has run, so the
+        graph is backpropagated once: a later sweep that reaches any of its nodes, from
+        this root or from a new one built on top of it, raises a RuntimeError.  Leaves
+        keep accumulating across the backward passes of separately built graphs.
+        """
         if self.array.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -107,7 +119,12 @@ class Tensor:
             if not heap:
                 return
             _, node = heapq.heappop(heap)
-            arrivals = zip(node.parents, node.backward_fn(pending.pop(node.seq)))
+            parents, backward_fn = node.parents, node.backward_fn
+            if backward_fn is None:
+                raise RuntimeError("backward() reached a node of a graph that was already "
+                                   "backpropagated; build the graph again to backpropagate it")
+            node.parents = node.backward_fn = None  # free what the closure saved
+            arrivals = zip(parents, backward_fn(pending.pop(node.seq)))
 
 
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:

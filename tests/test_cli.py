@@ -545,18 +545,35 @@ class TestCli:
         assert "belongs to config" in capsys.readouterr().err
         assert not loaded
 
-    @pytest.mark.parametrize("log,printed", [
-        ("", "loss log: 0 steps\n"),
-        ("# config_hash=cafe01\nstep\tbatch_kind\n1\tcaption\n2\tdetection\n3\tcapt",
-         "loss log: 2 steps\nlast step: 2\tdetection\n"),
-    ], ids=["empty", "cut_off_last_line"])
-    def test_report_of_a_killed_run_counts_complete_steps(self, tmp_path, capsys, log, printed):
+    @pytest.mark.parametrize("name,content,code,printed", [
+        ("logs/losses.tsv", b"", EXIT_OK, "loss log: 0 steps\n"),
+        ("logs/losses.tsv",
+         b"# config_hash=cafe01\nstep\tbatch_kind\n1\tcaption\n2\tdetection\n3\tcapt",
+         EXIT_OK, "loss log: 2 steps\nlast step: 2\tdetection\n"),
+        ("logs/losses.tsv", b"# config_hash=cafe01\nstep\t\xff\n", EXIT_DEPENDENCY, ""),
+        ("logs/losses.tsv", None, EXIT_DEPENDENCY, ""),
+        ("reports/eval_step_000006.tsv", b"subtask\t\xff\n", EXIT_DEPENDENCY, ""),
+        ("reports/eval_step_000006.tsv", None, EXIT_DEPENDENCY, ""),
+        ("summary.tsv", b"arm\t\xff\n", EXIT_DEPENDENCY, ""),
+        ("summary.tsv", None, EXIT_DEPENDENCY, ""),
+    ], ids=["empty", "cut_off_last_line", "log_not_utf8", "log_directory", "report_not_utf8",
+            "report_directory", "summary_not_utf8", "summary_directory"])
+    def test_report_of_a_killed_run_counts_complete_steps(self, tmp_path, capsys, name, content,
+                                                          code, printed):
         # the loss log is written through a buffer: a run killed before the first
-        # flush leaves it empty, and one killed mid-write leaves a line cut off
-        (tmp_path / "logs").mkdir()
-        (tmp_path / "logs" / "losses.tsv").write_text(log, encoding="utf-8")
-        assert main(["report", "--out", str(tmp_path)]) == EXIT_OK
-        assert capsys.readouterr().out == printed
+        # flush leaves it empty, and one killed mid-write leaves a line cut off;
+        # a run file (content None: a directory in its place) that cannot be read
+        # as UTF-8 text is a dependency error naming it
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert out == printed
+        assert (f"dependency error: cannot read run file {path}:" in err) == (code != EXIT_OK)
 
     def test_ablate_checks_every_arm_before_training(self, tmp_path, capsys):
         for case, settings, arms, message in [

@@ -331,20 +331,25 @@ class TestFuseRows:
         assert np.all(fused[~hidden] != 0.0)
 
     def test_parameter_gradients_match_the_fuse_of_every_row(self, cross_layers, kind):
-        model, texts, images, positions = self.inputs(cross_layers, kind)
+        model, texts, _, positions = self.inputs(cross_layers, kind)
         rows = stacked_rows(texts, positions)
         weights = Tensor(rng_for(3, "fuse-rows", kind).normal(
             size=(len(rows), model.config.hidden_dim)))
 
-        def gradients(fused):
+        def gradients(fuse):
+            # a graph is backpropagated once, so each pass encodes afresh: the
+            # encoders are deterministic, so both passes fuse the same encodings
             for param in model.parameters():
                 param.zero_grad()
+            grids, visibilities, ids = batch_inputs(model)
+            fused = fuse(model.encode_texts(ids), model.encode_images(grids, visibilities))
             tensor.tsum(tensor.mul(fused, weights)).backward()
             return [param.grad for param in model.parameters()]
 
-        full = gradients(tensor.take_rows(
+        full = gradients(lambda texts, images: tensor.take_rows(
             model.fuse(texts, images, aligned_pairs(3), every_row(texts)), rows))
-        picked = gradients(model.fuse(texts, images, aligned_pairs(3), positions))
+        picked = gradients(lambda texts, images: model.fuse(
+            texts, images, aligned_pairs(3), positions))
         for name, want, got in zip(model.params, full, picked):
             assert (want is None) == (got is None), name
             if name.endswith(".bk"):

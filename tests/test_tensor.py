@@ -2,6 +2,7 @@
 
 import collections
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -523,6 +524,40 @@ class TestBackwardSweep:
         assert calls == {"a": 1, "b": 1, "c": 1, "d": 1}
         assert y.grad is None
         assert np.array_equal(x.grad, [5.0, 5.0])  # a receives 1 from c and 2 + 2 from b
+
+
+class TestOnePassTape:
+    def test_intermediate_only_the_tape_held_is_freed_by_backward(self):
+        x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+        mid = tensor.exp(x)  # exp's backward saves its output array
+        freed = weakref.ref(mid.array)
+        root = tensor.tsum(tensor.mul(mid, mid))
+        del mid
+        assert freed() is not None
+        root.backward()
+        assert freed() is None
+        assert np.array_equal(x.grad, 2.0 * np.exp(x.array) ** 2)
+
+    def test_second_backward_from_the_same_root_raises(self):
+        x = Tensor([1.5], requires_grad=True)
+        root = tensor.tsum(tensor.mul(x, x))
+        root.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            root.backward()
+        assert x.grad[0] == 3.0  # the failed sweep added nothing
+
+    def test_new_root_over_a_spent_subgraph_raises(self):
+        x = Tensor([1.5], requires_grad=True)
+        shared = tensor.mul(x, x)
+        tensor.tsum(shared).backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            tensor.tsum(tensor.scale(shared, 2.0)).backward()
+
+    def test_leaf_accumulates_across_separately_built_graphs(self):
+        x = Tensor([1.5, -2.0], requires_grad=True)
+        tensor.tsum(tensor.mul(x, x)).backward()  # 2x
+        tensor.tsum(tensor.scale(x, 3.0)).backward()  # 3
+        assert np.array_equal(x.grad, [2.0 * 1.5 + 3.0, 2.0 * -2.0 + 3.0])
 
 
 @settings(max_examples=100, deadline=None)
