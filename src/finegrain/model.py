@@ -18,14 +18,14 @@ hidden like any masked row.  `Encoded.take` gathers samples by batch
 index in one tape node, so a negative, a repeat or a subset of a batch
 costs no new encode.  `fuse` takes a batch of texts, a batch of images
 and an (m, 2) pair index of (text, image) batch indices, so the training
-step fuses every role of a pass (positives, mined negatives, masked
-copies) once, and the scorer passes a chunk's texts and images once
-each, however many of its pairs share them; `fuse` tells where it
-gathers the pairs' rows, for trainable and for frozen weights.  It also
-takes a list of text positions per pair, the ones its caller reads, and
-returns their rows pair by pair; its last cross layer computes only
-those: its keys and values read every row, but its queries, output maps
-and MLP run on the requested rows alone.  So the stacked-row layout stays
+step fuses every role of every pass (positives, mined negatives, masked
+copies; unmasked and box-masked) in one call, and the scorer passes a
+chunk's texts and images once each, however many of its pairs share
+them; `fuse` tells where it gathers the pairs' rows, for trainable and
+for frozen weights.  It also takes a list of text positions per pair, the
+ones its caller reads, and returns their rows pair by pair; its last
+cross layer computes only those: its keys and values read every row, but
+its queries, output maps and MLP run on the requested rows alone.  So the stacked-row layout stays
 in this module.
 The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps a batch's [CLS]

@@ -7,26 +7,30 @@ masked triple (vision and fusion attention restricted to the target box's
 `synthdata.patch_mask`, the patches its object is drawn on) and the
 box-regression term; one gradient accumulation, one update.
 
-Every pass works on whole batches, so its encoder and fusion calls do
-not grow with the batch.  A step first draws each pass's masked-LM
-positions, per sample in batch order, unmasked pass first.  It then
-encodes its texts and every pass's masked copies in one `encode_texts`
-call, padded to the batch's longest (a copy has its original's length),
-and projects the batch's texts once: the text encoder never sees the
-image, so the visually masked pass reuses them.  A pass encodes its
-images once and fuses once: its pairs index the text roles [positives |
-mined negatives | the pass's masked copies] against [visions | visions |
-each copy's vision].  It takes each role's text positions and returns,
-and computes in its last layer, only the rows the heads read: the [CLS]
-row of each of the 2n positives and negatives, then each copy's masked
-positions.  The heads run once per call: one image projection per pass,
-one matching-head call for all positives and negatives, one masked-LM
-head call for the masked positions only, and one box head and one box
-loss for the whole detection batch.  Matching
-negatives are the hardest in-batch negatives by contrastive similarity,
-one per positive, mined among samples whose underlying image differs.
-The step reads which losses are on from the model's `RunConfig`; each pass
-returns its terms by name, and the step returns their values and total.
+Every step works on whole batches, so its encoder and fusion calls grow
+neither with the batch nor with its passes.  A step first draws each
+pass's masked-LM positions, per sample in batch order, unmasked pass
+first.  It then encodes its texts and every pass's masked copies in one
+`encode_texts` call, padded to the batch's longest (a copy has its
+original's length), and projects the batch's texts once: the text encoder
+never sees the image, so the visually masked pass reuses them.  It encodes
+its images once: one `encode_images` call holds the batch's grids once per
+pass, unmasked first, then with VMA under their box masks, and one image
+projection maps them all.  It fuses once: pass after pass, the pairs index
+the text roles [positives | mined negatives | the pass's masked copies]
+against [its visions | its visions | each copy's vision].  The fuse takes
+each role's text positions and returns, and computes in its last layer,
+only the rows the heads read: per pass, the [CLS] row of each of the 2n
+positives and negatives, then each copy's masked positions.  Each pass
+reads its terms from its slice of those rows (`pass_losses`, and
+`vma_losses` for the box-masked pass): one matching-head call for its
+positives and negatives, one masked-LM head call for its masked positions
+only; one box head and one box loss read the detection batch's positives.
+Matching negatives are the hardest in-batch negatives by contrastive
+similarity, one per positive, mined among the pass's samples whose
+underlying image differs.  The step reads which losses are on from the
+model's `RunConfig`; each pass returns its terms by name, and the step
+returns their values and total.
 
 The step and the losses trust their batch: `run_training` feeds them only
 batches of `sampler_for_sources`, whose docstring names what it
@@ -44,7 +48,7 @@ from . import ops, tensor
 from .config import RunConfig
 from .errors import NumericError
 from .model import Encoded, VLModel
-from .synthdata import Batch, BBox, DetectionSample, patch_mask
+from .synthdata import Batch, BBox, patch_mask
 from .tensor import Tensor
 from .vocab import POSITION_BINS, position_token_insert
 
@@ -97,13 +101,14 @@ def mine_hard_negatives(sim_values: np.ndarray, grids: Sequence[np.ndarray]) -> 
     return picks
 
 
-def itm_loss(model: VLModel, fused: Tensor, n: int) -> Tensor:
-    """Binary matching loss read off a pass's fused rows.
+def itm_loss(model: VLModel, fused: Tensor, rows: Sequence[int]) -> Tensor:
+    """Binary matching loss read off the `rows` of a step's fused rows.
 
-    The first `n` rows are the positives' fused [CLS] rows, and the next `n`
-    their mined negatives', each fused with the positive's vision.
+    The first half of `rows` holds the positives' fused [CLS] rows, and the
+    second half their mined negatives', each fused with the positive's vision.
     """
-    logits = model.itm_logits(tensor.take_rows(fused, np.arange(2 * n)))
+    n = len(rows) // 2
+    logits = model.itm_logits(tensor.take_rows(fused, rows))
     return ops.softmax_cross_entropy(logits, [1] * n + [0] * n)
 
 
@@ -217,43 +222,66 @@ def step_ids(config: RunConfig, batch: Batch) -> list[list[int]]:
     return [config.vocab.encode_wrapped(s.text) for s in batch.samples]
 
 
-def pass_losses(model: VLModel, visions: Encoded, texts: Encoded, text_feats: Tensor,
-                grids: Sequence[np.ndarray],
-                masked: MaskedLM) -> tuple[Tensor, dict[str, Tensor]]:
-    """(fused rows, terms) of a pass over the batch's `visions`.
+def fused_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
+                 grids: Sequence[np.ndarray], masked: Sequence[MaskedLM],
+                 box_masks: Sequence[np.ndarray] | None) -> tuple[Tensor, dict[str, Tensor]]:
+    """(fused rows, terms) of a step's passes, from one image encode, projection and fuse.
 
     `texts` is the step's text batch: the batch's texts first, which
-    `text_feats` projects, then the masked copies.  One fuse pairs the text
-    roles [positives | mined negatives | this pass's masked copies] with
-    [visions | visions | each copy's vision] by index, and returns only the
-    rows the heads read: the 2n [CLS] rows of the positives and negatives,
-    then the copies' masked positions.  The terms are "cl" and "itm", plus
-    "mlm" when `masked` holds copies.
+    `text_feats` projects, then the masked copies.  `masked` holds each
+    pass's draw, the unmasked pass's first; with a second draw, `box_masks`
+    masks the second pass's copy of the grids, and is None without one.
+    The fused rows run pass after pass, each pass's laid out as
+    `pass_losses` reads them, so the first n are the unmasked positives'
+    [CLS] rows.
     """
     n = len(grids)
+    visions = model.encode_images(
+        list(grids) * len(masked), None if box_masks is None else [None] * n + list(box_masks))
     image_feats = model.project("img", visions)
-    terms = {"cl": contrastive_loss(image_feats, text_feats, model.temperature())}
-    negatives = mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
-    text_roles = [*range(n), *negatives, *masked.texts]
-    vision_roles = [*range(n), *range(n), *masked.items]
-    positions = [[0]] * (2 * n) + masked.positions  # [CLS] of positives and negatives first
-    fused = model.fuse(texts, visions, np.column_stack((text_roles, vision_roles)), positions)
-    terms["itm"] = itm_loss(model, fused, n)
-    if masked.targets:
-        terms["mlm"] = mlm_loss(model, fused, range(2 * n, fused.shape[0]), masked.targets)
+    sims = image_feats.array @ text_feats.array.T
+    pairs, positions = [], []
+    for p, draw in enumerate(masked):
+        negatives = mine_hard_negatives(sims[p * n:(p + 1) * n], grids)
+        text_roles = [*range(n), *negatives, *draw.texts]
+        vision_roles = [*range(n), *range(n), *draw.items]
+        pairs.append(np.column_stack((text_roles, np.add(vision_roles, p * n))))
+        positions += [[0]] * (2 * n) + draw.positions  # [CLS] of positives and negatives first
+    fused = model.fuse(texts, visions, np.concatenate(pairs), positions)
+    terms = pass_losses(model, fused, 0, _rows(image_feats, 0, n), text_feats, masked[0])
+    if box_masks is not None:
+        terms |= vma_losses(model, fused, 2 * n + len(masked[0].targets),
+                            _rows(image_feats, n, 2 * n), text_feats, masked[1])
     return fused, terms
 
 
-def vma_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
-               samples: Sequence[DetectionSample], masked: MaskedLM) -> dict[str, Tensor]:
-    """The pass on box-masked images, reading the step's `texts` and `text_feats`.
+def _rows(t: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows `lo` to `hi` of `t`: `t` itself when that is all of them, else one `take_rows` node."""
+    return t if (lo, hi) == (0, len(t.array)) else tensor.take_rows(t, np.arange(lo, hi))
 
-    Its terms are named as the unmasked pass's, with a "vma_" prefix.
+
+def pass_losses(model: VLModel, fused: Tensor, first: int, image_feats: Tensor,
+                text_feats: Tensor, masked: MaskedLM) -> dict[str, Tensor]:
+    """A pass's terms, from its images' projections and its fused rows `first` onward.
+
+    Its rows are the 2n [CLS] rows of the positives and negatives, then its
+    copies' masked positions.  The terms are "cl" and "itm", plus "mlm" when
+    `masked` holds copies.
     """
-    grids = [s.scene.grid for s in samples]
-    masks = [patch_mask(s.bbox, model.config.patch_grid) for s in samples]
-    visions = model.encode_images(grids, masks)
-    _, terms = pass_losses(model, visions, texts, text_feats, grids, masked)
+    n = len(image_feats.array)
+    terms = {"cl": contrastive_loss(image_feats, text_feats, model.temperature()),
+             "itm": itm_loss(model, fused, range(first, first + 2 * n))}
+    if masked.targets:
+        first += 2 * n
+        terms["mlm"] = mlm_loss(model, fused, range(first, first + len(masked.targets)),
+                                masked.targets)
+    return terms
+
+
+def vma_losses(model: VLModel, fused: Tensor, first: int, image_feats: Tensor,
+               text_feats: Tensor, masked: MaskedLM) -> dict[str, Tensor]:
+    """The box-masked pass's terms, read as `pass_losses` reads them, with a "vma_" prefix."""
+    terms = pass_losses(model, fused, first, image_feats, text_feats, masked)
     return {f"vma_{name}": loss for name, loss in terms.items()}
 
 
@@ -266,14 +294,13 @@ def training_step(model: VLModel, batch: Batch, optimizer: SgdOptimizer,
     """
     arm = model.config.arm
     is_detection = batch.kind == "detection"
-    vma = is_detection and arm.vma
     grids = [s.scene.grid for s in batch.samples]
     ids = step_ids(model.config, batch)
-    texts, text_feats, masked = encode_step_texts(model, ids, 2 if vma else 1, rng)
-    visions = model.encode_images(grids)
-    fused, terms = pass_losses(model, visions, texts, text_feats, grids, masked[0])
-    if vma:
-        terms |= vma_losses(model, texts, text_feats, batch.samples, masked[1])
+    box_masks = None
+    if is_detection and arm.vma:
+        box_masks = [patch_mask(s.bbox, model.config.patch_grid) for s in batch.samples]
+    texts, text_feats, masked = encode_step_texts(model, ids, 1 if box_masks is None else 2, rng)
+    fused, terms = fused_losses(model, texts, text_feats, grids, masked, box_masks)
     if is_detection and arm.bbox:
         positives = tensor.take_rows(fused, np.arange(len(ids)))
         terms["bbox"] = bbox_loss_terms(model.bbox_corners(positives),

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
 
 from finegrain import objectives as obj
+from finegrain import ops
 from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.config import LOSS_ARMS, RunConfig
@@ -79,7 +81,7 @@ def matching_loss(model, visions, texts, grids):
     negatives = obj.mine_hard_negatives(sims, grids)
     fused = model.fuse(texts, visions, np.column_stack(([*range(n), *negatives], [*range(n)] * 2)),
                        [[0]] * (2 * n))
-    return obj.itm_loss(model, fused, n)
+    return obj.itm_loss(model, fused, range(2 * n))
 
 
 def masked_lm_loss(model, ids, visions, rng):
@@ -368,10 +370,11 @@ class TestVmaLosses:
         )
         texts, text_feats, [masked], grids = step_texts(model, full, 1, rng_for(7, "same"))
         assert masked is not None
-        _, terms = obj.pass_losses(model, model.encode_images(grids), texts, text_feats, grids,
-                                   masked)
+        # both passes read the same masked copies, the box-masked one under full boxes
+        boxes = [sd.patch_mask(s.bbox, model.config.patch_grid) for s in full]
+        _, terms = obj.fused_losses(model, texts, text_feats, grids, [masked, masked], boxes)
 
-        vma = obj.vma_losses(model, texts, text_feats, full, masked)
+        vma = {name: terms.pop(name) for name in [*terms] if name.startswith("vma_")}
         assert [*vma] == ["vma_cl", "vma_itm", "vma_mlm"]
         assert vma["vma_cl"].item() == terms["cl"].item()
         assert vma["vma_itm"].item() == terms["itm"].item()
@@ -394,13 +397,19 @@ class TestVmaLosses:
                                       sample.entity_span_end)
 
         # the masked copies of both passes ride in one text batch; the box-masked pass
-        # reads the second pass's copies
-        texts, text_feats, [_, masked], _ = step_texts(model, batch.samples, 2,
-                                                       rng_for(3, "vma"))
-        assert masked is not None
-        base = obj.vma_losses(model, texts, text_feats, batch.samples, masked)
-        noisy = obj.vma_losses(model, texts, text_feats,
-                               tuple(scrambled(s) for s in batch.samples), masked)
+        # reads the second pass's copies, and its rows of the one fuse do not depend on
+        # the unmasked pass's, which sees the scrambled patches
+        texts, text_feats, masked, _ = step_texts(model, batch.samples, 2, rng_for(3, "vma"))
+        assert masked[1] is not None
+
+        def vma_terms(samples):
+            grids = [s.scene.grid for s in samples]
+            boxes = [sd.patch_mask(s.bbox, model.config.patch_grid) for s in samples]
+            _, terms = obj.fused_losses(model, texts, text_feats, grids, masked, boxes)
+            return {name: loss for name, loss in terms.items() if name.startswith("vma_")}
+
+        base = vma_terms(batch.samples)
+        noisy = vma_terms(tuple(scrambled(s) for s in batch.samples))
         assert [*base] == [*noisy] == ["vma_cl", "vma_itm", "vma_mlm"]
         assert base["vma_cl"].item() == noisy["vma_cl"].item()
         assert base["vma_itm"].item() == noisy["vma_itm"].item()
@@ -470,15 +479,24 @@ class TestTrainingStep:
         encode_images = VLModel.encode_images
 
         def counted(self, grids, visibilities=None):
-            calls.append((len(grids), visibilities is None))
+            calls.append((list(grids), visibilities))
             return encode_images(self, grids, visibilities)
 
         monkeypatch.setattr(VLModel, "encode_images", counted)
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, batch, optimizer, rng_for(5, "count"))
-        # one unmasked encode of the whole batch, plus one box-masked encode with VMA;
-        # `expected` images in all
-        assert calls == [(4, True)] + [(4, False)] * (expected // 4 - 1)
+        # one encode per step of every pass's copy of the batch: the unmasked grids, then
+        # with VMA the same grids under their box masks; `expected` images in all
+        [(grids, visibilities)] = calls
+        passes = expected // 4
+        assert len(grids) == expected
+        assert all(a is b for a, b in zip(grids, [s.scene.grid for s in batch.samples] * passes))
+        if passes == 1:
+            assert visibilities is None
+            return
+        boxes = [sd.patch_mask(s.bbox, model.config.patch_grid) for s in batch.samples]
+        assert [v is None for v in visibilities] == [True] * 4 + [False] * 4
+        assert all(np.array_equal(v, box) for v, box in zip(visibilities[4:], boxes))
 
     @pytest.mark.parametrize("kind", ["caption", "detection"])
     def test_each_step_encodes_each_text_once(self, kind, monkeypatch):
@@ -504,8 +522,8 @@ class TestTrainingStep:
         assert len(calls[0]) > 4
         assert all(vocab.mask_id in copy for copy in calls[0][4:])
 
-    @pytest.mark.parametrize("kind,expected", [("caption", 1), ("detection", 2)])
-    def test_each_pass_fuses_once(self, kind, expected, monkeypatch):
+    @pytest.mark.parametrize("kind,passes", [("caption", 1), ("detection", 2)])
+    def test_each_pass_fuses_once(self, kind, passes, monkeypatch):
         monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.5)
         model = micro_model(seed=23)
         batch = caption_batch(model, n=4) if kind == "caption" else detection_batch(model, n=4)
@@ -513,38 +531,47 @@ class TestTrainingStep:
         copies = count_calls(model, "encode_texts")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, batch, optimizer, rng_for(5, "count"))
-        # one fuse per pass reads the step's texts and the pass's visions, and pairs the
-        # positives, the mined negatives and the masked copies
-        assert len(calls) == expected
-        for texts, visions, pairs, _ in calls:
-            assert len(texts.visible) > len(visions.visible) == 4
-            assert len(pairs) > 2 * 4
-        # and asks for the [CLS] positions of the 2n positives and negatives, then the
-        # [MASK] positions of the pass's copies, which follow the batch's texts pass by pass
+        # one fuse per step reads the step's texts and every pass's visions, and pairs,
+        # pass after pass, the positives, the mined negatives and the masked copies with
+        # that pass's copy of the batch's images
+        [(texts, visions, pairs, positions)] = calls
+        assert len(texts.visible) > len(visions.visible) == 4 * passes
+        pass_of = np.asarray(pairs)[:, 1] // 4
+        assert list(pass_of) == sorted(pass_of) and set(pass_of) == set(range(passes))
+        # and asks, per pass, for the [CLS] positions of the 2n positives and negatives,
+        # then the [MASK] positions of the pass's copies, which follow the batch's texts
+        # pass by pass
         [(step_ids,)] = copies
         pass_copies = iter(step_ids[4:])
         mask_id = model.config.vocab.mask_id
-        for _, _, pairs, positions in calls:
+        positions = iter(positions)
+        for p in range(passes):
+            count = int((pass_of == p).sum())
+            assert count > 2 * 4
             masked = [[pos for pos, token in enumerate(next(pass_copies)) if token == mask_id]
-                      for _ in range(len(pairs) - 2 * 4)]
-            assert list(positions) == [[0]] * (2 * 4) + masked
+                      for _ in range(count - 2 * 4)]
+            assert [list(next(positions)) for _ in range(count)] == [[0]] * (2 * 4) + masked
         assert next(pass_copies, None) is None
+        assert next(positions, None) is None
 
     def test_vma_step_projects_the_texts_once(self):
         model = micro_model(seed=23)
         calls = count_calls(model, "project")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, detection_batch(model, n=4), optimizer, rng_for(5, "count"))
-        # the box-masked pass reuses the unmasked pass's text projection
-        assert [stream for stream, _ in calls] == ["txt", "img", "img"]
+        # the box-masked pass reuses the unmasked pass's text projection, and one image
+        # projection maps both passes' images
+        assert [(stream, len(encoded.visible)) for stream, encoded in calls] == [
+            ("txt", 4), ("img", 8)]
 
     # Tape nodes one default-config step records with one node per affine map, one text
-    # encode per step and one fuse per pass: 126 per caption step, and 259 or 264 per
-    # detection step (264 when both passes draw masked-LM positions).  Each fuse's last
-    # layer adds three gathers (its residual and query rows, then the requested rows)
-    # and drops its zeroing of hidden rows when it returns none.  A matmul and an add
-    # per affine map, or a fuse per role, exceeds the ceiling.
-    @pytest.mark.parametrize("kind,ceiling", [("caption", 137), ("detection", 286)])
+    # encode, one image encode and one fuse per step: 126 per caption step, and 185 or
+    # 190 per detection step (190 when both passes draw masked-LM positions).  The fuse's
+    # last layer adds three gathers (its residual and query rows, then the requested
+    # rows) and drops its zeroing of hidden rows when it returns none.  A matmul and an
+    # add per affine map, an image encode or fuse per pass (259 or 264), or a fuse per
+    # role, exceeds the ceiling.
+    @pytest.mark.parametrize("kind,ceiling", [("caption", 137), ("detection", 212)])
     def test_default_step_stays_under_its_tape_node_ceiling(self, kind, ceiling):
         def tape_position():  # read the counter without advancing it, as perfbench does
             text = repr(tensor._SEQ)
@@ -589,12 +616,22 @@ def cross_entropy(logits, targets):
     return float(-log_probs[np.arange(len(targets)), targets].mean())
 
 
+def checked_cross_entropy(logits, targets):
+    """The tape's cross-entropy of `logits`, checked against plain numpy's."""
+    loss = ops.softmax_cross_entropy(logits, targets)
+    np.testing.assert_allclose(loss.item(), cross_entropy(logits.array, targets), rtol=1e-12)
+    return loss
+
+
 def per_role_step(model, batch, config, rng):
-    """(terms, masked copies): a training step's terms, each role fused on its own.
+    """(terms, masked copies): a training step's terms, each pass encoded and each role fused
+    on its own.
 
     The positives, the mined negatives and the masked LM each run their own
     fuse, and a pass's masked copies are encoded apart from the batch's texts,
-    padded to their own longest.  The losses are plain numpy over the heads.
+    padded to their own longest.  The cross-entropies are checked against
+    plain numpy over the heads.  On trainable weights the terms are on the
+    tape.
     """
     vocab = model.config.vocab
     ids = [vocab.encode_wrapped(s.text) for s in batch.samples]
@@ -606,13 +643,12 @@ def per_role_step(model, batch, config, rng):
 
     def one_pass(prefix, visions):
         image_feats = model.project("img", visions)
-        terms[f"{prefix}cl"] = obj.contrastive_loss(image_feats, text_feats,
-                                                    model.temperature()).item()
+        terms[f"{prefix}cl"] = obj.contrastive_loss(image_feats, text_feats, model.temperature())
         negatives = obj.mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
         positives = model.cross_cls(texts, visions, aligned_pairs(n))
         mined = model.cross_cls(texts, visions, np.column_stack((negatives, range(n))))
-        logits = model.itm_logits(tensor.concat([positives, mined], 0)).array
-        terms[f"{prefix}itm"] = cross_entropy(logits, [1] * n + [0] * n)
+        logits = model.itm_logits(tensor.concat([positives, mined], 0))
+        terms[f"{prefix}itm"] = checked_cross_entropy(logits, [1] * n + [0] * n)
         selections = [obj.select_mask_positions(t, vocab, rng) for t in ids]
         if not any(selections):
             selections = [obj.select_mask_positions(t, vocab, rng) for t in ids]
@@ -628,7 +664,8 @@ def per_role_step(model, batch, config, rng):
             seq = max(len(m) for m in masked)
             rows = [k * seq + p for k, i in enumerate(items) for p in selections[i]]
             targets = [ids[i][p] for i in items for p in selections[i]]
-            terms[f"{prefix}mlm"] = cross_entropy(model.mlm_logits(states).array[rows], targets)
+            terms[f"{prefix}mlm"] = checked_cross_entropy(
+                tensor.take_rows(model.mlm_logits(states), rows), targets)
         return positives
 
     positives = one_pass("", model.encode_images(grids))
@@ -637,7 +674,7 @@ def per_role_step(model, batch, config, rng):
         one_pass("vma_", model.encode_images(grids, masks))
     if batch.kind == "detection" and config.arm.bbox:
         terms["bbox"] = obj.bbox_loss_terms(model.bbox_corners(positives),
-                                            [s.bbox for s in batch.samples]).item()
+                                            [s.bbox for s in batch.samples])
     return terms, copies
 
 
@@ -658,10 +695,33 @@ class TestPerRoleOracle:
                                         if kind == "detection" else [])
         assert [*values] == [*expected] == names
         for name in names:
-            np.testing.assert_allclose(values[name], expected[name], rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(values[name], expected[name].item(), rtol=1e-12,
+                                       err_msg=name)
         # the same masked positions, drawn in the same order
         [(step_ids,)] = calls
         assert step_ids[len(batch.samples):] == expected_copies
+
+    def test_merged_vma_step_gradients_match_a_two_pass_step(self, monkeypatch):
+        monkeypatch.setattr(obj, "MLM_MASK_RATE", 0.3)
+        model = micro_model(seed=41)
+        batch = detection_batch(model, n=4, seed=57)
+        terms, _ = per_role_step(model, batch, ablation(), rng_for(9, "oracle"))
+        assert [*terms] == list(obj.LOSS_COMPONENTS)
+        tensor.add_scalars(list(terms.values())).backward()
+        expected = {name: param.grad for name, param in model.params.items()}
+        for param in model.parameters():
+            param.zero_grad()
+        # an optimizer that applies no update leaves the step's gradients on the weights
+        keep = types.SimpleNamespace(step=lambda: None)
+        obj.training_step(model, batch, keep, rng_for(9, "oracle"))
+        # an attention key bias shifts every score of a query alike, so its gradient is zero
+        # but for rounding (about 1e-16 here): entries are compared relative to themselves,
+        # and absolutely at 1e-12 of the largest gradient entry
+        atol = 1e-12 * max(np.abs(grad).max() for grad in expected.values())
+        for name, param in model.params.items():
+            assert param.grad is not None and expected[name] is not None, name
+            np.testing.assert_allclose(param.grad, expected[name], rtol=1e-10, atol=atol,
+                                       err_msg=name)
 
 
 class TestSgdOptimizer:
@@ -691,12 +751,12 @@ class TestLossGradients:
                 # both passes read one text encoding and projection, so their gradients sum
                 texts, text_feats, masked, grids = step_texts(model, batch.samples, 2,
                                                               rng_for(1, "gc"))
-                vma = obj.vma_losses(model, texts, text_feats, batch.samples, masked[1])
+                boxes = [sd.patch_mask(s.bbox, model.config.patch_grid) for s in batch.samples]
+                _, terms = obj.fused_losses(model, texts, text_feats, grids, masked, boxes)
+                vma = [loss for name, loss in terms.items() if name.startswith("vma_")]
                 if component == "vma":
-                    return tensor.add_scalars(list(vma.values()))
-                _, terms = obj.pass_losses(model, model.encode_images(grids), texts, text_feats,
-                                           grids, masked[0])
-                return tensor.add_scalars([*terms.values(), *vma.values()])
+                    return tensor.add_scalars(vma)
+                return tensor.add_scalars(list(terms.values()))
             visions, texts, ids, grids = encode_batch(model, batch.samples)
             if component == "cl":
                 return obj.contrastive_loss(model.project("img", visions),

@@ -396,6 +396,17 @@ class TestElementwiseOps:
         )
         assert err < 1e-3
 
+    @pytest.mark.parametrize("indices", [[4, 0, 2], [0, 2, 2, 4, 0], []],
+                             ids=["distinct", "repeated", "empty"])
+    def test_take_rows_gradient_equals_the_scatter_add(self, indices):
+        r = rng(47)
+        x = Tensor(r.normal(size=(5, 3)), requires_grad=True)
+        upstream = r.normal(size=(len(indices), 3))
+        tensor.tsum(tensor.mul(tensor.take_rows(x, indices), Tensor(upstream))).backward()
+        expected = np.zeros((5, 3))
+        np.add.at(expected, np.asarray(indices, dtype=np.intp), upstream)
+        assert np.array_equal(x.grad, expected)
+
 
 class TestCheckGradients:
     def test_quadratic(self):
