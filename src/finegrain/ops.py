@@ -36,7 +36,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear shapes do not agree: {x.shape} x {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear bias shape {b.shape} does not match {w.shape[1]} outputs")
-    values = x.array @ w.array + b.array
+    values = x.array @ w.array
+    values += b.array
 
     def backward(g):
         gx = g @ w.array.T if x.requires_grad else None
@@ -47,12 +48,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.array
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), built in one buffer
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     values = x * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        grad = -0.5 * x  # g * (cdf + x * pdf), pdf = exp(-x^2 / 2) / sqrt(2 pi)
+        grad *= x
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT2PI
+        grad *= x
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return _result(values, (a,), backward)
 
@@ -64,23 +74,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}")
     # sum / d is ndarray.mean's own arithmetic, without its per-call overhead
     mu = x.array.sum(axis=-1, keepdims=True) / d
-    centered = x.array - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    xhat = x.array - mu
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv_std
-    values = xhat * gain.array + bias.array
+    xhat *= inv_std
+    values = xhat * gain.array
+    values += bias.array
 
     def backward(g):
+        # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in dxhat
         dxhat = g * gain.array
-        dx = inv_std * (
-            dxhat
-            - dxhat.sum(axis=-1, keepdims=True) / d
-            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        )
+        scratch = dxhat * xhat
+        mean_dot = scratch.sum(axis=-1, keepdims=True) / d
+        mean = dxhat.sum(axis=-1, keepdims=True) / d
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes)
+        np.multiply(g, xhat, out=scratch)
+        dgain = scratch.sum(axis=axes)
         dbias = g.sum(axis=axes)
-        return dx, dgain, dbias
+        np.multiply(xhat, mean_dot, out=scratch)
+        dxhat -= mean
+        dxhat -= scratch
+        dxhat *= inv_std
+        return dxhat, dgain, dbias
 
     return _result(values, (x, gain, bias), backward)
 
@@ -99,13 +114,15 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis restricted to visible positions (mask True = visible).
 
     Masked entries get weight exactly 0.0 and each row renormalizes over
-    its visible set; rows with no visible entry are rejected.
+    its visible set; rows with no visible entry are rejected.  `logits`
+    is not modified: the mask, shift, exp and normalization all run in one
+    new array.
     """
     if not np.all(np.any(mask, axis=-1)):
         raise DegenerateMaskError("softmax row with every position masked")
-    shifted = np.where(mask, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)  # exact 0.0 at masked positions
+    weights = np.where(mask, logits, -np.inf)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)  # exact 0.0 at masked positions
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
@@ -153,14 +170,19 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
         return x.swapaxes(-1, -2)
 
     qh, kh, vh = split(q.array), split(k.array), split(v.array)
-    weights = masked_softmax(qh @ swap(kh) / root, m)
+    logits = qh @ swap(kh)
+    logits /= root
+    weights = masked_softmax(logits, m)
     values = merge(weights @ vh)
 
     def backward(g):
         gh = split(g)
-        gw = (gh @ swap(vh)) * weights
-        gs = (gw - weights * gw.sum(axis=-1, keepdims=True)) / root
-        return merge(gs @ kh), merge(swap(gs) @ qh), merge(swap(weights) @ gh)
+        # the logits' gradient, (gw - weights * rowsum(gw)) / root, built in gw
+        gw = gh @ swap(vh)
+        gw *= weights
+        gw -= weights * gw.sum(axis=-1, keepdims=True)
+        gw /= root
+        return merge(gw @ kh), merge(swap(gw) @ qh), merge(swap(weights) @ gh)
 
     return _result(values, (q, k, v), backward)
 
