@@ -118,10 +118,10 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     - the distinct pairs are fused one chunk per call, grouped by their
       text's token length.  A chunk's fuse takes its distinct texts and
       its distinct grids, each joined once by `Encoded.stack` from their
-      cached encodings, and a pair index into them.  A frozen model's fuse
-      gathers per pair only where text and image meet, so cross layer 0's
-      text-only work runs once per distinct text and each layer's
-      cross-attention keys and values once per distinct grid (see
+      cached encodings, and a pair index into them.  The fuse, as in
+      training, gathers per pair only where text and image meet, so cross
+      layer 0's text-only work runs once per distinct text and each
+      layer's cross-attention keys and values once per distinct grid (see
       `VLModel.fuse`); each fuse computes only the [CLS] rows in its last
       layer (`cross_cls`).
     A batched score can differ from the same pair's score at batch one in

@@ -21,12 +21,13 @@ and an (m, 2) pair index of (text, image) batch indices, so the training
 step fuses every role of every pass (positives, mined negatives, masked
 copies; unmasked and box-masked) in one call, and the scorer passes a
 chunk's texts and images once each, however many of its pairs share
-them; `fuse` tells where it gathers the pairs' rows, for trainable and
-for frozen weights.  It also takes a list of text positions per pair, the
-ones its caller reads, and returns their rows pair by pair; its last
-cross layer computes only those: its keys and values read every row, but
-its queries, output maps and MLP run on the requested rows alone.  So the stacked-row layout stays
-in this module.
+them.  Both gather a pair's rows only where text meets image, so work
+that reads one text, or one image, runs once per distinct input.  `fuse`
+also takes a list of text positions per pair, the ones its caller reads,
+and returns their rows pair by pair; its last cross layer computes only
+those: its keys and values read every row, but its queries, output maps
+and MLP run on the requested rows alone.  So the stacked-row layout
+stays in this module.
 The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
@@ -385,28 +386,19 @@ class VLModel:
         keys and key mask.  A position may be requested more than once, and
         a list may be empty; a hidden position's row is zero.
 
-        Where the pairs are gathered depends on the model's own weights.
-        Trainable weights gather both batches per pair first, as
-        `Encoded.take` nodes, and run every layer per pair: so training's
-        ops and gradient order stay those of a fuse of gathered batches, and
-        no backward pays the scatter-add of a gather inside the layers: at
-        the default batch it costs more than the rows it saves (the detection
-        step median went from 14.6 to 15.3 ms on a 2-core host).  Frozen
-        weights (`frozen`) gather where text and image meet: cross layer 0's
-        layer norm and self-attention read only the text, so they run once
-        per distinct text (in a last layer, only the norm and the
-        self-attention keys and values), and every layer projects the
-        cross-attention keys and values once per distinct image.  Both give
-        the same bits, which the tests check: a row of an affine map over
-        several rows does not depend on the other rows.
+        The pairs are gathered where text meets image: cross layer 0's layer
+        norm and self-attention read only the text, so they run once per
+        distinct text (in a last layer, only the norm and the self-attention
+        keys and values), and every layer projects the cross-attention keys
+        and values once per distinct image.  The values are those of a fuse
+        of the batches gathered per pair first, bit for bit, since a row of
+        an affine map over several rows does not depend on the other rows;
+        the parameter gradients sum the same terms in another order.
         """
         index = _pair_index(pairs, len(texts.visible), len(visions.visible))
         texts_of, images_of = index[:, 0], index[:, 1]
         queries, picks = _padded_queries(positions, len(index), texts.visible.shape[1])
         pair_mask = texts.visible[texts_of]
-        if any(param.requires_grad for param in self.params.values()):
-            texts, visions = texts.take(texts_of), visions.take(images_of)
-            texts_of = images_of = None
         x, key_mask = texts.states, texts.visible
         last = self.config.cross_layers - 1
         for i in range(last + 1):

@@ -7,7 +7,9 @@ record field that nothing reads is state the program carries for no one,
 and a parameter default that no call overrides is a setting with one
 value, which belongs in a constant.  A fifth scan keeps out `global`
 statements: a process-wide mode that an op reads is state every caller
-shares.
+shares.  A sixth keeps out numpy's `ufunc.at` (`np.add.at`): it costs
+about three times the `np.bincount` sum in `tensor.take_rows`, which
+adds the same terms in the same order.
 """
 
 import ast
@@ -52,6 +54,17 @@ def test_no_global_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Global)]
     assert not found, f"global statements: {', '.join(found)}"
+
+
+def test_no_ufunc_at_call():
+    """No finegrain code calls a numpy ufunc's `at`: `tensor.take_rows` is the one scatter-add."""
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
+             and isinstance(node.func.value.value, ast.Name)
+             and node.func.value.value.id in ("np", "numpy")]
+    assert not found, f"ufunc.at calls: {', '.join(found)}"
 
 
 def _is_dunder(name: str) -> bool:

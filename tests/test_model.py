@@ -380,21 +380,29 @@ class TestFuseRows:
                               model.fuse(texts, images, aligned_pairs(3), positions).array)
 
 
+# Texts and images repeat, the visions are masked, pairs ask for several positions, and
+# two of those are hidden pads ("circle" has 3 tokens and "a green triangle" 5, of 10)
+SHARED_PAIRS = np.array([[0, 0], [1, 0], [0, 2], [2, 1], [0, 0], [1, 2], [2, 2], [2, 0]])
+SHARED_POSITIONS = [[0, 3, 9], [0, 7], [4, 4, 1], [2, 0], [], [1], [0, 4, 3], [8]]
+
+
+def gather_first_fuse(model, texts, images, pairs, positions):
+    """The fuse of both batches gathered per pair first, as `Encoded.take` nodes."""
+    return model.fuse(texts.take(pairs[:, 0]), images.take(pairs[:, 1]),
+                      aligned_pairs(len(pairs)), positions)
+
+
 @pytest.mark.parametrize("cross_layers", [1, 2, 3])
 def test_fuse_off_the_tape_equals_the_gather_first_fuse_bit_for_bit(cross_layers):
-    # a frozen model's fuse runs text-only work once per distinct text and projects
-    # the cross-attention keys and values once per distinct image; a trainable one
-    # gathers both batches per pair first, as training always has.  Texts and images
-    # repeat, the visions are masked, pairs ask for several positions, and two of
-    # those are hidden pads ("circle" has 3 tokens and "a green triangle" 5, of 10)
+    # every fuse runs text-only work once per distinct text and projects the
+    # cross-attention keys and values once per distinct image, on the tape or off it;
+    # its values are those of the fuse of both batches gathered per pair first
     model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
     frozen = model.frozen()
     grids, visibilities, ids = batch_inputs(model)
     texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
-    pairs = np.array([[0, 0], [1, 0], [0, 2], [2, 1], [0, 0], [1, 2], [2, 2], [2, 0]])
-    positions = [[0, 3, 9], [0, 7], [4, 4, 1], [2, 0], [], [1], [0, 4, 3], [8]]
-    gathered = model.fuse(texts.take(pairs[:, 0]), images.take(pairs[:, 1]),
-                          aligned_pairs(len(pairs)), positions)
+    pairs, positions = SHARED_PAIRS, SHARED_POSITIONS
+    gathered = gather_first_fuse(model, texts, images, pairs, positions)
     taped = model.fuse(texts, images, pairs, positions)
     untaped = frozen.fuse(frozen.encode_texts(ids), frozen.encode_images(grids, visibilities),
                           pairs, positions)
@@ -405,11 +413,43 @@ def test_fuse_off_the_tape_equals_the_gather_first_fuse_bit_for_bit(cross_layers
     assert np.all(untaped.array[[4, 14]] == 0.0)  # the two hidden positions
 
 
+@pytest.mark.parametrize("cross_layers", [1, 2, 3])
+def test_fuse_parameter_gradients_equal_the_gather_first_fuses(cross_layers):
+    # the gradient oracle of the one fuse path: gathering where text meets image sums
+    # the same terms as the fuse of batches gathered per pair first, in another order
+    model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
+    rows = sum(map(len, SHARED_POSITIONS))
+    weights = Tensor(rng_for(6, "fuse-oracle").normal(size=(rows, model.config.hidden_dim)))
+
+    def gradients(fuse):
+        # each pass encodes afresh, since a graph is backpropagated once
+        for param in model.parameters():
+            param.zero_grad()
+        grids, visibilities, ids = batch_inputs(model)
+        fused = fuse(model, model.encode_texts(ids), model.encode_images(grids, visibilities),
+                     SHARED_PAIRS, SHARED_POSITIONS)
+        tensor.tsum(tensor.mul(fused, weights)).backward()
+        return [param.grad for param in model.parameters()]
+
+    want_all = gradients(gather_first_fuse)
+    got_all = gradients(VLModel.fuse)
+    for name, want, got in zip(model.params, want_all, got_all):
+        assert (want is None) == (got is None), name
+        if name.endswith(".bk"):
+            # the softmax cancels a key bias's gradient: rounding noise around zero
+            assert np.abs(got).max() < 1e-14 and np.abs(want).max() < 1e-14, name
+        elif want is not None:
+            # an entry that cancels in a sum over rows keeps only the accuracy of
+            # its terms, so rtol also applies to the parameter's largest entry
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
 class TestFrozen:
     # the scorer runs on `model.frozen()`: constant parameters over the model's own
     # arrays, so the tape's one rule (record only when an input requires a gradient)
     # keeps everything it computes off the tape
-    PAIRS = np.array([[0, 0], [1, 0], [0, 2], [2, 1], [0, 0], [1, 2], [2, 2], [2, 0]])
+    PAIRS = SHARED_PAIRS
 
     def outputs(self, model):
         """Encodings, projections and fused rows of batch_inputs, pairs repeating inputs."""
@@ -459,10 +499,10 @@ class TestFrozen:
             assert np.array_equal(grad, expected[name]), name
 
     @pytest.mark.parametrize("frozen", [False, True])
-    def test_cross_attention_keys_projected_once_per_image_when_frozen(self, monkeypatch,
-                                                                       frozen):
-        # 8 pairs over 3 images: a frozen fuse projects each image's keys once, a
-        # trainable one gathers per pair first, as training's gradient order needs
+    def test_every_model_projects_cross_attention_keys_once_per_image(self, monkeypatch,
+                                                                      frozen):
+        # 8 pairs over 3 images: trainable or frozen, a fuse projects each image's
+        # keys once and gathers them per pair only where text meets image
         model = VLModel(micro_config(cross_layers=2), seed=5)
         model = model.frozen() if frozen else model
         key_rows = []
@@ -476,7 +516,7 @@ class TestFrozen:
         monkeypatch.setattr(VLModel, "_mha", recorded)
         self.outputs(model)
         seq = model.config.num_patches + 1
-        assert key_rows == [(3 if frozen else len(self.PAIRS)) * seq] * 2
+        assert key_rows == [3 * seq] * 2
 
 
 def test_fuse_rows_gradcheck():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from finegrain import ops, tensor
 from finegrain.errors import DegenerateMaskError, ShapeError
@@ -396,16 +397,111 @@ class TestElementwiseOps:
         )
         assert err < 1e-3
 
-    @pytest.mark.parametrize("indices", [[4, 0, 2], [0, 2, 2, 4, 0], []],
-                             ids=["distinct", "repeated", "empty"])
-    def test_take_rows_gradient_equals_the_scatter_add(self, indices):
+    @pytest.mark.parametrize("rows, indices", [
+        (5, [4, 0, 2]), (5, [0, 2, 2, 4, 0]), (5, []), (5, [-1, 0, -3]),
+        (5, [-1, 4, 0, -5, 2, -1]), (0, []),
+    ], ids=["distinct", "repeated", "empty", "negative", "negative-repeated", "zero-rows"])
+    def test_take_rows_gradient_equals_the_scatter_add(self, rows, indices):
+        # bytes, not only values: some upstream entries are -0.0, and the scatter-add
+        # sums each element from 0.0, so a sum of -0.0 terms is 0.0.  When no row
+        # repeats, the backward assigns each row its gradient, -0.0 included
         r = rng(47)
-        x = Tensor(r.normal(size=(5, 3)), requires_grad=True)
+        x = Tensor(r.normal(size=(rows, 3)), requires_grad=True)
         upstream = r.normal(size=(len(indices), 3))
+        upstream[::2, 1] = -0.0
         tensor.tsum(tensor.mul(tensor.take_rows(x, indices), Tensor(upstream))).backward()
-        expected = np.zeros((5, 3))
-        np.add.at(expected, np.asarray(indices, dtype=np.intp), upstream)
-        assert np.array_equal(x.grad, expected)
+        idx = np.asarray(indices, dtype=np.intp)
+        scattered = np.zeros((rows, 3))
+        np.add.at(scattered, idx, upstream)
+        assert np.array_equal(x.grad, scattered)
+        if len(set(idx % max(rows, 1))) < len(idx):
+            assert x.grad.tobytes() == scattered.tobytes()
+        else:
+            assigned = np.zeros((rows, 3))
+            assigned[idx] = upstream
+            assert x.grad.tobytes() == assigned.tobytes()
+
+
+def _plain_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * cdf, (g * (cdf + x * pdf),)
+
+
+def _plain_layer_norm(x, gain, bias, g):
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + ops.LAYER_NORM_EPS)
+    xhat = centered * inv_std
+    dxhat = g * gain
+    dx = inv_std * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                    - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
+    axes = tuple(range(g.ndim - 1))
+    return xhat * gain + bias, (dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+def _plain_masked_attention(q, k, v, mask, heads, g):
+    batch, width = len(mask), q.shape[1]
+    dh = width // heads
+
+    def split(x):
+        return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(-1, width)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    shifted = np.where(mask[:, None, None], qh @ kh.swapaxes(-1, -2) / np.sqrt(dh), -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    gw = (gh @ vh.swapaxes(-1, -2)) * weights
+    gs = (gw - weights * gw.sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+    return merge(weights @ vh), (merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh),
+                                 merge(weights.swapaxes(-1, -2) @ gh))
+
+
+class TestKernelsMatchPlainFormulas:
+    # the kernels build their results in their own buffers; values and gradients keep
+    # the bytes of the plain expressions, evaluated in the same order
+
+    @staticmethod
+    def run(op, arrays, upstream):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        tensor.tsum(tensor.mul(out, Tensor(upstream))).backward()
+        return out.array, tuple(leaf.grad for leaf in leaves)
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        (values, grads), (want_values, want_grads) = got, want
+        assert values.tobytes() == want_values.tobytes()
+        assert len(grads) == len(want_grads)
+        for grad, want_grad in zip(grads, want_grads):
+            assert grad.shape == want_grad.shape
+            assert grad.tobytes() == want_grad.tobytes()
+
+    def test_gelu(self):
+        r = rng(61)
+        x, g = r.normal(size=(7, 5)) * 3.0, r.normal(size=(7, 5))
+        self.assert_same_bytes(self.run(ops.gelu, [x], g), _plain_gelu(x, g))
+
+    def test_layer_norm(self):
+        r = rng(62)
+        arrays = r.normal(size=(9, 6)) * 2.0 + 1.0, r.normal(size=6), r.normal(size=6)
+        g = r.normal(size=(9, 6))
+        self.assert_same_bytes(self.run(ops.layer_norm, arrays, g),
+                               _plain_layer_norm(*arrays, g))
+
+    def test_masked_attention(self):
+        r = rng(63)
+        mask = np.array([[True, False, True, True, True], [False, False, True, True, False]])
+        arrays = r.normal(size=(6, 8)), r.normal(size=(10, 8)), r.normal(size=(10, 8))
+        g = r.normal(size=(6, 8))
+        got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2), arrays, g)
+        self.assert_same_bytes(got, _plain_masked_attention(*arrays, mask, 2, g))
 
 
 class TestCheckGradients:
