@@ -82,17 +82,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     values += bias.array
 
     def backward(g):
+        axes = tuple(range(g.ndim - 1))
+        dbias = g.sum(axis=axes)
+        scratch = g * xhat
+        dgain = scratch.sum(axis=axes)
         # dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in dxhat
         dxhat = g * gain.array
-        scratch = dxhat * xhat
-        mean_dot = scratch.sum(axis=-1, keepdims=True) / d
-        mean = dxhat.sum(axis=-1, keepdims=True) / d
-        axes = tuple(range(g.ndim - 1))
-        np.multiply(g, xhat, out=scratch)
-        dgain = scratch.sum(axis=axes)
-        dbias = g.sum(axis=axes)
-        np.multiply(xhat, mean_dot, out=scratch)
-        dxhat -= mean
+        np.multiply(dxhat, xhat, out=scratch)
+        np.multiply(xhat, scratch.sum(axis=-1, keepdims=True) / d, out=scratch)
+        dxhat -= dxhat.sum(axis=-1, keepdims=True) / d
         dxhat -= scratch
         dxhat *= inv_std
         return dxhat, dgain, dbias

@@ -498,8 +498,9 @@ class TestKernelsMatchPlainFormulas:
     def test_masked_attention(self):
         r = rng(63)
         mask = np.array([[True, False, True, True, True], [False, False, True, True, False]])
-        arrays = r.normal(size=(6, 8)), r.normal(size=(10, 8)), r.normal(size=(10, 8))
-        g = r.normal(size=(6, 8))
+        # head width 6: a scale by 1 / sqrt(6) is not exact, so the order of its rounding shows
+        arrays = r.normal(size=(6, 12)), r.normal(size=(10, 12)), r.normal(size=(10, 12))
+        g = r.normal(size=(6, 12))
         got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2), arrays, g)
         self.assert_same_bytes(got, _plain_masked_attention(*arrays, mask, 2, g))
 
