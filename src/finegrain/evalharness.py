@@ -72,7 +72,7 @@ class EvalReport:
 
 
 # The most stacked rows one batched call of the scorer takes: an encode of
-# texts or a fuse of pairs.  A chunk's activations grow with its rows; the
+# grids or of texts, or a fuse of pairs.  A chunk's activations grow with its rows; the
 # bound keeps batched scoring's peak memory near that of scoring pair by
 # pair, and is large enough to cost no speed.
 CHUNK_ROWS = 512
@@ -91,6 +91,17 @@ def _length_chunks(items, length_of: Callable[..., int]):
         yield from (group[lo:lo + step] for lo in range(0, len(group), step))
 
 
+def _encode_new(cache: dict, new: dict, encode: Callable, rows_of: Callable[..., int]) -> None:
+    """Encode the `new` inputs, key -> input, into `cache`, one `encode` call per chunk.
+
+    The chunks are `_length_chunks` of the keys, each input stacking
+    `rows_of(input)` rows; each input is cached on its own (`Encoded.take`).
+    """
+    for chunk in _length_chunks(new, lambda key: rows_of(new[key])):
+        batch = encode([new[key] for key in chunk])
+        cache.update((key, batch.take([b])) for b, key in enumerate(chunk))
+
+
 def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     """Score a pair as the matching probability of `model`'s fused [CLS] row.
 
@@ -104,17 +115,18 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     `manifest`, collected by a dry run of `run_benchmark` itself, so each
     call for such a pair is a lookup.  A pair not yet scored, as with no
     manifest, is scored on its own, as a batch of one.  Scoring a set of
-    pairs runs in three steps, and both batched steps group their rows by
-    one rule (`_length_chunks`): by token length, in first-seen order, in
-    chunks of at most `CHUNK_ROWS` stacked rows.
-    - each new grid is encoded on its own by `encode_image`, one call per
-      grid, in the pairs' order;
-    - the new texts are encoded by `encode_texts`, one call per chunk, so
-      no [PAD] row is encoded and the per-call overhead is paid once per
-      chunk, not once per text; each text is cached on its own
-      (`Encoded.take`).  At the default config its states were measured
-      byte-identical to its batch of one, which padding to a longer text
-      does not keep;
+    pairs runs in three steps, and every step groups its rows by one rule
+    (`_length_chunks`): by the rows each input stacks, in first-seen order,
+    in chunks of at most `CHUNK_ROWS` stacked rows.
+    - the new grids, then the new texts, are encoded by one loop
+      (`_encode_new`): one `encode_images` or `encode_texts` call per
+      chunk, so the per-call overhead is paid once per chunk, not once
+      per input.  Every grid stacks `num_patches + 1` rows (30 grids per
+      chunk at the default config), and a text chunk holds one token
+      length, so no [PAD] row is encoded.  Each input is cached on its
+      own (`Encoded.take`).  At the default config its states were
+      measured byte-identical to its batch of one, which padding a text
+      to a longer one does not keep;
     - the distinct pairs are fused one chunk per call, grouped by their
       text's token length.  A chunk's fuse takes its distinct texts and
       its distinct grids, each joined once by `Encoded.stack` from their
@@ -134,6 +146,7 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     """
     model = model.frozen()
     vocab = model.config.vocab
+    grid_rows = model.config.num_patches + 1
     images: dict[tuple, Encoded] = {}
     texts: dict[str, Encoded] = {}
     scores: dict[tuple, float] = {}
@@ -144,17 +157,17 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     def score_pairs(pairs) -> None:
         """Encode the pairs' new inputs, then fuse each distinct pair, none scored yet."""
         keys: dict[tuple, None] = {}  # distinct pair keys, in order
+        grids: dict[tuple, np.ndarray] = {}  # distinct new grids, in order
         ids: dict[str, list[int]] = {}  # distinct new texts' token ids, in order
         for scene, text in pairs:
             key = key_of(scene, text)
             keys[key] = None
             if key[0] not in images:
-                images[key[0]] = model.encode_image(scene.grid)
+                grids[key[0]] = scene.grid
             if text not in texts and text not in ids:
                 ids[text] = vocab.encode_wrapped(text)
-        for chunk in _length_chunks(ids, lambda text: len(ids[text])):
-            batch = model.encode_texts([ids[text] for text in chunk])
-            texts.update((text, batch.take([b])) for b, text in enumerate(chunk))
+        _encode_new(images, grids, model.encode_images, lambda grid: grid_rows)
+        _encode_new(texts, ids, model.encode_texts, len)
         for chunk in _length_chunks(keys, lambda key: texts[key[1]].visible.shape[1]):
             text_index: dict[str, int] = {}  # the chunk's distinct inputs, in order
             grid_index: dict[tuple, int] = {}

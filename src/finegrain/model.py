@@ -33,8 +33,10 @@ the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
 
 How the scorer batches its encodes and fuses, on `frozen` weights, is told
-in `evalharness.model_scorer`; `encode_image` and `encode_text`, batches
-of one, stay because the benchmark's tracer wraps them.
+in `evalharness.model_scorer`.  Nothing in a run calls `encode_image` or
+`encode_text`, batches of one: training and scoring encode through
+`encode_images` and `encode_texts`.  They stay because the benchmark's
+tracer wraps them, until it wraps the batch encoders instead.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
@@ -326,6 +328,8 @@ class VLModel:
         n = cfg.num_patches
         shape = (cfg.patch_grid, cfg.patch_grid, GRID_CHANNELS)
         arrays = [np.asarray(grid, dtype=np.float64) for grid in grids]
+        if not arrays:
+            raise ShapeError("encode_images needs at least one grid")
         for grid in arrays:
             if grid.shape != shape:
                 raise ValidationError(
@@ -355,6 +359,8 @@ class VLModel:
         """One encode of a batch of id lists, each padded with [PAD] to the longest."""
         cfg = self.config
         rows = [[int(i) for i in ids] for ids in id_lists]
+        if not rows or not all(rows):
+            raise ShapeError("encode_texts needs at least one id list, and no empty one")
         longest = max(len(ids) for ids in rows)
         if longest > cfg.max_len:
             raise SequenceLengthError(f"{longest} tokens exceed max_len {cfg.max_len}")

@@ -6,7 +6,9 @@ Imports finegrain from src/ of this checkout.  For each slot k of 0..9 it
 trains the default config at seed 100+k, data seed 200+k and eval seed
 9000+k for 12 steps at cadence 3 into NEW_DIR/slot_k, runs `run_eval` at
 each checkpoint and then `run_dynamics` there, and runs a retrieval-only
-24 x 24 `run_eval` of the last checkpoint into NEW_DIR/slot_k/dense.  Every
+24 x 24 `run_eval` of the last checkpoint into NEW_DIR/slot_k/dense.  Slot 0
+also scores its last checkpoint at study size (200 items per subtask and a
+64-scene retrieval table, eval seed 9000) into NEW_DIR/slot_0/study.  Every
 file written is deterministic; it prints one `sha256  path` line per file,
 with paths relative to NEW_DIR.  Run it in two checkouts and diff the
 printed lines.  It is run by hand: pytest does not collect it.
@@ -22,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from finegrain import runner  # noqa: E402
 from finegrain.config import RunConfig  # noqa: E402
+from finegrain.evalharness import default_manifest  # noqa: E402
 
 SLOTS = 10
 DENSE_RETRIEVAL = 24
@@ -34,8 +37,12 @@ def write_slot(k: int, run_dir: Path) -> None:
     runner.run_dynamics(config, run_dir)
     dense = {"grid_size": config.patch_grid, "subtasks": [],
              "retrieval": {"seed": config.eval_seed, "count": DENSE_RETRIEVAL}}
-    runner.run_eval(config, runner.checkpoint_path(run_dir, config.steps), run_dir / "dense",
-                    manifest=dense)
+    last = runner.checkpoint_path(run_dir, config.steps)
+    runner.run_eval(config, last, run_dir / "dense", manifest=dense)
+    if k == 0:
+        study = default_manifest(eval_seed=config.eval_seed, per_subtask=200,
+                                 grid_size=config.patch_grid, retrieval_count=64)
+        runner.run_eval(config, last, run_dir / "study", manifest=study)
 
 
 def main(argv: list[str]) -> int:

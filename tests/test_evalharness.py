@@ -14,7 +14,7 @@ from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.config import RunConfig
 from finegrain.errors import EmptyInputError, ValidationError
-from finegrain.model import VLModel
+from finegrain.model import Encoded, VLModel
 from finegrain.seeding import rng_for
 from finegrain.vocab import Vocabulary
 
@@ -377,27 +377,50 @@ class TestModelScorer:
             assert value == taped_score(model, scene, text), (scene.ident, text)
 
     def test_each_distinct_input_encoded_once(self, monkeypatch):
-        calls = {"encode_image": [], "encode_texts": []}  # each call's argument
+        # each call's argument; encode_image is recorded to show that the scorer makes none
+        calls = {"encode_image": [], "encode_images": [], "encode_texts": []}
         for name in calls:
             def recorded(self, inputs, _name=name, _original=getattr(VLModel, name)):
                 calls[_name].append(inputs)
                 return _original(self, inputs)
             monkeypatch.setattr(VLModel, name, recorded)
+        grid_rows = MICRO.num_patches + 1
         for chunk_rows, batched in itertools.product((ev.CHUNK_ROWS, 16), (False, True)):
             monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
             for made in calls.values():
                 made.clear()
             pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched)
-            grids = [grid.tobytes() for grid in calls["encode_image"]]
+            grids = [grid.tobytes() for call in calls["encode_images"] for grid in call]
             texts = [tuple(ids) for call in calls["encode_texts"] for ids in call]
+            assert not calls["encode_image"]
             assert sorted(grids) == sorted({s.grid.tobytes() for s, _, _ in pairs})
             assert sorted(texts) == sorted({tuple(MICRO.vocab.encode_wrapped(t))
                                             for _, t, _ in pairs})
+            assert all(len(call) * grid_rows <= chunk_rows or len(call) == 1
+                       for call in calls["encode_images"])
             # one token length per text encode, so no [PAD] row is encoded
             assert all(len(set(map(len, call))) == 1 for call in calls["encode_texts"])
             assert max(len(call) * len(call[0]) for call in calls["encode_texts"]) <= chunk_rows
             if batched:
+                assert len(calls["encode_images"]) < len(grids)
                 assert len(calls["encode_texts"]) < len(texts)
+
+    def test_default_config_scores_equal_those_of_grids_encoded_alone(self, monkeypatch):
+        # at the default config a chunk's image encode runs its matrix products
+        # on up to 30 grids' rows: a score must keep the bits it has when each
+        # grid is encoded alone, as `encode_image` encodes it
+        model = VLModel(RunConfig(seed=0), seed=3)
+        model.params["head.itm_w"].array *= 100  # scores far from 0.5 keep more bits of the logits
+        manifest = ev.default_manifest(eval_seed=9000, per_subtask=20,
+                                       grid_size=model.config.patch_grid, retrieval_count=8)
+        batched = ev.run_benchmark(ev.model_scorer(model, manifest), manifest)
+        encode_images = VLModel.encode_images
+        monkeypatch.setattr(VLModel, "encode_images", lambda self, grids: Encoded.stack(
+            [encode_images(self, [grid]) for grid in grids]))
+        alone = ev.run_benchmark(ev.model_scorer(model, manifest), manifest)
+        for tag, rows in batched.cells.items():
+            assert np.array_equal(rows, alone.cells[tag]), tag
+        assert np.array_equal(batched.retrieval, alone.retrieval)
 
     def test_each_distinct_text_tokenized_once(self, monkeypatch):
         calls = []

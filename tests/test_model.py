@@ -98,8 +98,18 @@ class TestEncodeImage:
     def test_finite_outputs(self, micro, grid):
         assert np.all(np.isfinite(micro.encode_image(grid).states.array))
 
+    def test_empty_batch_rejected(self, micro):
+        with pytest.raises(ShapeError, match="encode_images"):
+            micro.encode_images([])
+
 
 class TestEncodeText:
+    @pytest.mark.parametrize("id_lists", [[], [[]], [[2, 3], []]],
+                             ids=["empty-batch", "empty-list", "one-empty-list"])
+    def test_empty_batch_or_id_list_rejected(self, micro, id_lists):
+        with pytest.raises(ShapeError, match="encode_texts"):
+            micro.encode_texts(id_lists)
+
     def test_states_shape(self, micro):
         ids = micro.config.vocab.encode_wrapped("red circle")
         assert micro.encode_text(ids).states.shape == (4, micro.config.hidden_dim)
