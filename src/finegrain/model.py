@@ -33,10 +33,11 @@ the masked-LM head the masked positions.  `project` maps a batch's [CLS]
 rows in one affine map, and `cross_cls` fuses asking for position 0 only.
 
 How the scorer batches its encodes and fuses, on `frozen` weights, is told
-in `evalharness.model_scorer`.  Nothing in a run calls `encode_image` or
-`encode_text`, batches of one: training and scoring encode through
-`encode_images` and `encode_texts`.  They stay because the benchmark's
-tracer wraps them, until it wraps the batch encoders instead.
+in `evalharness.model_scorer`.  Training and scoring encode through
+`encode_images` and `encode_texts`.  `encode_images` checks its grids and
+masks and stacks them, and `encode_image` encodes the stack, so every image
+encode is one `encode_image` call, which the benchmark's tracer wraps.
+`encode_text`, a batch of one, stays only because the tracer wraps it too.
 
 The vision [CLS] token stays visible under every patch-visibility mask,
 and masked rows are zeroed on output so downstream code can never read
@@ -325,7 +326,6 @@ class VLModel:
     def encode_images(self, grids: Sequence[np.ndarray], visibilities=None) -> Encoded:
         """One encode of a batch of grids; `visibilities` holds a patch mask or None per grid."""
         cfg = self.config
-        n = cfg.num_patches
         shape = (cfg.patch_grid, cfg.patch_grid, GRID_CHANNELS)
         arrays = [np.asarray(grid, dtype=np.float64) for grid in grids]
         if not arrays:
@@ -336,11 +336,23 @@ class VLModel:
                     f"grid shape {grid.shape} does not match config "
                     f"({cfg.patch_grid}x{cfg.patch_grid}x{GRID_CHANNELS})"
                 )
-        batch = len(arrays)
         if visibilities is None:
-            visibilities = [None] * batch
+            visibilities = [None] * len(arrays)
         token_mask = np.stack([self._vision_token_mask(v) for v in visibilities])
-        patches = Tensor(np.stack(arrays).reshape(batch * n, GRID_CHANNELS))
+        return self.encode_image(np.stack(arrays), token_mask)
+
+    def encode_image(self, grids: np.ndarray, token_mask: np.ndarray) -> Encoded:
+        """One encode of a (batch, grid, grid, channels) stack under its token mask.
+
+        `token_mask` is (batch, num_patches + 1), [CLS] first.  Callers go
+        through `encode_images`, which checks the grids and builds the mask.
+        This half is a method of its own because the benchmark's tracer
+        wraps `encode_image`: so it times every image encode.
+        """
+        cfg = self.config
+        n = cfg.num_patches
+        batch = len(grids)
+        patches = Tensor(grids.reshape(batch * n, GRID_CHANNELS))
         emb = ops.linear(patches, self.params["vision.patch_w"], self.params["vision.patch_b"])
         # row 0 is the shared [CLS] row; each sample takes it, then its own n patch rows
         order = np.insert(np.arange(1, batch * n + 1).reshape(batch, n), 0, 0, axis=1)
@@ -351,9 +363,6 @@ class VLModel:
         for i in range(cfg.vision_layers):
             x = self._block(f"vision.{i}", x, token_mask)
         return Encoded(self._zero_masked_rows(x, token_mask), token_mask)
-
-    def encode_image(self, grid: np.ndarray) -> Encoded:
-        return self.encode_images([grid])
 
     def encode_texts(self, id_lists: Sequence[Sequence[int]]) -> Encoded:
         """One encode of a batch of id lists, each padded with [PAD] to the longest."""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from finegrain import evalharness, model, runner, synthdata
+from finegrain import evalharness, model, runner
 
 from support import micro_config, tiny_config
 
@@ -80,18 +80,17 @@ def test_run_training_keeps_the_observed_loop_shape():
 
 def test_traced_arguments_sit_where_the_tracer_reads_them(tmp_path):
     # the tracer tags spans from positional arguments: the batch of a training
-    # step, the grid of an image encode and the ids of a text encode.  Training
-    # and the eval scorer encode whole batches through encode_images and
-    # encode_texts, which are not traced, so nothing in a run calls encode_image
-    # or encode_text; each one's tag is read from one direct call
+    # step, the grid stack and token mask of an image encode and the ids of a
+    # text encode.  Every batch of encode_images is one encode_image call, so
+    # the image encode spans come from the run.  Training and the eval scorer
+    # encode texts in batches through encode_texts, which is not traced, so
+    # nothing in a run calls encode_text; its tag is read from one direct call
     config = tiny_config(steps=3, eval_per_subtask=1, retrieval_count=2)
     with TRACER.Tracer() as tracer:
         runner.run_training(config, tmp_path)
         runner.run_eval(config, runner.checkpoint_path(tmp_path, 3), tmp_path)
-        direct = model.VLModel(config, seed=config.seed)
-        direct.encode_text(config.vocab.encode_wrapped("a red circle"))
-        direct.encode_image(synthdata.generate_scene(config.eval_seed, 0,
-                                                     config.patch_grid).grid)
+        model.VLModel(config, seed=config.seed).encode_text(
+            config.vocab.encode_wrapped("a red circle"))
 
     def tags(name):
         found = [span.tag for span in tracer.spans if span.name == name]

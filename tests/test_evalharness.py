@@ -335,7 +335,7 @@ class TestRunBenchmark:
 def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
     """The per-pair scoring path: both encoders and the fusion, recorded on the tape."""
     text_states = model.encode_text(model.config.vocab.encode_wrapped(text))
-    cross_cls = model.cross_cls(text_states, model.encode_image(scene.grid), [(0, 0)])
+    cross_cls = model.cross_cls(text_states, model.encode_images([scene.grid]), [(0, 0)])
     assert cross_cls.requires_grad
     return model.matching_probabilities(cross_cls)[0]
 
@@ -377,12 +377,13 @@ class TestModelScorer:
             assert value == taped_score(model, scene, text), (scene.ident, text)
 
     def test_each_distinct_input_encoded_once(self, monkeypatch):
-        # each call's argument; encode_image is recorded to show that the scorer makes none
+        # each call's first argument; encode_image is recorded to show that each
+        # image encode is one encode_images batch, with no per-grid encode beside it
         calls = {"encode_image": [], "encode_images": [], "encode_texts": []}
         for name in calls:
-            def recorded(self, inputs, _name=name, _original=getattr(VLModel, name)):
+            def recorded(self, inputs, *rest, _name=name, _original=getattr(VLModel, name)):
                 calls[_name].append(inputs)
-                return _original(self, inputs)
+                return _original(self, inputs, *rest)
             monkeypatch.setattr(VLModel, name, recorded)
         grid_rows = MICRO.num_patches + 1
         for chunk_rows, batched in itertools.product((ev.CHUNK_ROWS, 16), (False, True)):
@@ -392,7 +393,8 @@ class TestModelScorer:
             pairs = scored_pairs(VLModel(MICRO, seed=5), self.MANIFEST, batched)
             grids = [grid.tobytes() for call in calls["encode_images"] for grid in call]
             texts = [tuple(ids) for call in calls["encode_texts"] for ids in call]
-            assert not calls["encode_image"]
+            assert [len(stack) for stack in calls["encode_image"]] == list(
+                map(len, calls["encode_images"]))
             assert sorted(grids) == sorted({s.grid.tobytes() for s, _, _ in pairs})
             assert sorted(texts) == sorted({tuple(MICRO.vocab.encode_wrapped(t))
                                             for _, t, _ in pairs})
@@ -408,7 +410,7 @@ class TestModelScorer:
     def test_default_config_scores_equal_those_of_grids_encoded_alone(self, monkeypatch):
         # at the default config a chunk's image encode runs its matrix products
         # on up to 30 grids' rows: a score must keep the bits it has when each
-        # grid is encoded alone, as `encode_image` encodes it
+        # grid is encoded alone, in a batch of one
         model = VLModel(RunConfig(seed=0), seed=3)
         model.params["head.itm_w"].array *= 100  # scores far from 0.5 keep more bits of the logits
         manifest = ev.default_manifest(eval_seed=9000, per_subtask=20,

@@ -76,10 +76,10 @@ class TestEncodeImage:
         cfg = micro_config(patch_grid=4, hidden_dim=64)
         model = VLModel(cfg, seed=0)
         grid = sd.generate_scene(3, 0, grid_size=4).grid
-        assert model.encode_image(grid).states.shape == (17, 64)
+        assert model.encode_images([grid]).states.shape == (17, 64)
 
     def test_full_mask_equals_no_mask_bit_identical(self, micro, grid):
-        no_mask = micro.encode_image(grid)
+        no_mask = micro.encode_images([grid])
         all_visible = micro.encode_images([grid], [np.ones(4, dtype=bool)])
         assert np.array_equal(no_mask.states.array, all_visible.states.array)
 
@@ -96,7 +96,7 @@ class TestEncodeImage:
             micro.encode_images([grid], [np.zeros(4, dtype=bool)])
 
     def test_finite_outputs(self, micro, grid):
-        assert np.all(np.isfinite(micro.encode_image(grid).states.array))
+        assert np.all(np.isfinite(micro.encode_images([grid]).states.array))
 
     def test_empty_batch_rejected(self, micro):
         with pytest.raises(ShapeError, match="encode_images"):
@@ -165,13 +165,13 @@ class TestFuse:
     def test_output_shape(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        fused = micro.fuse(text, micro.encode_image(grid), ONE_PAIR, every_row(text))
+        fused = micro.fuse(text, micro.encode_images([grid]), ONE_PAIR, every_row(text))
         assert fused.shape == (len(ids), micro.config.hidden_dim)
 
     def test_no_mask_equals_all_ones_mask(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         text = micro.encode_text(ids)
-        a = micro.fuse(text, micro.encode_image(grid), ONE_PAIR, every_row(text))
+        a = micro.fuse(text, micro.encode_images([grid]), ONE_PAIR, every_row(text))
         b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]), ONE_PAIR,
                        every_row(text))
         assert np.array_equal(a.array, b.array)
@@ -565,13 +565,13 @@ def test_fuse_rejects_rows_outside_the_text_batch(micro, rows):
 
 def cross_cls_of(model, grid, ids):
     """The fused [CLS] row of one (image, text) pair, recorded on the tape."""
-    return model.cross_cls(model.encode_text(ids), model.encode_image(grid), ONE_PAIR)
+    return model.cross_cls(model.encode_text(ids), model.encode_images([grid]), ONE_PAIR)
 
 
 class TestHeads:
     def test_unit_norm_projections(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        image_feat = micro.project("img", micro.encode_image(grid))
+        image_feat = micro.project("img", micro.encode_images([grid]))
         text_feat = micro.project("txt", micro.encode_text(ids))
         assert abs(np.linalg.norm(image_feat.array) - 1.0) < 1e-9
         assert abs(np.linalg.norm(text_feat.array) - 1.0) < 1e-9
@@ -583,7 +583,7 @@ class TestHeads:
         scenes = [sd.generate_scene(3, i, grid_size=micro.config.patch_grid) for i in range(4)]
         if stream == "img":
             inputs = [s.grid for s in scenes]
-            batched, single = micro.encode_images, micro.encode_image
+            batched, single = micro.encode_images, lambda grid: micro.encode_images([grid])
         else:
             vocab = micro.config.vocab
             inputs = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]

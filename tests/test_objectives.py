@@ -147,7 +147,7 @@ class TestItmLoss:
         # independent recomputation from matching probabilities, one pair at a time
         def probability(i, j):
             text = model.encode_text(ids[j])
-            cross = model.fuse(text, model.encode_image(grids[i]), [(0, 0)],
+            cross = model.fuse(text, model.encode_images([grids[i]]), [(0, 0)],
                                [range(len(ids[j]))])
             return model.matching_probabilities(tensor.take_rows(cross, [0]))[0]
 
@@ -192,7 +192,7 @@ class TestMlmLoss:
         vocab = model.config.vocab
         scene = sd.generate_scene(41, 2, grid_size=2)
         ids = vocab.encode_wrapped(sd.caption_of(scene).text)
-        vision = model.encode_image(scene.grid)
+        vision = model.encode_images([scene.grid])
         loss = masked_lm_loss(model, [ids], vision, rng_for(5, "mlm"))
         assert loss is not None
         positions = obj.select_mask_positions(ids, vocab, rng_for(5, "mlm"))
@@ -200,7 +200,7 @@ class TestMlmLoss:
         for p in positions:
             masked[p] = vocab.mask_id
         states = model.encode_text(masked)
-        fused = model.fuse(states, model.encode_image(scene.grid), [(0, 0)],
+        fused = model.fuse(states, model.encode_images([scene.grid]), [(0, 0)],
                            [range(len(masked))])
         logits = model.mlm_logits(fused).array[positions]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -228,7 +228,7 @@ class TestMlmLoss:
         model = micro_model()
         ids = model.config.vocab.encode_wrapped("a red circle")
         scene = sd.generate_scene(43, 0, grid_size=2)
-        vision = model.encode_image(scene.grid)
+        vision = model.encode_images([scene.grid])
         assert masked_lm_loss(model, [ids], vision, rng_for(1, "z")) is None
 
 
