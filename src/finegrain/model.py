@@ -8,13 +8,19 @@ only at `encode_images`, and the pad rule lives only in `encode_texts`.
 A model keeps the run's `RunConfig` as `config`: its sizes and vocabulary
 come from there, and the training step reads its loss arm there too.
 
-Every encoding holds a batch.  Its states stay one 2-D tape tensor of
-stacked rows, (batch * seq, width), sample b owning rows b * seq onward,
-so the tape's affine maps (`ops.linear`, one node each), adds, layer
-norms and GELUs see a batch as more rows; only attention, which must not
-mix samples, reads the batch axis, from the (batch, seq) visibility mask.
-Texts are padded with [PAD] to the batch's longest sequence, and pads are
-hidden like any masked row.  `Encoded.take` gathers samples by batch
+Every encoding holds a batch.  Between layers a stream is one 2-D tape
+tensor of stacked rows, (rows, width), holding only the visible rows of
+its (batch, seq) visibility mask, sample by sample, so the tape's affine
+maps (`ops.linear`, one node each), adds, layer norms and GELUs see a
+batch as more rows and never compute a hidden row.  Only attention, which
+must not mix samples, reads the batch axis: `ops.masked_attention` lays
+the rows into its per-sample grid from the masks, inside its one tape
+node.  Texts are padded with [PAD] to the batch's longest sequence, and
+pads are hidden like any masked row.  An encoder ends by laying its rows
+into the padded layout an `Encoded` keeps, (batch * seq, width), sample b
+owning rows b * seq onward, with hidden rows zero, so downstream code can
+never read them; `fuse` reads back only the visible text rows of each
+pair.  `Encoded.take` gathers samples by batch
 index in one tape node, so a negative, a repeat or a subset of a batch
 costs no new encode.  `fuse` takes a batch of texts, a batch of images
 and an (m, 2) pair index of (text, image) batch indices, so the training
@@ -39,9 +45,7 @@ masks and stacks them, and `encode_image` encodes the stack, so every image
 encode is one `encode_image` call, which the benchmark's tracer wraps.
 `encode_text`, a batch of one, stays only because the tracer wraps it too.
 
-The vision [CLS] token stays visible under every patch-visibility mask,
-and masked rows are zeroed on output so downstream code can never read
-them.
+The vision [CLS] token stays visible under every patch-visibility mask.
 """
 
 from __future__ import annotations
@@ -75,7 +79,12 @@ TEMPERATURE_INIT = 0.07
 
 
 class Encoded(NamedTuple):
-    """One stream's output for a batch: stacked states, and which of their rows are visible."""
+    """One stream's output for a batch: stacked states, and which of their rows are visible.
+
+    An encoder computes only the visible rows and lays them into this padded
+    layout at its end.  Inside the layers, `VLModel._mha` also takes keys as
+    an `Encoded` whose states hold only the visible rows.
+    """
 
     states: Tensor  # (batch * seq, hidden_dim); rows that are not visible are zero
     visible: np.ndarray  # (batch, seq) bool
@@ -245,23 +254,23 @@ class VLModel:
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])
 
-    def _mha(self, prefix: str, x_q: Tensor, keys: Encoded,
-             samples: np.ndarray | None = None) -> Tensor:
-        """Attention from the stacked query rows `x_q` to the visible rows of `keys`.
+    def _mha(self, prefix: str, x_q: Tensor, keys: Encoded, samples: np.ndarray | None = None,
+             queries: np.ndarray | None = None) -> Tensor:
+        """Attention from the query rows `x_q` to the visible rows of `keys`.
 
-        With `samples`, `keys` holds distinct inputs: their keys and values
-        are projected once each, then gathered so that query sample j
-        attends to input `samples[j]`.
+        `keys.states` holds a row for every slot of `keys.visible`, or only
+        for its visible slots; `x_q` holds the visible rows of the (batch,
+        seq) `queries` mask, or with None the same number of rows for each
+        sample (see `ops.masked_attention`).  With `samples`, `keys` holds
+        distinct inputs: their keys and values are projected once each, and
+        query sample j attends to input `samples[j]`, which attention reads
+        by index.
         """
         p = self.params
         q = ops.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
         k = ops.linear(keys.states, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
         v = ops.linear(keys.states, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        key_mask = keys.visible
-        if samples is not None:
-            rows = _sample_rows(samples, key_mask.shape[1])
-            k, v, key_mask = tensor.take_rows(k, rows), tensor.take_rows(v, rows), key_mask[samples]
-        attended = ops.masked_attention(q, k, v, key_mask, self.config.heads)
+        attended = ops.masked_attention(q, k, v, keys.visible, self.config.heads, queries, samples)
         return ops.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
@@ -269,43 +278,49 @@ class VLModel:
         hidden = ops.gelu(ops.linear(x, p[f"{prefix}.mlp_w1"], p[f"{prefix}.mlp_b1"]))
         return ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"])
 
-    def _block(self, prefix: str, x: Tensor, key_mask, cross: Encoded | None = None,
+    def _block(self, prefix: str, x: Tensor, mask: np.ndarray, cross: Encoded | None = None,
                rows: np.ndarray | None = None, texts_of: np.ndarray | None = None,
                images_of: np.ndarray | None = None) -> Tensor:
-        """One pre-norm layer; with `rows`, only those stacked rows query and are returned.
+        """One pre-norm layer on `x`, the visible rows of the (batch, seq) `mask`, sample-major.
 
-        The self-attention keys and values still come from every row of `x`,
-        so `rows` must hold the same number of rows for each sample.
+        With `rows`, only those rows of `x` query and are returned, the same
+        number for each output sample; the self-attention keys and values
+        still come from every row of `x`.
 
-        With `texts_of`, `x` and `key_mask` hold distinct texts and output
+        With `texts_of`, `x` and `mask` hold distinct texts and output
         sample j is text `texts_of[j]`'s: layer norm 1 and the self-attention
         keys and values run once per text, and so does the whole
-        self-attention when every row queries; `rows` count the output
-        samples' rows.  With `images_of`, `cross` holds distinct images and
-        output sample j attends to image `images_of[j]`, whose
-        cross-attention keys and values are projected once per image.
+        self-attention when every row queries.  With `images_of`, `cross`
+        holds distinct images and output sample j attends to image
+        `images_of[j]`, whose cross-attention keys and values are projected
+        once per image.
         """
         p = self.params
         normed = ops.layer_norm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
-        keys = Encoded(normed, key_mask)
+        keys = Encoded(normed, mask)
         if rows is None:
-            x = tensor.add(x, self._mha(f"{prefix}.attn", normed, keys))
+            x = tensor.add(x, self._mha(f"{prefix}.attn", normed, keys, None, mask))
             if texts_of is not None:
-                x = tensor.take_rows(x, _sample_rows(texts_of, key_mask.shape[1]))
+                x = tensor.take_rows(x, ops.present_rows(mask)[texts_of][mask[texts_of]])
+                mask = mask[texts_of]
         else:
-            if texts_of is not None:
-                rows = _sample_rows(texts_of, key_mask.shape[1])[rows]
             x, queries = tensor.take_rows(x, rows), tensor.take_rows(normed, rows)
             x = tensor.add(x, self._mha(f"{prefix}.attn", queries, keys, texts_of))
+            mask = None  # each output sample has the same number of rows
         if cross is not None:
             normed = ops.layer_norm(x, p[f"{prefix}.lnx_g"], p[f"{prefix}.lnx_b"])
-            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross, images_of))
+            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross, images_of, mask))
         normed = ops.layer_norm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
         return tensor.add(x, self._mlp(prefix, normed))
 
     @staticmethod
     def _zero_masked_rows(states: Tensor, keep: np.ndarray) -> Tensor:
         return tensor.mul(states, Tensor(keep.astype(np.float64).reshape(-1, 1)))
+
+    @staticmethod
+    def _padded(states: Tensor, visible: np.ndarray) -> Encoded:
+        """The visible rows `states` laid into the padded layout of `visible`, zero elsewhere."""
+        return Encoded(tensor.put_rows(states, np.flatnonzero(visible), visible.size), visible)
 
     # -- encoders ---------------------------------------------------------------
 
@@ -352,17 +367,19 @@ class VLModel:
         cfg = self.config
         n = cfg.num_patches
         batch = len(grids)
-        patches = Tensor(grids.reshape(batch * n, GRID_CHANNELS))
+        seen = token_mask[:, 1:]
+        patches = Tensor(grids.reshape(batch * n, GRID_CHANNELS)[seen.reshape(-1)])
         emb = ops.linear(patches, self.params["vision.patch_w"], self.params["vision.patch_b"])
-        # row 0 is the shared [CLS] row; each sample takes it, then its own n patch rows
-        order = np.insert(np.arange(1, batch * n + 1).reshape(batch, n), 0, 0, axis=1)
+        # row 0 is the shared [CLS] row; each sample takes it, then its own visible patch rows
+        order = np.zeros(token_mask.shape, dtype=np.intp)
+        order[:, 1:][seen] = np.arange(1, len(emb.array) + 1)
         x = tensor.add(
             tensor.take_rows(tensor.concat([self.params["vision.cls"], emb], 0),
-                             order.reshape(-1)),
-            tensor.take_rows(self.params["vision.pos"], np.tile(np.arange(n + 1), batch)))
+                             order[token_mask]),
+            tensor.take_rows(self.params["vision.pos"], np.nonzero(token_mask)[1]))
         for i in range(cfg.vision_layers):
             x = self._block(f"vision.{i}", x, token_mask)
-        return Encoded(self._zero_masked_rows(x, token_mask), token_mask)
+        return self._padded(x, token_mask)
 
     def encode_texts(self, id_lists: Sequence[Sequence[int]]) -> Encoded:
         """One encode of a batch of id lists, each padded with [PAD] to the longest."""
@@ -377,12 +394,11 @@ class VLModel:
         for b, row in enumerate(rows):
             ids[b, :len(row)] = row
         pad_mask = ids != cfg.vocab.pad_id
-        x = tensor.add(ops.embed(ids.reshape(-1), self.params["text.emb"]),
-                       tensor.take_rows(self.params["text.pos"],
-                                        np.tile(np.arange(longest), len(rows))))
+        x = tensor.add(ops.embed(ids[pad_mask], self.params["text.emb"]),
+                       tensor.take_rows(self.params["text.pos"], np.nonzero(pad_mask)[1]))
         for i in range(cfg.text_layers):
             x = self._block(f"text.{i}", x, pad_mask)
-        return Encoded(self._zero_masked_rows(x, pad_mask), pad_mask)
+        return self._padded(x, pad_mask)
 
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
@@ -393,13 +409,15 @@ class VLModel:
 
         `pairs` is an (m, 2) index array: pair j fuses text `pairs[j, 0]` of
         `texts` with image `pairs[j, 1]` of `visions`, its text states
-        cross-attended to the image's visible rows.  Every cross layer but
-        the last runs on every text row.  The last one runs layer norm 1 and
-        the self- and cross-attention keys and values on every row as well,
-        and the rest only on the requested positions, padded per pair with
-        its [CLS] position to the longest list, so each pair keeps its own
-        keys and key mask.  A position may be requested more than once, and
-        a list may be empty; a hidden position's row is zero.
+        cross-attended to the image's visible rows.  The fuse gathers each
+        pair's visible text rows only, and every cross layer but the last
+        runs on all of them.  The last one runs layer norm 1 and the self-
+        and cross-attention keys and values on all of them as well, and the
+        rest only on the requested positions, padded per pair with its [CLS]
+        position to the longest list, so each pair keeps its own keys and
+        key mask.  A position may be requested more than once, and a list
+        may be empty; a hidden position queries from its pair's [CLS] row,
+        and its row is zero.
 
         The pairs are gathered where text meets image: cross layer 0's layer
         norm and self-attention read only the text, so they run once per
@@ -412,16 +430,22 @@ class VLModel:
         """
         index = _pair_index(pairs, len(texts.visible), len(visions.visible))
         texts_of, images_of = index[:, 0], index[:, 1]
-        queries, picks = _padded_queries(positions, len(index), texts.visible.shape[1])
-        pair_mask = texts.visible[texts_of]
-        x, key_mask = texts.states, texts.visible
+        mask = texts.visible
+        queries, picks = _padded_queries(positions, len(index), mask.shape[1])
+        pair_mask = mask[texts_of]
+        query_pairs, query_positions = np.divmod(queries, mask.shape[1])
+        keep = pair_mask[query_pairs, query_positions]
+        query_positions[~keep] = 0  # a hidden position queries from its pair's [CLS] row
+        x = texts.states if mask.all() else tensor.take_rows(texts.states, np.flatnonzero(mask))
         last = self.config.cross_layers - 1
         for i in range(last + 1):
-            x = self._block(f"cross.{i}", x, key_mask, cross=visions,
-                            rows=queries if i == last else None,
+            rows = None
+            if i == last:
+                rows = ops.present_rows(mask)[texts_of[query_pairs] if i == 0 else query_pairs,
+                                              query_positions]
+            x = self._block(f"cross.{i}", x, mask, cross=visions, rows=rows,
                             texts_of=texts_of if i == 0 else None, images_of=images_of)
-            key_mask = pair_mask
-        keep = pair_mask.reshape(-1)[queries]
+            mask = pair_mask
         if not keep.all():
             x = self._zero_masked_rows(x, keep)
         return tensor.take_rows(x, picks)

@@ -5,7 +5,10 @@ the affine map `x @ w + b` as one node, so every projection in the model
 costs one node, not a matmul node and a bias-add node.  Multi-head
 attention is a single op: the samples of a batch and their heads go
 through numpy's stacked matmul, and the masked softmax inside it is plain
-numpy, not a tape op.
+numpy, not a tape op.  The model's streams carry only their visible rows,
+so attention takes the present query, key and value rows with their
+(batch, seq) masks and lays them into its per-sample grid itself, inside
+its one node; with no slot hidden the grid is the rows themselves.
 Attention masking uses an additive -inf before the softmax, so masked
 positions carry exactly zero weight and the normalization runs over the
 visible keys only; the hard-zero property is exact, not approximate.
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import DegenerateMaskError, ShapeError
-from .tensor import Tensor, _result, take_rows
+from .tensor import Tensor, _result, sum_rows, take_rows
 
 LAYER_NORM_EPS = 1e-5
 L2_NORM_EPS = 1e-30
@@ -114,73 +117,140 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Masked entries get weight exactly 0.0 and each row renormalizes over
     its visible set; rows with no visible entry are rejected.  `logits`
     is not modified: the mask, shift, exp and normalization all run in one
-    new array.
+    new array.  With no position masked, the shift makes that array and the
+    mask pass is skipped, with the same bytes.
     """
-    if not np.all(np.any(mask, axis=-1)):
-        raise DegenerateMaskError("softmax row with every position masked")
-    weights = np.where(mask, logits, -np.inf)
-    weights -= weights.max(axis=-1, keepdims=True)
+    if mask.all():
+        weights = logits - logits.max(axis=-1, keepdims=True)
+    else:
+        if not np.all(np.any(mask, axis=-1)):
+            raise DegenerateMaskError("softmax row with every position masked")
+        weights = np.where(mask, logits, -np.inf)
+        weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)  # exact 0.0 at masked positions
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights
 
 
-def _batch_mask(mask, rows: int, keys: int) -> np.ndarray:
-    """A (batch, keys) mask, one key mask per sample, as (batch, 1, 1, keys).
-
-    The `rows` stacked query rows must split evenly into its batch, and the
-    `keys` stacked key rows must be one per mask entry.
-    """
-    m = np.asarray(mask, dtype=bool)
-    if m.ndim != 2 or not len(m) or rows % len(m) or keys != m.size:
-        raise ShapeError(f"mask shape {np.shape(mask)} does not match {rows} query rows "
-                         f"and {keys} key rows")
-    return m[:, None, None]
+def present_rows(mask) -> np.ndarray:
+    """Each slot's row in the stack of a (batch, seq) mask's visible rows, sample-major; -1 if hidden."""
+    visible = np.asarray(mask, dtype=bool)
+    rows = np.cumsum(visible.reshape(-1)) - 1
+    rows[~visible.reshape(-1)] = -1
+    return rows.reshape(visible.shape)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
+def _laid(rows: np.ndarray, slots: np.ndarray | None, count: int) -> np.ndarray:
+    """`rows` laid at `slots` of `count` zero rows; `rows` itself when `slots` is None."""
+    if slots is None:
+        return rows
+    grid = np.zeros((count, rows.shape[1]))
+    grid[slots] = rows
+    return grid
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=None,
+                     samples=None) -> Tensor:
     """Multi-head scaled dot-product attention over a batch, as one tape node.
 
-    `q` stacks each sample's query rows, (batch * queries, width), and `k`
-    and `v` its key rows, (batch * keys, width); the (batch, keys) mask
-    holds each sample's key mask, and is shared by every head.  Each width
-    is viewed as `heads` column blocks of width // heads.  Numpy's stacked
-    matmul runs one attention per (sample, head), so no sample attends to
-    another's rows.
+    The (batch, keys) `mask` holds each key sample's key mask, shared by
+    every head.  `k` and `v` hold the key rows: one per slot of the mask,
+    (batch * keys, width), or only the visible slots' rows, sample-major.
+    `q` holds each query sample's rows: with `queries` None the same number
+    per sample, (batch * n, width); with a (batch, n) `queries` mask, only
+    its visible slots' rows.  With `samples`, query sample j attends to key
+    sample `samples[j]`, so a key sample serves every query sample that
+    reads it without a copy on the tape.  Each width is viewed as `heads`
+    column blocks of width // heads.
+
+    The node lays the rows into a per-sample grid, zero in the hidden
+    slots of a visible-rows stack, and runs the arithmetic of the call on
+    every slot's row unchanged: numpy's stacked matmul runs one attention
+    per (sample, head), so no sample attends to another's rows.  It returns
+    the present query rows, and its backward reads their gradients out of
+    the grid the same way, summing a key sample's gradients over the query
+    samples that read it as `take_rows` does.  When every row has its slot
+    and no sample is gathered, the grid is a view of the arrays.
     """
     if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")
     rows, width = q.shape
     if heads < 1 or width % heads:
         raise ShapeError(f"width {width} does not split into {heads} heads")
-    m = _batch_mask(mask, rows, k.shape[0])
-    batch = m.shape[0]
+    m = np.asarray(mask, dtype=bool)
+    if m.ndim != 2 or not len(m) or k.shape[0] not in (m.size, np.count_nonzero(m)):
+        raise ShapeError(f"mask shape {np.shape(mask)} does not match {k.shape[0]} key rows")
+    every = k.shape[0] == m.size  # a key row for every slot, not only the visible ones
+    gather = hidden = None
+    if samples is not None:
+        idx = np.asarray(samples)
+        if (idx.ndim != 1 or not len(idx) or idx.dtype.kind not in "iu"
+                or idx.min() < 0 or idx.max() >= len(m)):
+            raise ShapeError(f"attention samples must index the {len(m)} key samples")
+        # each query sample's key slots, as rows of k and v; -1 for a hidden slot
+        slots = idx[:, None] * m.shape[1] + np.arange(m.shape[1]) if every else present_rows(m)[idx]
+        gather, m = slots.reshape(-1), m[idx]
+        if not every and not m.all():
+            hidden = gather < 0
+    batch = len(m)
+    key_slots = None if every or gather is not None else np.flatnonzero(m)
+    query_mask = query_slots = None
+    query_count = rows
+    if queries is not None:
+        qm = np.asarray(queries, dtype=bool)
+        if qm.ndim != 2 or len(qm) != batch or rows != np.count_nonzero(qm):
+            raise ShapeError(f"query mask shape {np.shape(queries)} does not match {rows} "
+                             f"query rows and {batch} samples")
+        if not qm.all():
+            query_mask, query_slots, query_count = qm, np.flatnonzero(qm), qm.size
+    if query_slots is None and rows % batch:
+        raise ShapeError(f"{rows} query rows do not split into {batch} samples")
     dh = width // heads
     root = np.sqrt(dh)
 
     def split(x: np.ndarray) -> np.ndarray:  # (batch * n, width) -> (batch, heads, n, dh)
         return x.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x: np.ndarray) -> np.ndarray:  # (batch, heads, n, dh) -> (batch * n, width)
-        return x.transpose(0, 2, 1, 3).reshape(-1, width)
+    def merge(x: np.ndarray, visible=None) -> np.ndarray:
+        # (batch, heads, n, dh) -> (batch * n, width), or only the rows of the (batch, n) mask
+        per_slot = x.transpose(0, 2, 1, 3)
+        return (per_slot if visible is None else per_slot[visible]).reshape(-1, width)
 
     def swap(x: np.ndarray) -> np.ndarray:  # transpose each (sample, head) matrix
         return x.swapaxes(-1, -2)
 
-    qh, kh, vh = split(q.array), split(k.array), split(v.array)
+    def key_grid(x: np.ndarray) -> np.ndarray:
+        if gather is None:
+            return _laid(x, key_slots, m.size)
+        grid = x[gather]
+        if hidden is not None:
+            grid[hidden] = 0.0
+        return grid
+
+    def key_rows(grad: np.ndarray) -> np.ndarray:  # the grid's gradient, back on k's rows
+        if gather is None:
+            return merge(grad, None if key_slots is None else m)
+        grad = merge(grad)
+        if hidden is None:
+            return sum_rows(grad, gather, k.shape)
+        return sum_rows(grad[~hidden], gather[~hidden], k.shape)
+
+    qh = split(_laid(q.array, query_slots, query_count))
+    kh, vh = split(key_grid(k.array)), split(key_grid(v.array))
     logits = qh @ swap(kh)
     logits /= root
-    weights = masked_softmax(logits, m)
-    values = merge(weights @ vh)
+    weights = masked_softmax(logits, m[:, None, None])
+    values = merge(weights @ vh, query_mask)
 
     def backward(g):
-        gh = split(g)
+        gh = split(_laid(g, query_slots, query_count))
         # the logits' gradient, (gw - weights * rowsum(gw)) / root, built in gw
         gw = gh @ swap(vh)
         gw *= weights
         gw -= weights * gw.sum(axis=-1, keepdims=True)
         gw /= root
-        return merge(gw @ kh), merge(swap(gw) @ qh), merge(swap(weights) @ gh)
+        return (merge(gw @ kh, query_mask), key_rows(swap(gw) @ qh),
+                key_rows(swap(weights) @ gh))
 
     return _result(values, (q, k, v), backward)
 

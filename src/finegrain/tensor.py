@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -269,30 +270,35 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def take_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Rows of `a` at `indices`; the backward sums the gradients of a repeated row.
-
-    When no row repeats the backward assigns each row its gradient.
-    Otherwise `np.bincount` sums the gradients by flat element index: it
-    adds the same terms in the same order as `np.add.at(full, idx, g)`, so
-    the bits are the scatter-add's, at about a third of its cost.
-    """
+    """Rows of `a` at `indices`; the backward sums the gradients of a repeated row (`sum_rows`)."""
     idx = np.asarray(indices, dtype=np.intp)
     values = a.array[idx]  # integer-array indexing returns a new array
+    # negative indices count from the end
+    return _result(values, (a,), lambda g: (sum_rows(g, idx % len(a.array), a.shape),))
 
-    def backward(g):
-        if not idx.size:
-            return (np.zeros_like(a.array),)
-        rows = idx % len(a.array)  # negative indices count from the end
-        if np.bincount(rows).max() == 1:
-            full = np.zeros_like(a.array)
-            full[idx] = g
-            return (full,)
-        width = g.size // len(idx)
-        flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
-        full = np.bincount(flat, weights=g.reshape(-1), minlength=a.array.size)
-        return (full.reshape(a.shape),)
 
-    return _result(values, (a,), backward)
+def sum_rows(g: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of `shape` whose row i sums the rows of `g` at the positions where `rows` is i.
+
+    When no row repeats each row is assigned its gradient.  Otherwise
+    `np.bincount` sums the gradients by flat element index: it adds the
+    same terms in the same order as `np.add.at(full, rows, g)`, so the bits
+    are the scatter-add's, at about a third of its cost.
+    """
+    if not rows.size or np.bincount(rows).max() == 1:
+        full = np.zeros(shape)
+        full[rows] = g
+        return full
+    width = g.size // len(rows)
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
+
+
+def put_rows(a: Tensor, rows: np.ndarray, count: int) -> Tensor:
+    """`a`'s rows laid at `rows` of `count` zero rows; the backward reads them back out."""
+    values = np.zeros((count, *a.shape[1:]))
+    values[rows] = a.array
+    return _result(values, (a,), lambda g: (g[rows],))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finegrain import evalharness as ev
+from finegrain import ops
 from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.config import RunConfig
@@ -423,6 +424,24 @@ class TestModelScorer:
         for tag, rows in batched.cells.items():
             assert np.array_equal(rows, alone.cells[tag]), tag
         assert np.array_equal(batched.retrieval, alone.retrieval)
+
+    def test_default_manifest_scoring_has_no_hidden_slot(self, monkeypatch):
+        # the scorer encodes and fuses each chunk at one text length and its images
+        # unmasked, so every attention it runs has every query and key slot present
+        # and does no layout work
+        calls = []
+        masked_attention = ops.masked_attention
+
+        def spy(q, k, v, mask, heads, queries=None, samples=None):
+            calls.append(np.all(mask) and (queries is None or np.all(queries)))
+            return masked_attention(q, k, v, mask, heads, queries, samples)
+
+        model = VLModel(RunConfig(seed=0), seed=3)
+        manifest = ev.default_manifest(eval_seed=9000, per_subtask=20,
+                                       grid_size=model.config.patch_grid, retrieval_count=8)
+        monkeypatch.setattr(ops, "masked_attention", spy)
+        ev.model_scorer(model, manifest)
+        assert calls and all(calls)
 
     def test_each_distinct_text_tokenized_once(self, monkeypatch):
         calls = []

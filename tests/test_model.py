@@ -10,6 +10,7 @@ import pytest
 from finegrain import evalharness as ev
 from finegrain import model as fg_model
 from finegrain import objectives as obj
+from finegrain import ops
 from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.errors import (
@@ -453,6 +454,58 @@ def test_fuse_parameter_gradients_equal_the_gather_first_fuses(cross_layers):
             # its terms, so rtol also applies to the parameter's largest entry
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+class TestHiddenRowsNeverComputed:
+    # each stream carries only its visible rows between layers: a [PAD] row or a
+    # hidden patch never reaches a layer norm or a GELU
+
+    @staticmethod
+    def row_counts(monkeypatch, model, run):
+        """(gain name, rows) of each `layer_norm` call and rows of each `gelu` call of run()."""
+        names = {id(param): name for name, param in model.params.items()}
+        norms, gelus = [], []
+        layer_norm, gelu = ops.layer_norm, ops.gelu
+
+        def norm_spy(x, gain, bias):
+            norms.append((names[id(gain)], x.shape[0]))
+            return layer_norm(x, gain, bias)
+
+        def gelu_spy(x):
+            gelus.append(x.shape[0])
+            return gelu(x)
+
+        monkeypatch.setattr(ops, "layer_norm", norm_spy)
+        monkeypatch.setattr(ops, "gelu", gelu_spy)
+        run()
+        return norms, gelus
+
+    def test_text_encoder_sees_only_visible_rows(self, monkeypatch, micro):
+        _, _, ids = batch_inputs(micro)  # 10, 3 and 5 tokens
+        norms, gelus = self.row_counts(monkeypatch, micro, lambda: micro.encode_texts(ids))
+        visible = sum(map(len, ids))
+        assert len(norms) == 2 * micro.config.text_layers and gelus
+        assert {rows for _, rows in norms} == set(gelus) == {visible}
+
+    def test_image_encoder_sees_no_hidden_patch(self, monkeypatch, micro):
+        grids, visibilities, _ = batch_inputs(micro)  # 4, 2 and 3 of 4 patches visible
+        norms, gelus = self.row_counts(monkeypatch, micro,
+                                       lambda: micro.encode_images(grids, visibilities))
+        assert len(norms) == 2 * micro.config.vision_layers and gelus
+        assert {rows for _, rows in norms} == set(gelus) == {3 + 9}  # a [CLS] row each
+
+    def test_fuse_sees_only_each_pairs_visible_text_rows(self, monkeypatch):
+        model = VLModel(micro_config(cross_layers=2), seed=5)
+        grids, visibilities, ids = batch_inputs(model)
+        texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
+        norms, gelus = self.row_counts(monkeypatch, model, lambda: model.fuse(
+            texts, images, SHARED_PAIRS, SHARED_POSITIONS))
+        pair_rows = int(texts.visible[SHARED_PAIRS[:, 0]].sum())
+        assert pair_rows < SHARED_PAIRS.size // 2 * texts.visible.shape[1]
+        rows = dict(norms)
+        assert rows["cross.0.ln1_g"] == texts.visible.sum()  # once per distinct text
+        assert rows["cross.0.lnx_g"] == rows["cross.0.ln2_g"] == gelus[0] == pair_rows
+        assert rows["cross.1.ln1_g"] == pair_rows
 
 
 class TestFrozen:

@@ -504,6 +504,51 @@ class TestKernelsMatchPlainFormulas:
         got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2), arrays, g)
         self.assert_same_bytes(got, _plain_masked_attention(*arrays, mask, 2, g))
 
+    def test_masked_attention_of_present_rows(self):
+        # self-attention given only its present rows: values and the present rows'
+        # gradients keep the bytes of the same rows of the call on every slot's row
+        r = rng(64)
+        mask = np.array([[True, False, True, True, False],
+                         [True, True, True, True, True],  # no slot hidden
+                         [False, True, True, False, True]])
+        present = mask.reshape(-1)
+        arrays = r.normal(size=(15, 12)), r.normal(size=(15, 12)), r.normal(size=(15, 12))
+        g = r.normal(size=(15, 12)) * present[:, None]  # hidden query rows get no gradient
+        every = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2), arrays, g)
+        got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2, queries=mask),
+                       [a[present] for a in arrays], g[present])
+        self.assert_same_bytes(got, (every[0][present],
+                                     tuple(grad[present] for grad in every[1])))
+        # a hidden key's content cannot reach an output: here it is 0.0, there anything
+        q, k, v = (a.copy() for a in arrays)
+        k[[1, 4, 10]] = 1e6
+        v[[1, 4, 10]] = -1e6
+        moved = ops.masked_attention(*map(Tensor, (q, k, v)), mask, heads=2)
+        assert moved.array[present].tobytes() == got[0].tobytes()
+
+    def test_masked_attention_of_gathered_samples(self):
+        # with `samples` a query sample reads its key sample by index: the bytes of
+        # the call on key rows gathered per query sample first, by `take_rows`
+        r = rng(65)
+        mask = np.array([[True, False, True, True], [True, True, True, True]])
+        samples = np.array([1, 0, 1, 1])
+        q, g = r.normal(size=(12, 8)), r.normal(size=(12, 8))
+        kv_rows = (samples[:, None] * 4 + np.arange(4)).reshape(-1)
+        for keys in (mask.reshape(-1), np.ones(8, dtype=bool)):  # present rows, every row
+            arrays = q, r.normal(size=(8, 8))[keys], r.normal(size=(8, 8))[keys]
+            laid = ops.present_rows(mask).reshape(-1) if not keys.all() else np.arange(8)
+
+            def gathered_first(q, k, v):
+                # every slot's row, a hidden one zero, then one copy per query sample
+                def rows(x):
+                    full = tensor.concat([x, Tensor(np.zeros((1, 8)))], 0)
+                    return tensor.take_rows(full, np.where(laid < 0, len(x.array), laid)[kv_rows])
+                return ops.masked_attention(q, rows(k), rows(v), mask[samples], heads=2)
+
+            got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2,
+                                                                samples=samples), arrays, g)
+            self.assert_same_bytes(got, self.run(gathered_first, arrays, g))
+
 
 class TestCheckGradients:
     def test_quadratic(self):
