@@ -124,9 +124,13 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
       per input.  Every grid stacks `num_patches + 1` rows (30 grids per
       chunk at the default config), and a text chunk holds one token
       length, so no [PAD] row is encoded.  Each input is cached on its
-      own (`Encoded.take`).  At the default config its states were
-      measured byte-identical to its batch of one, which padding a text
-      to a longer one does not keep;
+      own (`Encoded.take`).  Its states equal those of its batch of one
+      byte for byte only where the BLAS kernel computes a row of an affine
+      map apart from how many rows share the product.  At the default
+      config that was measured on OpenBLAS 0.3.31's SkylakeX and
+      Sandybridge kernels; on its Haswell and Nehalem kernels a row's
+      bits depend on the row count.  Padding a text to a longer one does
+      not keep the bytes;
     - the distinct pairs are fused one chunk per call, grouped by their
       text's token length.  A chunk's fuse takes its distinct texts and
       its distinct grids, each joined once by `Encoded.stack` from their

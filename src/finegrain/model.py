@@ -8,20 +8,17 @@ only at `encode_images`, and the pad rule lives only in `encode_texts`.
 A model keeps the run's `RunConfig` as `config`: its sizes and vocabulary
 come from there, and the training step reads its loss arm there too.
 
-Every encoding holds a batch.  Between layers a stream is one 2-D tape
-tensor of stacked rows, (rows, width), holding only the visible rows of
-its (batch, seq) visibility mask, sample by sample, so the tape's affine
-maps (`ops.linear`, one node each), adds, layer norms and GELUs see a
-batch as more rows and never compute a hidden row.  Only attention, which
+Every encoding holds a batch.  A stream is one 2-D tape tensor of stacked
+rows, (rows, width), holding only the visible rows of its (batch, seq)
+visibility mask, sample by sample, in every layer and in the `Encoded` an
+encoder returns.  So the tape's affine maps (`ops.linear`, one node each),
+adds, layer norms and GELUs see a batch as more rows and never compute a
+hidden row, and no code downstream can read one.  Only attention, which
 must not mix samples, reads the batch axis: `ops.masked_attention` lays
 the rows into its per-sample grid from the masks, inside its one tape
 node.  Texts are padded with [PAD] to the batch's longest sequence, and
-pads are hidden like any masked row.  An encoder ends by laying its rows
-into the padded layout an `Encoded` keeps, (batch * seq, width), sample b
-owning rows b * seq onward, with hidden rows zero, so downstream code can
-never read them; `fuse` reads back only the visible text rows of each
-pair.  `Encoded.take` gathers samples by batch
-index in one tape node, so a negative, a repeat or a subset of a batch
+pads are hidden like any masked row.  `Encoded.take` gathers samples by
+batch index in one tape node, so a negative, a repeat or a subset of a batch
 costs no new encode.  `fuse` takes a batch of texts, a batch of images
 and an (m, 2) pair index of (text, image) batch indices, so the training
 step fuses every role of every pass (positives, mined negatives, masked
@@ -79,21 +76,21 @@ TEMPERATURE_INIT = 0.07
 
 
 class Encoded(NamedTuple):
-    """One stream's output for a batch: stacked states, and which of their rows are visible.
+    """A batch of one stream: the stacked visible rows, and which slots are visible.
 
-    An encoder computes only the visible rows and lays them into this padded
-    layout at its end.  Inside the layers, `VLModel._mha` also takes keys as
-    an `Encoded` whose states hold only the visible rows.
+    The layers compute in this layout too: `VLModel._block` and `_mha` read
+    their keys as an `Encoded`.
     """
 
-    states: Tensor  # (batch * seq, hidden_dim); rows that are not visible are zero
+    states: Tensor  # (visible.sum(), hidden_dim): the visible slots' rows, sample-major
     visible: np.ndarray  # (batch, seq) bool
 
     def take(self, samples: Sequence[int]) -> Encoded:
         """The encodings at these batch indices, in this order, as one `take_rows` node."""
         idx = np.asarray(samples, dtype=np.intp)
-        return Encoded(tensor.take_rows(self.states, _sample_rows(idx, self.visible.shape[1])),
-                       self.visible[idx])
+        visible = self.visible[idx]
+        return Encoded(tensor.take_rows(self.states, ops.present_rows(self.visible)[idx][visible]),
+                       visible)
 
     @staticmethod
     def stack(parts: Sequence[Encoded]) -> Encoded:
@@ -103,11 +100,6 @@ class Encoded(NamedTuple):
             raise ShapeError(f"cannot stack encodings of sequence lengths {sorted(lengths)}")
         return Encoded(tensor.concat([part.states for part in parts], 0),
                        np.concatenate([part.visible for part in parts]))
-
-
-def _sample_rows(samples: np.ndarray, seq: int) -> np.ndarray:
-    """The stacked rows of these batch indices' samples, for samples of `seq` rows each."""
-    return (samples[:, None] * seq + np.arange(seq)).reshape(-1)
 
 
 def _pair_index(pairs, texts: int, images: int) -> np.ndarray:
@@ -256,15 +248,14 @@ class VLModel:
 
     def _mha(self, prefix: str, x_q: Tensor, keys: Encoded, samples: np.ndarray | None = None,
              queries: np.ndarray | None = None) -> Tensor:
-        """Attention from the query rows `x_q` to the visible rows of `keys`.
+        """Attention from the query rows `x_q` to the rows of `keys`.
 
-        `keys.states` holds a row for every slot of `keys.visible`, or only
-        for its visible slots; `x_q` holds the visible rows of the (batch,
-        seq) `queries` mask, or with None the same number of rows for each
-        sample (see `ops.masked_attention`).  With `samples`, `keys` holds
-        distinct inputs: their keys and values are projected once each, and
-        query sample j attends to input `samples[j]`, which attention reads
-        by index.
+        `x_q` holds the visible rows of the (batch, seq) `queries` mask, or
+        with None the same number of rows for each sample (see
+        `ops.masked_attention`).  With `samples`, `keys` holds distinct
+        inputs: their keys and values are projected once each, and query
+        sample j attends to input `samples[j]`, which attention reads by
+        index.
         """
         p = self.params
         q = ops.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
@@ -301,8 +292,7 @@ class VLModel:
         if rows is None:
             x = tensor.add(x, self._mha(f"{prefix}.attn", normed, keys, None, mask))
             if texts_of is not None:
-                x = tensor.take_rows(x, ops.present_rows(mask)[texts_of][mask[texts_of]])
-                mask = mask[texts_of]
+                x, mask = Encoded(x, mask).take(texts_of)
         else:
             x, queries = tensor.take_rows(x, rows), tensor.take_rows(normed, rows)
             x = tensor.add(x, self._mha(f"{prefix}.attn", queries, keys, texts_of))
@@ -316,11 +306,6 @@ class VLModel:
     @staticmethod
     def _zero_masked_rows(states: Tensor, keep: np.ndarray) -> Tensor:
         return tensor.mul(states, Tensor(keep.astype(np.float64).reshape(-1, 1)))
-
-    @staticmethod
-    def _padded(states: Tensor, visible: np.ndarray) -> Encoded:
-        """The visible rows `states` laid into the padded layout of `visible`, zero elsewhere."""
-        return Encoded(tensor.put_rows(states, np.flatnonzero(visible), visible.size), visible)
 
     # -- encoders ---------------------------------------------------------------
 
@@ -379,7 +364,7 @@ class VLModel:
             tensor.take_rows(self.params["vision.pos"], np.nonzero(token_mask)[1]))
         for i in range(cfg.vision_layers):
             x = self._block(f"vision.{i}", x, token_mask)
-        return self._padded(x, token_mask)
+        return Encoded(x, token_mask)
 
     def encode_texts(self, id_lists: Sequence[Sequence[int]]) -> Encoded:
         """One encode of a batch of id lists, each padded with [PAD] to the longest."""
@@ -398,7 +383,7 @@ class VLModel:
                        tensor.take_rows(self.params["text.pos"], np.nonzero(pad_mask)[1]))
         for i in range(cfg.text_layers):
             x = self._block(f"text.{i}", x, pad_mask)
-        return self._padded(x, pad_mask)
+        return Encoded(x, pad_mask)
 
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
@@ -409,24 +394,31 @@ class VLModel:
 
         `pairs` is an (m, 2) index array: pair j fuses text `pairs[j, 0]` of
         `texts` with image `pairs[j, 1]` of `visions`, its text states
-        cross-attended to the image's visible rows.  The fuse gathers each
-        pair's visible text rows only, and every cross layer but the last
-        runs on all of them.  The last one runs layer norm 1 and the self-
-        and cross-attention keys and values on all of them as well, and the
-        rest only on the requested positions, padded per pair with its [CLS]
-        position to the longest list, so each pair keeps its own keys and
-        key mask.  A position may be requested more than once, and a list
-        may be empty; a hidden position queries from its pair's [CLS] row,
-        and its row is zero.
+        cross-attended to the image's visible rows.  Every cross layer but
+        the last runs on each pair's visible text rows.  The last one runs
+        layer norm 1 and the self- and cross-attention keys and values on
+        all of them as well, and the rest only on the requested positions,
+        padded per pair with its [CLS] position to the longest list, so each
+        pair keeps its own keys and key mask.  A position may be requested
+        more than once, and a list may be empty; a hidden position queries
+        from its pair's [CLS] row, and its row is zero.
 
         The pairs are gathered where text meets image: cross layer 0's layer
         norm and self-attention read only the text, so they run once per
         distinct text (in a last layer, only the norm and the self-attention
         keys and values), and every layer projects the cross-attention keys
-        and values once per distinct image.  The values are those of a fuse
-        of the batches gathered per pair first, bit for bit, since a row of
-        an affine map over several rows does not depend on the other rows;
-        the parameter gradients sum the same terms in another order.
+        and values once per distinct image.  The parameter gradients sum the
+        same terms as a fuse of the batches gathered per pair first, in
+        another order.  The values are that fuse's bit for bit only where the
+        BLAS kernel computes a row of an affine map apart from how many rows
+        share the product, since the two fuses run their maps on different
+        row counts.  On OpenBLAS 0.3.31 that was measured to hold for its
+        Sandybridge kernels at every count above one, and for its SkylakeX
+        kernels at the shapes and counts of the tests and the default config
+        (not at every shape: with 2 output columns, rows differ at counts up
+        to 2,966).  Its Haswell and Nehalem kernels do not (under Haswell a
+        row's bits depend on whether the count is odd), so there the two
+        fuses can differ in their last bits.
         """
         index = _pair_index(pairs, len(texts.visible), len(visions.visible))
         texts_of, images_of = index[:, 0], index[:, 1]
@@ -436,7 +428,7 @@ class VLModel:
         query_pairs, query_positions = np.divmod(queries, mask.shape[1])
         keep = pair_mask[query_pairs, query_positions]
         query_positions[~keep] = 0  # a hidden position queries from its pair's [CLS] row
-        x = texts.states if mask.all() else tensor.take_rows(texts.states, np.flatnonzero(mask))
+        x = texts.states
         last = self.config.cross_layers - 1
         for i in range(last + 1):
             rows = None
@@ -456,8 +448,7 @@ class VLModel:
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""
-        batch, seq = encoded.visible.shape
-        cls = tensor.take_rows(encoded.states, np.arange(batch) * seq)
+        cls = tensor.take_rows(encoded.states, ops.present_rows(encoded.visible)[:, 0])
         return ops.l2_normalize(ops.linear(cls, self.params[f"proj.{stream}_w"],
                                            self.params[f"proj.{stream}_b"]))
 

@@ -171,6 +171,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=
     the grid the same way, summing a key sample's gradients over the query
     samples that read it as `take_rows` does.  When every row has its slot
     and no sample is gathered, the grid is a view of the arrays.
+
+    The model passes only visible key rows, which is a row for every slot
+    only when no slot is hidden.  The every-slot form with hidden slots
+    stays for the op's tests: it is the reference that the visible-rows
+    form matches byte for byte, and the leak and zero-gradient checks put
+    content in its hidden rows.
     """
     if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")

@@ -294,13 +294,6 @@ def sum_rows(g: np.ndarray, rows: np.ndarray, shape: tuple[int, ...]) -> np.ndar
     return np.bincount(flat, weights=g.reshape(-1), minlength=math.prod(shape)).reshape(shape)
 
 
-def put_rows(a: Tensor, rows: np.ndarray, count: int) -> Tensor:
-    """`a`'s rows laid at `rows` of `count` zero rows; the backward reads them back out."""
-    values = np.zeros((count, *a.shape[1:]))
-    values[rows] = a.array
-    return _result(values, (a,), lambda g: (g[rows],))
-
-
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     """`parts` joined along `axis`; the backward hands each part its slice of the gradient as a view."""
     values = np.concatenate([p.array for p in parts], axis=axis)

@@ -12,13 +12,20 @@ also scores its last checkpoint at study size (200 items per subtask and a
 file written is deterministic; it prints one `sha256  path` line per file,
 with paths relative to NEW_DIR.  Run it in two checkouts and diff the
 printed lines.  It is run by hand: pytest does not collect it.
+
+The first line, `blas-kernel  NAME`, names the kernel family that numpy's
+bundled OpenBLAS picked at run time (`unknown` if the library does not say),
+since the bytes can differ between kernels; `OPENBLAS_CORETYPE` forces one.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -28,6 +35,17 @@ from finegrain.evalharness import default_manifest  # noqa: E402
 
 SLOTS = 10
 DENSE_RETRIEVAL = 24
+
+
+def blas_kernel() -> str:
+    """The kernel family of numpy's bundled OpenBLAS, as the loaded library reports it."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # no such library, or no such symbol
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def write_slot(k: int, run_dir: Path) -> None:
@@ -50,6 +68,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0])
+    print(f"blas-kernel  {blas_kernel()}", flush=True)
     for k in range(SLOTS):
         write_slot(k, out / f"slot_{k}")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):

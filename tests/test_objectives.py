@@ -565,16 +565,14 @@ class TestTrainingStep:
             ("txt", 4), ("img", 8)]
 
     # Tape nodes one default-config step records with one node per affine map, one text
-    # encode, one image encode and one fuse per step: 126 per caption step, and 184 or
-    # 189 per detection step (189 when both passes draw masked-LM positions; the step
+    # encode, one image encode and one fuse per step: 123 per caption step, and 182 or
+    # 187 per detection step (187 when both passes draw masked-LM positions; the step
     # here draws both).  Attention reads each image's keys and values by pair index, with
-    # no gather node, and the fuse gathers its texts' visible rows in one node when a text
-    # is padded (the caption steps here are; the detection step is not).  The fuse's last
-    # layer adds three gathers (its residual and query rows, then the requested rows) and
-    # drops its zeroing of hidden rows when it returns none.  A matmul and an add per
-    # affine map, an image encode or fuse per pass (259 or 264), or a fuse per role,
-    # exceeds the ceiling.
-    @pytest.mark.parametrize("kind,ceiling", [("caption", 137), ("detection", 212)])
+    # no gather node.  The fuse's last layer adds three gathers (its residual and query
+    # rows, then the requested rows) and drops its zeroing of hidden rows when it returns
+    # none.  A matmul and an add per affine map, an image encode or fuse per pass (259 or
+    # 264), or a fuse per role, exceeds the ceiling.
+    @pytest.mark.parametrize("kind,ceiling", [("caption", 134), ("detection", 209)])
     def test_default_step_stays_under_its_tape_node_ceiling(self, kind, ceiling):
         def tape_position():  # read the counter without advancing it, as perfbench does
             text = repr(tensor._SEQ)
