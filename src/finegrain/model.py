@@ -71,6 +71,8 @@ from .tensor import Tensor
 
 CHECKPOINT_MAGIC = "finegrain-checkpoint"
 CHECKPOINT_VERSION = "v2"
+# holds many parameter lines (the longest default one is 87 kB): few reads, no whole file
+CHECKPOINT_READ_BUFFER = 256 * 1024
 # the contrastive temperature's initial value, as in CLIP, ALBEF and X-VLM
 TEMPERATURE_INIT = 0.07
 
@@ -91,6 +93,10 @@ class Encoded(NamedTuple):
         visible = self.visible[idx]
         return Encoded(tensor.take_rows(self.states, ops.present_rows(self.visible)[idx][visible]),
                        visible)
+
+    def cls_rows(self, n: int) -> Tensor:
+        """The [CLS] rows of the first n samples, as one `take_rows` node."""
+        return tensor.take_rows(self.states, ops.present_rows(self.visible)[:n, 0])
 
     @staticmethod
     def stack(parts: Sequence[Encoded]) -> Encoded:
@@ -448,8 +454,11 @@ class VLModel:
 
     def project(self, stream: str, encoded: Encoded) -> Tensor:
         """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""
-        cls = tensor.take_rows(encoded.states, ops.present_rows(encoded.visible)[:, 0])
-        return ops.l2_normalize(ops.linear(cls, self.params[f"proj.{stream}_w"],
+        return self.project_rows(stream, encoded.cls_rows(len(encoded.visible)))
+
+    def project_rows(self, stream: str, cls_rows: Tensor) -> Tensor:
+        """(rows, proj_dim) unit-norm projections of "img" or "txt" [CLS] rows."""
+        return ops.l2_normalize(ops.linear(cls_rows, self.params[f"proj.{stream}_w"],
                                            self.params[f"proj.{stream}_b"]))
 
     # -- heads -------------------------------------------------------------------
@@ -496,16 +505,30 @@ def save_checkpoint(model: VLModel, path: Path, config_hash: str) -> None:
 
 
 def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
-    """Load every parameter, or none: a truncated or malformed file is a DependencyError."""
+    """Load every parameter, or none: a truncated or malformed file is a DependencyError.
+
+    A v2 checkpoint is read as bytes.  Its first line is the ASCII header
+    `finegrain-checkpoint v2 <config hash>`; each further line is
+    `name<TAB>shape<TAB>payload`, where the shape is comma-separated decimal sizes and the
+    payload is the base64 of the tensor's little-endian float64 values in C order.  Every
+    line ends in "\n", or in "\r\n" as a save in text mode on Windows writes it.
+
+    The file is read as bytes, not text, because a text read decodes every byte of it
+    as UTF-8 and the decoder then encodes each payload back to ASCII.  Here only the
+    header and each name are decoded; a payload goes to the base64 decoder as it was
+    read.  The read buffer holds many lines, so a load makes few reads, and a line is
+    split at its first two tabs only.  The base64 decode, about 70% of a load, is the
+    rest of its cost while the format stays.
+    """
     path = Path(path)
     if not path.exists():
         raise DependencyError(f"checkpoint not found: {path}")
     arrays = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb", buffering=CHECKPOINT_READ_BUFFER) as fh:
             line = fh.readline()
-            header = line.split()
-            if not line.endswith("\n") or len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
+            header = line.decode("utf-8").split()
+            if not line.endswith(b"\n") or len(header) != 3 or header[0] != CHECKPOINT_MAGIC:
                 raise DependencyError(f"not a checkpoint file: {path}")
             if header[1] != CHECKPOINT_VERSION:
                 raise DependencyError(f"unsupported checkpoint version {header[1]}")
@@ -515,14 +538,17 @@ def load_checkpoint(model: VLModel, path: Path, expect_hash: str) -> None:
                 )
             for line in fh:
                 # a cut just before the last newline still leaves a complete payload
-                if not line.endswith("\n"):
+                if not line.endswith(b"\n"):
                     raise DependencyError(f"checkpoint {path} is truncated")
-                name, shape_field, payload = line[:-1].split("\t")
+                end = -2 if line.endswith(b"\r\n") else -1
+                # two splits leave the payload unscanned; validate=True rejects a tab in it
+                name_field, shape_field, payload = line[:end].split(b"\t", 2)
+                name = name_field.decode("utf-8")
                 if name not in model.params:
                     raise DependencyError(f"unexpected parameter {name!r} in checkpoint")
                 if name in arrays:
                     raise DependencyError(f"parameter {name!r} repeated in checkpoint")
-                shape = tuple(int(n) for n in shape_field.split(","))
+                shape = tuple(int(n) for n in shape_field.split(b","))
                 raw = base64.b64decode(payload, validate=True)
                 if len(raw) != 8 * math.prod(shape):
                     raise DependencyError(

@@ -175,7 +175,7 @@ def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
         masked.append(draw)
         copies += draw.copies
     texts = model.encode_texts([*ids, *copies])
-    return texts, model.project("txt", texts.take(range(n))), masked
+    return texts, model.project_rows("txt", texts.cls_rows(n)), masked
 
 
 def mlm_loss(model: VLModel, fused: Tensor, rows: Sequence[int], targets: Sequence[int]) -> Tensor:

@@ -8,10 +8,14 @@ trains the default config at seed 100+k, data seed 200+k and eval seed
 each checkpoint and then `run_dynamics` there, and runs a retrieval-only
 24 x 24 `run_eval` of the last checkpoint into NEW_DIR/slot_k/dense.  Slot 0
 also scores its last checkpoint at study size (200 items per subtask and a
-64-scene retrieval table, eval seed 9000) into NEW_DIR/slot_0/study.  Every
-file written is deterministic; it prints one `sha256  path` line per file,
-with paths relative to NEW_DIR.  Run it in two checkouts and diff the
-printed lines.  It is run by hand: pytest does not collect it.
+64-scene retrieval table, eval seed 9000) into NEW_DIR/slot_0/study.  Last,
+it loads the last checkpoint into a fresh model and saves it again as
+NEW_DIR/slot_k/roundtrip/step_000012.ckpt, whose digest must equal the
+checkpoint's own: that covers the loader bit for bit, heads that scoring
+never reads included.  Every file written is deterministic; it prints one
+`sha256  path` line per file, with paths relative to NEW_DIR.  Run it in two
+checkouts and diff the printed lines.  It is run by hand: pytest does not
+collect it.
 
 The first line, `blas-kernel  NAME`, names the kernel family that numpy's
 bundled OpenBLAS picked at run time (`unknown` if the library does not say),
@@ -32,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from finegrain import runner  # noqa: E402
 from finegrain.config import RunConfig  # noqa: E402
 from finegrain.evalharness import default_manifest  # noqa: E402
+from finegrain.model import VLModel, load_checkpoint, save_checkpoint  # noqa: E402
 
 SLOTS = 10
 DENSE_RETRIEVAL = 24
@@ -61,6 +66,10 @@ def write_slot(k: int, run_dir: Path) -> None:
         study = default_manifest(eval_seed=config.eval_seed, per_subtask=200,
                                  grid_size=config.patch_grid, retrieval_count=64)
         runner.run_eval(config, last, run_dir / "study", manifest=study)
+    reloaded = VLModel(config)
+    load_checkpoint(reloaded, last, expect_hash=config.config_hash())
+    (run_dir / "roundtrip").mkdir()
+    save_checkpoint(reloaded, run_dir / "roundtrip" / last.name, config.config_hash())
 
 
 def main(argv: list[str]) -> int:

@@ -556,22 +556,22 @@ class TestTrainingStep:
 
     def test_vma_step_projects_the_texts_once(self):
         model = micro_model(seed=23)
-        calls = count_calls(model, "project")
+        calls = count_calls(model, "project_rows")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, detection_batch(model, n=4), optimizer, rng_for(5, "count"))
         # the box-masked pass reuses the unmasked pass's text projection, and one image
         # projection maps both passes' images
-        assert [(stream, len(encoded.visible)) for stream, encoded in calls] == [
+        assert [(stream, len(cls_rows.array)) for stream, cls_rows in calls] == [
             ("txt", 4), ("img", 8)]
 
     # Tape nodes one default-config step records with one node per affine map, one text
-    # encode, one image encode and one fuse per step: 123 per caption step, and 182 or
-    # 187 per detection step (187 when both passes draw masked-LM positions; the step
+    # encode, one image encode and one fuse per step: 122 per caption step, and 181 or
+    # 186 per detection step (186 when both passes draw masked-LM positions; the step
     # here draws both).  Attention reads each image's keys and values by pair index, with
     # no gather node.  The fuse's last layer adds three gathers (its residual and query
     # rows, then the requested rows) and drops its zeroing of hidden rows when it returns
-    # none.  A matmul and an add per affine map, an image encode or fuse per pass (259 or
-    # 264), or a fuse per role, exceeds the ceiling.
+    # none.  A matmul and an add per affine map, an image encode or fuse per pass (258 or
+    # 263), or a fuse per role, exceeds the ceiling.
     @pytest.mark.parametrize("kind,ceiling", [("caption", 134), ("detection", 209)])
     def test_default_step_stays_under_its_tape_node_ceiling(self, kind, ceiling):
         def tape_position():  # read the counter without advancing it, as perfbench does
