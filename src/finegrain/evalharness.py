@@ -54,7 +54,7 @@ class EvalReport:
         if foils:
             scored["foil_avg"] = (float(np.mean([v for v, _ in foils])), sum(n for _, n in foils))
         if self.retrieval is not None:
-            tr1, ir1 = retrieval_recall(self.retrieval, 1)
+            tr1, ir1 = retrieval_recall(self.retrieval)
             n = len(self.retrieval)
             scored.update({"retrieval_tr@1": (tr1, n), "retrieval_ir@1": (ir1, n)})
         return scored
@@ -227,8 +227,8 @@ def winoground_scores(rows) -> tuple[float, float, float]:
     return tuple(int(ok.sum()) / len(ok) for ok in (text_ok, image_ok, text_ok & image_ok))
 
 
-def retrieval_recall(table: np.ndarray, k: int) -> tuple[float, float]:
-    """R@k for rows (text retrieval) and columns (image retrieval).
+def retrieval_recall(table: np.ndarray) -> tuple[float, float]:
+    """R@1 for rows (text retrieval) and columns (image retrieval).
 
     Ties rank the lower index first, so results are deterministic.
     """
@@ -236,14 +236,12 @@ def retrieval_recall(table: np.ndarray, k: int) -> tuple[float, float]:
     n = table.shape[0]
     if table.shape != (n, n):
         raise ValidationError(f"retrieval table must be square, got {table.shape}")
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} outside [1, {n}]")
 
     def recall_rows(m: np.ndarray) -> float:
         diag = np.diag(m)[:, None]
         # entry (i, j) ranks above the match (i, i): higher, or tied at a lower index
         better = (m > diag) | ((m == diag) & np.tri(n, k=-1, dtype=bool))
-        return int((better.sum(axis=1) < k).sum()) / n
+        return int((~better.any(axis=1)).sum()) / n
 
     return recall_rows(table), recall_rows(table.T)
 

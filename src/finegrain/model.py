@@ -32,8 +32,9 @@ those: its keys and values read every row, but its queries, output maps
 and MLP run on the requested rows alone.  So the stacked-row layout
 stays in this module.
 The heads read little: the matching and box heads a [CLS] row per pair,
-the masked-LM head the masked positions.  `project` maps a batch's [CLS]
-rows in one affine map, and `cross_cls` fuses asking for position 0 only.
+the masked-LM head the masked positions.  `project` maps the [CLS] rows
+that `Encoded.cls_rows` gathers in one affine map, and `cross_cls` fuses
+asking for position 0 only.
 
 How the scorer batches its encodes and fuses, on `frozen` weights, is told
 in `evalharness.model_scorer`.  Training and scoring encode through
@@ -452,12 +453,9 @@ class VLModel:
         """(pairs, hidden_dim) fused [CLS] rows, the rows the matching and box heads read."""
         return self.fuse(texts, visions, pairs, [[0]] * len(pairs))
 
-    def project(self, stream: str, encoded: Encoded) -> Tensor:
-        """(batch, proj_dim) unit-norm projections of an "img" or "txt" batch's [CLS] rows."""
-        return self.project_rows(stream, encoded.cls_rows(len(encoded.visible)))
-
-    def project_rows(self, stream: str, cls_rows: Tensor) -> Tensor:
-        """(rows, proj_dim) unit-norm projections of "img" or "txt" [CLS] rows."""
+    def project(self, stream: str, cls_rows: Tensor) -> Tensor:
+        """(rows, proj_dim) unit-norm projections of "img" or "txt" [CLS] rows, as
+        `Encoded.cls_rows` gathers them."""
         return ops.l2_normalize(ops.linear(cls_rows, self.params[f"proj.{stream}_w"],
                                            self.params[f"proj.{stream}_b"]))
 

@@ -50,7 +50,7 @@ from .errors import NumericError
 from .model import Encoded, VLModel
 from .synthdata import Batch, BBox, patch_mask
 from .tensor import Tensor
-from .vocab import POSITION_BINS, position_token_insert
+from .vocab import position_token_insert
 
 LOSS_COMPONENTS = ("cl", "itm", "mlm", "vma_cl", "vma_itm", "vma_mlm", "bbox")
 
@@ -175,7 +175,7 @@ def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
         masked.append(draw)
         copies += draw.copies
     texts = model.encode_texts([*ids, *copies])
-    return texts, model.project_rows("txt", texts.cls_rows(n)), masked
+    return texts, model.project("txt", texts.cls_rows(n)), masked
 
 
 def mlm_loss(model: VLModel, fused: Tensor, rows: Sequence[int], targets: Sequence[int]) -> Tensor:
@@ -218,7 +218,7 @@ def step_ids(config: RunConfig, batch: Batch) -> list[list[int]]:
     """Each sample's token ids as the step encodes them; PEVL puts a detection's box in its text."""
     if batch.kind == "detection" and config.arm.pevl:
         return [config.vocab.encode_wrapped(position_token_insert(
-            s.text.split(), s.bbox, POSITION_BINS, s.entity_span_end)) for s in batch.samples]
+            s.text.split(), s.bbox, s.entity_span_end)) for s in batch.samples]
     return [config.vocab.encode_wrapped(s.text) for s in batch.samples]
 
 
@@ -238,7 +238,7 @@ def fused_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
     n = len(grids)
     visions = model.encode_images(
         list(grids) * len(masked), None if box_masks is None else [None] * n + list(box_masks))
-    image_feats = model.project("img", visions)
+    image_feats = model.project("img", visions.cls_rows(len(visions.visible)))
     sims = image_feats.array @ text_feats.array.T
     pairs, positions = [], []
     for p, draw in enumerate(masked):

@@ -154,29 +154,23 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=
     """Multi-head scaled dot-product attention over a batch, as one tape node.
 
     The (batch, keys) `mask` holds each key sample's key mask, shared by
-    every head.  `k` and `v` hold the key rows: one per slot of the mask,
-    (batch * keys, width), or only the visible slots' rows, sample-major.
-    `q` holds each query sample's rows: with `queries` None the same number
-    per sample, (batch * n, width); with a (batch, n) `queries` mask, only
-    its visible slots' rows.  With `samples`, query sample j attends to key
-    sample `samples[j]`, so a key sample serves every query sample that
-    reads it without a copy on the tape.  Each width is viewed as `heads`
-    column blocks of width // heads.
+    every head.  `k` and `v` hold the visible slots' key rows, sample-major:
+    a stack with a row for a hidden slot is a ShapeError.  `q` holds each
+    query sample's rows: with `queries` None the same number per sample,
+    (batch * n, width); with a (batch, n) `queries` mask, only its visible
+    slots' rows.  With `samples`, query sample j attends to key sample
+    `samples[j]`, so a key sample serves every query sample that reads it
+    without a copy on the tape.  Each width is viewed as `heads` column
+    blocks of width // heads.
 
     The node lays the rows into a per-sample grid, zero in the hidden
-    slots of a visible-rows stack, and runs the arithmetic of the call on
-    every slot's row unchanged: numpy's stacked matmul runs one attention
-    per (sample, head), so no sample attends to another's rows.  It returns
-    the present query rows, and its backward reads their gradients out of
-    the grid the same way, summing a key sample's gradients over the query
-    samples that read it as `take_rows` does.  When every row has its slot
-    and no sample is gathered, the grid is a view of the arrays.
-
-    The model passes only visible key rows, which is a row for every slot
-    only when no slot is hidden.  The every-slot form with hidden slots
-    stays for the op's tests: it is the reference that the visible-rows
-    form matches byte for byte, and the leak and zero-gradient checks put
-    content in its hidden rows.
+    slots, and runs the arithmetic of the call on every slot's row
+    unchanged: numpy's stacked matmul runs one attention per (sample,
+    head), so no sample attends to another's rows.  It returns the present
+    query rows, and its backward reads their gradients out of the grid the
+    same way, summing a key sample's gradients over the query samples that
+    read it as `take_rows` does.  When no slot is hidden and no sample is
+    gathered, the grid is a view of the arrays.
     """
     if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -184,22 +178,21 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=
     if heads < 1 or width % heads:
         raise ShapeError(f"width {width} does not split into {heads} heads")
     m = np.asarray(mask, dtype=bool)
-    if m.ndim != 2 or not len(m) or k.shape[0] not in (m.size, np.count_nonzero(m)):
+    if m.ndim != 2 or not len(m) or k.shape[0] != np.count_nonzero(m):
         raise ShapeError(f"mask shape {np.shape(mask)} does not match {k.shape[0]} key rows")
-    every = k.shape[0] == m.size  # a key row for every slot, not only the visible ones
-    gather = hidden = None
+    gather = hidden = key_slots = None
     if samples is not None:
         idx = np.asarray(samples)
         if (idx.ndim != 1 or not len(idx) or idx.dtype.kind not in "iu"
                 or idx.min() < 0 or idx.max() >= len(m)):
             raise ShapeError(f"attention samples must index the {len(m)} key samples")
         # each query sample's key slots, as rows of k and v; -1 for a hidden slot
-        slots = idx[:, None] * m.shape[1] + np.arange(m.shape[1]) if every else present_rows(m)[idx]
-        gather, m = slots.reshape(-1), m[idx]
-        if not every and not m.all():
+        gather, m = present_rows(m)[idx].reshape(-1), m[idx]
+        if not m.all():
             hidden = gather < 0
+    elif k.shape[0] != m.size:
+        key_slots = np.flatnonzero(m)
     batch = len(m)
-    key_slots = None if every or gather is not None else np.flatnonzero(m)
     query_mask = query_slots = None
     query_count = rows
     if queries is not None:

@@ -31,17 +31,16 @@ POS_OPEN, POS_CLOSE = "<", ">"
 POSITION_BINS = 32  # PEVL's bins per box coordinate, one position token each
 
 
-def quantize_coordinate(value: float, bins: int) -> int:
-    """The bin of a normalized coordinate, clamped to [0, bins - 1]."""
-    return min(max(int(np.floor(value * bins)), 0), bins - 1)
+def quantize_coordinate(value: float) -> int:
+    """The bin of a normalized coordinate, clamped to [0, POSITION_BINS - 1]."""
+    return min(max(int(np.floor(value * POSITION_BINS)), 0), POSITION_BINS - 1)
 
 
-def position_token_insert(tokens: list[str], bbox: BBox, bins: int,
-                          insert_after: int) -> list[str]:
+def position_token_insert(tokens: list[str], bbox: BBox, insert_after: int) -> list[str]:
     """Insert "< b(x1) b(y1) b(x2) b(y2) >" right after the entity span."""
     if not 0 <= insert_after <= len(tokens):
         raise ValidationError(f"insertion point {insert_after} outside token range")
-    bin_tokens = [str(quantize_coordinate(v, bins)) for v in bbox.corners()]
+    bin_tokens = [str(quantize_coordinate(v)) for v in bbox.corners()]
     return [*tokens[:insert_after], POS_OPEN, *bin_tokens, POS_CLOSE, *tokens[insert_after:]]
 
 

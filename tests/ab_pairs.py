@@ -1,0 +1,94 @@
+"""Paired benchmark runs of two checkouts, alternating which side runs first.
+
+    python tests/ab_pairs.py --parent DIR --change DIR --label L [--seeds 1-10]
+                             [--workloads train_full ...]
+
+For each workload and seed it runs `perfbench/run.py` once in each checkout,
+each from its own root, the parent first in even-numbered pairs and the
+change first in odd ones, so a drift in the host's speed loads both sides
+alike.  It writes BENCH_<L>_parent.json and BENCH_<L>_change.json to the
+current directory, in the layout of `perfbench/spread.py --out`, with each
+metric summarised by this checkout's `spread.summarize`.  Then it prints, for
+each workload and end-to-end metric of this checkout's BENCHMARK.json, the
+pairs in which the change is better, the median of the change / parent ratios
+and the parent's quartile distance as a share of its median.  The workloads
+default to all of BENCHMARK.json's, at its `run_seconds`.  It is run by hand:
+pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from spread import seed_list, summarize  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def one_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The result line of one untraced run in `checkout`."""
+    command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} failed ({proc.returncode}):\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report(runs: list[dict]) -> dict:
+    names = sorted(runs[0]["metrics"])
+    return {"correct": all(r["correct"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "metrics": {n: summarize([r["metrics"][n]["value"] for r in runs]) for n in names}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--seeds", default="1-10")
+    parser.add_argument("--workloads", nargs="+")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    runs = {side: {w: [] for w in workloads} for side in SIDES}
+    pair = 0
+    for workload in workloads:
+        for seed in seed_list(args.seeds):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                result = one_run(checkouts[side], workload, seed, spec["run_seconds"])
+                runs[side][workload].append(result)
+                print(f"{workload} seed {seed} {side}: correct={result['correct']}, "
+                      f"failed {result['failed']} of {result['attempted']}", flush=True)
+            pair += 1
+    for side in SIDES:
+        out = Path(f"BENCH_{args.label}_{side}.json")
+        out.write_text(json.dumps({w: report(runs[side][w]) for w in workloads}, indent=1,
+                                  sort_keys=True) + "\n", encoding="utf-8")
+    for workload in workloads:
+        print(f"{workload}: wins of the change, median change/parent, parent quartile distance")
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            parent, change = ([r["metrics"][name]["value"] for r in runs[side][workload]]
+                              for side in SIDES)
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            ratio = statistics.median(c / p for p, c in zip(parent, change) if p)
+            spread = summarize(parent)["spread"]
+            print(f"  {name:20s} {wins:2d}/{len(parent)}  {ratio:.4f}  {spread:.4f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -24,12 +24,9 @@ since the bytes can differ between kernels; `OPENBLAS_CORETYPE` forces one.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import sys
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -37,20 +34,10 @@ from finegrain import runner  # noqa: E402
 from finegrain.config import RunConfig  # noqa: E402
 from finegrain.evalharness import default_manifest  # noqa: E402
 from finegrain.model import VLModel, load_checkpoint, save_checkpoint  # noqa: E402
+from support import blas_kernel  # noqa: E402
 
 SLOTS = 10
 DENSE_RETRIEVAL = 24
-
-
-def blas_kernel() -> str:
-    """The kernel family of numpy's bundled OpenBLAS, as the loaded library reports it."""
-    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):  # no such library, or no such symbol
-        return "unknown"
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
 
 
 def write_slot(k: int, run_dir: Path) -> None:

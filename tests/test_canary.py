@@ -43,8 +43,9 @@ def text_to_image_hits(model: VLModel, samples) -> tuple[int, int]:
     cls = model.cross_cls(texts, visions, np.column_stack((np.repeat(np.arange(n), n),
                                                            np.tile(np.arange(n), n))))
     itm = model.matching_probabilities(cls).reshape(n, n)  # [text, image]
-    itc = model.project("txt", texts).array @ model.project("img", visions).array.T
-    return tuple(round(ev.retrieval_recall(table, 1)[0] * n) for table in (itm, itc))
+    itc = model.project("txt", texts.cls_rows(n)).array @ model.project(
+        "img", visions.cls_rows(n)).array.T
+    return tuple(round(ev.retrieval_recall(table)[0] * n) for table in (itm, itc))
 
 
 def test_micro_model_learns_to_match_its_captions(tmp_path):

@@ -19,7 +19,7 @@ from finegrain.model import Encoded, VLModel
 from finegrain.seeding import rng_for
 from finegrain.vocab import Vocabulary
 
-from support import micro_config
+from support import assert_equal_across_row_counts, micro_config
 
 MICRO = micro_config()
 
@@ -103,11 +103,11 @@ class TestWinoground:
 class TestRetrievalRecall:
     def test_identity_dominant_table(self):
         table = np.eye(5) + 0.01
-        assert ev.retrieval_recall(table, 1) == (1.0, 1.0)
+        assert ev.retrieval_recall(table) == (1.0, 1.0)
 
     def test_constant_table_tie_break(self):
         n = 6
-        tr, ir = ev.retrieval_recall(np.full((n, n), 0.5), 1)
+        tr, ir = ev.retrieval_recall(np.full((n, n), 0.5))
         assert tr == ir == pytest.approx(1 / n)
 
     def test_matches_brute_force_on_random_tables(self):
@@ -115,23 +115,22 @@ class TestRetrievalRecall:
         tables = [rng.random((8, 8)) for _ in range(20)]
         tables.append(np.round(rng.random((8, 8)), 1))  # ties off the diagonal
         for table in tables:
-            for k in (1, 3, 8):
-                tr, ir = ev.retrieval_recall(table, k)
+            tr, ir = ev.retrieval_recall(table)
 
-                def brute(m):
-                    hits = 0
-                    for i in range(8):
-                        order = sorted(range(8), key=lambda j: (-m[i][j], j))
-                        hits += order.index(i) < k
-                    return hits / 8
+            def brute(m):
+                hits = 0
+                for i in range(8):
+                    order = sorted(range(8), key=lambda j: (-m[i][j], j))
+                    hits += order[0] == i
+                return hits / 8
 
-                assert tr == brute(table)
-                assert ir == brute(table.T)
-                assert type(tr) is type(ir) is float
+            assert tr == brute(table)
+            assert ir == brute(table.T)
+            assert type(tr) is type(ir) is float
 
-    def test_k_out_of_range(self):
+    def test_table_must_be_square(self):
         with pytest.raises(ValidationError):
-            ev.retrieval_recall(np.eye(4), 5)
+            ev.retrieval_recall(np.eye(4)[:3])
 
 
 # bounded, so scaling by 2**7 is exact; the sampled values make ties likely
@@ -166,8 +165,7 @@ class TestMonotoneInvariance:
         n = data.draw(st.integers(min_value=1, max_value=5))
         table = np.array(data.draw(st.lists(SCORE, min_size=n * n, max_size=n * n)))
         table = table.reshape(n, n)
-        for k in range(1, n + 1):
-            assert ev.retrieval_recall(transform(table), k) == ev.retrieval_recall(table, k)
+        assert ev.retrieval_recall(transform(table)) == ev.retrieval_recall(table)
 
 
 def test_threshold_accuracy_is_the_exception():
@@ -421,9 +419,12 @@ class TestModelScorer:
         monkeypatch.setattr(VLModel, "encode_images", lambda self, grids: Encoded.stack(
             [encode_images(self, [grid]) for grid in grids]))
         alone = ev.run_benchmark(ev.model_scorer(model, manifest), manifest)
+        # bit for bit on a row-stable kernel; under OpenBLAS 0.3.31's forced Haswell and
+        # Nehalem kernels the largest relative difference of a subtask's scores was
+        # 2.0e-15 and 3.3e-15
         for tag, rows in batched.cells.items():
-            assert np.array_equal(rows, alone.cells[tag]), tag
-        assert np.array_equal(batched.retrieval, alone.retrieval)
+            assert_equal_across_row_counts(rows, alone.cells[tag], 1e-14, tag)
+        assert_equal_across_row_counts(batched.retrieval, alone.retrieval, 1e-14, "retrieval")
 
     def test_default_manifest_scoring_has_no_hidden_slot(self, monkeypatch):
         # the scorer encodes and fuses each chunk at one text length and its images

@@ -4,8 +4,9 @@ No linter is installed, so these AST scans stand in for four dead-code
 checks: an unused import is a false dependency edge between modules, a
 public name that only tests reach is API the program does not need, a
 record field that nothing reads is state the program carries for no one,
-and a parameter default that no call overrides is a setting with one
-value, which belongs in a constant.  A fifth scan keeps out `global`
+and a parameter default that no call overrides, or a parameter that
+every call passes the same constant, is a setting with one value, which
+belongs in a constant.  A fifth scan keeps out `global`
 statements: a process-wide mode that an op reads is state every caller
 shares.  A sixth keeps out numpy's `ufunc.at` (`np.add.at`): it costs
 about three times the `np.bincount` sum in `tensor.take_rows`, which
@@ -168,11 +169,13 @@ def test_every_record_field_has_a_reader():
     assert not unread, f"record fields nothing reads: {', '.join(unread)}"
 
 
-def defaulted_parameters(path: Path, tree: ast.Module):
-    """(qualified function name, called name, parameter, positional index or None) per default.
+def parameters(path: Path, tree: ast.Module):
+    """(qualified function name, called name, parameter, positional index or None, default).
 
-    The called name of `__init__` is its class; a method's positional index
-    does not count `self`.  A keyword-only parameter has no index.
+    One tuple per parameter, `self` and `*args`/`**kwargs` aside; `default`
+    is the default's expression, or None if the parameter has none.  The
+    called name of `__init__` is its class; a method's positional index does
+    not count `self`.  A keyword-only parameter has no index.
     """
     def visit(node, prefix, owner):
         for item in ast.iter_child_nodes(node):
@@ -185,17 +188,29 @@ def defaulted_parameters(path: Path, tree: ast.Module):
                              for d in item.decorator_list)
                 args = item.args.posonlyargs + item.args.args
                 skip = 1 if owner and not static else 0
-                for index, arg in enumerate(args):
-                    if index >= len(args) - len(item.args.defaults):
-                        yield qualified, called, arg.arg, index - skip
+                defaults = [None] * (len(args) - len(item.args.defaults)) + item.args.defaults
+                for index, (arg, default) in enumerate(zip(args, defaults)):
+                    if index >= skip:
+                        yield qualified, called, arg.arg, index - skip, default
                 for arg, default in zip(item.args.kwonlyargs, item.args.kw_defaults):
-                    if default is not None:
-                        yield qualified, called, arg.arg, None
+                    yield qualified, called, arg.arg, None, default
                 yield from visit(item, qualified, None)
             else:
                 yield from visit(item, prefix, owner)
 
     yield from visit(tree, path.stem, None)
+
+
+def production_calls() -> dict[str, list[ast.Call]]:
+    """Every call in finegrain and perfbench's program files, by the called name alone."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in SOURCES + BENCH_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
 
 
 def passes(call: ast.Call, parameter: str, index: int | None) -> bool:
@@ -213,19 +228,49 @@ def test_every_default_is_overridden_by_a_caller():
     Calls are matched to a definition by the called name alone, so two
     functions of the same name share their callers.
     """
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + BENCH_SOURCES}
-    calls: dict[str, list[ast.Call]] = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+    calls = production_calls()
     never_passed = []
     for path in SOURCES:
-        for qualified, called, parameter, index in defaulted_parameters(path, trees[path]):
-            if qualified in DEFAULTS_NOT_PASSED or f"{qualified}.{parameter}" in DEFAULTS_NOT_PASSED:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, called, parameter, index, default in parameters(path, tree):
+            if default is None or qualified in DEFAULTS_NOT_PASSED or (
+                    f"{qualified}.{parameter}" in DEFAULTS_NOT_PASSED):
                 continue
             if not any(passes(call, parameter, index) for call in calls.get(called, [])):
                 never_passed.append(f"{qualified}({parameter})")
     assert not never_passed, f"defaults no caller overrides: {', '.join(never_passed)}"
+
+
+def fixed_value(call: ast.Call, parameter: str, index: int | None) -> str | None:
+    """The literal or UPPER_CASE constant the call passes the parameter, as source; else None.
+
+    None also when the call may pass it by unpacking, or does not pass it.
+    """
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return None
+    node = next((k.value for k in call.keywords if k.arg == parameter), None)
+    if node is None and index is not None and len(call.args) > index:
+        node = call.args[index]
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if isinstance(node, ast.Constant) or (name or "").isupper():
+        return ast.unparse(node)
+    return None
+
+
+def test_every_parameter_takes_more_than_one_value():
+    """No parameter without a default is passed one same constant by every production call.
+
+    A literal or an UPPER_CASE constant that every finegrain and perfbench
+    call passes is a setting with one value: the function reads it itself.
+    Calls are matched by the called name alone, as above.
+    """
+    calls = production_calls()
+    fixed = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, called, parameter, index, default in parameters(path, tree):
+            values = {fixed_value(call, parameter, index) for call in calls.get(called, [])}
+            if default is None and len(values) == 1 and None not in values:
+                fixed.append(f"{qualified}({parameter})")
+    assert not fixed, f"parameters every call passes one constant: {', '.join(fixed)}"

@@ -77,7 +77,8 @@ def encode_batch(model, samples):
 def matching_loss(model, visions, texts, grids):
     """The matching loss as a pass computes it: mined negatives fused after the positives."""
     n = len(grids)
-    sims = model.project("img", visions).array @ model.project("txt", texts).array.T
+    sims = model.project("img", visions.cls_rows(n)).array @ model.project(
+        "txt", texts.cls_rows(n)).array.T
     negatives = obj.mine_hard_negatives(sims, grids)
     fused = model.fuse(texts, visions, np.column_stack(([*range(n), *negatives], [*range(n)] * 2)),
                        [[0]] * (2 * n))
@@ -556,7 +557,7 @@ class TestTrainingStep:
 
     def test_vma_step_projects_the_texts_once(self):
         model = micro_model(seed=23)
-        calls = count_calls(model, "project_rows")
+        calls = count_calls(model, "project")
         optimizer = obj.SgdOptimizer(model.parameters(), lr=1e-3, clip_norm=1.0)
         obj.training_step(model, detection_batch(model, n=4), optimizer, rng_for(5, "count"))
         # the box-masked pass reuses the unmasked pass's text projection, and one image
@@ -639,11 +640,11 @@ def per_role_step(model, batch, config, rng):
     grids = [s.scene.grid for s in batch.samples]
     n = len(ids)
     texts = model.encode_texts(ids)
-    text_feats = model.project("txt", texts)
+    text_feats = model.project("txt", texts.cls_rows(n))
     terms, copies = {}, []
 
     def one_pass(prefix, visions):
-        image_feats = model.project("img", visions)
+        image_feats = model.project("img", visions.cls_rows(n))
         terms[f"{prefix}cl"] = obj.contrastive_loss(image_feats, text_feats, model.temperature())
         negatives = obj.mine_hard_negatives(image_feats.array @ text_feats.array.T, grids)
         positives = model.cross_cls(texts, visions, aligned_pairs(n))
@@ -760,8 +761,10 @@ class TestLossGradients:
                 return tensor.add_scalars(list(terms.values()))
             visions, texts, ids, grids = encode_batch(model, batch.samples)
             if component == "cl":
-                return obj.contrastive_loss(model.project("img", visions),
-                                            model.project("txt", texts), model.temperature())
+                n = len(grids)
+                return obj.contrastive_loss(model.project("img", visions.cls_rows(n)),
+                                            model.project("txt", texts.cls_rows(n)),
+                                            model.temperature())
             if component == "itm":
                 return matching_loss(model, visions, texts, grids)
             if component == "mlm":

@@ -11,7 +11,7 @@ from finegrain import synthdata as sd
 from finegrain.config import RunConfig
 from finegrain.errors import FoilCapabilityError, ValidationError
 from finegrain.runner import CALIBRATION_GRID, parse_grid_spec
-from finegrain.vocab import POSITION_BINS, WORD_TOKENS, Vocabulary, position_token_insert
+from finegrain.vocab import WORD_TOKENS, Vocabulary, position_token_insert
 
 DETECTION_KINDS = ("object_label", "attribute_label", "region_description")
 # each foil source the eval harness reads, once
@@ -192,7 +192,7 @@ class TestTemplates:
                 for det in sd.detections_of(scene):
                     texts.append(det.text)
                     pevl.encode_wrapped(position_token_insert(
-                        det.text.split(), det.bbox, POSITION_BINS, det.entity_span_end))
+                        det.text.split(), det.bbox, det.entity_span_end))
                 for subtask in FOIL_SOURCES:
                     try:
                         pair = sd.make_foils(scene, subtask)

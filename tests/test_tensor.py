@@ -158,15 +158,17 @@ class TestSoftmaxCrossEntropy:
 
 
 class TestMaskedAttention:
+    # k and v hold only the visible slots' key rows, sample-major
+
     def test_single_visible_key_forces_output(self):
         r = rng(11)
         q = Tensor(r.normal(size=(3, 4)))
-        k = Tensor(r.normal(size=(5, 4)))
-        v = Tensor(r.normal(size=(5, 4)))
+        k = Tensor(r.normal(size=(1, 4)))
+        v = Tensor(r.normal(size=(1, 4)))
         mask = np.zeros(5, dtype=bool)
         mask[2] = True
         out = ops.masked_attention(q, k, v, mask[None], heads=1)
-        assert np.array_equal(out.array, np.tile(v.array[2], (3, 1)))
+        assert np.array_equal(out.array, np.tile(v.array[0], (3, 1)))
 
     def test_identical_keys_give_uniform_weights(self):
         q = rng(1).normal(size=(2, 4))
@@ -185,33 +187,11 @@ class TestMaskedAttention:
         with pytest.raises(DegenerateMaskError):
             ops.masked_softmax(np.zeros((2, 3)), np.zeros(3, dtype=bool))
 
-    def test_output_invariant_to_masked_value_rows(self):
-        r = rng(9)
-        q, k = Tensor(r.normal(size=(2, 4))), Tensor(r.normal(size=(4, 4)))
-        v1 = r.normal(size=(4, 4))
-        v2 = v1.copy()
-        v2[1] = 1e6
-        v2[3] = -1e6
-        mask = np.array([True, False, True, False])
-        out1 = ops.masked_attention(q, k, Tensor(v1), mask[None], heads=1)
-        out2 = ops.masked_attention(q, k, Tensor(v2), mask[None], heads=1)
-        assert np.array_equal(out1.array, out2.array)
-
-    def test_masked_key_rows_do_not_receive_gradient(self):
-        r = rng(13)
-        q = Tensor(r.normal(size=(2, 4)), requires_grad=True)
-        k = Tensor(r.normal(size=(4, 4)), requires_grad=True)
-        v = Tensor(r.normal(size=(4, 4)), requires_grad=True)
-        mask = np.array([True, False, True, True])
-        tensor.tsum(ops.masked_attention(q, k, v, mask[None], heads=1)).backward()
-        assert np.all(v.grad[1] == 0.0)
-        assert np.all(k.grad[1] == 0.0)
-
     def test_gradients(self):
         r = rng(17)
         q = Tensor(r.normal(size=(3, 4)), requires_grad=True)
-        k = Tensor(r.normal(size=(5, 4)), requires_grad=True)
-        v = Tensor(r.normal(size=(5, 4)), requires_grad=True)
+        k = Tensor(r.normal(size=(3, 4)), requires_grad=True)
+        v = Tensor(r.normal(size=(3, 4)), requires_grad=True)
         mask = np.array([True, False, True, True, False])
         err = check_gradients(
             lambda: tensor.tsum(ops.masked_attention(q, k, v, mask[None], heads=1)), [q, k, v])
@@ -231,14 +211,14 @@ class TestMaskedAttention:
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             expected.append(w / w.sum(axis=1, keepdims=True) @ v[:, cols])
         # the key mask carries the batch axis first: here one sample
-        out = ops.masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
+        out = ops.masked_attention(Tensor(q), Tensor(k[mask[0]]), Tensor(v[mask[0]]), mask, heads)
         assert np.allclose(out.array, np.concatenate(expected, axis=1), rtol=0.0, atol=1e-12)
 
     def test_multi_head_gradients(self):
         r = rng(23)
         q = Tensor(r.normal(size=(3, 8)), requires_grad=True)
-        k = Tensor(r.normal(size=(5, 8)), requires_grad=True)
-        v = Tensor(r.normal(size=(5, 8)), requires_grad=True)
+        k = Tensor(r.normal(size=(3, 8)), requires_grad=True)
+        v = Tensor(r.normal(size=(3, 8)), requires_grad=True)
         mask = np.array([True, False, True, True, False])
         # uneven output weights show a head whose gradient lands in the wrong block
         weights = Tensor(r.normal(size=(3, 8)))
@@ -252,10 +232,11 @@ class TestMaskedAttention:
         # batch 3 of self-attention over 4 positions, each sample with its own key mask;
         # sample 1's last position is a pad, hidden as a key and zeroed as a query row
         r = rng(31)
-        q, k, v = (Tensor(r.normal(size=(12, 8)), requires_grad=True) for _ in range(3))
         mask = np.array([[True, True, False, True],
                          [True, True, True, False],
                          [False, True, True, True]])
+        q = Tensor(r.normal(size=(12, 8)), requires_grad=True)
+        k, v = (Tensor(r.normal(size=(9, 8)), requires_grad=True) for _ in range(2))
         keep = np.ones((12, 1))
         keep[7] = 0.0
         weights = Tensor(r.normal(size=(12, 8)) * keep)
@@ -267,7 +248,7 @@ class TestMaskedAttention:
     def test_batch_equals_one_call_per_sample(self):
         # forward and backward, bit for bit: the stacked matmul keeps each sample's arithmetic
         r = rng(37)
-        q, k, v = r.normal(size=(6, 8)), r.normal(size=(10, 8)), r.normal(size=(10, 8))
+        q, k, v = r.normal(size=(6, 8)), r.normal(size=(6, 8)), r.normal(size=(6, 8))
         mask = np.array([[True, False, True, True, True], [False, False, True, True, False]])
         g = r.normal(size=(6, 8))
 
@@ -278,8 +259,8 @@ class TestMaskedAttention:
             return out.array, [leaf.grad for leaf in leaves]
 
         out, grads = attend((q, k, v), mask, slice(None))
-        for b in range(2):
-            rows, keys = slice(3 * b, 3 * b + 3), slice(5 * b, 5 * b + 5)
+        for b, keys in enumerate((slice(0, 4), slice(4, 6))):  # each sample's visible keys
+            rows = slice(3 * b, 3 * b + 3)
             single, single_grads = attend((q[rows], k[keys], v[keys]), mask[b:b + 1], rows)
             assert np.array_equal(out[rows], single)
             for batched, part, grad in zip(grads, (rows, keys, keys), single_grads):
@@ -294,6 +275,12 @@ class TestMaskedAttention:
         q, kv = Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 4)))
         with pytest.raises(ShapeError):
             ops.masked_attention(q, kv, kv, np.ones((1, 3), dtype=bool), heads=1)
+
+    def test_a_key_row_for_a_hidden_slot_is_a_shape_error(self):
+        # a row for every slot of a mask with a hidden slot: k and v hold visible rows only
+        q, kv = Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 4)))
+        with pytest.raises(ShapeError):
+            ops.masked_attention(q, kv, kv, np.array([[True, False, True, True, True]]), heads=1)
 
     @pytest.mark.parametrize("q_rows,kv_rows,mask_shape", [
         (4, 5, (2, 5)),  # keys for one sample, mask for two
@@ -463,6 +450,40 @@ def _plain_masked_attention(q, k, v, mask, heads, g):
                                  merge(weights.swapaxes(-1, -2) @ gh))
 
 
+def _laid_masked_attention(q, k, v, mask, heads, g, queries=None, samples=None):
+    """`_plain_masked_attention` on the per-sample grid that `ops.masked_attention` lays out.
+
+    Query sample j reads key sample `samples[j]` (j itself with None): its
+    visible key rows are laid at their slots, zero in the hidden ones; the
+    query rows and their upstream gradient `g` at the visible slots of
+    `queries`, or all of them with None.  Returns the present query rows'
+    values and gradients, and the key rows' gradients summed back by
+    `np.add.at`, query sample after query sample.
+    """
+    samples = np.arange(len(mask)) if samples is None else np.asarray(samples)
+    key_mask = mask[samples]
+    # each query sample's key slots as rows of k and v, visible ones only
+    key_rows = (np.cumsum(mask.reshape(-1)).reshape(mask.shape) - 1)[samples][key_mask]
+    if queries is None:
+        queries = np.ones((len(samples), len(q) // len(samples)), dtype=bool)
+    present = queries.reshape(-1)
+
+    def lay(x, slots, rows):
+        grid = np.zeros((slots.size, x.shape[1]))
+        grid[slots.reshape(-1)] = x[rows]
+        return grid
+
+    def summed(grad):
+        full = np.zeros(k.shape)
+        np.add.at(full, key_rows, grad[key_mask.reshape(-1)])
+        return full
+
+    values, (gq, gk, gv) = _plain_masked_attention(
+        lay(q, queries, slice(None)), lay(k, key_mask, key_rows), lay(v, key_mask, key_rows),
+        key_mask, heads, lay(g, queries, slice(None)))
+    return values[present], (gq[present], summed(gk), summed(gv))
+
+
 class TestKernelsMatchPlainFormulas:
     # the kernels build their results in their own buffers; values and gradients keep
     # the bytes of the plain expressions, evaluated in the same order
@@ -499,55 +520,76 @@ class TestKernelsMatchPlainFormulas:
         r = rng(63)
         mask = np.array([[True, False, True, True, True], [False, False, True, True, False]])
         # head width 6: a scale by 1 / sqrt(6) is not exact, so the order of its rounding shows
-        arrays = r.normal(size=(6, 12)), r.normal(size=(10, 12)), r.normal(size=(10, 12))
+        arrays = r.normal(size=(6, 12)), r.normal(size=(6, 12)), r.normal(size=(6, 12))
         g = r.normal(size=(6, 12))
         got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2), arrays, g)
-        self.assert_same_bytes(got, _plain_masked_attention(*arrays, mask, 2, g))
+        self.assert_same_bytes(got, _laid_masked_attention(*arrays, mask, 2, g))
 
     def test_masked_attention_of_present_rows(self):
-        # self-attention given only its present rows: values and the present rows'
-        # gradients keep the bytes of the same rows of the call on every slot's row
+        # self-attention given only its present query rows: values and the present rows'
+        # gradients keep the bytes of the same rows of the call on every slot's query row
         r = rng(64)
         mask = np.array([[True, False, True, True, False],
                          [True, True, True, True, True],  # no slot hidden
                          [False, True, True, False, True]])
         present = mask.reshape(-1)
-        arrays = r.normal(size=(15, 12)), r.normal(size=(15, 12)), r.normal(size=(15, 12))
+        q, k, v = r.normal(size=(15, 12)), r.normal(size=(11, 12)), r.normal(size=(11, 12))
         g = r.normal(size=(15, 12)) * present[:, None]  # hidden query rows get no gradient
-        every = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2), arrays, g)
+        every = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2),
+                         (q, k, v), g)
         got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2, queries=mask),
-                       [a[present] for a in arrays], g[present])
-        self.assert_same_bytes(got, (every[0][present],
-                                     tuple(grad[present] for grad in every[1])))
-        # a hidden key's content cannot reach an output: here it is 0.0, there anything
-        q, k, v = (a.copy() for a in arrays)
-        k[[1, 4, 10]] = 1e6
-        v[[1, 4, 10]] = -1e6
-        moved = ops.masked_attention(*map(Tensor, (q, k, v)), mask, heads=2)
-        assert moved.array[present].tobytes() == got[0].tobytes()
+                       (q[present], k, v), g[present])
+        self.assert_same_bytes(got, (every[0][present], (every[1][0][present], *every[1][1:])))
 
     def test_masked_attention_of_gathered_samples(self):
         # with `samples` a query sample reads its key sample by index: the bytes of
         # the call on key rows gathered per query sample first, by `take_rows`
         r = rng(65)
-        mask = np.array([[True, False, True, True], [True, True, True, True]])
         samples = np.array([1, 0, 1, 1])
         q, g = r.normal(size=(12, 8)), r.normal(size=(12, 8))
-        kv_rows = (samples[:, None] * 4 + np.arange(4)).reshape(-1)
-        for keys in (mask.reshape(-1), np.ones(8, dtype=bool)):  # present rows, every row
-            arrays = q, r.normal(size=(8, 8))[keys], r.normal(size=(8, 8))[keys]
-            laid = ops.present_rows(mask).reshape(-1) if not keys.all() else np.arange(8)
+        for mask in (np.array([[True, False, True, True], [True, True, True, True]]),
+                     np.ones((2, 4), dtype=bool)):  # a hidden slot, and none
+            arrays = q, r.normal(size=(mask.sum(), 8)), r.normal(size=(mask.sum(), 8))
+            rows = ops.present_rows(mask)[samples][mask[samples]]
 
             def gathered_first(q, k, v):
-                # every slot's row, a hidden one zero, then one copy per query sample
-                def rows(x):
-                    full = tensor.concat([x, Tensor(np.zeros((1, 8)))], 0)
-                    return tensor.take_rows(full, np.where(laid < 0, len(x.array), laid)[kv_rows])
-                return ops.masked_attention(q, rows(k), rows(v), mask[samples], heads=2)
+                return ops.masked_attention(q, tensor.take_rows(k, rows),
+                                            tensor.take_rows(v, rows), mask[samples], heads=2)
 
             got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads=2,
                                                                 samples=samples), arrays, g)
             self.assert_same_bytes(got, self.run(gathered_first, arrays, g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_masked_attention_on_random_layouts(self, data):
+        # over key masks, repeated `samples` and `queries` masks, the op keeps the bytes
+        # of the plain formula on the grid it lays its rows into
+        def bool_rows(count, seq):
+            rows = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=seq,
+                                                        max_size=seq),
+                                               min_size=count, max_size=count)))
+            rows[~rows.any(axis=1), 0] = True  # every sample keeps a visible slot
+            return rows
+
+        heads = data.draw(st.sampled_from([1, 2, 3]), label="heads")
+        mask = bool_rows(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+        samples = queries = None
+        if data.draw(st.booleans(), label="gathers samples"):
+            samples = np.array(data.draw(st.lists(st.integers(0, len(mask) - 1), min_size=1,
+                                                  max_size=5)))
+        batch = len(mask) if samples is None else len(samples)
+        if data.draw(st.booleans(), label="masks queries"):
+            queries = bool_rows(batch, data.draw(st.integers(1, 4)))
+        rows = batch * data.draw(st.integers(1, 3)) if queries is None else int(queries.sum())
+        r = rng(data.draw(st.integers(0, 2**16), label="seed"))
+        arrays = r.normal(size=(rows, 6)), r.normal(size=(mask.sum(), 6)), r.normal(
+            size=(mask.sum(), 6))
+        g = r.normal(size=(rows, 6))
+        got = self.run(lambda q, k, v: ops.masked_attention(q, k, v, mask, heads, queries,
+                                                            samples), arrays, g)
+        self.assert_same_bytes(got, _laid_masked_attention(*arrays, mask, heads, g, queries,
+                                                           samples))
 
 
 class TestCheckGradients:
