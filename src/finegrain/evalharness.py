@@ -287,19 +287,29 @@ def default_manifest(eval_seed: int, per_subtask: int, grid_size: int,
     return manifest
 
 
+# The study manifest (200 items per subtask, a 64-scene retrieval table)
+# reads 413 distinct scenes; the memo holds them all.
+@functools.lru_cache(maxsize=512)
+def _scene(seed: int, index: int, grid_size: int) -> Scene:
+    """`generate_scene`, memoised: the subtasks and the retrieval set share their scenes."""
+    return generate_scene(seed, index, grid_size)
+
+
 @functools.lru_cache(maxsize=len(SUBTASKS))
 def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[FoilPair, ...]:
     """First `count` deterministic scenes that support the subtask.
 
     A pure function of its arguments, memoised so that scoring a manifest
-    at several checkpoints generates its scenes once.
+    at several checkpoints generates its scenes once.  The subtasks of a
+    manifest read the same scenes, from index 0 on; each is generated once
+    for all of them and for the retrieval set (`_scene`).
     """
     if tag not in SUBTASKS:
         raise ValidationError(f"unknown subtask tag {tag!r}")
     items = []
     index = 0
     while len(items) < count:
-        scene = generate_scene(seed, index, grid_size)
+        scene = _scene(seed, index, grid_size)
         index += 1
         try:
             items.append(make_foils(scene, SUBTASKS[tag].foil))
@@ -322,7 +332,7 @@ def subtask_metrics(tag: str, rows: np.ndarray) -> dict[str, float]:
 def _retrieval_set(seed: int, count: int,
                    grid_size: int) -> tuple[tuple[Scene, ...], tuple[str, ...]]:
     """The first `count` scenes and their captions, memoised as `subtask_items` is."""
-    scenes = tuple(generate_scene(seed, i, grid_size) for i in range(count))
+    scenes = tuple(_scene(seed, i, grid_size) for i in range(count))
     return scenes, tuple(caption_of(scene).text for scene in scenes)
 
 

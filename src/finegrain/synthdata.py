@@ -5,9 +5,10 @@ followed by one-hot color channels).  Objects occupy disjoint rectangular
 cell blocks; each object's bounding box is the block extent shrunk by a
 small jitter and rounded to four decimals, so a box reads back exactly
 from its four-decimal text; the training targets, position tokens and
-every stored run output depend on these rounded values.  `patch_mask` is
-the one rule for which patches a box covers: `render_grid` draws each
-object on them, and the visually masked pass leaves exactly them visible.
+every stored run output depend on these rounded values.  `_covered` is
+the one rule for which cells a box covers along an axis: `patch_mask`
+builds its (G, G) mask from it, `render_grid` draws each object on the
+same cells, and the visually masked pass leaves exactly them visible.
 The word lists here are the vocabulary's too.  Everything is a pure
 function of (seed, index).
 """
@@ -113,68 +114,76 @@ class FoilPair:
 # -- scene construction -------------------------------------------------------
 
 
+def _covered(lo: float, hi: float, grid_size: int) -> slice:
+    """The cells along one axis that [lo, hi] covers, as one run.
+
+    Cell k is covered when `min(hi, e[k+1]) - max(lo, e[k]) > 0.0`, with
+    `e = np.arange(G + 1) * (1.0 / G)`: its interval overlaps [lo, hi] with
+    positive length.  For lo < hi that holds exactly when `e[k] < hi` and
+    `e[k+1] > lo`, so the covered cells are one run, possibly empty.
+    """
+    lo, hi, cell = float(lo), float(hi), 1.0 / grid_size  # exact, and faster than numpy scalars
+    cells = [k for k in range(grid_size) if min(hi, (k + 1) * cell) - max(lo, k * cell) > 0.0]
+    return slice(cells[0], cells[-1] + 1) if cells else slice(0, 0)
+
+
 def render_grid(grid_size: int, objects: Sequence[SceneObject]) -> np.ndarray:
     grid = np.zeros((grid_size, grid_size, GRID_CHANNELS), dtype=np.float64)
     for obj in objects:
-        cells = patch_mask(obj.bbox, grid_size)
-        grid[cells, SHAPES.index(obj.shape)] = 1.0
-        grid[cells, len(SHAPES) + COLORS.index(obj.color)] = 1.0
+        block = grid[_covered(obj.bbox.y1, obj.bbox.y2, grid_size),
+                     _covered(obj.bbox.x1, obj.bbox.x2, grid_size)]
+        block[..., SHAPES.index(obj.shape)] = 1.0
+        block[..., len(SHAPES) + COLORS.index(obj.color)] = 1.0
     return grid
 
 
 def patch_mask(bbox: BBox, grid_size: int) -> np.ndarray:
     """(G, G) bool, True at each cell whose rectangle intersects the bbox with positive area."""
-    edges = np.arange(grid_size + 1) * (1.0 / grid_size)
-
-    def overlaps(lo: float, hi: float) -> np.ndarray:
-        return np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1]) > 0.0
-
-    return overlaps(bbox.y1, bbox.y2)[:, None] & overlaps(bbox.x1, bbox.x2)[None, :]
+    mask = np.zeros((grid_size, grid_size), dtype=bool)
+    mask[_covered(bbox.y1, bbox.y2, grid_size), _covered(bbox.x1, bbox.x2, grid_size)] = True
+    return mask
 
 
 def _jittered_bbox(rng: np.random.Generator, col: int, row: int, w: int, h: int, grid_size: int) -> BBox:
     cell = 1.0 / grid_size
     # shrink each side by up to 20% of the block extent; the box still
     # intersects every cell of its block with positive area
-    insets = rng.uniform(0.0, 0.2, size=4)
+    insets = rng.uniform(0.0, 0.2, size=4).tolist()
     x1 = col * cell + insets[0] * w * cell
     x2 = (col + w) * cell - insets[1] * w * cell
     y1 = row * cell + insets[2] * h * cell
     y2 = (row + h) * cell - insets[3] * h * cell
-    return BBox(
-        round(x1, _BBOX_DECIMALS), round(y1, _BBOX_DECIMALS),
-        round(min(x2, 1.0), _BBOX_DECIMALS), round(min(y2, 1.0), _BBOX_DECIMALS),
-    )
+    # numpy's rounding, not Python's `round`: the two differ on half-way values
+    return BBox(*np.array([x1, y1, min(x2, 1.0), min(y2, 1.0)]).round(_BBOX_DECIMALS))
 
 
 def generate_scene(seed: int, index: int, grid_size: int) -> Scene:
     rng = rng_for(seed, "scene", index)
     max_count = min(MAX_OBJECTS, grid_size * grid_size)
     count = int(rng.integers(1, max_count + 1))
-    combo_ids = rng.choice(len(COLORS) * len(SHAPES), size=count, replace=False)
-    occupied = np.zeros((grid_size, grid_size), dtype=bool)
+    combo_ids = rng.choice(len(COLORS) * len(SHAPES), size=count, replace=False).tolist()
+    occupied: set[int] = set()  # row * grid_size + col of each taken cell
     objects = []
     for obj_index, combo in enumerate(combo_ids):
-        color = COLORS[int(combo) // len(SHAPES)]
-        shape = SHAPES[int(combo) % len(SHAPES)]
+        color = COLORS[combo // len(SHAPES)]
+        shape = SHAPES[combo % len(SHAPES)]
         remaining = count - obj_index - 1
-        free_cells = grid_size * grid_size - int(occupied.sum())
+        free_cells = grid_size * grid_size - len(occupied)
         allow_big = grid_size >= 3 and free_cells - 4 >= remaining
-        placement = None
         for _ in range(16):
             w = h = 2 if (allow_big and rng.integers(0, 2) == 1) else 1
             col = int(rng.integers(0, grid_size - w + 1))
             row = int(rng.integers(0, grid_size - h + 1))
-            if not occupied[row:row + h, col:col + w].any():
-                placement = (row, col, w, h)
+            block = {r * grid_size + c for r in range(row, row + h) for c in range(col, col + w)}
+            if occupied.isdisjoint(block):
                 break
-        if placement is None:
-            # rejection sampling missed; pick any free cell for a 1x1 block
-            free = np.argwhere(~occupied)
-            pick = free[int(rng.integers(0, len(free)))]
-            placement = (int(pick[0]), int(pick[1]), 1, 1)
-        row, col, w, h = placement
-        occupied[row:row + h, col:col + w] = True
+        else:
+            # rejection sampling missed; pick any free cell, in row-major order, for a 1x1 block
+            free = [cell for cell in range(grid_size * grid_size) if cell not in occupied]
+            row, col = divmod(free[int(rng.integers(0, len(free)))], grid_size)
+            w = h = 1
+            block = {row * grid_size + col}
+        occupied |= block
         bbox = _jittered_bbox(rng, col, row, w, h, grid_size)
         objects.append(SceneObject(shape, color, bbox, obj_index))
     objects = tuple(objects)

@@ -558,6 +558,21 @@ def foil_fingerprint(items) -> list[tuple]:
             for p in items]
 
 
+@pytest.fixture
+def scene_calls(monkeypatch) -> list[tuple]:
+    """The arguments of each `generate_scene` call the harness makes, its memos cleared first."""
+    for memo in (ev._scene, ev.subtask_items, ev._retrieval_set):
+        memo.cache_clear()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sd.generate_scene(*args)
+
+    monkeypatch.setattr(ev, "generate_scene", counted)
+    return calls
+
+
 class TestSubtaskItems:
     def test_memo_equals_a_fresh_build(self):
         ev.subtask_items.cache_clear()
@@ -567,20 +582,20 @@ class TestSubtaskItems:
         fresh = ev.subtask_items.__wrapped__("svo_verb", 77, 3, 4)
         assert foil_fingerprint(items) == foil_fingerprint(fresh)
 
-    def test_repeat_call_generates_no_scene(self, monkeypatch):
-        ev.subtask_items.cache_clear()
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return sd.generate_scene(*args)
-
-        monkeypatch.setattr(ev, "generate_scene", counted)
+    def test_repeat_call_generates_no_scene(self, scene_calls):
+        calls = scene_calls
         ev.subtask_items("counting", 77, 3, 4)
         generated = len(calls)
         assert generated >= 3
         ev.subtask_items("counting", 77, 3, 4)
         assert len(calls) == generated
+
+    def test_manifest_generates_each_scene_once(self, scene_calls):
+        """Every subtask and the retrieval set of a default manifest share their scenes."""
+        manifest = ev.default_manifest(9001, per_subtask=20, grid_size=4, retrieval_count=8)
+        ev.run_benchmark(lambda scene, text: 0.0, manifest)
+        assert len(scene_calls) == len(set(scene_calls))
+        assert {(9001, i, 4) for i in range(8)} <= set(scene_calls)
 
     def test_each_collected_item_builds_its_foil_once(self, monkeypatch):
         built = []
@@ -629,15 +644,8 @@ class TestSubtaskItems:
 
 
 class TestRetrievalTable:
-    def test_repeat_call_generates_no_scene(self, monkeypatch):
-        ev._retrieval_set.cache_clear()
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return sd.generate_scene(*args)
-
-        monkeypatch.setattr(ev, "generate_scene", counted)
+    def test_repeat_call_generates_no_scene(self, scene_calls):
+        calls = scene_calls
 
         def score(scene, text):
             return float(scene.grid.sum()) + len(text)
