@@ -215,4 +215,4 @@ def load_config(path: Path) -> RunConfig:
 
 def save_config(config: RunConfig, path: Path) -> None:
     with atomic_open(path) as fh:
-        fh.write(config.render())
+        fh.write(config.render().encode("utf-8"))

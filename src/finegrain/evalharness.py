@@ -381,7 +381,7 @@ def write_scores(path: Path, report: EvalReport) -> None:
              for item, row in enumerate(rows)
              for (role, *_, label), value in zip(SUBTASKS[tag].cells, row)]
     with atomic_open(path) as fh:
-        fh.write("".join(lines))
+        fh.write("".join(lines).encode("utf-8"))
 
 
 def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:
@@ -392,4 +392,4 @@ def write_report_json(path: Path, report: EvalReport, config_hash: str) -> None:
         "counts": report.counts,
     }
     with atomic_open(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))

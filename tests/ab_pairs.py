@@ -10,10 +10,10 @@ alike.  It writes BENCH_<L>_parent.json and BENCH_<L>_change.json to the
 current directory, in the layout of `perfbench/spread.py --out`, with each
 metric summarised by this checkout's `spread.summarize`.  Then it prints, for
 each workload and end-to-end metric of this checkout's BENCHMARK.json, the
-pairs in which the change is better, the median of the change / parent ratios
-and the parent's quartile distance as a share of its median.  The workloads
-default to all of BENCHMARK.json's, at its `run_seconds`.  It is run by hand:
-pytest does not collect it.
+pairs in which the change is better, the median of the change / parent ratios,
+the parent's quartile distance as a share of its median and the `verdict` on
+the two sides' runs.  The workloads default to all of BENCHMARK.json's, at
+its `run_seconds`.  It is run by hand: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,35 @@ def one_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         raise SystemExit(f"{checkout}: {workload} seed {seed} failed ({proc.returncode}):\n"
                          f"{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs, by index, in which the change is better; a tie counts for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How one end-to-end metric moved, from the runs of each side, paired by index.
+
+    `gain`: the change is better in at least 9 of 10 pairs, and its median is
+    better than the parent's by more than the parent's quartile distance.
+    `worse`: the change's median is worse than the parent's by more than
+    `bound`, a share of the parent's median.  `unresolved`: the parent's
+    quartile distance, as a share of its median, is wider than `bound`, and not
+    every change run is better than every parent run.  `within bound`: any
+    other case.  `better` is "higher" or "lower", as in BENCHMARK.json.
+    """
+    sign = 1 if better == "higher" else -1
+    base = summarize(parent)
+    gap = sign * (statistics.median(change) - base["median"])
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and gap > base["q3"] - base["q1"]:
+        return "gain"
+    if -gap > bound * abs(base["median"]):
+        return "worse"
+    if base["spread"] > bound and not all(sign * (c - p) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "within bound"
 
 
 def report(runs: list[dict]) -> dict:
@@ -77,16 +106,17 @@ def main(argv=None) -> int:
         out.write_text(json.dumps({w: report(runs[side][w]) for w in workloads}, indent=1,
                                   sort_keys=True) + "\n", encoding="utf-8")
     for workload in workloads:
-        print(f"{workload}: wins of the change, median change/parent, parent quartile distance")
+        print(f"{workload}: wins of the change, median change/parent, "
+              "parent quartile distance, verdict")
         for metric in spec["end_to_end"]:
             name = metric["name"]
             parent, change = ([r["metrics"][name]["value"] for r in runs[side][workload]]
                               for side in SIDES)
-            sign = 1 if metric["better"] == "higher" else -1
-            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            won = wins(parent, change, metric["better"])
             ratio = statistics.median(c / p for p, c in zip(parent, change) if p)
             spread = summarize(parent)["spread"]
-            print(f"  {name:20s} {wins:2d}/{len(parent)}  {ratio:.4f}  {spread:.4f}", flush=True)
+            print(f"  {name:20s} {won:2d}/{len(parent)}  {ratio:.4f}  {spread:.4f}  "
+                  f"{verdict(parent, change, metric['better'], metric['bound'])}", flush=True)
     return 0
 
 

@@ -219,3 +219,43 @@ def test_checkpoint_layout_read_by_the_benchmark(tmp_path):
         len(name) + len(",".join(map(str, shape))) + 4 * -(-8 * math.prod(shape) // 3) + 3
         for name, shape, _ in model.param_shapes(cfg))
     assert path.stat().st_size == size
+
+
+def load_ab_pairs():
+    """tests/ab_pairs.py, which puts perfbench/ on sys.path to import `spread`."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("ab_pairs", Path(__file__).with_name(
+        "ab_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # quartiles 10.175, 10.725
+
+
+@pytest.mark.parametrize("change, better, bound, expected", [
+    # 10/10 and 9/10 wins with a median gap past the quartile distance of 0.55
+    ([p - 1.0 for p in PARENT], "lower", 0.24, "gain"),
+    ([p - 1.0 for p in PARENT[:9]] + [11.0], "lower", 0.24, "gain"),
+    ([p + 1.0 for p in PARENT], "higher", 0.24, "gain"),
+    # 8/10 wins is not enough, however far the medians are
+    ([p - 1.0 for p in PARENT[:8]] + [11.0, 11.0], "lower", 0.24, "within bound"),
+    # 10/10 wins, but a median gap inside the quartile distance
+    ([p - 0.5 for p in PARENT], "lower", 0.24, "within bound"),
+    # the median is 10% worse: past a 5% bound, inside a 24% one
+    ([p * 1.1 for p in PARENT], "lower", 0.05, "worse"),
+    ([p * 1.1 for p in PARENT], "lower", 0.24, "within bound"),
+    ([p * 0.9 for p in PARENT], "higher", 0.05, "worse"),
+    # the parent's quartile distance (5.4% of its median) is wider than a 2% bound
+    ([p + 0.01 for p in PARENT], "lower", 0.02, "unresolved"),
+    ([p - 0.01 for p in PARENT], "lower", 0.02, "unresolved"),
+    # unless every change run beats every parent run
+    ([9.8] * 10, "lower", 0.02, "gain"),
+    ([9.99] * 5 + [9.95] * 5, "lower", 0.02, "within bound"),
+])
+def test_ab_pairs_verdict(change, better, bound, expected):
+    assert load_ab_pairs().verdict(PARENT, change, better, bound) == expected

@@ -1,6 +1,7 @@
 """Model: encoders, masking, heads, position tokens, checkpoints."""
 
 import base64
+import hashlib
 import math
 from dataclasses import replace
 
@@ -757,6 +758,23 @@ class TestCheckpoints:
         for name in source.params:
             assert np.array_equal(source.params[name].array, target.params[name].array)
 
+    def test_saved_bytes_pinned_whatever_the_arrays_layout_and_byte_order(self, tmp_path):
+        """Every byte of a saved v2 file is pinned, not only the values it loads back.
+
+        A Fortran-ordered and a big-endian parameter must be written as their C-ordered
+        little-endian values, so the file keeps its digest: handing the array's own
+        buffer to the encoder fails on the first and writes wrong bytes for the second.
+        """
+        model = VLModel(micro_config(), seed=21)
+        matrices = [p for p in model.params.values() if p.array.ndim == 2]
+        matrices[0].array = np.asfortranarray(matrices[0].array)
+        matrices[1].array = matrices[1].array.astype(">f8")
+        assert not matrices[0].array.flags.c_contiguous
+        path = tmp_path / "model.ckpt"
+        fg_model.save_checkpoint(model, path, "cafe01")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6fda0b07cf38184bf1fc80ea91aaa283d34bef811ca47fa3e372c50996f91599")
+
     def test_crlf_line_ends_load_bit_identically(self, tmp_path):
         cfg = micro_config()
         source = VLModel(cfg, seed=21)
@@ -821,6 +839,7 @@ class TestCheckpoints:
         cases["non_base64"] = with_payload(payload[:4] + b"*" + payload[4:])
         cases["non_utf8_name"] = data.replace(name + b"\t", b"\xff" + name + b"\t", 1)
         cases["four_fields"] = with_payload(payload + b"\t" + payload)
+        cases["two_fields"] = b"\n".join([lines[0], name + b"\t" + payload, *lines[2:]])
         target = VLModel(cfg, seed=99)
         before = {name: p.array.copy() for name, p in target.params.items()}
         for label, payload in cases.items():
