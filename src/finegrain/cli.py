@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"correlations: {correlations}")
         elif args.command == "ablate":
             summary = runner.run_ablation(config, args.grid, args.out)
-            print(summary.read_text().strip())
+            print(summary.read_text(encoding="utf-8").strip())
             print(f"summary: {summary}")
         return EXIT_OK
     except ValidationError as exc:

@@ -7,8 +7,8 @@ attention is a single op: the samples of a batch and their heads go
 through numpy's stacked matmul, and the masked softmax inside it is plain
 numpy, not a tape op.  The model's streams carry only their visible rows,
 so attention takes the present query, key and value rows with their
-(batch, seq) masks and lays them into its per-sample grid itself, inside
-its one node; with no slot hidden the grid is the rows themselves.
+(batch, seq) masks and gathers each slot's row into its per-sample grid,
+inside its one node; with no slot hidden the grid is the rows themselves.
 Attention masking uses an additive -inf before the softmax, so masked
 positions carry exactly zero weight and the normalization runs over the
 visible keys only; the hard-zero property is exact, not approximate.
@@ -140,12 +140,12 @@ def present_rows(mask) -> np.ndarray:
     return rows.reshape(visible.shape)
 
 
-def _laid(rows: np.ndarray, slots: np.ndarray | None, count: int) -> np.ndarray:
-    """`rows` laid at `slots` of `count` zero rows; `rows` itself when `slots` is None."""
-    if slots is None:
-        return rows
-    grid = np.zeros((count, rows.shape[1]))
-    grid[slots] = rows
+def _grid(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The grid of `x` by `masked_attention`'s rule; `x` itself when `rows` is None."""
+    if rows is None:
+        return x
+    grid = x[rows]
+    grid[rows < 0] = 0.0
     return grid
 
 
@@ -163,14 +163,16 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=
     without a copy on the tape.  Each width is viewed as `heads` column
     blocks of width // heads.
 
-    The node lays the rows into a per-sample grid, zero in the hidden
-    slots, and runs the arithmetic of the call on every slot's row
-    unchanged: numpy's stacked matmul runs one attention per (sample,
-    head), so no sample attends to another's rows.  It returns the present
-    query rows, and its backward reads their gradients out of the grid the
-    same way, summing a key sample's gradients over the query samples that
-    read it as `take_rows` does.  When no slot is hidden and no sample is
-    gathered, the grid is a view of the arrays.
+    The node lays each stack into a per-sample grid by one rule: each slot
+    names its row, the one `present_rows` gives it in its mask (through
+    `samples` for the keys), and a hidden slot's -1 reads a zero row.  With
+    no slot hidden and no sample gathered the grid is the stack itself, a
+    view.  The arithmetic of the call runs on every slot's row unchanged:
+    numpy's stacked matmul runs one attention per (sample, head), so no
+    sample attends to another's rows.  The node returns the present query
+    rows, and its backward reads their gradients back through the same
+    index, summing a key sample's gradients over the query samples that
+    read it as `take_rows` does.
     """
     if not (q.array.ndim == k.array.ndim == 2 and q.shape[1] == k.shape[1] and k.shape == v.shape):
         raise ShapeError(f"attention shapes do not agree: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -180,29 +182,25 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=
     m = np.asarray(mask, dtype=bool)
     if m.ndim != 2 or not len(m) or k.shape[0] != np.count_nonzero(m):
         raise ShapeError(f"mask shape {np.shape(mask)} does not match {k.shape[0]} key rows")
-    gather = hidden = key_slots = None
+    key_rows = None
     if samples is not None:
         idx = np.asarray(samples)
         if (idx.ndim != 1 or not len(idx) or idx.dtype.kind not in "iu"
                 or idx.min() < 0 or idx.max() >= len(m)):
             raise ShapeError(f"attention samples must index the {len(m)} key samples")
-        # each query sample's key slots, as rows of k and v; -1 for a hidden slot
-        gather, m = present_rows(m)[idx].reshape(-1), m[idx]
-        if not m.all():
-            hidden = gather < 0
+        key_rows, m = present_rows(m)[idx].reshape(-1), m[idx]
     elif k.shape[0] != m.size:
-        key_slots = np.flatnonzero(m)
+        key_rows = present_rows(m).reshape(-1)
     batch = len(m)
-    query_mask = query_slots = None
-    query_count = rows
+    query_mask = query_rows = None
     if queries is not None:
         qm = np.asarray(queries, dtype=bool)
         if qm.ndim != 2 or len(qm) != batch or rows != np.count_nonzero(qm):
             raise ShapeError(f"query mask shape {np.shape(queries)} does not match {rows} "
                              f"query rows and {batch} samples")
         if not qm.all():
-            query_mask, query_slots, query_count = qm, np.flatnonzero(qm), qm.size
-    if query_slots is None and rows % batch:
+            query_mask, query_rows = qm, present_rows(qm).reshape(-1)
+    if query_rows is None and rows % batch:
         raise ShapeError(f"{rows} query rows do not split into {batch} samples")
     dh = width // heads
     root = np.sqrt(dh)
@@ -218,38 +216,28 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, queries=
     def swap(x: np.ndarray) -> np.ndarray:  # transpose each (sample, head) matrix
         return x.swapaxes(-1, -2)
 
-    def key_grid(x: np.ndarray) -> np.ndarray:
-        if gather is None:
-            return _laid(x, key_slots, m.size)
-        grid = x[gather]
-        if hidden is not None:
-            grid[hidden] = 0.0
-        return grid
+    def key_grad(grad: np.ndarray) -> np.ndarray:  # the grid's gradient, back on k's rows
+        if samples is None:
+            return merge(grad, None if key_rows is None else m)
+        present = key_rows >= 0
+        return sum_rows(merge(grad)[present], key_rows[present], k.shape)
 
-    def key_rows(grad: np.ndarray) -> np.ndarray:  # the grid's gradient, back on k's rows
-        if gather is None:
-            return merge(grad, None if key_slots is None else m)
-        grad = merge(grad)
-        if hidden is None:
-            return sum_rows(grad, gather, k.shape)
-        return sum_rows(grad[~hidden], gather[~hidden], k.shape)
-
-    qh = split(_laid(q.array, query_slots, query_count))
-    kh, vh = split(key_grid(k.array)), split(key_grid(v.array))
+    qh = split(_grid(q.array, query_rows))
+    kh, vh = split(_grid(k.array, key_rows)), split(_grid(v.array, key_rows))
     logits = qh @ swap(kh)
     logits /= root
     weights = masked_softmax(logits, m[:, None, None])
     values = merge(weights @ vh, query_mask)
 
     def backward(g):
-        gh = split(_laid(g, query_slots, query_count))
+        gh = split(_grid(g, query_rows))
         # the logits' gradient, (gw - weights * rowsum(gw)) / root, built in gw
         gw = gh @ swap(vh)
         gw *= weights
         gw -= weights * gw.sum(axis=-1, keepdims=True)
         gw /= root
-        return (merge(gw @ kh, query_mask), key_rows(swap(gw) @ qh),
-                key_rows(swap(weights) @ gh))
+        return (merge(gw @ kh, query_mask), key_grad(swap(gw) @ qh),
+                key_grad(swap(weights) @ gh))
 
     return _result(values, (q, k, v), backward)
 

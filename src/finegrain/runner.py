@@ -118,7 +118,7 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
                              clip_norm=config.clip_norm)
     log_path = out_dir / "logs" / "losses.tsv"
     steps_saved = []
-    with open(log_path, "w", encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8", newline="\n") as log:
         log.write(f"# config_hash={chash}\n")
         log.write("\t".join(LOSS_LOG_HEADER) + "\n")
         for index, batch in enumerate(batches):
@@ -198,7 +198,8 @@ def run_dynamics(config: RunConfig, run_dir: Path) -> tuple[Path, Path]:
     trajectory_path = run_dir / "reports" / "trajectory.tsv"
     correlation_path = run_dir / "reports" / "correlations.tsv"
     dyn.write_trajectory(trajectory_path, trajectory, chash)
-    # correlation needs at least 3 checkpoints; below that only the trajectory is written
+    # correlation needs at least 3 checkpoints; below that correlations.tsv holds only its
+    # hash line and header
     entries = dyn.correlate_tasks(trajectory) if len(trajectory) >= 3 else []
     dyn.write_correlations(correlation_path, entries, chash)
     return trajectory_path, correlation_path

@@ -669,6 +669,10 @@ class TestCli:
             assert main(["dynamics", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
         for name in ("trajectory.tsv", "correlations.tsv"):
             assert filecmp.cmp(run_dir / "reports" / name, bare / "reports" / name, shallow=False)
+        # 2 checkpoints: too few to correlate, so the table is its hash line and header
+        assert (bare / "reports" / "correlations.tsv").read_bytes() == (
+            f"# config_hash={tiny_config().config_hash()}\n"
+            "metric_a\tmetric_b\tpearson\tspearman\tn\tstatus\n").encode()
         assert (bare / "config.ini").read_bytes() == (run_dir / "config.ini").read_bytes()
 
     def test_dynamics_of_missing_run_dir_creates_nothing(self, tmp_path):

@@ -10,7 +10,9 @@ belongs in a constant.  A fifth scan keeps out `global`
 statements: a process-wide mode that an op reads is state every caller
 shares.  A sixth keeps out numpy's `ufunc.at` (`np.add.at`): it costs
 about three times the `np.bincount` sum in `tensor.take_rows`, which
-adds the same terms in the same order.
+adds the same terms in the same order.  A seventh keeps a file's bytes
+the same on every OS: an `open()` that writes is binary or passes
+`newline`, and `read_text` and `write_text` pass `encoding`.
 """
 
 import ast
@@ -66,6 +68,30 @@ def test_no_ufunc_at_call():
              and isinstance(node.func.value.value, ast.Name)
              and node.func.value.value.id in ("np", "numpy")]
     assert not found, f"ufunc.at calls: {', '.join(found)}"
+
+
+def text_io_faults(tree: ast.Module):
+    """(line, call) per text-mode write with no `newline` and per path I/O with no `encoding`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = {k.arg for k in node.keywords}
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            text = mode.value if isinstance(mode, ast.Constant) else "w"  # unknown: may write
+            if set(text) & set("wax+") and "b" not in text and "newline" not in keywords:
+                yield node.lineno, "open"
+        elif (isinstance(node.func, ast.Attribute) and node.func.attr in ("read_text", "write_text")
+              and "encoding" not in keywords):
+            yield node.lineno, node.func.attr
+
+
+def test_text_io_is_the_same_on_every_os():
+    """Each finegrain write is binary or fixes its newline; each path I/O names its encoding."""
+    found = [f"{path.name}:{line} {call}" for path in SOURCES
+             for line, call in text_io_faults(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"platform-dependent text I/O: {', '.join(found)}"
 
 
 def _is_dunder(name: str) -> bool:
