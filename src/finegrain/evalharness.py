@@ -291,7 +291,7 @@ def default_manifest(eval_seed: int, per_subtask: int, grid_size: int,
 # reads 413 distinct scenes; the memo holds them all.
 @functools.lru_cache(maxsize=512)
 def _scene(seed: int, index: int, grid_size: int) -> Scene:
-    """`generate_scene`, memoised: the subtasks and the retrieval set share their scenes."""
+    """`generate_scene`, memoised: `subtask_items` and `retrieval_table` share their scenes."""
     return generate_scene(seed, index, grid_size)
 
 
@@ -302,7 +302,7 @@ def subtask_items(tag: str, seed: int, count: int, grid_size: int) -> tuple[Foil
     A pure function of its arguments, memoised so that scoring a manifest
     at several checkpoints generates its scenes once.  The subtasks of a
     manifest read the same scenes, from index 0 on; each is generated once
-    for all of them and for the retrieval set (`_scene`).
+    for all of them and for `retrieval_table` (`_scene`).
     """
     if tag not in SUBTASKS:
         raise ValidationError(f"unknown subtask tag {tag!r}")
@@ -328,17 +328,10 @@ def subtask_metrics(tag: str, rows: np.ndarray) -> dict[str, float]:
     return {tag: protocol(rows)}
 
 
-@functools.lru_cache(maxsize=1)
-def _retrieval_set(seed: int, count: int,
-                   grid_size: int) -> tuple[tuple[Scene, ...], tuple[str, ...]]:
-    """The first `count` scenes and their captions, memoised as `subtask_items` is."""
-    scenes = tuple(_scene(seed, i, grid_size) for i in range(count))
-    return scenes, tuple(caption_of(scene).text for scene in scenes)
-
-
 def retrieval_table(score: Scorer, seed: int, count: int, grid_size: int) -> np.ndarray:
     """Square table of scene-vs-caption scores with matched pairs on the diagonal."""
-    scenes, texts = _retrieval_set(seed, count, grid_size)
+    scenes = [_scene(seed, i, grid_size) for i in range(count)]
+    texts = [caption_of(scene).text for scene in scenes]
     return np.array([[score(scene, text) for text in texts] for scene in scenes],
                     dtype=np.float64).reshape(count, count)
 

@@ -121,13 +121,13 @@ def _pair_index(pairs, texts: int, images: int) -> np.ndarray:
 
 
 def _padded_queries(positions: Sequence[Sequence[int]], batch: int,
-                    seq: int) -> tuple[np.ndarray, np.ndarray]:
-    """(queries, picks) for each sample's text `positions` of a (batch, seq) text batch.
+                    seq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs, positions, picks) for each sample's text `positions` of a (batch, seq) text batch.
 
-    `queries` holds each sample's positions as stacked rows, in its list's
-    order, padded with the sample's [CLS] row to the longest list, so every
-    sample has the same number; `picks` gathers the requested rows back out
-    of them, sample by sample.
+    Query row j reads position `positions[j]` of sample `pairs[j]`.  A sample's
+    rows hold its list in order, padded with its [CLS] position 0 to the longest
+    list, so every sample has the same number; `picks` gathers the requested
+    rows back out of them, sample by sample.
     """
     try:
         counts = np.fromiter(map(len, positions), np.intp, batch)
@@ -138,9 +138,9 @@ def _padded_queries(positions: Sequence[Sequence[int]], batch: int,
         raise ShapeError(f"fuse needs {batch} lists of positions below {seq}, not all empty")
     width = int(counts.max())
     picks = np.flatnonzero(np.arange(width) < counts[:, None])
-    queries = np.repeat(np.arange(batch) * seq, width)
-    queries[picks] += flat
-    return queries, picks
+    query_positions = np.zeros(batch * width, np.intp)
+    query_positions[picks] = flat
+    return np.repeat(np.arange(batch), width), query_positions, picks
 
 
 def param_shapes(cfg: RunConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -310,10 +310,6 @@ class VLModel:
         normed = ops.layer_norm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
         return tensor.add(x, self._mlp(prefix, normed))
 
-    @staticmethod
-    def _zero_masked_rows(states: Tensor, keep: np.ndarray) -> Tensor:
-        return tensor.mul(states, Tensor(keep.astype(np.float64).reshape(-1, 1)))
-
     # -- encoders ---------------------------------------------------------------
 
     def _vision_token_mask(self, visibility) -> np.ndarray:
@@ -430,9 +426,8 @@ class VLModel:
         index = _pair_index(pairs, len(texts.visible), len(visions.visible))
         texts_of, images_of = index[:, 0], index[:, 1]
         mask = texts.visible
-        queries, picks = _padded_queries(positions, len(index), mask.shape[1])
+        query_pairs, query_positions, picks = _padded_queries(positions, len(index), mask.shape[1])
         pair_mask = mask[texts_of]
-        query_pairs, query_positions = np.divmod(queries, mask.shape[1])
         keep = pair_mask[query_pairs, query_positions]
         query_positions[~keep] = 0  # a hidden position queries from its pair's [CLS] row
         x = texts.states
@@ -446,7 +441,7 @@ class VLModel:
                             texts_of=texts_of if i == 0 else None, images_of=images_of)
             mask = pair_mask
         if not keep.all():
-            x = self._zero_masked_rows(x, keep)
+            x = tensor.mul(x, Tensor(keep.astype(np.float64).reshape(-1, 1)))
         return tensor.take_rows(x, picks)
 
     def cross_cls(self, texts: Encoded, visions: Encoded, pairs) -> Tensor:

@@ -96,8 +96,6 @@ class Tensor:
         """
         if self.array.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
-        if not self.requires_grad:
-            return
         pending: dict[int, np.ndarray] = {}  # seq -> gradient of a recorded tensor so far
         heap: list[tuple[int, _Node]] = []  # (-seq, node) for every seq in pending
         arrivals = [(self, np.ones_like(self.array))]

@@ -8,12 +8,13 @@ each from its own root, the parent first in even-numbered pairs and the
 change first in odd ones, so a drift in the host's speed loads both sides
 alike.  It writes BENCH_<L>_parent.json and BENCH_<L>_change.json to the
 current directory, in the layout of `perfbench/spread.py --out`, with each
-metric summarised by this checkout's `spread.summarize`.  Then it prints, for
-each workload and end-to-end metric of this checkout's BENCHMARK.json, the
-pairs in which the change is better, the median of the change / parent ratios,
-the parent's quartile distance as a share of its median and the `verdict` on
-the two sides' runs.  The workloads default to all of BENCHMARK.json's, at
-its `run_seconds`.  It is run by hand: pytest does not collect it.
+metric summarised by this checkout's `spread.summarize` and its `values`, one
+per seed, in `--seeds` order.  Then it prints, for each workload and
+end-to-end metric of this checkout's BENCHMARK.json, the pairs in which the
+change is better, the median of the change / parent ratios, the parent's
+quartile distance as a share of its median and the `verdict` on the two
+sides' runs.  The workloads default to all of BENCHMARK.json's, at its
+`run_seconds`.  It is run by hand: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -74,10 +75,13 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 
 def report(runs: list[dict]) -> dict:
-    names = sorted(runs[0]["metrics"])
+    """One side's runs of a workload; each metric is `summarize`d, with its run values in order."""
+    metrics = {}
+    for name in sorted(runs[0]["metrics"]):
+        values = [r["metrics"][name]["value"] for r in runs]
+        metrics[name] = {**summarize(values), "values": values}
     return {"correct": all(r["correct"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": {n: summarize([r["metrics"][n]["value"] for r in runs]) for n in names}}
+            "failed": sum(r["failed"] for r in runs), "metrics": metrics}
 
 
 def main(argv=None) -> int:

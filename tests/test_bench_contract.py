@@ -259,3 +259,19 @@ PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # quartil
 ])
 def test_ab_pairs_verdict(change, better, bound, expected):
     assert load_ab_pairs().verdict(PARENT, change, better, bound) == expected
+
+
+def test_ab_pairs_report_keeps_each_runs_value():
+    runs = [{"correct": True, "failed": 0, "metrics": {"b": {"value": 2.0 * v}, "a": {"value": v}}}
+            for v in PARENT[::-1]]
+    runs[3].update(correct=False, failed=2)
+    report = load_ab_pairs().report(runs)
+    assert report["correct"] is False and report["failed"] == 2
+    assert list(report["metrics"]) == ["a", "b"]
+    a, b = report["metrics"]["a"], report["metrics"]["b"]
+    assert a["values"] == PARENT[::-1]
+    assert b["values"] == [2.0 * v for v in PARENT[::-1]]
+    assert a["n"] == 10 and a["median"] == pytest.approx(10.45)
+    assert (a["q1"], a["q3"]) == pytest.approx((10.175, 10.725))
+    assert a["spread"] == pytest.approx(0.55 / 10.45)
+    assert b["median"] == pytest.approx(20.9) and b["spread"] == pytest.approx(a["spread"])

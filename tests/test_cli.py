@@ -282,7 +282,7 @@ class TestRunner:
     def test_dynamics_orders_checkpoints_by_step(self, tmp_path):
         # names pad steps to 6 digits, so step_1000000 sorts before step_200000 by name
         config = tiny_config(steps=1_200_000, cadence=200_000)
-        model = VLModel(config.model_config(), seed=config.seed)
+        model = VLModel(config, seed=config.seed)
         runner.prepare_run_dir(config, tmp_path)
         steps = list(range(200_000, 1_200_001, 200_000))
         for step in steps:

@@ -333,7 +333,7 @@ class TestRunBenchmark:
 
 def taped_score(model: VLModel, scene: sd.Scene, text: str) -> float:
     """The per-pair scoring path: both encoders and the fusion, recorded on the tape."""
-    text_states = model.encode_text(model.config.vocab.encode_wrapped(text))
+    text_states = model.encode_texts([model.config.vocab.encode_wrapped(text)])
     cross_cls = model.cross_cls(text_states, model.encode_images([scene.grid]), [(0, 0)])
     assert cross_cls.requires_grad
     return model.matching_probabilities(cross_cls)[0]
@@ -561,7 +561,7 @@ def foil_fingerprint(items) -> list[tuple]:
 @pytest.fixture
 def scene_calls(monkeypatch) -> list[tuple]:
     """The arguments of each `generate_scene` call the harness makes, its memos cleared first."""
-    for memo in (ev._scene, ev.subtask_items, ev._retrieval_set):
+    for memo in (ev._scene, ev.subtask_items):
         memo.cache_clear()
     calls = []
 
@@ -634,11 +634,10 @@ class TestSubtaskItems:
                         digest.update(scene.grid.tobytes())
                         digest.update(getattr(item, text_field).encode() + b"\n")
             retrieval = manifest["retrieval"]
-            scenes, texts = ev._retrieval_set(retrieval["seed"], retrieval["count"],
-                                              manifest["grid_size"])
-            for scene, text in zip(scenes, texts):
+            for i in range(retrieval["count"]):
+                scene = ev._scene(retrieval["seed"], i, manifest["grid_size"])
                 digest.update(scene.grid.tobytes())
-                digest.update(text.encode() + b"\n")
+                digest.update(sd.caption_of(scene).text.encode() + b"\n")
         assert digest.hexdigest() == (
             "c8e44efcc07a97abe9ee28d49ac996bf27e0d5b7a4325910eca619c4f65898f3")
 

@@ -114,38 +114,40 @@ class TestEncodeText:
 
     def test_states_shape(self, micro):
         ids = micro.config.vocab.encode_wrapped("red circle")
-        assert micro.encode_text(ids).states.shape == (4, micro.config.hidden_dim)
+        assert micro.encode_texts([ids]).states.shape == (4, micro.config.hidden_dim)
 
     def test_padding_invariance(self, micro):
-        # pads carry exactly zero attention weight; the only residue is BLAS
-        # choosing different kernels for different sequence lengths (last ulp)
+        # an encoding holds only its visible rows, and pads carry exactly zero
+        # attention weight; the only residue is BLAS choosing different kernels
+        # for different sequence lengths (last ulp)
         vocab = micro.config.vocab
         ids = vocab.encode_wrapped("a red circle")
-        padded = ids + [vocab.pad_id] * 3
-        plain = micro.encode_text(ids).states.array
-        with_pads = micro.encode_text(padded).states.array
-        assert np.allclose(plain, with_pads[: len(ids)], rtol=0, atol=1e-12)
-        assert np.all(with_pads[len(ids):] == 0.0)
+        padded = micro.encode_texts([ids + [vocab.pad_id] * 3])
+        plain = micro.encode_texts([ids]).states.array
+        with_pads = padded.states.array
+        assert with_pads.shape == plain.shape
+        assert np.allclose(plain, with_pads, rtol=0, atol=1e-12)
+        assert padded.visible.tolist() == [[True] * len(ids) + [False] * 3]
 
     def test_deterministic_under_fixed_seed(self):
         cfg = micro_config()
         ids = cfg.vocab.encode_wrapped("a blue square")
-        grid_a = VLModel(cfg, seed=11).encode_text(ids).states.array
-        grid_b = VLModel(cfg, seed=11).encode_text(ids).states.array
+        grid_a = VLModel(cfg, seed=11).encode_texts([ids]).states.array
+        grid_b = VLModel(cfg, seed=11).encode_texts([ids]).states.array
         assert np.array_equal(grid_a, grid_b)
 
     def test_unknown_token_id(self, micro):
         # ops.embed range-checks the ids, negative ones included
         with pytest.raises(IndexError):
-            micro.encode_text([micro.config.vocab.cls_id, 10_000])
+            micro.encode_texts([[micro.config.vocab.cls_id, 10_000]])
         with pytest.raises(IndexError):
-            micro.encode_text([micro.config.vocab.cls_id, -1])
+            micro.encode_texts([[micro.config.vocab.cls_id, -1]])
 
     def test_too_long_rejected(self, micro):
         vocab = micro.config.vocab
         ids = [vocab.cls_id] + [vocab.id_of("red")] * micro.config.max_len
         with pytest.raises(SequenceLengthError):
-            micro.encode_text(ids)
+            micro.encode_texts([ids])
 
 
 ONE_PAIR = [(0, 0)]  # the pair index of a fuse of one text with one image
@@ -166,13 +168,13 @@ def stacked_rows(text, positions):
 class TestFuse:
     def test_output_shape(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        text = micro.encode_text(ids)
+        text = micro.encode_texts([ids])
         fused = micro.fuse(text, micro.encode_images([grid]), ONE_PAIR, every_row(text))
         assert fused.shape == (len(ids), micro.config.hidden_dim)
 
     def test_no_mask_equals_all_ones_mask(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
-        text = micro.encode_text(ids)
+        text = micro.encode_texts([ids])
         a = micro.fuse(text, micro.encode_images([grid]), ONE_PAIR, every_row(text))
         b = micro.fuse(text, micro.encode_images([grid], [np.ones(4, dtype=bool)]), ONE_PAIR,
                        every_row(text))
@@ -184,7 +186,7 @@ class TestFuse:
         scrambled = grid.copy()
         scrambled[0, :, :] = 9.9
         scrambled[1, 1, :] = -3.3
-        text = micro.encode_text(ids)
+        text = micro.encode_texts([ids])
         a = micro.fuse(text, micro.encode_images([grid], [mask]), ONE_PAIR, every_row(text))
         b = micro.fuse(text, micro.encode_images([scrambled], [mask]), ONE_PAIR,
                        every_row(text))
@@ -244,7 +246,7 @@ class TestBatchAxis:
         assert batch.visible.shape == (3, seq)
         assert batch.states.shape == (batch.visible.sum(), micro.config.hidden_dim)
         for b, row_ids in enumerate(ids):
-            single = micro.encode_text(row_ids).states.array
+            single = micro.encode_texts([row_ids]).states.array
             assert batch.visible[b].sum() == len(row_ids)
             assert np.allclose(visible_rows(batch, b), single, rtol=0, atol=1e-12)
 
@@ -256,7 +258,7 @@ class TestBatchAxis:
         seq = max(len(i) for i in ids)
         for b, (grid, visibility, row_ids) in enumerate(zip(grids, visibilities, ids)):
             rows = sample_rows(fused.array, b, seq)
-            text = micro.encode_text(row_ids)
+            text = micro.encode_texts([row_ids])
             single = micro.fuse(text, micro.encode_images([grid], [visibility]), ONE_PAIR,
                                 every_row(text))
             assert np.allclose(rows[:len(row_ids)], single.array, rtol=0, atol=1e-12)
@@ -635,14 +637,14 @@ def test_fuse_rejects_rows_outside_the_text_batch(micro, rows):
 
 def cross_cls_of(model, grid, ids):
     """The fused [CLS] row of one (image, text) pair, recorded on the tape."""
-    return model.cross_cls(model.encode_text(ids), model.encode_images([grid]), ONE_PAIR)
+    return model.cross_cls(model.encode_texts([ids]), model.encode_images([grid]), ONE_PAIR)
 
 
 class TestHeads:
     def test_unit_norm_projections(self, micro, grid):
         ids = micro.config.vocab.encode_wrapped("a red circle")
         image_feat = micro.project("img", micro.encode_images([grid]).cls_rows(1))
-        text_feat = micro.project("txt", micro.encode_text(ids).cls_rows(1))
+        text_feat = micro.project("txt", micro.encode_texts([ids]).cls_rows(1))
         assert abs(np.linalg.norm(image_feat.array) - 1.0) < 1e-9
         assert abs(np.linalg.norm(text_feat.array) - 1.0) < 1e-9
 
@@ -657,7 +659,7 @@ class TestHeads:
         else:
             vocab = micro.config.vocab
             inputs = [vocab.encode_wrapped(sd.caption_of(s).text) for s in scenes]
-            batched, single = micro.encode_texts, micro.encode_text
+            batched, single = micro.encode_texts, lambda ids: micro.encode_texts([ids])
         stacked = micro.project(stream, batched(inputs).cls_rows(4)).array
         rows = np.concatenate([micro.project(stream, single(x).cls_rows(1)).array
                                for x in inputs])
@@ -724,7 +726,7 @@ class TestPositionTokens:
         # 3 words + 6 position tokens + [CLS]/[SEP]
         [ids] = obj.step_ids(model.config, sd.Batch("detection", (sample,)))
         with pytest.raises(SequenceLengthError):
-            model.encode_text(ids)
+            model.encode_texts([ids])
 
 
 class TestGradientsThroughModel:

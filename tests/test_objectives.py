@@ -147,7 +147,7 @@ class TestItmLoss:
 
         # independent recomputation from matching probabilities, one pair at a time
         def probability(i, j):
-            text = model.encode_text(ids[j])
+            text = model.encode_texts([ids[j]])
             cross = model.fuse(text, model.encode_images([grids[i]]), [(0, 0)],
                                [range(len(ids[j]))])
             return model.matching_probabilities(tensor.take_rows(cross, [0]))[0]
@@ -200,7 +200,7 @@ class TestMlmLoss:
         masked = list(ids)
         for p in positions:
             masked[p] = vocab.mask_id
-        states = model.encode_text(masked)
+        states = model.encode_texts([masked])
         fused = model.fuse(states, model.encode_images([scene.grid]), [(0, 0)],
                            [range(len(masked))])
         logits = model.mlm_logits(fused).array[positions]

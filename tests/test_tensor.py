@@ -52,6 +52,12 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             tensor.mul(t, t).backward()
 
+    def test_backward_from_a_constant_root_does_nothing(self):
+        x = Tensor([1.0, 2.0])
+        root = tensor.tsum(x)
+        root.backward()
+        assert x.grad is None and root.grad is None
+
     def test_item_reads_one_element_only(self):
         assert Tensor(7.5).item() == 7.5
         assert Tensor([[7.5]]).item() == 7.5
