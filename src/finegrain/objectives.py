@@ -118,26 +118,22 @@ def select_mask_positions(token_ids: Sequence[int], vocab, rng: np.random.Genera
 
 
 class MaskedLM(NamedTuple):
-    """A pass's masked copies of the batch's texts, as texts `first` onward of the step's batch.
+    """A pass's masked copies of the batch's texts.
 
     Copy k, `copies[k]`, is sample `items[k]` with `positions[k]` set to
     [MASK]; `targets` holds the original ids at those positions, copy by copy.
+    Where the copies sit in the step's text batch is counted by
+    `fused_losses`, from the passes before.
     """
 
-    first: int
     items: list[int]
     positions: list[list[int]]
     copies: list[list[int]]
     targets: list[int]
 
-    @property
-    def texts(self) -> range:
-        return range(self.first, self.first + len(self.items))
 
-
-def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator,
-                   first: int) -> MaskedLM:
-    """A pass's masked copies of `ids`, to sit at text `first` of the step's text batch.
+def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator) -> MaskedLM:
+    """A pass's masked copies of `ids`.
 
     Positions are drawn per sample, in batch order.  When the batch draws
     zero positions the draw is repeated once; if that draw is empty too, so is
@@ -155,7 +151,7 @@ def draw_masked_lm(ids: Sequence[Sequence[int]], vocab, rng: np.random.Generator
             copy[pos] = vocab.mask_id
         copies.append(copy)
     targets = [ids[item][pos] for item, picks in zip(items, positions) for pos in picks]
-    return MaskedLM(first, items, positions, copies, targets)
+    return MaskedLM(items, positions, copies, targets)
 
 
 def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
@@ -164,18 +160,14 @@ def encode_step_texts(model: VLModel, ids: Sequence[Sequence[int]], passes: int,
 
     Each pass draws its masked-LM positions, in pass order, before anything
     is encoded, so one `encode_texts` holds the batch's texts and then every
-    pass's masked copies.  A copy has its original's length, so the padding
-    is the batch's.  `text_feats` projects the batch's texts.
+    pass's copies, pass after pass: a pass's copies follow the batch's texts
+    and the copies of the passes before it.  A copy has its original's
+    length, so the padding is the batch's.  `text_feats` projects the batch's
+    texts.
     """
-    n = len(ids)
-    masked: list[MaskedLM] = []
-    copies: list[list[int]] = []
-    for _ in range(passes):
-        draw = draw_masked_lm(ids, model.config.vocab, rng, n + len(copies))
-        masked.append(draw)
-        copies += draw.copies
-    texts = model.encode_texts([*ids, *copies])
-    return texts, model.project("txt", texts.cls_rows(n)), masked
+    masked = [draw_masked_lm(ids, model.config.vocab, rng) for _ in range(passes)]
+    texts = model.encode_texts([*ids, *(copy for draw in masked for copy in draw.copies)])
+    return texts, model.project("txt", texts.cls_rows(len(ids))), masked
 
 
 def mlm_loss(model: VLModel, fused: Tensor, rows: Sequence[int], targets: Sequence[int]) -> Tensor:
@@ -228,30 +220,33 @@ def fused_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
     """(fused rows, terms) of a step's passes, from one image encode, projection and fuse.
 
     `texts` is the step's text batch: the batch's texts first, which
-    `text_feats` projects, then the masked copies.  `masked` holds each
-    pass's draw, the unmasked pass's first; with a second draw, `box_masks`
-    masks the second pass's copy of the grids, and is None without one.
-    The fused rows run pass after pass, each pass's laid out as
+    `text_feats` projects, then each pass's masked copies, pass after pass.
+    `masked` holds each pass's draw, the unmasked pass's first; with a second
+    draw, `box_masks` masks the second pass's copy of the grids, and is None
+    without one.  The fused rows run pass after pass, each pass's laid out as
     `pass_losses` reads them, so the first n are the unmasked positives'
-    [CLS] rows.
+    [CLS] rows.  The first loop counts where each pass's copies start in
+    `texts`, the second where each pass's rows start in the fused output.
     """
     n = len(grids)
     visions = model.encode_images(
         list(grids) * len(masked), None if box_masks is None else [None] * n + list(box_masks))
     image_feats = model.project("img", visions.cls_rows(len(visions.visible)))
     sims = image_feats.array @ text_feats.array.T
-    pairs, positions = [], []
+    pairs, positions, first_copy = [], [], n
     for p, draw in enumerate(masked):
         negatives = mine_hard_negatives(sims[p * n:(p + 1) * n], grids)
-        text_roles = [*range(n), *negatives, *draw.texts]
+        text_roles = [*range(n), *negatives, *range(first_copy, first_copy + len(draw.copies))]
         vision_roles = [*range(n), *range(n), *draw.items]
         pairs.append(np.column_stack((text_roles, np.add(vision_roles, p * n))))
         positions += [[0]] * (2 * n) + draw.positions  # [CLS] of positives and negatives first
+        first_copy += len(draw.copies)
     fused = model.fuse(texts, visions, np.concatenate(pairs), positions)
-    terms = pass_losses(model, fused, 0, _rows(image_feats, 0, n), text_feats, masked[0])
-    if box_masks is not None:
-        terms |= vma_losses(model, fused, 2 * n + len(masked[0].targets),
-                            _rows(image_feats, n, 2 * n), text_feats, masked[1])
+    terms, first_row = {}, 0
+    for p, (draw, losses) in enumerate(zip(masked, (pass_losses, vma_losses))):
+        terms |= losses(model, fused, first_row, _rows(image_feats, p * n, (p + 1) * n),
+                        text_feats, draw)
+        first_row += 2 * n + len(draw.targets)
     return fused, terms
 
 

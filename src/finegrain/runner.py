@@ -123,8 +123,11 @@ def run_training(config: RunConfig, out_dir: Path) -> TrainResult:
         log.write("\t".join(LOSS_LOG_HEADER) + "\n")
         for index, batch in enumerate(batches):
             step = index + 1
-            values, total = training_step(model, batch, optimizer,
-                                          rng_for(config.seed, "step", step))
+            try:
+                values, total = training_step(model, batch, optimizer,
+                                              rng_for(config.seed, "step", step))
+            except NumericError as exc:
+                raise NumericError(f"step {step}: {exc}") from exc
             if not np.isfinite(total):
                 raise NumericError(f"non-finite loss at step {step}")
             fields = [str(step), batch.kind]

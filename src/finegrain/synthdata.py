@@ -9,6 +9,8 @@ every stored run output depend on these rounded values.  `_covered` is
 the one rule for which cells a box covers along an axis: `patch_mask`
 builds its (G, G) mask from it, `render_grid` draws each object on the
 same cells, and the visually masked pass leaves exactly them visible.
+A scene's grid holds its size, and its objects their order; a foil builder
+matches the objects it is handed, out of `scene.objects`, by identity.
 The word lists here are the vocabulary's too.  Everything is a pure
 function of (seed, index).
 """
@@ -73,7 +75,6 @@ class SceneObject:
     shape: str
     color: str
     bbox: BBox
-    index: int
 
     def noun_phrase(self, article: str = "a") -> str:
         return f"{article} {self.color} {self.shape}"
@@ -83,7 +84,6 @@ class SceneObject:
 @dataclass(frozen=True, eq=False)
 class Scene:
     ident: str
-    grid_size: int
     objects: tuple[SceneObject, ...]
     grid: np.ndarray  # (G, G, GRID_CHANNELS)
 
@@ -185,17 +185,14 @@ def generate_scene(seed: int, index: int, grid_size: int) -> Scene:
             block = {row * grid_size + col}
         occupied |= block
         bbox = _jittered_bbox(rng, col, row, w, h, grid_size)
-        objects.append(SceneObject(shape, color, bbox, obj_index))
+        objects.append(SceneObject(shape, color, bbox))
     objects = tuple(objects)
-    return Scene(f"scene:{seed}:{index}", grid_size, objects, render_grid(grid_size, objects))
+    return Scene(f"scene:{seed}:{index}", objects, render_grid(grid_size, objects))
 
 
 def _with_objects(scene: Scene, objects: Sequence[SceneObject], tag: str) -> Scene:
     objects = tuple(objects)
-    return Scene(
-        f"{scene.ident}/{tag}", scene.grid_size, objects,
-        render_grid(scene.grid_size, objects),
-    )
+    return Scene(f"{scene.ident}/{tag}", objects, render_grid(len(scene.grid), objects))
 
 
 # -- text templates ------------------------------------------------------------
@@ -252,9 +249,9 @@ def _first_pair(scene: Scene, distinct: str) -> tuple[SceneObject, SceneObject]:
 def _swap_positions(scene: Scene, a: SceneObject, b: SceneObject, tag: str) -> Scene:
     swapped = []
     for obj in scene.objects:
-        if obj.index == a.index:
+        if obj is a:
             swapped.append(replace(obj, bbox=b.bbox))
-        elif obj.index == b.index:
+        elif obj is b:
             swapped.append(replace(obj, bbox=a.bbox))
         else:
             swapped.append(obj)
@@ -267,7 +264,7 @@ def _replace_identity(scene: Scene, target: SceneObject, tag: str) -> Scene:
         for shape in SHAPES:
             if (color, shape) not in used:
                 new = replace(target, color=color, shape=shape)
-                objects = [new if o.index == target.index else o for o in scene.objects]
+                objects = [new if o is target else o for o in scene.objects]
                 return _with_objects(scene, objects, tag)
     raise FoilCapabilityError("no unused color/shape combination left")
 

@@ -1,23 +1,24 @@
 """Dense float64 tensors with a reverse-mode autodiff tape.
 
-Storage is a row-major numpy array; every recorded operation keeps a
-monotonically increasing sequence number, and an op converts nothing: its
-array operands are `Tensor`s.  The backward sweep keeps a heap of the
-recorded tensors that hold a gradient and pops the latest first: every
-tensor that reads it was created later, so its gradient is complete when it
-is popped, and its backward runs once.  A node lets go of its parents and
-its backward function, and with them the arrays that function saved, as
-soon as that function has run, so an intermediate that nothing else holds
-is freed during the sweep rather than after it.  A graph is therefore
-backpropagated once: a sweep that reaches a spent node raises a
+Storage is a row-major numpy array, and an op converts nothing: its array
+operands are `Tensor`s.  A recorded result carries its own tape entry: a
+monotonically increasing sequence number, its parents and its backward
+function.  The backward sweep keeps a heap of the recorded tensors that
+hold a gradient and pops the latest first: every tensor that reads it was
+created later, so its gradient is complete when it is popped, and its
+backward runs once.  A tensor lets go of its parents and its backward
+function, and with them the arrays that function saved, as soon as that
+function has run, so an intermediate that nothing else holds is freed
+during the sweep rather than after it.  A graph is therefore
+backpropagated once: a sweep that reaches a spent entry raises a
 `RuntimeError`.  Gradients accumulate on leaves only: a tensor with no tape
-node that requires a gradient adds each gradient into `grad` as it arrives,
-across the backward passes of separately built graphs, while the gradient
-of every recorded intermediate lives only for the sweep that computes it.
-There is no graph optimization and no broadcasting beyond numpy's
-elementwise rules.
+entry that requires a gradient adds each gradient into `grad` as it
+arrives, across the backward passes of separately built graphs, while the
+gradient of every recorded intermediate lives only for the sweep that
+computes it.  There is no graph optimization and no broadcasting beyond
+numpy's elementwise rules.
 
-An op records a tape node only when one of its inputs requires a gradient:
+An op records a tape entry only when one of its inputs requires a gradient:
 forward-only work such as scoring runs on constant tensors (see
 `VLModel.frozen`), so its results take no sequence number and do not hold
 the forward graph that computed them.
@@ -37,31 +38,22 @@ from .errors import ShapeError
 _SEQ = itertools.count()
 
 
-class _Node:
-    # parents and backward_fn are None once the node's backward has run
-    __slots__ = ("parents", "backward_fn", "seq")
-
-    def __init__(self, parents: tuple[Tensor, ...], backward_fn: Callable, seq: int):
-        self.parents = parents
-        self.backward_fn = backward_fn
-        self.seq = seq
-
-
 class Tensor:
     """N-dimensional float64 array, optionally tracked on the gradient tape.
 
     `requires_grad` is set on leaves by the caller and on every result of
-    an op with such an input; exactly those results carry a tape node.
+    an op with such an input; exactly those results carry a tape entry: a
+    sequence number `_seq`, which is None on a tensor with no entry, and
+    `_parents` and `_backward`, which are None once its backward has run.
     """
 
-    __slots__ = ("array", "requires_grad", "_grad", "_node")
+    __slots__ = ("array", "requires_grad", "_grad", "_seq", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        self.array = arr
+        self.array = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         self.requires_grad = bool(requires_grad)
         self._grad: np.ndarray | None = None
-        self._node: _Node | None = None
+        self._seq = self._parents = self._backward = None  # no tape entry
 
     # -- spec'd field views -------------------------------------------------
 
@@ -89,48 +81,48 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf that requires one.
 
-        Each node drops its parents and saved arrays once its backward has run, so the
-        graph is backpropagated once: a later sweep that reaches any of its nodes, from
-        this root or from a new one built on top of it, raises a RuntimeError.  Leaves
+        Each recorded tensor drops its parents and saved arrays once its backward has run,
+        so the graph is backpropagated once: a later sweep that reaches any of its tensors,
+        from this root or from a new one built on top of it, raises a RuntimeError.  Leaves
         keep accumulating across the backward passes of separately built graphs.
         """
         if self.array.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         pending: dict[int, np.ndarray] = {}  # seq -> gradient of a recorded tensor so far
-        heap: list[tuple[int, _Node]] = []  # (-seq, node) for every seq in pending
+        heap: list[tuple[int, Tensor]] = []  # (-seq, tensor) for every seq in pending
         arrivals = [(self, np.ones_like(self.array))]
         while True:
             for tensor, grad in arrivals:
                 if grad is None or not tensor.requires_grad:
                     continue
-                node = tensor._node
-                if node is None:
+                seq = tensor._seq
+                if seq is None:
                     if tensor._grad is None:
                         tensor._grad = grad.copy()  # grad may alias a stored buffer
                     else:
                         tensor._grad += grad
-                elif node.seq in pending:
+                elif seq in pending:
                     # never mutate a received gradient: backward fns may alias outputs
-                    pending[node.seq] = pending[node.seq] + grad
+                    pending[seq] = pending[seq] + grad
                 else:
-                    pending[node.seq] = grad
-                    heapq.heappush(heap, (-node.seq, node))
+                    pending[seq] = grad
+                    heapq.heappush(heap, (-seq, tensor))
             if not heap:
                 return
-            _, node = heapq.heappop(heap)
-            parents, backward_fn = node.parents, node.backward_fn
+            _, tensor = heapq.heappop(heap)
+            parents, backward_fn = tensor._parents, tensor._backward
             if backward_fn is None:
                 raise RuntimeError("backward() reached a node of a graph that was already "
                                    "backpropagated; build the graph again to backpropagate it")
-            node.parents = node.backward_fn = None  # free what the closure saved
-            arrivals = zip(parents, backward_fn(pending.pop(node.seq)))
+            tensor._parents = tensor._backward = None  # free what the closure saved
+            arrivals = zip(parents, backward_fn(pending.pop(tensor._seq)))
 
 
 def _result(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn: Callable) -> Tensor:
     out = Tensor(values)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = _Node(parents, backward_fn, next(_SEQ))
+        out._seq, out._parents, out._backward = next(_SEQ), parents, backward_fn
     return out
 
 

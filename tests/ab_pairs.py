@@ -14,7 +14,9 @@ end-to-end metric of this checkout's BENCHMARK.json, the pairs in which the
 change is better, the median of the change / parent ratios, the parent's
 quartile distance as a share of its median and the `verdict` on the two
 sides' runs.  The workloads default to all of BENCHMARK.json's, at its
-`run_seconds`.  It is run by hand: pytest does not collect it.
+`run_seconds`.  It exits 1, after naming each case, when a verdict reads
+`worse`, or when a run of the change reads `correct: false` or has failed
+operations.  It is run by hand: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     runs = {side: {w: [] for w in workloads} for side in SIDES}
+    faults = []
     pair = 0
     for workload in workloads:
         for seed in seed_list(args.seeds):
@@ -104,6 +107,9 @@ def main(argv=None) -> int:
                 runs[side][workload].append(result)
                 print(f"{workload} seed {seed} {side}: correct={result['correct']}, "
                       f"failed {result['failed']} of {result['attempted']}", flush=True)
+                if side == "change" and (not result["correct"] or result["failed"]):
+                    faults.append(f"{workload} seed {seed}: the change's run reads "
+                                  f"correct={result['correct']}, failed {result['failed']}")
             pair += 1
     for side in SIDES:
         out = Path(f"BENCH_{args.label}_{side}.json")
@@ -119,9 +125,14 @@ def main(argv=None) -> int:
             won = wins(parent, change, metric["better"])
             ratio = statistics.median(c / p for p, c in zip(parent, change) if p)
             spread = summarize(parent)["spread"]
-            print(f"  {name:20s} {won:2d}/{len(parent)}  {ratio:.4f}  {spread:.4f}  "
-                  f"{verdict(parent, change, metric['better'], metric['bound'])}", flush=True)
-    return 0
+            moved = verdict(parent, change, metric["better"], metric["bound"])
+            print(f"  {name:20s} {won:2d}/{len(parent)}  {ratio:.4f}  {spread:.4f}  {moved}",
+                  flush=True)
+            if moved == "worse":
+                faults.append(f"{workload} {name}: worse")
+    for fault in faults:
+        print(f"FAIL {fault}", flush=True)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -275,3 +275,33 @@ def test_ab_pairs_report_keeps_each_runs_value():
     assert (a["q1"], a["q3"]) == pytest.approx((10.175, 10.725))
     assert a["spread"] == pytest.approx(0.55 / 10.45)
     assert b["median"] == pytest.approx(20.9) and b["spread"] == pytest.approx(a["spread"])
+
+
+@pytest.mark.parametrize("fault, named", [
+    (None, None),
+    ("worse", "FAIL train_full setup_s: worse"),
+    ("incorrect", "FAIL train_full seed 3: the change's run reads correct=False, failed 0"),
+    ("failed", "FAIL train_full seed 3: the change's run reads correct=True, failed 2"),
+], ids=["clean", "worse", "incorrect", "failed"])
+def test_ab_pairs_main_exits_1_on_a_fault(fault, named, tmp_path, monkeypatch, capsys):
+    ab_pairs = load_ab_pairs()
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+    def one_run(checkout, workload, seed, seconds):  # stands in for a benchmark run
+        change = checkout.name == "change"
+        metrics = {m["name"]: {"value": 10.0 + 0.1 * seed} for m in spec["end_to_end"]}
+        if change and fault == "worse":
+            metrics["setup_s"]["value"] *= 2  # lower is better
+        hit = change and seed == 3
+        return {"correct": not (hit and fault == "incorrect"),
+                "failed": 2 if hit and fault == "failed" else 0, "attempted": 5,
+                "metrics": metrics}
+
+    monkeypatch.setattr(ab_pairs, "one_run", one_run)
+    monkeypatch.chdir(tmp_path)
+    code = ab_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--label", "t", "--seeds", "1-4",
+                          "--workloads", "train_full"])
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert (code, fails) == ((0, []) if named is None else (1, [named]))
+    assert all((tmp_path / f"BENCH_t_{side}.json").exists() for side in ("parent", "change"))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from finegrain import dynamics as dyn
 from finegrain import evalharness as ev
 from finegrain import fileio, runner
-from finegrain.cli import EXIT_DEPENDENCY, EXIT_OK, EXIT_VALIDATION, main
+from finegrain.cli import EXIT_DEPENDENCY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from finegrain.config import (LOSS_ARMS, LOWEST_VALUES, RunConfig, load_config, parse_config_text,
                               save_config)
 from finegrain.errors import DependencyError, ValidationError
@@ -462,6 +462,19 @@ class TestCli:
         assert code == EXIT_VALIDATION
         assert "no matching negative" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    # the diverging update overflows on purpose; the "error" filter would raise instead
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverged_run_names_its_step(self, tmp_path, capsys):
+        # no clipping and a huge step: an update overflows, and a later gradient norm is nan
+        config_path = tmp_path / "config.ini"
+        save_config(tiny_config(learning_rate=1e3, clip_norm=0), config_path)
+        run_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config_path), "--out", str(run_dir)])
+        assert code == EXIT_NUMERIC
+        logged = (run_dir / "logs" / "losses.tsv").read_text(encoding="utf-8").splitlines()[2:]
+        assert f"numeric error: step {len(logged) + 1}: " in capsys.readouterr().err
 
     def test_dependency_exit_code(self, tmp_path):
         config_path = self.write_config(tmp_path)

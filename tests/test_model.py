@@ -557,7 +557,7 @@ class TestFrozen:
         assert repr(tensor._SEQ) == before
         for expected, out in zip(trainable, outputs, strict=True):
             assert expected.requires_grad
-            assert out._node is None and not out.requires_grad
+            assert out._seq is None and not out.requires_grad
             assert np.array_equal(out.array, expected.array)
         tensor.tsum(outputs[-1]).backward()  # nothing recorded, nothing to propagate
         assert all(p.grad is None for p in model.parameters() + frozen.parameters())

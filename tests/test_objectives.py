@@ -87,7 +87,7 @@ def matching_loss(model, visions, texts, grids):
 
 def masked_lm_loss(model, ids, visions, rng):
     """The masked-LM term of a pass's draw, its copies encoded and fused on their own."""
-    masked = obj.draw_masked_lm(ids, model.config.vocab, rng, 0)
+    masked = obj.draw_masked_lm(ids, model.config.vocab, rng)
     if not masked.targets:
         return None
     texts = model.encode_texts(masked.copies)
@@ -369,9 +369,13 @@ class TestVmaLosses:
             sd.DetectionSample(s.scene, s.kind, s.text, FULL_IMAGE, s.entity_span_end)
             for s in batch.samples
         )
-        texts, text_feats, [masked], grids = step_texts(model, full, 1, rng_for(7, "same"))
+        _, _, [masked], grids = step_texts(model, full, 1, rng_for(7, "same"))
         assert masked is not None
-        # both passes read the same masked copies, the box-masked one under full boxes
+        # both passes read the same masked copies, each pass its own copy of them in the
+        # text batch, the box-masked one under full boxes
+        ids = [model.config.vocab.encode_wrapped(s.text) for s in full]
+        texts = model.encode_texts([*ids, *masked.copies, *masked.copies])
+        text_feats = model.project("txt", texts.cls_rows(len(ids)))
         boxes = [sd.patch_mask(s.bbox, model.config.patch_grid) for s in full]
         _, terms = obj.fused_losses(model, texts, text_feats, grids, [masked, masked], boxes)
 
@@ -392,8 +396,7 @@ class TestVmaLosses:
             grid = sample.scene.grid.copy()
             noise = rng_seed.normal(size=grid.shape)
             grid[~mask] = noise[~mask]
-            scene = sd.Scene(sample.scene.ident + "/scrambled", sample.scene.grid_size,
-                             sample.scene.objects, grid)
+            scene = sd.Scene(sample.scene.ident + "/scrambled", sample.scene.objects, grid)
             return sd.DetectionSample(scene, sample.kind, sample.text, sample.bbox,
                                       sample.entity_span_end)
 

@@ -32,11 +32,8 @@ def scenes_of(seed, count, grid_size=4):
 
 
 def scene_with(*objects, grid_size=4):
-    objs = tuple(
-        sd.SceneObject(shape, color, bbox, i)
-        for i, (shape, color, bbox) in enumerate(objects)
-    )
-    return sd.Scene("test", grid_size, objs, sd.render_grid(grid_size, objs))
+    objs = tuple(sd.SceneObject(shape, color, bbox) for shape, color, bbox in objects)
+    return sd.Scene("test", objs, sd.render_grid(grid_size, objs))
 
 
 def foil_aspects(pair: sd.FoilPair) -> list[str]:
@@ -113,12 +110,12 @@ def objects_on_a_grid(draw):
     coordinate = st.one_of(st.floats(0.0, 1.0), edge, near_edge)
     as_type = draw(st.sampled_from([float, np.float64]))
     objects = []
-    for index in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         (x1, x2), (y1, y2) = (sorted(draw(st.tuples(coordinate, coordinate))) for _ in "xy")
         assume(x1 < x2 and y1 < y2)
         bbox = sd.BBox(*map(as_type, (x1, y1, x2, y2)))
         objects.append(sd.SceneObject(draw(st.sampled_from(sd.SHAPES)),
-                                      draw(st.sampled_from(sd.COLORS)), bbox, index))
+                                      draw(st.sampled_from(sd.COLORS)), bbox))
     return grid_size, objects
 
 
@@ -298,10 +295,10 @@ class TestTemplates:
         assert set(WORD_TOKENS) - used == {"an", "one", "."}
 
     def test_relation_geometry(self):
-        left = sd.SceneObject("circle", "red", sd.BBox(0.0, 0.4, 0.2, 0.6), 0)
-        right = sd.SceneObject("square", "blue", sd.BBox(0.8, 0.4, 1.0, 0.6), 1)
-        top = sd.SceneObject("triangle", "green", sd.BBox(0.4, 0.0, 0.6, 0.2), 2)
-        bottom = sd.SceneObject("triangle", "yellow", sd.BBox(0.4, 0.8, 0.6, 1.0), 3)
+        left = sd.SceneObject("circle", "red", sd.BBox(0.0, 0.4, 0.2, 0.6))
+        right = sd.SceneObject("square", "blue", sd.BBox(0.8, 0.4, 1.0, 0.6))
+        top = sd.SceneObject("triangle", "green", sd.BBox(0.4, 0.0, 0.6, 0.2))
+        bottom = sd.SceneObject("triangle", "yellow", sd.BBox(0.4, 0.8, 0.6, 1.0))
         assert sd.relation_between(left, right) == "left of"
         assert sd.relation_between(right, left) == "right of"
         assert sd.relation_between(top, bottom) == "above"

@@ -130,7 +130,7 @@ class TestLinear:
         x = Tensor(rng(13).normal(size=(3, 2)), requires_grad=True)
         w, b = Tensor(np.ones((2, 2)), requires_grad=True), Tensor(np.zeros(2))
         out = ops.linear(x, w, b)
-        assert out._node.parents == (x, w, b)
+        assert out._parents == (x, w, b)
 
     def test_bias_must_match_the_outputs(self):
         with pytest.raises(ShapeError, match="bias"):
@@ -304,7 +304,7 @@ class TestMaskedAttention:
         kv = Tensor(r.normal(size=(5, 8)), requires_grad=True)
         before = next(tensor._SEQ)
         out = ops.masked_attention(q, kv, kv, np.ones((1, 5), dtype=bool), heads=4)
-        assert out._node.seq == before + 1
+        assert out._seq == before + 1
         assert next(tensor._SEQ) == before + 2
 
 
@@ -373,7 +373,7 @@ class TestElementwiseOps:
         a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         b = Tensor([1.0, 0.0, 5.0], requires_grad=True)  # entry 0 ties
         out = op(a, b)
-        assert out._node.parents == (a, b)
+        assert out._parents == (a, b)
         tensor.tsum(out).backward()
         picks_a = np.array(picks_a)
         assert np.array_equal(out.array, np.where(picks_a, a.array, b.array))
@@ -645,17 +645,17 @@ def _reference_sweep(root):
         if id(t) not in seen:
             seen.add(id(t))
             order.append(t)
-            stack.extend(t._node.parents if t._node is not None else ())
-    order.sort(key=lambda t: -1 if t._node is None else t._node.seq, reverse=True)
+            stack.extend(t._parents if t._seq is not None else ())
+    order.sort(key=lambda t: -1 if t._seq is None else t._seq, reverse=True)
     pending, leaf_grads = {id(root): np.ones_like(root.array)}, {}
     for t in order:
         grad = pending.pop(id(t), None)
         if grad is None:
             continue
-        if t._node is None:
+        if t._seq is None:
             leaf_grads[id(t)] = grad.copy()
             continue
-        for parent, pgrad in zip(t._node.parents, t._node.backward_fn(grad)):
+        for parent, pgrad in zip(t._parents, t._backward(grad)):
             if pgrad is not None and parent.requires_grad:
                 slot = pending.get(id(parent))
                 pending[id(parent)] = pgrad if slot is None else slot + pgrad
