@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyInputError, FoilCapabilityError, ValidationError
 from .fileio import atomic_open, write_table
-from .model import Encoded, VLModel
+from .model import Fusable, VLModel
 from .synthdata import FoilPair, Scene, caption_of, generate_scene, make_foils
 
 FOIL_GROUP_SUBTASKS = ("existence", "counting", "object_swap", "attribute_swap")
@@ -72,9 +73,13 @@ class EvalReport:
 
 
 # The most stacked rows one batched call of the scorer takes: an encode of
-# grids or of texts, or a fuse of pairs.  A chunk's activations grow with its rows; the
-# bound keeps batched scoring's peak memory near that of scoring pair by
-# pair, and is large enough to cost no speed.
+# grids or of texts with their own fuse work, or a fuse of pairs.  A chunk's activations
+# grow with its rows; the bound keeps them near those of scoring pair by pair, and is
+# large enough to cost no speed.  The caches grow with the distinct inputs instead, for
+# the scorer's lifetime: a grid keeps 2 x cross_layers blocks of its rows, its
+# cross-attention keys and values (4x the encoder states they replace at the default
+# config), and a text its `fuse_texts` parts (2x its states there).  At the default
+# config the study manifest's 932 grids and 489 texts cache about 38 MB.
 CHUNK_ROWS = 512
 
 
@@ -95,21 +100,40 @@ def _encode_new(cache: dict, new: dict, encode: Callable, rows_of: Callable[...,
     """Encode the `new` inputs, key -> input, into `cache`, one `encode` call per chunk.
 
     The chunks are `_length_chunks` of the keys, each input stacking
-    `rows_of(input)` rows; each input is cached on its own (`Encoded.take`).
+    `rows_of(input)` rows.  Each input is cached as its chunk's batch and its
+    index there, so the batch holds the one copy of each of its inputs.
     """
     for chunk in _length_chunks(new, lambda key: rows_of(new[key])):
         batch = encode([new[key] for key in chunk])
-        cache.update((key, batch.take([b])) for b, key in enumerate(chunk))
+        cache.update((key, (batch, b)) for b, key in enumerate(chunk))
+
+
+def _batch_of(cache: dict, keys) -> tuple[Fusable, dict]:
+    """The distinct cached inputs `keys` as one batch, and each key's index in it.
+
+    When every key was encoded in one batch, that batch is read in place;
+    otherwise each batch's keys are taken from it and the takes are stacked.
+    """
+    groups: dict[int, list] = {}  # the keys by the batch they were encoded in, in order
+    for key in keys:
+        groups.setdefault(id(cache[key][0]), []).append(key)
+    if len(groups) == 1:
+        batch, _ = cache[key]  # every key's batch
+        return batch, {key: cache[key][1] for key in keys}
+    stacked = Fusable.stack([cache[group[0]][0].take([cache[key][1] for key in group])
+                             for group in groups.values()])
+    return stacked, {key: i for i, key in enumerate(chain.from_iterable(groups.values()))}
 
 
 def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     """Score a pair as the matching probability of `model`'s fused [CLS] row.
 
-    The scorer caches each input's encoding, and each pair's score, for its
-    own lifetime, so build one scorer per set of weights: its caches never
+    The scorer caches each input's own fuse work, and each pair's score, for
+    its own lifetime, so build one scorer per set of weights: its caches never
     see them change.  Images are keyed by the grid's shape and bytes (scenes
     compare by identity, so equal grids from two scenes share one entry),
-    and texts by the text.  Every distinct input is encoded once.
+    and texts by the text.  Every distinct input is encoded once, and its
+    own fuse work runs once.
 
     Building the scorer scores every pair that `run_benchmark` scores for
     `manifest`, collected by a dry run of `run_benchmark` itself, so each
@@ -123,36 +147,43 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
       chunk, so the per-call overhead is paid once per chunk, not once
       per input.  Every grid stacks `num_patches + 1` rows (30 grids per
       chunk at the default config), and a text chunk holds one token
-      length, so no [PAD] row is encoded.  Each input is cached on its
-      own (`Encoded.take`).  Its states equal those of its batch of one
-      byte for byte only where the BLAS kernel computes a row of an affine
-      map apart from how many rows share the product.  At the default
-      config that was measured on OpenBLAS 0.3.31's SkylakeX and
-      Sandybridge kernels; on its Haswell and Nehalem kernels a row's
-      bits depend on the row count.  Padding a text to a longer one does
-      not keep the bytes;
+      length, so no [PAD] row is encoded.  Its states equal those of its
+      batch of one byte for byte only where the BLAS kernel computes a
+      row of an affine map apart from how many rows share the product.
+      At the default config that was measured on OpenBLAS 0.3.31's
+      SkylakeX and Sandybridge kernels; on its Haswell and Nehalem
+      kernels a row's bits depend on the row count.  Padding a text to a
+      longer one does not keep the bytes;
+    - the same chunk runs the fuse's work that reads one input: every
+      cross layer's cross-attention keys and values of a grid
+      (`VLModel.fuse_images`), and cross layer 0's text-only work and
+      cross-attention queries of a text (`VLModel.fuse_texts`, scoring).
+      The chunk's batch of that work is cached, and each input as that
+      batch and its index there, in place of its encoding, which nothing
+      reads again: one copy per input, computed once per scorer however
+      many fuse chunks read the input;
     - the distinct pairs are fused one chunk per call, grouped by their
-      text's token length.  A chunk's fuse takes its distinct texts and
-      its distinct grids, each joined once by `Encoded.stack` from their
-      cached encodings, and a pair index into them.  The fuse, as in
-      training, gathers per pair only where text and image meet, so cross
-      layer 0's text-only work runs once per distinct text and each
-      layer's cross-attention keys and values once per distinct grid (see
-      `VLModel.fuse`); each fuse computes only the [CLS] rows in its last
-      layer (`cross_cls`).
+      text's token length.  A chunk's fuse takes a batch of texts and a
+      batch of grids that hold each of its inputs once, and a pair index
+      into them (`_batch_of`): a cached batch itself when every one of the
+      chunk's inputs of that modality is in it, as in a 24 x 24 table,
+      and otherwise the inputs taken from their batches and stacked.  It
+      runs only the work that reads a pair: the per-pair gather, the
+      cross-attention, the output maps and the MLPs, and in its last layer
+      only the [CLS] rows (`cross_cls`; see `VLModel.fuse`).
     A batched score can differ from the same pair's score at batch one in
     its last bits: the last layer's [CLS] queries and the matching head's
     product run on another row count.
 
     Everything runs on `model.frozen()`, so nothing is recorded on the tape
-    and a cached encoding holds its values only, not the forward graph that
+    and a cached input holds its values only, not the forward graph that
     computed them.
     """
     model = model.frozen()
     vocab = model.config.vocab
     grid_rows = model.config.num_patches + 1
-    images: dict[tuple, Encoded] = {}
-    texts: dict[str, Encoded] = {}
+    images: dict[tuple, tuple[Fusable, int]] = {}  # key -> (its encode batch, its index)
+    texts: dict[str, tuple[Fusable, int]] = {}
     scores: dict[tuple, float] = {}
 
     def key_of(scene: Scene, text: str) -> tuple:
@@ -170,15 +201,15 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
                 grids[key[0]] = scene.grid
             if text not in texts and text not in ids:
                 ids[text] = vocab.encode_wrapped(text)
-        _encode_new(images, grids, model.encode_images, lambda grid: grid_rows)
-        _encode_new(texts, ids, model.encode_texts, len)
-        for chunk in _length_chunks(keys, lambda key: texts[key[1]].visible.shape[1]):
-            text_index: dict[str, int] = {}  # the chunk's distinct inputs, in order
-            grid_index: dict[tuple, int] = {}
-            pairs = [(text_index.setdefault(text, len(text_index)),
-                      grid_index.setdefault(grid, len(grid_index))) for grid, text in chunk]
-            cls = model.cross_cls(Encoded.stack([texts[text] for text in text_index]),
-                                  Encoded.stack([images[grid] for grid in grid_index]), pairs)
+        _encode_new(images, grids, lambda batch: model.fuse_images(model.encode_images(batch)),
+                    lambda grid: grid_rows)
+        _encode_new(texts, ids, lambda batch: model.fuse_texts(model.encode_texts(batch),
+                                                               scoring=True), len)
+        for chunk in _length_chunks(keys, lambda key: texts[key[1]][0].visible.shape[1]):
+            text_batch, text_index = _batch_of(texts, dict.fromkeys(text for _, text in chunk))
+            image_batch, grid_index = _batch_of(images, dict.fromkeys(grid for grid, _ in chunk))
+            cls = model.cross_cls(text_batch, image_batch,
+                                  [(text_index[text], grid_index[grid]) for grid, text in chunk])
             scores.update(zip(chunk, model.matching_probabilities(cls).tolist()))
 
     def score(scene: Scene, text: str) -> float:

@@ -17,19 +17,24 @@ hidden row, and no code downstream can read one.  Only attention, which
 must not mix samples, reads the batch axis: `ops.masked_attention` lays
 the rows into its per-sample grid from the masks, inside its one tape
 node.  Texts are padded with [PAD] to the batch's longest sequence, and
-pads are hidden like any masked row.  `Encoded.take` gathers samples by
-batch index in one tape node, so a negative, a repeat or a subset of a batch
-costs no new encode.  `fuse` takes a batch of texts, a batch of images
-and an (m, 2) pair index of (text, image) batch indices, so the training
-step fuses every role of every pass (positives, mined negatives, masked
-copies; unmasked and box-masked) in one call, and the scorer passes a
-chunk's texts and images once each, however many of its pairs share
-them.  Both gather a pair's rows only where text meets image, so work
-that reads one text, or one image, runs once per distinct input.  `fuse`
-also takes a list of text positions per pair, the ones its caller reads,
-and returns their rows pair by pair; its last cross layer computes only
-those: its keys and values read every row, but its queries, output maps
-and MLP run on the requested rows alone.  So the stacked-row layout
+pads are hidden like any masked row.  `Encoded.take` and `Fusable.take`
+gather samples by batch index in one tape node per stream, so a negative,
+a repeat or a subset of a batch costs no new encode.  `fuse` takes a batch
+of texts, a batch of images and an (m, 2) pair index of (text, image)
+batch indices, so the training step fuses every role of every pass
+(positives, mined negatives, masked copies; unmasked and box-masked) in
+one call, and the scorer passes a chunk's texts and images once each,
+however many of its pairs share them.  The fuse's work that reads one
+input, cross layer 0's text-only work (`fuse_texts`) and each cross
+layer's image keys and values (`fuse_images`), runs once per distinct
+input, and a pair's rows are gathered only where text meets image.
+Training passes encodings, and `fuse` runs both halves in one call; the
+scorer runs the one-input half beside its encodes and caches it as
+`Fusable` batches, so it runs once per scorer, not once per fuse chunk.
+`fuse` also takes a list of text positions per pair, the ones its caller
+reads, and returns their rows pair by pair; its last cross layer computes
+only those: its keys and values read every row, but its queries, output
+maps and MLP run on the requested rows alone.  So the stacked-row layout
 stays in this module.
 The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps the [CLS] rows
@@ -81,8 +86,8 @@ TEMPERATURE_INIT = 0.07
 class Encoded(NamedTuple):
     """A batch of one stream: the stacked visible rows, and which slots are visible.
 
-    The layers compute in this layout too: `VLModel._block` and `_mha` read
-    their keys as an `Encoded`.
+    The layers compute in this layout too: every stream `VLModel._block`
+    and `fuse` read holds the visible rows of its mask, sample-major.
     """
 
     states: Tensor  # (visible.sum(), hidden_dim): the visible slots' rows, sample-major
@@ -90,23 +95,46 @@ class Encoded(NamedTuple):
 
     def take(self, samples: Sequence[int]) -> Encoded:
         """The encodings at these batch indices, in this order, as one `take_rows` node."""
-        idx = np.asarray(samples, dtype=np.intp)
-        visible = self.visible[idx]
-        return Encoded(tensor.take_rows(self.states, ops.present_rows(self.visible)[idx][visible]),
-                       visible)
+        rows, visible = _sample_rows(self.visible, samples)
+        return Encoded(tensor.take_rows(self.states, rows), visible)
 
     def cls_rows(self, n: int) -> Tensor:
         """The [CLS] rows of the first n samples, as one `take_rows` node."""
         return tensor.take_rows(self.states, ops.present_rows(self.visible)[:n, 0])
 
+
+class Fusable(NamedTuple):
+    """A batch of one stream as `VLModel.fuse` reads it: the fuse's work on each input alone.
+
+    `VLModel.fuse_texts` and `fuse_images` tell what `parts` holds.  Each
+    part stacks the visible rows of `visible`, sample-major, as
+    `Encoded.states` does.
+    """
+
+    parts: tuple[Tensor, ...]
+    visible: np.ndarray  # (batch, seq) bool
+
+    def take(self, samples: Sequence[int]) -> Fusable:
+        """The batch at these batch indices, in this order, as one `take_rows` node per part."""
+        rows, visible = _sample_rows(self.visible, samples)
+        return Fusable(tuple(tensor.take_rows(part, rows) for part in self.parts), visible)
+
     @staticmethod
-    def stack(parts: Sequence[Encoded]) -> Encoded:
-        """Batches of one sequence length as one batch, in this order, as one `concat` node."""
-        lengths = {part.visible.shape[1] for part in parts}
+    def stack(batches: Sequence[Fusable]) -> Fusable:
+        """Batches of one sequence length as one batch, in order, as one `concat` node per part."""
+        lengths = {batch.visible.shape[1] for batch in batches}
         if len(lengths) != 1:
             raise ShapeError(f"cannot stack encodings of sequence lengths {sorted(lengths)}")
-        return Encoded(tensor.concat([part.states for part in parts], 0),
-                       np.concatenate([part.visible for part in parts]))
+        return Fusable(tuple(tensor.concat(list(parts), 0)
+                             for parts in zip(*(batch.parts for batch in batches))),
+                       np.concatenate([batch.visible for batch in batches]))
+
+
+def _sample_rows(visible: np.ndarray, samples: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, mask) of the samples at these batch indices: their stacked rows' index, their mask."""
+    idx = np.asarray(samples, dtype=np.intp)
+    picked = visible[idx]
+    return ops.present_rows(visible)[idx][picked], picked
 
 
 def _pair_index(pairs, texts: int, images: int) -> np.ndarray:
@@ -253,62 +281,70 @@ class VLModel:
     def temperature(self) -> Tensor:
         return tensor.exp(self.params["log_tau"])
 
-    def _mha(self, prefix: str, x_q: Tensor, keys: Encoded, samples: np.ndarray | None = None,
-             queries: np.ndarray | None = None) -> Tensor:
-        """Attention from the query rows `x_q` to the rows of `keys`.
+    def _map(self, prefix: str, kind: str, x: Tensor) -> Tensor:
+        """The map `kind` ("q", "k", "v" or "o") of the attention `prefix` on the rows `x`."""
+        return ops.linear(x, self.params[f"{prefix}.w{kind}"], self.params[f"{prefix}.b{kind}"])
 
-        `x_q` holds the visible rows of the (batch, seq) `queries` mask, or
+    def _key_values(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+        """The attention `prefix`'s keys and values of the rows `x`, the keys projected first."""
+        return self._map(prefix, "k", x), self._map(prefix, "v", x)
+
+    def _attend(self, prefix: str, q: Tensor, key_values: Sequence[Tensor], mask: np.ndarray,
+                samples: np.ndarray | None = None, queries: np.ndarray | None = None) -> Tensor:
+        """The attention `prefix` from the projected query rows `q`, through its output map.
+
+        The keys and values hold the visible rows of the (batch, seq) `mask`.
+        `q` holds the visible rows of the (batch, seq) `queries` mask, or
         with None the same number of rows for each sample (see
-        `ops.masked_attention`).  With `samples`, `keys` holds distinct
-        inputs: their keys and values are projected once each, and query
-        sample j attends to input `samples[j]`, which attention reads by
-        index.
+        `ops.masked_attention`).  With `samples`, the keys and values hold
+        distinct inputs, and query sample j attends to input `samples[j]`,
+        which attention reads by index.
         """
-        p = self.params
-        q = ops.linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k = ops.linear(keys.states, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = ops.linear(keys.states, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        attended = ops.masked_attention(q, k, v, keys.visible, self.config.heads, queries, samples)
-        return ops.linear(attended, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+        attended = ops.masked_attention(q, *key_values, mask, self.config.heads, queries, samples)
+        return self._map(prefix, "o", attended)
+
+    def _norm(self, name: str, x: Tensor) -> Tensor:
+        """The layer norm `name` ("cross.0.ln1", say) of the rows `x`."""
+        return ops.layer_norm(x, self.params[f"{name}_g"], self.params[f"{name}_b"])
+
+    def _self_attention(self, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
+        """Layer `prefix`'s pre-norm self-attention with its residual, every row of `x` querying.
+
+        `x` holds the visible rows of the (batch, seq) `mask`, sample-major.
+        """
+        attn = f"{prefix}.attn"
+        normed = self._norm(f"{prefix}.ln1", x)
+        q = self._map(attn, "q", normed)
+        return tensor.add(x, self._attend(attn, q, self._key_values(attn, normed), mask,
+                                          queries=mask))
+
+    def _queried_attention(self, prefix: str, x: Tensor, normed: Tensor,
+                           key_values: Sequence[Tensor], mask: np.ndarray, rows: np.ndarray,
+                           samples: np.ndarray | None = None) -> Tensor:
+        """Layer `prefix`'s self-attention with its residual, only the stacked `rows` querying.
+
+        `x` and its layer norm 1 `normed` hold the visible rows of the
+        (batch, seq) `mask`; `key_values` holds their keys and values, or
+        nothing, and then they are projected here, after the query rows are
+        taken.  The rows returned are `rows`, the same number per query
+        sample.  With `samples`, `x` holds distinct inputs, and query sample
+        j attends to input `samples[j]`.
+        """
+        attn = f"{prefix}.attn"
+        x, q = tensor.take_rows(x, rows), self._map(attn, "q", tensor.take_rows(normed, rows))
+        key_values = key_values or self._key_values(attn, normed)
+        return tensor.add(x, self._attend(attn, q, key_values, mask, samples))
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
+        """Layer `prefix`'s pre-norm MLP with its residual."""
         p = self.params
-        hidden = ops.gelu(ops.linear(x, p[f"{prefix}.mlp_w1"], p[f"{prefix}.mlp_b1"]))
-        return ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"])
+        hidden = ops.gelu(ops.linear(self._norm(f"{prefix}.ln2", x), p[f"{prefix}.mlp_w1"],
+                                     p[f"{prefix}.mlp_b1"]))
+        return tensor.add(x, ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"]))
 
-    def _block(self, prefix: str, x: Tensor, mask: np.ndarray, cross: Encoded | None = None,
-               rows: np.ndarray | None = None, texts_of: np.ndarray | None = None,
-               images_of: np.ndarray | None = None) -> Tensor:
-        """One pre-norm layer on `x`, the visible rows of the (batch, seq) `mask`, sample-major.
-
-        With `rows`, only those rows of `x` query and are returned, the same
-        number for each output sample; the self-attention keys and values
-        still come from every row of `x`.
-
-        With `texts_of`, `x` and `mask` hold distinct texts and output
-        sample j is text `texts_of[j]`'s: layer norm 1 and the self-attention
-        keys and values run once per text, and so does the whole
-        self-attention when every row queries.  With `images_of`, `cross`
-        holds distinct images and output sample j attends to image
-        `images_of[j]`, whose cross-attention keys and values are projected
-        once per image.
-        """
-        p = self.params
-        normed = ops.layer_norm(x, p[f"{prefix}.ln1_g"], p[f"{prefix}.ln1_b"])
-        keys = Encoded(normed, mask)
-        if rows is None:
-            x = tensor.add(x, self._mha(f"{prefix}.attn", normed, keys, None, mask))
-            if texts_of is not None:
-                x, mask = Encoded(x, mask).take(texts_of)
-        else:
-            x, queries = tensor.take_rows(x, rows), tensor.take_rows(normed, rows)
-            x = tensor.add(x, self._mha(f"{prefix}.attn", queries, keys, texts_of))
-            mask = None  # each output sample has the same number of rows
-        if cross is not None:
-            normed = ops.layer_norm(x, p[f"{prefix}.lnx_g"], p[f"{prefix}.lnx_b"])
-            x = tensor.add(x, self._mha(f"{prefix}.xattn", normed, cross, images_of, mask))
-        normed = ops.layer_norm(x, p[f"{prefix}.ln2_g"], p[f"{prefix}.ln2_b"])
-        return tensor.add(x, self._mlp(prefix, normed))
+    def _block(self, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
+        """One pre-norm encoder layer on `x`, the visible rows of the (batch, seq) `mask`."""
+        return self._mlp(prefix, self._self_attention(prefix, x, mask))
 
     # -- encoders ---------------------------------------------------------------
 
@@ -391,7 +427,44 @@ class VLModel:
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
 
-    def fuse(self, texts: Encoded, visions: Encoded, pairs,
+    def fuse_texts(self, texts: Encoded, scoring: bool = False) -> Fusable:
+        """Each text's own fuse work: what cross layer 0 computes from the text alone.
+
+        When layer 0 is not the last cross layer, its layer norm 1 and its
+        whole self-attention read the text alone: `parts` holds the rows they
+        return, with the residual, and with `scoring` also those rows'
+        cross-attention queries (layer norm x, then the query map).  A last
+        layer 0 queries only the positions each pair requests: `parts` holds
+        the encoder's rows and their layer norm 1, and with `scoring` also
+        their self-attention keys and values.
+
+        `scoring` is for frozen weights.  On the tape, `fuse` runs those maps
+        after its per-pair gather instead: there a weight's gradient sums
+        the per-pair rows in one product, and the text rows' gradients sum
+        in the order that the training tests pin.
+        """
+        x, mask = texts
+        if self.config.cross_layers > 1:
+            x = self._self_attention("cross.0", x, mask)
+            if not scoring:
+                return Fusable((x,), mask)
+            return Fusable((x, self._map("cross.0.xattn", "q", self._norm("cross.0.lnx", x))),
+                           mask)
+        normed = self._norm("cross.0.ln1", x)
+        return Fusable((x, normed, *(self._key_values("cross.0.attn", normed) if scoring else ())),
+                       mask)
+
+    def fuse_images(self, visions: Encoded) -> Fusable:
+        """Each image's own fuse work: every cross layer's cross-attention keys and values.
+
+        `parts` holds them layer by layer, the keys before the values.  No
+        other work of the fuse reads the image states.
+        """
+        return Fusable(tuple(chain.from_iterable(
+            self._key_values(f"cross.{i}.xattn", visions.states)
+            for i in range(self.config.cross_layers))), visions.visible)
+
+    def fuse(self, texts: Encoded | Fusable, visions: Encoded | Fusable, pairs,
              positions: Sequence[Sequence[int]]) -> Tensor:
         """The fused states at each pair's text `positions`, pair by pair, in list order.
 
@@ -399,23 +472,28 @@ class VLModel:
         `texts` with image `pairs[j, 1]` of `visions`, its text states
         cross-attended to the image's visible rows.  Every cross layer but
         the last runs on each pair's visible text rows.  The last one runs
-        layer norm 1 and the self- and cross-attention keys and values on
-        all of them as well, and the rest only on the requested positions,
-        padded per pair with its [CLS] position to the longest list, so each
-        pair keeps its own keys and key mask.  A position may be requested
-        more than once, and a list may be empty; a hidden position queries
-        from its pair's [CLS] row, and its row is zero.
+        layer norm 1 and the self-attention keys and values on all of them
+        as well, and the rest only on the requested positions, padded per
+        pair with its [CLS] position to the longest list, so each pair keeps
+        its own keys and key mask.  A position may be requested more than
+        once, and a list may be empty; a hidden position queries from its
+        pair's [CLS] row, and its row is zero.
 
-        The pairs are gathered where text meets image: cross layer 0's layer
-        norm and self-attention read only the text, so they run once per
-        distinct text (in a last layer, only the norm and the self-attention
-        keys and values), and every layer projects the cross-attention keys
-        and values once per distinct image.  The parameter gradients sum the
-        same terms as a fuse of the batches gathered per pair first, in
-        another order.  The values are that fuse's bit for bit only where the
-        BLAS kernel computes a row of an affine map apart from how many rows
-        share the product, since the two fuses run their maps on different
-        row counts.  On OpenBLAS 0.3.31 that was measured to hold for its
+        The fuse runs in two halves: the work that reads one input
+        (`fuse_texts`, `fuse_images`), once per distinct input, then the
+        work that reads a pair.  Given encodings, as in training, it runs
+        both halves in this one call, the image projections hoisted ahead
+        of the pair half in layer order, keys before values, so the backward
+        sums their gradients into the vision states in the order a layer by
+        layer projection would.  Given `Fusable` batches, as from the scorer's
+        caches, it runs the pair half only.  The pair half gathers per pair
+        where text meets image, and attention reads each image's keys and
+        values by index.  The parameter gradients sum the same terms as a
+        fuse of the batches gathered per pair first, in another order.  The
+        values are that fuse's bit for bit only where the BLAS kernel
+        computes a row of an affine map apart from how many rows share the
+        product, since the two fuses run their maps on different row
+        counts.  On OpenBLAS 0.3.31 that was measured to hold for its
         Sandybridge kernels at every count above one, and for its SkylakeX
         kernels at the shapes and counts of the tests and the default config
         (not at every shape: with 2 output columns, rows differ at counts up
@@ -423,6 +501,10 @@ class VLModel:
         row's bits depend on whether the count is odd), so there the two
         fuses can differ in their last bits.
         """
+        if isinstance(texts, Encoded):
+            texts = self.fuse_texts(texts)
+        if isinstance(visions, Encoded):
+            visions = self.fuse_images(visions)
         index = _pair_index(pairs, len(texts.visible), len(visions.visible))
         texts_of, images_of = index[:, 0], index[:, 1]
         mask = texts.visible
@@ -430,21 +512,33 @@ class VLModel:
         pair_mask = mask[texts_of]
         keep = pair_mask[query_pairs, query_positions]
         query_positions[~keep] = 0  # a hidden position queries from its pair's [CLS] row
-        x = texts.states
         last = self.config.cross_layers - 1
+        cached = []  # layer 0's cross-attention queries per pair, when `texts` holds them
+        if last:
+            x, *cached = texts.take(texts_of).parts
         for i in range(last + 1):
-            rows = None
-            if i == last:
-                rows = ops.present_rows(mask)[texts_of[query_pairs] if i == 0 else query_pairs,
-                                              query_positions]
-            x = self._block(f"cross.{i}", x, mask, cross=visions, rows=rows,
-                            texts_of=texts_of if i == 0 else None, images_of=images_of)
-            mask = pair_mask
+            prefix = f"cross.{i}"
+            if i == last and i:
+                rows = ops.present_rows(pair_mask)[query_pairs, query_positions]
+                x = self._queried_attention(prefix, x, self._norm(f"{prefix}.ln1", x), (),
+                                            pair_mask, rows)
+            elif i == last:  # the keys and values of distinct texts, read per pair by index
+                x, normed, *key_values = texts.parts
+                rows = ops.present_rows(mask)[texts_of[query_pairs], query_positions]
+                x = self._queried_attention(prefix, x, normed, key_values, mask, rows, texts_of)
+            elif i:
+                x = self._self_attention(prefix, x, pair_mask)
+            xattn = f"{prefix}.xattn"
+            q = cached.pop() if cached else self._map(xattn, "q", self._norm(f"{prefix}.lnx", x))
+            x = tensor.add(x, self._attend(xattn, q, visions.parts[2 * i:2 * i + 2],
+                                           visions.visible, images_of,
+                                           None if i == last else pair_mask))
+            x = self._mlp(prefix, x)
         if not keep.all():
             x = tensor.mul(x, Tensor(keep.astype(np.float64).reshape(-1, 1)))
         return tensor.take_rows(x, picks)
 
-    def cross_cls(self, texts: Encoded, visions: Encoded, pairs) -> Tensor:
+    def cross_cls(self, texts: Encoded | Fusable, visions: Encoded | Fusable, pairs) -> Tensor:
         """(pairs, hidden_dim) fused [CLS] rows, the rows the matching and box heads read."""
         return self.fuse(texts, visions, pairs, [[0]] * len(pairs))
 

@@ -15,7 +15,7 @@ from finegrain import synthdata as sd
 from finegrain import tensor
 from finegrain.config import RunConfig
 from finegrain.errors import EmptyInputError, ValidationError
-from finegrain.model import Encoded, VLModel
+from finegrain.model import Encoded, Fusable, VLModel
 from finegrain.seeding import rng_for
 from finegrain.vocab import Vocabulary
 
@@ -416,8 +416,13 @@ class TestModelScorer:
                                        grid_size=model.config.patch_grid, retrieval_count=8)
         batched = ev.run_benchmark(ev.model_scorer(model, manifest), manifest)
         encode_images = VLModel.encode_images
-        monkeypatch.setattr(VLModel, "encode_images", lambda self, grids: Encoded.stack(
-            [encode_images(self, [grid]) for grid in grids]))
+
+        def one_by_one(self, grids):
+            parts = [encode_images(self, [grid]) for grid in grids]
+            return Encoded(tensor.concat([part.states for part in parts], 0),
+                           np.concatenate([part.visible for part in parts]))
+
+        monkeypatch.setattr(VLModel, "encode_images", one_by_one)
         alone = ev.run_benchmark(ev.model_scorer(model, manifest), manifest)
         # bit for bit on a row-stable kernel; under OpenBLAS 0.3.31's forced Haswell and
         # Nehalem kernels the largest relative difference of a subtask's scores was
@@ -473,16 +478,29 @@ class TestModelScorer:
         assert (ev.run_benchmark(ev.model_scorer(model), self.MANIFEST).metrics
                 == ev.run_benchmark(ev.model_scorer(model, self.MANIFEST), self.MANIFEST).metrics)
 
+    def test_scores_of_inputs_from_several_encode_batches(self, monkeypatch):
+        # at 16 rows a fuse chunk's grids and texts come from several encode batches,
+        # which it reads taken from each and stacked
+        monkeypatch.setattr(ev, "CHUNK_ROWS", 16)
+        model = VLModel(MICRO, seed=5)
+        model.params["head.itm_w"].array *= 30
+        batched = scored_pairs(model, self.MANIFEST, batched=True)
+        for (scene, text, one), (_, _, many) in zip(scored_pairs(model, self.MANIFEST), batched,
+                                                    strict=True):
+            assert abs(many - one) <= SCORE_ATOL, (scene.ident, text)
+
     @staticmethod
     def fused_text_rows(monkeypatch) -> list[int]:
         """Each later `VLModel.fuse` call's text rows over its pairs, in call order.
 
-        Each call must ask for exactly one position per pair, its [CLS] position.
+        Each call must take the scorer's cached per-input work, as `Fusable`
+        batches, and ask for exactly one position per pair, its [CLS] position.
         """
         rows = []
         fuse = VLModel.fuse
 
         def counted(self, texts, visions, pairs, requested):
+            assert isinstance(texts, Fusable) and isinstance(visions, Fusable)
             assert list(requested) == [[0]] * len(pairs)
             rows.append(len(pairs) * texts.visible.shape[1])
             return fuse(self, texts, visions, pairs, requested)
@@ -492,16 +510,16 @@ class TestModelScorer:
 
     @pytest.mark.parametrize("chunk_rows", [ev.CHUNK_ROWS, 16])
     def test_each_fuse_reads_each_input_once(self, monkeypatch, chunk_rows):
-        # a fuse takes a chunk's distinct texts and distinct grids and pairs them by
-        # index: no text and no grid is stacked twice, though the manifest's pairs
-        # share both
+        # a fuse takes batches of the cached work of texts and of grids and pairs them by
+        # index: no text and no grid is in a batch twice, though the manifest's pairs share
+        # both
         monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
-        inputs = []  # each fuse's texts and grids, one state block per sample
+        inputs = []  # each fuse's texts and grids, one block of their first part per sample
         fuse = VLModel.fuse
 
         def recorded(self, texts, visions, *rest):
-            inputs.append([np.split(encoded.states.array, len(encoded.visible))
-                           for encoded in (texts, visions)])
+            inputs.append([np.split(batch.parts[0].array, len(batch.visible))
+                           for batch in (texts, visions)])
             return fuse(self, texts, visions, *rest)
 
         monkeypatch.setattr(VLModel, "fuse", recorded)
@@ -509,6 +527,40 @@ class TestModelScorer:
         assert len({(s.grid.tobytes(), t) for s, t, _ in pairs}) > len(inputs)
         for blocks in itertools.chain.from_iterable(inputs):
             assert len({block.tobytes() for block in blocks}) == len(blocks)
+
+    @pytest.mark.parametrize("chunk_rows", [ev.CHUNK_ROWS, 16])
+    @pytest.mark.parametrize("cross_layers", [1, 2])
+    def test_each_inputs_own_fuse_work_runs_once_per_scorer(self, monkeypatch, chunk_rows,
+                                                            cross_layers):
+        # the scorer runs each distinct input's own fuse work once, beside its encode, and
+        # every fuse chunk reads it from the caches: each cross layer's image keys and
+        # values, and cross layer 0's text-only work
+        monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
+        model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
+        names = {id(param.array): name for name, param in model.params.items()}
+        rows = collections.Counter()  # the rows each parameter's map or norm reads in all
+        linear, layer_norm = ops.linear, ops.layer_norm
+
+        def linear_spy(x, w, b):
+            rows[names.get(id(w.array))] += x.shape[0]
+            return linear(x, w, b)
+
+        def norm_spy(x, gain, bias):
+            rows[names[id(gain.array)]] += x.shape[0]
+            return layer_norm(x, gain, bias)
+
+        monkeypatch.setattr(ops, "linear", linear_spy)
+        monkeypatch.setattr(ops, "layer_norm", norm_spy)
+        pairs = scored_pairs(model, self.MANIFEST, batched=True)
+        grids = {s.grid.tobytes() for s, _, _ in pairs}
+        image_rows = len(grids) * (model.config.num_patches + 1)
+        text_rows = sum(len(model.config.vocab.encode_wrapped(t)) for t in {t for _, t, _ in pairs})
+        for i in range(cross_layers):
+            assert rows[f"cross.{i}.xattn.wk"] == rows[f"cross.{i}.xattn.wv"] == image_rows
+        per_text = (["cross.0.attn.wk", "cross.0.attn.wv"] if cross_layers == 1 else
+                    [f"cross.0.attn.w{m}" for m in "qkvo"] + ["cross.0.lnx_g", "cross.0.xattn.wq"])
+        for name in ["cross.0.ln1_g", *per_text]:
+            assert rows[name] == text_rows, name
 
     def test_every_fuse_runs_when_the_scorer_is_built(self, monkeypatch):
         # every call of run_benchmark's is then a lookup
