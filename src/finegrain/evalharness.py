@@ -157,7 +157,7 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
     - the same chunk runs the fuse's work that reads one input: every
       cross layer's cross-attention keys and values of a grid
       (`VLModel.fuse_images`), and cross layer 0's text-only work and
-      cross-attention queries of a text (`VLModel.fuse_texts`, scoring).
+      cross-attention queries of a text (`VLModel.fuse_texts`, off the tape).
       The chunk's batch of that work is cached, and each input as that
       batch and its index there, in place of its encoding, which nothing
       reads again: one copy per input, computed once per scorer however
@@ -203,8 +203,7 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
                 ids[text] = vocab.encode_wrapped(text)
         _encode_new(images, grids, lambda batch: model.fuse_images(model.encode_images(batch)),
                     lambda grid: grid_rows)
-        _encode_new(texts, ids, lambda batch: model.fuse_texts(model.encode_texts(batch),
-                                                               scoring=True), len)
+        _encode_new(texts, ids, lambda batch: model.fuse_texts(model.encode_texts(batch)), len)
         for chunk in _length_chunks(keys, lambda key: texts[key[1]][0].visible.shape[1]):
             text_batch, text_index = _batch_of(texts, dict.fromkeys(text for _, text in chunk))
             image_batch, grid_index = _batch_of(images, dict.fromkeys(grid for grid, _ in chunk))

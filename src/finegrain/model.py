@@ -27,7 +27,8 @@ one call, and the scorer passes a chunk's texts and images once each,
 however many of its pairs share them.  The fuse's work that reads one
 input, cross layer 0's text-only work (`fuse_texts`) and each cross
 layer's image keys and values (`fuse_images`), runs once per distinct
-input, and a pair's rows are gathered only where text meets image.
+input, and a pair's rows are gathered only where text meets image (off
+the tape, `fuse_texts` also runs the text maps training runs after that).
 Training passes encodings, and `fuse` runs both halves in one call; the
 scorer runs the one-input half beside its encodes and caches it as
 `Fusable` batches, so it runs once per scorer, not once per fuse chunk.
@@ -427,32 +428,32 @@ class VLModel:
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
         return self.encode_texts([token_ids])
 
-    def fuse_texts(self, texts: Encoded, scoring: bool = False) -> Fusable:
+    def fuse_texts(self, texts: Encoded) -> Fusable:
         """Each text's own fuse work: what cross layer 0 computes from the text alone.
 
         When layer 0 is not the last cross layer, its layer norm 1 and its
         whole self-attention read the text alone: `parts` holds the rows they
-        return, with the residual, and with `scoring` also those rows'
+        return, with the residual, and off the tape also those rows'
         cross-attention queries (layer norm x, then the query map).  A last
         layer 0 queries only the positions each pair requests: `parts` holds
-        the encoder's rows and their layer norm 1, and with `scoring` also
+        the encoder's rows and their layer norm 1, and off the tape also
         their self-attention keys and values.
 
-        `scoring` is for frozen weights.  On the tape, `fuse` runs those maps
-        after its per-pair gather instead: there a weight's gradient sums
-        the per-pair rows in one product, and the text rows' gradients sum
-        in the order that the training tests pin.
+        On the tape, that is when the text states require gradients, `fuse`
+        runs those maps after its per-pair gather instead: there a weight's
+        gradient sums the per-pair rows in one product, and the text rows'
+        gradients sum in the order that the training tests pin.
         """
         x, mask = texts
         if self.config.cross_layers > 1:
             x = self._self_attention("cross.0", x, mask)
-            if not scoring:
+            if x.requires_grad:
                 return Fusable((x,), mask)
             return Fusable((x, self._map("cross.0.xattn", "q", self._norm("cross.0.lnx", x))),
                            mask)
         normed = self._norm("cross.0.ln1", x)
-        return Fusable((x, normed, *(self._key_values("cross.0.attn", normed) if scoring else ())),
-                       mask)
+        return Fusable((x, normed, *(() if x.requires_grad else
+                                     self._key_values("cross.0.attn", normed))), mask)
 
     def fuse_images(self, visions: Encoded) -> Fusable:
         """Each image's own fuse work: every cross layer's cross-attention keys and values.

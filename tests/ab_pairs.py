@@ -1,31 +1,42 @@
 """Paired benchmark runs of two checkouts, alternating which side runs first.
 
     python tests/ab_pairs.py --parent DIR --change DIR --label L [--seeds 1-10]
-                             [--workloads train_full ...]
+                             [--workloads train_full ... study_eval]
 
-For each workload and seed it runs `perfbench/run.py` once in each checkout,
-each from its own root, the parent first in even-numbered pairs and the
-change first in odd ones, so a drift in the host's speed loads both sides
-alike.  It writes BENCH_<L>_parent.json and BENCH_<L>_change.json to the
-current directory, in the layout of `perfbench/spread.py --out`, with each
-metric summarised by this checkout's `spread.summarize` and its `values`, one
-per seed, in `--seeds` order.  Then it prints, for each workload and
-end-to-end metric of this checkout's BENCHMARK.json, the pairs in which the
-change is better, the median of the change / parent ratios, the parent's
-quartile distance as a share of its median and the `verdict` on the two
-sides' runs.  The workloads default to all of BENCHMARK.json's, at its
-`run_seconds`.  It exits 1, after naming each case, when a verdict reads
-`worse`, or when a run of the change reads `correct: false` or has failed
-operations.  It is run by hand: pytest does not collect it.
+For each workload and seed it runs the workload once in each checkout, in a
+fresh process on the checkout's src/ at one BLAS thread: the parent first in
+each workload's even-numbered pairs and the change first in odd ones, so a
+drift in the host's speed loads both sides alike.  The workloads default to
+BENCHMARK.json's, each a `perfbench/run.py` run at its `run_seconds`.
+`study_eval`, run when named, times one `runner.run_eval` at study size (200
+items per subtask, a 64-scene retrieval table) of one checkpoint, trained
+once per invocation by the first study run, a parent's: the default config
+at seed 100, data seed 200 and eval seed 9000 after 12 steps.  It reports
+`eval_pairs_per_s`, the cells scored over those seconds, its `peak_rss_mb`
+and a digest of the report files it wrote; its pair judges its correctness.
+
+It writes BENCH_<L>_parent.json and BENCH_<L>_change.json to the current
+directory, in the layout of `perfbench/spread.py --out`, each metric
+`summarize`d with its `values`, one per seed, in `--seeds` order.  Then, for
+each workload and each end-to-end metric of BENCHMARK.json that it reports,
+it prints the pairs in which the change is better, the median of the change
+/ parent ratios, the parent's quartile distance as a share of its median and
+the `verdict`.  It exits 1, after naming each case, when a verdict reads
+`worse`, when a run of the change reads `correct: false` or has failed
+operations, or when the two runs of a pair give different digests.  It is
+run by hand: pytest does not collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,17 +45,58 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from spread import seed_list, summarize  # noqa: E402
 
 SIDES = ("parent", "change")
+STUDY = "study_eval"
+STUDY_CODE = """
+import hashlib, json, resource, sys, tempfile, time
+from pathlib import Path
+from finegrain import runner
+from finegrain.config import RunConfig
+from finegrain.evalharness import default_manifest
+config = RunConfig(seed=100, data_seed=200, eval_seed=9000, steps=12, cadence=3)
+if sys.argv[1] == "train":
+    runner.run_training(config, Path(sys.argv[2]))
+    sys.exit()
+manifest = default_manifest(eval_seed=config.eval_seed, per_subtask=200,
+                            grid_size=config.patch_grid, retrieval_count=64)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "eval"
+    start = time.perf_counter()
+    report = runner.run_eval(config, runner.checkpoint_path(Path(sys.argv[2]), config.steps),
+                             out, manifest=manifest)
+    seconds = time.perf_counter() - start
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(out)).encode() + b"\\0" + path.read_bytes())
+cells = sum(rows.size for rows in report.cells.values()) + report.retrieval.size
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(json.dumps({"correct": True, "failed": 0, "attempted": cells, "digest": digest.hexdigest(),
+                  "metrics": {"eval_pairs_per_s": {"value": cells / seconds},
+                              "peak_rss_mb": {"value": rss_mb}}}))
+"""
+scratch = functools.cache(tempfile.TemporaryDirectory)  # holds the study's checkpoint
+
+
+def child(checkout: Path, what: str, *args: str) -> str:
+    """The stdout of `python args`, `what` for short, in a fresh process on `checkout`."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {what} failed ({proc.returncode}):\n{proc.stderr}")
+    return proc.stdout
 
 
 def one_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The result line of one untraced run in `checkout`."""
-    command = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} failed ({proc.returncode}):\n"
-                         f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    """The result line of one run of `workload` in `checkout`; `seconds` is perfbench's."""
+    args = [str(checkout / "perfbench" / "run.py"), "--workload", workload, "--seed",
+            str(seed), "--seconds", str(seconds), "--trace", "0"]
+    if workload == STUDY:
+        args = ["-c", STUDY_CODE, "eval", str(Path(scratch().name) / "run")]
+        if not os.path.exists(args[-1]):
+            child(checkout, "the study's training", "-c", STUDY_CODE, "train", args[-1])
+    return json.loads(child(checkout, f"{workload} seed {seed}", *args).splitlines()[-1])
 
 
 def wins(parent: list[float], change: list[float], better: str) -> int:
@@ -94,23 +146,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--workloads", nargs="+")
     args = parser.parse_args(argv)
+    seeds = seed_list(args.seeds)
+    if len(seeds) < 2:
+        parser.error(f"--seeds {args.seeds} needs at least two seeds, for quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     runs = {side: {w: [] for w in workloads} for side in SIDES}
     faults = []
-    pair = 0
     for workload in workloads:
-        for seed in seed_list(args.seeds):
+        for pair, seed in enumerate(seeds):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 result = one_run(checkouts[side], workload, seed, spec["run_seconds"])
                 runs[side][workload].append(result)
                 print(f"{workload} seed {seed} {side}: correct={result['correct']}, "
                       f"failed {result['failed']} of {result['attempted']}", flush=True)
-                if side == "change" and (not result["correct"] or result["failed"]):
-                    faults.append(f"{workload} seed {seed}: the change's run reads "
-                                  f"correct={result['correct']}, failed {result['failed']}")
-            pair += 1
+            parent, change = (runs[side][workload][-1] for side in SIDES)
+            if not change["correct"] or change["failed"]:
+                faults.append(f"{workload} seed {seed}: the change's run reads "
+                              f"correct={change['correct']}, failed {change['failed']}")
+            if change.get("digest") != parent.get("digest"):
+                faults.append(f"{workload} seed {seed}: the two runs' report digests differ")
+    if STUDY in workloads:
+        scratch().cleanup()
     for side in SIDES:
         out = Path(f"BENCH_{args.label}_{side}.json")
         out.write_text(json.dumps({w: report(runs[side][w]) for w in workloads}, indent=1,
@@ -120,6 +178,8 @@ def main(argv=None) -> int:
               "parent quartile distance, verdict")
         for metric in spec["end_to_end"]:
             name = metric["name"]
+            if name not in runs["parent"][workload][0]["metrics"]:
+                continue
             parent, change = ([r["metrics"][name]["value"] for r in runs[side][workload]]
                               for side in SIDES)
             won = wins(parent, change, metric["better"])

@@ -277,22 +277,34 @@ def test_ab_pairs_report_keeps_each_runs_value():
     assert b["median"] == pytest.approx(20.9) and b["spread"] == pytest.approx(a["spread"])
 
 
-@pytest.mark.parametrize("fault, named", [
-    (None, None),
-    ("worse", "FAIL train_full setup_s: worse"),
-    ("incorrect", "FAIL train_full seed 3: the change's run reads correct=False, failed 0"),
-    ("failed", "FAIL train_full seed 3: the change's run reads correct=True, failed 2"),
-], ids=["clean", "worse", "incorrect", "failed"])
-def test_ab_pairs_main_exits_1_on_a_fault(fault, named, tmp_path, monkeypatch, capsys):
+STUDY_METRICS = ["eval_pairs_per_s", "peak_rss_mb"]
+
+
+@pytest.mark.parametrize("workload, fault, named", [
+    ("train_full", None, None),
+    ("train_full", "worse", "FAIL train_full setup_s: worse"),
+    ("train_full", "incorrect",
+     "FAIL train_full seed 3: the change's run reads correct=False, failed 0"),
+    ("train_full", "failed",
+     "FAIL train_full seed 3: the change's run reads correct=True, failed 2"),
+    ("study_eval", None, None),
+    ("study_eval", "digest", "FAIL study_eval seed 3: the two runs' report digests differ"),
+], ids=["clean", "worse", "incorrect", "failed", "study_clean", "study_digest"])
+def test_ab_pairs_main_exits_1_on_a_fault(workload, fault, named, tmp_path, monkeypatch,
+                                          capsys):
     ab_pairs = load_ab_pairs()
     spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     def one_run(checkout, workload, seed, seconds):  # stands in for a benchmark run
         change = checkout.name == "change"
+        hit = change and seed == 3
+        if workload == "study_eval":  # two metrics, and a digest of the run's reports
+            return {"correct": True, "failed": 0, "attempted": 8096,
+                    "digest": "b" if hit and fault == "digest" else "a",
+                    "metrics": {name: {"value": 10.0 + 0.1 * seed} for name in STUDY_METRICS}}
         metrics = {m["name"]: {"value": 10.0 + 0.1 * seed} for m in spec["end_to_end"]}
         if change and fault == "worse":
             metrics["setup_s"]["value"] *= 2  # lower is better
-        hit = change and seed == 3
         return {"correct": not (hit and fault == "incorrect"),
                 "failed": 2 if hit and fault == "failed" else 0, "attempted": 5,
                 "metrics": metrics}
@@ -301,7 +313,40 @@ def test_ab_pairs_main_exits_1_on_a_fault(fault, named, tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     code = ab_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                           str(tmp_path / "change"), "--label", "t", "--seeds", "1-4",
-                          "--workloads", "train_full"])
-    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+                          "--workloads", workload])
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
     assert (code, fails) == ((0, []) if named is None else (1, [named]))
+    judged = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert judged == (STUDY_METRICS if workload == "study_eval" else
+                      [m["name"] for m in spec["end_to_end"]])
     assert all((tmp_path / f"BENCH_t_{side}.json").exists() for side in ("parent", "change"))
+
+
+@pytest.mark.parametrize("seeds", ["3", "5-4"])
+def test_ab_pairs_rejects_fewer_than_two_seeds_before_any_run(seeds, tmp_path, monkeypatch,
+                                                              capsys):
+    # one seed has no quartile distance to judge by, and no seed has no median
+    ab_pairs = load_ab_pairs()
+    runs = []
+    monkeypatch.setattr(ab_pairs, "one_run", lambda *args: runs.append(args))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        ab_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                       str(tmp_path / "change"), "--label", "t", "--seeds", seeds])
+    assert exited.value.code == 2 and runs == [] and not list(tmp_path.iterdir())
+    assert "needs at least two" in capsys.readouterr().err
+
+
+def test_ab_pairs_study_run_on_this_checkout():
+    # the one real study run in tier-1: a 12-step training, then a study-size eval
+    ab_pairs = load_ab_pairs()
+    try:
+        result = ab_pairs.one_run(PERFBENCH.parent, "study_eval", 1, 15)
+    finally:
+        ab_pairs.scratch().cleanup()
+    assert sorted(result) == ["attempted", "correct", "digest", "failed", "metrics"]
+    assert (result["correct"], result["failed"], result["attempted"]) == (True, 0, 8096)
+    assert sorted(result["metrics"]) == STUDY_METRICS
+    assert all(m["value"] > 0 for m in result["metrics"].values())
+    assert len(bytes.fromhex(result["digest"])) == 32  # a sha256

@@ -603,18 +603,21 @@ class TestFrozen:
 
 @pytest.mark.parametrize("cross_layers", [1, 2, 3])
 def test_scoring_per_text_maps_equal_the_per_pair_maps(cross_layers):
-    # with `scoring`, the maps that read one text only run once per text: cross layer 0's
+    # off the tape, the maps that read one text only run once per text: cross layer 0's
     # query map after layer norm x, or at one cross layer the self-attention keys and
-    # values.  Training runs them per pair, after the gather; the pairs repeat texts
-    model = VLModel(micro_config(cross_layers=cross_layers), seed=5).frozen()
+    # values.  On the tape they run per pair, after the gather; the pairs repeat texts
+    taped = VLModel(micro_config(cross_layers=cross_layers), seed=5)
+    model = taped.frozen()
     grids, visibilities, ids = batch_inputs(model)
-    texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
+    taped_texts, texts = taped.encode_texts(ids), model.encode_texts(ids)
     assert len(set(SHARED_PAIRS[:, 0])) < len(SHARED_PAIRS)
-    per_text = model.fuse_texts(texts, scoring=True)
-    assert len(per_text.parts) == len(model.fuse_texts(texts).parts) + (
+    per_text = model.fuse_texts(texts)
+    assert len(per_text.parts) == len(taped.fuse_texts(taped_texts).parts) + (
         2 if cross_layers == 1 else 1)
-    per_pair = model.cross_cls(texts, images, SHARED_PAIRS)
-    scored = model.cross_cls(per_text, model.fuse_images(images), SHARED_PAIRS)
+    per_pair = taped.cross_cls(taped_texts, taped.encode_images(grids, visibilities),
+                               SHARED_PAIRS)
+    scored = model.cross_cls(per_text, model.fuse_images(model.encode_images(grids, visibilities)),
+                             SHARED_PAIRS)
     # bit for bit on a row-stable kernel.  Under OpenBLAS 0.3.31's forced Haswell and
     # Nehalem kernels the largest relative difference here was 1.3e-16 and 2.6e-16
     assert_equal_across_row_counts(scored.array, per_pair.array, 1e-15, "[CLS] rows")
