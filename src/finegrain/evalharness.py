@@ -78,8 +78,9 @@ class EvalReport:
 # large enough to cost no speed.  The caches grow with the distinct inputs instead, for
 # the scorer's lifetime: a grid keeps 2 x cross_layers blocks of its rows, its
 # cross-attention keys and values (4x the encoder states they replace at the default
-# config), and a text its `fuse_texts` parts (2x its states there).  At the default
-# config the study manifest's 932 grids and 489 texts cache about 38 MB.
+# config), and a text its `fuse_texts` parts: cross layer 0's self-attention rows, and
+# their cross-attention queries unless layer 0 is the last (2x its states there).  At the
+# default config the study manifest's 932 grids and 489 texts cache about 38 MB.
 CHUNK_ROWS = 512
 
 
@@ -156,8 +157,9 @@ def model_scorer(model: VLModel, manifest: dict | None = None) -> Scorer:
       longer one does not keep the bytes;
     - the same chunk runs the fuse's work that reads one input: every
       cross layer's cross-attention keys and values of a grid
-      (`VLModel.fuse_images`), and cross layer 0's text-only work and
-      cross-attention queries of a text (`VLModel.fuse_texts`, off the tape).
+      (`VLModel.fuse_images`), and cross layer 0's self-attention of a
+      text, with its cross-attention queries unless layer 0 is the last
+      (`VLModel.fuse_texts`, off the tape).
       The chunk's batch of that work is cached, and each input as that
       batch and its index there, in place of its encoding, which nothing
       reads again: one copy per input, computed once per scorer however

@@ -17,26 +17,29 @@ hidden row, and no code downstream can read one.  Only attention, which
 must not mix samples, reads the batch axis: `ops.masked_attention` lays
 the rows into its per-sample grid from the masks, inside its one tape
 node.  Texts are padded with [PAD] to the batch's longest sequence, and
-pads are hidden like any masked row.  `Encoded.take` and `Fusable.take`
-gather samples by batch index in one tape node per stream, so a negative,
-a repeat or a subset of a batch costs no new encode.  `fuse` takes a batch
-of texts, a batch of images and an (m, 2) pair index of (text, image)
-batch indices, so the training step fuses every role of every pass
-(positives, mined negatives, masked copies; unmasked and box-masked) in
-one call, and the scorer passes a chunk's texts and images once each,
-however many of its pairs share them.  The fuse's work that reads one
-input, cross layer 0's text-only work (`fuse_texts`) and each cross
-layer's image keys and values (`fuse_images`), runs once per distinct
-input, and a pair's rows are gathered only where text meets image (off
-the tape, `fuse_texts` also runs the text maps training runs after that).
+pads are hidden like any masked row.  `Fusable.take` gathers samples by
+batch index in one tape node per part, for `fuse`'s per-pair gather and
+the scorer's cached inputs; `Encoded.take`, its twin for an encoding,
+serves only the tests' reference fuse, which gathers per pair first.
+`fuse` takes a batch of texts, a batch of images and an (m, 2) pair index
+of (text, image) batch indices, so the training step fuses every role of
+every pass (positives, mined negatives, masked copies; unmasked and
+box-masked) in one call, and the scorer passes a chunk's texts and images
+once each, however many of its pairs share them.  The fuse's work that
+reads one input, cross layer 0's self-attention on each text
+(`fuse_texts`) and each cross layer's image keys and values
+(`fuse_images`), runs once per distinct input, and a pair's rows are
+gathered only where text meets image (off the tape, unless layer 0 is the
+last cross layer, `fuse_texts` also runs its cross-attention query map,
+which training runs after that gather).
 Training passes encodings, and `fuse` runs both halves in one call; the
 scorer runs the one-input half beside its encodes and caches it as
 `Fusable` batches, so it runs once per scorer, not once per fuse chunk.
 `fuse` also takes a list of text positions per pair, the ones its caller
 reads, and returns their rows pair by pair; its last cross layer computes
-only those: its keys and values read every row, but its queries, output
-maps and MLP run on the requested rows alone.  So the stacked-row layout
-stays in this module.
+only those: its self-attention reads every row (a last layer 0's, once
+per distinct text), but the rest of it runs on the requested rows alone.
+So the stacked-row layout stays in this module.
 The heads read little: the matching and box heads a [CLS] row per pair,
 the masked-LM head the masked positions.  `project` maps the [CLS] rows
 that `Encoded.cls_rows` gathers in one affine map, and `cross_cls` fuses
@@ -319,22 +322,18 @@ class VLModel:
         return tensor.add(x, self._attend(attn, q, self._key_values(attn, normed), mask,
                                           queries=mask))
 
-    def _queried_attention(self, prefix: str, x: Tensor, normed: Tensor,
-                           key_values: Sequence[Tensor], mask: np.ndarray, rows: np.ndarray,
-                           samples: np.ndarray | None = None) -> Tensor:
+    def _queried_attention(self, prefix: str, x: Tensor, mask: np.ndarray,
+                           rows: np.ndarray) -> Tensor:
         """Layer `prefix`'s self-attention with its residual, only the stacked `rows` querying.
 
-        `x` and its layer norm 1 `normed` hold the visible rows of the
-        (batch, seq) `mask`; `key_values` holds their keys and values, or
-        nothing, and then they are projected here, after the query rows are
-        taken.  The rows returned are `rows`, the same number per query
-        sample.  With `samples`, `x` holds distinct inputs, and query sample
-        j attends to input `samples[j]`.
+        `x` holds the visible rows of the (batch, seq) `mask`: layer norm 1
+        and the keys and values read them all.  The rows returned are
+        `rows`, the same number per query sample.
         """
         attn = f"{prefix}.attn"
+        normed = self._norm(f"{prefix}.ln1", x)
         x, q = tensor.take_rows(x, rows), self._map(attn, "q", tensor.take_rows(normed, rows))
-        key_values = key_values or self._key_values(attn, normed)
-        return tensor.add(x, self._attend(attn, q, key_values, mask, samples))
+        return tensor.add(x, self._attend(attn, q, self._key_values(attn, normed), mask))
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
         """Layer `prefix`'s pre-norm MLP with its residual."""
@@ -429,31 +428,23 @@ class VLModel:
         return self.encode_texts([token_ids])
 
     def fuse_texts(self, texts: Encoded) -> Fusable:
-        """Each text's own fuse work: what cross layer 0 computes from the text alone.
+        """Each text's own fuse work: cross layer 0's self-attention, which reads the text alone.
 
-        When layer 0 is not the last cross layer, its layer norm 1 and its
-        whole self-attention read the text alone: `parts` holds the rows they
-        return, with the residual, and off the tape also those rows'
-        cross-attention queries (layer norm x, then the query map).  A last
-        layer 0 queries only the positions each pair requests: `parts` holds
-        the encoder's rows and their layer norm 1, and off the tape also
-        their self-attention keys and values.
-
-        On the tape, that is when the text states require gradients, `fuse`
-        runs those maps after its per-pair gather instead: there a weight's
+        `parts` holds the rows it returns, with the residual, and, off the
+        tape and when layer 0 is not the last cross layer, also those rows'
+        cross-attention queries (layer norm x, then the query map).  On the
+        tape, that is when the text states require gradients, `fuse` runs
+        the query map after its per-pair gather instead: there a weight's
         gradient sums the per-pair rows in one product, and the text rows'
-        gradients sum in the order that the training tests pin.
+        gradients sum in the order that the training tests pin.  A last
+        layer 0 projects its queries on the requested rows alone, on and off
+        the tape, so that a pair scored alone keeps the taped fuse's bits.
         """
-        x, mask = texts
-        if self.config.cross_layers > 1:
-            x = self._self_attention("cross.0", x, mask)
-            if x.requires_grad:
-                return Fusable((x,), mask)
-            return Fusable((x, self._map("cross.0.xattn", "q", self._norm("cross.0.lnx", x))),
-                           mask)
-        normed = self._norm("cross.0.ln1", x)
-        return Fusable((x, normed, *(() if x.requires_grad else
-                                     self._key_values("cross.0.attn", normed))), mask)
+        x = self._self_attention("cross.0", *texts)
+        if x.requires_grad or self.config.cross_layers == 1:
+            return Fusable((x,), texts.visible)
+        return Fusable((x, self._map("cross.0.xattn", "q", self._norm("cross.0.lnx", x))),
+                       texts.visible)
 
     def fuse_images(self, visions: Encoded) -> Fusable:
         """Each image's own fuse work: every cross layer's cross-attention keys and values.
@@ -471,14 +462,15 @@ class VLModel:
 
         `pairs` is an (m, 2) index array: pair j fuses text `pairs[j, 0]` of
         `texts` with image `pairs[j, 1]` of `visions`, its text states
-        cross-attended to the image's visible rows.  Every cross layer but
-        the last runs on each pair's visible text rows.  The last one runs
-        layer norm 1 and the self-attention keys and values on all of them
-        as well, and the rest only on the requested positions, padded per
-        pair with its [CLS] position to the longest list, so each pair keeps
-        its own keys and key mask.  A position may be requested more than
-        once, and a list may be empty; a hidden position queries from its
-        pair's [CLS] row, and its row is zero.
+        cross-attended to the image's visible rows.  Cross layer 0's
+        self-attention runs on each distinct text's visible rows, every later
+        layer but the last on each pair's.  The last layer computes only the
+        requested positions, padded per pair with its [CLS] position to the
+        longest list; a later one than layer 0 runs its layer norm 1 and
+        self-attention keys and values on all of the pair's rows as well, so
+        each pair keeps its own keys and key mask.  A position may be
+        requested more than once, and a list may be empty; a hidden position
+        queries from its pair's [CLS] row, and its row is zero.
 
         The fuse runs in two halves: the work that reads one input
         (`fuse_texts`, `fuse_images`), once per distinct input, then the
@@ -487,8 +479,9 @@ class VLModel:
         of the pair half in layer order, keys before values, so the backward
         sums their gradients into the vision states in the order a layer by
         layer projection would.  Given `Fusable` batches, as from the scorer's
-        caches, it runs the pair half only.  The pair half gathers per pair
-        where text meets image, and attention reads each image's keys and
+        caches, it runs the pair half only.  The pair half starts with one
+        gather of text rows, each pair's visible ones, or its requested ones
+        when layer 0 is the last, and attention reads each image's keys and
         values by index.  The parameter gradients sum the same terms as a
         fuse of the batches gathered per pair first, in another order.  The
         values are that fuse's bit for bit only where the BLAS kernel
@@ -517,16 +510,14 @@ class VLModel:
         cached = []  # layer 0's cross-attention queries per pair, when `texts` holds them
         if last:
             x, *cached = texts.take(texts_of).parts
+        else:  # a last layer 0 goes on from the distinct texts' requested rows alone
+            rows = ops.present_rows(mask)[texts_of[query_pairs], query_positions]
+            x = tensor.take_rows(texts.parts[0], rows)
         for i in range(last + 1):
             prefix = f"cross.{i}"
             if i == last and i:
                 rows = ops.present_rows(pair_mask)[query_pairs, query_positions]
-                x = self._queried_attention(prefix, x, self._norm(f"{prefix}.ln1", x), (),
-                                            pair_mask, rows)
-            elif i == last:  # the keys and values of distinct texts, read per pair by index
-                x, normed, *key_values = texts.parts
-                rows = ops.present_rows(mask)[texts_of[query_pairs], query_positions]
-                x = self._queried_attention(prefix, x, normed, key_values, mask, rows, texts_of)
+                x = self._queried_attention(prefix, x, pair_mask, rows)
             elif i:
                 x = self._self_attention(prefix, x, pair_mask)
             xattn = f"{prefix}.xattn"

@@ -108,8 +108,9 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """How one end-to-end metric moved, from the runs of each side, paired by index.
 
-    `gain`: the change is better in at least 9 of 10 pairs, and its median is
-    better than the parent's by more than the parent's quartile distance.
+    `gain`: there are at least 10 pairs, the change is better in at least 9 of
+    10 of them, and its median is better than the parent's by more than the
+    parent's quartile distance; fewer pairs are no claim, however they read.
     `worse`: the change's median is worse than the parent's by more than
     `bound`, a share of the parent's median.  `unresolved`: the parent's
     quartile distance, as a share of its median, is wider than `bound`, and not
@@ -119,7 +120,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     sign = 1 if better == "higher" else -1
     base = summarize(parent)
     gap = sign * (statistics.median(change) - base["median"])
-    if 10 * wins(parent, change, better) >= 9 * len(parent) and gap > base["q3"] - base["q1"]:
+    if (len(parent) >= 10 and 10 * wins(parent, change, better) >= 9 * len(parent)
+            and gap > base["q3"] - base["q1"]):
         return "gain"
     if -gap > bound * abs(base["median"]):
         return "worse"

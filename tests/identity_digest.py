@@ -23,12 +23,19 @@ bundled OpenBLAS picked at run time (`unknown` if the library does not say),
 since the bytes can differ between kernels; `OPENBLAS_CORETYPE` forces one.
 
 The record of these lines is committed as tests/identity/NAME.txt, one file
-per kernel.  `--compare` writes the slots into a temporary directory and
-compares their digests with the record for the runtime kernel: it prints
-each path whose digest differs or that only one side lists, and exits 1 on
-any difference, or if no record names the kernel.  A change that keeps
-every output leaves the record as it is; one that moves outputs rewrites it,
-and the record's diff lists what moved.
+per kernel.  The Haswell, Sandybridge and Nehalem records were written on a
+SkylakeX host with the kernel forced for the digest process alone, as in
+
+    OPENBLAS_CORETYPE=Haswell python tests/identity_digest.py NEW_DIR
+
+and each printed the same lines twice; whether a native host of each family
+gives the same bits was not checked.  `--compare` writes the slots into a
+temporary directory and compares their digests with the record for the
+runtime kernel: it prints each path whose digest differs or that only one
+side lists, and exits 1 on any difference, or if no record names the
+kernel.  A change that keeps every output leaves the records as they are;
+one that moves outputs rewrites each of them, and their diffs list what
+moved.
 """
 
 from __future__ import annotations

@@ -256,9 +256,13 @@ PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # quartil
     # unless every change run beats every parent run
     ([9.8] * 10, "lower", 0.02, "gain"),
     ([9.99] * 5 + [9.95] * 5, "lower", 0.02, "within bound"),
+    # 2 of 2 wins by 10% are no claim: a gain needs 10 pairs
+    ([9.0, 9.1], "lower", 0.24, "within bound"),
 ])
 def test_ab_pairs_verdict(change, better, bound, expected):
-    assert load_ab_pairs().verdict(PARENT, change, better, bound) == expected
+    # the parent's runs are PARENT's first len(change)
+    parent = PARENT[:len(change)]
+    assert load_ab_pairs().verdict(parent, change, better, bound) == expected
 
 
 def test_ab_pairs_report_keeps_each_runs_value():

@@ -534,7 +534,7 @@ class TestModelScorer:
                                                             cross_layers):
         # the scorer runs each distinct input's own fuse work once, beside its encode, and
         # every fuse chunk reads it from the caches: each cross layer's image keys and
-        # values, and cross layer 0's text-only work
+        # values, and cross layer 0's self-attention on each text
         monkeypatch.setattr(ev, "CHUNK_ROWS", chunk_rows)
         model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
         names = {id(param.array): name for name, param in model.params.items()}
@@ -557,8 +557,8 @@ class TestModelScorer:
         text_rows = sum(len(model.config.vocab.encode_wrapped(t)) for t in {t for _, t, _ in pairs})
         for i in range(cross_layers):
             assert rows[f"cross.{i}.xattn.wk"] == rows[f"cross.{i}.xattn.wv"] == image_rows
-        per_text = (["cross.0.attn.wk", "cross.0.attn.wv"] if cross_layers == 1 else
-                    [f"cross.0.attn.w{m}" for m in "qkvo"] + ["cross.0.lnx_g", "cross.0.xattn.wq"])
+        per_text = [f"cross.0.attn.w{m}" for m in "qkvo"] + (
+            ["cross.0.lnx_g", "cross.0.xattn.wq"] if cross_layers > 1 else [])
         for name in ["cross.0.ln1_g", *per_text]:
             assert rows[name] == text_rows, name
 

@@ -419,7 +419,7 @@ def gather_first_fuse(model, texts, images, pairs, positions):
 
 @pytest.mark.parametrize("cross_layers", [1, 2, 3])
 def test_fuse_off_the_tape_equals_the_gather_first_fuse_bit_for_bit(cross_layers):
-    # every fuse runs text-only work once per distinct text and projects the
+    # every fuse runs cross layer 0's self-attention once per distinct text and projects the
     # cross-attention keys and values once per distinct image, on the tape or off it;
     # its values are those of the fuse of both batches gathered per pair first
     model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
@@ -511,18 +511,24 @@ class TestHiddenRowsNeverComputed:
         assert len(norms) == 2 * micro.config.vision_layers and gelus
         assert {rows for _, rows in norms} == set(gelus) == {3 + 9}  # a [CLS] row each
 
-    def test_fuse_sees_only_each_pairs_visible_text_rows(self, monkeypatch):
-        model = VLModel(micro_config(cross_layers=2), seed=5)
+    @pytest.mark.parametrize("cross_layers", [1, 2])
+    def test_fuse_sees_only_each_pairs_visible_text_rows(self, monkeypatch, cross_layers):
+        model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
         grids, visibilities, ids = batch_inputs(model)
         texts, images = model.encode_texts(ids), model.encode_images(grids, visibilities)
         norms, gelus = self.row_counts(monkeypatch, model, lambda: model.fuse(
             texts, images, SHARED_PAIRS, SHARED_POSITIONS))
         pair_rows = int(texts.visible[SHARED_PAIRS[:, 0]].sum())
         assert pair_rows < SHARED_PAIRS.size // 2 * texts.visible.shape[1]
+        query_rows = len(SHARED_POSITIONS) * max(map(len, SHARED_POSITIONS))  # padded per pair
         rows = dict(norms)
+        assert len(rows) == len(norms) == 3 * cross_layers  # each norm runs once
         assert rows["cross.0.ln1_g"] == texts.visible.sum()  # once per distinct text
-        assert rows["cross.0.lnx_g"] == rows["cross.0.ln2_g"] == gelus[0] == pair_rows
-        assert rows["cross.1.ln1_g"] == pair_rows
+        if cross_layers > 1:
+            assert rows["cross.0.lnx_g"] == rows["cross.0.ln2_g"] == gelus[0] == pair_rows
+            assert rows["cross.1.ln1_g"] == pair_rows
+        last = f"cross.{cross_layers - 1}"
+        assert rows[f"{last}.lnx_g"] == rows[f"{last}.ln2_g"] == gelus[-1] == query_rows
 
 
 class TestFrozen:
@@ -558,7 +564,14 @@ class TestFrozen:
         for expected, out in zip(trainable, outputs, strict=True):
             assert expected.requires_grad
             assert out._seq is None and not out.requires_grad
+        for expected, out in zip(trainable[:-1], outputs[:-1]):
             assert np.array_equal(out.array, expected.array)
+        # the frozen fuse projects layer 0's cross-attention queries per text, the taped one
+        # per pair: bit for bit on a row-stable kernel.  Under OpenBLAS 0.3.31's forced
+        # Haswell and Nehalem kernels the largest relative difference here was 8.1e-17 and
+        # 1.1e-16
+        assert_equal_across_row_counts(outputs[-1].array, trainable[-1].array, 1e-15,
+                                       "fused rows")
         tensor.tsum(outputs[-1]).backward()  # nothing recorded, nothing to propagate
         assert all(p.grad is None for p in model.parameters() + frozen.parameters())
 
@@ -603,9 +616,9 @@ class TestFrozen:
 
 @pytest.mark.parametrize("cross_layers", [1, 2, 3])
 def test_scoring_per_text_maps_equal_the_per_pair_maps(cross_layers):
-    # off the tape, the maps that read one text only run once per text: cross layer 0's
-    # query map after layer norm x, or at one cross layer the self-attention keys and
-    # values.  On the tape they run per pair, after the gather; the pairs repeat texts
+    # off the tape, cross layer 0's query map after layer norm x runs once per text, and
+    # on the tape per pair, after the gather; the pairs repeat texts.  A last layer 0
+    # projects its queries on the requested rows on and off the tape
     taped = VLModel(micro_config(cross_layers=cross_layers), seed=5)
     model = taped.frozen()
     grids, visibilities, ids = batch_inputs(model)
@@ -613,7 +626,7 @@ def test_scoring_per_text_maps_equal_the_per_pair_maps(cross_layers):
     assert len(set(SHARED_PAIRS[:, 0])) < len(SHARED_PAIRS)
     per_text = model.fuse_texts(texts)
     assert len(per_text.parts) == len(taped.fuse_texts(taped_texts).parts) + (
-        2 if cross_layers == 1 else 1)
+        0 if cross_layers == 1 else 1)
     per_pair = taped.cross_cls(taped_texts, taped.encode_images(grids, visibilities),
                                SHARED_PAIRS)
     scored = model.cross_cls(per_text, model.fuse_images(model.encode_images(grids, visibilities)),
