@@ -90,8 +90,8 @@ TEMPERATURE_INIT = 0.07
 class Encoded(NamedTuple):
     """A batch of one stream: the stacked visible rows, and which slots are visible.
 
-    The layers compute in this layout too: every stream `VLModel._block`
-    and `fuse` read holds the visible rows of its mask, sample-major.
+    The layers compute in this layout too: every stream that the encoders'
+    layers and `fuse` read holds the visible rows of its mask, sample-major.
     """
 
     states: Tensor  # (visible.sum(), hidden_dim): the visible slots' rows, sample-major
@@ -311,29 +311,22 @@ class VLModel:
         """The layer norm `name` ("cross.0.ln1", say) of the rows `x`."""
         return ops.layer_norm(x, self.params[f"{name}_g"], self.params[f"{name}_b"])
 
-    def _self_attention(self, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
-        """Layer `prefix`'s pre-norm self-attention with its residual, every row of `x` querying.
+    def _self_attention(self, prefix: str, x: Tensor, mask: np.ndarray,
+                        rows: np.ndarray | None = None) -> Tensor:
+        """Layer `prefix`'s pre-norm self-attention with its residual.
 
-        `x` holds the visible rows of the (batch, seq) `mask`, sample-major.
+        `x` holds the visible rows of the (batch, seq) `mask`, sample-major:
+        layer norm 1 and the keys and values read them all.  Every row
+        queries, or with `rows` only those stacked rows, the same number per
+        sample; the rows returned are the querying ones.
         """
         attn = f"{prefix}.attn"
-        normed = self._norm(f"{prefix}.ln1", x)
-        q = self._map(attn, "q", normed)
+        normed = queried = self._norm(f"{prefix}.ln1", x)
+        if rows is not None:
+            x, queried = tensor.take_rows(x, rows), tensor.take_rows(normed, rows)
+        q = self._map(attn, "q", queried)
         return tensor.add(x, self._attend(attn, q, self._key_values(attn, normed), mask,
-                                          queries=mask))
-
-    def _queried_attention(self, prefix: str, x: Tensor, mask: np.ndarray,
-                           rows: np.ndarray) -> Tensor:
-        """Layer `prefix`'s self-attention with its residual, only the stacked `rows` querying.
-
-        `x` holds the visible rows of the (batch, seq) `mask`: layer norm 1
-        and the keys and values read them all.  The rows returned are
-        `rows`, the same number per query sample.
-        """
-        attn = f"{prefix}.attn"
-        normed = self._norm(f"{prefix}.ln1", x)
-        x, q = tensor.take_rows(x, rows), self._map(attn, "q", tensor.take_rows(normed, rows))
-        return tensor.add(x, self._attend(attn, q, self._key_values(attn, normed), mask))
+                                          queries=mask if rows is None else None))
 
     def _mlp(self, prefix: str, x: Tensor) -> Tensor:
         """Layer `prefix`'s pre-norm MLP with its residual."""
@@ -341,10 +334,6 @@ class VLModel:
         hidden = ops.gelu(ops.linear(self._norm(f"{prefix}.ln2", x), p[f"{prefix}.mlp_w1"],
                                      p[f"{prefix}.mlp_b1"]))
         return tensor.add(x, ops.linear(hidden, p[f"{prefix}.mlp_w2"], p[f"{prefix}.mlp_b2"]))
-
-    def _block(self, prefix: str, x: Tensor, mask: np.ndarray) -> Tensor:
-        """One pre-norm encoder layer on `x`, the visible rows of the (batch, seq) `mask`."""
-        return self._mlp(prefix, self._self_attention(prefix, x, mask))
 
     # -- encoders ---------------------------------------------------------------
 
@@ -402,7 +391,8 @@ class VLModel:
                              order[token_mask]),
             tensor.take_rows(self.params["vision.pos"], np.nonzero(token_mask)[1]))
         for i in range(cfg.vision_layers):
-            x = self._block(f"vision.{i}", x, token_mask)
+            prefix = f"vision.{i}"
+            x = self._mlp(prefix, self._self_attention(prefix, x, token_mask))
         return Encoded(x, token_mask)
 
     def encode_texts(self, id_lists: Sequence[Sequence[int]]) -> Encoded:
@@ -421,7 +411,8 @@ class VLModel:
         x = tensor.add(ops.embed(ids[pad_mask], self.params["text.emb"]),
                        tensor.take_rows(self.params["text.pos"], np.nonzero(pad_mask)[1]))
         for i in range(cfg.text_layers):
-            x = self._block(f"text.{i}", x, pad_mask)
+            prefix = f"text.{i}"
+            x = self._mlp(prefix, self._self_attention(prefix, x, pad_mask))
         return Encoded(x, pad_mask)
 
     def encode_text(self, token_ids: Sequence[int]) -> Encoded:
@@ -480,14 +471,13 @@ class VLModel:
         sums their gradients into the vision states in the order a layer by
         layer projection would.  Given `Fusable` batches, as from the scorer's
         caches, it runs the pair half only.  The pair half starts with one
-        gather of text rows, each pair's visible ones, or its requested ones
-        when layer 0 is the last, and attention reads each image's keys and
-        values by index.  The parameter gradients sum the same terms as a
-        fuse of the batches gathered per pair first, in another order.  The
-        values are that fuse's bit for bit only where the BLAS kernel
-        computes a row of an affine map apart from how many rows share the
-        product, since the two fuses run their maps on different row
-        counts.  On OpenBLAS 0.3.31 that was measured to hold for its
+        gather of text rows, each pair's visible ones, and attention reads
+        each image's keys and values by index.  The parameter gradients sum
+        the same terms as a fuse of the batches gathered per pair first, in
+        another order.  The values are that fuse's bit for bit only where the
+        BLAS kernel computes a row of an affine map apart from how many rows
+        share the product, since the two fuses run their maps on different
+        row counts.  On OpenBLAS 0.3.31 that was measured to hold for its
         Sandybridge kernels at every count above one, and for its SkylakeX
         kernels at the shapes and counts of the tests and the default config
         (not at every shape: with 2 output columns, rows differ at counts up
@@ -507,19 +497,15 @@ class VLModel:
         keep = pair_mask[query_pairs, query_positions]
         query_positions[~keep] = 0  # a hidden position queries from its pair's [CLS] row
         last = self.config.cross_layers - 1
-        cached = []  # layer 0's cross-attention queries per pair, when `texts` holds them
-        if last:
-            x, *cached = texts.take(texts_of).parts
-        else:  # a last layer 0 goes on from the distinct texts' requested rows alone
-            rows = ops.present_rows(mask)[texts_of[query_pairs], query_positions]
-            x = tensor.take_rows(texts.parts[0], rows)
+        # each pair's text rows, and layer 0's cross-attention queries when `texts` holds them
+        x, *cached = texts.take(texts_of).parts
+        rows = ops.present_rows(pair_mask)[query_pairs, query_positions]  # last layer's queries
         for i in range(last + 1):
             prefix = f"cross.{i}"
-            if i == last and i:
-                rows = ops.present_rows(pair_mask)[query_pairs, query_positions]
-                x = self._queried_attention(prefix, x, pair_mask, rows)
-            elif i:
-                x = self._self_attention(prefix, x, pair_mask)
+            if i:
+                x = self._self_attention(prefix, x, pair_mask, rows if i == last else None)
+            elif i == last:  # a last layer 0: its self-attention ran per text in fuse_texts
+                x = tensor.take_rows(x, rows)
             xattn = f"{prefix}.xattn"
             q = cached.pop() if cached else self._map(xattn, "q", self._norm(f"{prefix}.lnx", x))
             x = tensor.add(x, self._attend(xattn, q, visions.parts[2 * i:2 * i + 2],

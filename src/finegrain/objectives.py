@@ -244,15 +244,11 @@ def fused_losses(model: VLModel, texts: Encoded, text_feats: Tensor,
     fused = model.fuse(texts, visions, np.concatenate(pairs), positions)
     terms, first_row = {}, 0
     for p, (draw, losses) in enumerate(zip(masked, (pass_losses, vma_losses))):
-        terms |= losses(model, fused, first_row, _rows(image_feats, p * n, (p + 1) * n),
+        terms |= losses(model, fused, first_row,
+                        tensor.take_rows(image_feats, np.arange(p * n, (p + 1) * n)),
                         text_feats, draw)
         first_row += 2 * n + len(draw.targets)
     return fused, terms
-
-
-def _rows(t: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows `lo` to `hi` of `t`: `t` itself when that is all of them, else one `take_rows` node."""
-    return t if (lo, hi) == (0, len(t.array)) else tensor.take_rows(t, np.arange(lo, hi))
 
 
 def pass_losses(model: VLModel, fused: Tensor, first: int, image_feats: Tensor,

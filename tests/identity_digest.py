@@ -1,4 +1,4 @@
-"""Digests of the run outputs of the ten benchmark seed slots, for a byte-identity check.
+"""Digests of the run outputs of the benchmark seed slots and depth slots, for byte identity.
 
     python tests/identity_digest.py NEW_DIR > digests.txt
     python tests/identity_digest.py --compare
@@ -13,10 +13,14 @@ also scores its last checkpoint at study size (200 items per subtask and a
 it loads the last checkpoint into a fresh model and saves it again as
 NEW_DIR/slot_k/roundtrip/step_000012.ckpt, whose digest must equal the
 checkpoint's own: that covers the loader bit for bit, heads that scoring
-never reads included.  Every file written is deterministic; it prints one
-`sha256  path` line per file, with paths relative to NEW_DIR.  Run it in two
-checkouts and diff the printed lines.  It is run by hand: pytest does not
-collect it.
+never reads included.  The two depth slots cover the fuse at cross-layer
+counts that the ten slots, at the default of 2, do not run: for k of 1 and
+3, `support.tiny_config` at k cross layers trains for 9 steps at cadence 3
+into NEW_DIR/depth_k, runs `run_eval` at each checkpoint and then
+`run_dynamics` there.  Every file written is deterministic; it prints one
+`sha256  path` line per file, with paths relative to NEW_DIR.  Run it in
+two checkouts and diff the printed lines.  It is run by hand: pytest does
+not collect it.
 
 The first line, `blas-kernel  NAME`, names the kernel family that numpy's
 bundled OpenBLAS picked at run time (`unknown` if the library does not say),
@@ -51,9 +55,10 @@ from finegrain import runner  # noqa: E402
 from finegrain.config import RunConfig  # noqa: E402
 from finegrain.evalharness import default_manifest  # noqa: E402
 from finegrain.model import VLModel, load_checkpoint, save_checkpoint  # noqa: E402
-from support import blas_kernel  # noqa: E402
+from support import blas_kernel, tiny_config  # noqa: E402
 
 SLOTS = 10
+DEPTHS = (1, 3)  # cross layers of the depth slots
 DENSE_RETRIEVAL = 24
 RECORDS = Path(__file__).resolve().parent / "identity"
 
@@ -61,9 +66,7 @@ RECORDS = Path(__file__).resolve().parent / "identity"
 def write_slot(k: int, run_dir: Path, study: bool) -> None:
     """Slot k's run, evals, dynamics, dense table, study-size eval if `study`, and round trip."""
     config = RunConfig(seed=100 + k, data_seed=200 + k, eval_seed=9000 + k, steps=12, cadence=3)
-    for step in runner.run_training(config, run_dir).checkpoint_steps:
-        runner.run_eval(config, runner.checkpoint_path(run_dir, step), run_dir)
-    runner.run_dynamics(config, run_dir)
+    write_run(config, run_dir)
     dense = {"grid_size": config.patch_grid, "subtasks": [],
              "retrieval": {"seed": config.eval_seed, "count": DENSE_RETRIEVAL}}
     last = runner.checkpoint_path(run_dir, config.steps)
@@ -78,10 +81,24 @@ def write_slot(k: int, run_dir: Path, study: bool) -> None:
     save_checkpoint(reloaded, run_dir / "roundtrip" / last.name, config.config_hash())
 
 
+def write_depth_slot(k: int, run_dir: Path) -> None:
+    """The depth slot of k cross layers: its run, evals and dynamics."""
+    write_run(tiny_config(cross_layers=k, steps=9), run_dir)
+
+
+def write_run(config: RunConfig, run_dir: Path) -> None:
+    """Train `config` into `run_dir`, run `run_eval` at each checkpoint, then `run_dynamics`."""
+    for step in runner.run_training(config, run_dir).checkpoint_steps:
+        runner.run_eval(config, runner.checkpoint_path(run_dir, step), run_dir)
+    runner.run_dynamics(config, run_dir)
+
+
 def write_slots(out: Path) -> list[str]:
     """Write every slot under `out`; one `sha256  path` line per file, by path."""
     for k in range(SLOTS):
         write_slot(k, out / f"slot_{k}", study=k == 0)
+    for k in DEPTHS:
+        write_depth_slot(k, out / f"depth_{k}")
     return digests(out)
 
 

@@ -511,7 +511,7 @@ class TestHiddenRowsNeverComputed:
         assert len(norms) == 2 * micro.config.vision_layers and gelus
         assert {rows for _, rows in norms} == set(gelus) == {3 + 9}  # a [CLS] row each
 
-    @pytest.mark.parametrize("cross_layers", [1, 2])
+    @pytest.mark.parametrize("cross_layers", [1, 2, 3])
     def test_fuse_sees_only_each_pairs_visible_text_rows(self, monkeypatch, cross_layers):
         model = VLModel(micro_config(cross_layers=cross_layers), seed=5)
         grids, visibilities, ids = batch_inputs(model)
@@ -523,10 +523,12 @@ class TestHiddenRowsNeverComputed:
         query_rows = len(SHARED_POSITIONS) * max(map(len, SHARED_POSITIONS))  # padded per pair
         rows = dict(norms)
         assert len(rows) == len(norms) == 3 * cross_layers  # each norm runs once
+        assert len(gelus) == cross_layers
         assert rows["cross.0.ln1_g"] == texts.visible.sum()  # once per distinct text
-        if cross_layers > 1:
-            assert rows["cross.0.lnx_g"] == rows["cross.0.ln2_g"] == gelus[0] == pair_rows
-            assert rows["cross.1.ln1_g"] == pair_rows
+        for i in range(1, cross_layers):
+            assert rows[f"cross.{i}.ln1_g"] == pair_rows, i
+        for i in range(cross_layers - 1):
+            assert rows[f"cross.{i}.lnx_g"] == rows[f"cross.{i}.ln2_g"] == gelus[i] == pair_rows, i
         last = f"cross.{cross_layers - 1}"
         assert rows[f"{last}.lnx_g"] == rows[f"{last}.ln2_g"] == gelus[-1] == query_rows
 
